@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curvature, nijenhuis, report
-from .curvature import CLAIMS, build_catalog, engine_for_mode, run_claim
+from .curvature import CLAIMS, build_catalog, run_claim
 from .linalg import scalar_to_str
 from .spaces import ModelSpace, make_standard
 from .tensors import (
@@ -39,7 +39,6 @@ class RunConfig:
     kind: str
     signature: tuple[int, int] | None
     eps: tuple[int, ...] | None
-    mode: str
     fmt: str
 
     def space(self) -> ModelSpace:
@@ -78,16 +77,18 @@ def _parse_indices(text: str, count: int, n: int) -> tuple[int, ...]:
     return tuple(i - 1 for i in idx)
 
 
+def _parse_word(text: str) -> tuple[int, int]:
+    if len(text) != 2 or any(c not in "01" for c in text):
+        raise UsageError(f"bad word {text!r}; expected two characters from 0,1, e.g. 00 or 11")
+    return (int(text[0]), int(text[1]))
+
+
 def _config_from_args(args) -> RunConfig:
-    mode = args.mode
-    if not (mode == "exact" or mode.startswith("float")):
-        raise UsageError(f"bad mode {mode!r}; expected exact or float:<tol>")
     return RunConfig(
         n=args.n,
         kind=args.kind,
         signature=_parse_sig(args.sig),
         eps=_parse_eps(args.eps),
-        mode=mode,
         fmt=args.format,
     )
 
@@ -118,11 +119,10 @@ def _markdown_table(obj: dict, title: str | None = None) -> str:
 
 def cmd_dims(config: RunConfig) -> int:
     space = config.space()
-    engine = engine_for_mode(config.mode)
-    catalog = build_catalog(space, engine)
+    catalog = build_catalog(space)
     payload = {
         "space": space.describe(),
-        "mode": config.mode,
+        "mode": "exact",
         "dims": catalog.dims(),
     }
     _emit(payload, config.fmt)
@@ -133,8 +133,7 @@ def cmd_verify(config: RunConfig, claim: str) -> int:
     if claim not in CLAIMS:
         raise UsageError(f"unknown claim {claim!r}; known: {', '.join(sorted(CLAIMS))}")
     space = config.space()
-    engine = engine_for_mode(config.mode)
-    rep = run_claim(claim, space, engine)
+    rep = run_claim(claim, space)
     if config.fmt == "json":
         print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=False))
     else:
@@ -171,7 +170,7 @@ def cmd_eval(config: RunConfig, args) -> int:
         return 0
     if what == "invariant":
         perm = tuple(int(x) - 1 for x in args.perm.split(","))
-        word = tuple(int(c) for c in args.word)
+        word = _parse_word(args.word)
         theta_name = args.tensor
         if theta_name == "hxh":
             theta, phi = metric_tensor2(space), metric_tensor2(space)
@@ -225,7 +224,6 @@ def cmd_sweep(config: RunConfig, args) -> int:
     for c in claims:
         if c not in CLAIMS:
             raise UsageError(f"unknown claim {c!r}")
-    engine = engine_for_mode(config.mode)
     cells = []
     overall = 0
     for n in ns:
@@ -239,10 +237,10 @@ def cmd_sweep(config: RunConfig, args) -> int:
                     "kind": kind,
                     "signature": list(space.signature),
                     "claim": claim,
-                    "mode": config.mode,
+                    "mode": "exact",
                 }
                 try:
-                    rep = run_claim(claim, space, engine)
+                    rep = run_claim(claim, space)
                 except ValueError as exc:
                     cell["status"] = f"skipped ({exc})"
                     cells.append(cell)
@@ -255,7 +253,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
                     cell["status"] = "fail"
                     overall = 1
                 cells.append(cell)
-    payload = {"mode": config.mode, "cells": cells}
+    payload = {"mode": "exact", "cells": cells}
     if config.fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=False))
     else:
@@ -277,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kind", choices=("complex", "para", "none"), default="complex")
     common.add_argument("--sig", default=None, help="signature p,q (defaults: definite / neutral)")
     common.add_argument("--eps", default=None, help="explicit diagonal sign layout, e.g. +,-,+,-")
-    common.add_argument("--mode", default="exact", help="exact (default) or float:<tol>")
+    common.add_argument("--mode", choices=("exact",), default="exact", help="arithmetic: exact (the only mode)")
     common.add_argument("--format", choices=("json", "md"), default="json")
 
     parser = argparse.ArgumentParser(

@@ -7,9 +7,6 @@ the structure-compatible ("kaehler") subspaces, and the six-piece splitting
 of rank-2 tensors.  On top of the catalog it solves for commutants of group
 actions, spans of invariant contraction functionals, and runs the claim
 verifiers exposed by the CLI.
-
-All defaults are exact rational; an opt-in floating-point engine (for large
-dimensions) can replace only the big rank-4 kernel computations.
 """
 
 from __future__ import annotations
@@ -46,6 +43,11 @@ from .tensors import (
     apply_kaehler,
     apply_ricci,
     bianchi_rows,
+    defect_antisym,
+    defect_bianchi,
+    defect_kaehler,
+    defect_riemann,
+    defect_weyl,
     gram_weight2,
     gram_weight4,
     inner2,
@@ -74,104 +76,59 @@ class NotInvariantError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Rank engines
+# Kernels, operator meets and orthogonality counts
 # ---------------------------------------------------------------------------
 
 
-class ExactEngine:
-    """Exact rational engine; the default for every computation."""
+def kernel_of_rows_subspace(rows: Sequence[Mapping[int, Fraction | int]], ambient: int) -> Subspace:
+    """Solution space of the constraint rows as a canonical subspace.
 
-    label = "exact"
-    tolerance = None
-
-    def kernel(self, rows: Sequence[Mapping[int, Fraction | int]], ambient: int) -> Subspace:
-        ech = Echelon(ambient)
-        for row in sorted(rows, key=len):
-            ech.add(row)
-        return Subspace(ambient, tuple(tuple(sorted(r.items())) for r in ech.kernel()))
-
-    def span(self, vectors: Sequence[Mapping[int, Fraction]], ambient: int) -> Subspace:
-        return Subspace.from_vectors(vectors, ambient)
-
-    def meet_operator_kernel(self, base: Subspace, op: Callable[[Vec], Vec]) -> Subspace:
-        """base ∩ ker(op), via the kernel of op restricted to base coordinates."""
-        basis = base.basis_dicts()
-        columns: dict[int, dict[int, Fraction]] = {}
-        for i, b in enumerate(basis):
-            for coord, v in op(b).items():
-                columns.setdefault(coord, {})[i] = v
-        coeff_kernel = kernel_of_rows(columns.values(), len(basis))
-        vectors = []
-        for coeffs in coeff_kernel:
-            vec: Vec = {}
-            for i, c in coeffs.items():
-                for coord, v in basis[i].items():
-                    cur = vec.get(coord, Fraction(0)) + c * v
-                    if cur:
-                        vec[coord] = cur
-                    else:
-                        vec.pop(coord, None)
-            vectors.append(vec)
-        return Subspace.from_vectors(vectors, base.ambient_dim)
-
-    def rank_of_vectors(self, vectors: Sequence[Mapping[int, Fraction]], ambient: int) -> int:
-        return rank_of_rows(vectors, ambient)
-
-    def dim(self, sub: Subspace) -> int:
-        return sub.dim
-
-    def basis(self, sub: Subspace) -> list[Vec]:
-        return sub.basis_dicts()
-
-    def reducer(self, sub: Subspace) -> SubspaceReducer:
-        return SubspaceReducer(sub)
-
-    def contains(self, sub: Subspace, vec: Mapping[int, Fraction]) -> bool:
-        return sub.contains(vec)
-
-    def is_subspace(self, a: Subspace, b: Subspace) -> bool:
-        return a.is_subspace_of(b)
-
-    def equals(self, a: Subspace, b: Subspace) -> bool:
-        return a == b
-
-    def sum(self, a: Subspace, b: Subspace) -> Subspace:
-        return subspace_sum(a, b)
-
-    def intersect(self, a: Subspace, b: Subspace) -> Subspace:
-        return intersect(a, b)
-
-    def orthogonality_violations(self, a: Subspace, b: Subspace, weight: Callable[[int], int]) -> int:
-        count = 0
-        bb = b.basis_dicts()
-        for va in a.basis_dicts():
-            for vb in bb:
-                small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
-                total = Fraction(0)
-                for c, v in small.items():
-                    w = big.get(c)
-                    if w is not None:
-                        total += v * w * weight(c)
-                if total:
-                    count += 1
-        return count
+    Rows go in shortest first: the canonical basis does not depend on the
+    order, but the elimination cost does.
+    """
+    ech = Echelon(ambient)
+    for row in sorted(rows, key=len):
+        ech.add(row)
+    return Subspace(ambient, tuple(tuple(sorted(r.items())) for r in ech.kernel()))
 
 
-EXACT = ExactEngine()
+def meet_operator_kernel(base: Subspace, op: Callable[[Vec], Vec]) -> Subspace:
+    """base ∩ ker(op), via the kernel of op restricted to base coordinates."""
+    basis = base.basis_dicts()
+    columns: dict[int, dict[int, Fraction]] = {}
+    for i, b in enumerate(basis):
+        for coord, v in op(b).items():
+            columns.setdefault(coord, {})[i] = v
+    coeff_kernel = kernel_of_rows(columns.values(), len(basis))
+    vectors = []
+    for coeffs in coeff_kernel:
+        vec: Vec = {}
+        for i, c in coeffs.items():
+            for coord, v in basis[i].items():
+                cur = vec.get(coord, Fraction(0)) + c * v
+                if cur:
+                    vec[coord] = cur
+                else:
+                    vec.pop(coord, None)
+        vectors.append(vec)
+    return Subspace.from_vectors(vectors, base.ambient_dim)
 
 
-def engine_for_mode(mode: str = "exact"):
-    """`exact` or `float:<tol>` (e.g. `float:1e-8`, relative rank tolerance)."""
-    if mode == "exact":
-        return EXACT
-    if mode.startswith("float"):
-        from .floatmode import FloatEngine
-
-        tol = 1e-8
-        if ":" in mode:
-            tol = float(mode.split(":", 1)[1])
-        return FloatEngine(tol)
-    raise ValueError(f"unknown mode {mode!r}")
+def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], int]) -> int:
+    """Number of basis pairs (one from each subspace) with a nonzero weighted product."""
+    count = 0
+    bb = b.basis_dicts()
+    for va in a.basis_dicts():
+        for vb in bb:
+            small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
+            total = Fraction(0)
+            for c, v in small.items():
+                w = big.get(c)
+                if w is not None:
+                    total += v * w * weight(c)
+            if total:
+                count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +136,20 @@ def engine_for_mode(mode: str = "exact"):
 # ---------------------------------------------------------------------------
 
 
-def build_affine(space: ModelSpace, engine=EXACT) -> Subspace:
+def build_affine(space: ModelSpace) -> Subspace:
     """Tensors alternating in the first pair and satisfying the cyclic identity."""
     n = space.n
-    return engine.kernel(antisym_rows(n) + bianchi_rows(n), n ** 4)
+    return kernel_of_rows_subspace(antisym_rows(n) + bianchi_rows(n), n ** 4)
 
 
-def build_weyl(space: ModelSpace, engine=EXACT) -> Subspace:
+def build_weyl(space: ModelSpace) -> Subspace:
     n = space.n
-    return engine.kernel(antisym_rows(n) + bianchi_rows(n) + weyl_rows(space), n ** 4)
+    return kernel_of_rows_subspace(antisym_rows(n) + bianchi_rows(n) + weyl_rows(space), n ** 4)
 
 
-def build_riemann(space: ModelSpace, engine=EXACT) -> Subspace:
+def build_riemann(space: ModelSpace) -> Subspace:
     n = space.n
-    return engine.kernel(antisym_rows(n) + bianchi_rows(n) + riemann_rows(n), n ** 4)
+    return kernel_of_rows_subspace(antisym_rows(n) + bianchi_rows(n) + riemann_rows(n), n ** 4)
 
 
 def _conformal_rows(space: ModelSpace) -> list[dict[int, int]]:
@@ -200,25 +157,25 @@ def _conformal_rows(space: ModelSpace) -> list[dict[int, int]]:
     return antisym_rows(n) + bianchi_rows(n) + riemann_rows(n) + ricci_rows(space)
 
 
-def build_conformal(space: ModelSpace, engine=EXACT) -> Subspace:
+def build_conformal(space: ModelSpace) -> Subspace:
     """Riemann-type tensors with vanishing Ricci contraction."""
     if space.n < 4:
         raise ValueError("conformal kernel needs n >= 4")
-    return engine.kernel(_conformal_rows(space), space.n ** 4)
+    return kernel_of_rows_subspace(_conformal_rows(space), space.n ** 4)
 
 
-def build_sigma_image(space: ModelSpace, engine=EXACT) -> Subspace:
+def build_sigma_image(space: ModelSpace) -> Subspace:
     """Span of the five-term map over a basis of 2-forms."""
     n = space.n
     vectors = [sigma(psi, space).to_dict() for psi in two_form_basis(n)]
-    return engine.span(vectors, n ** 4)
+    return Subspace.from_vectors(vectors, n ** 4)
 
 
-def kaehler_subspace(base: Subspace, space: ModelSpace, engine=EXACT) -> Subspace:
+def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
     """Intersection of a rank-4 subspace with the structure-compatibility kernel."""
     if space.kind == "none":
         raise ValueError("structure-compatible subspace requires a structured space")
-    return engine.meet_operator_kernel(base, lambda v: apply_kaehler(space, v))
+    return meet_operator_kernel(base, lambda v: apply_kaehler(space, v))
 
 
 @dataclass(frozen=True)
@@ -267,7 +224,7 @@ def _pullback_eigen_rows(space: ModelSpace, eigenvalue: int) -> list[dict[int, F
     return rows
 
 
-def decompose_two_tensors(space: ModelSpace, engine=EXACT) -> TwoTensorSplit:
+def decompose_two_tensors(space: ModelSpace) -> TwoTensorSplit:
     """Split rank-2 tensors into the six canonical pieces (always exact)."""
     if space.kind == "none":
         raise ValueError("the six-piece splitting requires a structured space")
@@ -302,17 +259,13 @@ def decompose_two_tensors(space: ModelSpace, engine=EXACT) -> TwoTensorSplit:
     )
 
 
-def kernel_of_rows_subspace(rows: Sequence[Mapping[int, Fraction | int]], ambient: int) -> Subspace:
-    return Subspace(ambient, tuple(tuple(sorted(r.items())) for r in kernel_of_rows(rows, ambient)))
-
-
 def _tensor2_basis_of(sub: Subspace, n: int) -> list[Tensor2]:
     return [Tensor2.from_dict(n, v) for v in sub.basis_dicts()]
 
 
-def build_map_image(space: ModelSpace, source: Subspace, mapper: Callable[[Tensor2], Tensor4], engine=EXACT) -> Subspace:
+def build_map_image(space: ModelSpace, source: Subspace, mapper: Callable[[Tensor2], Tensor4]) -> Subspace:
     vectors = [mapper(t).to_dict() for t in _tensor2_basis_of(source, space.n)]
-    return engine.span(vectors, space.n ** 4)
+    return Subspace.from_vectors(vectors, space.n ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -363,26 +316,26 @@ class CurvatureCatalog:
         return {name: sub.dim for name, sub in self.all_spaces()}
 
 
-def build_catalog(space: ModelSpace, engine=EXACT) -> CurvatureCatalog:
-    affine = build_affine(space, engine)
-    weyl = build_weyl(space, engine)
-    riemann = build_riemann(space, engine)
+def build_catalog(space: ModelSpace) -> CurvatureCatalog:
+    affine = build_affine(space)
+    weyl = build_weyl(space)
+    riemann = build_riemann(space)
     # below n = 4 the ricci-kernel meet is still well defined (and trivial)
     conformal = (
-        build_conformal(space, engine)
+        build_conformal(space)
         if space.n >= 4
-        else engine.kernel(_conformal_rows(space), space.n ** 4)
+        else kernel_of_rows_subspace(_conformal_rows(space), space.n ** 4)
     )
-    sigma_image = build_sigma_image(space, engine)
+    sigma_image = build_sigma_image(space)
     two = kw = kr = s11 = s12 = s13 = w9 = None
     if space.kind != "none":
         two = decompose_two_tensors(space)
-        kw = kaehler_subspace(weyl, space, engine)
-        kr = kaehler_subspace(riemann, space, engine)
-        s11 = build_map_image(space, two.omega_line, lambda t: sigma(t, space), engine)
-        s12 = build_map_image(space, two.alt_aligned_traceless, lambda t: sigma(t, space), engine)
-        s13 = build_map_image(space, two.alt_opposed, lambda t: sigma(t, space), engine)
-        w9 = build_map_image(space, two.alt_opposed, lambda t: psi_map(t, space), engine)
+        kw = kaehler_subspace(weyl, space)
+        kr = kaehler_subspace(riemann, space)
+        s11 = build_map_image(space, two.omega_line, lambda t: sigma(t, space))
+        s12 = build_map_image(space, two.alt_aligned_traceless, lambda t: sigma(t, space))
+        s13 = build_map_image(space, two.alt_opposed, lambda t: sigma(t, space))
+        w9 = build_map_image(space, two.alt_opposed, lambda t: psi_map(t, space))
     return CurvatureCatalog(
         space=space,
         affine=affine,
@@ -414,22 +367,22 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
 
 
 def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
-                       extra_lie: Sequence[Matrix] = (), engine=EXACT) -> dict | None:
+                       extra_lie: Sequence[Matrix] = ()) -> dict | None:
     """None when the subspace is preserved by the group data, else a witness.
 
     Checks the Lie algebra basis, any extra Lie elements supplied, and every
     component representative.
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
-    reducer = engine.reducer(sub)
+    reducer = SubspaceReducer(sub)
     lie = list(lie_algebra_basis(space, group)) + list(extra_lie)
     for idx, x in enumerate(lie):
-        for bidx, vec in enumerate(engine.basis(sub)):
+        for bidx, vec in enumerate(sub.basis_dicts()):
             img = lie_apply_vec(x, vec, rank, space.n)
             if not reducer.contains(img):
                 return {"action": "lie", "element": idx, "basis_vector": bidx}
     for idx, g in enumerate(component_reps(space, group)):
-        for bidx, vec in enumerate(engine.basis(sub)):
+        for bidx, vec in enumerate(sub.basis_dicts()):
             img = pullback_apply_vec(g, vec, rank, space.n)
             if not reducer.contains(img):
                 return {"action": "component_rep", "element": idx, "basis_vector": bidx}
@@ -619,29 +572,29 @@ def eval_with_structure(space: ModelSpace, t: Tensor4, idx: Sequence[int], jmask
 # ---------------------------------------------------------------------------
 
 
-def _space_meta(space: ModelSpace, engine) -> dict:
+def _space_meta(space: ModelSpace) -> dict:
     meta = space.describe()
-    meta["mode"] = engine.label if engine.tolerance is None else f"{engine.label}:{engine.tolerance}"
+    meta["mode"] = "exact"
     return meta
 
 
-def verify_weyl_direct_sum(space: ModelSpace, engine=EXACT) -> VerificationReport:
+def verify_weyl_direct_sum(space: ModelSpace) -> VerificationReport:
     """The weyl space splits orthogonally as riemann space plus the five-term-map image."""
     if space.n < 4:
         raise ValueError("needs n >= 4")
     n = space.n
-    weyl = build_weyl(space, engine)
-    riemann = build_riemann(space, engine)
-    pimage = build_sigma_image(space, engine)
-    meet_dim = engine.dim(engine.intersect(riemann, pimage))
-    total = engine.sum(riemann, pimage)
-    sum_is_weyl = engine.equals(total, weyl)
-    violations = engine.orthogonality_violations(riemann, pimage, lambda c: gram_weight4(space, c))
+    weyl = build_weyl(space)
+    riemann = build_riemann(space)
+    pimage = build_sigma_image(space)
+    meet_dim = intersect(riemann, pimage).dim
+    total = subspace_sum(riemann, pimage)
+    sum_is_weyl = total == weyl
+    violations = orthogonality_violations(riemann, pimage, lambda c: gram_weight4(space, c))
     expected_weyl = n * n * (n * n - 1) // 12 + n * (n - 1) // 2
     quantities = {
-        "dim_weyl": engine.dim(weyl),
-        "dim_riemann": engine.dim(riemann),
-        "dim_sigma_image": engine.dim(pimage),
+        "dim_weyl": weyl.dim,
+        "dim_riemann": riemann.dim,
+        "dim_sigma_image": pimage.dim,
         "dim_intersection": meet_dim,
         "sum_equals_weyl": sum_is_weyl,
         "gram_orthogonality_violations": violations,
@@ -651,41 +604,41 @@ def verify_weyl_direct_sum(space: ModelSpace, engine=EXACT) -> VerificationRepor
         meet_dim == 0
         and sum_is_weyl
         and violations == 0
-        and engine.dim(weyl) == engine.dim(riemann) + engine.dim(pimage)
-        and engine.dim(weyl) == expected_weyl
+        and weyl.dim == riemann.dim + pimage.dim
+        and weyl.dim == expected_weyl
     )
     return VerificationReport(
         claim="thm4.2",
         description="weyl curvature space = riemann curvature space ⊕ five-term-map image, orthogonally",
-        space=_space_meta(space, engine),
+        space=_space_meta(space),
         quantities=quantities,
         verdict=verdict,
     )
 
 
-def verify_riemann_ricci_split(space: ModelSpace, engine=EXACT) -> VerificationReport:
+def verify_riemann_ricci_split(space: ModelSpace) -> VerificationReport:
     """Ricci-based form of the three-piece splitting of the riemann space."""
     if space.n < 4:
         raise ValueError("needs n >= 4")
     n = space.n
-    riemann = build_riemann(space, engine)
-    weyl = build_weyl(space, engine)
-    conformal = build_conformal(space, engine)
-    ric_images_r = [apply_ricci(space, v) for v in engine.basis(riemann)]
-    ric_images_w = [apply_ricci(space, v) for v in engine.basis(weyl)]
-    rank_r = engine.rank_of_vectors(ric_images_r, n * n)
-    rank_w = engine.rank_of_vectors(ric_images_w, n * n)
-    meet = engine.meet_operator_kernel(riemann, lambda v: apply_ricci(space, v))
-    kernel_matches = engine.equals(meet, conformal)
+    riemann = build_riemann(space)
+    weyl = build_weyl(space)
+    conformal = build_conformal(space)
+    ric_images_r = [apply_ricci(space, v) for v in riemann.basis_dicts()]
+    ric_images_w = [apply_ricci(space, v) for v in weyl.basis_dicts()]
+    rank_r = rank_of_rows(ric_images_r, n * n)
+    rank_w = rank_of_rows(ric_images_w, n * n)
+    meet = meet_operator_kernel(riemann, lambda v: apply_ricci(space, v))
+    kernel_matches = meet == conformal
     sym_dim = n * (n + 1) // 2
-    witness = invariance_witness(conformal, space, "O", engine=engine)
+    witness = invariance_witness(conformal, space, "O")
     quantities = {
-        "dim_riemann": engine.dim(riemann),
+        "dim_riemann": riemann.dim,
         "ricci_rank_on_riemann": rank_r,
         "expected_ricci_rank": sym_dim,
-        "dim_conformal": engine.dim(conformal),
+        "dim_conformal": conformal.dim,
         "ricci_kernel_equals_conformal": kernel_matches,
-        "dims_identity": engine.dim(riemann) == 1 + (sym_dim - 1) + engine.dim(conformal),
+        "dims_identity": riemann.dim == 1 + (sym_dim - 1) + conformal.dim,
         "ricci_rank_on_weyl": rank_w,
         "expected_ricci_rank_on_weyl": n * n,
         "conformal_o_invariant": witness is None,
@@ -700,7 +653,7 @@ def verify_riemann_ricci_split(space: ModelSpace, engine=EXACT) -> VerificationR
     report = VerificationReport(
         claim="thm4.1",
         description="ricci contraction has full symmetric rank on the riemann space; its kernel is the conformal space",
-        space=_space_meta(space, engine),
+        space=_space_meta(space),
         quantities=quantities,
         verdict=verdict,
     )
@@ -709,7 +662,7 @@ def verify_riemann_ricci_split(space: ModelSpace, engine=EXACT) -> VerificationR
     return report
 
 
-def verify_kaehler_identity_collapse(space: ModelSpace, engine=EXACT) -> VerificationReport:
+def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
     """Structure-compatible weyl tensors are riemannian for n >= 6; strict gap at n = 4.
 
     For n >= 6 the claim passes when both compatible subspaces agree and the
@@ -724,37 +677,37 @@ def verify_kaehler_identity_collapse(space: ModelSpace, engine=EXACT) -> Verific
     if space.n < 4:
         raise ValueError("needs n >= 4")
     n = space.n
-    weyl = build_weyl(space, engine)
-    riemann = build_riemann(space, engine)
-    k_weyl = kaehler_subspace(weyl, space, engine)
-    k_riemann = kaehler_subspace(riemann, space, engine)
-    sigma_image = build_sigma_image(space, engine)
-    sigma_meet = kaehler_subspace(sigma_image, space, engine)
-    d1 = engine.dim(k_weyl)
-    d2 = engine.dim(k_riemann)
-    contained = engine.is_subspace(k_weyl, riemann)
+    weyl = build_weyl(space)
+    riemann = build_riemann(space)
+    k_weyl = kaehler_subspace(weyl, space)
+    k_riemann = kaehler_subspace(riemann, space)
+    sigma_image = build_sigma_image(space)
+    sigma_meet = kaehler_subspace(sigma_image, space)
+    d1 = k_weyl.dim
+    d2 = k_riemann.dim
+    contained = k_weyl.is_subspace_of(riemann)
     quantities = {
         "dim_kaehler_weyl": d1,
         "dim_kaehler_riemann": d2,
         "kaehler_weyl_inside_riemann": contained,
-        "dim_sigma_image_meet_kaehler": engine.dim(sigma_meet),
-        "dim_weyl": engine.dim(weyl),
-        "dim_riemann": engine.dim(riemann),
+        "dim_sigma_image_meet_kaehler": sigma_meet.dim,
+        "dim_weyl": weyl.dim,
+        "dim_riemann": riemann.dim,
     }
     report = VerificationReport(
         claim="thm1.5",
         description="structure-compatible weyl tensors are riemannian (n >= 6); documented strict failure at n = 4",
-        space=_space_meta(space, engine),
+        space=_space_meta(space),
         quantities=quantities,
         verdict=False,
     )
     if n >= 6:
-        report.verdict = d1 == d2 and contained and engine.dim(sigma_meet) == 0
+        report.verdict = d1 == d2 and contained and sigma_meet.dim == 0
         return report
     # n == 4: exhibit the documented failure with a re-verified witness
     witness_vec = None
-    riemann_reducer = engine.reducer(riemann)
-    for vec in engine.basis(k_weyl):
+    riemann_reducer = SubspaceReducer(riemann)
+    for vec in k_weyl.basis_dicts():
         if not riemann_reducer.contains(vec):
             witness_vec = vec
             break
@@ -762,23 +715,17 @@ def verify_kaehler_identity_collapse(space: ModelSpace, engine=EXACT) -> Verific
     if witness_vec is None:
         quantities["witness_found"] = False
         return report
-    if engine.label == "exact":
-        from .tensors import defect_antisym, defect_bianchi, defect_kaehler, defect_riemann, defect_weyl
-
-        t = Tensor4.from_dict(n, witness_vec)
-        checks = {
-            "witness_first_pair_alternating": defect_antisym(t).is_zero(),
-            "witness_cyclic_identity": defect_bianchi(t).is_zero(),
-            "witness_weyl_identity": defect_weyl(t, space).is_zero(),
-            "witness_structure_identity": defect_kaehler(t, space).is_zero(),
-            "witness_breaks_last_pair_alternation": not defect_riemann(t).is_zero(),
-        }
-        quantities.update(checks)
-        report.witnesses.append({"tensor": jsonio.tensor4_to_obj(t)})
-        report.verdict = d1 > d2 and all(checks.values())
-    else:
-        quantities["witness_rechecked"] = "float mode: witness emitted without exact recheck"
-        report.verdict = d1 > d2
+    t = Tensor4.from_dict(n, witness_vec)
+    checks = {
+        "witness_first_pair_alternating": defect_antisym(t).is_zero(),
+        "witness_cyclic_identity": defect_bianchi(t).is_zero(),
+        "witness_weyl_identity": defect_weyl(t, space).is_zero(),
+        "witness_structure_identity": defect_kaehler(t, space).is_zero(),
+        "witness_breaks_last_pair_alternation": not defect_riemann(t).is_zero(),
+    }
+    quantities.update(checks)
+    report.witnesses.append({"tensor": jsonio.tensor4_to_obj(t)})
+    report.verdict = d1 > d2 and all(checks.values())
     return report
 
 
@@ -786,7 +733,7 @@ _PROBE_T1 = (4, 0, 2, 4)
 _PROBE_T2 = (4, 5, 0, 3)
 
 
-def verify_probe_suite(space: ModelSpace, engine=EXACT) -> VerificationReport:
+def verify_probe_suite(space: ModelSpace) -> VerificationReport:
     """Recompute every itemized probe value and the resulting exclusions.
 
     The probes evaluate the five-term map on the fundamental form, the
@@ -861,13 +808,13 @@ def verify_probe_suite(space: ModelSpace, engine=EXACT) -> VerificationReport:
     return VerificationReport(
         claim="sec5",
         description="itemized probe values and the exclusion sweep for the structure-compatible subspace",
-        space=_space_meta(space, EXACT),
+        space=_space_meta(space),
         quantities=quantities,
         verdict=verdict,
     )
 
 
-def verify_invariant_span_bound(space: ModelSpace, engine=EXACT) -> VerificationReport:
+def verify_invariant_span_bound(space: ModelSpace) -> VerificationReport:
     """The opposed 2-form module pairs with itself through a single invariant."""
     if space.kind == "none":
         raise ValueError("needs a structured space")
@@ -877,13 +824,13 @@ def verify_invariant_span_bound(space: ModelSpace, engine=EXACT) -> Verification
     return VerificationReport(
         claim="eq4c",
         description="even-word invariant functionals restricted to opposed ⊗ opposed span one dimension",
-        space=_space_meta(space, EXACT),
+        space=_space_meta(space),
         quantities=quantities,
         verdict=dim_span == 1,
     )
 
 
-def verify_commutant_line(space: ModelSpace, engine=EXACT) -> VerificationReport:
+def verify_commutant_line(space: ModelSpace) -> VerificationReport:
     """Equivariant self-maps of the opposed 2-form module are scalar."""
     if space.kind == "none":
         raise ValueError("needs a structured space")
@@ -899,14 +846,14 @@ def verify_commutant_line(space: ModelSpace, engine=EXACT) -> VerificationReport
     return VerificationReport(
         claim="eq4d",
         description="the commutant of the extended structure group on the opposed 2-form module is the scalar line",
-        space=_space_meta(space, EXACT),
+        space=_space_meta(space),
         quantities=quantities,
         verdict=dim_comm == 1,
         notes=["the unextended-group commutant dimension is reported without an irreducibility verdict"],
     )
 
 
-def verify_doubled_commutant(space: ModelSpace, engine=EXACT) -> VerificationReport:
+def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
     """Doubling the opposed module yields the 2x2 commutant of a multiplicity-2 block."""
     if space.kind == "none":
         raise ValueError("needs a structured space")
@@ -922,7 +869,7 @@ def verify_doubled_commutant(space: ModelSpace, engine=EXACT) -> VerificationRep
     return VerificationReport(
         claim="lemma4.9",
         description="the doubled opposed module has a four-dimensional commutant; its diagonal line family is invariant",
-        space=_space_meta(space, EXACT),
+        space=_space_meta(space),
         quantities=quantities,
         verdict=dim_doubled == 4 and lines_ok,
     )
@@ -939,7 +886,7 @@ CLAIMS: dict[str, Callable[[ModelSpace], VerificationReport]] = {
 }
 
 
-def run_claim(claim: str, space: ModelSpace, engine=EXACT) -> VerificationReport:
+def run_claim(claim: str, space: ModelSpace) -> VerificationReport:
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
-    return CLAIMS[claim](space, engine)
+    return CLAIMS[claim](space)

@@ -415,10 +415,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_vectors(a.basis_dicts() + b.basis_dicts(), a.ambient_dim)
 
 
-def contains(a: Subspace, vec) -> bool:
-    return a.contains(vec)
-
-
 def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
     """All vectors gram-orthogonal to ``a``.
 
@@ -471,20 +467,3 @@ def kernel_basis(m: Matrix) -> Subspace:
     rows = kernel_of_rows(m.row_dicts(), m.cols)
     return Subspace(m.cols, tuple(_freeze_row(r) for r in rows))
 
-
-def sparse_dot(a: Mapping[int, Fraction], b: Mapping[int, Fraction], weights: Sequence[Fraction] | None = None) -> Fraction:
-    """Dot product of two sparse vectors, optionally weighted per coordinate."""
-    if len(b) < len(a):
-        a, b = b, a
-    total = Fraction(0)
-    if weights is None:
-        for c, v in a.items():
-            w = b.get(c)
-            if w is not None:
-                total += v * w
-    else:
-        for c, v in a.items():
-            w = b.get(c)
-            if w is not None:
-                total += v * w * weights[c]
-    return total

@@ -198,17 +198,6 @@ def inner2(space: ModelSpace, a: Mapping[int, Fraction], b: Mapping[int, Fractio
     return total
 
 
-def inner4(space: ModelSpace, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> Fraction:
-    if len(b) < len(a):
-        a, b = b, a
-    total = Fraction(0)
-    for c, v in a.items():
-        w = b.get(c)
-        if w is not None:
-            total += v * w * gram_weight4(space, c)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Symmetry-defect operators (dense view)
 # ---------------------------------------------------------------------------
@@ -509,6 +498,8 @@ def invariant_contraction_product(theta: Tensor2, phi: Tensor2, perm: Sequence[i
     """Invariant contraction of the product tensor theta (x) phi without materializing it."""
     if sorted(perm) != [0, 1, 2, 3]:
         raise ValueError("perm must be a permutation of (0,1,2,3)")
+    if len(word) != 2 or any(a not in (0, 1) for a in word):
+        raise ValueError("word must be two flags in {0,1}")
     k1 = _kappa_raised_entries(space, word[0])
     k2 = _kappa_raised_entries(space, word[1])
     total = Fraction(0)
@@ -736,28 +727,6 @@ def weyl_rows(space: ModelSpace) -> list[dict[int, int]]:
                             key = flatten4(n, c, i, j, c)
                             row[key] = row.get(key, 0) + w
                     rows.append({c: v for c, v in row.items() if v})
-    return rows
-
-
-def kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
-    if space.kind == "none":
-        raise ValueError("structure rows require a structured space")
-    n = space.n
-    u = structure_sign(space.kind)
-    perm = j_signed_permutation(space)
-    rows = []
-    for k in range(n):
-        pk, sk = perm[k]
-        for l in range(n):
-            pl, sl = perm[l]
-            if (k, l) > (pk, pl):
-                continue  # partner row is a scalar multiple
-            for i in range(n):
-                for j in range(n):
-                    row: dict[int, int] = {flatten4(n, i, j, k, l): 1}
-                    key = flatten4(n, i, j, pk, pl)
-                    row[key] = row.get(key, 0) + u * sk * sl
-                    rows.append(row)
     return rows
 
 

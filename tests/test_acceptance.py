@@ -3,8 +3,8 @@
 Every dimension asserted here was produced by a rank oracle (kernel of
 explicitly assembled constraint matrices; see test_curvature.py for the
 independent dense cross-checks at small n) before being frozen, and the
-closed-form dimension formulas are asserted alongside.  All tolerances are
-exact; the optional floating-point engine plays no role in this module.
+closed-form dimension formulas are asserted alongside.  All arithmetic is
+exact.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines.
 """

@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, exit codes, output stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curvlab
 from curvlab.cli import main
 from curvlab.report import VerificationReport, exit_code_for
 
@@ -154,10 +159,37 @@ def test_exit_code_contract_for_failures():
     assert exit_code_for([passing, failing]) == 1
 
 
-def test_float_mode_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "thm1.5", "--n", "4", "--kind", "complex", "--mode", "float:1e-8"
-    )
+def test_mode_accepts_exact_only(capsys):
+    code, plain, _ = run_cli(capsys, "verify", "thm1.5", "--n", "4")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["space"]["mode"] == "float:1e-08"
+    code, explicit, _ = run_cli(capsys, "verify", "thm1.5", "--n", "4", "--mode", "exact")
+    assert code == 0
+    assert explicit == plain
+    assert json.loads(plain)["space"]["mode"] == "exact"
+    for mode in ("float:1e-8", "floaty"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm1.5", "--n", "4", "--mode", mode])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("word", ["2", "22", "012"])
+def test_eval_invariant_bad_word_usage_error(capsys, word):
+    code, out, err = run_cli(capsys, "eval", "invariant", "--word", word)
+    assert code == 2
+    assert out == ""
+    assert "bad word" in err and "Traceback" not in err
+
+
+def test_cli_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "from curvlab.cli import main\n"
+        "assert main(['verify', 'thm1.5', '--n', '4']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(curvlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -25,6 +25,7 @@ from curvlab.tensors import (
     defect_riemann,
     defect_weyl,
     invariant_contraction,
+    invariant_contraction_product,
     kaehler_form,
     lie_action,
     lie_apply_vec,
@@ -273,6 +274,13 @@ def test_invariant_contraction_validation(complex4):
     s = make_standard(4, "none")
     with pytest.raises(ValueError):
         invariant_contraction(h_tensor_product(s), (0, 1, 2, 3), (1, 1), s)
+
+
+@pytest.mark.parametrize("word", [(2,), (2, 2), (0, 1, 2)])
+def test_invariant_contraction_product_rejects_bad_word(complex4, word):
+    h = metric_tensor2(complex4)
+    with pytest.raises(ValueError):
+        invariant_contraction_product(h, h, (0, 1, 2, 3), word, complex4)
 
 
 def test_invariance_of_contractions_under_reps(complex6):

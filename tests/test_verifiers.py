@@ -78,6 +78,14 @@ def test_collapse_indefinite_complex():
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
+def test_collapse_passes_n8(kind):
+    rep = run_claim("thm1.5", make_standard(8, kind))
+    assert rep.verdict
+    assert rep.quantities["dim_kaehler_weyl"] == rep.quantities["dim_kaehler_riemann"] == 100
+    assert rep.quantities["dim_weyl"] == 364
+
+
+@pytest.mark.parametrize("kind", ["complex", "para"])
 def test_collapse_gap_and_witness_n4(kind):
     s = make_standard(4, kind)
     rep = verify_kaehler_identity_collapse(s)
