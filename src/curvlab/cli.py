@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curvature, nijenhuis, report
-from .curvature import CLAIMS, build_catalog, run_claim
+from .curvature import CLAIMS, catalog, run_claim
 from .linalg import scalar_to_str
 from .spaces import ModelSpace, make_standard
 from .tensors import (
@@ -83,6 +83,18 @@ def _parse_word(text: str) -> tuple[int, int]:
     return (int(text[0]), int(text[1]))
 
 
+def _parse_perm(text: str) -> tuple[int, ...]:
+    """A 1-based slot permutation such as 1,3,2,4, returned 0-based."""
+    message = f"bad perm {text!r}; expected a permutation of 1,2,3,4, e.g. 1,3,2,4"
+    try:
+        perm = tuple(int(x) - 1 for x in text.split(","))
+    except ValueError as exc:
+        raise UsageError(message) from exc
+    if sorted(perm) != [0, 1, 2, 3]:
+        raise UsageError(message)
+    return perm
+
+
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
         n=args.n,
@@ -119,11 +131,10 @@ def _markdown_table(obj: dict, title: str | None = None) -> str:
 
 def cmd_dims(config: RunConfig) -> int:
     space = config.space()
-    catalog = build_catalog(space)
     payload = {
         "space": space.describe(),
         "mode": "exact",
-        "dims": catalog.dims(),
+        "dims": catalog(space).dims(),
     }
     _emit(payload, config.fmt)
     return 0
@@ -169,7 +180,7 @@ def cmd_eval(config: RunConfig, args) -> int:
         _emit(payload, config.fmt)
         return 0
     if what == "invariant":
-        perm = tuple(int(x) - 1 for x in args.perm.split(","))
+        perm = _parse_perm(args.perm)
         word = _parse_word(args.word)
         theta_name = args.tensor
         if theta_name == "hxh":
@@ -224,35 +235,35 @@ def cmd_sweep(config: RunConfig, args) -> int:
     for c in claims:
         if c not in CLAIMS:
             raise UsageError(f"unknown claim {c!r}")
+    if any(kind not in ("complex", "para") for kind in kinds):
+        raise UsageError("sweep kinds must be complex and/or para")
+    # every space is built, and so validated, before the first cell runs
+    spaces = [make_standard(n, kind) for n in ns for kind in kinds]
     cells = []
     overall = 0
-    for n in ns:
-        for kind in kinds:
-            if kind not in ("complex", "para"):
-                raise UsageError("sweep kinds must be complex and/or para")
-            space = make_standard(n, kind)
-            for claim in claims:
-                cell = {
-                    "n": n,
-                    "kind": kind,
-                    "signature": list(space.signature),
-                    "claim": claim,
-                    "mode": "exact",
-                }
-                try:
-                    rep = run_claim(claim, space)
-                except ValueError as exc:
-                    cell["status"] = f"skipped ({exc})"
-                    cells.append(cell)
-                    continue
-                if rep.verdict and "gap" in rep.quantities:
-                    cell["status"] = "pass (expected failure exhibited)"
-                elif rep.verdict:
-                    cell["status"] = "pass"
-                else:
-                    cell["status"] = "fail"
-                    overall = 1
+    for space in spaces:
+        for claim in claims:
+            cell = {
+                "n": space.n,
+                "kind": space.kind,
+                "signature": list(space.signature),
+                "claim": claim,
+                "mode": "exact",
+            }
+            try:
+                rep = run_claim(claim, space)
+            except ValueError as exc:
+                cell["status"] = f"skipped ({exc})"
                 cells.append(cell)
+                continue
+            if rep.verdict and "gap" in rep.quantities:
+                cell["status"] = "pass (expected failure exhibited)"
+            elif rep.verdict:
+                cell["status"] = "pass"
+            else:
+                cell["status"] = "fail"
+                overall = 1
+            cells.append(cell)
     payload = {"mode": "exact", "cells": cells}
     if config.fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=False))
@@ -322,10 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config, args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

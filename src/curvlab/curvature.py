@@ -1,28 +1,32 @@
 """Curvature subspace catalog, equivariant-map solvers, and claim verifiers.
 
-Builds the nested curvature spaces (affine ⊃ weyl ⊃ riemann) as exact kernels
-of explicitly assembled symmetry-constraint rows, the conformal kernel, the
-five-term-map image complementing the riemann space inside the weyl space,
-the structure-compatible ("kaehler") subspaces, and the six-piece splitting
-of rank-2 tensors.  On top of the catalog it solves for commutants of group
-actions, spans of invariant contraction functionals, and runs the claim
-verifiers exposed by the CLI.
+Each model space has one catalog, built lazily: the nested curvature spaces
+(affine ⊃ weyl ⊃ riemann) as exact kernels of explicitly assembled
+symmetry-constraint rows, the conformal kernel, the five-term-map image
+complementing the riemann space inside the weyl space, the
+structure-compatible ("kaehler") subspaces, the six-piece splitting of
+rank-2 tensors and the map images of its pieces.  A subspace is built on its
+first read, and every verifier and the dims table read the same catalog.
+On top of it the module solves for commutants of group actions and spans of
+invariant contraction functionals, and runs the claim verifiers exposed by
+the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 from . import jsonio
 from .linalg import (
-    Echelon,
     Matrix,
     Subspace,
     SubspaceReducer,
     intersect,
     kernel_of_rows,
+    kernel_subspace,
     rank_of_rows,
     subspace_sum,
 )
@@ -76,20 +80,8 @@ class NotInvariantError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Kernels, operator meets and orthogonality counts
+# Operator meets and orthogonality counts
 # ---------------------------------------------------------------------------
-
-
-def kernel_of_rows_subspace(rows: Sequence[Mapping[int, Fraction | int]], ambient: int) -> Subspace:
-    """Solution space of the constraint rows as a canonical subspace.
-
-    Rows go in shortest first: the canonical basis does not depend on the
-    order, but the elimination cost does.
-    """
-    ech = Echelon(ambient)
-    for row in sorted(rows, key=len):
-        ech.add(row)
-    return Subspace(ambient, tuple(tuple(sorted(r.items())) for r in ech.kernel()))
 
 
 def meet_operator_kernel(base: Subspace, op: Callable[[Vec], Vec]) -> Subspace:
@@ -131,51 +123,20 @@ def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], i
     return count
 
 
-# ---------------------------------------------------------------------------
-# Subspace builders
-# ---------------------------------------------------------------------------
-
-
-def build_affine(space: ModelSpace) -> Subspace:
-    """Tensors alternating in the first pair and satisfying the cyclic identity."""
-    n = space.n
-    return kernel_of_rows_subspace(antisym_rows(n) + bianchi_rows(n), n ** 4)
-
-
-def build_weyl(space: ModelSpace) -> Subspace:
-    n = space.n
-    return kernel_of_rows_subspace(antisym_rows(n) + bianchi_rows(n) + weyl_rows(space), n ** 4)
-
-
-def build_riemann(space: ModelSpace) -> Subspace:
-    n = space.n
-    return kernel_of_rows_subspace(antisym_rows(n) + bianchi_rows(n) + riemann_rows(n), n ** 4)
-
-
-def _conformal_rows(space: ModelSpace) -> list[dict[int, int]]:
-    n = space.n
-    return antisym_rows(n) + bianchi_rows(n) + riemann_rows(n) + ricci_rows(space)
-
-
-def build_conformal(space: ModelSpace) -> Subspace:
-    """Riemann-type tensors with vanishing Ricci contraction."""
-    if space.n < 4:
-        raise ValueError("conformal kernel needs n >= 4")
-    return kernel_of_rows_subspace(_conformal_rows(space), space.n ** 4)
-
-
-def build_sigma_image(space: ModelSpace) -> Subspace:
-    """Span of the five-term map over a basis of 2-forms."""
-    n = space.n
-    vectors = [sigma(psi, space).to_dict() for psi in two_form_basis(n)]
-    return Subspace.from_vectors(vectors, n ** 4)
-
-
 def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
     """Intersection of a rank-4 subspace with the structure-compatibility kernel."""
     if space.kind == "none":
         raise ValueError("structure-compatible subspace requires a structured space")
     return meet_operator_kernel(base, lambda v: apply_kaehler(space, v))
+
+
+def _tensor2_basis_of(sub: Subspace, n: int) -> list[Tensor2]:
+    return [Tensor2.from_dict(n, v) for v in sub.basis_dicts()]
+
+
+# ---------------------------------------------------------------------------
+# Catalog
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -224,91 +185,120 @@ def _pullback_eigen_rows(space: ModelSpace, eigenvalue: int) -> list[dict[int, F
     return rows
 
 
-def decompose_two_tensors(space: ModelSpace) -> TwoTensorSplit:
-    """Split rank-2 tensors into the six canonical pieces (always exact)."""
-    if space.kind == "none":
-        raise ValueError("the six-piece splitting requires a structured space")
-    if space.n < 4:
-        raise ValueError("need n >= 4")
-    n = space.n
-    u = structure_sign(space.kind)
-    sym_rows = []
-    alt_rows = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                alt_rows.append({i * n + i: Fraction(1)})
-            else:
-                sym_rows.append({i * n + j: Fraction(1), j * n + i: Fraction(-1)})
-                alt_rows.append({i * n + j: Fraction(1), j * n + i: Fraction(1)})
-    h_vec = metric_tensor2(space).to_dict()
-    omega_vec = kaehler_form(space).to_dict()
-    # the metric and the fundamental form both sit in the (-u) pull-back eigenspace
-    aligned = _pullback_eigen_rows(space, -u)
-    opposed = _pullback_eigen_rows(space, u)
-    h_orth_row = {c: Fraction(gram_weight2(space, c)) * v for c, v in h_vec.items()}
-    omega_orth_row = {c: Fraction(gram_weight2(space, c)) * v for c, v in omega_vec.items()}
-    amb = n * n
-    return TwoTensorSplit(
-        h_line=Subspace.from_vectors([h_vec], amb),
-        sym_aligned_traceless=kernel_of_rows_subspace(sym_rows + aligned + [h_orth_row], amb),
-        sym_opposed=kernel_of_rows_subspace(sym_rows + opposed, amb),
-        omega_line=Subspace.from_vectors([omega_vec], amb),
-        alt_aligned_traceless=kernel_of_rows_subspace(alt_rows + aligned + [omega_orth_row], amb),
-        alt_opposed=kernel_of_rows_subspace(alt_rows + opposed, amb),
-    )
-
-
-def _tensor2_basis_of(sub: Subspace, n: int) -> list[Tensor2]:
-    return [Tensor2.from_dict(n, v) for v in sub.basis_dicts()]
-
-
-def build_map_image(space: ModelSpace, source: Subspace, mapper: Callable[[Tensor2], Tensor4]) -> Subspace:
-    vectors = [mapper(t).to_dict() for t in _tensor2_basis_of(source, space.n)]
-    return Subspace.from_vectors(vectors, space.n ** 4)
-
-
-# ---------------------------------------------------------------------------
-# Catalog
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
 class CurvatureCatalog:
-    """Every subspace the claim verifiers and the dims table consume."""
+    """Every subspace of one model space that the claim verifiers and the
+    dims table read.  Each is built on its first read and then kept; the
+    two-tensor split and everything after it need a structured space."""
 
-    space: ModelSpace
-    affine: Subspace
-    weyl: Subspace
-    riemann: Subspace
-    conformal: Subspace
-    sigma_image: Subspace
-    two_tensors: TwoTensorSplit | None
-    kaehler_weyl: Subspace | None
-    kaehler_riemann: Subspace | None
-    sigma_omega_span: Subspace | None
-    sigma_aligned_span: Subspace | None
-    sigma_opposed_span: Subspace | None
-    psi_span: Subspace | None
+    def __init__(self, space: ModelSpace):
+        self.space = space
+
+    def _rank4_kernel(self, *extra: list[dict[int, int]]) -> Subspace:
+        """Kernel of the first-pair and cyclic rows plus the extra rows."""
+        n = self.space.n
+        rows = antisym_rows(n) + bianchi_rows(n)
+        for more in extra:
+            rows += more
+        return kernel_subspace(rows, n ** 4)
+
+    def _image(self, mapper: Callable[[Tensor2, ModelSpace], Tensor4], forms: Sequence[Tensor2]) -> Subspace:
+        """Span of a rank-2 to rank-4 map over the given forms."""
+        return Subspace.from_vectors([mapper(t, self.space).to_dict() for t in forms], self.space.n ** 4)
+
+    def _image_of(self, mapper: Callable[[Tensor2, ModelSpace], Tensor4], source: Subspace) -> Subspace:
+        return self._image(mapper, _tensor2_basis_of(source, self.space.n))
+
+    @cached_property
+    def affine(self) -> Subspace:
+        """Tensors alternating in the first pair and satisfying the cyclic identity."""
+        return self._rank4_kernel()
+
+    @cached_property
+    def weyl(self) -> Subspace:
+        return self._rank4_kernel(weyl_rows(self.space))
+
+    @cached_property
+    def riemann(self) -> Subspace:
+        return self._rank4_kernel(riemann_rows(self.space.n))
+
+    @cached_property
+    def conformal(self) -> Subspace:
+        """Riemann-type tensors with vanishing Ricci contraction (zero below n = 4)."""
+        return self._rank4_kernel(riemann_rows(self.space.n), ricci_rows(self.space))
+
+    @cached_property
+    def sigma_image(self) -> Subspace:
+        """Span of the five-term map over a basis of 2-forms."""
+        return self._image(sigma, two_form_basis(self.space.n))
+
+    @cached_property
+    def two_tensors(self) -> TwoTensorSplit:
+        """Split rank-2 tensors into the six canonical pieces."""
+        space = self.space
+        if space.kind == "none":
+            raise ValueError("the six-piece splitting requires a structured space")
+        n = space.n
+        u = structure_sign(space.kind)
+        sym_rows = []
+        alt_rows = []
+        for i in range(n):
+            for j in range(i, n):
+                if i == j:
+                    alt_rows.append({i * n + i: Fraction(1)})
+                else:
+                    sym_rows.append({i * n + j: Fraction(1), j * n + i: Fraction(-1)})
+                    alt_rows.append({i * n + j: Fraction(1), j * n + i: Fraction(1)})
+        h_vec = metric_tensor2(space).to_dict()
+        omega_vec = kaehler_form(space).to_dict()
+        # the metric and the fundamental form both sit in the (-u) pull-back eigenspace
+        aligned = _pullback_eigen_rows(space, -u)
+        opposed = _pullback_eigen_rows(space, u)
+        h_orth_row = {c: Fraction(gram_weight2(space, c)) * v for c, v in h_vec.items()}
+        omega_orth_row = {c: Fraction(gram_weight2(space, c)) * v for c, v in omega_vec.items()}
+        amb = n * n
+        return TwoTensorSplit(
+            h_line=Subspace.from_vectors([h_vec], amb),
+            sym_aligned_traceless=kernel_subspace(sym_rows + aligned + [h_orth_row], amb),
+            sym_opposed=kernel_subspace(sym_rows + opposed, amb),
+            omega_line=Subspace.from_vectors([omega_vec], amb),
+            alt_aligned_traceless=kernel_subspace(alt_rows + aligned + [omega_orth_row], amb),
+            alt_opposed=kernel_subspace(alt_rows + opposed, amb),
+        )
+
+    @cached_property
+    def kaehler_weyl(self) -> Subspace:
+        return kaehler_subspace(self.weyl, self.space)
+
+    @cached_property
+    def kaehler_riemann(self) -> Subspace:
+        return kaehler_subspace(self.riemann, self.space)
+
+    @cached_property
+    def sigma_omega_span(self) -> Subspace:
+        return self._image_of(sigma, self.two_tensors.omega_line)
+
+    @cached_property
+    def sigma_aligned_span(self) -> Subspace:
+        return self._image_of(sigma, self.two_tensors.alt_aligned_traceless)
+
+    @cached_property
+    def sigma_opposed_span(self) -> Subspace:
+        return self._image_of(sigma, self.two_tensors.alt_opposed)
+
+    @cached_property
+    def psi_span(self) -> Subspace:
+        return self._image_of(psi_map, self.two_tensors.alt_opposed)
 
     def rank4_spaces(self) -> list[tuple[str, Subspace]]:
-        out = [
-            ("affine", self.affine),
-            ("weyl", self.weyl),
-            ("riemann", self.riemann),
-            ("conformal", self.conformal),
-            ("sigma_image", self.sigma_image),
-        ]
-        for name in ("kaehler_weyl", "kaehler_riemann", "sigma_omega_span",
-                     "sigma_aligned_span", "sigma_opposed_span", "psi_span"):
-            sub = getattr(self, name)
-            if sub is not None:
-                out.append((name, sub))
-        return out
+        names = ["affine", "weyl", "riemann", "conformal", "sigma_image"]
+        if self.space.kind != "none":
+            names += ["kaehler_weyl", "kaehler_riemann", "sigma_omega_span",
+                      "sigma_aligned_span", "sigma_opposed_span", "psi_span"]
+        return [(name, getattr(self, name)) for name in names]
 
     def all_spaces(self) -> list[tuple[str, Subspace]]:
         out = self.rank4_spaces()
-        if self.two_tensors is not None:
+        if self.space.kind != "none":
             out.extend(self.two_tensors.pieces())
         return out
 
@@ -316,41 +306,20 @@ class CurvatureCatalog:
         return {name: sub.dim for name, sub in self.all_spaces()}
 
 
+# The cache holds one catalog, not one per space seen: a sweep finishes one
+# space before it starts the next, and keeping the last n = 10 catalog alive
+# next to the current one would raise the peak memory of the run.
+@lru_cache(maxsize=1)
+def catalog(space: ModelSpace) -> CurvatureCatalog:
+    """The shared catalog of ``space``; its subspaces are built on first read."""
+    return CurvatureCatalog(space)
+
+
 def build_catalog(space: ModelSpace) -> CurvatureCatalog:
-    affine = build_affine(space)
-    weyl = build_weyl(space)
-    riemann = build_riemann(space)
-    # below n = 4 the ricci-kernel meet is still well defined (and trivial)
-    conformal = (
-        build_conformal(space)
-        if space.n >= 4
-        else kernel_of_rows_subspace(_conformal_rows(space), space.n ** 4)
-    )
-    sigma_image = build_sigma_image(space)
-    two = kw = kr = s11 = s12 = s13 = w9 = None
-    if space.kind != "none":
-        two = decompose_two_tensors(space)
-        kw = kaehler_subspace(weyl, space)
-        kr = kaehler_subspace(riemann, space)
-        s11 = build_map_image(space, two.omega_line, lambda t: sigma(t, space))
-        s12 = build_map_image(space, two.alt_aligned_traceless, lambda t: sigma(t, space))
-        s13 = build_map_image(space, two.alt_opposed, lambda t: sigma(t, space))
-        w9 = build_map_image(space, two.alt_opposed, lambda t: psi_map(t, space))
-    return CurvatureCatalog(
-        space=space,
-        affine=affine,
-        weyl=weyl,
-        riemann=riemann,
-        conformal=conformal,
-        sigma_image=sigma_image,
-        two_tensors=two,
-        kaehler_weyl=kw,
-        kaehler_riemann=kr,
-        sigma_omega_span=s11,
-        sigma_aligned_span=s12,
-        sigma_opposed_span=s13,
-        psi_span=w9,
-    )
+    """``catalog(space)`` with every subspace already built."""
+    cat = catalog(space)
+    cat.all_spaces()
+    return cat
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +552,8 @@ def verify_weyl_direct_sum(space: ModelSpace) -> VerificationReport:
     if space.n < 4:
         raise ValueError("needs n >= 4")
     n = space.n
-    weyl = build_weyl(space)
-    riemann = build_riemann(space)
-    pimage = build_sigma_image(space)
+    cat = catalog(space)
+    weyl, riemann, pimage = cat.weyl, cat.riemann, cat.sigma_image
     meet_dim = intersect(riemann, pimage).dim
     total = subspace_sum(riemann, pimage)
     sum_is_weyl = total == weyl
@@ -621,9 +589,8 @@ def verify_riemann_ricci_split(space: ModelSpace) -> VerificationReport:
     if space.n < 4:
         raise ValueError("needs n >= 4")
     n = space.n
-    riemann = build_riemann(space)
-    weyl = build_weyl(space)
-    conformal = build_conformal(space)
+    cat = catalog(space)
+    riemann, weyl, conformal = cat.riemann, cat.weyl, cat.conformal
     ric_images_r = [apply_ricci(space, v) for v in riemann.basis_dicts()]
     ric_images_w = [apply_ricci(space, v) for v in weyl.basis_dicts()]
     rank_r = rank_of_rows(ric_images_r, n * n)
@@ -677,12 +644,10 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
     if space.n < 4:
         raise ValueError("needs n >= 4")
     n = space.n
-    weyl = build_weyl(space)
-    riemann = build_riemann(space)
-    k_weyl = kaehler_subspace(weyl, space)
-    k_riemann = kaehler_subspace(riemann, space)
-    sigma_image = build_sigma_image(space)
-    sigma_meet = kaehler_subspace(sigma_image, space)
+    cat = catalog(space)
+    weyl, riemann = cat.weyl, cat.riemann
+    k_weyl, k_riemann = cat.kaehler_weyl, cat.kaehler_riemann
+    sigma_meet = kaehler_subspace(cat.sigma_image, space)
     d1 = k_weyl.dim
     d2 = k_riemann.dim
     contained = k_weyl.is_subspace_of(riemann)
@@ -794,11 +759,8 @@ def verify_probe_suite(space: ModelSpace) -> VerificationReport:
         ]
     )
     pair_rank = system.rank()
-    two = decompose_two_tensors(space)
-    opposed_sum = subspace_sum(
-        build_map_image(space, two.alt_opposed, lambda t: psi_map(t, space)),
-        build_map_image(space, two.alt_opposed, lambda t: sigma(t, space)),
-    )
+    cat = catalog(space)
+    opposed_sum = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
     direct_meet = kaehler_subspace(opposed_sum, space)
     quantities["omega_line_excluded"] = omega_line_excluded
     quantities["aligned_traceless_excluded"] = aligned_excluded
@@ -818,7 +780,7 @@ def verify_invariant_span_bound(space: ModelSpace) -> VerificationReport:
     """The opposed 2-form module pairs with itself through a single invariant."""
     if space.kind == "none":
         raise ValueError("needs a structured space")
-    two = decompose_two_tensors(space)
+    two = catalog(space).two_tensors
     dim_span = invariant_span_dimension(two.alt_opposed, two.alt_opposed, space)
     quantities = {"invariant_span_dimension": dim_span, "expected": 1}
     return VerificationReport(
@@ -834,7 +796,7 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
     """Equivariant self-maps of the opposed 2-form module are scalar."""
     if space.kind == "none":
         raise ValueError("needs a structured space")
-    two = decompose_two_tensors(space)
+    two = catalog(space).two_tensors
     dim_comm = commutant_dimension(two.alt_opposed, space, "Ustar")
     quantities = {
         "commutant_dimension": dim_comm,
@@ -857,7 +819,7 @@ def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
     """Doubling the opposed module yields the 2x2 commutant of a multiplicity-2 block."""
     if space.kind == "none":
         raise ValueError("needs a structured space")
-    two = decompose_two_tensors(space)
+    two = catalog(space).two_tensors
     dim_doubled = commutant_dimension_doubled(two.alt_opposed, space, "Ustar")
     samples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3))]
     lines_ok = all(diagonal_pair_line_invariant(two.alt_opposed, space, "Ustar", a, b) for a, b in samples)

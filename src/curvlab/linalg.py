@@ -390,6 +390,16 @@ class SubspaceReducer:
         return [Fraction(vec.get(p, 0)) for p in sub.pivots]
 
 
+def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> Subspace:
+    """Solution space of the rows as a canonical subspace.
+
+    Rows go in shortest first: the canonical basis does not depend on the
+    order, but the elimination cost does.
+    """
+    kernel = kernel_of_rows(sorted(rows, key=len), ncols)
+    return Subspace(ncols, tuple(_freeze_row(r) for r in kernel))
+
+
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces (Zassenhaus double-block elimination)."""
     if a.ambient_dim != b.ambient_dim:
@@ -437,8 +447,7 @@ def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
             if s:
                 row[j] = s
         rows.append(row)
-    kernel = kernel_of_rows(rows, a.ambient_dim)
-    return Subspace(a.ambient_dim, tuple(_freeze_row(r) for r in kernel))
+    return kernel_subspace(rows, a.ambient_dim)
 
 
 def is_totally_isotropic(a: Subspace, gram: Matrix) -> bool:
@@ -464,6 +473,5 @@ def is_totally_isotropic(a: Subspace, gram: Matrix) -> bool:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Exact kernel of a dense matrix as a canonical subspace."""
-    rows = kernel_of_rows(m.row_dicts(), m.cols)
-    return Subspace(m.cols, tuple(_freeze_row(r) for r in rows))
+    return kernel_subspace(m.row_dicts(), m.cols)
 

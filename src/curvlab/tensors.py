@@ -11,9 +11,10 @@ Two parallel views of every linear operator exist on purpose:
 * dense operations on :class:`Tensor2` / :class:`Tensor4` values, written as
   direct textbook loops, used by the public API and for re-verifying
   witnesses; and
-* sparse constraint rows / sparse applications on flattened coordinate
-  dictionaries, used by the subspace builders, where each row has a handful
-  of nonzero integer entries.
+* sparse constraint rows on flattened coordinate dictionaries, used by the
+  subspace catalog, where each row has a handful of nonzero integer
+  entries, and sparse applications of the Ricci contraction and the
+  structure-compatibility operator.
 
 The two are cross-checked against each other in the test suite.
 """
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Subspace, kernel_of_rows
+from .linalg import Matrix, Subspace, kernel_subspace
 from .spaces import ModelSpace, j_signed_permutation, structure_sign
 
 # ---------------------------------------------------------------------------
@@ -638,8 +639,7 @@ def lefschetz_wedge_kernel(space: ModelSpace) -> tuple[int, Subspace]:
         img = wedge(FormK.from_entries(n, 2, {(i, j): 1}), omega)
         for idx, v in img.entries:
             columns.setdefault(four_coords[idx], {})[bi] = v
-    kernel = kernel_of_rows(columns.values(), len(pairs))
-    sub = Subspace(len(pairs), tuple(tuple(sorted(r.items())) for r in kernel))
+    sub = kernel_subspace(columns.values(), len(pairs))
     return len(pairs) - sub.dim, sub
 
 
@@ -653,8 +653,7 @@ def omega_orthogonal_two_forms(space: ModelSpace) -> Subspace:
         w = 2 * space.eps[i] * space.eps[j] * omega[i, j]
         if w:
             row[c] = Fraction(w)
-    kernel = kernel_of_rows([row], len(pairs))
-    return Subspace(len(pairs), tuple(tuple(sorted(r.items())) for r in kernel))
+    return kernel_subspace([row], len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -756,34 +755,6 @@ def _acc(out: dict[int, Fraction], key: int, val: Fraction) -> None:
         out.pop(key, None)
 
 
-def apply_antisym(n: int, vec: Vec) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for c, v in vec.items():
-        i, j, k, l = unflatten4(n, c)
-        _acc(out, c, v)
-        _acc(out, flatten4(n, j, i, k, l), v)
-    return out
-
-
-def apply_bianchi(n: int, vec: Vec) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for c, v in vec.items():
-        i, j, k, l = unflatten4(n, c)
-        _acc(out, c, v)
-        _acc(out, flatten4(n, k, i, j, l), v)
-        _acc(out, flatten4(n, j, k, i, l), v)
-    return out
-
-
-def apply_riemann(n: int, vec: Vec) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for c, v in vec.items():
-        i, j, k, l = unflatten4(n, c)
-        _acc(out, c, v)
-        _acc(out, flatten4(n, i, j, l, k), v)
-    return out
-
-
 def apply_ricci(space: ModelSpace, vec: Vec) -> dict[int, Fraction]:
     """Sparse Ricci contraction to a flattened rank-2 vector."""
     n = space.n
@@ -792,21 +763,6 @@ def apply_ricci(space: ModelSpace, vec: Vec) -> dict[int, Fraction]:
         i, j, k, l = unflatten4(n, c)
         if i == l:
             _acc(out, j * n + k, space.eps[i] * v)
-    return out
-
-
-def apply_weyl(space: ModelSpace, vec: Vec) -> dict[int, Fraction]:
-    n = space.n
-    out = apply_riemann(n, vec)
-    ric = apply_ricci(space, vec)
-    two_over_n = Fraction(2, n)
-    for c, v in ric.items():
-        x, y = divmod(c, n)
-        # Ric(y,x) - Ric(x,y) enters the (x,y,z,z) components
-        for z in range(n):
-            corr = two_over_n * v * space.eps[z]
-            _acc(out, flatten4(n, y, x, z, z), -corr)
-            _acc(out, flatten4(n, x, y, z, z), corr)
     return out
 
 

@@ -19,13 +19,9 @@ from curvlab.linalg import subspace_sum
 from curvlab.spaces import component_reps, make_standard, random_lie_elements
 from curvlab.curvature import (
     build_catalog,
-    build_map_image,
-    build_riemann,
-    build_sigma_image,
-    build_weyl,
+    catalog,
     commutant_dimension,
     commutant_dimension_doubled,
-    decompose_two_tensors,
     invariance_witness,
     invariant_span_dimension,
     kaehler_subspace,
@@ -148,7 +144,7 @@ def test_criterion_5_two_tensor_splitting():
     checks = {}
     for kind in ("complex", "para"):
         for s in configured_spaces(6, kind):
-            split = decompose_two_tensors(s)
+            split = catalog(s).two_tensors
             pieces = split.pieces()
             tag = f"{kind} eps[0]={s.eps[0]}"
             checks[f"{tag}: dims"] = [sub.dim for _, sub in pieces] == [1, 8, 12, 1, 8, 6]
@@ -171,7 +167,7 @@ def test_criterion_6_commutants_and_invariant_span():
     checks = {}
     for kind in ("complex", "para"):
         s = make_standard(6, kind)
-        split = decompose_two_tensors(s)
+        split = catalog(s).two_tensors
         checks[f"{kind}: commutant line"] = commutant_dimension(split.alt_opposed, s, "Ustar") == 1
         checks[f"{kind}: doubled commutant"] = (
             commutant_dimension_doubled(split.alt_opposed, s, "Ustar") == 4

@@ -131,6 +131,18 @@ def test_sweep_empty_range(capsys):
     assert json.loads(out)["cells"] == []
 
 
+@pytest.mark.parametrize("ns,kinds", [("4", "complex,foo"), ("", "foo")])
+def test_sweep_bad_kind_rejected_before_any_cell(capsys, monkeypatch, ns, kinds):
+    def no_cell(claim, space):
+        raise AssertionError("a cell ran before the kinds were validated")
+
+    monkeypatch.setattr("curvlab.cli.run_claim", no_cell)
+    code, out, err = run_cli(capsys, "sweep", "--ns", ns, "--kinds", kinds)
+    assert code == 2
+    assert out == ""
+    assert "sweep kinds" in err
+
+
 def test_sweep_skips_invalid_combinations(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--ns", "4", "--kinds", "complex", "--claims", "sec5")
     assert code == 0
@@ -193,3 +205,11 @@ def test_cli_runs_without_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("perm", ["0,1,2,3", "1,2,3", "1,1,2,3", "a,b,c,d"])
+def test_eval_invariant_bad_perm_usage_error(capsys, perm):
+    code, out, err = run_cli(capsys, "eval", "invariant", "--perm", perm)
+    assert code == 2
+    assert out == ""
+    assert "permutation of 1,2,3,4" in err and "Traceback" not in err

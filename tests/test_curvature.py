@@ -1,5 +1,6 @@
-"""Curvature subspace builders: dimensions against closed forms and against
-the independent dense oracle, containment chains, and signature independence.
+"""The curvature subspace catalog: dimensions against closed forms and
+against the independent dense oracle, containment chains, signature
+independence, and one shared, lazily built catalog per model space.
 
 Expected dimensions marked as derived were first computed with the oracle in
 ``oracles.py`` (dense textbook elimination on operator matrices assembled
@@ -14,14 +15,9 @@ import pytest
 import oracles
 from curvlab.linalg import Subspace, intersect, subspace_sum
 from curvlab.spaces import make_standard
+from curvlab import curvature
 from curvlab.curvature import (
-    build_affine,
-    build_conformal,
-    build_map_image,
-    build_riemann,
-    build_sigma_image,
-    build_weyl,
-    decompose_two_tensors,
+    catalog,
     kaehler_subspace,
     probe_aligned_form,
     probe_opposed_form,
@@ -34,9 +30,7 @@ from curvlab.tensors import (
     is_structure_eigenform,
     kaehler_form,
     metric_tensor2,
-    psi_map,
     ricci,
-    sigma,
 )
 
 F = Fraction
@@ -56,31 +50,26 @@ def riemann_dim(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_affine_and_riemann_closed_forms(n):
     s = make_standard(n, "none")
-    assert build_affine(s).dim == affine_dim(n)
-    assert build_riemann(s).dim == riemann_dim(n)
+    assert catalog(s).affine.dim == affine_dim(n)
+    assert catalog(s).riemann.dim == riemann_dim(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_weyl_dimension_formula(n):
     s = make_standard(n, "none")
-    assert build_weyl(s).dim == riemann_dim(n) + n * (n - 1) // 2
+    assert catalog(s).weyl.dim == riemann_dim(n) + n * (n - 1) // 2
 
 
-@pytest.mark.parametrize("n,expected", [(4, 10), (6, 84)])
+@pytest.mark.parametrize("n,expected", [(3, 0), (4, 10), (6, 84)])
 def test_conformal_dims(n, expected):
     s = make_standard(n, "none")
-    assert build_conformal(s).dim == expected
-
-
-def test_conformal_needs_n4():
-    with pytest.raises(ValueError):
-        build_conformal(make_standard(3, "none"))
+    assert catalog(s).conformal.dim == expected
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_sigma_image_dimension(n):
     s = make_standard(n, "none")
-    assert build_sigma_image(s).dim == n * (n - 1) // 2  # the five-term map is injective
+    assert catalog(s).sigma_image.dim == n * (n - 1) // 2  # the five-term map is injective
 
 
 # --- containment chain ----------------------------------------------------------
@@ -100,7 +89,8 @@ def test_sigma_image_dimension(n):
 )
 def test_containment_chain(n, kind, sig):
     s = make_standard(n, kind, sig)
-    affine, weyl, riemann = build_affine(s), build_weyl(s), build_riemann(s)
+    cat = catalog(s)
+    affine, weyl, riemann = cat.affine, cat.weyl, cat.riemann
     assert riemann.is_subspace_of(weyl)
     assert weyl.is_subspace_of(affine)
 
@@ -111,13 +101,13 @@ def test_containment_chain(n, kind, sig):
 def test_dims_signature_independent():
     dims = []
     for sig in ((6, 0), (4, 2), (2, 4), (0, 6)):
-        s = make_standard(6, "complex", sig)
+        cat = catalog(make_standard(6, "complex", sig))
         dims.append(
             (
-                build_weyl(s).dim,
-                build_riemann(s).dim,
-                kaehler_subspace(build_weyl(s), s).dim,
-                [d for _, d in ((nm, sub.dim) for nm, sub in decompose_two_tensors(s).pieces())],
+                cat.weyl.dim,
+                cat.riemann.dim,
+                cat.kaehler_weyl.dim,
+                [sub.dim for _, sub in cat.two_tensors.pieces()],
             )
         )
     assert all(d == dims[0] for d in dims)
@@ -126,9 +116,8 @@ def test_dims_signature_independent():
 def test_para_layout_independent():
     dims = []
     for eps in (None, (-1, 1, -1, 1, -1, 1), (1, -1, -1, 1, 1, -1)):
-        s = make_standard(6, "para", eps=eps)
-        dims.append((build_weyl(s).dim, kaehler_subspace(build_weyl(s), s).dim,
-                     kaehler_subspace(build_riemann(s), s).dim))
+        cat = catalog(make_standard(6, "para", eps=eps))
+        dims.append((cat.weyl.dim, cat.kaehler_weyl.dim, cat.kaehler_riemann.dim))
     assert dims == [(120, 36, 36)] * 3
 
 
@@ -138,18 +127,16 @@ def test_para_layout_independent():
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_kaehler_dims_n4(kind):
     # derived via the dense oracle (rerun below); the strict gap at n = 4
-    s = make_standard(4, kind)
-    kw = kaehler_subspace(build_weyl(s), s)
-    kr = kaehler_subspace(build_riemann(s), s)
+    cat = catalog(make_standard(4, kind))
+    kw, kr = cat.kaehler_weyl, cat.kaehler_riemann
     assert (kw.dim, kr.dim) == (14, 9)
-    assert kr == intersect(kw, build_riemann(s))
+    assert kr == intersect(kw, cat.riemann)
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_kaehler_dims_n6(kind):
-    s = make_standard(6, kind)
-    kw = kaehler_subspace(build_weyl(s), s)
-    kr = kaehler_subspace(build_riemann(s), s)
+    cat = catalog(make_standard(6, kind))
+    kw, kr = cat.kaehler_weyl, cat.kaehler_riemann
     assert (kw.dim, kr.dim) == (36, 36)
     assert kw == kr
 
@@ -169,20 +156,19 @@ def test_kaehler_subspace_requires_structure():
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_two_tensor_split_dims_n6(kind):
-    s = make_standard(6, kind)
-    split = decompose_two_tensors(s)
-    assert [d for _, d in ((nm, sub.dim) for nm, sub in split.pieces())] == [1, 8, 12, 1, 8, 6]
+    split = catalog(make_standard(6, kind)).two_tensors
+    assert [sub.dim for _, sub in split.pieces()] == [1, 8, 12, 1, 8, 6]
 
 
 def test_two_tensor_split_sums_to_n_squared(para4):
-    split = decompose_two_tensors(para4)
+    split = catalog(para4).two_tensors
     assert sum(sub.dim for _, sub in split.pieces()) == 16
 
 
 @pytest.mark.parametrize("kind,sig", [("complex", (6, 0)), ("complex", (4, 2)), ("para", None)])
 def test_two_tensor_pieces_pairwise_orthogonal(kind, sig):
     s = make_standard(6, kind, sig)
-    pieces = decompose_two_tensors(s).pieces()
+    pieces = catalog(s).two_tensors.pieces()
     for i, (_, a) in enumerate(pieces):
         for _, b in pieces[i + 1 :]:
             for va in a.basis_dicts():
@@ -191,7 +177,7 @@ def test_two_tensor_pieces_pairwise_orthogonal(kind, sig):
 
 
 def test_generators_live_in_their_lines(complex6):
-    split = decompose_two_tensors(complex6)
+    split = catalog(complex6).two_tensors
     assert split.h_line.contains(metric_tensor2(complex6).to_dict())
     assert split.omega_line.contains(kaehler_form(complex6).to_dict())
 
@@ -201,22 +187,17 @@ def test_generators_live_in_their_lines(complex6):
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_sigma_piece_images_recompose(kind):
-    s = make_standard(6, kind)
-    split = decompose_two_tensors(s)
-    w11 = build_map_image(s, split.omega_line, lambda t: sigma(t, s))
-    w12 = build_map_image(s, split.alt_aligned_traceless, lambda t: sigma(t, s))
-    w13 = build_map_image(s, split.alt_opposed, lambda t: sigma(t, s))
+    cat = catalog(make_standard(6, kind))
+    w11, w12, w13 = cat.sigma_omega_span, cat.sigma_aligned_span, cat.sigma_opposed_span
     assert (w11.dim, w12.dim, w13.dim) == (1, 8, 6)
-    assert subspace_sum(subspace_sum(w11, w12), w13) == build_sigma_image(s)
+    assert subspace_sum(subspace_sum(w11, w12), w13) == cat.sigma_image
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_psi_image_inside_riemann(kind):
-    s = make_standard(6, kind)
-    split = decompose_two_tensors(s)
-    w9 = build_map_image(s, split.alt_opposed, lambda t: psi_map(t, s))
-    assert w9.dim == 6
-    assert w9.is_subspace_of(build_riemann(s))
+    cat = catalog(make_standard(6, kind))
+    assert cat.psi_span.dim == 6
+    assert cat.psi_span.is_subspace_of(cat.riemann)
 
 
 def test_probe_forms_are_eigenforms(complex6, para6):
@@ -224,7 +205,7 @@ def test_probe_forms_are_eigenforms(complex6, para6):
         assert is_structure_eigenform(probe_opposed_form(s), s)
         psi0 = probe_aligned_form(s)
         assert inner2(s, psi0.to_dict(), kaehler_form(s).to_dict()) == 0
-        split = decompose_two_tensors(s)
+        split = catalog(s).two_tensors
         assert split.alt_aligned_traceless.contains(psi0.to_dict())
         assert split.alt_opposed.contains(probe_opposed_form(s).to_dict())
 
@@ -241,12 +222,12 @@ def test_riemannian_means_symmetric_ricci_inside_weyl(n, kind):
     from curvlab.tensors import Tensor4
 
     s = make_standard(n, kind)
-    riemann = build_riemann(s)
+    riemann = catalog(s).riemann
     for vec in riemann.basis_dicts():
         t = Tensor4.from_dict(n, vec)
         assert alt_ricci(t, s).is_zero()
         assert ricci(t, s).is_symmetric()
-    weyl = build_weyl(s)
+    weyl = catalog(s).weyl
     images = []
     for vec in weyl.basis_dicts():
         images.append(alt_ricci(Tensor4.from_dict(n, vec), s).to_dict())
@@ -259,14 +240,14 @@ def test_riemannian_means_symmetric_ricci_inside_weyl(n, kind):
 @pytest.mark.parametrize("n", [2, 3])
 def test_oracle_matches_builders_small(n):
     s = make_standard(n, "none")
-    for names, builder in (
-        (["antisym", "bianchi"], build_affine),
-        (["antisym", "bianchi", "weyl"], build_weyl),
-        (["antisym", "bianchi", "riemann"], build_riemann),
+    for names, attr in (
+        (["antisym", "bianchi"], "affine"),
+        (["antisym", "bianchi", "weyl"], "weyl"),
+        (["antisym", "bianchi", "riemann"], "riemann"),
     ):
         rows = oracles.operator_matrix(s, names)
         kernel = oracles.dense_kernel(rows, n ** 4)
-        built = builder(s)
+        built = getattr(catalog(s), attr)
         assert len(kernel) == built.dim
         assert oracles.same_span(kernel, built.basis_dense())
 
@@ -276,7 +257,7 @@ def test_oracle_matches_kaehler_weyl_n4(kind):
     s = make_standard(4, kind)
     rows = oracles.operator_matrix(s, ["antisym", "bianchi", "weyl", "kaehler"])
     kernel = oracles.dense_kernel(rows, 256)
-    built = kaehler_subspace(build_weyl(s), s)
+    built = catalog(s).kaehler_weyl
     assert len(kernel) == built.dim == 14
     assert oracles.same_span(kernel, built.basis_dense())
 
@@ -285,7 +266,7 @@ def test_oracle_matches_conformal_n4():
     s = make_standard(4, "none")
     rows = oracles.operator_matrix(s, ["antisym", "bianchi", "riemann"]) + oracles.ricci_matrix(s)
     kernel = oracles.dense_kernel(rows, 256)
-    built = build_conformal(s)
+    built = catalog(s).conformal
     assert len(kernel) == built.dim == 10
     assert oracles.same_span(kernel, built.basis_dense())
 
@@ -293,7 +274,47 @@ def test_oracle_matches_conformal_n4():
 def test_weyl_equals_affine_meet_weyl_kernel_n3():
     """Cross-check the builder against generic intersection."""
     s = make_standard(3, "none")
-    affine = build_affine(s)
+    affine = catalog(s).affine
     weyl_kernel = oracles.dense_kernel(oracles.operator_matrix(s, ["weyl"]), 81)
     generic = intersect(affine, Subspace.from_vectors(weyl_kernel, 81))
-    assert generic == build_weyl(s)
+    assert generic == catalog(s).weyl
+
+
+# --- one catalog per model space ------------------------------------------------------------
+
+
+def test_catalog_is_shared_per_space():
+    s = make_standard(4, "complex")
+    cat = catalog(s)
+    assert catalog(make_standard(4, "complex")) is cat
+    assert cat.weyl is cat.weyl
+    assert cat.two_tensors is cat.two_tensors
+
+
+def test_catalog_keeps_one_space():
+    s = make_standard(4, "complex")
+    first = catalog(s)
+    catalog(make_standard(4, "para"))
+    assert catalog(s) is not first
+
+
+def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
+    from curvlab.cli import main
+
+    real = curvature.kernel_subspace
+    built = []
+
+    def counting_kernel_subspace(rows, ncols):
+        rows = list(rows)
+        built.append(frozenset(frozenset(r.items()) for r in rows))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(curvature, "kernel_subspace", counting_kernel_subspace)
+    catalog.cache_clear()
+    s = make_standard(4, "complex")
+    for claim in ("thm4.1", "thm4.2", "thm1.5"):
+        curvature.run_claim(claim, s)
+    assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
+    # affine, weyl, riemann, conformal and the four two-tensor kernels
+    assert len(built) == 8
+    assert len(set(built)) == 8

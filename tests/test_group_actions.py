@@ -10,9 +10,9 @@ from curvlab.spaces import component_reps, make_standard, random_lie_elements
 from curvlab.curvature import (
     NotInvariantError,
     build_catalog,
+    catalog,
     commutant_dimension,
     commutant_dimension_doubled,
-    decompose_two_tensors,
     diagonal_pair_line_invariant,
     invariance_witness,
     invariant_span_dimension,
@@ -69,7 +69,7 @@ def test_representation_matrices_reject_noninvariant(complex4):
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_commutant_dimensions(kind):
     s = make_standard(6, kind)
-    split = decompose_two_tensors(s)
+    split = catalog(s).two_tensors
     assert commutant_dimension(split.alt_opposed, s, "Ustar") == 1
     assert commutant_dimension(split.h_line, s, "Ustar") == 1
     assert commutant_dimension_doubled(split.alt_opposed, s, "Ustar") == 4
@@ -78,7 +78,7 @@ def test_commutant_dimensions(kind):
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_diagonal_line_family(kind):
     s = make_standard(6, kind)
-    split = decompose_two_tensors(s)
+    split = catalog(s).two_tensors
     for a, b in ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(2), F(3))):
         assert diagonal_pair_line_invariant(split.alt_opposed, s, "Ustar", a, b)
 
@@ -86,7 +86,7 @@ def test_diagonal_line_family(kind):
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_invariant_span_dimensions(kind):
     s = make_standard(6, kind)
-    split = decompose_two_tensors(s)
+    split = catalog(s).two_tensors
     assert invariant_span_dimension(split.alt_opposed, split.alt_opposed, s) == 1
     # symmetric against antisymmetric distinguished lines pair trivially
     assert invariant_span_dimension(split.h_line, split.omega_line, s) == 0
@@ -98,15 +98,12 @@ def test_invariant_span_dimensions(kind):
 def test_multiplicity_two_block_inside_weyl(complex6):
     """The two realizations of the opposed module inside the weyl space form
     a multiplicity-two block: the commutant of their direct sum is 4-dim."""
-    from curvlab.curvature import _commutant_dimension_of, build_map_image
+    from curvlab.curvature import _commutant_dimension_of
     from curvlab.linalg import subspace_sum
-    from curvlab.tensors import psi_map, sigma
 
     s = complex6
-    split = decompose_two_tensors(s)
-    w13 = build_map_image(s, split.alt_opposed, lambda t: sigma(t, s))
-    w9 = build_map_image(s, split.alt_opposed, lambda t: psi_map(t, s))
-    pair = subspace_sum(w9, w13)
+    cat = catalog(s)
+    pair = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
     assert pair.dim == 12
     lie_mats, rep_mats = representation_matrices(pair, s, "Ustar")
     assert _commutant_dimension_of(lie_mats + rep_mats, 12) == 4

@@ -13,12 +13,8 @@ from curvlab.tensors import (
     Tensor2,
     Tensor4,
     alt_ricci,
-    apply_antisym,
-    apply_bianchi,
     apply_kaehler,
     apply_ricci,
-    apply_riemann,
-    apply_weyl,
     defect_antisym,
     defect_bianchi,
     defect_kaehler,
@@ -185,10 +181,10 @@ def test_sigma_satisfies_weyl_symmetries(kind, n, sig):
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_psi_map_image_is_riemannian(kind):
-    from curvlab.curvature import decompose_two_tensors
+    from curvlab.curvature import catalog
 
     s = make_standard(6, kind)
-    split = decompose_two_tensors(s)
+    split = catalog(s).two_tensors
     for vec in split.alt_opposed.basis_dicts():
         psi = Tensor2.from_dict(6, vec)
         image = psi_map(psi, s)
@@ -320,11 +316,7 @@ def test_sparse_applies_match_dense(seed):
         entries[idx] = F(rng.randint(-4, 4), rng.randint(1, 3))
     t = Tensor4.from_entries(4, entries)
     vec = t.to_dict()
-    assert Tensor4.from_dict(4, apply_antisym(4, vec)) == defect_antisym(t)
-    assert Tensor4.from_dict(4, apply_bianchi(4, vec)) == defect_bianchi(t)
-    assert Tensor4.from_dict(4, apply_riemann(4, vec)) == defect_riemann(t)
     assert Tensor4.from_dict(4, apply_kaehler(s, vec)) == defect_kaehler(t, s)
-    assert Tensor4.from_dict(4, apply_weyl(s, vec)) == defect_weyl(t, s)
     assert Tensor2.from_dict(4, apply_ricci(s, vec)) == ricci(t, s)
 
 
