@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import jsonio
 from .linalg import (
@@ -71,8 +71,11 @@ from .tensors import (
 Vec = dict[int, Fraction]
 
 
-class NotInvariantError(ValueError):
-    """A subspace failed a group-invariance precondition; carries a witness."""
+class NotInvariantError(Exception):
+    """A subspace is not preserved by a group action; carries the witness.
+
+    Not a ``ValueError``: a module that fails invariance is a failed claim,
+    not a bad request."""
 
     def __init__(self, message: str, witness: dict):
         super().__init__(message)
@@ -335,67 +338,67 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
     raise ValueError("ambient dimension is neither rank 2 nor rank 4")
 
 
-def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
-                       extra_lie: Sequence[Matrix] = ()) -> dict | None:
-    """None when the subspace is preserved by the group data, else a witness.
+def _group_images(sub: Subspace, space: ModelSpace, group: str,
+                  extra_lie: Sequence[Matrix] = ()) -> Iterator[tuple[dict, Vec]]:
+    """Every group generator applied to every basis vector of ``sub``.
 
-    Checks the Lie algebra basis, any extra Lie elements supplied, and every
-    component representative.
+    Yields (witness, image) pairs in certificate order: the Lie algebra
+    basis, then the extra Lie elements (numbered after the basis), then the
+    component representatives; within each generator the basis vectors go
+    in canonical order.  The witness names the pair as
+    ``{"action", "element", "basis_vector"}``.
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
-    reducer = SubspaceReducer(sub)
+    basis = sub.basis_dicts()
     lie = list(lie_algebra_basis(space, group)) + list(extra_lie)
     for idx, x in enumerate(lie):
-        for bidx, vec in enumerate(sub.basis_dicts()):
-            img = lie_apply_vec(x, vec, rank, space.n)
-            if not reducer.contains(img):
-                return {"action": "lie", "element": idx, "basis_vector": bidx}
+        for bidx, vec in enumerate(basis):
+            yield {"action": "lie", "element": idx, "basis_vector": bidx}, lie_apply_vec(x, vec, rank, space.n)
     for idx, g in enumerate(component_reps(space, group)):
-        for bidx, vec in enumerate(sub.basis_dicts()):
-            img = pullback_apply_vec(g, vec, rank, space.n)
-            if not reducer.contains(img):
-                return {"action": "component_rep", "element": idx, "basis_vector": bidx}
+        for bidx, vec in enumerate(basis):
+            yield ({"action": "component_rep", "element": idx, "basis_vector": bidx},
+                   pullback_apply_vec(g, vec, rank, space.n))
+
+
+def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
+                       extra_lie: Sequence[Matrix] = ()) -> dict | None:
+    """None when the subspace is preserved by the group data, else the first
+    witness in certificate order (see :func:`_group_images`)."""
+    reducer = SubspaceReducer(sub)
+    for witness, img in _group_images(sub, space, group, extra_lie):
+        if not reducer.contains(img):
+            return witness
     return None
 
 
-def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> tuple[list[Matrix], list[Matrix]]:
-    """Matrices of the Lie algebra and component reps acting in the basis of ``sub``.
+def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> list[Matrix]:
+    """Matrices of the Lie algebra basis, then of the component reps, acting
+    in the canonical basis of ``sub``.
 
-    Raises :class:`NotInvariantError` (with a witness) when the action leaves
-    the subspace.
+    Raises :class:`NotInvariantError` with the first witness in certificate
+    order when the action leaves the subspace.
     """
-    rank = _rank_of_ambient(space, sub.ambient_dim)
     reducer = SubspaceReducer(sub)
     d = sub.dim
-    basis = sub.basis_dicts()
-
-    def matrix_of(action: Callable[[Vec], Vec], tag: str, element: int) -> Matrix:
-        cols = []
-        for bidx, vec in enumerate(basis):
-            img = action(vec)
-            coords = reducer.coordinates(img, sub)
-            if coords is None:
-                raise NotInvariantError(
-                    f"subspace not invariant under {tag} element {element}",
-                    witness={"action": tag, "element": element, "basis_vector": bidx},
-                )
-            cols.append(coords)
-        # columns hold images; transpose into row-major matrix entries
-        return Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d)))
-
-    lie_mats = [
-        matrix_of(lambda v, x=x: lie_apply_vec(x, v, rank, space.n), "lie", i)
-        for i, x in enumerate(lie_algebra_basis(space, group))
-    ]
-    rep_mats = [
-        matrix_of(lambda v, g=g: pullback_apply_vec(g, v, rank, space.n), "component_rep", i)
-        for i, g in enumerate(component_reps(space, group))
-    ]
-    return lie_mats, rep_mats
+    mats = []
+    cols: list[list[Fraction]] = []
+    for witness, img in _group_images(sub, space, group):
+        coords = reducer.coordinates(img)
+        if coords is None:
+            raise NotInvariantError(
+                f"subspace not invariant under {witness['action']} element {witness['element']}", witness)
+        cols.append(coords)
+        if len(cols) == d:
+            # columns hold images; transpose into row-major matrix entries
+            mats.append(Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d))))
+            cols = []
+    return mats
 
 
-def _commutant_dimension_of(mats: Sequence[Matrix], d: int) -> int:
-    """Dimension of {T : TM = MT for all M}, solved as an exact kernel."""
+def commutant_dimension(mats: Sequence[Matrix]) -> int:
+    """Dimension of {T : TM = MT for all M}, the linear self-maps commuting
+    with the action, solved as an exact kernel."""
+    d = mats[0].rows if mats else 0
     rows: list[dict[int, Fraction]] = []
     for m in mats:
         for i in range(d):
@@ -418,12 +421,6 @@ def _commutant_dimension_of(mats: Sequence[Matrix], d: int) -> int:
     return d * d - rank_of_rows(rows, d * d)
 
 
-def commutant_dimension(sub: Subspace, space: ModelSpace, group: str) -> int:
-    """Dimension of the algebra of linear self-maps commuting with the action."""
-    lie_mats, rep_mats = representation_matrices(sub, space, group)
-    return _commutant_dimension_of(lie_mats + rep_mats, sub.dim)
-
-
 def _block_diag(m: Matrix) -> Matrix:
     d = m.rows
     rows = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
@@ -434,35 +431,18 @@ def _block_diag(m: Matrix) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def commutant_dimension_doubled(sub: Subspace, space: ModelSpace, group: str) -> int:
-    """Commutant of the external direct sum of two copies of the action."""
-    lie_mats, rep_mats = representation_matrices(sub, space, group)
-    doubled = [_block_diag(m) for m in lie_mats + rep_mats]
-    return _commutant_dimension_of(doubled, 2 * sub.dim)
-
-
-def diagonal_pair_line_invariant(sub: Subspace, space: ModelSpace, group: str,
-                                 a: Fraction, b: Fraction) -> bool:
-    """Whether {(a t, b t) : t} inside the doubled module is preserved by the action."""
-    lie_mats, rep_mats = representation_matrices(sub, space, group)
-    d = sub.dim
-    vectors = []
-    for j in range(d):
-        vec: dict[int, Fraction] = {}
-        if a:
-            vec[j] = a
-        if b:
-            vec[d + j] = b
-        vectors.append(vec)
-    line = Subspace.from_vectors(vectors, 2 * d)
+def diagonal_pair_line_invariant(doubled: Sequence[Matrix], a: Fraction, b: Fraction) -> bool:
+    """Whether {(a t, b t) : t} inside the doubled module is preserved by the
+    block-diagonal action matrices ``doubled`` (of size 2d)."""
+    d = doubled[0].rows // 2
+    line = Subspace.from_vectors([{j: a, d + j: b} for j in range(d)], 2 * d)
     reducer = SubspaceReducer(line)
-    for m in lie_mats + rep_mats:
-        doubled = _block_diag(m)
+    for m in doubled:
         for vec in line.basis_dicts():
             img: dict[int, Fraction] = {}
             for c, v in vec.items():
                 for r in range(2 * d):
-                    coeff = doubled[r, c]
+                    coeff = m[r, c]
                     if coeff:
                         img[r] = img.get(r, Fraction(0)) + coeff * v
             img = {c: v for c, v in img.items() if v}
@@ -792,27 +772,40 @@ def verify_invariant_span_bound(space: ModelSpace) -> VerificationReport:
     )
 
 
+def _not_invariant_report(report: VerificationReport, err: NotInvariantError) -> VerificationReport:
+    """Fail ``report``: the group action leaves the opposed 2-form module."""
+    report.quantities = {"alt_opposed_invariant": False}
+    report.witnesses.append(err.witness)
+    return report
+
+
 def verify_commutant_line(space: ModelSpace) -> VerificationReport:
     """Equivariant self-maps of the opposed 2-form module are scalar."""
     if space.kind == "none":
         raise ValueError("needs a structured space")
     two = catalog(space).two_tensors
-    dim_comm = commutant_dimension(two.alt_opposed, space, "Ustar")
-    quantities = {
+    report = VerificationReport(
+        claim="eq4d",
+        description="the commutant of the extended structure group on the opposed 2-form module is the scalar line",
+        space=_space_meta(space),
+        quantities={},
+        verdict=False,
+        notes=["the unextended-group commutant dimension is reported without an irreducibility verdict"],
+    )
+    try:
+        dim_comm = commutant_dimension(representation_matrices(two.alt_opposed, space, "Ustar"))
+        dim_unextended = commutant_dimension(representation_matrices(two.alt_opposed, space, "U"))
+    except NotInvariantError as err:
+        return _not_invariant_report(report, err)
+    report.quantities = {
         "commutant_dimension": dim_comm,
         "expected": 1,
         # informational only: without the extension the commutant is larger
         # (real dimension 2), and no irreducibility verdict is drawn from it
-        "commutant_dimension_unextended_group": commutant_dimension(two.alt_opposed, space, "U"),
+        "commutant_dimension_unextended_group": dim_unextended,
     }
-    return VerificationReport(
-        claim="eq4d",
-        description="the commutant of the extended structure group on the opposed 2-form module is the scalar line",
-        space=_space_meta(space),
-        quantities=quantities,
-        verdict=dim_comm == 1,
-        notes=["the unextended-group commutant dimension is reported without an irreducibility verdict"],
-    )
+    report.verdict = dim_comm == 1
+    return report
 
 
 def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
@@ -820,21 +813,28 @@ def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
     if space.kind == "none":
         raise ValueError("needs a structured space")
     two = catalog(space).two_tensors
-    dim_doubled = commutant_dimension_doubled(two.alt_opposed, space, "Ustar")
+    report = VerificationReport(
+        claim="lemma4.9",
+        description="the doubled opposed module has a four-dimensional commutant; its diagonal line family is invariant",
+        space=_space_meta(space),
+        quantities={},
+        verdict=False,
+    )
+    try:
+        mats = representation_matrices(two.alt_opposed, space, "Ustar")
+    except NotInvariantError as err:
+        return _not_invariant_report(report, err)
+    doubled = [_block_diag(m) for m in mats]
+    dim_doubled = commutant_dimension(doubled)
     samples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3))]
-    lines_ok = all(diagonal_pair_line_invariant(two.alt_opposed, space, "Ustar", a, b) for a, b in samples)
-    quantities = {
+    lines_ok = all(diagonal_pair_line_invariant(doubled, a, b) for a, b in samples)
+    report.quantities = {
         "doubled_commutant_dimension": dim_doubled,
         "expected": 4,
         "diagonal_line_family_invariant": lines_ok,
     }
-    return VerificationReport(
-        claim="lemma4.9",
-        description="the doubled opposed module has a four-dimensional commutant; its diagonal line family is invariant",
-        space=_space_meta(space),
-        quantities=quantities,
-        verdict=dim_doubled == 4 and lines_ok,
-    )
+    report.verdict = dim_doubled == 4 and lines_ok
+    return report
 
 
 CLAIMS: dict[str, Callable[[ModelSpace], VerificationReport]] = {

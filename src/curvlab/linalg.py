@@ -370,6 +370,7 @@ class SubspaceReducer:
     """Reusable membership tester backed by the subspace's echelon pivots."""
 
     def __init__(self, sub: Subspace):
+        self._pivots = sub.pivots
         self._ech = Echelon(sub.ambient_dim)
         for row in sub.basis:
             r = _to_int_row(dict(row))
@@ -383,11 +384,11 @@ class SubspaceReducer:
     def contains(self, vec) -> bool:
         return not self.residual(vec)
 
-    def coordinates(self, vec: Mapping[int, Fraction], sub: Subspace) -> list[Fraction] | None:
-        """Coefficients of ``vec`` in the canonical basis, or None if outside."""
+    def coordinates(self, vec: Mapping[int, Fraction]) -> list[Fraction] | None:
+        """Coefficients of ``vec`` in the subspace's canonical basis, or None if outside."""
         if not self.contains(vec):
             return None
-        return [Fraction(vec.get(p, 0)) for p in sub.pivots]
+        return [Fraction(vec.get(p, 0)) for p in self._pivots]
 
 
 def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> Subspace:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .linalg import Matrix, kernel_of_rows
 
@@ -46,17 +46,26 @@ def structure_sign(kind: str) -> int:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Dimension, diagonal metric signs, structure kind and J matrix."""
+    """Dimension, diagonal metric signs and structure kind; J follows from (n, kind)."""
 
     n: int
     kind: str
     eps: tuple[int, ...]
-    j: Matrix | None
 
     @property
     def signature(self) -> tuple[int, int]:
         p = sum(1 for e in self.eps if e > 0)
         return (p, self.n - p)
+
+    @cached_property
+    def j(self) -> Matrix | None:
+        """The standard structure matrix, or None for kind 'none'."""
+        if self.kind == "none":
+            return None
+        rows = [[Fraction(0)] * self.n for _ in range(self.n)]
+        for k, (image, sign) in enumerate(j_signed_permutation(self)):
+            rows[image][k] = Fraction(sign)
+        return Matrix.from_rows(rows)
 
     def gram(self) -> Matrix:
         return Matrix.diagonal(self.eps)
@@ -69,18 +78,12 @@ class ModelSpace:
         return {"n": self.n, "kind": self.kind, "signature": [p, q], "eps": list(self.eps)}
 
 
-@lru_cache(maxsize=None)
 def j_signed_permutation(space: ModelSpace) -> tuple[tuple[int, int], ...]:
     """For each basis index k: (image index, sign) with J e_k = sign * e_image."""
-    if space.j is None:
+    if space.kind == "none":
         raise ValueError("space has no structure")
-    out = []
-    for k in range(space.n):
-        hits = [(a, space.j[a, k]) for a in range(space.n) if space.j[a, k]]
-        if len(hits) != 1 or abs(hits[0][1]) != 1:
-            raise ValueError("structure matrix is not a signed permutation")
-        out.append((hits[0][0], int(hits[0][1])))
-    return tuple(out)
+    u = structure_sign(space.kind)
+    return tuple((k + 1, 1) if k % 2 == 0 else (k - 1, u) for k in range(space.n))
 
 
 def _default_eps(n: int, kind: str, signature: tuple[int, int] | None) -> tuple[int, ...]:
@@ -101,15 +104,6 @@ def _default_eps(n: int, kind: str, signature: tuple[int, int] | None) -> tuple[
     return tuple(1 if i < p else -1 for i in range(n))
 
 
-def _standard_j(n: int, kind: str) -> Matrix:
-    u = structure_sign(kind)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        rows[i + 1][i] = Fraction(1)      # J e_{2i}   = e_{2i+1}
-        rows[i][i + 1] = Fraction(u)      # J e_{2i+1} = u e_{2i}
-    return Matrix.from_rows(rows)
-
-
 def _validate(space: ModelSpace) -> None:
     n, kind, eps = space.n, space.kind, space.eps
     if len(eps) != n or any(e not in (1, -1) for e in eps):
@@ -117,26 +111,14 @@ def _validate(space: ModelSpace) -> None:
     if kind == "none":
         if n < 2:
             raise ValueError("need n >= 2")
-        if space.j is not None:
-            raise ValueError("kind 'none' carries no structure matrix")
         return
     if kind not in ("complex", "para"):
         raise ValueError(f"unknown kind {kind!r}")
     if n < 4 or n % 2:
         raise ValueError("structures require even n >= 4")
     u = structure_sign(kind)
-    j = space.j
-    if j is None:
-        raise ValueError("structured space needs a J matrix")
-    jj = j.mul(j)
-    if jj != Matrix.identity(n).scale(u):
-        raise ValueError("J^2 must equal the structure sign times the identity")
-    if kind == "para" and sum(j[i, i] for i in range(n)) != 0:
-        raise ValueError("para structure must be trace free")
-    # pull-back test J*h = -u h on basis pairs
-    h = space.gram()
-    jthj = j.transpose().mul(h).mul(j)
-    if jthj != h.scale(-u):
+    # pull-back test J*h = -u h: h(J e_k, J e_k) = -u h(e_k, e_k) for every k
+    if any(eps[image] != -u * eps[k] for k, (image, _) in enumerate(j_signed_permutation(space))):
         raise ValueError("metric incompatible with the structure (pull-back test failed)")
 
 
@@ -158,8 +140,7 @@ def make_standard(n: int, kind: str = "none", signature: tuple[int, int] | None 
             p = sum(1 for e in eps if e > 0)
             if (p, n - p) != tuple(signature):
                 raise ValueError("explicit eps disagrees with requested signature")
-    j = _standard_j(n, kind) if kind != "none" else None
-    space = ModelSpace(n=n, kind=kind, eps=eps, j=j)
+    space = ModelSpace(n=n, kind=kind, eps=eps)
     _validate(space)
     return space
 
@@ -167,13 +148,6 @@ def make_standard(n: int, kind: str = "none", signature: tuple[int, int] | None 
 # ---------------------------------------------------------------------------
 # Structure groups
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    group: str
-    lie_algebra_basis: tuple[Matrix, ...]
-    component_reps: tuple[Matrix, ...]
 
 
 def _check_group_args(space: ModelSpace, group: str) -> None:
@@ -266,37 +240,6 @@ def component_reps(space: ModelSpace, group: str) -> list[Matrix]:
         return base
     g0 = structure_reversal(space)
     return base + [g0.mul(m) for m in base]
-
-
-def group_spec(space: ModelSpace, group: str) -> GroupSpec:
-    """Assemble and validate the full group datum (algebra basis + reps).
-
-    Every algebra element must be an infinitesimal isometry (commuting with J
-    for the unitary-type groups) and every representative an isometry
-    (commuting or anticommuting with J for the extended group).
-    """
-    spec = GroupSpec(
-        group=group,
-        lie_algebra_basis=tuple(lie_algebra_basis(space, group)),
-        component_reps=tuple(component_reps(space, group)),
-    )
-    h = space.gram()
-    n = space.n
-    for x in spec.lie_algebra_basis:
-        if x.transpose().mul(h).add(h.mul(x)) != Matrix.zero(n, n):
-            raise AssertionError("algebra element is not an infinitesimal isometry")
-        if group in ("U", "Ustar") and x.mul(space.j) != space.j.mul(x):
-            raise AssertionError("algebra element does not commute with the structure")
-    for g in spec.component_reps:
-        if g.transpose().mul(h).mul(g) != h:
-            raise AssertionError("component representative is not an isometry")
-        if group == "U" and g.mul(space.j) != space.j.mul(g):
-            raise AssertionError("unitary representative must commute with the structure")
-        if group == "Ustar":
-            gj, jg = g.mul(space.j), space.j.mul(g)
-            if gj != jg and gj != jg.scale(-1):
-                raise AssertionError("extended representative must commute or anticommute")
-    return spec
 
 
 def random_lie_elements(space: ModelSpace, group: str, count: int, seed: int = 0) -> list[Matrix]:

@@ -2,7 +2,7 @@
 
 Covers the symmetry-defect operators that carve out the affine, Weyl and
 Riemannian curvature spaces, the Ricci contraction, the rank-2-to-rank-4
-maps sigma and psi, pull-backs and infinitesimal group actions, full
+maps sigma and psi, sparse pull-backs and infinitesimal group actions, full
 invariant contractions against metric/fundamental-form pair tensors, and
 exterior forms with wedge products.
 
@@ -13,10 +13,11 @@ Two parallel views of every linear operator exist on purpose:
   witnesses; and
 * sparse constraint rows on flattened coordinate dictionaries, used by the
   subspace catalog, where each row has a handful of nonzero integer
-  entries, and sparse applications of the Ricci contraction and the
-  structure-compatibility operator.
+  entries, and sparse applications of the Ricci contraction, the
+  structure-compatibility operator and the group actions.
 
-The two are cross-checked against each other in the test suite.
+The two are cross-checked against each other in the test suite; the dense
+pull-back and infinitesimal action used for that live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -250,16 +251,6 @@ def ricci(a: Tensor4, space: ModelSpace) -> Tensor2:
     return Tensor2(n, tuple(comp))
 
 
-def alt_ricci(a: Tensor4, space: ModelSpace) -> Tensor2:
-    ric = ricci(a, space)
-    n = a.n
-    comp = []
-    for x in range(n):
-        for y in range(n):
-            comp.append((ric[x, y] - ric[y, x]) / 2)
-    return Tensor2(n, tuple(comp))
-
-
 def defect_weyl(a: Tensor4, space: ModelSpace) -> Tensor4:
     """Pair symmetrization minus the trace correction (2/n)(Ric(y,x)-Ric(x,y)) h(z,w)."""
     n = a.n
@@ -398,53 +389,9 @@ def psi_map(psi: Tensor2, space: ModelSpace) -> Tensor4:
 
 
 # ---------------------------------------------------------------------------
-# Group actions on tensors
-# ---------------------------------------------------------------------------
-
-
-def _contract_slot(n: int, rank: int, comp: list[Fraction], t: Matrix, slot: int) -> list[Fraction]:
-    """Replace slot s: out_{..i..} = sum_a t[a][i] cur_{..a..}."""
-    stride = n ** (rank - 1 - slot)
-    out = [Fraction(0)] * (n ** rank)
-    for c, v in enumerate(comp):
-        if not v:
-            continue
-        a = (c // stride) % n
-        base = c - a * stride
-        for i in range(n):
-            coeff = t[a, i]
-            if coeff:
-                out[base + i * stride] += coeff * v
-    return out
-
-
-def pullback(t: Matrix, theta: Tensor2 | Tensor4) -> Tensor2 | Tensor4:
-    """(t* theta)(v_1, ..., v_k) = theta(t v_1, ..., t v_k)."""
-    rank = 2 if isinstance(theta, Tensor2) else 4
-    comp = list(theta.components)
-    for slot in range(rank):
-        comp = _contract_slot(theta.n, rank, comp, t, slot)
-    return type(theta)(theta.n, tuple(comp))
-
-
-def lie_action(x: Matrix, theta: Tensor2 | Tensor4) -> Tensor2 | Tensor4:
-    """Infinitesimal pull-back action: sum over slots of theta(..., X v_i, ...)."""
-    rank = 2 if isinstance(theta, Tensor2) else 4
-    n = theta.n
-    total = [Fraction(0)] * (n ** rank)
-    for slot in range(rank):
-        part = _contract_slot(n, rank, list(theta.components), x, slot)
-        for c, v in enumerate(part):
-            if v:
-                total[c] += v
-    return type(theta)(n, tuple(total))
-
-
-# ---------------------------------------------------------------------------
 # Invariant contractions
 # ---------------------------------------------------------------------------
 
-PAIR_WORDS = ((0, 0), (0, 1), (1, 0), (1, 1))
 EVEN_PAIR_WORDS = ((0, 0), (1, 1))
 
 
@@ -464,39 +411,18 @@ def _kappa_raised_entries(space: ModelSpace, a: int) -> list[tuple[int, int, Fra
     return out
 
 
-def invariant_contraction(theta: Tensor4, perm: Sequence[int], word: Sequence[int], space: ModelSpace) -> Fraction:
-    """Full contraction of a rank-4 tensor against two raised pair tensors.
-
-    ``perm`` is a permutation of (0,1,2,3) selecting which tensor slots are
-    paired: slots perm[0], perm[1] contract against the first pair tensor and
-    perm[2], perm[3] against the second.  ``word`` selects metric (0) or
-    fundamental form (1) per pair.  Words with an even number of form factors
-    are the scalar invariants of the extended structure group; the operation
-    itself computes any word.
-    """
-    if sorted(perm) != [0, 1, 2, 3]:
-        raise ValueError("perm must be a permutation of (0,1,2,3)")
-    if len(word) != 2 or any(a not in (0, 1) for a in word):
-        raise ValueError("word must be two flags in {0,1}")
-    k1 = _kappa_raised_entries(space, word[0])
-    k2 = _kappa_raised_entries(space, word[1])
-    total = Fraction(0)
-    idx = [0, 0, 0, 0]
-    for x1, x2, v1 in k1:
-        idx[perm[0]] = x1
-        idx[perm[1]] = x2
-        for x3, x4, v2 in k2:
-            idx[perm[2]] = x3
-            idx[perm[3]] = x4
-            t = theta[idx[0], idx[1], idx[2], idx[3]]
-            if t:
-                total += v1 * v2 * t
-    return total
-
-
 def invariant_contraction_product(theta: Tensor2, phi: Tensor2, perm: Sequence[int], word: Sequence[int],
                                   space: ModelSpace) -> Fraction:
-    """Invariant contraction of the product tensor theta (x) phi without materializing it."""
+    """Full contraction of the product tensor theta (x) phi, without materializing it,
+    against two raised pair tensors.
+
+    ``perm`` is a permutation of (0,1,2,3) selecting which slots of the
+    product are paired: slots perm[0], perm[1] contract against the first
+    pair tensor and perm[2], perm[3] against the second.  ``word`` selects
+    metric (0) or fundamental form (1) per pair.  Words with an even number
+    of form factors are the scalar invariants of the extended structure
+    group; the operation itself computes any word.
+    """
     if sorted(perm) != [0, 1, 2, 3]:
         raise ValueError("perm must be a permutation of (0,1,2,3)")
     if len(word) != 2 or any(a not in (0, 1) for a in word):

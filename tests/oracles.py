@@ -2,16 +2,20 @@
 
 Everything here is deliberately naive and shares no code path with the
 package's sparse elimination engine: dense textbook Gauss-Jordan over exact
-rationals, and constraint matrices assembled by applying the public dense
-defect operators to every standard basis tensor.
+rationals, constraint matrices assembled by applying the public dense
+defect operators to every standard basis tensor, and dense pull-backs and
+infinitesimal actions that the package's sparse group applies are checked
+against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from curvlab.linalg import Matrix
 from curvlab.spaces import ModelSpace
 from curvlab.tensors import (
+    Tensor2,
     Tensor4,
     defect_antisym,
     defect_bianchi,
@@ -115,3 +119,52 @@ def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
     clean_a = [row for row in ra if any(row)]
     clean_b = [row for row in rb if any(row)]
     return clean_a == clean_b
+
+
+def alt_ricci(a: Tensor4, space: ModelSpace) -> Tensor2:
+    """Alternating part of the Ricci contraction."""
+    ric = ricci(a, space)
+    n = a.n
+    comp = []
+    for x in range(n):
+        for y in range(n):
+            comp.append((ric[x, y] - ric[y, x]) / 2)
+    return Tensor2(n, tuple(comp))
+
+
+def _contract_slot(n: int, rank: int, comp: list[Fraction], t: Matrix, slot: int) -> list[Fraction]:
+    """Replace slot s: out_{..i..} = sum_a t[a][i] cur_{..a..}."""
+    stride = n ** (rank - 1 - slot)
+    out = [Fraction(0)] * (n ** rank)
+    for c, v in enumerate(comp):
+        if not v:
+            continue
+        a = (c // stride) % n
+        base = c - a * stride
+        for i in range(n):
+            coeff = t[a, i]
+            if coeff:
+                out[base + i * stride] += coeff * v
+    return out
+
+
+def pullback(t: Matrix, theta: Tensor2 | Tensor4) -> Tensor2 | Tensor4:
+    """(t* theta)(v_1, ..., v_k) = theta(t v_1, ..., t v_k)."""
+    rank = 2 if isinstance(theta, Tensor2) else 4
+    comp = list(theta.components)
+    for slot in range(rank):
+        comp = _contract_slot(theta.n, rank, comp, t, slot)
+    return type(theta)(theta.n, tuple(comp))
+
+
+def lie_action(x: Matrix, theta: Tensor2 | Tensor4) -> Tensor2 | Tensor4:
+    """Infinitesimal pull-back action: sum over slots of theta(..., X v_i, ...)."""
+    rank = 2 if isinstance(theta, Tensor2) else 4
+    n = theta.n
+    total = [Fraction(0)] * (n ** rank)
+    for slot in range(rank):
+        part = _contract_slot(n, rank, list(theta.components), x, slot)
+        for c, v in enumerate(part):
+            if v:
+                total[c] += v
+    return type(theta)(n, tuple(total))

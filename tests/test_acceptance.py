@@ -20,11 +20,12 @@ from curvlab.spaces import component_reps, make_standard, random_lie_elements
 from curvlab.curvature import (
     build_catalog,
     catalog,
+    _block_diag,
     commutant_dimension,
-    commutant_dimension_doubled,
     invariance_witness,
     invariant_span_dimension,
     kaehler_subspace,
+    representation_matrices,
     verify_kaehler_identity_collapse,
     verify_probe_suite,
     verify_riemann_ricci_split,
@@ -168,10 +169,9 @@ def test_criterion_6_commutants_and_invariant_span():
     for kind in ("complex", "para"):
         s = make_standard(6, kind)
         split = catalog(s).two_tensors
-        checks[f"{kind}: commutant line"] = commutant_dimension(split.alt_opposed, s, "Ustar") == 1
-        checks[f"{kind}: doubled commutant"] = (
-            commutant_dimension_doubled(split.alt_opposed, s, "Ustar") == 4
-        )
+        mats = representation_matrices(split.alt_opposed, s, "Ustar")
+        checks[f"{kind}: commutant line"] = commutant_dimension(mats) == 1
+        checks[f"{kind}: doubled commutant"] = commutant_dimension([_block_diag(m) for m in mats]) == 4
         checks[f"{kind}: invariant span"] = (
             invariant_span_dimension(split.alt_opposed, split.alt_opposed, s) == 1
         )

@@ -10,6 +10,7 @@ import pytest
 
 import curvlab
 from curvlab.cli import main
+from curvlab.linalg import Matrix
 from curvlab.report import VerificationReport, exit_code_for
 
 
@@ -141,6 +142,31 @@ def test_sweep_bad_kind_rejected_before_any_cell(capsys, monkeypatch, ns, kinds)
     assert code == 2
     assert out == ""
     assert "sweep kinds" in err
+
+
+def _break_lie_basis(monkeypatch):
+    """Replace every Lie algebra basis by the matrix unit E13 (1-based), which
+    preserves no opposed 2-form module at n = 4."""
+    e13 = Matrix.from_rows([[1 if (i, j) == (0, 2) else 0 for j in range(4)] for i in range(4)])
+    monkeypatch.setattr("curvlab.curvature.lie_algebra_basis", lambda space, group: [e13])
+
+
+@pytest.mark.parametrize("claim", ["eq4d", "lemma4.9"])
+def test_verify_non_invariant_module_is_a_failed_claim(capsys, monkeypatch, claim):
+    _break_lie_basis(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", claim, "--n", "4", "--kind", "complex")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["quantities"] == {"alt_opposed_invariant": False}
+    assert payload["witnesses"] == [{"action": "lie", "element": 0, "basis_vector": 1}]
+
+
+def test_sweep_non_invariant_module_is_a_failed_cell(capsys, monkeypatch):
+    _break_lie_basis(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", "--ns", "4", "--kinds", "complex", "--claims", "eq4d,lemma4.9")
+    assert code == 1
+    assert [cell["status"] for cell in json.loads(out)["cells"]] == ["fail", "fail"]
 
 
 def test_sweep_skips_invalid_combinations(capsys):

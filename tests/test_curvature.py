@@ -24,7 +24,6 @@ from curvlab.curvature import (
 )
 from curvlab.tensors import (
     Tensor2,
-    alt_ricci,
     gram_weight2,
     inner2,
     is_structure_eigenform,
@@ -225,12 +224,12 @@ def test_riemannian_means_symmetric_ricci_inside_weyl(n, kind):
     riemann = catalog(s).riemann
     for vec in riemann.basis_dicts():
         t = Tensor4.from_dict(n, vec)
-        assert alt_ricci(t, s).is_zero()
+        assert oracles.alt_ricci(t, s).is_zero()
         assert ricci(t, s).is_symmetric()
     weyl = catalog(s).weyl
     images = []
     for vec in weyl.basis_dicts():
-        images.append(alt_ricci(Tensor4.from_dict(n, vec), s).to_dict())
+        images.append(oracles.alt_ricci(Tensor4.from_dict(n, vec), s).to_dict())
     assert rank_of_rows(images, n * n) == weyl.dim - riemann.dim
 
 

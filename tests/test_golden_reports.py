@@ -1,0 +1,75 @@
+"""Golden bytes: stdout, stderr and exit code of every claim report and dims
+table at n = 4 and 6 in both geometries, pinned by sha256.
+
+A refactor that keeps verdicts, dimensions and JSON bytes must keep these
+digests.  A change that alters a report on purpose re-records the table
+from a checkout of the new code and says why in its change notes.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from curvlab import cli
+
+CLAIMS = ("thm4.1", "thm4.2", "thm1.5", "sec5", "eq4c", "eq4d", "lemma4.9")
+
+# grouped by model space, so consecutive cases share the memoised catalog
+CASES = [
+    (f"{cmd} --n {n} --kind {kind}")
+    for n in (4, 6)
+    for kind in ("complex", "para")
+    for cmd in ("dims", *(f"verify {claim}" for claim in CLAIMS))
+]
+
+
+def run_digest(command: str) -> tuple[int, str]:
+    """Exit code and sha256 of stdout, a NUL byte and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(command.split())
+    blob = out.getvalue().encode() + b"\0" + err.getvalue().encode()
+    return code, hashlib.sha256(blob).hexdigest()
+
+
+GOLDEN = {
+    "dims --n 4 --kind complex": (0, "130b5c2407452410027a5a2d6a9ff154d45c25e60a7c7c50e56b7a57c22f41d9"),
+    "verify thm4.1 --n 4 --kind complex": (0, "c80b19ea6fd9a9e8a65e7c164046ce99c7f5e5dffd0cfa6aa71e1a212787e208"),
+    "verify thm4.2 --n 4 --kind complex": (0, "748d6f50fecbc93bd71f10eadc63442bac874b9f3542f22a298c447c61ad91fa"),
+    "verify thm1.5 --n 4 --kind complex": (0, "4d8fd81e0c1629b5ab0221c00950248dc633350d1582bfac436ebf63c2758bf9"),
+    "verify sec5 --n 4 --kind complex": (2, "fe53850591ef74cd4378822df3b4ed115bc597d7aa36c8fd1e3b2176fe2b7497"),
+    "verify eq4c --n 4 --kind complex": (0, "907f796e820a09a6f9a267376099e29ca701c8c09d663f22620047c65baca52f"),
+    "verify eq4d --n 4 --kind complex": (0, "175d05dd245c49aece1e061756e227c8e2189ea0db8788274be0b33b9f1e1083"),
+    "verify lemma4.9 --n 4 --kind complex": (0, "24d665076f1155b4b60904cf2b707d1e0c43bab8cee74659304cf0c83dab7209"),
+    "dims --n 4 --kind para": (0, "b4783b187306290a2240a6cf195cf7f81ed49cb2266313a3c986b4f6a035aa44"),
+    "verify thm4.1 --n 4 --kind para": (0, "e2d35e42a53fdafff80e0731fef117860723df7b7c4c81234fe9f2c5b0545907"),
+    "verify thm4.2 --n 4 --kind para": (0, "e3be56cd36dc541b1852f37cb321fc3747eff05bd9f68cb300ae64d18ebdb939"),
+    "verify thm1.5 --n 4 --kind para": (0, "c4c95314bdfe5954d9f1714e90153bed15acdf6c23f0ec8a9c010110b17aff93"),
+    "verify sec5 --n 4 --kind para": (2, "fe53850591ef74cd4378822df3b4ed115bc597d7aa36c8fd1e3b2176fe2b7497"),
+    "verify eq4c --n 4 --kind para": (0, "72ab52217f3b8e827b0c40a38fed85267c789213912e8a2625cd6c6a00a28290"),
+    "verify eq4d --n 4 --kind para": (0, "237dc2a4ff1b3b5b7eb474c4cd708da101d8b2e585850cbd698b5f9752b3549a"),
+    "verify lemma4.9 --n 4 --kind para": (0, "2910cb4123b7ef7fed8a254c6164f034ca844a146fd2ea91d8b690a98dc96bd1"),
+    "dims --n 6 --kind complex": (0, "e393ffd88f43bce1078d0e63a5e6b68e8d97f59065093718177abc8f8073f006"),
+    "verify thm4.1 --n 6 --kind complex": (0, "37822841e1812b8e5bceb43c08d83122437041cfce3d4914e9cbddbbaac12d66"),
+    "verify thm4.2 --n 6 --kind complex": (0, "4ebcca9d28e20675b292eb2f8e8f799fb5bb51b771c7b8cc01788c9f8283456c"),
+    "verify thm1.5 --n 6 --kind complex": (0, "0a4d8c506393b50f86da93bdb999128a3c9efdb16ab33b01b4eb86072e73ccf0"),
+    "verify sec5 --n 6 --kind complex": (0, "eee218a67c743f155f95f197448dbb79db9cea589303d48b2a396a693de8aa2d"),
+    "verify eq4c --n 6 --kind complex": (0, "31eee7da4a3df1c913fe3cb7320ca184b8ee6983a9c530f01d0a1929ab00e06e"),
+    "verify eq4d --n 6 --kind complex": (0, "d8042f8ffc608fa6016fb39defa5ab27ea873d4af0f7191cacfcb36adc7abe10"),
+    "verify lemma4.9 --n 6 --kind complex": (0, "2af3240c53897410a6398ec122fd1db81a25e40df319891fbdea8e394d61299f"),
+    "dims --n 6 --kind para": (0, "a180fa120b4a3e9161bdc4e1dd5dcbdf201a8c7095c2e607fcc4be38a68a1835"),
+    "verify thm4.1 --n 6 --kind para": (0, "0106a848ad4869fd2258a6746c2d84990f5c72ea695015379dca00530f3d7170"),
+    "verify thm4.2 --n 6 --kind para": (0, "110a63203067901c0609a4197a78f7876bcdefe521a51d9a1c4d80b5a91a88de"),
+    "verify thm1.5 --n 6 --kind para": (0, "6c4a80d9255f74b06024f9f95418c18418b86b69ef9f63b9ce69505a3f5488c8"),
+    "verify sec5 --n 6 --kind para": (0, "1c8d675eb7013685a685c2c3f9cd792ca92fb6569afe8dd121bc890b67ed369b"),
+    "verify eq4c --n 6 --kind para": (0, "88ff7dcbf7c89132b6aec96e6565c91cb3a034ea5bf9a0c6ed93e58484b4cbcb"),
+    "verify eq4d --n 6 --kind para": (0, "a08389c3182137264e7c9747ac9c13f75f881920e00cd64864f22bf9218bfcea"),
+    "verify lemma4.9 --n 6 --kind para": (0, "7bac2346e93b80a7b9ec8beda5e01ce143d5ab17eb57b6cfe07d45ebbe6a39f1"),
+}
+
+
+@pytest.mark.parametrize("command", CASES)
+def test_report_bytes_unchanged(command):
+    assert run_digest(command) == GOLDEN[command]

@@ -7,18 +7,20 @@ import pytest
 
 from curvlab.linalg import SubspaceReducer
 from curvlab.spaces import component_reps, make_standard, random_lie_elements
+from curvlab import curvature
 from curvlab.curvature import (
     NotInvariantError,
+    _block_diag,
     build_catalog,
     catalog,
     commutant_dimension,
-    commutant_dimension_doubled,
     diagonal_pair_line_invariant,
     invariance_witness,
     invariant_span_dimension,
     representation_matrices,
+    verify_doubled_commutant,
 )
-from curvlab.tensors import gram_weight2, gram_weight4, lie_apply_vec, pullback_apply_vec
+from curvlab.tensors import gram_weight2, gram_weight4, pullback_apply_vec
 
 F = Fraction
 
@@ -66,21 +68,56 @@ def test_representation_matrices_reject_noninvariant(complex4):
     assert err.value.witness["action"] in ("lie", "component_rep")
 
 
+@pytest.mark.parametrize("ambient,group", [(4 ** 4, "O"), (16, "U"), (16, "Ustar")])
+def test_certificate_and_representation_share_first_witness(complex4, ambient, group):
+    """Both walk the generators in one order, so they stop at the same pair."""
+    from curvlab.linalg import Subspace
+
+    bad = Subspace.from_vectors([{0: F(1)}], ambient)
+    witness = invariance_witness(bad, complex4, group)
+    with pytest.raises(NotInvariantError) as err:
+        representation_matrices(bad, complex4, group)
+    assert err.value.witness == witness == {"action": "lie", "element": 0, "basis_vector": 0}
+
+
+@pytest.mark.parametrize("kind,applies", [("complex", 12), ("para", 16)])
+def test_lemma49_applies_each_generator_once(monkeypatch, kind, applies):
+    """lemma4.9 at n = 4 applies each extended-group generator to each basis
+    vector of the 2-dimensional opposed module once: 4 Lie elements plus 2
+    (complex) or 4 (para) component representatives."""
+    s = make_standard(4, kind)
+    catalog(s).two_tensors
+    calls = []
+
+    def counted(apply):
+        def wrapper(*args):
+            calls.append(args)
+            return apply(*args)
+        return wrapper
+
+    for name in ("lie_apply_vec", "pullback_apply_vec"):
+        monkeypatch.setattr(curvature, name, counted(getattr(curvature, name)))
+    assert verify_doubled_commutant(s).verdict
+    assert len(calls) == applies
+
+
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_commutant_dimensions(kind):
     s = make_standard(6, kind)
     split = catalog(s).two_tensors
-    assert commutant_dimension(split.alt_opposed, s, "Ustar") == 1
-    assert commutant_dimension(split.h_line, s, "Ustar") == 1
-    assert commutant_dimension_doubled(split.alt_opposed, s, "Ustar") == 4
+    mats = representation_matrices(split.alt_opposed, s, "Ustar")
+    assert commutant_dimension(mats) == 1
+    assert commutant_dimension(representation_matrices(split.h_line, s, "Ustar")) == 1
+    assert commutant_dimension([_block_diag(m) for m in mats]) == 4
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_diagonal_line_family(kind):
     s = make_standard(6, kind)
     split = catalog(s).two_tensors
+    doubled = [_block_diag(m) for m in representation_matrices(split.alt_opposed, s, "Ustar")]
     for a, b in ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(2), F(3))):
-        assert diagonal_pair_line_invariant(split.alt_opposed, s, "Ustar", a, b)
+        assert diagonal_pair_line_invariant(doubled, a, b)
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -98,15 +135,13 @@ def test_invariant_span_dimensions(kind):
 def test_multiplicity_two_block_inside_weyl(complex6):
     """The two realizations of the opposed module inside the weyl space form
     a multiplicity-two block: the commutant of their direct sum is 4-dim."""
-    from curvlab.curvature import _commutant_dimension_of
     from curvlab.linalg import subspace_sum
 
     s = complex6
     cat = catalog(s)
     pair = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
     assert pair.dim == 12
-    lie_mats, rep_mats = representation_matrices(pair, s, "Ustar")
-    assert _commutant_dimension_of(lie_mats + rep_mats, 12) == 4
+    assert commutant_dimension(representation_matrices(pair, s, "Ustar")) == 4
 
 
 @pytest.mark.parametrize("kind,sig", [("complex", (6, 0)), ("complex", (4, 2)), ("para", None)])

@@ -68,6 +68,9 @@ def test_construction_errors():
         make_standard(4, "complex", (3, 1))  # odd counts
     with pytest.raises(ValueError):
         make_standard(2, "complex")  # structures need n >= 4
+    for n in (3, 5):
+        with pytest.raises(ValueError):
+            make_standard(n, "para")  # rejected before the structure matrix is built
 
 
 def test_j_signed_permutation():
@@ -92,6 +95,7 @@ def test_orthogonal_lie_algebra_dims():
 def test_unitary_lie_algebra_dims(kind):
     s = make_standard(4, kind)
     assert len(lie_algebra_basis(s, "U")) == 4  # (n/2)^2
+    assert lie_algebra_basis(s, "Ustar") == lie_algebra_basis(s, "U")
     s6 = make_standard(6, kind)
     assert len(lie_algebra_basis(s6, "U")) == 9
 
@@ -103,6 +107,12 @@ def test_lie_algebra_infinitesimal_isometry():
         for x in lie_algebra_basis(s, "U"):
             assert x.transpose().mul(h).add(h.mul(x)) == Matrix.zero(6, 6)
             assert x.mul(s.j) == s.j.mul(x)
+    s = make_standard(4, "none", (2, 2))
+    h = s.gram()
+    basis = lie_algebra_basis(s, "O")
+    assert len(basis) == 6
+    for x in basis:
+        assert x.transpose().mul(h).add(h.mul(x)) == Matrix.zero(4, 4)
 
 
 def test_group_validation():
@@ -162,17 +172,3 @@ def test_para_unitary_second_component_rep():
 def test_o_group_rep_counts():
     assert len(component_reps(make_standard(4, "none", (4, 0)), "O")) == 2
     assert len(component_reps(make_standard(4, "none", (2, 2)), "O")) == 4
-
-
-def test_group_spec_validates_and_assembles():
-    from curvlab.spaces import group_spec
-
-    for kind in ("complex", "para"):
-        s = make_standard(4, kind)
-        spec = group_spec(s, "Ustar")
-        assert spec.group == "Ustar"
-        assert len(spec.lie_algebra_basis) == 4
-        assert Matrix.identity(4) in spec.component_reps
-    spec_o = group_spec(make_standard(4, "none", (2, 2)), "O")
-    assert len(spec_o.lie_algebra_basis) == 6
-    assert len(spec_o.component_reps) == 4

@@ -12,7 +12,6 @@ from curvlab.spaces import make_standard, lie_algebra_basis, structure_reversal
 from curvlab.tensors import (
     Tensor2,
     Tensor4,
-    alt_ricci,
     apply_kaehler,
     apply_ricci,
     defect_antisym,
@@ -20,19 +19,17 @@ from curvlab.tensors import (
     defect_kaehler,
     defect_riemann,
     defect_weyl,
-    invariant_contraction,
     invariant_contraction_product,
     kaehler_form,
-    lie_action,
     lie_apply_vec,
     metric_tensor2,
     psi_map,
-    pullback,
     pullback_apply_vec,
     ricci,
     sigma,
     two_form_basis,
 )
+from oracles import alt_ricci, lie_action, pullback
 
 F = Fraction
 
@@ -236,40 +233,32 @@ def test_lie_action_annihilates_invariants(complex6):
 
 
 def test_invariant_contraction_h_product(complex6):
-    hh = h_tensor_product(complex6)
-    assert invariant_contraction(hh, (0, 1, 2, 3), (0, 0), complex6) == 36
+    h = metric_tensor2(complex6)
+    assert invariant_contraction_product(h, h, (0, 1, 2, 3), (0, 0), complex6) == 36
 
 
 def test_invariant_contraction_crossed_pairing(complex6):
-    hh = h_tensor_product(complex6)
-    assert invariant_contraction(hh, (0, 2, 1, 3), (0, 0), complex6) == 6
+    h = metric_tensor2(complex6)
+    assert invariant_contraction_product(h, h, (0, 2, 1, 3), (0, 0), complex6) == 6
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_invariant_contraction_form_product(kind):
     s = make_standard(6, kind)
     omega = kaehler_form(s)
-    entries = {}
-    for i in range(6):
-        for j in range(6):
-            for k in range(6):
-                for l in range(6):
-                    v = omega[i, j] * omega[k, l]
-                    if v:
-                        entries[(i, j, k, l)] = v
-    oo = Tensor4.from_entries(6, entries)
-    assert invariant_contraction(oo, (0, 1, 2, 3), (1, 1), s) == 36
+    assert invariant_contraction_product(omega, omega, (0, 1, 2, 3), (1, 1), s) == 36
 
 
 def test_invariant_contraction_validation(complex4):
-    hh = h_tensor_product(complex4)
+    h = metric_tensor2(complex4)
     with pytest.raises(ValueError):
-        invariant_contraction(hh, (0, 1, 2, 2), (0, 0), complex4)
+        invariant_contraction_product(h, h, (0, 1, 2, 2), (0, 0), complex4)
     with pytest.raises(ValueError):
-        invariant_contraction(hh, (0, 1, 2, 3), (0, 2), complex4)
+        invariant_contraction_product(h, h, (0, 1, 2, 3), (0, 2), complex4)
     s = make_standard(4, "none")
+    h = metric_tensor2(s)
     with pytest.raises(ValueError):
-        invariant_contraction(h_tensor_product(s), (0, 1, 2, 3), (1, 1), s)
+        invariant_contraction_product(h, h, (0, 1, 2, 3), (1, 1), s)
 
 
 @pytest.mark.parametrize("word", [(2,), (2, 2), (0, 1, 2)])
@@ -286,19 +275,23 @@ def test_invariance_of_contractions_under_reps(complex6):
     import random
 
     rng = random.Random(7)
-    entries = {}
-    for _ in range(20):
-        idx = tuple(rng.randrange(6) for _ in range(4))
-        entries[idx] = F(rng.randint(-5, 5), rng.randint(1, 4))
-    theta = Tensor4.from_entries(6, entries)
+
+    def random_tensor2():
+        entries = {}
+        for _ in range(8):
+            idx = (rng.randrange(6), rng.randrange(6))
+            entries[idx] = F(rng.randint(-5, 5), rng.randint(1, 4))
+        return Tensor2.from_entries(6, entries)
+
+    theta, phi = random_tensor2(), random_tensor2()
     perms = all_slot_permutations()[:6]
     for g in component_reps(complex6, "Ustar"):
-        pulled = pullback(g, theta)
+        pulled_theta, pulled_phi = pullback(g, theta), pullback(g, phi)
         for perm in perms:
             for word in EVEN_PAIR_WORDS:
-                assert invariant_contraction(pulled, perm, word, complex6) == invariant_contraction(
-                    theta, perm, word, complex6
-                )
+                assert invariant_contraction_product(
+                    pulled_theta, pulled_phi, perm, word, complex6
+                ) == invariant_contraction_product(theta, phi, perm, word, complex6)
 
 
 # --- sparse/dense agreement --------------------------------------------------------
