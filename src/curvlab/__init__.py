@@ -1,7 +1,7 @@
 """Exact-arithmetic laboratory for curvature-tensor decompositions over
 para/pseudo-Hermitian inner product spaces."""
 
-from .linalg import Matrix, Scalar, Subspace, kernel_basis, rref
+from .linalg import Matrix, Subspace
 from .spaces import ModelSpace, make_standard, structure_sign
 from .tensors import Tensor2, Tensor4, kaehler_form, psi_map, sigma
 from .curvature import build_catalog, run_claim
@@ -11,16 +11,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Matrix",
     "ModelSpace",
-    "Scalar",
     "Subspace",
     "Tensor2",
     "Tensor4",
     "build_catalog",
     "kaehler_form",
-    "kernel_basis",
     "make_standard",
     "psi_map",
-    "rref",
     "run_claim",
     "sigma",
     "structure_sign",

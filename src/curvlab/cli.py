@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curvature, nijenhuis, report
-from .curvature import CLAIMS, catalog, run_claim
+from .curvature import CLAIMS, ClaimNotApplicable, catalog, run_claim
 from .linalg import scalar_to_str
 from .spaces import ModelSpace, make_standard
 from .tensors import (
@@ -209,8 +209,8 @@ def cmd_eval(config: RunConfig, args) -> int:
             twist_field = None
         else:
             twist_field = nijenhuis.twist(space, nijenhuis.linear_angle(slope), plane, args.rotation)
-        patch = nijenhuis.standard_patch(space, twist_field)
-        value = nijenhuis.nijenhuis_at(patch, xy[0], xy[1])
+        structure = nijenhuis.standard_patch(space, twist_field)
+        value = nijenhuis.nijenhuis_at(structure, xy[0], xy[1])
         payload = {
             "map": "nijenhuis",
             "plane_1based": [plane[0] + 1, plane[1] + 1],
@@ -252,7 +252,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
             }
             try:
                 rep = run_claim(claim, space)
-            except ValueError as exc:
+            except ClaimNotApplicable as exc:
                 cell["status"] = f"skipped ({exc})"
                 cells.append(cell)
                 continue

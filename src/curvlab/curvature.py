@@ -71,6 +71,13 @@ from .tensors import (
 Vec = dict[int, Fraction]
 
 
+class ClaimNotApplicable(ValueError):
+    """A claim's precondition on the model space fails, before any computation.
+
+    The only error a sweep reports as a skipped cell; every other exception
+    is a bug or a bad request."""
+
+
 class NotInvariantError(Exception):
     """A subspace is not preserved by a group action; carries the witness.
 
@@ -530,7 +537,7 @@ def _space_meta(space: ModelSpace) -> dict:
 def verify_weyl_direct_sum(space: ModelSpace) -> VerificationReport:
     """The weyl space splits orthogonally as riemann space plus the five-term-map image."""
     if space.n < 4:
-        raise ValueError("needs n >= 4")
+        raise ClaimNotApplicable("needs n >= 4")
     n = space.n
     cat = catalog(space)
     weyl, riemann, pimage = cat.weyl, cat.riemann, cat.sigma_image
@@ -567,7 +574,7 @@ def verify_weyl_direct_sum(space: ModelSpace) -> VerificationReport:
 def verify_riemann_ricci_split(space: ModelSpace) -> VerificationReport:
     """Ricci-based form of the three-piece splitting of the riemann space."""
     if space.n < 4:
-        raise ValueError("needs n >= 4")
+        raise ClaimNotApplicable("needs n >= 4")
     n = space.n
     cat = catalog(space)
     riemann, weyl, conformal = cat.riemann, cat.weyl, cat.conformal
@@ -620,9 +627,7 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
     not the last-pair alternation.
     """
     if space.kind == "none":
-        raise ValueError("needs a structured space")
-    if space.n < 4:
-        raise ValueError("needs n >= 4")
+        raise ClaimNotApplicable("needs a structured space")
     n = space.n
     cat = catalog(space)
     weyl, riemann = cat.weyl, cat.riemann
@@ -688,9 +693,9 @@ def verify_probe_suite(space: ModelSpace) -> VerificationReport:
     evaluated in the chosen signature.
     """
     if space.kind == "none":
-        raise ValueError("needs a structured space")
+        raise ClaimNotApplicable("needs a structured space")
     if space.n < 6:
-        raise ValueError("needs n >= 6")
+        raise ClaimNotApplicable("needs n >= 6")
     u = structure_sign(space.kind)
     eps = space.eps
     omega = kaehler_form(space)
@@ -759,7 +764,7 @@ def verify_probe_suite(space: ModelSpace) -> VerificationReport:
 def verify_invariant_span_bound(space: ModelSpace) -> VerificationReport:
     """The opposed 2-form module pairs with itself through a single invariant."""
     if space.kind == "none":
-        raise ValueError("needs a structured space")
+        raise ClaimNotApplicable("needs a structured space")
     two = catalog(space).two_tensors
     dim_span = invariant_span_dimension(two.alt_opposed, two.alt_opposed, space)
     quantities = {"invariant_span_dimension": dim_span, "expected": 1}
@@ -782,7 +787,7 @@ def _not_invariant_report(report: VerificationReport, err: NotInvariantError) ->
 def verify_commutant_line(space: ModelSpace) -> VerificationReport:
     """Equivariant self-maps of the opposed 2-form module are scalar."""
     if space.kind == "none":
-        raise ValueError("needs a structured space")
+        raise ClaimNotApplicable("needs a structured space")
     two = catalog(space).two_tensors
     report = VerificationReport(
         claim="eq4d",
@@ -793,10 +798,13 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
         notes=["the unextended-group commutant dimension is reported without an irreducibility verdict"],
     )
     try:
-        dim_comm = commutant_dimension(representation_matrices(two.alt_opposed, space, "Ustar"))
-        dim_unextended = commutant_dimension(representation_matrices(two.alt_opposed, space, "U"))
+        mats = representation_matrices(two.alt_opposed, space, "Ustar")
     except NotInvariantError as err:
         return _not_invariant_report(report, err)
+    # Ustar lists the Lie basis and the component representatives of U, then
+    # the structure reversal composed with each of those representatives
+    dim_comm = commutant_dimension(mats)
+    dim_unextended = commutant_dimension(mats[:len(mats) - len(component_reps(space, "U"))])
     report.quantities = {
         "commutant_dimension": dim_comm,
         "expected": 1,
@@ -811,7 +819,7 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
 def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
     """Doubling the opposed module yields the 2x2 commutant of a multiplicity-2 block."""
     if space.kind == "none":
-        raise ValueError("needs a structured space")
+        raise ClaimNotApplicable("needs a structured space")
     two = catalog(space).two_tensors
     report = VerificationReport(
         claim="lemma4.9",

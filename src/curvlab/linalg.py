@@ -16,14 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-Scalar = Fraction
-
-SparseVec = Mapping[int, Fraction]
-
-
-class DegenerateGramError(ValueError):
-    """Raised when an inner product matrix is singular where nondegeneracy is required."""
-
 
 def scalar_to_str(x: Fraction) -> str:
     """Render a rational as ``p/q`` (or ``p`` when the denominator is one)."""
@@ -128,9 +120,6 @@ class Echelon:
     def add_all(self, rows: Iterable[Mapping[int, Fraction | int]]) -> None:
         for row in rows:
             self.add(row)
-
-    def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
-        return not self.reduce(vec)
 
     def reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
         """Back-substituted, pivot-normalized rows sorted by pivot column."""
@@ -264,34 +253,8 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(-1))
-
-    def is_symmetric(self) -> bool:
-        return all(self[i, j] == self[j, i] for i in range(self.rows) for j in range(i))
-
     def rank(self) -> int:
         return rank_of_rows(self.row_dicts(), self.cols)
-
-
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row-echelon form, rank and pivot columns.
-
-    The output keeps the input shape (zero rows padded at the bottom) and is
-    the unique RREF of the row space, independent of row order.
-    """
-    ech = Echelon(m.cols)
-    ech.add_all(m.row_dicts())
-    reduced = ech.reduced_rows()
-    rows: list[list[Fraction]] = []
-    for _, row in reduced:
-        dense = [Fraction(0)] * m.cols
-        for c, v in row.items():
-            dense[c] = v
-        rows.append(dense)
-    while len(rows) < m.rows:
-        rows.append([Fraction(0)] * m.cols)
-    return Matrix.from_rows(rows), len(reduced), tuple(c for c, _ in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -424,55 +387,3 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace.from_vectors(a.basis_dicts() + b.basis_dicts(), a.ambient_dim)
-
-
-def orthogonal_complement(a: Subspace, gram: Matrix) -> Subspace:
-    """All vectors gram-orthogonal to ``a``.
-
-    The gram matrix must be symmetric and nondegenerate; the complement then
-    has dimension ``ambient - dim(a)``.  For indefinite gram matrices the
-    intersection ``a ∩ a⊥`` can be nonzero (degenerate restriction); that is
-    legitimate output, not an error.
-    """
-    if gram.rows != gram.cols or gram.rows != a.ambient_dim:
-        raise ValueError("gram matrix incompatible with ambient dimension")
-    if not gram.is_symmetric():
-        raise ValueError("gram matrix must be symmetric")
-    if gram.rank() != gram.rows:
-        raise DegenerateGramError("gram matrix is degenerate")
-    rows = []
-    for v in a.basis_dicts():
-        row: dict[int, Fraction] = {}
-        for j in range(a.ambient_dim):
-            s = sum((gram[j, c] * x for c, x in v.items()), Fraction(0))
-            if s:
-                row[j] = s
-        rows.append(row)
-    return kernel_subspace(rows, a.ambient_dim)
-
-
-def is_totally_isotropic(a: Subspace, gram: Matrix) -> bool:
-    """True iff the gram form restricted to ``a`` vanishes identically."""
-    if gram.rows != gram.cols or gram.rows != a.ambient_dim:
-        raise ValueError("gram matrix incompatible with ambient dimension")
-    vs = a.basis_dicts()
-    images = []
-    for v in vs:
-        img: dict[int, Fraction] = {}
-        for j in range(a.ambient_dim):
-            s = sum((gram[j, c] * x for c, x in v.items()), Fraction(0))
-            if s:
-                img[j] = s
-        images.append(img)
-    for i, gi in enumerate(images):
-        for j in range(i + 1):
-            val = sum((x * gi.get(c, Fraction(0)) for c, x in vs[j].items()), Fraction(0))
-            if val:
-                return False
-    return True
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """Exact kernel of a dense matrix as a canonical subspace."""
-    return kernel_subspace(m.row_dicts(), m.cols)
-

@@ -1,13 +1,13 @@
 """Pointwise Nijenhuis-tensor evaluation for twisted structures on flat patches.
 
 The twisted structure is J^T = T^{-1} J T for a plane-rotation field T driven
-by an angle function of one coordinate.  All evaluation goes through exact
-first-order jets: a field hands back its value and Jacobian at the query
-point, and the Lie brackets are assembled from those jets with no symbolic
-differentiation.  Angle functions deliver (cos, sin, d/dx) triples (or the
-hyperbolic pair) as exact rationals, which pins evaluation to points where
-the rotation is rational; the default query point is the origin, where the
-angle vanishes and everything stays inside the rational field.
+by an angle function of one coordinate.  The probe brackets coordinate
+fields, whose Jacobians vanish, so every bracket is a closed form in the
+structure and its first partial derivatives at the query point; there is no
+symbolic differentiation.  Angle functions deliver (cos, sin, d/dx) triples
+(or the hyperbolic pair) as exact rationals, which pins evaluation to points
+where the rotation is rational; the default query point is the origin, where
+the angle vanishes and everything stays inside the rational field.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .linalg import Matrix
-from .report import VerificationReport
 from .spaces import ModelSpace, structure_sign
-from .tensors import Tensor4, defect_kaehler
 
 Point = tuple[Fraction, ...]
 AngleJet = Callable[[Point], tuple[Fraction, Fraction, Fraction]]
@@ -37,26 +35,6 @@ def linear_angle(slope: Fraction | int, var: int = 0) -> AngleJet:
         if slope * p[var] != 0:
             raise ValueError("angle evaluates transcendentally away from its zero set")
         return (Fraction(1), Fraction(0), slope)
-
-    return jet
-
-
-def constant_rotation_angle(c: Fraction | int, s: Fraction | int, derivative: Fraction | int,
-                            hyperbolic: bool = False) -> AngleJet:
-    """A fixed rational point on the (hyperbolic) unit circle with a slope.
-
-    Useful for sampling the isometry property away from the identity, e.g.
-    (3/5, 4/5) on the circle.
-    """
-    c, s, derivative = Fraction(c), Fraction(s), Fraction(derivative)
-    if hyperbolic:
-        if c * c - s * s != 1:
-            raise ValueError("hyperbolic rotation values must satisfy c^2 - s^2 = 1")
-    elif c * c + s * s != 1:
-        raise ValueError("rotation values must satisfy c^2 + s^2 = 1")
-
-    def jet(p: Point) -> tuple[Fraction, Fraction, Fraction]:
-        return (c, s, derivative)
 
     return jet
 
@@ -152,7 +130,7 @@ class TwistedStructure:
     def derivative(self, p: Point, k: int) -> Matrix:
         n = self.space.n
         j = self.space.j
-        if self.twist_field is None:
+        if self.twist_field is None or k != self.twist_field.var:
             return Matrix.zero(n, n)
         t = self.twist_field.value(p)
         tinv = self.twist_field.inverse_value(p)
@@ -162,74 +140,10 @@ class TwistedStructure:
         return dtinv.mul(j).mul(t).add(tinv.mul(j).mul(dt))
 
 
-@dataclass(frozen=True)
-class Patch:
-    """Flat coordinate patch: constant diagonal metric plus a structure field."""
-
-    space: ModelSpace
-    structure: TwistedStructure
-
-
-def standard_patch(space: ModelSpace, twist_field: PlaneTwist | None = None) -> Patch:
-    return Patch(space=space, structure=TwistedStructure(space=space, twist_field=twist_field))
-
-
-# ---------------------------------------------------------------------------
-# Vector fields with first-order jets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JetField:
-    """A vector field known through (value, Jacobian) at query points."""
-
-    n: int
-    at: Callable[[Point], tuple[tuple[Fraction, ...], Matrix]]
-
-
-def coordinate_field(n: int, i: int) -> JetField:
-    value = tuple(Fraction(1 if a == i else 0) for a in range(n))
-
-    def at(p: Point):
-        return value, Matrix.zero(n, n)
-
-    return JetField(n, at)
-
-
-def linear_field(m: Matrix) -> JetField:
-    """The field x -> M x (value M p, Jacobian M)."""
-
-    def at(p: Point):
-        return m.matvec(list(p)), m
-
-    return JetField(m.rows, at)
-
-
-def structure_applied(structure: TwistedStructure, field: JetField) -> JetField:
-    """Pointwise application of the structure field, with the product rule."""
-    n = field.n
-
-    def at(p: Point):
-        val, jac = field.at(p)
-        s = structure.value(p)
-        new_val = s.matvec(list(val))
-        cols = []
-        for k in range(n):
-            ds = structure.derivative(p, k)
-            jac_col = [jac[a, k] for a in range(n)]
-            col = [x + y for x, y in zip(ds.matvec(list(val)), s.matvec(jac_col))]
-            cols.append(col)
-        new_jac = Matrix(n, n, tuple(cols[k][a] for a in range(n) for k in range(n)))
-        return tuple(new_val), new_jac
-
-    return JetField(n, at)
-
-
-def bracket_at(xfield: JetField, yfield: JetField, p: Point) -> tuple[Fraction, ...]:
-    """[X, Y](p) = (DY) X - (DX) Y evaluated from the two jets."""
-    xv, xj = xfield.at(p)
-    yv, yj = yfield.at(p)
-    return tuple(a - b for a, b in zip(yj.matvec(list(xv)), xj.matvec(list(yv))))
+def standard_patch(space: ModelSpace, twist_field: PlaneTwist | None = None) -> TwistedStructure:
+    """The structure field of a flat coordinate patch: the constant diagonal
+    metric of ``space`` plus the standard J, twisted when a field is given."""
+    return TwistedStructure(space=space, twist_field=twist_field)
 
 
 @dataclass(frozen=True)
@@ -238,7 +152,11 @@ class NijenhuisValue:
     total: tuple[Fraction, ...]
 
 
-def nijenhuis_at(patch: Patch, x: int, y: int, p: Point | None = None) -> NijenhuisValue:
+def _column(m: Matrix, i: int) -> tuple[Fraction, ...]:
+    return tuple(m[a, i] for a in range(m.rows))
+
+
+def nijenhuis_at(structure: TwistedStructure, x: int, y: int, p: Point | None = None) -> NijenhuisValue:
     """The four signed bracket terms and their sum for coordinate directions x, y.
 
     With u the structure sign, the terms are
@@ -246,56 +164,31 @@ def nijenhuis_at(patch: Patch, x: int, y: int, p: Point | None = None) -> Nijenh
     giving inner signs (+,+,+,-) in the complex case and (+,-,-,+) in the
     para case; the sum vanishes iff the structure is integrable at p in
     these directions.
+
+    Coordinate fields have zero Jacobian, so with S the structure at p and
+    D_k its partial derivative along x_k the brackets are
+      [x,y] = 0,  [Jx,y] = -D_y e_x,  [x,Jy] = D_x e_y,
+      [Jx,Jy] = sum_k (S e_x)_k D_k e_y - (S e_y)_k D_k e_x.
     """
-    space = patch.space
+    space = structure.space
     if space.kind == "none":
         raise ValueError("nijenhuis tensor needs a structured space")
     n = space.n
     if p is None:
         p = origin(n)
     u = structure_sign(space.kind)
-    dx = coordinate_field(n, x)
-    dy = coordinate_field(n, y)
-    jdx = structure_applied(patch.structure, dx)
-    jdy = structure_applied(patch.structure, dy)
-    jmat = patch.structure.value(p)
-    t1 = bracket_at(dx, dy, p)
-    t2 = tuple(Fraction(-u) * v for v in jmat.matvec(list(bracket_at(jdx, dy, p))))
-    t3 = tuple(Fraction(-u) * v for v in jmat.matvec(list(bracket_at(dx, jdy, p))))
-    t4 = tuple(Fraction(u) * v for v in bracket_at(jdx, jdy, p))
+    s = structure.value(p)
+    d = [structure.derivative(p, k) for k in range(n)]
+    sx, sy = _column(s, x), _column(s, y)
+    jx_y = tuple(-v for v in _column(d[y], x))
+    x_jy = _column(d[x], y)
+    jx_jy = [Fraction(0)] * n
+    for k in range(n):
+        for a in range(n):
+            jx_jy[a] += sx[k] * d[k][a, y] - sy[k] * d[k][a, x]
+    t1 = (Fraction(0),) * n
+    t2 = tuple(Fraction(-u) * v for v in s.matvec(jx_y))
+    t3 = tuple(Fraction(-u) * v for v in s.matvec(x_jy))
+    t4 = tuple(Fraction(u) * v for v in jx_jy)
     total = tuple(a + b + c + d for a, b, c, d in zip(t1, t2, t3, t4))
     return NijenhuisValue(terms=(t1, t2, t3, t4), total=total)
-
-
-def flat_curvature_check(patch: Patch, probe: tuple[int, int] = (0, 2),
-                         p: Point | None = None) -> VerificationReport:
-    """Certify the flat-but-non-integrable phenomenon on a constant-metric patch.
-
-    The metric of a patch is constant by construction, so every Christoffel
-    symbol vanishes and the curvature is identically zero; the zero tensor
-    satisfies the structure-compatibility identity outright.  The report also
-    carries the integrability probe so the two properties can be contrasted.
-    """
-    space = patch.space
-    n = space.n
-    if p is None:
-        p = origin(n)
-    zero_curvature_compatible = defect_kaehler(Tensor4.zero(n), space).is_zero()
-    nij = nijenhuis_at(patch, probe[0], probe[1], p)
-    integrable_at_probe = not any(nij.total)
-    quantities = {
-        "metric_constant": True,
-        "christoffel_symbols_vanish": True,
-        "curvature_identically_zero": True,
-        "zero_curvature_satisfies_structure_identity": zero_curvature_compatible,
-        "nijenhuis_probe_directions": [probe[0] + 1, probe[1] + 1],
-        "nijenhuis_probe_value": list(nij.total),
-        "structure_integrable_at_probe": integrable_at_probe,
-    }
-    return VerificationReport(
-        claim="flat-patch",
-        description="constant metric forces zero curvature (hence structure-compatible curvature); integrability is probed separately",
-        space=space.describe(),
-        quantities=quantities,
-        verdict=zero_curvature_compatible,
-    )

@@ -70,9 +70,6 @@ class ModelSpace:
     def gram(self) -> Matrix:
         return Matrix.diagonal(self.eps)
 
-    def h(self, i: int, k: int) -> Fraction:
-        return Fraction(self.eps[i]) if i == k else Fraction(0)
-
     def describe(self) -> dict:
         p, q = self.signature
         return {"n": self.n, "kind": self.kind, "signature": [p, q], "eps": list(self.eps)}

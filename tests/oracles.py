@@ -3,16 +3,20 @@
 Everything here is deliberately naive and shares no code path with the
 package's sparse elimination engine: dense textbook Gauss-Jordan over exact
 rationals, constraint matrices assembled by applying the public dense
-defect operators to every standard basis tensor, and dense pull-backs and
+defect operators to every standard basis tensor, dense pull-backs and
 infinitesimal actions that the package's sparse group applies are checked
-against.
+against, and general first-order jets of vector fields whose brackets the
+closed-form Nijenhuis probe is checked against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from curvlab.linalg import Matrix
+from curvlab.nijenhuis import Point, TwistedStructure
 from curvlab.spaces import ModelSpace
 from curvlab.tensors import (
     Tensor2,
@@ -168,3 +172,61 @@ def lie_action(x: Matrix, theta: Tensor2 | Tensor4) -> Tensor2 | Tensor4:
             if v:
                 total[c] += v
     return type(theta)(n, tuple(total))
+
+
+# ---------------------------------------------------------------------------
+# Vector fields with first-order jets
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class JetField:
+    """A vector field known through (value, Jacobian) at query points."""
+
+    n: int
+    at: Callable[[Point], tuple[tuple[Fraction, ...], Matrix]]
+
+
+def coordinate_field(n: int, i: int) -> JetField:
+    value = tuple(Fraction(1 if a == i else 0) for a in range(n))
+
+    def at(p: Point):
+        return value, Matrix.zero(n, n)
+
+    return JetField(n, at)
+
+
+def linear_field(m: Matrix) -> JetField:
+    """The field x -> M x (value M p, Jacobian M)."""
+
+    def at(p: Point):
+        return m.matvec(list(p)), m
+
+    return JetField(m.rows, at)
+
+
+def structure_applied(structure: TwistedStructure, field: JetField) -> JetField:
+    """Pointwise application of the structure field, with the product rule."""
+    n = field.n
+
+    def at(p: Point):
+        val, jac = field.at(p)
+        s = structure.value(p)
+        new_val = s.matvec(list(val))
+        cols = []
+        for k in range(n):
+            ds = structure.derivative(p, k)
+            jac_col = [jac[a, k] for a in range(n)]
+            col = [x + y for x, y in zip(ds.matvec(list(val)), s.matvec(jac_col))]
+            cols.append(col)
+        new_jac = Matrix(n, n, tuple(cols[k][a] for a in range(n) for k in range(n)))
+        return tuple(new_val), new_jac
+
+    return JetField(n, at)
+
+
+def bracket_at(xfield: JetField, yfield: JetField, p: Point) -> tuple[Fraction, ...]:
+    """[X, Y](p) = (DY) X - (DX) Y evaluated from the two jets."""
+    xv, xj = xfield.at(p)
+    yv, yj = yfield.at(p)
+    return tuple(a - b for a, b in zip(yj.matvec(list(xv)), xj.matvec(list(yv))))

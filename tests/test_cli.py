@@ -173,7 +173,20 @@ def test_sweep_skips_invalid_combinations(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--ns", "4", "--kinds", "complex", "--claims", "sec5")
     assert code == 0
     cells = json.loads(out)["cells"]
-    assert cells[0]["status"].startswith("skipped")
+    assert cells[0]["status"] == "skipped (needs n >= 6)"
+
+
+def test_sweep_does_not_skip_an_internal_error(capsys, monkeypatch):
+    """Only a claim's own precondition makes a skipped cell; a ValueError
+    from inside a verifier is not read as one."""
+    def broken(a, b):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("curvlab.curvature.subspace_sum", broken)
+    code, out, err = run_cli(capsys, "sweep", "--ns", "4", "--kinds", "complex", "--claims", "thm4.2")
+    assert code != 0
+    assert "skipped" not in out
+    assert "internal failure" in err
 
 
 def test_json_output_deterministic(capsys):

@@ -1,5 +1,7 @@
 """Golden bytes: stdout, stderr and exit code of every claim report and dims
-table at n = 4 and 6 in both geometries, pinned by sha256.
+table at n = 4 and 6 in both geometries, and of a set of ``eval`` commands
+(Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
+evaluation each), pinned by sha256.
 
 A refactor that keeps verdicts, dimensions and JSON bytes must keep these
 digests.  A change that alters a report on purpose re-records the table
@@ -22,6 +24,23 @@ CASES = [
     for n in (4, 6)
     for kind in ("complex", "para")
     for cmd in ("dims", *(f"verify {claim}" for claim in CLAIMS))
+] + [
+    "eval nijenhuis --n 6",
+    "eval nijenhuis --n 4",
+    "eval nijenhuis --n 6 --kind para",
+    "eval nijenhuis --n 6 --kind para --plane 1,4 --xy 1,4 --rotation hyperbolic",
+    # the two directions of the indefinite case reach the [Jx, Jy] term and
+    # the [x, Jy] term
+    "eval nijenhuis --n 6 --sig 4,2 --plane 1,5 --xy 2,5 --rotation hyperbolic --slope=-2/3",
+    "eval nijenhuis --n 6 --sig 4,2 --plane 1,5 --xy 1,6 --rotation hyperbolic --slope=-2/3",
+    "eval nijenhuis --n 6 --slope 0",
+    "eval nijenhuis --n 6 --kind para --format md",
+    "eval nijenhuis --n 4 --kind para --plane 1,2",
+    "eval nijenhuis --n 6 --rotation hyperbolic",
+    "eval nijenhuis --n 6 --kind none",
+    "eval sigma --psi omega --idx 1,4,3,1 --n 6",
+    "eval psi --psi opposed --idx 5,6,1,4 --n 6",
+    "eval invariant --tensor omegaxomega --perm 1,3,2,4 --word 11",
 ]
 
 
@@ -67,6 +86,20 @@ GOLDEN = {
     "verify eq4c --n 6 --kind para": (0, "88ff7dcbf7c89132b6aec96e6565c91cb3a034ea5bf9a0c6ed93e58484b4cbcb"),
     "verify eq4d --n 6 --kind para": (0, "a08389c3182137264e7c9747ac9c13f75f881920e00cd64864f22bf9218bfcea"),
     "verify lemma4.9 --n 6 --kind para": (0, "7bac2346e93b80a7b9ec8beda5e01ce143d5ab17eb57b6cfe07d45ebbe6a39f1"),
+    "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
+    "eval nijenhuis --n 4": (0, "76f2cdd24ee11faae00e3da736317c95e7a4bbedbf2917c18f04153d29b7a8ad"),
+    "eval nijenhuis --n 6 --kind para": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
+    "eval nijenhuis --n 6 --kind para --plane 1,4 --xy 1,4 --rotation hyperbolic": (0, "85518682b7292fe318b0021ac25f2a148da418317137bcf03057a016ea1f01f1"),
+    "eval nijenhuis --n 6 --sig 4,2 --plane 1,5 --xy 2,5 --rotation hyperbolic --slope=-2/3": (0, "4e4eaadd05c8d062ab9d5d5dc6e77d960669e0dd1c5d70714c1352a7c06a9699"),
+    "eval nijenhuis --n 6 --sig 4,2 --plane 1,5 --xy 1,6 --rotation hyperbolic --slope=-2/3": (0, "c46b146438cce2d021b306038e0db795292bb19807b9fa904db28674e08c4ce2"),
+    "eval nijenhuis --n 6 --slope 0": (0, "25385f8a1c85423f3baf98f05482a239bc655ddd714180bbdc0c6fca4790035d"),
+    "eval nijenhuis --n 6 --kind para --format md": (0, "61ae3f9b9d64555df82f2d0cd71cd36f2b66d9fd18bc4671d34dbb9847c92306"),
+    "eval nijenhuis --n 4 --kind para --plane 1,2": (2, "763634d7e8aea1e72c5c4e4ac2fa63995233160ec91c2145c9f62ac373d2a475"),
+    "eval nijenhuis --n 6 --rotation hyperbolic": (2, "a538e0844fe725850caa0ec661120c813dd71524d71550e7c250c1ea8e431965"),
+    "eval nijenhuis --n 6 --kind none": (2, "b39b8e4b56e844a9bc5b6335ad945eb8475c39ec1a1e1f534debb1a2b6ac456a"),
+    "eval sigma --psi omega --idx 1,4,3,1 --n 6": (0, "ab012c9f618bd82b60c4f57b820d4556f8f89c47d0835e73fde20d2a2bafea23"),
+    "eval psi --psi opposed --idx 5,6,1,4 --n 6": (0, "2164ac695586949fa2ca434666a9ef6cf377bd6de9ea3e9854f224883c0efe49"),
+    "eval invariant --tensor omegaxomega --perm 1,3,2,4 --word 11": (0, "ca9adccffc8facd64a9fe5151f25193ca6319929648da7413b87f1343938ebee"),
 }
 
 

@@ -18,6 +18,7 @@ from curvlab.curvature import (
     invariance_witness,
     invariant_span_dimension,
     representation_matrices,
+    verify_commutant_line,
     verify_doubled_commutant,
 )
 from curvlab.tensors import gram_weight2, gram_weight4, pullback_apply_vec
@@ -80,13 +81,9 @@ def test_certificate_and_representation_share_first_witness(complex4, ambient, g
     assert err.value.witness == witness == {"action": "lie", "element": 0, "basis_vector": 0}
 
 
-@pytest.mark.parametrize("kind,applies", [("complex", 12), ("para", 16)])
-def test_lemma49_applies_each_generator_once(monkeypatch, kind, applies):
-    """lemma4.9 at n = 4 applies each extended-group generator to each basis
-    vector of the 2-dimensional opposed module once: 4 Lie elements plus 2
-    (complex) or 4 (para) component representatives."""
-    s = make_standard(4, kind)
-    catalog(s).two_tensors
+def _count_group_applies(monkeypatch, verifier, space):
+    """Run ``verifier`` on ``space`` and count its sparse group applies."""
+    catalog(space).two_tensors
     calls = []
 
     def counted(apply):
@@ -97,8 +94,23 @@ def test_lemma49_applies_each_generator_once(monkeypatch, kind, applies):
 
     for name in ("lie_apply_vec", "pullback_apply_vec"):
         monkeypatch.setattr(curvature, name, counted(getattr(curvature, name)))
-    assert verify_doubled_commutant(s).verdict
-    assert len(calls) == applies
+    assert verifier(space).verdict
+    return len(calls)
+
+
+@pytest.mark.parametrize("kind,applies", [("complex", 12), ("para", 16)])
+def test_lemma49_applies_each_generator_once(monkeypatch, kind, applies):
+    """lemma4.9 at n = 4 applies each extended-group generator to each basis
+    vector of the 2-dimensional opposed module once: 4 Lie elements plus 2
+    (complex) or 4 (para) component representatives."""
+    assert _count_group_applies(monkeypatch, verify_doubled_commutant, make_standard(4, kind)) == applies
+
+
+@pytest.mark.parametrize("kind,applies", [("complex", 12), ("para", 16)])
+def test_eq4d_applies_each_generator_once(monkeypatch, kind, applies):
+    """eq4d reads the unextended group's matrices off the extended group's,
+    so it applies the same generators as lemma4.9, each once."""
+    assert _count_group_applies(monkeypatch, verify_commutant_line, make_standard(4, kind)) == applies
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])

@@ -7,55 +7,50 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvlab.linalg import (
-    DegenerateGramError,
-    Matrix,
     Subspace,
     intersect,
-    is_totally_isotropic,
-    kernel_basis,
-    orthogonal_complement,
-    rref,
+    kernel_subspace,
     subspace_sum,
 )
 
 F = Fraction
 
 
-def mat(rows):
-    return Matrix.from_rows(rows)
+def dicts(rows):
+    """Sparse rows of a dense row list, as the catalog hands them in."""
+    return [{j: F(v) for j, v in enumerate(r) if v} for r in rows]
 
 
-# --- rref -------------------------------------------------------------------
+# --- canonical RREF (Subspace.from_vectors) ---------------------------------
 
 
 def test_rref_identity():
-    m = Matrix.identity(3)
-    red, rank, pivots = rref(m)
-    assert red == m
-    assert rank == 3
-    assert pivots == (0, 1, 2)
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    sub = Subspace.from_vectors(rows, 3)
+    assert sub == Subspace.full(3)
+    assert sub.dim == 3
+    assert sub.pivots == (0, 1, 2)
 
 
 def test_rref_zero():
-    m = Matrix.zero(2, 4)
-    red, rank, pivots = rref(m)
-    assert red == m
-    assert rank == 0
-    assert pivots == ()
+    sub = Subspace.from_vectors([[0, 0, 0, 0], [0, 0, 0, 0]], 4)
+    assert sub == Subspace.zero(4)
+    assert sub.dim == 0
+    assert sub.pivots == ()
 
 
 def test_rref_rank_one():
     # hand elimination: subtract twice the first row
-    red, rank, pivots = rref(mat([[1, 2], [2, 4]]))
-    assert red == mat([[1, 2], [0, 0]])
-    assert rank == 1
-    assert pivots == (0,)
+    sub = Subspace.from_vectors([[1, 2], [2, 4]], 2)
+    assert sub.basis_dense() == [[1, 2]]
+    assert sub.dim == 1
+    assert sub.pivots == (0,)
 
 
 def test_rref_normalizes_pivots():
-    red, rank, _ = rref(mat([[2, 4], [0, 3]]))
-    assert red == mat([[1, 0], [0, 1]])
-    assert rank == 2
+    sub = Subspace.from_vectors([[2, 4], [0, 3]], 2)
+    assert sub.basis_dense() == [[1, 0], [0, 1]]
+    assert sub.dim == 2
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -63,26 +58,26 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 @given(st.lists(st.lists(small_fractions, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_rref_idempotent(rows):
-    m = mat(rows)
-    red, rank, pivots = rref(m)
-    red2, rank2, pivots2 = rref(red)
-    assert (red2, rank2, pivots2) == (red, rank, pivots)
+    sub = Subspace.from_vectors(rows, 3)
+    again = Subspace.from_vectors(sub.basis_dense(), 3)
+    assert again == sub
+    assert again.basis_dense() == sub.basis_dense()
 
 
-# --- kernels ----------------------------------------------------------------
+# --- kernels (kernel_subspace) -----------------------------------------------
 
 
 def test_kernel_identity_is_zero():
-    assert kernel_basis(Matrix.identity(4)).dim == 0
+    assert kernel_subspace([{i: F(1)} for i in range(4)], 4).dim == 0
 
 
 def test_kernel_zero_row_is_full():
-    k = kernel_basis(Matrix.zero(1, 5))
+    k = kernel_subspace(dicts([[0, 0, 0, 0, 0]]), 5)
     assert k == Subspace.full(5)
 
 
 def test_kernel_single_equation():
-    k = kernel_basis(mat([[1, 1, 0]]))
+    k = kernel_subspace(dicts([[1, 1, 0]]), 3)
     assert k.dim == 2
     assert k.contains([F(1), F(-1), F(0)])
     assert not k.contains([F(1), F(0), F(0)])
@@ -90,12 +85,11 @@ def test_kernel_single_equation():
 
 @given(st.lists(st.lists(small_fractions, min_size=4, max_size=4), min_size=1, max_size=3))
 def test_kernel_vectors_annihilate_exactly(rows):
-    m = mat(rows)
-    k = kernel_basis(m)
-    assert k.dim == 4 - rref(m)[1]
+    k = kernel_subspace(dicts(rows), 4)
+    assert k.dim == 4 - Subspace.from_vectors(rows, 4).dim
     for vec in k.basis_dense():
-        for i in range(m.rows):
-            assert sum(m[i, j] * vec[j] for j in range(4)) == 0
+        for row in rows:
+            assert sum(row[j] * vec[j] for j in range(4)) == 0
 
 
 # --- subspace lattice --------------------------------------------------------
@@ -141,49 +135,6 @@ def test_contains_basis_and_zero():
     assert not a.contains({0: F(1)})  # rank jump off the span
 
 
-# --- orthogonal complements ---------------------------------------------------
-
-
-def test_complement_of_full_space():
-    full = Subspace.full(3)
-    assert orthogonal_complement(full, Matrix.identity(3)) == Subspace.zero(3)
-
-
-def test_complement_euclidean_line():
-    a = Subspace.from_vectors([{0: F(1)}], 3)
-    comp = orthogonal_complement(a, Matrix.identity(3))
-    assert comp == Subspace.from_vectors([{1: F(1)}, {2: F(1)}], 3)
-
-
-def test_isotropic_line_is_self_orthogonal():
-    gram = Matrix.diagonal([1, -1])
-    a = Subspace.from_vectors([{0: F(1), 1: F(1)}], 2)
-    comp = orthogonal_complement(a, gram)
-    assert comp == a
-    assert intersect(a, comp).dim == 1  # degenerate restriction is reported, not an error
-
-
-def test_complement_rejects_degenerate_gram():
-    with pytest.raises(DegenerateGramError):
-        orthogonal_complement(Subspace.full(2), Matrix.from_rows([[1, 0], [0, 0]]))
-
-
-@given(st.lists(st.lists(small_fractions, min_size=3, max_size=3), min_size=0, max_size=3))
-def test_complement_is_involution(vecs):
-    gram = Matrix.diagonal([1, 1, -1])
-    a = Subspace.from_vectors(vecs, 3)
-    comp = orthogonal_complement(a, gram)
-    assert comp.dim == 3 - a.dim
-    assert orthogonal_complement(comp, gram) == a
-
-
-def test_totally_isotropic():
-    gram = Matrix.diagonal([1, -1])
-    assert is_totally_isotropic(Subspace.zero(2), gram)
-    assert is_totally_isotropic(Subspace.from_vectors([{0: F(1), 1: F(1)}], 2), gram)
-    assert not is_totally_isotropic(Subspace.from_vectors([{0: F(1)}], 2), Matrix.identity(2))
-
-
 # --- agreement with the independent dense oracle -------------------------------
 
 
@@ -191,20 +142,19 @@ def test_totally_isotropic():
 def test_rref_matches_textbook_oracle(rows):
     import oracles
 
-    m = mat(rows)
-    red, rank, pivots = rref(m)
+    sub = Subspace.from_vectors(rows, 5)
     dense, orank, opivots = oracles.dense_rref([[F(x) for x in r] for r in rows])
-    assert rank == orank
-    assert list(pivots) == opivots
-    assert [list(red.row(i)) for i in range(red.rows)] == dense
+    assert sub.dim == orank
+    assert list(sub.pivots) == opivots
+    assert sub.basis_dense() == dense[:orank]
+    assert all(not any(row) for row in dense[orank:])
 
 
 @given(st.lists(st.lists(small_fractions, min_size=5, max_size=5), min_size=1, max_size=4))
 def test_kernel_matches_textbook_oracle(rows):
     import oracles
 
-    m = mat(rows)
-    kernel = kernel_basis(m)
+    kernel = kernel_subspace(dicts(rows), 5)
     oracle_kernel = oracles.dense_kernel([[F(x) for x in r] for r in rows], 5)
     assert kernel.dim == len(oracle_kernel)
     assert oracles.same_span(oracle_kernel, kernel.basis_dense())

@@ -1,29 +1,48 @@
-"""Twisted-structure integrability: bracket jets and the four-term breakdown."""
+"""Twisted-structure integrability: the closed-form four-term breakdown,
+pinned against brackets assembled from general first-order jets."""
 
 from fractions import Fraction
 
 import pytest
 
 from curvlab.linalg import Matrix
-from curvlab.spaces import make_standard
+from curvlab.spaces import make_standard, structure_sign
 from curvlab.nijenhuis import (
-    bracket_at,
-    constant_rotation_angle,
-    coordinate_field,
-    flat_curvature_check,
+    AngleJet,
+    Point,
     linear_angle,
-    linear_field,
     nijenhuis_at,
     origin,
     standard_patch,
     twist,
 )
+from oracles import bracket_at, coordinate_field, linear_field, structure_applied
 
 F = Fraction
 
 
 def zero_vec(n):
     return (F(0),) * n
+
+
+def constant_rotation_angle(c: Fraction | int, s: Fraction | int, derivative: Fraction | int,
+                            hyperbolic: bool = False) -> AngleJet:
+    """A fixed rational point on the (hyperbolic) unit circle with a slope.
+
+    Useful for sampling the isometry property away from the identity, e.g.
+    (3/5, 4/5) on the circle.
+    """
+    c, s, derivative = Fraction(c), Fraction(s), Fraction(derivative)
+    if hyperbolic:
+        if c * c - s * s != 1:
+            raise ValueError("hyperbolic rotation values must satisfy c^2 - s^2 = 1")
+    elif c * c + s * s != 1:
+        raise ValueError("rotation values must satisfy c^2 + s^2 = 1")
+
+    def jet(p: Point) -> tuple[Fraction, Fraction, Fraction]:
+        return (c, s, derivative)
+
+    return jet
 
 
 # --- brackets ---------------------------------------------------------------
@@ -183,28 +202,50 @@ def test_requires_structure():
         nijenhuis_at(patch, 0, 1)
 
 
-# --- flat patch report -----------------------------------------------------------
+# --- the closed form against the jet oracle ------------------------------------
 
 
-def test_flat_curvature_check_complex():
-    s = make_standard(6, "complex")
-    patch = standard_patch(s, twist(s, linear_angle(1), (0, 2), "circular"))
-    rep = flat_curvature_check(patch)
-    assert rep.verdict
-    assert rep.quantities["zero_curvature_satisfies_structure_identity"]
-    assert not rep.quantities["structure_integrable_at_probe"]
+def jet_breakdown(structure, x, y, p):
+    """The four signed terms and their sum from general jet brackets."""
+    u = structure_sign(structure.space.kind)
+    n = structure.space.n
+    dx, dy = coordinate_field(n, x), coordinate_field(n, y)
+    jdx, jdy = structure_applied(structure, dx), structure_applied(structure, dy)
+    jmat = structure.value(p)
+    t1 = bracket_at(dx, dy, p)
+    t2 = tuple(F(-u) * v for v in jmat.matvec(list(bracket_at(jdx, dy, p))))
+    t3 = tuple(F(-u) * v for v in jmat.matvec(list(bracket_at(dx, jdy, p))))
+    t4 = tuple(F(u) * v for v in bracket_at(jdx, jdy, p))
+    total = tuple(a + b + c + d for a, b, c, d in zip(t1, t2, t3, t4))
+    return (t1, t2, t3, t4), total
 
 
-def test_flat_curvature_check_para_metric():
-    s = make_standard(4, "para")
-    patch = standard_patch(s, twist(s, linear_angle(1), (0, 2), "circular"))
-    rep = flat_curvature_check(patch)
-    assert rep.verdict
-    assert not rep.quantities["structure_integrable_at_probe"]
+# (kind, signature, plane, rotation); the hyperbolic planes are mixed
+TWISTS = [
+    ("complex", None, (0, 2), "circular"),
+    ("complex", (2, 2), (1, 2), "hyperbolic"),
+    ("para", None, (1, 3), "circular"),
+    ("para", None, (0, 3), "hyperbolic"),
+]
 
 
-def test_flat_curvature_check_integrable_control():
-    s = make_standard(4, "complex")
-    rep = flat_curvature_check(standard_patch(s, None))
-    assert rep.verdict
-    assert rep.quantities["structure_integrable_at_probe"]
+@pytest.mark.parametrize("var", [0, 2])
+@pytest.mark.parametrize("at_origin", [True, False], ids=["origin", "off-origin"])
+@pytest.mark.parametrize("kind,sig,plane,rotation", TWISTS)
+def test_closed_form_matches_jet_brackets(kind, sig, plane, rotation, at_origin, var):
+    s = make_standard(4, kind, sig)
+    if at_origin:
+        p, angle = origin(4), linear_angle(F(-2, 3), var)
+    elif rotation == "circular":
+        p, angle = (F(1), F(-2), F(1, 2), F(3)), constant_rotation_angle(F(3, 5), F(4, 5), F(2))
+    else:
+        p, angle = (F(1), F(-2), F(1, 2), F(3)), constant_rotation_angle(F(5, 4), F(3, 4), F(-1), hyperbolic=True)
+    structure = standard_patch(s, twist(s, angle, plane, rotation, var))
+    nonzero = 0
+    for x in range(4):
+        for y in range(4):
+            value = nijenhuis_at(structure, x, y, p)
+            terms, total = jet_breakdown(structure, x, y, p)
+            assert (value.terms, value.total) == (terms, total), (x, y)
+            nonzero += any(total)
+    assert nonzero  # every twist here breaks integrability somewhere
