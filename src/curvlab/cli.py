@@ -5,7 +5,8 @@ Subcommands: dims | verify | eval | sweep.  All indices on the command line
 are 1-based (matching the basis notation e1, e2, ...); JSON payloads carry
 0-based indices with an explicit ``index_base`` field.  Results go to stdout,
 diagnostics to stderr.  Exit codes: 0 = all claims pass (expected-failure
-claims passing as such), 1 = some claim fails, 2 = usage or config error.
+claims passing as such), 1 = some claim fails, 2 = usage or config error,
+3 = internal error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from . import curvature, nijenhuis, report
 from .curvature import CLAIMS, ClaimNotApplicable, catalog, run_claim
-from .linalg import scalar_to_str
+from .report import scalar_to_str
 from .spaces import ModelSpace, make_standard
 from .tensors import (
     Tensor2,
@@ -112,13 +113,8 @@ def _emit(obj: dict, fmt: str) -> None:
         print(_markdown_table(obj))
 
 
-def _markdown_table(obj: dict, title: str | None = None) -> str:
-    lines = []
-    if title:
-        lines.append(f"## {title}")
-        lines.append("")
-    lines.append("| key | value |")
-    lines.append("| --- | --- |")
+def _markdown_table(obj: dict) -> str:
+    lines = ["| key | value |", "| --- | --- |"]
     for key, value in obj.items():
         lines.append(f"| {key} | `{json.dumps(value, sort_keys=False)}` |")
     return "\n".join(lines)
@@ -336,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in curvlab itself must not read as a failed claim
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

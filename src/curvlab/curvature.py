@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
-from . import jsonio
 from .linalg import (
     Matrix,
     Subspace,
@@ -674,7 +673,7 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
         "witness_breaks_last_pair_alternation": not defect_riemann(t).is_zero(),
     }
     quantities.update(checks)
-    report.witnesses.append({"tensor": jsonio.tensor4_to_obj(t)})
+    report.witnesses.append({"tensor": {"rank": 4, "n": n, "components": list(t.components)}})
     report.verdict = d1 > d2 and all(checks.values())
     return report
 

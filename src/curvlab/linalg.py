@@ -17,18 +17,6 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
-def scalar_to_str(x: Fraction) -> str:
-    """Render a rational as ``p/q`` (or ``p`` when the denominator is one)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def scalar_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
 # Integer-scaled sparse rows and the online echelon accumulator
 # ---------------------------------------------------------------------------
@@ -224,9 +212,6 @@ class Matrix:
     def row_dicts(self) -> list[dict[int, Fraction]]:
         return [{j: v for j, v in enumerate(self.row(i)) if v} for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -281,25 +266,9 @@ class Subspace:
     basis: tuple[BasisRow, ...]
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[Mapping[int, Fraction | int] | Sequence[Fraction | int]], ambient_dim: int) -> "Subspace":
-        dicts = []
-        for v in vectors:
-            if isinstance(v, Mapping):
-                dicts.append(v)
-            else:
-                if len(v) != ambient_dim:
-                    raise ValueError("vector length does not match ambient dimension")
-                dicts.append({i: x for i, x in enumerate(v) if x})
-        rows = rref_vectors(dicts, ambient_dim)
+    def from_vectors(cls, vectors: Iterable[Mapping[int, Fraction | int]], ambient_dim: int) -> "Subspace":
+        rows = rref_vectors(vectors, ambient_dim)
         return cls(ambient_dim, tuple(_freeze_row(r) for r in rows))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(((i, Fraction(1)),) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -311,18 +280,6 @@ class Subspace:
 
     def basis_dicts(self) -> list[dict[int, Fraction]]:
         return [dict(row) for row in self.basis]
-
-    def basis_dense(self) -> list[list[Fraction]]:
-        out = []
-        for row in self.basis:
-            dense = [Fraction(0)] * self.ambient_dim
-            for c, v in row:
-                dense[c] = v
-            out.append(dense)
-        return out
-
-    def contains(self, vec: Mapping[int, Fraction | int] | Sequence[Fraction | int]) -> bool:
-        return SubspaceReducer(self).contains(vec)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         red = SubspaceReducer(other)
@@ -339,12 +296,10 @@ class SubspaceReducer:
             r = _to_int_row(dict(row))
             self._ech.pivot_rows[min(r)] = r
 
-    def residual(self, vec: Mapping[int, Fraction | int] | Sequence[Fraction | int]) -> dict[int, int]:
-        if not isinstance(vec, Mapping):
-            vec = {i: x for i, x in enumerate(vec) if x}
+    def residual(self, vec: Mapping[int, Fraction | int]) -> dict[int, int]:
         return self._ech.reduce(vec)
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
         return not self.residual(vec)
 
     def coordinates(self, vec: Mapping[int, Fraction]) -> list[Fraction] | None:

@@ -7,14 +7,20 @@ from fractions import Fraction
 from typing import Any, Iterable
 
 
+def scalar_to_str(x: Fraction) -> str:
+    """Render a rational as ``p/q`` (or ``p`` when the denominator is one)."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
 def scrub(value: Any) -> Any:
     """Make a value JSON-ready: exact rationals become `p/q` strings."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return scalar_to_str(value)
     if isinstance(value, (int, str)):
         return value
     if isinstance(value, float):

@@ -67,9 +67,6 @@ class ModelSpace:
             rows[image][k] = Fraction(sign)
         return Matrix.from_rows(rows)
 
-    def gram(self) -> Matrix:
-        return Matrix.diagonal(self.eps)
-
     def describe(self) -> dict:
         p, q = self.signature
         return {"n": self.n, "kind": self.kind, "signature": [p, q], "eps": list(self.eps)}

@@ -2,9 +2,8 @@
 
 Covers the symmetry-defect operators that carve out the affine, Weyl and
 Riemannian curvature spaces, the Ricci contraction, the rank-2-to-rank-4
-maps sigma and psi, sparse pull-backs and infinitesimal group actions, full
-invariant contractions against metric/fundamental-form pair tensors, and
-exterior forms with wedge products.
+maps sigma and psi, sparse pull-backs and infinitesimal group actions, and
+full invariant contractions against metric/fundamental-form pair tensors.
 
 Two parallel views of every linear operator exist on purpose:
 
@@ -24,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Subspace, kernel_subspace
+from .linalg import Matrix
 from .spaces import ModelSpace, j_signed_permutation, structure_sign
 
 # ---------------------------------------------------------------------------
@@ -45,10 +44,6 @@ class Tensor2:
     def __post_init__(self):
         if len(self.components) != self.n ** 2:
             raise ValueError("component count does not match n^2")
-
-    @classmethod
-    def zero(cls, n: int) -> "Tensor2":
-        return cls(n, (Fraction(0),) * (n * n))
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[tuple[int, int], Fraction | int]) -> "Tensor2":
@@ -71,14 +66,8 @@ class Tensor2:
             comp[c] = Fraction(v)
         return cls(n, tuple(comp))
 
-    def is_zero(self) -> bool:
-        return not any(self.components)
-
     def is_antisymmetric(self) -> bool:
         return all(self[i, j] == -self[j, i] for i in range(self.n) for j in range(i + 1))
-
-    def is_symmetric(self) -> bool:
-        return all(self[i, j] == self[j, i] for i in range(self.n) for j in range(i))
 
     def scale(self, a: Fraction | int) -> "Tensor2":
         a = Fraction(a)
@@ -99,17 +88,6 @@ class Tensor4:
         if len(self.components) != self.n ** 4:
             raise ValueError("component count does not match n^4")
 
-    @classmethod
-    def zero(cls, n: int) -> "Tensor4":
-        return cls(n, (Fraction(0),) * (n ** 4))
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Mapping[tuple[int, int, int, int], Fraction | int]) -> "Tensor4":
-        comp = [Fraction(0)] * n ** 4
-        for (i, j, k, l), v in entries.items():
-            comp[((i * n + j) * n + k) * n + l] = Fraction(v)
-        return cls(n, tuple(comp))
-
     def __getitem__(self, ijkl: tuple[int, int, int, int]) -> Fraction:
         i, j, k, l = ijkl
         n = self.n
@@ -127,13 +105,6 @@ class Tensor4:
 
     def is_zero(self) -> bool:
         return not any(self.components)
-
-    def scale(self, a: Fraction | int) -> "Tensor4":
-        a = Fraction(a)
-        return Tensor4(self.n, tuple(a * v for v in self.components))
-
-    def add(self, other: "Tensor4") -> "Tensor4":
-        return Tensor4(self.n, tuple(a + b for a, b in zip(self.components, other.components)))
 
 
 def unflatten4(n: int, c: int) -> tuple[int, int, int, int]:
@@ -447,139 +418,6 @@ def invariant_contraction_product(theta: Tensor2, phi: Tensor2, perm: Sequence[i
 
 def all_slot_permutations() -> list[tuple[int, int, int, int]]:
     return [p for p in permutations(range(4))]
-
-
-# ---------------------------------------------------------------------------
-# Exterior forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormK:
-    """Alternating k-form stored on strictly increasing index tuples."""
-
-    n: int
-    degree: int
-    entries: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    @classmethod
-    def from_entries(cls, n: int, degree: int, entries: Mapping[tuple[int, ...], Fraction | int]) -> "FormK":
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for idx, v in entries.items():
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise ValueError("form indices must be strictly increasing tuples of the right degree")
-            fv = Fraction(v)
-            if fv:
-                clean[tuple(idx)] = fv
-        return cls(n, degree, tuple(sorted(clean.items())))
-
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "FormK":
-        return cls(n, degree, ())
-
-    @classmethod
-    def unit(cls, n: int) -> "FormK":
-        return cls(n, 0, (((), Fraction(1)),))
-
-    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
-def form_from_tensor2(t: Tensor2) -> FormK:
-    if not t.is_antisymmetric():
-        raise ValueError("only antisymmetric rank-2 tensors define 2-forms")
-    entries = {}
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            if t[i, j]:
-                entries[(i, j)] = t[i, j]
-    return FormK.from_entries(t.n, 2, entries)
-
-
-def _merge_sign(ia: tuple[int, ...], ib: tuple[int, ...]) -> int:
-    """Sign of the shuffle sorting the concatenation of two ascending tuples."""
-    inv = 0
-    for x in ia:
-        for y in ib:
-            if x > y:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def wedge(a: FormK, b: FormK) -> FormK:
-    """Shuffle-sum wedge with unit coefficients (no factorial normalizations)."""
-    if a.n != b.n:
-        raise ValueError("forms live on different spaces")
-    degree = a.degree + b.degree
-    if degree > a.n:
-        raise ValueError("wedge degree exceeds the space dimension")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for ia, va in a.entries:
-        sa = set(ia)
-        for ib, vb in b.entries:
-            if sa & set(ib):
-                continue
-            merged = tuple(sorted(ia + ib))
-            term = _merge_sign(ia, ib) * va * vb
-            cur = out.get(merged, Fraction(0)) + term
-            if cur:
-                out[merged] = cur
-            else:
-                out.pop(merged, None)
-    return FormK.from_entries(a.n, degree, out)
-
-
-def omega_power(space: ModelSpace, m: int) -> FormK:
-    """The fundamental 2-form wedged with itself m times (m = 0 gives the unit)."""
-    if m < 0:
-        raise ValueError("negative power")
-    if 2 * m > space.n:
-        raise ValueError("wedge degree exceeds the space dimension")
-    omega = form_from_tensor2(kaehler_form(space))
-    acc = FormK.unit(space.n)
-    for _ in range(m):
-        acc = wedge(acc, omega)
-    return acc
-
-
-def two_form_coordinates(n: int) -> list[tuple[int, int]]:
-    """Index pairs (i < j) coordinatizing 2-forms, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def lefschetz_wedge_kernel(space: ModelSpace) -> tuple[int, Subspace]:
-    """Rank and kernel of wedging 2-forms with the fundamental form.
-
-    Both are expressed in the (i < j) coordinate system of 2-forms; the rank
-    is full for n >= 6 and drops to one on four-dimensional spaces.
-    """
-    n = space.n
-    omega = form_from_tensor2(kaehler_form(space))
-    pairs = two_form_coordinates(n)
-    four_coords = {idx: c for c, idx in enumerate(combinations(range(n), 4))}
-    columns: dict[int, dict[int, Fraction]] = {}
-    for bi, (i, j) in enumerate(pairs):
-        img = wedge(FormK.from_entries(n, 2, {(i, j): 1}), omega)
-        for idx, v in img.entries:
-            columns.setdefault(four_coords[idx], {})[bi] = v
-    sub = kernel_subspace(columns.values(), len(pairs))
-    return len(pairs) - sub.dim, sub
-
-
-def omega_orthogonal_two_forms(space: ModelSpace) -> Subspace:
-    """2-forms orthogonal to the fundamental form, in (i < j) coordinates."""
-    n = space.n
-    omega = kaehler_form(space)
-    pairs = two_form_coordinates(n)
-    row = {}
-    for c, (i, j) in enumerate(pairs):
-        w = 2 * space.eps[i] * space.eps[j] * omega[i, j]
-        if w:
-            row[c] = Fraction(w)
-    return kernel_subspace([row], len(pairs))
 
 
 # ---------------------------------------------------------------------------

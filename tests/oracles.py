@@ -5,17 +5,21 @@ package's sparse elimination engine: dense textbook Gauss-Jordan over exact
 rationals, constraint matrices assembled by applying the public dense
 defect operators to every standard basis tensor, dense pull-backs and
 infinitesimal actions that the package's sparse group applies are checked
-against, and general first-order jets of vector fields whose brackets the
-closed-form Nijenhuis probe is checked against.
+against, the wedge product with the fundamental form on 2-forms, and general
+first-order jets of vector fields whose brackets the closed-form Nijenhuis
+probe is checked against.  Small dense helpers (conversions, the Gram
+matrix, the transpose, decoding a report's tensor) live here too, since the
+package itself needs none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import combinations
+from typing import Callable, Mapping, Sequence
 
-from curvlab.linalg import Matrix
+from curvlab.linalg import Matrix, Subspace
 from curvlab.nijenhuis import Point, TwistedStructure
 from curvlab.spaces import ModelSpace
 from curvlab.tensors import (
@@ -26,8 +30,45 @@ from curvlab.tensors import (
     defect_kaehler,
     defect_riemann,
     defect_weyl,
+    kaehler_form,
     ricci,
 )
+
+
+# ---------------------------------------------------------------------------
+# Dense helpers
+# ---------------------------------------------------------------------------
+
+
+def dense(sub: Subspace) -> list[list[Fraction]]:
+    """The canonical basis rows of ``sub`` as dense vectors."""
+    rows = []
+    for row in sub.basis:
+        vec = [Fraction(0)] * sub.ambient_dim
+        for c, v in row:
+            vec[c] = v
+        rows.append(vec)
+    return rows
+
+
+def sparse(vec: Sequence[Fraction | int]) -> dict[int, Fraction]:
+    """A dense vector as the ``{column: value}`` dict the package takes."""
+    return {c: Fraction(v) for c, v in enumerate(vec) if v}
+
+
+def gram(space: ModelSpace) -> Matrix:
+    """The metric h = diag(eps) as a matrix."""
+    return Matrix.diagonal(space.eps)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, tuple(m[i, j] for j in range(m.cols) for i in range(m.rows)))
+
+
+def tensor4_from_obj(obj: Mapping) -> Tensor4:
+    """Decode a rank-4 tensor from a report's ``{"rank", "n", "components"}`` JSON."""
+    assert obj["rank"] == 4
+    return Tensor4(obj["n"], tuple(Fraction(s) for s in obj["components"]))
 
 
 def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
@@ -172,6 +213,39 @@ def lie_action(x: Matrix, theta: Tensor2 | Tensor4) -> Tensor2 | Tensor4:
             if v:
                 total[c] += v
     return type(theta)(n, tuple(total))
+
+
+# ---------------------------------------------------------------------------
+# Exterior forms
+# ---------------------------------------------------------------------------
+
+
+def two_form_coordinates(sub: Subspace, n: int) -> list[list[Fraction]]:
+    """Basis of a subspace of antisymmetric rank-2 tensors, read in (i < j) coordinates."""
+    return [[vec.get(i * n + j, Fraction(0)) for i in range(n) for j in range(i + 1, n)]
+            for vec in sub.basis_dicts()]
+
+
+def wedge_omega_matrix(space: ModelSpace) -> list[list[Fraction]]:
+    """Dense matrix of psi -> psi ^ Omega, Omega the fundamental form.
+
+    Columns are the (i < j) coordinates of 2-forms, psi = sum psi(e_i, e_j)
+    e^i ^ e^j; rows are the (i < j < k < l) coordinates of 4-forms.  The
+    product (e^a ^ e^b) ^ (e^c ^ e^d) is zero when an index repeats, and
+    otherwise the sign of the shuffle sorting (a, b, c, d) times the sorted
+    basis 4-form.
+    """
+    n = space.n
+    omega = kaehler_form(space)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    quads = {q: r for r, q in enumerate(combinations(range(n), 4))}
+    rows = [[Fraction(0)] * len(pairs) for _ in quads]
+    for col, (a, b) in enumerate(pairs):
+        for c, d in pairs:
+            if omega[c, d] and not {a, b} & {c, d}:
+                inversions = sum(1 for x in (a, b) for y in (c, d) if x > y)
+                rows[quads[tuple(sorted((a, b, c, d)))]][col] += (-1) ** inversions * omega[c, d]
+    return rows
 
 
 # ---------------------------------------------------------------------------

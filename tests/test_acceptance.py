@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import pytest
 
-from curvlab.jsonio import tensor4_from_obj
 from curvlab.linalg import subspace_sum
 from curvlab.spaces import component_reps, make_standard, random_lie_elements
 from curvlab.curvature import (
@@ -39,11 +38,10 @@ from curvlab.tensors import (
     defect_riemann,
     defect_weyl,
     inner2,
-    lefschetz_wedge_kernel,
-    omega_orthogonal_two_forms,
     psi_map,
     sigma,
 )
+from oracles import dense_kernel, dense_rref, same_span, tensor4_from_obj, two_form_coordinates, wedge_omega_matrix
 
 F = Fraction
 
@@ -104,7 +102,7 @@ def test_criterion_2_headline_collapse():
         )
         checks[f"{tag}: witness emitted"] = len(rep.witnesses) == 1
         if rep.witnesses:
-            witness = tensor4_from_obj(rep.witnesses[0]["tensor"])
+            witness = tensor4_from_obj(rep.to_json_dict()["witnesses"][0]["tensor"])
             checks[f"{tag}: witness satisfies first-pair identity"] = defect_antisym(witness).is_zero()
             checks[f"{tag}: witness satisfies cyclic identity"] = defect_bianchi(witness).is_zero()
             checks[f"{tag}: witness satisfies weyl identity"] = defect_weyl(witness, s).is_zero()
@@ -200,17 +198,23 @@ def test_criterion_7_nijenhuis_breakdown():
 
 def test_criterion_8_wedge_multiplication():
     checks = {}
-    for kind in ("complex", "para"):
-        s6 = make_standard(6, kind)
-        rank6, kernel6 = lefschetz_wedge_kernel(s6)
-        checks[f"{kind} n=6: injective rank 15"] = rank6 == 15 and kernel6.dim == 0
-        s4 = make_standard(4, kind)
-        rank4, kernel4 = lefschetz_wedge_kernel(s4)
-        checks[f"{kind} n=4: rank 1"] = rank4 == 1
-        checks[f"{kind} n=4: kernel is the form-orthogonal space"] = (
-            kernel4.dim == 5 and kernel4 == omega_orthogonal_two_forms(s4)
+    for kind, sig in (("complex", None), ("complex", (2, 2)), ("para", None)):
+        tag = f"{kind}{'' if sig is None else sig}"
+        s4 = make_standard(4, kind, sig)
+        matrix = wedge_omega_matrix(s4)
+        split = catalog(s4).two_tensors
+        primitive = subspace_sum(split.alt_aligned_traceless, split.alt_opposed)
+        checks[f"{tag} n=4: rank 1"] = dense_rref(matrix)[1] == 1
+        checks[f"{tag} n=4: kernel is aligned traceless + opposed"] = same_span(
+            dense_kernel(matrix, 6), two_form_coordinates(primitive, 4)  # six 2-form coordinates at n = 4
         )
-    _report(8, "wedge multiplication by the fundamental form: injective at n=6, rank-1 with orthogonal kernel at n=4", checks)
+    for kind in ("complex", "para"):
+        for n in (6, 8):
+            pairs = n * (n - 1) // 2
+            rank = dense_rref(wedge_omega_matrix(make_standard(n, kind)))[1]
+            checks[f"{kind} n={n}: injective rank {pairs}"] = rank == pairs
+    _report(8, "wedge multiplication by the fundamental form: injective at n=6, 8; "
+               "rank 1 with the primitive 2-forms as kernel at n=4", checks)
 
 
 O_ONLY = ("affine", "weyl", "riemann", "conformal", "sigma_image")

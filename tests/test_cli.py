@@ -189,6 +189,21 @@ def test_sweep_does_not_skip_an_internal_error(capsys, monkeypatch):
     assert "internal failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm4.2", "--n", "4"],
+    ["sweep", "--ns", "4", "--kinds", "complex", "--claims", "thm4.2"],
+])
+def test_internal_error_exits_three(capsys, monkeypatch, argv):
+    """A fault inside curvlab is neither a failed claim (1) nor a bad request (2)."""
+    def broken(a, b):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr("curvlab.curvature.subspace_sum", broken)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err == "internal error: RuntimeError: internal failure\n"
+
+
 def test_json_output_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "thm4.2", "--n", "4", "--kind", "para")
     code2, out2, _ = run_cli(capsys, "verify", "thm4.2", "--n", "4", "--kind", "para")

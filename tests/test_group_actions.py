@@ -141,7 +141,7 @@ def test_invariant_span_dimensions(kind):
     assert invariant_span_dimension(split.h_line, split.omega_line, s) == 0
     from curvlab.linalg import Subspace
 
-    assert invariant_span_dimension(Subspace.zero(36), split.h_line, s) == 0
+    assert invariant_span_dimension(Subspace(36, ()), split.h_line, s) == 0
 
 
 def test_multiplicity_two_block_inside_weyl(complex6):

@@ -13,6 +13,7 @@ from curvlab.spaces import (
     structure_reversal,
     structure_sign,
 )
+from oracles import gram, transpose
 
 F = Fraction
 
@@ -29,7 +30,7 @@ def test_standard_complex_definite():
     assert s.eps == (1,) * 6
     assert s.j.mul(s.j) == Matrix.identity(6).scale(-1)
     # pull-back test J*h = h
-    assert s.j.transpose().mul(s.gram()).mul(s.j) == s.gram()
+    assert transpose(s.j).mul(gram(s)).mul(s.j) == gram(s)
 
 
 def test_standard_para_neutral():
@@ -38,7 +39,7 @@ def test_standard_para_neutral():
     assert s.j.mul(s.j) == Matrix.identity(4)
     assert sum(s.j[i, i] for i in range(4)) == 0
     # pull-back test J*h = -h
-    assert s.j.transpose().mul(s.gram()).mul(s.j) == s.gram().scale(-1)
+    assert transpose(s.j).mul(gram(s)).mul(s.j) == gram(s).scale(-1)
 
 
 def test_plain_space():
@@ -103,16 +104,16 @@ def test_unitary_lie_algebra_dims(kind):
 def test_lie_algebra_infinitesimal_isometry():
     for kind, sig in (("complex", (4, 2)), ("para", None)):
         s = make_standard(6, kind, sig)
-        h = s.gram()
+        h = gram(s)
         for x in lie_algebra_basis(s, "U"):
-            assert x.transpose().mul(h).add(h.mul(x)) == Matrix.zero(6, 6)
+            assert transpose(x).mul(h).add(h.mul(x)) == Matrix.zero(6, 6)
             assert x.mul(s.j) == s.j.mul(x)
     s = make_standard(4, "none", (2, 2))
-    h = s.gram()
+    h = gram(s)
     basis = lie_algebra_basis(s, "O")
     assert len(basis) == 6
     for x in basis:
-        assert x.transpose().mul(h).add(h.mul(x)) == Matrix.zero(4, 4)
+        assert transpose(x).mul(h).add(h.mul(x)) == Matrix.zero(4, 4)
 
 
 def test_group_validation():
@@ -131,10 +132,10 @@ def test_group_validation():
 def test_reps_are_isometries():
     for kind, sig in (("complex", (6, 0)), ("complex", (4, 2)), ("para", None)):
         s = make_standard(6, kind, sig)
-        h = s.gram()
+        h = gram(s)
         for group in ("O", "U", "Ustar"):
             for g in component_reps(s, group):
-                assert g.transpose().mul(h).mul(g) == h
+                assert transpose(g).mul(h).mul(g) == h
 
 
 def test_reps_include_identity():
