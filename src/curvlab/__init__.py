@@ -3,7 +3,7 @@ para/pseudo-Hermitian inner product spaces."""
 
 from .linalg import Matrix, Subspace
 from .spaces import ModelSpace, make_standard, structure_sign
-from .tensors import Tensor2, Tensor4, kaehler_form, psi_map, sigma
+from .tensors import Tensor4, kaehler_form, psi_map, sigma
 from .curvature import build_catalog, run_claim
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ __all__ = [
     "Matrix",
     "ModelSpace",
     "Subspace",
-    "Tensor2",
     "Tensor4",
     "build_catalog",
     "kaehler_form",

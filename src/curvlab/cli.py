@@ -22,7 +22,8 @@ from .curvature import CLAIMS, ClaimNotApplicable, catalog, run_claim
 from .report import scalar_to_str
 from .spaces import ModelSpace, make_standard
 from .tensors import (
-    Tensor2,
+    flatten4,
+    invariant_contraction_product,
     kaehler_form,
     metric_tensor2,
     psi_map,
@@ -43,7 +44,11 @@ class RunConfig:
     fmt: str
 
     def space(self) -> ModelSpace:
-        return make_standard(self.n, self.kind, signature=self.signature, eps=self.eps)
+        """The configured space; a configuration ``make_standard`` rejects is a bad request."""
+        try:
+            return make_standard(self.n, self.kind, signature=self.signature, eps=self.eps)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 def _parse_sig(text: str | None) -> tuple[int, int] | None:
@@ -148,7 +153,7 @@ def cmd_verify(config: RunConfig, claim: str) -> int:
     return report.exit_code_for([rep])
 
 
-def _builtin_form(space: ModelSpace, name: str) -> Tensor2:
+def _builtin_form(space: ModelSpace, name: str) -> dict[int, Fraction]:
     if name == "omega":
         return kaehler_form(space)
     if name == "opposed":
@@ -159,16 +164,28 @@ def _builtin_form(space: ModelSpace, name: str) -> Tensor2:
 
 
 def cmd_eval(config: RunConfig, args) -> int:
+    """One map on inputs the user chose: any ``ValueError`` it raises is a bad request."""
+    try:
+        return _eval(config, args)
+    except UsageError:
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _eval(config: RunConfig, args) -> int:
     space = config.space()
     what = args.map
     if what in ("sigma", "psi"):
-        psi = _builtin_form(space, args.psi)
+        # sigma takes any 2-form, psi only an opposed one
+        form = args.psi or ("omega" if what == "sigma" else "opposed")
+        psi = _builtin_form(space, form)
         idx = _parse_indices(args.idx, 4, space.n)
         tensor = sigma(psi, space) if what == "sigma" else psi_map(psi, space)
-        value = tensor[idx[0], idx[1], idx[2], idx[3]]
+        value = tensor.get(flatten4(space.n, *idx), Fraction(0))
         payload = {
             "map": what,
-            "form": args.psi,
+            "form": form,
             "indices_1based": [i + 1 for i in idx],
             "index_base": 0,
             "value": scalar_to_str(value),
@@ -185,8 +202,6 @@ def cmd_eval(config: RunConfig, args) -> int:
             theta, phi = kaehler_form(space), kaehler_form(space)
         else:
             raise UsageError("tensor must be hxh or omegaxomega")
-        from .tensors import invariant_contraction_product
-
         value = invariant_contraction_product(theta, phi, perm, word, space)
         payload = {
             "map": "invariant",
@@ -221,7 +236,7 @@ def cmd_eval(config: RunConfig, args) -> int:
     raise UsageError(f"unknown map {what!r}")
 
 
-def cmd_sweep(config: RunConfig, args) -> int:
+def cmd_sweep(args) -> int:
     try:
         ns = [int(x) for x in args.ns.split(",")] if args.ns else []
     except ValueError as exc:
@@ -234,7 +249,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
     if any(kind not in ("complex", "para") for kind in kinds):
         raise UsageError("sweep kinds must be complex and/or para")
     # every space is built, and so validated, before the first cell runs
-    spaces = [make_standard(n, kind) for n in ns for kind in kinds]
+    spaces = [RunConfig(n, kind, None, None, args.format).space() for n in ns for kind in kinds]
     cells = []
     overall = 0
     for space in spaces:
@@ -261,7 +276,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
                 overall = 1
             cells.append(cell)
     payload = {"mode": "exact", "cells": cells}
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=False))
     else:
         lines = ["| n | kind | signature | claim | status |", "| - | - | - | - | - |"]
@@ -277,13 +292,16 @@ def cmd_sweep(config: RunConfig, args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--mode", choices=("exact",), default="exact", help="arithmetic: exact (the only mode)")
+    output.add_argument("--format", choices=("json", "md"), default="json")
+    # sweep builds its own spaces from --ns and --kinds, so only dims, verify
+    # and eval take the space flags
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=6, help="dimension of the model space")
     common.add_argument("--kind", choices=("complex", "para", "none"), default="complex")
     common.add_argument("--sig", default=None, help="signature p,q (defaults: definite / neutral)")
     common.add_argument("--eps", default=None, help="explicit diagonal sign layout, e.g. +,-,+,-")
-    common.add_argument("--mode", choices=("exact",), default="exact", help="arithmetic: exact (the only mode)")
-    common.add_argument("--format", choices=("json", "md"), default="json")
 
     parser = argparse.ArgumentParser(
         prog="curvlab",
@@ -291,14 +309,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("dims", parents=[common], help="dimension table of every cataloged subspace")
+    sub.add_parser("dims", parents=[common, output], help="dimension table of every cataloged subspace")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run one claim verifier")
+    p_verify = sub.add_parser("verify", parents=[common, output], help="run one claim verifier")
     p_verify.add_argument("claim", help=f"one of: {', '.join(sorted(CLAIMS))}")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate one map at explicit arguments")
+    p_eval = sub.add_parser("eval", parents=[common, output], help="evaluate one map at explicit arguments")
     p_eval.add_argument("map", choices=("sigma", "psi", "invariant", "nijenhuis"))
-    p_eval.add_argument("--psi", default="omega", help="form for sigma/psi: omega | opposed | aligned")
+    p_eval.add_argument("--psi", help="omega | opposed | aligned (default: omega for sigma, opposed for psi)")
     p_eval.add_argument("--idx", default="1,4,3,1", help="four 1-based indices i,j,k,l")
     p_eval.add_argument("--perm", default="1,2,3,4", help="slot pairing for invariant contractions")
     p_eval.add_argument("--word", default="00", help="pair word, e.g. 00 or 11")
@@ -308,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--slope", default="1", help="angle slope at the origin")
     p_eval.add_argument("--rotation", choices=("circular", "hyperbolic"), default="circular")
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="cartesian sweep of claims")
+    # no abbreviations, or --n and --kind would be read as --ns and --kinds
+    p_sweep = sub.add_parser("sweep", parents=[output], allow_abbrev=False, help="cartesian sweep of claims")
     p_sweep.add_argument("--ns", default="4,6", help="dimensions, e.g. 4,6")
     p_sweep.add_argument("--kinds", default="complex,para")
     p_sweep.add_argument("--claims", default="thm1.5")
@@ -319,6 +338,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "sweep":
+            return cmd_sweep(args)
         config = _config_from_args(args)
         if args.command == "dims":
             return cmd_dims(config)
@@ -326,10 +347,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(config, args.claim)
         if args.command == "eval":
             return cmd_eval(config, args)
-        if args.command == "sweep":
-            return cmd_sweep(config, args)
         raise UsageError(f"unknown command {args.command!r}")
-    except ValueError as exc:  # UsageError included
+    except (UsageError, ClaimNotApplicable) as exc:  # a bad request; any other ValueError is a fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault in curvlab itself must not read as a failed claim

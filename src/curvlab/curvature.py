@@ -39,7 +39,6 @@ from .spaces import (
 )
 from .tensors import (
     EVEN_PAIR_WORDS,
-    Tensor2,
     Tensor4,
     all_slot_permutations,
     antisym_rows,
@@ -51,6 +50,7 @@ from .tensors import (
     defect_kaehler,
     defect_riemann,
     defect_weyl,
+    flatten4,
     gram_weight2,
     gram_weight4,
     inner2,
@@ -139,10 +139,6 @@ def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
     return meet_operator_kernel(base, lambda v: apply_kaehler(space, v))
 
 
-def _tensor2_basis_of(sub: Subspace, n: int) -> list[Tensor2]:
-    return [Tensor2.from_dict(n, v) for v in sub.basis_dicts()]
-
-
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
@@ -210,12 +206,9 @@ class CurvatureCatalog:
             rows += more
         return kernel_subspace(rows, n ** 4)
 
-    def _image(self, mapper: Callable[[Tensor2, ModelSpace], Tensor4], forms: Sequence[Tensor2]) -> Subspace:
+    def _image(self, mapper: Callable[[Vec, ModelSpace], Vec], forms: Sequence[Vec]) -> Subspace:
         """Span of a rank-2 to rank-4 map over the given forms."""
-        return Subspace.from_vectors([mapper(t, self.space).to_dict() for t in forms], self.space.n ** 4)
-
-    def _image_of(self, mapper: Callable[[Tensor2, ModelSpace], Tensor4], source: Subspace) -> Subspace:
-        return self._image(mapper, _tensor2_basis_of(source, self.space.n))
+        return Subspace.from_vectors([mapper(t, self.space) for t in forms], self.space.n ** 4)
 
     @cached_property
     def affine(self) -> Subspace:
@@ -257,8 +250,8 @@ class CurvatureCatalog:
                 else:
                     sym_rows.append({i * n + j: Fraction(1), j * n + i: Fraction(-1)})
                     alt_rows.append({i * n + j: Fraction(1), j * n + i: Fraction(1)})
-        h_vec = metric_tensor2(space).to_dict()
-        omega_vec = kaehler_form(space).to_dict()
+        h_vec = metric_tensor2(space)
+        omega_vec = kaehler_form(space)
         # the metric and the fundamental form both sit in the (-u) pull-back eigenspace
         aligned = _pullback_eigen_rows(space, -u)
         opposed = _pullback_eigen_rows(space, u)
@@ -284,19 +277,19 @@ class CurvatureCatalog:
 
     @cached_property
     def sigma_omega_span(self) -> Subspace:
-        return self._image_of(sigma, self.two_tensors.omega_line)
+        return self._image(sigma, self.two_tensors.omega_line.basis_dicts())
 
     @cached_property
     def sigma_aligned_span(self) -> Subspace:
-        return self._image_of(sigma, self.two_tensors.alt_aligned_traceless)
+        return self._image(sigma, self.two_tensors.alt_aligned_traceless.basis_dicts())
 
     @cached_property
     def sigma_opposed_span(self) -> Subspace:
-        return self._image_of(sigma, self.two_tensors.alt_opposed)
+        return self._image(sigma, self.two_tensors.alt_opposed.basis_dicts())
 
     @cached_property
     def psi_span(self) -> Subspace:
-        return self._image_of(psi_map, self.two_tensors.alt_opposed)
+        return self._image(psi_map, self.two_tensors.alt_opposed.basis_dicts())
 
     def rank4_spaces(self) -> list[tuple[str, Subspace]]:
         names = ["affine", "weyl", "riemann", "conformal", "sigma_image"]
@@ -461,9 +454,8 @@ def invariant_span_dimension(mod_a: Subspace, mod_b: Subspace, space: ModelSpace
     """Rank of all even-word invariant contraction functionals on mod_a ⊗ mod_b."""
     if space.kind == "none":
         raise ValueError("requires a structured space")
-    n = space.n
-    ta = _tensor2_basis_of(mod_a, n)
-    tb = _tensor2_basis_of(mod_b, n)
+    ta = mod_a.basis_dicts()
+    tb = mod_b.basis_dicts()
     ncols = len(ta) * len(tb)
     if ncols == 0:
         return 0
@@ -486,28 +478,32 @@ def invariant_span_dimension(mod_a: Subspace, mod_b: Subspace, space: ModelSpace
 # ---------------------------------------------------------------------------
 
 
-def probe_opposed_form(space: ModelSpace) -> Tensor2:
+def probe_opposed_form(space: ModelSpace) -> Vec:
     """The standard 2-form in the opposed pull-back eigenspace, supported on
     the first two planes: e^0 ∧ e^2 + u e^1 ∧ e^3 (0-based indices)."""
-    u = structure_sign(space.kind)
-    return Tensor2.from_entries(space.n, {(0, 2): 1, (2, 0): -1, (1, 3): u, (3, 1): -u})
+    n = space.n
+    u = Fraction(structure_sign(space.kind))
+    return {2: Fraction(1), 2 * n: Fraction(-1), n + 3: u, 3 * n + 1: -u}
 
 
-def probe_aligned_form(space: ModelSpace) -> Tensor2:
+def probe_aligned_form(space: ModelSpace) -> Vec:
     """An aligned traceless 2-form e^0 ∧ e^1 + delta e^2 ∧ e^3, with delta fixed
     by orthogonality to the fundamental form."""
-    omega = kaehler_form(space).to_dict()
-    first = Tensor2.from_entries(space.n, {(0, 1): 1, (1, 0): -1})
-    second = Tensor2.from_entries(space.n, {(2, 3): 1, (3, 2): -1})
-    c1 = inner2(space, first.to_dict(), omega)
-    c2 = inner2(space, second.to_dict(), omega)
+    n = space.n
+    omega = kaehler_form(space)
+    first = {1: Fraction(1), n: Fraction(-1)}
+    second = {2 * n + 3: Fraction(1), 3 * n + 2: Fraction(-1)}
+    c1 = inner2(space, first, omega)
+    c2 = inner2(space, second, omega)
     if not c2:
         raise ValueError("degenerate probe configuration")
     delta = -c1 / c2
-    return first.add(second.scale(delta))
+    if delta:
+        first.update((c, delta * v) for c, v in second.items())
+    return first
 
 
-def eval_with_structure(space: ModelSpace, t: Tensor4, idx: Sequence[int], jmask: Sequence[bool]) -> Fraction:
+def eval_with_structure(space: ModelSpace, t: Vec, idx: Sequence[int], jmask: Sequence[bool]) -> Fraction:
     """Evaluate t on basis vectors, applying J to the slots flagged in jmask."""
     perm = j_signed_permutation(space)
     sign = 1
@@ -519,7 +515,7 @@ def eval_with_structure(space: ModelSpace, t: Tensor4, idx: Sequence[int], jmask
             out_idx.append(p)
         else:
             out_idx.append(i)
-    return Fraction(sign) * t[out_idx[0], out_idx[1], out_idx[2], out_idx[3]]
+    return Fraction(sign) * t.get(flatten4(space.n, *out_idx), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +701,7 @@ def verify_probe_suite(space: ModelSpace) -> VerificationReport:
     s_psi1 = sigma(psi1, space)
     p_psi1 = psi_map(psi1, space)
 
-    def ev(t: Tensor4, idx, jmask=(False, False, False, False)) -> Fraction:
+    def ev(t: Vec, idx, jmask=(False, False, False, False)) -> Fraction:
         return eval_with_structure(space, t, idx, jmask)
 
     jzw = (False, False, True, True)
@@ -730,7 +726,7 @@ def verify_probe_suite(space: ModelSpace) -> VerificationReport:
         all_match = all_match and ok
         quantities[label] = {"computed": computed, "expected": expected, "match": ok}
 
-    def compat_defect(t: Tensor4, idx) -> Fraction:
+    def compat_defect(t: Vec, idx) -> Fraction:
         return ev(t, idx) + u * ev(t, idx, jzw)
 
     omega_line_excluded = compat_defect(s_omega, (0, 3, 2, 0)) != 0

@@ -5,18 +5,16 @@ Riemannian curvature spaces, the Ricci contraction, the rank-2-to-rank-4
 maps sigma and psi, sparse pull-backs and infinitesimal group actions, and
 full invariant contractions against metric/fundamental-form pair tensors.
 
-Two parallel views of every linear operator exist on purpose:
+Every tensor the package computes with is a sparse ``{flat index: value}``
+dict, with component (i, j) of a rank-2 tensor at i*n + j and component
+(i, j, k, l) of a rank-4 tensor at ((i*n + j)*n + k)*n + l.  The canonical
+forms, the images of sigma and psi, the constraint rows of the catalog and
+the sparse operator applications all read and write that format.
 
-* dense operations on :class:`Tensor2` / :class:`Tensor4` values, written as
-  direct textbook loops, used by the public API and for re-verifying
-  witnesses; and
-* sparse constraint rows on flattened coordinate dictionaries, used by the
-  subspace catalog, where each row has a handful of nonzero integer
-  entries, and sparse applications of the Ricci contraction, the
-  structure-compatibility operator and the group actions.
-
-The two are cross-checked against each other in the test suite; the dense
-pull-back and infinitesimal action used for that live in ``tests/oracles.py``.
+The one dense container, :class:`Tensor4`, holds a witness tensor while the
+textbook defect loops re-verify it; those loops share no code with the
+sparse rows they cross-check.  The dense maps, pull-back and infinitesimal
+action that the sparse ones are tested against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,52 +27,11 @@ from typing import Mapping, Sequence
 from .linalg import Matrix
 from .spaces import ModelSpace, j_signed_permutation, structure_sign
 
+Vec = Mapping[int, Fraction]
+
 # ---------------------------------------------------------------------------
-# Tensor containers
+# Dense container for witness rechecks
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tensor2:
-    """Dense bilinear form: component (i, j) at flat index i*n + j."""
-
-    n: int
-    components: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.n ** 2:
-            raise ValueError("component count does not match n^2")
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], Fraction | int]) -> "Tensor2":
-        comp = [Fraction(0)] * (n * n)
-        for (i, j), v in entries.items():
-            comp[i * n + j] = Fraction(v)
-        return cls(n, tuple(comp))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.components[i * self.n + j]
-
-    def to_dict(self) -> dict[int, Fraction]:
-        return {c: v for c, v in enumerate(self.components) if v}
-
-    @classmethod
-    def from_dict(cls, n: int, vec: Mapping[int, Fraction]) -> "Tensor2":
-        comp = [Fraction(0)] * (n * n)
-        for c, v in vec.items():
-            comp[c] = Fraction(v)
-        return cls(n, tuple(comp))
-
-    def is_antisymmetric(self) -> bool:
-        return all(self[i, j] == -self[j, i] for i in range(self.n) for j in range(i + 1))
-
-    def scale(self, a: Fraction | int) -> "Tensor2":
-        a = Fraction(a)
-        return Tensor2(self.n, tuple(a * v for v in self.components))
-
-    def add(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(self.n, tuple(a + b for a, b in zip(self.components, other.components)))
 
 
 @dataclass(frozen=True)
@@ -93,11 +50,8 @@ class Tensor4:
         n = self.n
         return self.components[((i * n + j) * n + k) * n + l]
 
-    def to_dict(self) -> dict[int, Fraction]:
-        return {c: v for c, v in enumerate(self.components) if v}
-
     @classmethod
-    def from_dict(cls, n: int, vec: Mapping[int, Fraction]) -> "Tensor4":
+    def from_dict(cls, n: int, vec: Vec) -> "Tensor4":
         comp = [Fraction(0)] * n ** 4
         for c, v in vec.items():
             comp[c] = Fraction(v)
@@ -123,30 +77,28 @@ def flatten4(n: int, i: int, j: int, k: int, l: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def metric_tensor2(space: ModelSpace) -> Tensor2:
-    return Tensor2.from_entries(space.n, {(i, i): space.eps[i] for i in range(space.n)})
+def metric_tensor2(space: ModelSpace) -> dict[int, Fraction]:
+    n = space.n
+    return {i * n + i: Fraction(space.eps[i]) for i in range(n)}
 
 
-def kaehler_form(space: ModelSpace) -> Tensor2:
+def kaehler_form(space: ModelSpace) -> dict[int, Fraction]:
     """The fundamental 2-form: Omega(x, y) = h(x, Jy); antisymmetric by construction."""
     if space.kind == "none":
         raise ValueError("fundamental form requires a structured space")
-    perm = j_signed_permutation(space)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for j in range(space.n):
-        p, s = perm[j]
-        # h(e_i, J e_j) = eps_p * s when i = p
-        entries[(p, j)] = Fraction(space.eps[p] * s)
-    return Tensor2.from_entries(space.n, entries)
+    n = space.n
+    # h(e_p, J e_j) = eps_p * s for J e_j = s e_p
+    return {p * n + j: Fraction(space.eps[p] * s) for j, (p, s) in enumerate(j_signed_permutation(space))}
 
 
-def two_form_basis(n: int) -> list[Tensor2]:
+def two_form_basis(n: int) -> list[dict[int, Fraction]]:
     """Antisymmetric basis e^i (x) e^j - e^j (x) e^i for i < j."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(Tensor2.from_entries(n, {(i, j): 1, (j, i): -1}))
-    return out
+    return [{i * n + j: Fraction(1), j * n + i: Fraction(-1)} for i in range(n) for j in range(i + 1, n)]
+
+
+def is_antisymmetric(psi: Vec, n: int) -> bool:
+    """psi(i, j) = -psi(j, i) for every i, j; a nonzero diagonal entry fails."""
+    return all(-v == psi.get((c % n) * n + c // n, 0) for c, v in psi.items())
 
 
 def gram_weight2(space: ModelSpace, c: int) -> int:
@@ -212,14 +164,16 @@ def defect_riemann(a: Tensor4) -> Tensor4:
     return Tensor4(n, tuple(comp))
 
 
-def ricci(a: Tensor4, space: ModelSpace) -> Tensor2:
-    """Ric(x, y) = sum_{c,d} h^{cd} A(e_c, x, y, e_d)."""
+def ricci(a: Tensor4, space: ModelSpace) -> dict[int, Fraction]:
+    """Ric(x, y) = sum_{c,d} h^{cd} A(e_c, x, y, e_d), as a rank-2 dict."""
     n = a.n
-    comp = []
+    out = {}
     for x in range(n):
         for y in range(n):
-            comp.append(sum((Fraction(space.eps[c]) * a[c, x, y, c] for c in range(n)), Fraction(0)))
-    return Tensor2(n, tuple(comp))
+            v = sum((Fraction(space.eps[c]) * a[c, x, y, c] for c in range(n)), Fraction(0))
+            if v:
+                out[x * n + y] = v
+    return out
 
 
 def defect_weyl(a: Tensor4, space: ModelSpace) -> Tensor4:
@@ -230,7 +184,7 @@ def defect_weyl(a: Tensor4, space: ModelSpace) -> Tensor4:
     comp = []
     for i in range(n):
         for j in range(n):
-            corr = two_over_n * (ric[j, i] - ric[i, j])
+            corr = two_over_n * (ric.get(j * n + i, 0) - ric.get(i * n + j, 0))
             for k in range(n):
                 for l in range(n):
                     val = a[i, j, k, l] + a[i, j, l, k]
@@ -268,75 +222,70 @@ def defect_kaehler(a: Tensor4, space: ModelSpace) -> Tensor4:
 # ---------------------------------------------------------------------------
 
 
-def sigma(psi: Tensor2, space: ModelSpace) -> Tensor4:
+def sigma(psi: Vec, space: ModelSpace) -> dict[int, Fraction]:
     """Five-term map embedding a 2-form into the Weyl curvature space.
 
     sigma(psi)(x,y,z,w) = 2 psi(x,y) h(z,w) + psi(x,z) h(y,w) - psi(y,z) h(x,w)
                           - psi(x,w) h(y,z) + psi(y,w) h(x,z)
+
+    With h diagonal, each nonzero psi(a, b) = v meets each basis index t once
+    per term, with weight e = v h(e_t, e_t): 5n entries per nonzero.
     """
-    if not psi.is_antisymmetric():
+    n = space.n
+    if not is_antisymmetric(psi, n):
         raise ValueError("sigma expects an antisymmetric input")
-    n = psi.n
-    eps = space.eps
-    comp = [Fraction(0)] * n ** 4
-    for x in range(n):
-        for y in range(n):
-            pxy2 = 2 * psi[x, y]
-            for z in range(n):
-                base = ((x * n + y) * n + z) * n
-                # h diagonal: each term fires only when its h-pair coincides
-                comp[base + z] += pxy2 * eps[z]
-                comp[base + y] += psi[x, z] * eps[y]
-                comp[base + x] -= psi[y, z] * eps[x]
-                # psi(x,w) h(y,z) and psi(y,w) h(x,z) terms
-                if y == z:
-                    for w in range(n):
-                        comp[base + w] -= psi[x, w] * eps[y]
-                if x == z:
-                    for w in range(n):
-                        comp[base + w] += psi[y, w] * eps[x]
-    return Tensor4(n, tuple(comp))
+    out: dict[int, Fraction] = {}
+    for c, v in psi.items():
+        a, b = divmod(c, n)
+        for t in range(n):
+            e = v * space.eps[t]
+            _acc(out, flatten4(n, a, b, t, t), 2 * e)
+            _acc(out, flatten4(n, a, t, b, t), e)
+            _acc(out, flatten4(n, t, a, b, t), -e)
+            _acc(out, flatten4(n, a, t, t, b), -e)
+            _acc(out, flatten4(n, t, a, t, b), e)
+    return out
 
 
-def is_structure_eigenform(psi: Tensor2, space: ModelSpace) -> bool:
+def is_structure_eigenform(psi: Vec, space: ModelSpace) -> bool:
     """True iff psi is antisymmetric with J-pull-back equal to the structure sign times psi."""
     if space.kind == "none":
         raise ValueError("requires a structured space")
-    if not psi.is_antisymmetric():
+    n = space.n
+    if not is_antisymmetric(psi, n):
         return False
     u = structure_sign(space.kind)
     perm = j_signed_permutation(space)
-    for x in range(space.n):
+    for x in range(n):
         px, sx = perm[x]
-        for y in range(space.n):
+        for y in range(n):
             py, sy = perm[y]
-            if sx * sy * psi[px, py] != u * psi[x, y]:
+            if sx * sy * psi.get(px * n + py, 0) != u * psi.get(x * n + y, 0):
                 return False
     return True
 
 
-def psi_map(psi: Tensor2, space: ModelSpace) -> Tensor4:
-    """Six-term map embedding a structure-aligned 2-form into the Riemannian space.
+def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction]:
+    """Six-term map embedding an opposed 2-form into the Riemannian space.
 
     psi_map(psi)(x,y,z,w) = 2 h(x,Jy) psi(z,Jw) + 2 h(z,Jw) psi(x,Jy)
                             + h(x,Jz) psi(y,Jw) + h(y,Jw) psi(x,Jz)
                             - h(x,Jw) psi(y,Jz) - h(y,Jz) psi(x,Jw)
 
-    The input must lie in the eigenspace J*psi = u psi (u the structure sign).
+    The input must be opposed: it lies in the eigenspace J*psi = u psi (u
+    the structure sign), where the metric and the fundamental form have -u.
     """
     if not is_structure_eigenform(psi, space):
-        raise ValueError("psi_map input must be a structure-aligned 2-form")
-    n = psi.n
-    omega = kaehler_form(space)
-    perm = j_signed_permutation(space)
-    omega_nz = [(i, j, omega[i, j]) for i in range(n) for j in range(n) if omega[i, j]]
+        raise ValueError("psi_map input must be an opposed 2-form (J*psi = u psi, u the structure sign)")
+    n = space.n
+    omega_nz = [(*divmod(c, n), v) for c, v in kaehler_form(space).items()]
+    # psi(i, J e_j) = s psi(i, p) for J e_j = s e_p
+    j_of = {p: (j, s) for j, (p, s) in enumerate(j_signed_permutation(space))}
     psi_j_nz = []
-    for i in range(n):
-        for j in range(n):
-            pj, sj = perm[j]
-            v = sj * psi[i, pj]
-            if v:
-                psi_j_nz.append((i, j, v))
+    for c, v in psi.items():
+        i, p = divmod(c, n)
+        j, s = j_of[p]
+        psi_j_nz.append((i, j, s * v))
     # each term is coeff * Omega(pair one) * psi(., J .)(pair two), placed by slots
     terms = (
         (Fraction(2), (0, 1), (2, 3)),
@@ -346,7 +295,7 @@ def psi_map(psi: Tensor2, space: ModelSpace) -> Tensor4:
         (Fraction(-1), (0, 3), (1, 2)),
         (Fraction(-1), (1, 2), (0, 3)),
     )
-    comp = [Fraction(0)] * n ** 4
+    out: dict[int, Fraction] = {}
     idx = [0, 0, 0, 0]
     for coeff, om_slots, psi_slots in terms:
         for a, b, ov in omega_nz:
@@ -355,8 +304,8 @@ def psi_map(psi: Tensor2, space: ModelSpace) -> Tensor4:
             for c, d, pv in psi_j_nz:
                 idx[psi_slots[0]] = c
                 idx[psi_slots[1]] = d
-                comp[((idx[0] * n + idx[1]) * n + idx[2]) * n + idx[3]] += coeff * ov * pv
-    return Tensor4(n, tuple(comp))
+                _acc(out, flatten4(n, *idx), coeff * ov * pv)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +321,14 @@ def _kappa_raised_entries(space: ModelSpace, a: int) -> list[tuple[int, int, Fra
         return [(i, i, Fraction(space.eps[i])) for i in range(space.n)]
     if space.kind == "none":
         raise ValueError("form contractions require a structured space")
-    omega = kaehler_form(space)
     out = []
-    for i in range(space.n):
-        for j in range(space.n):
-            v = omega[i, j]
-            if v:
-                out.append((i, j, Fraction(space.eps[i] * space.eps[j]) * v))
+    for c, v in kaehler_form(space).items():
+        i, j = divmod(c, space.n)
+        out.append((i, j, Fraction(space.eps[i] * space.eps[j]) * v))
     return out
 
 
-def invariant_contraction_product(theta: Tensor2, phi: Tensor2, perm: Sequence[int], word: Sequence[int],
+def invariant_contraction_product(theta: Vec, phi: Vec, perm: Sequence[int], word: Sequence[int],
                                   space: ModelSpace) -> Fraction:
     """Full contraction of the product tensor theta (x) phi, without materializing it,
     against two raised pair tensors.
@@ -398,6 +344,7 @@ def invariant_contraction_product(theta: Tensor2, phi: Tensor2, perm: Sequence[i
         raise ValueError("perm must be a permutation of (0,1,2,3)")
     if len(word) != 2 or any(a not in (0, 1) for a in word):
         raise ValueError("word must be two flags in {0,1}")
+    n = space.n
     k1 = _kappa_raised_entries(space, word[0])
     k2 = _kappa_raised_entries(space, word[1])
     total = Fraction(0)
@@ -408,9 +355,9 @@ def invariant_contraction_product(theta: Tensor2, phi: Tensor2, perm: Sequence[i
         for x3, x4, v2 in k2:
             idx[perm[2]] = x3
             idx[perm[3]] = x4
-            t = theta[idx[0], idx[1]]
+            t = theta.get(idx[0] * n + idx[1])
             if t:
-                p = phi[idx[2], idx[3]]
+                p = phi.get(idx[2] * n + idx[3])
                 if p:
                     total += v1 * v2 * t * p
     return total
@@ -507,9 +454,6 @@ def ricci_rows(space: ModelSpace) -> list[dict[int, int]]:
 # ---------------------------------------------------------------------------
 # Sparse operator application on flattened coordinate vectors
 # ---------------------------------------------------------------------------
-
-Vec = Mapping[int, Fraction]
-
 
 def _acc(out: dict[int, Fraction], key: int, val: Fraction) -> None:
     cur = out.get(key, Fraction(0)) + val

@@ -3,9 +3,10 @@
 Everything here is deliberately naive and shares no code path with the
 package's sparse elimination engine: dense textbook Gauss-Jordan over exact
 rationals, constraint matrices assembled by applying the public dense
-defect operators to every standard basis tensor, dense pull-backs and
-infinitesimal actions that the package's sparse group applies are checked
-against, the wedge product with the fundamental form on 2-forms, and general
+defect operators to every standard basis tensor, the dense five-term and
+six-term maps, dense pull-backs and infinitesimal actions that the
+package's sparse maps and group applies are checked against, the wedge
+product with the fundamental form on 2-forms, and general
 first-order jets of vector fields whose brackets the closed-form Nijenhuis
 probe is checked against.  Small dense helpers (conversions, the Gram
 matrix, the transpose, decoding a report's tensor) live here too, since the
@@ -21,15 +22,16 @@ from typing import Callable, Mapping, Sequence
 
 from curvlab.linalg import Matrix, Subspace
 from curvlab.nijenhuis import Point, TwistedStructure
-from curvlab.spaces import ModelSpace
+from curvlab.spaces import ModelSpace, j_signed_permutation
 from curvlab.tensors import (
-    Tensor2,
     Tensor4,
     defect_antisym,
     defect_bianchi,
     defect_kaehler,
     defect_riemann,
     defect_weyl,
+    is_antisymmetric,
+    is_structure_eigenform,
     kaehler_form,
     ricci,
 )
@@ -145,8 +147,8 @@ def ricci_matrix(space: ModelSpace) -> list[list[Fraction]]:
     """Matrix of the Ricci contraction on all basis tensors (n^2 rows)."""
     n = space.n
     dim = n ** 4
-    cols = [ricci(standard_basis_tensor(n, c), space).components for c in range(dim)]
-    return [[cols[c][r] for c in range(dim)] for r in range(n * n)]
+    cols = [ricci(standard_basis_tensor(n, c), space) for c in range(dim)]
+    return [[cols[c].get(r, Fraction(0)) for c in range(dim)] for r in range(n * n)]
 
 
 def span_contains(basis: list[list[Fraction]], vec: list[Fraction]) -> bool:
@@ -166,15 +168,15 @@ def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
     return clean_a == clean_b
 
 
-def alt_ricci(a: Tensor4, space: ModelSpace) -> Tensor2:
-    """Alternating part of the Ricci contraction."""
+def alt_ricci(a: Tensor4, space: ModelSpace) -> dict[int, Fraction]:
+    """Alternating part of the Ricci contraction, as a rank-2 dict."""
     ric = ricci(a, space)
     n = a.n
     comp = []
     for x in range(n):
         for y in range(n):
-            comp.append((ric[x, y] - ric[y, x]) / 2)
-    return Tensor2(n, tuple(comp))
+            comp.append((ric.get(x * n + y, 0) - ric.get(y * n + x, 0)) / 2)
+    return sparse(comp)
 
 
 def _contract_slot(n: int, rank: int, comp: list[Fraction], t: Matrix, slot: int) -> list[Fraction]:
@@ -193,26 +195,121 @@ def _contract_slot(n: int, rank: int, comp: list[Fraction], t: Matrix, slot: int
     return out
 
 
-def pullback(t: Matrix, theta: Tensor2 | Tensor4) -> Tensor2 | Tensor4:
-    """(t* theta)(v_1, ..., v_k) = theta(t v_1, ..., t v_k)."""
-    rank = 2 if isinstance(theta, Tensor2) else 4
-    comp = list(theta.components)
+def _dense2(n: int, theta: Mapping[int, Fraction]) -> list[Fraction]:
+    comp = [Fraction(0)] * (n * n)
+    for c, v in theta.items():
+        comp[c] = Fraction(v)
+    return comp
+
+
+def _rank_and_components(n: int, theta) -> tuple[int, list[Fraction]]:
+    """A rank-4 :class:`Tensor4` or a rank-2 dict as (rank, dense components)."""
+    if isinstance(theta, Tensor4):
+        return 4, list(theta.components)
+    return 2, _dense2(n, theta)
+
+
+def pullback(t: Matrix, theta):
+    """(t* theta)(v_1, ..., v_k) = theta(t v_1, ..., t v_k), for a rank-4
+    :class:`Tensor4` or a rank-2 dict (returned in the same form)."""
+    n = t.rows
+    rank, comp = _rank_and_components(n, theta)
     for slot in range(rank):
-        comp = _contract_slot(theta.n, rank, comp, t, slot)
-    return type(theta)(theta.n, tuple(comp))
+        comp = _contract_slot(n, rank, comp, t, slot)
+    return Tensor4(n, tuple(comp)) if rank == 4 else sparse(comp)
 
 
-def lie_action(x: Matrix, theta: Tensor2 | Tensor4) -> Tensor2 | Tensor4:
-    """Infinitesimal pull-back action: sum over slots of theta(..., X v_i, ...)."""
-    rank = 2 if isinstance(theta, Tensor2) else 4
-    n = theta.n
+def lie_action(x: Matrix, theta):
+    """Infinitesimal pull-back action: sum over slots of theta(..., X v_i, ...),
+    for a rank-4 :class:`Tensor4` or a rank-2 dict (returned in the same form)."""
+    n = x.rows
+    rank, comp = _rank_and_components(n, theta)
     total = [Fraction(0)] * (n ** rank)
     for slot in range(rank):
-        part = _contract_slot(n, rank, list(theta.components), x, slot)
+        part = _contract_slot(n, rank, comp, x, slot)
         for c, v in enumerate(part):
             if v:
                 total[c] += v
-    return type(theta)(n, tuple(total))
+    return Tensor4(n, tuple(total)) if rank == 4 else sparse(total)
+
+
+# ---------------------------------------------------------------------------
+# Dense five-term and six-term maps
+# ---------------------------------------------------------------------------
+
+
+def sigma_dense(psi: Mapping[int, Fraction], space: ModelSpace) -> Tensor4:
+    """The five-term map as a dense loop over every (x, y, z) slot:
+
+    sigma(psi)(x,y,z,w) = 2 psi(x,y) h(z,w) + psi(x,z) h(y,w) - psi(y,z) h(x,w)
+                          - psi(x,w) h(y,z) + psi(y,w) h(x,z)
+    """
+    n = space.n
+    if not is_antisymmetric(psi, n):
+        raise ValueError("sigma expects an antisymmetric input")
+    p = _dense2(n, psi)
+    eps = space.eps
+    comp = [Fraction(0)] * n ** 4
+    for x in range(n):
+        for y in range(n):
+            pxy2 = 2 * p[x * n + y]
+            for z in range(n):
+                base = ((x * n + y) * n + z) * n
+                # h diagonal: each term fires only when its h-pair coincides
+                comp[base + z] += pxy2 * eps[z]
+                comp[base + y] += p[x * n + z] * eps[y]
+                comp[base + x] -= p[y * n + z] * eps[x]
+                # psi(x,w) h(y,z) and psi(y,w) h(x,z) terms
+                if y == z:
+                    for w in range(n):
+                        comp[base + w] -= p[x * n + w] * eps[y]
+                if x == z:
+                    for w in range(n):
+                        comp[base + w] += p[y * n + w] * eps[x]
+    return Tensor4(n, tuple(comp))
+
+
+def psi_map_dense(psi: Mapping[int, Fraction], space: ModelSpace) -> Tensor4:
+    """The six-term map, from the dense Omega and psi(., J .) component tables:
+
+    psi_map(psi)(x,y,z,w) = 2 h(x,Jy) psi(z,Jw) + 2 h(z,Jw) psi(x,Jy)
+                            + h(x,Jz) psi(y,Jw) + h(y,Jw) psi(x,Jz)
+                            - h(x,Jw) psi(y,Jz) - h(y,Jz) psi(x,Jw)
+    """
+    if not is_structure_eigenform(psi, space):
+        raise ValueError("psi_map input must be an opposed 2-form")
+    n = space.n
+    omega = _dense2(n, kaehler_form(space))
+    p = _dense2(n, psi)
+    perm = j_signed_permutation(space)
+    omega_nz = [(i, j, omega[i * n + j]) for i in range(n) for j in range(n) if omega[i * n + j]]
+    psi_j_nz = []
+    for i in range(n):
+        for j in range(n):
+            pj, sj = perm[j]
+            v = sj * p[i * n + pj]
+            if v:
+                psi_j_nz.append((i, j, v))
+    # each term is coeff * Omega(pair one) * psi(., J .)(pair two), placed by slots
+    terms = (
+        (Fraction(2), (0, 1), (2, 3)),
+        (Fraction(2), (2, 3), (0, 1)),
+        (Fraction(1), (0, 2), (1, 3)),
+        (Fraction(1), (1, 3), (0, 2)),
+        (Fraction(-1), (0, 3), (1, 2)),
+        (Fraction(-1), (1, 2), (0, 3)),
+    )
+    comp = [Fraction(0)] * n ** 4
+    idx = [0, 0, 0, 0]
+    for coeff, om_slots, psi_slots in terms:
+        for a, b, ov in omega_nz:
+            idx[om_slots[0]] = a
+            idx[om_slots[1]] = b
+            for c, d, pv in psi_j_nz:
+                idx[psi_slots[0]] = c
+                idx[psi_slots[1]] = d
+                comp[((idx[0] * n + idx[1]) * n + idx[2]) * n + idx[3]] += coeff * ov * pv
+    return Tensor4(n, tuple(comp))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +339,10 @@ def wedge_omega_matrix(space: ModelSpace) -> list[list[Fraction]]:
     rows = [[Fraction(0)] * len(pairs) for _ in quads]
     for col, (a, b) in enumerate(pairs):
         for c, d in pairs:
-            if omega[c, d] and not {a, b} & {c, d}:
+            w = omega.get(c * n + d, 0)
+            if w and not {a, b} & {c, d}:
                 inversions = sum(1 for x in (a, b) for y in (c, d) if x > y)
-                rows[quads[tuple(sorted((a, b, c, d)))]][col] += (-1) ** inversions * omega[c, d]
+                rows[quads[tuple(sorted((a, b, c, d)))]][col] += (-1) ** inversions * w
     return rows
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from curvlab.linalg import subspace_sum
-from curvlab.spaces import component_reps, make_standard, random_lie_elements
+from curvlab.spaces import make_standard, random_lie_elements
 from curvlab.curvature import (
     build_catalog,
     catalog,
@@ -23,7 +23,6 @@ from curvlab.curvature import (
     commutant_dimension,
     invariance_witness,
     invariant_span_dimension,
-    kaehler_subspace,
     representation_matrices,
     verify_kaehler_identity_collapse,
     verify_probe_suite,
@@ -38,8 +37,6 @@ from curvlab.tensors import (
     defect_riemann,
     defect_weyl,
     inner2,
-    psi_map,
-    sigma,
 )
 from oracles import dense_kernel, dense_rref, same_span, tensor4_from_obj, two_form_coordinates, wedge_omega_matrix
 

@@ -75,6 +75,24 @@ def test_eval_sigma_value(capsys):
     assert json.loads(out)["value"] == "-1"
 
 
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_eval_maps_default_forms(capsys, kind):
+    """Without --psi, sigma takes the fundamental form and psi the opposed probe form."""
+    for what, form in (("sigma", "omega"), ("psi", "opposed")):
+        code, bare, _ = run_cli(capsys, "eval", what, "--idx", "5,6,1,4", "--n", "6", "--kind", kind)
+        assert code == 0
+        assert json.loads(bare)["form"] == form
+        code, explicit, _ = run_cli(capsys, "eval", what, "--psi", form, "--idx", "5,6,1,4", "--n", "6", "--kind", kind)
+        assert (code, explicit) == (0, bare)
+
+
+@pytest.mark.parametrize("form", ["omega", "aligned"])
+def test_eval_psi_rejects_a_form_that_is_not_opposed(capsys, form):
+    code, out, err = run_cli(capsys, "eval", "psi", "--psi", form, "--n", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: psi_map input must be an opposed 2-form")
+
+
 def test_eval_sigma_malformed_indices(capsys):
     code, _, err = run_cli(capsys, "eval", "sigma", "--idx", "1,4,3", "--n", "6")
     assert code == 2
@@ -184,9 +202,35 @@ def test_sweep_does_not_skip_an_internal_error(capsys, monkeypatch):
 
     monkeypatch.setattr("curvlab.curvature.subspace_sum", broken)
     code, out, err = run_cli(capsys, "sweep", "--ns", "4", "--kinds", "complex", "--claims", "thm4.2")
-    assert code != 0
+    assert code == 3
     assert "skipped" not in out
-    assert "internal failure" in err
+    assert err == "internal error: ValueError: internal failure\n"
+
+
+def test_verify_internal_value_error_exits_three(capsys, monkeypatch):
+    """A ValueError from inside a verifier is a fault, not a bad request."""
+    def broken(a, b):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("curvlab.curvature.subspace_sum", broken)
+    code, out, err = run_cli(capsys, "verify", "thm4.2", "--n", "4")
+    assert (code, out) == (3, "")
+    assert err == "internal error: ValueError: internal failure\n"
+
+
+def test_sweep_invalid_space_is_a_bad_request(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--ns", "5", "--kinds", "complex")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", [["--n", "99"], ["--kind", "none"], ["--sig", "3,1"], ["--eps=+,+,+,+"]])
+def test_sweep_rejects_space_flags(capsys, flag):
+    """sweep builds its spaces from --ns and --kinds; a space flag would be ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--ns", "4", "--kinds", "complex", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -40,6 +40,7 @@ COMMANDS = [
     # psi_map takes only opposed forms: the others fail its input check
     *((["eval", "psi", "--n", "4", "--psi", form], 0 if form == "opposed" else 2)
       for form in ("omega", "opposed", "aligned")),
+    (["eval", "psi", "--n", "4"], 0),
     *((["eval", "invariant", "--n", "4", "--tensor", t, "--word", w], 0)
       for t, w in (("hxh", "00"), ("omegaxomega", "11"))),
     (["eval", "nijenhuis", "--n", "4"], 0),

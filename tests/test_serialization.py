@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from curvlab.report import scalar_to_str, scrub
 from curvlab.spaces import make_standard
-from curvlab.tensors import kaehler_form, sigma
+from curvlab.tensors import Tensor4, kaehler_form, sigma
 from oracles import tensor4_from_obj
 
 F = Fraction
@@ -30,7 +30,7 @@ def test_scalar_string_forms():
 def test_tensor_round_trips():
     # a report's witness tensor is scrubbed to strings; decoding it gives the tensor back
     s = make_standard(4, "para")
-    t4 = sigma(kaehler_form(s).scale(F(1, 3)), s)
+    t4 = Tensor4.from_dict(4, sigma({c: v / 3 for c, v in kaehler_form(s).items()}, s))
     obj = {"rank": 4, "n": 4, "components": list(t4.components)}
     assert tensor4_from_obj(json.loads(json.dumps(scrub(obj)))) == t4
 

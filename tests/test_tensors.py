@@ -2,6 +2,7 @@
 invariant contractions.  Expected values were derived by hand evaluation of
 the defining formulas and are asserted exactly."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from curvlab.spaces import make_standard, lie_algebra_basis, structure_reversal
 from curvlab.tensors import (
-    Tensor2,
     Tensor4,
     apply_kaehler,
     apply_ricci,
@@ -21,6 +21,7 @@ from curvlab.tensors import (
     defect_weyl,
     flatten4,
     invariant_contraction_product,
+    is_antisymmetric,
     kaehler_form,
     lie_apply_vec,
     metric_tensor2,
@@ -30,7 +31,7 @@ from curvlab.tensors import (
     sigma,
     two_form_basis,
 )
-from oracles import alt_ricci, lie_action, pullback
+from oracles import alt_ricci, lie_action, psi_map_dense, pullback, sigma_dense, sparse
 
 F = Fraction
 
@@ -50,6 +51,16 @@ def tensor4(n, entries):
     return Tensor4.from_dict(n, {flatten4(n, *idx): v for idx, v in entries.items()})
 
 
+def dense_sigma(psi, space):
+    """The sparse five-term image as a dense tensor, for the dense defect operators."""
+    return Tensor4.from_dict(space.n, sigma(psi, space))
+
+
+def component(vec, n, *idx):
+    """Component (i, j, k, l) of a rank-4 coordinate dict."""
+    return vec.get(flatten4(n, *idx), 0)
+
+
 # --- defect operators ----------------------------------------------------------
 
 
@@ -63,7 +74,7 @@ def test_defect_antisym_zero_tensor(complex4):
 
 
 def test_defect_antisym_kills_sigma_of_omega(complex4):
-    s_omega = sigma(kaehler_form(complex4), complex4)
+    s_omega = dense_sigma(kaehler_form(complex4), complex4)
     assert defect_antisym(s_omega).is_zero()
 
 
@@ -78,42 +89,42 @@ def test_defect_bianchi_single_component():
 
 def test_defect_bianchi_on_sigma_images(complex4):
     for psi in two_form_basis(4):
-        assert defect_bianchi(sigma(psi, complex4)).is_zero()
+        assert defect_bianchi(dense_sigma(psi, complex4)).is_zero()
 
 
 def test_ricci_of_sigma_is_scaled_form(complex4):
     # direct contraction gives Ric = -n psi for the five-term map
     psi = two_form_basis(4)[0]
-    ric = ricci(sigma(psi, complex4), complex4)
-    assert ric == psi.scale(-4)
-    assert any(alt_ricci(sigma(psi, complex4), complex4).components)
+    ric = ricci(dense_sigma(psi, complex4), complex4)
+    assert ric == {c: -4 * v for c, v in psi.items()}
+    assert alt_ricci(dense_sigma(psi, complex4), complex4)
 
 
 def test_ricci_zero_tensor(complex4):
-    assert not any(ricci(tensor4(4, {}), complex4).components)
+    assert ricci(tensor4(4, {}), complex4) == {}
 
 
 def test_defect_weyl_zero_on_sigma_images(para4):
     for psi in two_form_basis(4):
-        assert defect_weyl(sigma(psi, para4), para4).is_zero()
+        assert defect_weyl(dense_sigma(psi, para4), para4).is_zero()
 
 
 def test_defect_riemann_on_sigma():
     s = make_standard(4, "complex")
     psi = two_form_basis(4)[0]
-    d = defect_riemann(sigma(psi, s))
+    d = defect_riemann(dense_sigma(psi, s))
     # pair symmetrization of the five-term map equals 4 psi(x,y) h(z,w)
     n = 4
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 for w in range(n):
-                    expected = 4 * psi[x, y] * (s.eps[z] if z == w else 0)
+                    expected = 4 * psi.get(x * n + y, 0) * (s.eps[z] if z == w else 0)
                     assert d[x, y, z, w] == expected
 
 
 def test_defect_kaehler_on_sigma_omega(complex4):
-    s_omega = sigma(kaehler_form(complex4), complex4)
+    s_omega = dense_sigma(kaehler_form(complex4), complex4)
     d = defect_kaehler(s_omega, complex4)
     assert d[0, 3, 2, 0] == -2  # -h11*h44 - (+h11*h44) with the definite metric
     assert not d.is_zero()
@@ -132,7 +143,7 @@ def test_defect_kaehler_requires_structure():
 def test_sigma_fundamental_form_value(kind, sig):
     s = make_standard(6, kind, sig)
     s_omega = sigma(kaehler_form(s), s)
-    assert s_omega[0, 3, 2, 0] == -s.eps[0] * s.eps[3]
+    assert component(s_omega, 6, 0, 3, 2, 0) == -s.eps[0] * s.eps[3]
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -142,12 +153,12 @@ def test_psi_map_values(kind):
     s = make_standard(6, kind)
     psi = probe_opposed_form(s)
     p = psi_map(psi, s)
-    assert p[4, 0, 2, 4] == 0
-    assert p[4, 0, 3, 5] == -s.eps[4]
-    assert p[4, 5, 0, 3] == 2 * s.eps[4]
+    assert component(p, 6, 4, 0, 2, 4) == 0
+    assert component(p, 6, 4, 0, 3, 5) == -s.eps[4]
+    assert component(p, 6, 4, 5, 0, 3) == 2 * s.eps[4]
     sp = sigma(psi, s)
-    assert sp[4, 0, 3, 5] == 0
-    assert sp[4, 0, 2, 4] == -s.eps[4]
+    assert component(sp, 6, 4, 0, 3, 5) == 0
+    assert component(sp, 6, 4, 0, 2, 4) == -s.eps[4]
 
 
 def test_sigma_rejects_non_antisymmetric(complex4):
@@ -162,7 +173,15 @@ def test_psi_map_rejects_wrong_eigenform(complex6):
 
 
 def test_sigma_zero_is_zero(complex4):
-    assert sigma(Tensor2.from_dict(4, {}), complex4).is_zero()
+    assert sigma({}, complex4) == {}
+
+
+def test_is_antisymmetric():
+    assert is_antisymmetric({}, 4)
+    assert is_antisymmetric({1: F(2), 4: F(-2)}, 4)
+    assert not is_antisymmetric({1: F(2)}, 4)  # (0, 1) set, (1, 0) missing
+    assert not is_antisymmetric({1: F(2), 4: F(2)}, 4)
+    assert not is_antisymmetric({5: F(1)}, 4)  # a diagonal entry
 
 
 # --- sigma properties over whole bases -------------------------------------------
@@ -175,7 +194,7 @@ def test_sigma_zero_is_zero(complex4):
 def test_sigma_satisfies_weyl_symmetries(kind, n, sig):
     s = make_standard(n, kind, sig)
     for psi in two_form_basis(n):
-        image = sigma(psi, s)
+        image = dense_sigma(psi, s)
         assert defect_antisym(image).is_zero()
         assert defect_bianchi(image).is_zero()
         assert defect_weyl(image, s).is_zero()
@@ -188,9 +207,8 @@ def test_psi_map_image_is_riemannian(kind):
 
     s = make_standard(6, kind)
     split = catalog(s).two_tensors
-    for vec in split.alt_opposed.basis_dicts():
-        psi = Tensor2.from_dict(6, vec)
-        image = psi_map(psi, s)
+    for psi in split.alt_opposed.basis_dicts():
+        image = Tensor4.from_dict(6, psi_map(psi, s))
         assert defect_antisym(image).is_zero()
         assert defect_bianchi(image).is_zero()
         assert defect_riemann(image).is_zero()
@@ -210,29 +228,29 @@ def test_pullback_identity(complex4):
 def test_pullback_of_metric_by_structure(kind):
     s = make_standard(4, kind)
     h = metric_tensor2(s)
-    expected = h if kind == "complex" else h.scale(-1)
+    expected = h if kind == "complex" else {c: -v for c, v in h.items()}
     assert pullback(s.j, h) == expected
 
 
 def test_pullback_of_form_by_reversal(complex4):
     g0 = structure_reversal(complex4)
     omega = kaehler_form(complex4)
-    assert pullback(g0, omega) == omega.scale(-1)
+    assert pullback(g0, omega) == {c: -v for c, v in omega.items()}
 
 
 def test_lie_action_zero_matrix(complex4):
     from curvlab.linalg import Matrix
 
-    assert not any(lie_action(Matrix.zero(4, 4), kaehler_form(complex4)).components)
+    assert lie_action(Matrix.zero(4, 4), kaehler_form(complex4)) == {}
 
 
 def test_lie_action_annihilates_invariants(complex6):
     h = metric_tensor2(complex6)
     omega = kaehler_form(complex6)
     for x in lie_algebra_basis(complex6, "O"):
-        assert not any(lie_action(x, h).components)
+        assert lie_action(x, h) == {}
     for x in lie_algebra_basis(complex6, "U"):
-        assert not any(lie_action(x, omega).components)
+        assert lie_action(x, omega) == {}
 
 
 # --- invariant contractions -------------------------------------------------------
@@ -278,16 +296,14 @@ def test_invariance_of_contractions_under_reps(complex6):
     """Even-word functionals agree on pull-backs by extended-group elements."""
     from curvlab.spaces import component_reps
     from curvlab.tensors import all_slot_permutations, EVEN_PAIR_WORDS
-    import random
 
     rng = random.Random(7)
 
     def random_tensor2():
         entries = {}
         for _ in range(8):
-            idx = (rng.randrange(6), rng.randrange(6))
-            entries[idx] = F(rng.randint(-5, 5), rng.randint(1, 4))
-        return Tensor2.from_entries(6, entries)
+            entries[rng.randrange(6) * 6 + rng.randrange(6)] = F(rng.randint(-5, 5), rng.randint(1, 4))
+        return entries
 
     theta, phi = random_tensor2(), random_tensor2()
     perms = all_slot_permutations()[:6]
@@ -305,8 +321,6 @@ def test_invariance_of_contractions_under_reps(complex6):
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sparse_applies_match_dense(seed):
-    import random
-
     rng = random.Random(seed)
     s = make_standard(4, "para")
     entries = {}
@@ -314,20 +328,61 @@ def test_sparse_applies_match_dense(seed):
         idx = tuple(rng.randrange(4) for _ in range(4))
         entries[idx] = F(rng.randint(-4, 4), rng.randint(1, 3))
     t = tensor4(4, entries)
-    vec = t.to_dict()
+    vec = sparse(t.components)
     assert Tensor4.from_dict(4, apply_kaehler(s, vec)) == defect_kaehler(t, s)
-    assert Tensor2.from_dict(4, apply_ricci(s, vec)) == ricci(t, s)
+    assert apply_ricci(s, vec) == ricci(t, s)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sparse_actions_match_dense(seed):
-    import random
-
     rng = random.Random(seed)
     s = make_standard(4, "complex")
     entries = {tuple(rng.randrange(4) for _ in range(4)): F(rng.randint(-3, 3)) for _ in range(6)}
     t = tensor4(4, entries)
     x = lie_algebra_basis(s, "U")[rng.randrange(4)]
     g = structure_reversal(s)
-    assert Tensor4.from_dict(4, lie_apply_vec(x, t.to_dict(), 4, 4)) == lie_action(x, t)
-    assert Tensor4.from_dict(4, pullback_apply_vec(g, t.to_dict(), 4, 4)) == pullback(g, t)
+    vec = sparse(t.components)
+    assert Tensor4.from_dict(4, lie_apply_vec(x, vec, 4, 4)) == lie_action(x, t)
+    assert Tensor4.from_dict(4, pullback_apply_vec(g, vec, 4, 4)) == pullback(g, t)
+
+
+# --- the sparse maps against their dense oracles -------------------------------------
+
+
+def _random_two_forms(n, rng, count):
+    """Seeded random rational 2-forms with a few nonzero (i < j) components."""
+    forms = []
+    for _ in range(count):
+        psi = {}
+        for _ in range(rng.randint(1, n)):
+            i, j = sorted(rng.sample(range(n), 2))
+            v = F(rng.randint(-5, 5), rng.randint(1, 4))
+            psi[i * n + j], psi[j * n + i] = v, -v
+        forms.append(psi)
+    return forms
+
+
+SPARSE_MAP_CASES = [(4, "complex", None), (4, "para", None), (6, "complex", None), (6, "para", None),
+                    (6, "complex", (4, 2))]
+
+
+@pytest.mark.parametrize("n,kind,sig", SPARSE_MAP_CASES)
+def test_sparse_maps_match_dense_oracle(n, kind, sig):
+    """sigma and psi_map write their images straight into a dict; the textbook
+    dense loops in the oracle must give the same components."""
+    from curvlab.curvature import catalog, probe_aligned_form, probe_opposed_form
+
+    s = make_standard(n, kind, sig)
+    rng = random.Random(7 * n + len(kind))
+    forms = two_form_basis(n) + _random_two_forms(n, rng, 6)
+    forms += [kaehler_form(s), probe_aligned_form(s), probe_opposed_form(s)]
+    for psi in forms:
+        assert sigma(psi, s) == sparse(sigma_dense(psi, s).components)
+    opposed = catalog(s).two_tensors.alt_opposed.basis_dicts()
+    mixed = {}
+    for vec in opposed:
+        coeff = F(rng.randint(-4, 4), rng.randint(1, 3))
+        for c, v in vec.items():
+            mixed[c] = mixed.get(c, 0) + coeff * v
+    for psi in opposed + [probe_opposed_form(s), mixed]:
+        assert psi_map(psi, s) == sparse(psi_map_dense(psi, s).components)

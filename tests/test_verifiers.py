@@ -7,7 +7,6 @@ import pytest
 from curvlab.spaces import make_standard
 from curvlab.curvature import (
     CLAIMS,
-    probe_opposed_form,
     run_claim,
     verify_kaehler_identity_collapse,
     verify_probe_suite,
