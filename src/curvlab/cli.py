@@ -83,6 +83,13 @@ def _parse_indices(text: str, count: int, n: int) -> tuple[int, ...]:
     return tuple(i - 1 for i in idx)
 
 
+def _parse_slope(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --slope {text!r}; expected a rational number, e.g. 1, -2 or 3/4") from exc
+
+
 def _parse_word(text: str) -> tuple[int, int]:
     if len(text) != 2 or any(c not in "01" for c in text):
         raise UsageError(f"bad word {text!r}; expected two characters from 0,1, e.g. 00 or 11")
@@ -179,6 +186,8 @@ def _eval(config: RunConfig, args) -> int:
     if what in ("sigma", "psi"):
         # sigma takes any 2-form, psi only an opposed one
         form = args.psi or ("omega" if what == "sigma" else "opposed")
+        if space.kind == "none":  # every built-in form needs the structure
+            raise UsageError(f"eval {what} --psi {form} needs --kind complex or para, not --kind none")
         psi = _builtin_form(space, form)
         idx = _parse_indices(args.idx, 4, space.n)
         tensor = sigma(psi, space) if what == "sigma" else psi_map(psi, space)
@@ -215,7 +224,7 @@ def _eval(config: RunConfig, args) -> int:
     if what == "nijenhuis":
         plane = _parse_indices(args.plane, 2, space.n)
         xy = _parse_indices(args.xy, 2, space.n)
-        slope = Fraction(args.slope)
+        slope = _parse_slope(args.slope)
         if slope == 0:
             twist_field = None
         else:

@@ -23,6 +23,7 @@ from .linalg import (
     Matrix,
     Subspace,
     SubspaceReducer,
+    _to_int_row,
     intersect,
     kernel_of_rows,
     kernel_subspace,
@@ -40,6 +41,7 @@ from .spaces import (
 from .tensors import (
     EVEN_PAIR_WORDS,
     Tensor4,
+    action_rows,
     all_slot_permutations,
     antisym_rows,
     apply_kaehler,
@@ -338,25 +340,34 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
 
 
 def _group_images(sub: Subspace, space: ModelSpace, group: str,
-                  extra_lie: Sequence[Matrix] = ()) -> Iterator[tuple[dict, Vec]]:
-    """Every group generator applied to every basis vector of ``sub``.
+                  extra_lie: Sequence[Matrix] = ()) -> Iterator[tuple[dict, dict[int, int], int]]:
+    """Every group generator applied to every basis vector of ``sub``, in integers.
 
-    Yields (witness, image) pairs in certificate order: the Lie algebra
-    basis, then the extra Lie elements (numbered after the basis), then the
-    component representatives; within each generator the basis vectors go
-    in canonical order.  The witness names the pair as
-    ``{"action", "element", "basis_vector"}``.
+    Yields (witness, image, scale) triples in certificate order: the Lie
+    algebra basis, then the extra Lie elements (numbered after the basis),
+    then the component representatives; within each generator the basis
+    vectors go in canonical order.  The witness names the pair as
+    ``{"action", "element", "basis_vector"}``.  Each basis vector is scaled
+    to an integer row once, ``s_b`` times the canonical one, and each
+    generator to an integer table once (:func:`action_rows`), so the image is
+    ``scale`` times the exact one: ``scale = den * s_b`` for a Lie element and
+    ``den**rank * s_b`` for a pull-back.
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
-    basis = sub.basis_dicts()
+    n = space.n
+    basis = [_to_int_row(dict(row)) for row in sub.basis]
+    scales = [row[p] for row, p in zip(basis, sub.pivots)]
     lie = list(lie_algebra_basis(space, group)) + list(extra_lie)
     for idx, x in enumerate(lie):
+        den, rows = action_rows(x)
         for bidx, vec in enumerate(basis):
-            yield {"action": "lie", "element": idx, "basis_vector": bidx}, lie_apply_vec(x, vec, rank, space.n)
+            yield ({"action": "lie", "element": idx, "basis_vector": bidx},
+                   lie_apply_vec(rows, vec, rank, n), den * scales[bidx])
     for idx, g in enumerate(component_reps(space, group)):
+        den, rows = action_rows(g)
         for bidx, vec in enumerate(basis):
             yield ({"action": "component_rep", "element": idx, "basis_vector": bidx},
-                   pullback_apply_vec(g, vec, rank, space.n))
+                   pullback_apply_vec(rows, vec, rank, n), den ** rank * scales[bidx])
 
 
 def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
@@ -364,7 +375,7 @@ def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
     """None when the subspace is preserved by the group data, else the first
     witness in certificate order (see :func:`_group_images`)."""
     reducer = SubspaceReducer(sub)
-    for witness, img in _group_images(sub, space, group, extra_lie):
+    for witness, img, _ in _group_images(sub, space, group, extra_lie):
         if not reducer.contains(img):
             return witness
     return None
@@ -381,8 +392,8 @@ def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> lis
     d = sub.dim
     mats = []
     cols: list[list[Fraction]] = []
-    for witness, img in _group_images(sub, space, group):
-        coords = reducer.coordinates(img)
+    for witness, img, scale in _group_images(sub, space, group):
+        coords = reducer.coordinates(img, scale)
         if coords is None:
             raise NotInvariantError(
                 f"subspace not invariant under {witness['action']} element {witness['element']}", witness)

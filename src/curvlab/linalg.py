@@ -283,30 +283,38 @@ class Subspace:
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         red = SubspaceReducer(other)
-        return all(red.contains(dict(row)) for row in self.basis)
+        return all(red.contains(_to_int_row(dict(row))) for row in self.basis)
 
 
 class SubspaceReducer:
-    """Reusable membership tester backed by the subspace's echelon pivots."""
+    """Membership and coordinates read off a subspace's reduced row-echelon
+    basis: ``v`` is in the span iff ``v == sum_p v[p] * b_p`` over the pivots p."""
 
     def __init__(self, sub: Subspace):
         self._pivots = sub.pivots
-        self._ech = Echelon(sub.ambient_dim)
-        for row in sub.basis:
-            r = _to_int_row(dict(row))
-            self._ech.pivot_rows[min(r)] = r
-
-    def residual(self, vec: Mapping[int, Fraction | int]) -> dict[int, int]:
-        return self._ech.reduce(vec)
+        # pivot -> integer-scaled basis row; its entry at the pivot is the row's scale
+        self._rows = {p: _to_int_row(dict(row)) for p, row in zip(sub.pivots, sub.basis)}
 
     def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
-        return not self.residual(vec)
+        """One pass: ``lead * (vec - sum_p vec[p] * b_p)`` is zero, ``lead`` the
+        lcm of the scales of the pivot rows ``vec`` touches."""
+        rows = self._rows
+        touched = [(rows[p], p, v) for p, v in vec.items() if v and p in rows]
+        lead = 1
+        for row, p, _ in touched:
+            lead = lcm(lead, row[p])
+        diff = {c: lead * v for c, v in vec.items()}
+        for row, p, v in touched:
+            m = v * (lead // row[p])
+            for c, r in row.items():
+                diff[c] = diff.get(c, 0) - m * r
+        return not any(diff.values())
 
-    def coordinates(self, vec: Mapping[int, Fraction]) -> list[Fraction] | None:
-        """Coefficients of ``vec`` in the subspace's canonical basis, or None if outside."""
+    def coordinates(self, vec: Mapping[int, Fraction | int], scale: int = 1) -> list[Fraction] | None:
+        """Coefficients of ``vec / scale`` in the subspace's canonical basis, or None if outside."""
         if not self.contains(vec):
             return None
-        return [Fraction(vec.get(p, 0)) for p in self._pivots]
+        return [Fraction(vec.get(p, 0), scale) for p in self._pivots]
 
 
 def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> Subspace:

@@ -2,8 +2,9 @@
 
 Covers the symmetry-defect operators that carve out the affine, Weyl and
 Riemannian curvature spaces, the Ricci contraction, the rank-2-to-rank-4
-maps sigma and psi, sparse pull-backs and infinitesimal group actions, and
-full invariant contractions against metric/fundamental-form pair tensors.
+maps sigma and psi, sparse pull-backs and infinitesimal group actions in
+integers, and full invariant contractions against metric/fundamental-form
+pair tensors.
 
 Every tensor the package computes with is a sparse ``{flat index: value}``
 dict, with component (i, j) of a rank-2 tensor at i*n + j and component
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import Matrix
@@ -488,35 +490,47 @@ def apply_kaehler(space: ModelSpace, vec: Vec) -> dict[int, Fraction]:
     return out
 
 
-def lie_apply_vec(x: Matrix, vec: Vec, rank: int, n: int) -> dict[int, Fraction]:
-    """Sparse infinitesimal action on a flattened rank-2 or rank-4 vector."""
-    x_rows = [[(b, x[a, b]) for b in range(n) if x[a, b]] for a in range(n)]
-    out: dict[int, Fraction] = {}
+ActionRows = list[list[tuple[int, int]]]
+
+
+def action_rows(m: Matrix) -> tuple[int, ActionRows]:
+    """``m`` scaled to integers once: ``(den, rows)`` with ``den * m`` integral
+    and ``rows[a]`` the nonzero ``(b, den * m[a, b])`` pairs of row ``a``."""
+    den = 1
+    for v in m.entries:
+        den = lcm(den, v.denominator)
+    rows = [[(b, v.numerator * (den // v.denominator)) for b, v in enumerate(m.row(a)) if v]
+            for a in range(m.rows)]
+    return den, rows
+
+
+def _contract_slot(out: dict[int, int], rows: ActionRows, vec: Mapping[int, int], stride: int, n: int) -> None:
+    """Add to ``out`` the integer vector with the slot of ``stride`` contracted with ``rows``."""
     for c, v in vec.items():
-        if rank == 4:
-            idx = list(unflatten4(n, c))
-        else:
-            idx = list(divmod(c, n))
-        for slot in range(rank):
-            a = idx[slot]
-            stride = n ** (rank - 1 - slot)
-            base = c - a * stride
-            for b, coeff in x_rows[a]:
-                _acc(out, base + b * stride, coeff * v)
-    return out
+        a = (c // stride) % n
+        base = c - a * stride
+        for b, coeff in rows[a]:
+            key = base + b * stride
+            out[key] = out.get(key, 0) + coeff * v
 
 
-def pullback_apply_vec(g: Matrix, vec: Vec, rank: int, n: int) -> dict[int, Fraction]:
-    """Sparse pull-back: contract each slot with g in sequence."""
-    g_rows = [[(b, g[a, b]) for b in range(n) if g[a, b]] for a in range(n)]
+def lie_apply_vec(rows: ActionRows, vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
+    """Sparse infinitesimal action on a flattened rank-2 or rank-4 integer
+    vector, the sum over slots: ``den`` times the action of X, where
+    ``(den, rows)`` is :func:`action_rows` of X."""
+    out: dict[int, int] = {}
+    for slot in range(rank):
+        _contract_slot(out, rows, vec, n ** (rank - 1 - slot), n)
+    return {c: v for c, v in out.items() if v}
+
+
+def pullback_apply_vec(rows: ActionRows, vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
+    """Sparse pull-back of an integer vector, contracting each slot with g in
+    sequence: ``den**rank`` times the pull-back by g, where ``(den, rows)`` is
+    :func:`action_rows` of g."""
     cur = dict(vec)
     for slot in range(rank):
-        stride = n ** (rank - 1 - slot)
-        nxt: dict[int, Fraction] = {}
-        for c, v in cur.items():
-            a = (c // stride) % n
-            base = c - a * stride
-            for b, coeff in g_rows[a]:
-                _acc(nxt, base + b * stride, coeff * v)
-        cur = nxt
+        nxt: dict[int, int] = {}
+        _contract_slot(nxt, rows, cur, n ** (rank - 1 - slot), n)
+        cur = {c: v for c, v in nxt.items() if v}
     return cur

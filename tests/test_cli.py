@@ -93,6 +93,18 @@ def test_eval_psi_rejects_a_form_that_is_not_opposed(capsys, form):
     assert err.startswith("error: psi_map input must be an opposed 2-form")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("eval", "nijenhuis", "--slope", "1/0"), "--slope"),
+    (("eval", "nijenhuis", "--slope", "x"), "--slope"),
+    (("eval", "sigma", "--psi", "opposed", "--kind", "none"), "--kind"),
+    (("eval", "psi", "--kind", "none"), "--kind"),
+])
+def test_eval_bad_input_names_its_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, "--n", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag in err
+
+
 def test_eval_sigma_malformed_indices(capsys):
     code, _, err = run_cli(capsys, "eval", "sigma", "--idx", "1,4,3", "--n", "6")
     assert code == 2

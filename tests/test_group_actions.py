@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from curvlab.linalg import SubspaceReducer
-from curvlab.spaces import component_reps, make_standard, random_lie_elements
+import oracles
+
+from curvlab.linalg import Matrix, SubspaceReducer, _to_int_row
+from curvlab.spaces import component_reps, lie_algebra_basis, make_standard, random_lie_elements
 from curvlab import curvature
 from curvlab.curvature import (
     NotInvariantError,
@@ -21,7 +23,7 @@ from curvlab.curvature import (
     verify_commutant_line,
     verify_doubled_commutant,
 )
-from curvlab.tensors import gram_weight2, gram_weight4, pullback_apply_vec
+from curvlab.tensors import Tensor4, action_rows, gram_weight2, gram_weight4, pullback_apply_vec
 
 F = Fraction
 
@@ -113,6 +115,64 @@ def test_eq4d_applies_each_generator_once(monkeypatch, kind, applies):
     assert _count_group_applies(monkeypatch, verify_commutant_line, make_standard(4, kind)) == applies
 
 
+def _dense_actions(space, group, extra_lie=()):
+    """(action, element, dense map) in certificate order, from the dense oracles."""
+    lie = list(lie_algebra_basis(space, group)) + list(extra_lie)
+    return ([("lie", i, lambda t, x=x: oracles.lie_action(x, t)) for i, x in enumerate(lie)]
+            + [("component_rep", i, lambda t, g=g: oracles.pullback(g, t))
+               for i, g in enumerate(component_reps(space, group))])
+
+
+def _dense_image(space, sub, act, row):
+    """The dense oracle map ``act`` applied to one dense basis row of ``sub``."""
+    n = space.n
+    if sub.ambient_dim == n ** 4:
+        return list(act(Tensor4(n, tuple(row))).components)
+    image = act(oracles.sparse(row))
+    return [image.get(c, F(0)) for c in range(n * n)]
+
+
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_representation_scales_match_dense_oracle(kind):
+    """The integer images carry a scale per (element, basis vector); dividing
+    it out must give the matrices of the dense actions.  The canonical rows of
+    sigma_image are not integral, so every basis vector is rescaled."""
+    s = make_standard(4, kind)
+    sub = catalog(s).sigma_image
+    assert any(v.denominator > 1 for row in sub.basis for _, v in row)
+    basis = oracles.dense(sub)
+    d = sub.dim
+    expected = []
+    for _, _, act in _dense_actions(s, "O"):
+        cols = []
+        for row in basis:
+            image = _dense_image(s, sub, act, row)
+            coords = [image[p] for p in sub.pivots]
+            assert [sum((c * b[k] for c, b in zip(coords, basis)), F(0)) for k in range(len(image))] == image
+            cols.append(coords)
+        expected.append(Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d))))
+    assert representation_matrices(sub, s, "O") == expected
+
+
+@pytest.mark.parametrize("name", ["omega_line", "kaehler_riemann"])
+def test_rational_extra_elements_give_the_oracle_witness(complex4, name):
+    """U-modules under rational O elements (denominators up to 9): the first
+    pair off the subspace is the one a dense oracle loop finds first."""
+    s = complex4
+    sub = dict(catalog(s).all_spaces())[name]
+    extra = random_lie_elements(s, "O", 3, seed=4)
+    assert max(v.denominator for x in extra for v in x.entries) > 1
+    basis = oracles.dense(sub)
+    expected = next(
+        {"action": action, "element": idx, "basis_vector": b}
+        for action, idx, act in _dense_actions(s, "U", extra)
+        for b, row in enumerate(basis)
+        if not oracles.span_contains(basis, _dense_image(s, sub, act, row))
+    )
+    assert expected["element"] >= len(lie_algebra_basis(s, "U"))
+    assert invariance_witness(sub, s, "U", extra_lie=extra) == expected
+
+
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_commutant_dimensions(kind):
     s = make_standard(6, kind)
@@ -192,5 +252,8 @@ def test_pullback_by_reps_preserves_catalog_n4(kind):
         rank = 2 if sub.ambient_dim == 16 else 4
         reducer = SubspaceReducer(sub)
         for g in component_reps(s, _group_for(name)):
-            for vec in sub.basis_dicts():
-                assert reducer.contains(pullback_apply_vec(g, vec, rank, 4)), name
+            _, rows = action_rows(g)
+            for row in sub.basis:
+                img = pullback_apply_vec(rows, _to_int_row(dict(row)), rank, 4)
+                assert all(type(v) is int for v in img.values()), name
+                assert reducer.contains(img), name

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvlab.spaces import make_standard, lie_algebra_basis, structure_reversal
+from curvlab.spaces import make_standard, lie_algebra_basis, random_lie_elements, structure_reversal
 from curvlab.tensors import (
     Tensor4,
+    action_rows,
     apply_kaehler,
     apply_ricci,
     defect_antisym,
@@ -333,6 +334,12 @@ def test_sparse_applies_match_dense(seed):
     assert apply_ricci(s, vec) == ricci(t, s)
 
 
+def _scaled_down(image, scale):
+    """An integer image of the sparse actions, divided by its scale, as a dense tensor."""
+    assert all(type(v) is int for v in image.values())
+    return Tensor4.from_dict(4, {c: F(v, scale) for c, v in image.items()})
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sparse_actions_match_dense(seed):
     rng = random.Random(seed)
@@ -341,9 +348,17 @@ def test_sparse_actions_match_dense(seed):
     t = tensor4(4, entries)
     x = lie_algebra_basis(s, "U")[rng.randrange(4)]
     g = structure_reversal(s)
-    vec = sparse(t.components)
-    assert Tensor4.from_dict(4, lie_apply_vec(x, vec, 4, 4)) == lie_action(x, t)
-    assert Tensor4.from_dict(4, pullback_apply_vec(g, vec, 4, 4)) == pullback(g, t)
+    vec = {c: int(v) for c, v in sparse(t.components).items()}
+    den, rows = action_rows(x)
+    assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(x, t)
+    den, rows = action_rows(g)
+    assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(g, t)
+    # a rational element: the integer table carries its common denominator
+    y = random_lie_elements(s, "U", 1, seed=1)[0]
+    den, rows = action_rows(y)
+    assert den > 1
+    assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(y, t)
+    assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(y, t)
 
 
 # --- the sparse maps against their dense oracles -------------------------------------
