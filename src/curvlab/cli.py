@@ -180,14 +180,18 @@ def cmd_eval(config: RunConfig, args) -> int:
         raise UsageError(str(exc)) from exc
 
 
+def _needs_structure(space: ModelSpace, what: str) -> None:
+    if space.kind == "none":
+        raise UsageError(f"{what} needs --kind complex or para, not --kind none")
+
+
 def _eval(config: RunConfig, args) -> int:
     space = config.space()
     what = args.map
     if what in ("sigma", "psi"):
         # sigma takes any 2-form, psi only an opposed one
         form = args.psi or ("omega" if what == "sigma" else "opposed")
-        if space.kind == "none":  # every built-in form needs the structure
-            raise UsageError(f"eval {what} --psi {form} needs --kind complex or para, not --kind none")
+        _needs_structure(space, f"eval {what} --psi {form}")  # every built-in form does
         psi = _builtin_form(space, form)
         idx = _parse_indices(args.idx, 4, space.n)
         tensor = sigma(psi, space) if what == "sigma" else psi_map(psi, space)
@@ -208,9 +212,12 @@ def _eval(config: RunConfig, args) -> int:
         if theta_name == "hxh":
             theta, phi = metric_tensor2(space), metric_tensor2(space)
         elif theta_name == "omegaxomega":
+            _needs_structure(space, "eval invariant --tensor omegaxomega")
             theta, phi = kaehler_form(space), kaehler_form(space)
         else:
             raise UsageError("tensor must be hxh or omegaxomega")
+        if 1 in word:  # a 1 contracts a pair through the fundamental form
+            _needs_structure(space, f"eval invariant --word {args.word}")
         value = invariant_contraction_product(theta, phi, perm, word, space)
         payload = {
             "map": "invariant",
@@ -222,6 +229,7 @@ def _eval(config: RunConfig, args) -> int:
         _emit(payload, config.fmt)
         return 0
     if what == "nijenhuis":
+        _needs_structure(space, "eval nijenhuis")
         plane = _parse_indices(args.plane, 2, space.n)
         xy = _parse_indices(args.xy, 2, space.n)
         slope = _parse_slope(args.slope)
@@ -332,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tensor", default="hxh", help="product tensor: hxh | omegaxomega")
     p_eval.add_argument("--plane", default="1,3", help="twist plane for nijenhuis")
     p_eval.add_argument("--xy", default="1,3", help="probe directions for nijenhuis")
-    p_eval.add_argument("--slope", default="1", help="angle slope at the origin")
+    p_eval.add_argument("--slope", default="1", help="angle slope at the origin, e.g. 1 or 3/4; "
+                        "write a negative fraction as --slope=-3/4")
     p_eval.add_argument("--rotation", choices=("circular", "hyperbolic"), default="circular")
 
     # no abbreviations, or --n and --kind would be read as --ns and --kinds

@@ -23,9 +23,7 @@ from .linalg import (
     Matrix,
     Subspace,
     SubspaceReducer,
-    _to_int_row,
     intersect,
-    kernel_of_rows,
     kernel_subspace,
     rank_of_rows,
     subspace_sum,
@@ -102,18 +100,13 @@ def meet_operator_kernel(base: Subspace, op: Callable[[Vec], Vec]) -> Subspace:
     for i, b in enumerate(basis):
         for coord, v in op(b).items():
             columns.setdefault(coord, {})[i] = v
-    coeff_kernel = kernel_of_rows(columns.values(), len(basis))
     vectors = []
-    for coeffs in coeff_kernel:
-        vec: Vec = {}
+    for coeffs in kernel_subspace(columns.values(), len(basis)).basis_dicts():
+        vec: dict[int, int] = {}
         for i, c in coeffs.items():
             for coord, v in basis[i].items():
-                cur = vec.get(coord, Fraction(0)) + c * v
-                if cur:
-                    vec[coord] = cur
-                else:
-                    vec.pop(coord, None)
-        vectors.append(vec)
+                vec[coord] = vec.get(coord, 0) + c * v
+        vectors.append(vec)  # explicit zeros are dropped on the way in
     return Subspace.from_vectors(vectors, base.ambient_dim)
 
 
@@ -347,15 +340,15 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     algebra basis, then the extra Lie elements (numbered after the basis),
     then the component representatives; within each generator the basis
     vectors go in canonical order.  The witness names the pair as
-    ``{"action", "element", "basis_vector"}``.  Each basis vector is scaled
-    to an integer row once, ``s_b`` times the canonical one, and each
-    generator to an integer table once (:func:`action_rows`), so the image is
-    ``scale`` times the exact one: ``scale = den * s_b`` for a Lie element and
-    ``den**rank * s_b`` for a pull-back.
+    ``{"action", "element", "basis_vector"}``.  Each stored basis row is
+    ``s_b`` times its pivot-one row, ``s_b`` its pivot entry, and each
+    generator is scaled to an integer table once (:func:`action_rows`), so
+    the image is ``scale`` times that of the pivot-one row: ``scale = den *
+    s_b`` for a Lie element and ``den**rank * s_b`` for a pull-back.
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
     n = space.n
-    basis = [_to_int_row(dict(row)) for row in sub.basis]
+    basis = sub.basis_dicts()
     scales = [row[p] for row, p in zip(basis, sub.pivots)]
     lie = list(lie_algebra_basis(space, group)) + list(extra_lie)
     for idx, x in enumerate(lie):
@@ -663,9 +656,9 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
     # n == 4: exhibit the documented failure with a re-verified witness
     witness_vec = None
     riemann_reducer = SubspaceReducer(riemann)
-    for vec in k_weyl.basis_dicts():
+    for p, vec in zip(k_weyl.pivots, k_weyl.basis_dicts()):
         if not riemann_reducer.contains(vec):
-            witness_vec = vec
+            witness_vec = {c: Fraction(v, vec[p]) for c, v in vec.items()}
             break
     quantities["gap"] = d1 - d2
     if witness_vec is None:

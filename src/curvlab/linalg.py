@@ -1,12 +1,13 @@
 """Exact rational linear algebra: echelon forms, kernels, subspace lattice.
 
-Everything here runs over the rational field with no rounding.  Rows are
-integer-scaled internally (fraction-free eliminations) to keep coefficient
-growth under control; the results handed back are exact rationals.
+Everything here runs over the rational field with no rounding.  Input rows
+may hold ``Fraction``s; they are scaled to integers on the way in, and every
+elimination is fraction-free.  Rows handed back are primitive integer rows
+(entries with gcd 1) whose pivot, the first nonzero entry, is positive.
 
-Subspaces are always stored with a reduced row-echelon basis, so two
-subspaces are equal iff their stored bases are structurally equal.  That
-canonical form is what makes every downstream report deterministic.
+Subspaces are always stored with a reduced row-echelon basis in that form,
+so two subspaces are equal iff their stored bases are structurally equal.
+That canonical form is what makes every downstream report deterministic.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ class Echelon:
         for row in rows:
             self.add(row)
 
-    def reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
-        """Back-substituted, pivot-normalized rows sorted by pivot column."""
+    def reduced_rows(self) -> list[tuple[int, dict[int, int]]]:
+        """Back-substituted rows sorted by pivot column: each is primitive, its
+        pivot entry is positive and it is zero at every other pivot column."""
         done: dict[int, dict[int, int]] = {}
         for c in sorted(self.pivot_rows, reverse=True):
             row = dict(self.pivot_rows[c])
@@ -118,41 +120,10 @@ class Echelon:
             for c2 in targets:
                 if c2 in row:
                     row = _combine(row, done[c2], c2)
+            if row[c] < 0:
+                row = {c2: -v for c2, v in row.items()}
             done[c] = row
-        out: list[tuple[int, dict[int, Fraction]]] = []
-        for c in sorted(done):
-            row = done[c]
-            piv = row[c]
-            out.append((c, {c2: Fraction(v, piv) for c2, v in row.items()}))
-        return out
-
-    def kernel(self) -> list[dict[int, Fraction]]:
-        """Canonical basis of the solution space of (rows) * x = 0."""
-        reduced = self.reduced_rows()
-        pivot_cols = {c for c, _ in reduced}
-        free_cols = [c for c in range(self.ncols) if c not in pivot_cols]
-        vectors: list[dict[int, Fraction]] = []
-        for f in free_cols:
-            vec: dict[int, Fraction] = {f: Fraction(1)}
-            for c, row in reduced:
-                coeff = row.get(f)
-                if coeff is not None:
-                    vec[c] = -coeff
-            vectors.append(vec)
-        return rref_vectors(vectors, self.ncols)
-
-
-def rref_vectors(vectors: Iterable[Mapping[int, Fraction | int]], ncols: int) -> list[dict[int, Fraction]]:
-    """Canonical reduced row-echelon basis of the span of ``vectors``."""
-    ech = Echelon(ncols)
-    ech.add_all(vectors)
-    return [row for _, row in ech.reduced_rows()]
-
-
-def kernel_of_rows(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> list[dict[int, Fraction]]:
-    ech = Echelon(ncols)
-    ech.add_all(rows)
-    return ech.kernel()
+        return [(c, done[c]) for c in sorted(done)]
 
 
 def rank_of_rows(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> int:
@@ -246,10 +217,10 @@ class Matrix:
 # Subspaces
 # ---------------------------------------------------------------------------
 
-BasisRow = tuple[tuple[int, Fraction], ...]
+BasisRow = tuple[tuple[int, int], ...]
 
 
-def _freeze_row(row: Mapping[int, Fraction]) -> BasisRow:
+def _freeze_row(row: Mapping[int, int]) -> BasisRow:
     return tuple(sorted(row.items()))
 
 
@@ -258,8 +229,9 @@ class Subspace:
     """Linear subspace given by a canonical reduced row-echelon basis.
 
     ``basis`` rows are sparse ``(column, value)`` pairs with ascending
-    columns; the first column of each row is its pivot with value one.
-    Structural equality of two Subspace values is subspace equality.
+    columns and primitive integer values; the first column of each row is
+    its pivot, with a positive value.  Structural equality of two Subspace
+    values is subspace equality.
     """
 
     ambient_dim: int
@@ -267,8 +239,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Mapping[int, Fraction | int]], ambient_dim: int) -> "Subspace":
-        rows = rref_vectors(vectors, ambient_dim)
-        return cls(ambient_dim, tuple(_freeze_row(r) for r in rows))
+        ech = Echelon(ambient_dim)
+        ech.add_all(vectors)
+        return cls(ambient_dim, tuple(_freeze_row(r) for _, r in ech.reduced_rows()))
 
     @property
     def dim(self) -> int:
@@ -278,22 +251,23 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(row[0][0] for row in self.basis)
 
-    def basis_dicts(self) -> list[dict[int, Fraction]]:
+    def basis_dicts(self) -> list[dict[int, int]]:
         return [dict(row) for row in self.basis]
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         red = SubspaceReducer(other)
-        return all(red.contains(_to_int_row(dict(row))) for row in self.basis)
+        return all(red.contains(dict(row)) for row in self.basis)
 
 
 class SubspaceReducer:
     """Membership and coordinates read off a subspace's reduced row-echelon
-    basis: ``v`` is in the span iff ``v == sum_p v[p] * b_p`` over the pivots p."""
+    basis: ``v`` is in the span iff ``v == sum_p v[p] * b_p`` over the pivots
+    p, ``b_p`` the stored row at p divided by its pivot entry."""
 
     def __init__(self, sub: Subspace):
         self._pivots = sub.pivots
-        # pivot -> integer-scaled basis row; its entry at the pivot is the row's scale
-        self._rows = {p: _to_int_row(dict(row)) for p, row in zip(sub.pivots, sub.basis)}
+        # pivot -> basis row; its entry at the pivot is the row's scale
+        self._rows = {p: dict(row) for p, row in zip(sub.pivots, sub.basis)}
 
     def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
         """One pass: ``lead * (vec - sum_p vec[p] * b_p)`` is zero, ``lead`` the
@@ -311,20 +285,42 @@ class SubspaceReducer:
         return not any(diff.values())
 
     def coordinates(self, vec: Mapping[int, Fraction | int], scale: int = 1) -> list[Fraction] | None:
-        """Coefficients of ``vec / scale`` in the subspace's canonical basis, or None if outside."""
+        """Coefficients of ``vec / scale`` in the pivot-one basis (each stored row
+        divided by its pivot entry), or None if outside."""
         if not self.contains(vec):
             return None
         return [Fraction(vec.get(p, 0), scale) for p in self._pivots]
 
 
 def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> Subspace:
-    """Solution space of the rows as a canonical subspace.
+    """Solution space of the rows as a canonical subspace, from one elimination.
 
-    Rows go in shortest first: the canonical basis does not depend on the
-    order, but the elimination cost does.
+    With the columns reversed, each reduced row holds its pivot p and free
+    columns below p, so the solution e_f - sum (row[f] / row[p]) e_p of free
+    column f leads at f and vanishes on the other free columns: it is already
+    the canonical basis row.  Rows go in shortest first, which only changes
+    the elimination cost.
     """
-    kernel = kernel_of_rows(sorted(rows, key=len), ncols)
-    return Subspace(ncols, tuple(_freeze_row(r) for r in kernel))
+    last = ncols - 1
+    ech = Echelon(ncols)
+    ech.add_all({last - c: v for c, v in row.items()} for row in sorted(rows, key=len))
+    # free column -> [(pivot column, -row[f], row[p])], in original columns
+    terms: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(ncols)}
+    for c, row in ech.reduced_rows():
+        p = last - c
+        del terms[p]
+        pv = row[c]
+        for c2, v in row.items():
+            if c2 != c:
+                terms[last - c2].append((p, -v, pv))
+    basis = []
+    for f, fterms in terms.items():
+        lead = lcm(*(pv for _, _, pv in fterms))
+        vec = {f: lead}
+        for p, v, pv in fterms:
+            vec[p] = v * (lead // pv)
+        basis.append(_freeze_row(_strip_content(vec)))
+    return Subspace(ncols, tuple(basis))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

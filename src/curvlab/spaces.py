@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Matrix, kernel_of_rows
+from .linalg import Matrix, kernel_subspace
 
 KINDS = ("none", "complex", "para")
 GROUPS = ("O", "U", "Ustar")
@@ -182,9 +182,8 @@ def lie_algebra_basis(space: ModelSpace, group: str) -> list[Matrix]:
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
-    kernel = kernel_of_rows(rows, n * n)
     mats = []
-    for vec in kernel:
+    for vec in kernel_subspace(rows, n * n).basis_dicts():
         dense = [[Fraction(0)] * n for _ in range(n)]
         for c, v in vec.items():
             dense[c // n][c % n] = v

@@ -43,12 +43,14 @@ from curvlab.tensors import (
 
 
 def dense(sub: Subspace) -> list[list[Fraction]]:
-    """The canonical basis rows of ``sub`` as dense vectors."""
+    """The canonical basis rows of ``sub``, each divided by its pivot entry,
+    as dense vectors: the textbook reduced row-echelon form."""
     rows = []
     for row in sub.basis:
         vec = [Fraction(0)] * sub.ambient_dim
+        pv = row[0][1]
         for c, v in row:
-            vec[c] = v
+            vec[c] = Fraction(v, pv)
         rows.append(vec)
     return rows
 

@@ -98,11 +98,26 @@ def test_eval_psi_rejects_a_form_that_is_not_opposed(capsys, form):
     (("eval", "nijenhuis", "--slope", "x"), "--slope"),
     (("eval", "sigma", "--psi", "opposed", "--kind", "none"), "--kind"),
     (("eval", "psi", "--kind", "none"), "--kind"),
+    (("eval", "nijenhuis", "--kind", "none"), "--kind"),
+    (("eval", "invariant", "--word", "01", "--kind", "none"), "--kind"),
+    (("eval", "invariant", "--tensor", "omegaxomega", "--kind", "none"), "--kind"),
 ])
 def test_eval_bad_input_names_its_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, "--n", "4")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and flag in err
+
+
+def test_eval_negative_fractional_slope_is_written_with_equals(capsys):
+    """argparse reads ``-3/4`` after a space as an option, so the help text
+    asks for ``--slope=-3/4``, and that form is accepted."""
+    code, out, _ = run_cli(capsys, "eval", "nijenhuis", "--n", "4", "--slope=-3/4")
+    assert code == 0
+    assert json.loads(out)["angle_slope"] == "-3/4"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "nijenhuis", "--n", "4", "--slope", "-3/4"])
+    assert exc.value.code == 2
+    assert "--slope" in capsys.readouterr().err
 
 
 def test_eval_sigma_malformed_indices(capsys):

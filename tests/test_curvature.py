@@ -68,6 +68,23 @@ def test_sigma_image_dimension(n):
     assert catalog(s).sigma_image.dim == n * (n - 1) // 2  # the five-term map is injective
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_closed_form_dimensions_in_both_geometries(n, kind):
+    """Tricerri-Vanhecke: the structure-compatible riemann tensors of
+    n = 2m have dimension (m(m+1)/2)^2, and for n >= 6 the structure-
+    compatible weyl tensors are exactly those."""
+    cat = catalog(make_standard(n, kind))
+    m = n // 2
+    assert cat.affine.dim == affine_dim(n)
+    assert cat.riemann.dim == riemann_dim(n)
+    assert cat.weyl.dim == riemann_dim(n) + n * (n - 1) // 2
+    assert cat.conformal.dim == riemann_dim(n) - n * (n + 1) // 2
+    assert cat.kaehler_riemann.dim == (m * (m + 1) // 2) ** 2
+    if n >= 6:
+        assert cat.kaehler_weyl == cat.kaehler_riemann
+
+
 # --- containment chain ----------------------------------------------------------
 
 
@@ -302,7 +319,7 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
 
     def counting_kernel_subspace(rows, ncols):
         rows = list(rows)
-        built.append(frozenset(frozenset(r.items()) for r in rows))
+        built.append((ncols, frozenset(frozenset(r.items()) for r in rows)))
         return real(rows, ncols)
 
     monkeypatch.setattr(curvature, "kernel_subspace", counting_kernel_subspace)
@@ -311,6 +328,9 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
     for claim in ("thm4.1", "thm4.2", "thm1.5"):
         curvature.run_claim(claim, s)
     assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
-    # affine, weyl, riemann, conformal and the four two-tensor kernels
-    assert len(built) == 8
-    assert len(set(built)) == 8
+    # affine, weyl, riemann, conformal and the four two-tensor kernels, then
+    # the coefficient kernels of the four operator meets: Ricci on riemann
+    # (thm4.1) and the structure identity on weyl, riemann and sigma_image
+    # (thm1.5)
+    assert len(built) == 12
+    assert len(set(built)) == 12

@@ -96,7 +96,7 @@ GOLDEN = {
     "eval nijenhuis --n 6 --kind para --format md": (0, "61ae3f9b9d64555df82f2d0cd71cd36f2b66d9fd18bc4671d34dbb9847c92306"),
     "eval nijenhuis --n 4 --kind para --plane 1,2": (2, "763634d7e8aea1e72c5c4e4ac2fa63995233160ec91c2145c9f62ac373d2a475"),
     "eval nijenhuis --n 6 --rotation hyperbolic": (2, "a538e0844fe725850caa0ec661120c813dd71524d71550e7c250c1ea8e431965"),
-    "eval nijenhuis --n 6 --kind none": (2, "b39b8e4b56e844a9bc5b6335ad945eb8475c39ec1a1e1f534debb1a2b6ac456a"),
+    "eval nijenhuis --n 6 --kind none": (2, "6bdf5cf99b2071ca47b7b8356f5dbbc70d916a4dfd332ec5056621e305082fcf"),
     "eval sigma --psi omega --idx 1,4,3,1 --n 6": (0, "ab012c9f618bd82b60c4f57b820d4556f8f89c47d0835e73fde20d2a2bafea23"),
     "eval psi --psi opposed --idx 5,6,1,4 --n 6": (0, "2164ac695586949fa2ca434666a9ef6cf377bd6de9ea3e9854f224883c0efe49"),
     "eval invariant --tensor omegaxomega --perm 1,3,2,4 --word 11": (0, "ca9adccffc8facd64a9fe5151f25193ca6319929648da7413b87f1343938ebee"),

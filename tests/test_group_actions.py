@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 
-from curvlab.linalg import Matrix, SubspaceReducer, _to_int_row
+from curvlab.linalg import Matrix, SubspaceReducer
 from curvlab.spaces import component_reps, lie_algebra_basis, make_standard, random_lie_elements
 from curvlab import curvature
 from curvlab.curvature import (
@@ -135,11 +135,12 @@ def _dense_image(space, sub, act, row):
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_representation_scales_match_dense_oracle(kind):
     """The integer images carry a scale per (element, basis vector); dividing
-    it out must give the matrices of the dense actions.  The canonical rows of
-    sigma_image are not integral, so every basis vector is rescaled."""
+    it out must give the matrices of the dense actions.  Some stored rows of
+    sigma_image have a pivot entry above one, so their scale is not just
+    the generator's."""
     s = make_standard(4, kind)
     sub = catalog(s).sigma_image
-    assert any(v.denominator > 1 for row in sub.basis for _, v in row)
+    assert any(row[0][1] > 1 for row in sub.basis)
     basis = oracles.dense(sub)
     d = sub.dim
     expected = []
@@ -254,6 +255,6 @@ def test_pullback_by_reps_preserves_catalog_n4(kind):
         for g in component_reps(s, _group_for(name)):
             _, rows = action_rows(g)
             for row in sub.basis:
-                img = pullback_apply_vec(rows, _to_int_row(dict(row)), rank, 4)
+                img = pullback_apply_vec(rows, dict(row), rank, 4)
                 assert all(type(v) is int for v in img.values()), name
                 assert reducer.contains(img), name

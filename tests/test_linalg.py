@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -169,6 +169,7 @@ def test_kernel_matches_textbook_oracle(rows):
     oracle_kernel = oracles.dense_kernel([[F(x) for x in r] for r in rows], 5)
     assert kernel.dim == len(oracle_kernel)
     assert oracles.same_span(oracle_kernel, oracles.dense(kernel))
+    assert kernel == Subspace.from_vectors(dicts(oracle_kernel), 5)
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -201,6 +202,20 @@ def test_membership_and_coordinates_match_dense_oracle(kind):
 
 
 # --- canonical form -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_catalog_rows_are_canonical_primitive_integers(n, kind):
+    """Every catalog space, kernels and spans alike, stores the basis that
+    ``Subspace.from_vectors`` gives its own rows back: primitive ``int`` rows
+    with a positive pivot."""
+    for name, sub in catalog(make_standard(n, kind)).all_spaces():
+        assert Subspace.from_vectors(sub.basis_dicts(), sub.ambient_dim) == sub, name
+        for row in sub.basis:
+            assert all(type(v) is int for _, v in row), name
+            assert gcd(*(v for _, v in row)) == 1, name
+            assert row[0][1] > 0, name
 
 
 def test_subspace_equality_is_structural():
