@@ -160,14 +160,11 @@ def cmd_verify(config: RunConfig, claim: str) -> int:
     return report.exit_code_for([rep])
 
 
-def _builtin_form(space: ModelSpace, name: str) -> dict[int, Fraction]:
-    if name == "omega":
-        return kaehler_form(space)
-    if name == "opposed":
-        return curvature.probe_opposed_form(space)
-    if name == "aligned":
-        return curvature.probe_aligned_form(space)
-    raise UsageError(f"unknown form {name!r}; known: omega, opposed, aligned")
+BUILTIN_FORMS = {
+    "omega": kaehler_form,
+    "opposed": curvature.probe_opposed_form,
+    "aligned": curvature.probe_aligned_form,
+}
 
 
 def cmd_eval(config: RunConfig, args) -> int:
@@ -191,8 +188,10 @@ def _eval(config: RunConfig, args) -> int:
     if what in ("sigma", "psi"):
         # sigma takes any 2-form, psi only an opposed one
         form = args.psi or ("omega" if what == "sigma" else "opposed")
+        if form not in BUILTIN_FORMS:
+            raise UsageError(f"unknown --psi form {form!r}; known: {', '.join(BUILTIN_FORMS)}")
         _needs_structure(space, f"eval {what} --psi {form}")  # every built-in form does
-        psi = _builtin_form(space, form)
+        psi = BUILTIN_FORMS[form](space)
         idx = _parse_indices(args.idx, 4, space.n)
         tensor = sigma(psi, space) if what == "sigma" else psi_map(psi, space)
         value = tensor.get(flatten4(space.n, *idx), Fraction(0))

@@ -1,12 +1,12 @@
 """Curvature subspace catalog, equivariant-map solvers, and claim verifiers.
 
-Each model space has one catalog, built lazily: the nested curvature spaces
-(affine ⊃ weyl ⊃ riemann) as exact kernels of explicitly assembled
-symmetry-constraint rows, the conformal kernel, the five-term-map image
-complementing the riemann space inside the weyl space, the
-structure-compatible ("kaehler") subspaces, the six-piece splitting of
-rank-2 tensors and the map images of its pieces.  A subspace is built on its
-first read, and every verifier and the dims table read the same catalog.
+Each model space has one catalog, built lazily as a chain of meets: affine
+is the kernel of the first-pair and cyclic rows, and weyl, riemann and the
+structure-compatible ("kaehler") subspaces are each cut out of their parent
+by their own rows.  The conformal space is one direct kernel, which checks
+the chain.  The catalog also holds the five-term-map image, the six-piece
+splitting of rank-2 tensors and the map images of its pieces.  A subspace is
+built on its first read, and every verifier and the dims table read it.
 On top of it the module solves for commutants of group actions and spans of
 invariant contraction functionals, and runs the claim verifiers exposed by
 the CLI.
@@ -25,7 +25,9 @@ from .linalg import (
     SubspaceReducer,
     intersect,
     kernel_subspace,
+    meet_kernel,
     rank_of_rows,
+    restrict_rows,
     subspace_sum,
 )
 from .report import VerificationReport
@@ -42,8 +44,6 @@ from .tensors import (
     action_rows,
     all_slot_permutations,
     antisym_rows,
-    apply_kaehler,
-    apply_ricci,
     bianchi_rows,
     defect_antisym,
     defect_bianchi,
@@ -56,6 +56,7 @@ from .tensors import (
     inner2,
     invariant_contraction_product,
     kaehler_form,
+    kaehler_rows,
     lie_apply_vec,
     metric_tensor2,
     pullback_apply_vec,
@@ -89,25 +90,8 @@ class NotInvariantError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Operator meets and orthogonality counts
+# Structure meets and orthogonality counts
 # ---------------------------------------------------------------------------
-
-
-def meet_operator_kernel(base: Subspace, op: Callable[[Vec], Vec]) -> Subspace:
-    """base ∩ ker(op), via the kernel of op restricted to base coordinates."""
-    basis = base.basis_dicts()
-    columns: dict[int, dict[int, Fraction]] = {}
-    for i, b in enumerate(basis):
-        for coord, v in op(b).items():
-            columns.setdefault(coord, {})[i] = v
-    vectors = []
-    for coeffs in kernel_subspace(columns.values(), len(basis)).basis_dicts():
-        vec: dict[int, int] = {}
-        for i, c in coeffs.items():
-            for coord, v in basis[i].items():
-                vec[coord] = vec.get(coord, 0) + c * v
-        vectors.append(vec)  # explicit zeros are dropped on the way in
-    return Subspace.from_vectors(vectors, base.ambient_dim)
 
 
 def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], int]) -> int:
@@ -129,9 +113,7 @@ def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], i
 
 def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
     """Intersection of a rank-4 subspace with the structure-compatibility kernel."""
-    if space.kind == "none":
-        raise ValueError("structure-compatible subspace requires a structured space")
-    return meet_operator_kernel(base, lambda v: apply_kaehler(space, v))
+    return meet_kernel(base, kaehler_rows(space))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +149,7 @@ class TwoTensorSplit:
         ]
 
 
-def _pullback_eigen_rows(space: ModelSpace, eigenvalue: int) -> list[dict[int, Fraction]]:
+def _pullback_eigen_rows(space: ModelSpace, eigenvalue: int) -> list[dict[int, int]]:
     """Rows of (J-pull-back - eigenvalue) on flattened rank-2 coordinates."""
     n = space.n
     perm = j_signed_permutation(space)
@@ -176,11 +158,8 @@ def _pullback_eigen_rows(space: ModelSpace, eigenvalue: int) -> list[dict[int, F
         pi, si = perm[i]
         for j in range(n):
             pj, sj = perm[j]
-            row: dict[int, Fraction] = {}
-            key = pi * n + pj
-            row[key] = row.get(key, Fraction(0)) + si * sj
-            key = i * n + j
-            row[key] = row.get(key, Fraction(0)) - eigenvalue
+            row = {pi * n + pj: si * sj}
+            row[i * n + j] = row.get(i * n + j, 0) - eigenvalue
             rows.append({c: v for c, v in row.items() if v})
     return rows
 
@@ -193,14 +172,6 @@ class CurvatureCatalog:
     def __init__(self, space: ModelSpace):
         self.space = space
 
-    def _rank4_kernel(self, *extra: list[dict[int, int]]) -> Subspace:
-        """Kernel of the first-pair and cyclic rows plus the extra rows."""
-        n = self.space.n
-        rows = antisym_rows(n) + bianchi_rows(n)
-        for more in extra:
-            rows += more
-        return kernel_subspace(rows, n ** 4)
-
     def _image(self, mapper: Callable[[Vec, ModelSpace], Vec], forms: Sequence[Vec]) -> Subspace:
         """Span of a rank-2 to rank-4 map over the given forms."""
         return Subspace.from_vectors([mapper(t, self.space) for t in forms], self.space.n ** 4)
@@ -208,20 +179,24 @@ class CurvatureCatalog:
     @cached_property
     def affine(self) -> Subspace:
         """Tensors alternating in the first pair and satisfying the cyclic identity."""
-        return self._rank4_kernel()
+        n = self.space.n
+        return kernel_subspace(antisym_rows(n) + bianchi_rows(n), n ** 4)
 
     @cached_property
     def weyl(self) -> Subspace:
-        return self._rank4_kernel(weyl_rows(self.space))
+        return meet_kernel(self.affine, weyl_rows(self.space))
 
     @cached_property
     def riemann(self) -> Subspace:
-        return self._rank4_kernel(riemann_rows(self.space.n))
+        return meet_kernel(self.weyl, riemann_rows(self.space.n))
 
     @cached_property
     def conformal(self) -> Subspace:
-        """Riemann-type tensors with vanishing Ricci contraction (zero below n = 4)."""
-        return self._rank4_kernel(riemann_rows(self.space.n), ricci_rows(self.space))
+        """Riemann-type tensors with vanishing Ricci contraction (zero below n = 4),
+        as one kernel of all of their rows: thm4.1 checks it against the chain."""
+        n = self.space.n
+        rows = antisym_rows(n) + bianchi_rows(n) + riemann_rows(n) + ricci_rows(self.space)
+        return kernel_subspace(rows, n ** 4)
 
     @cached_property
     def sigma_image(self) -> Subspace:
@@ -577,12 +552,10 @@ def verify_riemann_ricci_split(space: ModelSpace) -> VerificationReport:
     n = space.n
     cat = catalog(space)
     riemann, weyl, conformal = cat.riemann, cat.weyl, cat.conformal
-    ric_images_r = [apply_ricci(space, v) for v in riemann.basis_dicts()]
-    ric_images_w = [apply_ricci(space, v) for v in weyl.basis_dicts()]
-    rank_r = rank_of_rows(ric_images_r, n * n)
-    rank_w = rank_of_rows(ric_images_w, n * n)
-    meet = meet_operator_kernel(riemann, lambda v: apply_ricci(space, v))
-    kernel_matches = meet == conformal
+    ric = ricci_rows(space)
+    rank_r = rank_of_rows(restrict_rows(riemann, ric), riemann.dim)
+    rank_w = rank_of_rows(restrict_rows(weyl, ric), weyl.dim)
+    kernel_matches = meet_kernel(riemann, ric) == conformal
     sym_dim = n * (n + 1) // 2
     witness = invariance_witness(conformal, space, "O")
     quantities = {

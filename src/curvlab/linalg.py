@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: echelon forms, kernels, subspace lattice.
+"""Exact rational linear algebra: echelon forms, kernels, meets, subspace lattice.
 
 Everything here runs over the rational field with no rounding.  Input rows
 may hold ``Fraction``s; they are scaled to integers on the way in, and every
@@ -321,6 +321,43 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
             vec[p] = v * (lead // pv)
         basis.append(_freeze_row(_strip_content(vec)))
     return Subspace(ncols, tuple(basis))
+
+
+def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:
+    """Each row r evaluated on ``base.basis`` as the coefficient row i -> r . b_i,
+    through one index from each column to the basis rows that touch it."""
+    touching: dict[int, list[tuple[int, int]]] = {}
+    for i, brow in enumerate(base.basis):
+        for c, v in brow:
+            touching.setdefault(c, []).append((i, v))
+    out = []
+    for row in rows:
+        acc: dict[int, int] = {}
+        for c, rv in row.items():
+            for i, bv in touching.get(c, ()):
+                acc[i] = acc.get(i, 0) + rv * bv
+        out.append({i: v for i, v in acc.items() if v})
+    return out
+
+
+def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
+    """base ∩ ker(rows), from the kernel of the rows restricted to base.
+
+    No second elimination: sum_i c_i b_i over the canonical base rows leads at
+    the pivot of the first b_i it uses, and its value at any other base pivot
+    p_i is c_i times the positive pivot entry of b_i.  So the canonical
+    coefficient kernel recombines straight into the canonical basis of the
+    meet, once each row's content is stripped.
+    """
+    basis = base.basis
+    out = []
+    for coeffs in kernel_subspace(restrict_rows(base, rows), base.dim).basis:
+        vec: dict[int, int] = {}
+        for i, c in coeffs:
+            for col, v in basis[i]:
+                vec[col] = vec.get(col, 0) + c * v
+        out.append(_freeze_row(_strip_content({col: v for col, v in vec.items() if v})))
+    return Subspace(base.ambient_dim, tuple(out))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

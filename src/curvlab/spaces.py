@@ -159,29 +159,25 @@ def lie_algebra_basis(space: ModelSpace, group: str) -> list[Matrix]:
     """
     _check_group_args(space, group)
     n = space.n
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     for a in range(n):
         for b in range(a, n):
             # eps_b X[b][a] + eps_a X[a][b] = 0
-            row: dict[int, Fraction] = {}
-            row[b * n + a] = row.get(b * n + a, Fraction(0)) + space.eps[b]
-            row[a * n + b] = row.get(a * n + b, Fraction(0)) + space.eps[a]
-            rows.append({c: v for c, v in row.items() if v})
+            row = {b * n + a: space.eps[b]}
+            row[a * n + b] = row.get(a * n + b, 0) + space.eps[a]
+            rows.append(row)
     if group in ("U", "Ustar"):
         perm = j_signed_permutation(space)
+        u = structure_sign(space.kind)
         for a in range(n):
             for b in range(n):
                 pb, sb = perm[b]
                 pa, sa = perm[a]
                 # (XJ - JX)[a][b] = s_b X[a][p(b)] - s_{p(a)} X[p(a)][b]
                 # with p an involution, s_{p(a)} = u / s_a = u * s_a
-                row = {}
-                row[a * n + pb] = row.get(a * n + pb, Fraction(0)) + sb
-                c = pa * n + b
-                row[c] = row.get(c, Fraction(0)) - Fraction(structure_sign(space.kind) * sa)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+                row = {a * n + pb: sb}
+                row[pa * n + b] = row.get(pa * n + b, 0) - u * sa
+                rows.append(row)
     mats = []
     for vec in kernel_subspace(rows, n * n).basis_dicts():
         dense = [[Fraction(0)] * n for _ in range(n)]

@@ -1,16 +1,17 @@
 """Rank-2/rank-4 tensor calculus over a model space.
 
-Covers the symmetry-defect operators that carve out the affine, Weyl and
-Riemannian curvature spaces, the Ricci contraction, the rank-2-to-rank-4
-maps sigma and psi, sparse pull-backs and infinitesimal group actions in
-integers, and full invariant contractions against metric/fundamental-form
-pair tensors.
+Covers the constraint rows that carve out the curvature spaces, the
+rank-2-to-rank-4 maps sigma and psi, sparse pull-backs and infinitesimal
+group actions in integers, and full invariant contractions against
+metric/fundamental-form pair tensors.
 
 Every tensor the package computes with is a sparse ``{flat index: value}``
 dict, with component (i, j) of a rank-2 tensor at i*n + j and component
 (i, j, k, l) of a rank-4 tensor at ((i*n + j)*n + k)*n + l.  The canonical
-forms, the images of sigma and psi, the constraint rows of the catalog and
-the sparse operator applications all read and write that format.
+forms, the images of sigma and psi and the constraint rows all read and
+write that format.  Each linear condition, the Ricci contraction and the
+structure identity included, is written once, as rows, which the catalog
+restricts to a parent subspace's basis.
 
 The one dense container, :class:`Tensor4`, holds a witness tensor while the
 textbook defect loops re-verify it; those loops share no code with the
@@ -222,6 +223,14 @@ def defect_kaehler(a: Tensor4, space: ModelSpace) -> Tensor4:
 # ---------------------------------------------------------------------------
 # The rank-2 -> rank-4 maps
 # ---------------------------------------------------------------------------
+
+
+def _acc(out: dict[int, Fraction], key: int, val: Fraction) -> None:
+    cur = out.get(key, Fraction(0)) + val
+    if cur:
+        out[key] = cur
+    else:
+        out.pop(key, None)
 
 
 def sigma(psi: Vec, space: ModelSpace) -> dict[int, Fraction]:
@@ -453,42 +462,28 @@ def ricci_rows(space: ModelSpace) -> list[dict[int, int]]:
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Sparse operator application on flattened coordinate vectors
-# ---------------------------------------------------------------------------
+def kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
+    """Rows of the structure-compatibility defect A(x,y,z,w) + u*A(x,y,Jz,Jw).
 
-def _acc(out: dict[int, Fraction], key: int, val: Fraction) -> None:
-    cur = out.get(key, Fraction(0)) + val
-    if cur:
-        out[key] = cur
-    else:
-        out.pop(key, None)
-
-
-def apply_ricci(space: ModelSpace, vec: Vec) -> dict[int, Fraction]:
-    """Sparse Ricci contraction to a flattened rank-2 vector."""
-    n = space.n
-    out: dict[int, Fraction] = {}
-    for c, v in vec.items():
-        i, j, k, l = unflatten4(n, c)
-        if i == l:
-            _acc(out, j * n + k, space.eps[i] * v)
-    return out
-
-
-def apply_kaehler(space: ModelSpace, vec: Vec) -> dict[int, Fraction]:
+    Since J² = u, the rows at (i, j, k, l) and (i, j, Jk, Jl) are
+    proportional: one row per class, with entry 1 at its smaller key.
+    """
+    if space.kind == "none":
+        raise ValueError("structure-compatible subspace requires a structured space")
     n = space.n
     u = structure_sign(space.kind)
     perm = j_signed_permutation(space)
-    out: dict[int, Fraction] = {}
-    for c, v in vec.items():
-        i, j, k, l = unflatten4(n, c)
-        pk, sk = perm[k]
-        pl, sl = perm[l]
-        _acc(out, c, v)
-        _acc(out, flatten4(n, i, j, pk, pl), u * sk * sl * v)
-    return out
+    classes = []  # (k, l) < (Jk, Jl) as last-pair offsets, with the entry at (Jk, Jl)
+    for k, (pk, sk) in enumerate(perm):
+        for l, (pl, sl) in enumerate(perm):
+            if (k, l) < (pk, pl):
+                classes.append((k * n + l, pk * n + pl, u * sk * sl))
+    return [{ij * n * n + a: 1, ij * n * n + b: s} for ij in range(n * n) for a, b, s in classes]
 
+
+# ---------------------------------------------------------------------------
+# Sparse group actions on flattened integer vectors
+# ---------------------------------------------------------------------------
 
 ActionRows = list[list[tuple[int, int]]]
 

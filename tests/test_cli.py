@@ -101,6 +101,9 @@ def test_eval_psi_rejects_a_form_that_is_not_opposed(capsys, form):
     (("eval", "nijenhuis", "--kind", "none"), "--kind"),
     (("eval", "invariant", "--word", "01", "--kind", "none"), "--kind"),
     (("eval", "invariant", "--tensor", "omegaxomega", "--kind", "none"), "--kind"),
+    (("eval", "sigma", "--psi", "bogus", "--kind", "none"), "--psi"),
+    (("eval", "psi", "--psi", "bogus", "--kind", "none"), "--psi"),
+    (("eval", "sigma", "--psi", "bogus"), "--psi"),
 ])
 def test_eval_bad_input_names_its_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, "--n", "4")

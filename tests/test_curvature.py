@@ -15,7 +15,7 @@ import pytest
 import oracles
 from curvlab.linalg import Subspace, SubspaceReducer, intersect, subspace_sum
 from curvlab.spaces import make_standard
-from curvlab import curvature
+from curvlab import curvature, linalg
 from curvlab.curvature import (
     catalog,
     kaehler_subspace,
@@ -323,14 +323,16 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
         return real(rows, ncols)
 
     monkeypatch.setattr(curvature, "kernel_subspace", counting_kernel_subspace)
+    monkeypatch.setattr(linalg, "kernel_subspace", counting_kernel_subspace)
     catalog.cache_clear()
     s = make_standard(4, "complex")
     for claim in ("thm4.1", "thm4.2", "thm1.5"):
         curvature.run_claim(claim, s)
     assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
-    # affine, weyl, riemann, conformal and the four two-tensor kernels, then
-    # the coefficient kernels of the four operator meets: Ricci on riemann
-    # (thm4.1) and the structure identity on weyl, riemann and sigma_image
-    # (thm1.5)
+    # affine and conformal over all n^4 columns and the four two-tensor
+    # kernels, then the coefficient kernels of the six meets: weyl, riemann,
+    # Ricci on riemann (thm4.1) and the structure identity on weyl, riemann
+    # and sigma_image (thm1.5)
     assert len(built) == 12
     assert len(set(built)) == 12
+    assert sum(ncols == 4 ** 4 for ncols, _ in built) == 2

@@ -14,10 +14,12 @@ from curvlab.linalg import (
     SubspaceReducer,
     intersect,
     kernel_subspace,
+    meet_kernel,
     subspace_sum,
 )
 from curvlab.curvature import catalog
 from curvlab.spaces import make_standard
+from curvlab.tensors import kaehler_rows, ricci_rows, riemann_rows
 
 F = Fraction
 
@@ -199,6 +201,36 @@ def test_membership_and_coordinates_match_dense_oracle(kind):
             assert (reducer.coordinates(vec, scale) is None) == (not expected), name
             outside += not expected
     assert outside > 0
+
+
+# --- meets read off the parent's basis -----------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_meet_kernel_equals_intersection_with_the_kernel(kind):
+    """On every n = 4 catalog space, the meet read off the restricted rows is
+    the intersection with the full kernel of the rows, as a structure: the
+    structure, Ricci and last-pair rows on the rank-4 spaces, and seeded
+    random integer rows on the columns each space touches.  First a base
+    whose pivot entries 2 make the recombined row (2, -2, 0) non-primitive."""
+    base = Subspace.from_vectors([{0: 2, 2: 1}, {1: 2, 2: 1}], 3)
+    assert meet_kernel(base, [{2: 1}]) == Subspace.from_vectors([{0: 1, 1: -1}], 3)
+    s = make_standard(4, kind)
+    rng = random.Random(kind)
+    rank4 = dict(catalog(s).rank4_spaces())
+    proper = 0
+    for name, sub in catalog(s).all_spaces():
+        amb = sub.ambient_dim
+        support = sorted({c for row in sub.basis for c, _ in row})
+        cases = [[{c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in rng.sample(support, min(4, len(support)))}
+                  for _ in range(2)]]
+        if name in rank4:
+            cases += [kaehler_rows(s), ricci_rows(s), riemann_rows(4)]
+        for rows in cases:
+            meet = meet_kernel(sub, rows)
+            assert meet == intersect(sub, kernel_subspace(rows, amb)), name
+            proper += 0 < meet.dim < sub.dim
+    assert proper > 0
 
 
 # --- canonical form -----------------------------------------------------------

@@ -13,8 +13,6 @@ from curvlab.spaces import make_standard, lie_algebra_basis, random_lie_elements
 from curvlab.tensors import (
     Tensor4,
     action_rows,
-    apply_kaehler,
-    apply_ricci,
     defect_antisym,
     defect_bianchi,
     defect_kaehler,
@@ -24,13 +22,16 @@ from curvlab.tensors import (
     invariant_contraction_product,
     is_antisymmetric,
     kaehler_form,
+    kaehler_rows,
     lie_apply_vec,
     metric_tensor2,
     psi_map,
     pullback_apply_vec,
     ricci,
+    ricci_rows,
     sigma,
     two_form_basis,
+    unflatten4,
 )
 from oracles import alt_ricci, lie_action, psi_map_dense, pullback, sigma_dense, sparse
 
@@ -322,6 +323,9 @@ def test_invariance_of_contractions_under_reps(complex6):
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sparse_applies_match_dense(seed):
+    """Each structure and Ricci row, evaluated on a random tensor, is the
+    dense defect or contraction at the row's leading key; the structure rows
+    touch every component and the Ricci rows every pair."""
     rng = random.Random(seed)
     s = make_standard(4, "para")
     entries = {}
@@ -330,8 +334,22 @@ def test_sparse_applies_match_dense(seed):
         entries[idx] = F(rng.randint(-4, 4), rng.randint(1, 3))
     t = tensor4(4, entries)
     vec = sparse(t.components)
-    assert Tensor4.from_dict(4, apply_kaehler(s, vec)) == defect_kaehler(t, s)
-    assert apply_ricci(s, vec) == ricci(t, s)
+
+    def value(row):
+        return sum((v * vec.get(c, 0) for c, v in row.items()), F(0))
+
+    defect = defect_kaehler(t, s).components
+    rows = kaehler_rows(s)
+    for row in rows:
+        assert value(row) == defect[min(row)]
+    assert set().union(*rows) == set(range(4 ** 4))
+    ric = ricci(t, s)
+    pairs = []
+    for row in ricci_rows(s):
+        _, x, y, _ = unflatten4(4, min(row))
+        assert value(row) == ric.get(x * 4 + y, 0)
+        pairs.append(x * 4 + y)
+    assert sorted(pairs) == list(range(4 ** 2))
 
 
 def _scaled_down(image, scale):
