@@ -1,7 +1,7 @@
 """Exact-arithmetic laboratory for curvature-tensor decompositions over
 para/pseudo-Hermitian inner product spaces."""
 
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .spaces import ModelSpace, make_standard, structure_sign
 from .tensors import Tensor4, kaehler_form, psi_map, sigma
 from .curvature import build_catalog, run_claim
@@ -9,7 +9,6 @@ from .curvature import build_catalog, run_claim
 __version__ = "0.1.0"
 
 __all__ = [
-    "Matrix",
     "ModelSpace",
     "Subspace",
     "Tensor4",

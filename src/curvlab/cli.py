@@ -232,10 +232,7 @@ def _eval(config: RunConfig, args) -> int:
         plane = _parse_indices(args.plane, 2, space.n)
         xy = _parse_indices(args.xy, 2, space.n)
         slope = _parse_slope(args.slope)
-        if slope == 0:
-            twist_field = None
-        else:
-            twist_field = nijenhuis.twist(space, nijenhuis.linear_angle(slope), plane, args.rotation)
+        twist_field = nijenhuis.twist(space, nijenhuis.linear_angle(slope), plane, args.rotation)
         structure = nijenhuis.standard_patch(space, twist_field)
         value = nijenhuis.nijenhuis_at(structure, xy[0], xy[1])
         payload = {

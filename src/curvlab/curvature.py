@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .linalg import (
-    Matrix,
     Subspace,
     SubspaceReducer,
     intersect,
@@ -308,7 +307,7 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
 
 
 def _group_images(sub: Subspace, space: ModelSpace, group: str,
-                  extra_lie: Sequence[Matrix] = ()) -> Iterator[tuple[dict, dict[int, int], int]]:
+                  extra_lie: Sequence[Vec] = ()) -> Iterator[tuple[dict, dict[int, int], int]]:
     """Every group generator applied to every basis vector of ``sub``, in integers.
 
     Yields (witness, image, scale) triples in certificate order: the Lie
@@ -327,19 +326,19 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     scales = [row[p] for row, p in zip(basis, sub.pivots)]
     lie = list(lie_algebra_basis(space, group)) + list(extra_lie)
     for idx, x in enumerate(lie):
-        den, rows = action_rows(x)
+        den, rows = action_rows(x, n)
         for bidx, vec in enumerate(basis):
             yield ({"action": "lie", "element": idx, "basis_vector": bidx},
                    lie_apply_vec(rows, vec, rank, n), den * scales[bidx])
     for idx, g in enumerate(component_reps(space, group)):
-        den, rows = action_rows(g)
+        den, rows = action_rows(g, n)
         for bidx, vec in enumerate(basis):
             yield ({"action": "component_rep", "element": idx, "basis_vector": bidx},
                    pullback_apply_vec(rows, vec, rank, n), den ** rank * scales[bidx])
 
 
 def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
-                       extra_lie: Sequence[Matrix] = ()) -> dict | None:
+                       extra_lie: Sequence[Vec] = ()) -> dict | None:
     """None when the subspace is preserved by the group data, else the first
     witness in certificate order (see :func:`_group_images`)."""
     reducer = SubspaceReducer(sub)
@@ -349,9 +348,10 @@ def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
     return None
 
 
-def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> list[Matrix]:
+def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> list[Vec]:
     """Matrices of the Lie algebra basis, then of the component reps, acting
-    in the canonical basis of ``sub``.
+    in the canonical basis of ``sub``: d x d ``{i*d + j: value}`` dicts whose
+    column j holds the coordinates of the image of basis vector j.
 
     Raises :class:`NotInvariantError` with the first witness in certificate
     order when the action leaves the subspace.
@@ -359,72 +359,74 @@ def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> lis
     reducer = SubspaceReducer(sub)
     d = sub.dim
     mats = []
-    cols: list[list[Fraction]] = []
+    mat: Vec = {}
+    j = 0
     for witness, img, scale in _group_images(sub, space, group):
         coords = reducer.coordinates(img, scale)
         if coords is None:
             raise NotInvariantError(
                 f"subspace not invariant under {witness['action']} element {witness['element']}", witness)
-        cols.append(coords)
-        if len(cols) == d:
-            # columns hold images; transpose into row-major matrix entries
-            mats.append(Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d))))
-            cols = []
+        mat.update((i * d + j, v) for i, v in enumerate(coords) if v)
+        j += 1
+        if j == d:
+            mats.append(mat)
+            mat, j = {}, 0
     return mats
 
 
-def commutant_dimension(mats: Sequence[Matrix]) -> int:
-    """Dimension of {T : TM = MT for all M}, the linear self-maps commuting
-    with the action, solved as an exact kernel."""
-    d = mats[0].rows if mats else 0
-    rows: list[dict[int, Fraction]] = []
+def _commutator_rows(m: Vec, d: int) -> list[dict[int, int]]:
+    """Rows of T -> TM - MT on the d*d entries of T (T[i][k] at i*d + k), from
+    the nonzeros of ``m`` scaled to integers."""
+    _, mrows = action_rows(m, d)
+    rows: dict[int, dict[int, int]] = {}
+    for a, pairs in enumerate(mrows):
+        for b, v in pairs:
+            for i in range(d):
+                # (TM)[i][b] has the term T[i][a] M[a][b]
+                row = rows.setdefault(i * d + b, {})
+                row[i * d + a] = row.get(i * d + a, 0) + v
+                # (MT)[a][i] has the term M[a][b] T[b][i]
+                row = rows.setdefault(a * d + i, {})
+                row[b * d + i] = row.get(b * d + i, 0) - v
+    return [{c: v for c, v in row.items() if v} for row in rows.values()]
+
+
+def commutant_dimension(mats: Sequence[Vec], d: int) -> int:
+    """Dimension of {T : TM = MT for all M}, the linear self-maps of R^d
+    commuting with the action: the full d*d-dimensional space cut down by
+    one meet per matrix."""
+    comm = Subspace(d * d, tuple(((c, 1),) for c in range(d * d)))
     for m in mats:
-        for i in range(d):
-            for j in range(d):
-                row: dict[int, Fraction] = {}
-                for k in range(d):
-                    # (TM)[i][j] term: T[i][k] M[k][j]
-                    v = m[k, j]
-                    if v:
-                        key = i * d + k
-                        row[key] = row.get(key, Fraction(0)) + v
-                    # -(MT)[i][j] term: -M[i][k] T[k][j]
-                    v = m[i, k]
-                    if v:
-                        key = k * d + j
-                        row[key] = row.get(key, Fraction(0)) - v
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    return d * d - rank_of_rows(rows, d * d)
+        comm = meet_kernel(comm, _commutator_rows(m, d))
+    return comm.dim
 
 
-def _block_diag(m: Matrix) -> Matrix:
-    d = m.rows
-    rows = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        for j in range(d):
-            rows[i][j] = m[i, j]
-            rows[d + i][d + j] = m[i, j]
-    return Matrix.from_rows(rows)
+def _block_diag(m: Vec, d: int) -> Vec:
+    """The 2d x 2d matrix diag(m, m) of a d x d matrix ``m``."""
+    out = {}
+    for c, v in m.items():
+        i, j = divmod(c, d)
+        out[2 * d * i + j] = v
+        out[2 * d * (d + i) + d + j] = v
+    return out
 
 
-def diagonal_pair_line_invariant(doubled: Sequence[Matrix], a: Fraction, b: Fraction) -> bool:
+def diagonal_pair_line_invariant(doubled: Sequence[Vec], d: int, a: Fraction, b: Fraction) -> bool:
     """Whether {(a t, b t) : t} inside the doubled module is preserved by the
-    block-diagonal action matrices ``doubled`` (of size 2d)."""
-    d = doubled[0].rows // 2
+    2d x 2d block-diagonal action matrices ``doubled``."""
     line = Subspace.from_vectors([{j: a, d + j: b} for j in range(d)], 2 * d)
     reducer = SubspaceReducer(line)
     for m in doubled:
+        cols: dict[int, list[tuple[int, Fraction]]] = {}
+        for key, coeff in m.items():
+            r, c = divmod(key, 2 * d)
+            cols.setdefault(c, []).append((r, coeff))
         for vec in line.basis_dicts():
             img: dict[int, Fraction] = {}
             for c, v in vec.items():
-                for r in range(2 * d):
-                    coeff = m[r, c]
-                    if coeff:
-                        img[r] = img.get(r, Fraction(0)) + coeff * v
-            img = {c: v for c, v in img.items() if v}
-            if not reducer.contains(img):
+                for r, coeff in cols.get(c, ()):
+                    img[r] = img.get(r, 0) + coeff * v
+            if not reducer.contains({r: v for r, v in img.items() if v}):
                 return False
     return True
 
@@ -709,13 +711,8 @@ def verify_probe_suite(space: ModelSpace) -> VerificationReport:
     omega_line_excluded = compat_defect(s_omega, (0, 3, 2, 0)) != 0
     aligned_excluded = compat_defect(s_psi0, (4, 0, 1, 4)) != 0
     # pair coefficients (a, b) of a*sigma + b*psi against the two probe tuples
-    system = Matrix.from_rows(
-        [
-            [compat_defect(s_psi1, _PROBE_T1), compat_defect(p_psi1, _PROBE_T1)],
-            [compat_defect(s_psi1, _PROBE_T2), compat_defect(p_psi1, _PROBE_T2)],
-        ]
-    )
-    pair_rank = system.rank()
+    system = [{0: compat_defect(s_psi1, t), 1: compat_defect(p_psi1, t)} for t in (_PROBE_T1, _PROBE_T2)]
+    pair_rank = rank_of_rows(system, 2)
     cat = catalog(space)
     opposed_sum = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
     direct_meet = kaehler_subspace(opposed_sum, space)
@@ -775,8 +772,9 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
         return _not_invariant_report(report, err)
     # Ustar lists the Lie basis and the component representatives of U, then
     # the structure reversal composed with each of those representatives
-    dim_comm = commutant_dimension(mats)
-    dim_unextended = commutant_dimension(mats[:len(mats) - len(component_reps(space, "U"))])
+    d = two.alt_opposed.dim
+    dim_comm = commutant_dimension(mats, d)
+    dim_unextended = commutant_dimension(mats[:len(mats) - len(component_reps(space, "U"))], d)
     report.quantities = {
         "commutant_dimension": dim_comm,
         "expected": 1,
@@ -804,10 +802,11 @@ def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
         mats = representation_matrices(two.alt_opposed, space, "Ustar")
     except NotInvariantError as err:
         return _not_invariant_report(report, err)
-    doubled = [_block_diag(m) for m in mats]
-    dim_doubled = commutant_dimension(doubled)
+    d = two.alt_opposed.dim
+    doubled = [_block_diag(m, d) for m in mats]
+    dim_doubled = commutant_dimension(doubled, 2 * d)
     samples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3))]
-    lines_ok = all(diagonal_pair_line_invariant(doubled, a, b) for a, b in samples)
+    lines_ok = all(diagonal_pair_line_invariant(doubled, d, a, b) for a, b in samples)
     report.quantities = {
         "doubled_commutant_dimension": dim_doubled,
         "expected": 4,

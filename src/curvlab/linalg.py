@@ -8,6 +8,11 @@ elimination is fraction-free.  Rows handed back are primitive integer rows
 Subspaces are always stored with a reduced row-echelon basis in that form,
 so two subspaces are equal iff their stored bases are structurally equal.
 That canonical form is what makes every downstream report deterministic.
+
+There is one matrix format, the sparse rank-2 one: a linear map on R^k is
+the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
+convention of rank-2 tensors.  A commutant is cut out of all k x k maps by
+a chain of :func:`meet_kernel` calls.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -130,87 +135,6 @@ def rank_of_rows(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> in
     ech = Echelon(ncols)
     ech.add_all(rows)
     return ech.rank
-
-
-# ---------------------------------------------------------------------------
-# Dense matrices
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Dense row-major matrix of exact rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "Matrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        ent = []
-        for r in rows:
-            if len(r) != nc:
-                raise ValueError("ragged rows")
-            ent.extend(Fraction(v) for v in r)
-        return cls(nr, nc, tuple(ent))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[Fraction | int]) -> "Matrix":
-        n = len(diag)
-        return cls(n, n, tuple(Fraction(diag[i]) if i == j else Fraction(0) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        return [{j: v for j, v in enumerate(self.row(i)) if v} for i in range(self.rows)]
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ent = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                ent.append(sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0)))
-        return Matrix(self.rows, other.cols, tuple(ent))
-
-    def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.cols != len(v):
-            raise ValueError("shape mismatch")
-        return tuple(
-            sum((self[i, k] * v[k] for k in range(self.cols) if v[k]), Fraction(0)) for i in range(self.rows)
-        )
-
-    def scale(self, a: Fraction | int) -> "Matrix":
-        a = Fraction(a)
-        return Matrix(self.rows, self.cols, tuple(a * v for v in self.entries))
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def rank(self) -> int:
-        return rank_of_rows(self.row_dicts(), self.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ symbolic differentiation.  Angle functions deliver (cos, sin, d/dx) triples
 (or the hyperbolic pair) as exact rationals, which pins evaluation to points
 where the rotation is rational; the default query point is the origin, where
 the angle vanishes and everything stays inside the rational field.
+
+Matrices are sparse ``{a*n + b: value}`` dicts of their nonzero entries, the
+flat-index convention of rank-2 tensors; one private product composes them.
 """
 
 from __future__ import annotations
@@ -16,11 +19,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import Matrix
 from .spaces import ModelSpace, structure_sign
 
 Point = tuple[Fraction, ...]
 AngleJet = Callable[[Point], tuple[Fraction, Fraction, Fraction]]
+Mat = dict[int, Fraction]
+
+
+def _mul(a: Mat, b: Mat, n: int) -> Mat:
+    """The product of two n x n matrices."""
+    out: Mat = {}
+    for c, v in a.items():
+        i, k = divmod(c, n)
+        for j in range(n):
+            w = b.get(k * n + j)
+            if w:
+                out[i * n + j] = out.get(i * n + j, 0) + v * w
+    return {c: v for c, v in out.items() if v}
 
 
 def origin(n: int) -> Point:
@@ -49,45 +64,38 @@ class PlaneTwist:
     angle: AngleJet
     var: int = 0
 
-    def _rotation_matrix(self, c: Fraction, s: Fraction, invert: bool = False) -> Matrix:
+    def _rotation_matrix(self, c: Fraction, s: Fraction, invert: bool = False) -> Mat:
         n = self.space.n
         i, j = self.plane
         if invert:
             s = -s
-        rows = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
-        rows[i][i] = c
-        rows[j][j] = c
-        if self.rotation == "circular":
-            # T e_i = c e_i + s e_j,  T e_j = -s e_i + c e_j
-            rows[j][i] = s
-            rows[i][j] = -s
-        else:
-            rows[j][i] = s
-            rows[i][j] = s
-        return Matrix.from_rows(rows)
+        m = {a * n + a: Fraction(1) for a in range(n)}
+        m[i * n + i] = c
+        m[j * n + j] = c
+        # circular: T e_i = c e_i + s e_j, T e_j = -s e_i + c e_j
+        m[j * n + i] = s
+        m[i * n + j] = -s if self.rotation == "circular" else s
+        return {key: v for key, v in m.items() if v}
 
-    def _generator(self) -> Matrix:
+    def _generator(self) -> Mat:
         n = self.space.n
         i, j = self.plane
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        rows[j][i] = Fraction(1)
-        rows[i][j] = Fraction(-1 if self.rotation == "circular" else 1)
-        return Matrix.from_rows(rows)
+        return {j * n + i: Fraction(1), i * n + j: Fraction(-1 if self.rotation == "circular" else 1)}
 
-    def value(self, p: Point) -> Matrix:
+    def value(self, p: Point) -> Mat:
         c, s, _ = self.angle(p)
         return self._rotation_matrix(c, s)
 
-    def inverse_value(self, p: Point) -> Matrix:
+    def inverse_value(self, p: Point) -> Mat:
         c, s, _ = self.angle(p)
         return self._rotation_matrix(c, s, invert=True)
 
-    def derivative(self, p: Point, k: int) -> Matrix:
-        n = self.space.n
+    def derivative(self, p: Point, k: int) -> Mat:
         if k != self.var:
-            return Matrix.zero(n, n)
+            return {}
         c, s, d = self.angle(p)
-        return self._generator().mul(self._rotation_matrix(c, s)).scale(d)
+        gt = _mul(self._generator(), self._rotation_matrix(c, s), self.space.n)
+        return {key: d * v for key, v in gt.items()} if d else {}
 
 
 def twist(space: ModelSpace, angle: AngleJet, plane: tuple[int, int], rotation_type: str,
@@ -117,27 +125,30 @@ class TwistedStructure:
     space: ModelSpace
     twist_field: PlaneTwist | None = None
 
-    def value(self, p: Point) -> Matrix:
+    def value(self, p: Point) -> Mat:
         j = self.space.j
         if j is None:
             raise ValueError("structure field needs a structured space")
         if self.twist_field is None:
             return j
+        n = self.space.n
         t = self.twist_field.value(p)
         tinv = self.twist_field.inverse_value(p)
-        return tinv.mul(j).mul(t)
+        return _mul(_mul(tinv, j, n), t, n)
 
-    def derivative(self, p: Point, k: int) -> Matrix:
-        n = self.space.n
-        j = self.space.j
+    def derivative(self, p: Point, k: int) -> Mat:
         if self.twist_field is None or k != self.twist_field.var:
-            return Matrix.zero(n, n)
+            return {}
+        n = self.space.n
         t = self.twist_field.value(p)
         tinv = self.twist_field.inverse_value(p)
         dt = self.twist_field.derivative(p, k)
-        # d(T^{-1}) = -T^{-1} dT T^{-1}
-        dtinv = tinv.mul(dt).mul(tinv).scale(-1)
-        return dtinv.mul(j).mul(t).add(tinv.mul(j).mul(dt))
+        # d(T^{-1} J T) = -T^{-1} dT T^{-1} J T + T^{-1} J dT, as d(T^{-1}) = -T^{-1} dT T^{-1}
+        tinv_j = _mul(tinv, self.space.j, n)
+        out = _mul(tinv_j, dt, n)
+        for c, v in _mul(_mul(_mul(tinv, dt, n), tinv_j, n), t, n).items():
+            out[c] = out.get(c, 0) - v
+        return {c: v for c, v in out.items() if v}
 
 
 def standard_patch(space: ModelSpace, twist_field: PlaneTwist | None = None) -> TwistedStructure:
@@ -152,8 +163,8 @@ class NijenhuisValue:
     total: tuple[Fraction, ...]
 
 
-def _column(m: Matrix, i: int) -> tuple[Fraction, ...]:
-    return tuple(m[a, i] for a in range(m.rows))
+def _column(m: Mat, i: int, n: int) -> tuple[Fraction, ...]:
+    return tuple(m.get(a * n + i, Fraction(0)) for a in range(n))
 
 
 def nijenhuis_at(structure: TwistedStructure, x: int, y: int, p: Point | None = None) -> NijenhuisValue:
@@ -168,7 +179,8 @@ def nijenhuis_at(structure: TwistedStructure, x: int, y: int, p: Point | None = 
     Coordinate fields have zero Jacobian, so with S the structure at p and
     D_k its partial derivative along x_k the brackets are
       [x,y] = 0,  [Jx,y] = -D_y e_x,  [x,Jy] = D_x e_y,
-      [Jx,Jy] = sum_k (S e_x)_k D_k e_y - (S e_y)_k D_k e_x.
+      [Jx,Jy] = sum_k (S e_x)_k D_k e_y - (S e_y)_k D_k e_x,
+    so the second and third terms are columns of S D_y and S D_x.
     """
     space = structure.space
     if space.kind == "none":
@@ -179,16 +191,14 @@ def nijenhuis_at(structure: TwistedStructure, x: int, y: int, p: Point | None = 
     u = structure_sign(space.kind)
     s = structure.value(p)
     d = [structure.derivative(p, k) for k in range(n)]
-    sx, sy = _column(s, x), _column(s, y)
-    jx_y = tuple(-v for v in _column(d[y], x))
-    x_jy = _column(d[x], y)
+    sx, sy = _column(s, x, n), _column(s, y, n)
     jx_jy = [Fraction(0)] * n
     for k in range(n):
         for a in range(n):
-            jx_jy[a] += sx[k] * d[k][a, y] - sy[k] * d[k][a, x]
+            jx_jy[a] += sx[k] * d[k].get(a * n + y, 0) - sy[k] * d[k].get(a * n + x, 0)
     t1 = (Fraction(0),) * n
-    t2 = tuple(Fraction(-u) * v for v in s.matvec(jx_y))
-    t3 = tuple(Fraction(-u) * v for v in s.matvec(x_jy))
+    t2 = tuple(Fraction(u) * v for v in _column(_mul(s, d[y], n), x, n))
+    t3 = tuple(Fraction(-u) * v for v in _column(_mul(s, d[x], n), y, n))
     t4 = tuple(Fraction(u) * v for v in jx_jy)
     total = tuple(a + b + c + d for a, b, c, d in zip(t1, t2, t3, t4))
     return NijenhuisValue(terms=(t1, t2, t3, t4), total=total)

@@ -20,6 +20,10 @@ and its Z2 extension containing J-anticommuting isometries.  Exact arithmetic
 cannot average over a Lie group, so invariance is always certified through a
 Lie algebra basis (the connected component) plus an explicit, finite list of
 component representatives; both are produced here.
+
+Every matrix here (J, the Lie algebra elements, the component
+representatives) is a sparse ``{a*n + b: value}`` dict of its nonzero
+entries, the flat-index convention of rank-2 tensors.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Collection
 
-from .linalg import Matrix, kernel_subspace
+from .linalg import kernel_subspace
 
 KINDS = ("none", "complex", "para")
 GROUPS = ("O", "U", "Ustar")
@@ -58,14 +63,12 @@ class ModelSpace:
         return (p, self.n - p)
 
     @cached_property
-    def j(self) -> Matrix | None:
-        """The standard structure matrix, or None for kind 'none'."""
+    def j(self) -> dict[int, int] | None:
+        """The standard structure matrix as a sparse ``{a*n + b: value}`` dict,
+        or None for kind 'none'."""
         if self.kind == "none":
             return None
-        rows = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for k, (image, sign) in enumerate(j_signed_permutation(self)):
-            rows[image][k] = Fraction(sign)
-        return Matrix.from_rows(rows)
+        return {image * self.n + k: sign for k, (image, sign) in enumerate(j_signed_permutation(self))}
 
     def describe(self) -> dict:
         p, q = self.signature
@@ -151,8 +154,9 @@ def _check_group_args(space: ModelSpace, group: str) -> None:
         raise ValueError("unitary-type groups need a structured space")
 
 
-def lie_algebra_basis(space: ModelSpace, group: str) -> list[Matrix]:
-    """Basis of {X : X^T H + H X = 0}, intersected with {XJ = JX} for U/Ustar.
+def lie_algebra_basis(space: ModelSpace, group: str) -> list[dict[int, int]]:
+    """Basis of {X : X^T H + H X = 0}, intersected with {XJ = JX} for U/Ustar,
+    as the kernel's primitive integer rows: X[a][b] at a*n + b.
 
     The Lie algebras of the unitary group and of its Z2 extension coincide,
     so ``Ustar`` shares the ``U`` basis.
@@ -178,27 +182,22 @@ def lie_algebra_basis(space: ModelSpace, group: str) -> list[Matrix]:
                 row = {a * n + pb: sb}
                 row[pa * n + b] = row.get(pa * n + b, 0) - u * sa
                 rows.append(row)
-    mats = []
-    for vec in kernel_subspace(rows, n * n).basis_dicts():
-        dense = [[Fraction(0)] * n for _ in range(n)]
-        for c, v in vec.items():
-            dense[c // n][c % n] = v
-        mats.append(Matrix.from_rows(dense))
-    return mats
+    return kernel_subspace(rows, n * n).basis_dicts()
 
 
-def _diag_reflection(n: int, flip: tuple[int, ...]) -> Matrix:
-    return Matrix.diagonal([Fraction(-1 if i in flip else 1) for i in range(n)])
+def _sign_diagonal(n: int, flip: Collection[int]) -> dict[int, int]:
+    """The diagonal matrix with -1 at the indices in ``flip`` and 1 elsewhere."""
+    return {i * n + i: -1 if i in flip else 1 for i in range(n)}
 
 
-def structure_reversal(space: ModelSpace) -> Matrix:
+def structure_reversal(space: ModelSpace) -> dict[int, int]:
     """The default isometry anticommuting with J: fix e_{2i}, negate e_{2i+1}."""
     if space.kind == "none":
         raise ValueError("no structure to reverse")
-    return Matrix.diagonal([Fraction(-1 if i % 2 else 1) for i in range(space.n)])
+    return _sign_diagonal(space.n, range(1, space.n, 2))
 
 
-def component_reps(space: ModelSpace, group: str) -> list[Matrix]:
+def component_reps(space: ModelSpace, group: str) -> list[dict[int, int]]:
     """Finite representatives covering every connected component of the group.
 
     O(p,q) has four components when p, q > 0 (two when definite); they are
@@ -206,41 +205,44 @@ def component_reps(space: ModelSpace, group: str) -> list[Matrix]:
     connected; the para-unitary group has two components (its general-linear
     model), reached by negating one full J-plane, which commutes with J.  The
     Z2 extensions add the structure reversal composed with each of the above.
+    Every representative is a sign diagonal, so a composition multiplies signs.
     """
     _check_group_args(space, group)
     n = space.n
     if group == "O":
-        reps = [Matrix.identity(n)]
+        reps = [_sign_diagonal(n, ())]
         plus = next((i for i, e in enumerate(space.eps) if e > 0), None)
         minus = next((i for i, e in enumerate(space.eps) if e < 0), None)
         if plus is not None:
-            reps.append(_diag_reflection(n, (plus,)))
+            reps.append(_sign_diagonal(n, (plus,)))
         if minus is not None:
-            reps.append(_diag_reflection(n, (minus,)))
+            reps.append(_sign_diagonal(n, (minus,)))
         if plus is not None and minus is not None:
-            reps.append(_diag_reflection(n, (plus, minus)))
+            reps.append(_sign_diagonal(n, (plus, minus)))
         return reps
-    base = [Matrix.identity(n)]
+    base = [_sign_diagonal(n, ())]
     if space.kind == "para":
         # negate the first J-plane: commutes with J, detects the second
         # component of the underlying general-linear group
-        base.append(_diag_reflection(n, (0, 1)))
+        base.append(_sign_diagonal(n, (0, 1)))
     if group == "U":
         return base
     g0 = structure_reversal(space)
-    return base + [g0.mul(m) for m in base]
+    return base + [{c: v * m[c] for c, v in g0.items()} for m in base]
 
 
-def random_lie_elements(space: ModelSpace, group: str, count: int, seed: int = 0) -> list[Matrix]:
+def random_lie_elements(space: ModelSpace, group: str, count: int, seed: int = 0) -> list[dict[int, Fraction]]:
     """Deterministic random rational combinations of the Lie algebra basis."""
     basis = lie_algebra_basis(space, group)
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        acc = Matrix.zero(space.n, space.n)
+        acc: dict[int, Fraction] = {}
         for b in basis:
             num = rng.randint(-9, 9)
             if num:
-                acc = acc.add(b.scale(Fraction(num, rng.randint(1, 9))))
-        out.append(acc)
+                coeff = Fraction(num, rng.randint(1, 9))
+                for c, v in b.items():
+                    acc[c] = acc.get(c, 0) + coeff * v
+        out.append({c: v for c, v in acc.items() if v})
     return out

@@ -7,11 +7,12 @@ metric/fundamental-form pair tensors.
 
 Every tensor the package computes with is a sparse ``{flat index: value}``
 dict, with component (i, j) of a rank-2 tensor at i*n + j and component
-(i, j, k, l) of a rank-4 tensor at ((i*n + j)*n + k)*n + l.  The canonical
-forms, the images of sigma and psi and the constraint rows all read and
-write that format.  Each linear condition, the Ricci contraction and the
-structure identity included, is written once, as rows, which the catalog
-restricts to a parent subspace's basis.
+(i, j, k, l) of a rank-4 tensor at ((i*n + j)*n + k)*n + l.  A matrix is the
+same rank-2 dict, entry (a, b) at a*n + b; the group actions read it through
+:func:`action_rows`.  The canonical forms, the images of sigma and psi and
+the constraint rows all read and write that format.  Each linear condition,
+the Ricci contraction and the structure identity included, is written once,
+as rows, which the catalog restricts to a parent subspace's basis.
 
 The one dense container, :class:`Tensor4`, holds a witness tensor while the
 textbook defect loops re-verify it; those loops share no code with the
@@ -27,7 +28,6 @@ from itertools import permutations
 from math import lcm
 from typing import Mapping, Sequence
 
-from .linalg import Matrix
 from .spaces import ModelSpace, j_signed_permutation, structure_sign
 
 Vec = Mapping[int, Fraction]
@@ -488,14 +488,15 @@ def kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
 ActionRows = list[list[tuple[int, int]]]
 
 
-def action_rows(m: Matrix) -> tuple[int, ActionRows]:
-    """``m`` scaled to integers once: ``(den, rows)`` with ``den * m`` integral
-    and ``rows[a]`` the nonzero ``(b, den * m[a, b])`` pairs of row ``a``."""
-    den = 1
-    for v in m.entries:
-        den = lcm(den, v.denominator)
-    rows = [[(b, v.numerator * (den // v.denominator)) for b, v in enumerate(m.row(a)) if v]
-            for a in range(m.rows)]
+def action_rows(m: Mapping[int, Fraction | int], n: int) -> tuple[int, ActionRows]:
+    """The n x n matrix ``m`` (a ``{a*n + b: value}`` dict) scaled to integers
+    once: ``(den, rows)`` with ``den * m`` integral and ``rows[a]`` the
+    ``(b, den * m[a, b])`` pairs of row ``a``, by ascending ``b``."""
+    den = lcm(1, *(v.denominator for v in m.values()))
+    rows: ActionRows = [[] for _ in range(n)]
+    for c, v in sorted(m.items()):
+        a, b = divmod(c, n)
+        rows[a].append((b, v.numerator * (den // v.denominator)))
     return den, rows
 
 

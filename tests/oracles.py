@@ -8,9 +8,13 @@ six-term maps, dense pull-backs and infinitesimal actions that the
 package's sparse maps and group applies are checked against, the wedge
 product with the fundamental form on 2-forms, and general
 first-order jets of vector fields whose brackets the closed-form Nijenhuis
-probe is checked against.  Small dense helpers (conversions, the Gram
-matrix, the transpose, decoding a report's tensor) live here too, since the
-package itself needs none of them.
+probe is checked against.  The dense :class:`Matrix` lives here, with its
+converters from and to the package's sparse ``{a*k + b: value}`` matrices,
+and so does the dense commutant loop that the package's chain of meets is
+held to; that loop alone takes its rank with the package's
+``rank_of_rows``.  Small dense helpers (conversions, the Gram matrix, the transpose,
+decoding a report's tensor) live here too, since the package itself needs
+none of them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from curvlab.linalg import Matrix, Subspace
+from curvlab.linalg import Subspace, rank_of_rows
 from curvlab.nijenhuis import Point, TwistedStructure
 from curvlab.spaces import ModelSpace, j_signed_permutation
 from curvlab.tensors import (
@@ -35,6 +39,136 @@ from curvlab.tensors import (
     kaehler_form,
     ricci,
 )
+
+
+# ---------------------------------------------------------------------------
+# Dense matrices
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Matrix:
+    """Dense row-major matrix of exact rationals."""
+
+    rows: int
+    cols: int
+    entries: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError("entry count does not match shape")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "Matrix":
+        nr = len(rows)
+        nc = len(rows[0]) if nr else 0
+        ent = []
+        for r in rows:
+            if len(r) != nc:
+                raise ValueError("ragged rows")
+            ent.extend(Fraction(v) for v in r)
+        return cls(nr, nc, tuple(ent))
+
+    @classmethod
+    def from_dict(cls, k: int, m: Mapping[int, Fraction | int]) -> "Matrix":
+        """The k x k matrix of a sparse ``{a*k + b: value}`` dict."""
+        ent = [Fraction(0)] * (k * k)
+        for c, v in m.items():
+            ent[c] = Fraction(v)
+        return cls(k, k, tuple(ent))
+
+    def to_dict(self) -> dict[int, Fraction]:
+        """The sparse ``{a*cols + b: value}`` dict of the nonzero entries."""
+        return {c: v for c, v in enumerate(self.entries) if v}
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+
+    @classmethod
+    def diagonal(cls, diag: Sequence[Fraction | int]) -> "Matrix":
+        n = len(diag)
+        return cls(n, n, tuple(Fraction(diag[i]) if i == j else Fraction(0) for i in range(n) for j in range(n)))
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "Matrix":
+        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+
+    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def mul(self, other: "Matrix") -> "Matrix":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        ent = []
+        for i in range(self.rows):
+            ri = self.row(i)
+            for j in range(other.cols):
+                ent.append(sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0)))
+        return Matrix(self.rows, other.cols, tuple(ent))
+
+    def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        if self.cols != len(v):
+            raise ValueError("shape mismatch")
+        return tuple(
+            sum((self[i, k] * v[k] for k in range(self.cols) if v[k]), Fraction(0)) for i in range(self.rows)
+        )
+
+    def scale(self, a: Fraction | int) -> "Matrix":
+        a = Fraction(a)
+        return Matrix(self.rows, self.cols, tuple(a * v for v in self.entries))
+
+    def add(self, other: "Matrix") -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+
+def block_diag(m: Matrix) -> Matrix:
+    """diag(m, m), copied entry by entry into a dense 2d x 2d array."""
+    d = m.rows
+    rows = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
+    for i in range(d):
+        for j in range(d):
+            rows[i][j] = m[i, j]
+            rows[d + i][d + j] = m[i, j]
+    return Matrix.from_rows(rows)
+
+
+def commutant_dimension(mats: Sequence[Matrix]) -> int:
+    """Dimension of {T : TM = MT for all M}: every entry of every commutator
+    TM - MT written as a row by a dense loop over (i, j, k), and the rank of
+    all rows taken at once.
+
+    The one exception to this module's independence: the rank is the
+    package's ``rank_of_rows``, since a dense elimination of the doubled
+    n = 6 rows (thousands of rows on 576 columns) would take minutes.  What
+    this holds the package to is the row assembly and the chain of meets."""
+    d = mats[0].rows if mats else 0
+    rows: list[dict[int, Fraction]] = []
+    for m in mats:
+        for i in range(d):
+            for j in range(d):
+                row: dict[int, Fraction] = {}
+                for k in range(d):
+                    # (TM)[i][j] term: T[i][k] M[k][j]
+                    v = m[k, j]
+                    if v:
+                        key = i * d + k
+                        row[key] = row.get(key, Fraction(0)) + v
+                    # -(MT)[i][j] term: -M[i][k] T[k][j]
+                    v = m[i, k]
+                    if v:
+                        key = k * d + j
+                        row[key] = row.get(key, Fraction(0)) - v
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return d * d - rank_of_rows(rows, d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +519,11 @@ def structure_applied(structure: TwistedStructure, field: JetField) -> JetField:
 
     def at(p: Point):
         val, jac = field.at(p)
-        s = structure.value(p)
+        s = Matrix.from_dict(n, structure.value(p))
         new_val = s.matvec(list(val))
         cols = []
         for k in range(n):
-            ds = structure.derivative(p, k)
+            ds = Matrix.from_dict(n, structure.derivative(p, k))
             jac_col = [jac[a, k] for a in range(n)]
             col = [x + y for x, y in zip(ds.matvec(list(val)), s.matvec(jac_col))]
             cols.append(col)

@@ -164,9 +164,10 @@ def test_criterion_6_commutants_and_invariant_span():
     for kind in ("complex", "para"):
         s = make_standard(6, kind)
         split = catalog(s).two_tensors
+        d = split.alt_opposed.dim
         mats = representation_matrices(split.alt_opposed, s, "Ustar")
-        checks[f"{kind}: commutant line"] = commutant_dimension(mats) == 1
-        checks[f"{kind}: doubled commutant"] = commutant_dimension([_block_diag(m) for m in mats]) == 4
+        checks[f"{kind}: commutant line"] = commutant_dimension(mats, d) == 1
+        checks[f"{kind}: doubled commutant"] = commutant_dimension([_block_diag(m, d) for m in mats], 2 * d) == 4
         checks[f"{kind}: invariant span"] = (
             invariant_span_dimension(split.alt_opposed, split.alt_opposed, s) == 1
         )

@@ -10,8 +10,8 @@ import pytest
 
 import curvlab
 from curvlab.cli import main
-from curvlab.linalg import Matrix
 from curvlab.report import VerificationReport, exit_code_for
+from oracles import Matrix
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,20 @@ def test_eval_bad_input_names_its_flag(capsys, argv, flag):
     assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "4", "--plane", "1,1"),
+    ("--n", "6", "--rotation", "hyperbolic"),
+])
+def test_eval_nijenhuis_checks_the_twist_at_slope_zero(capsys, argv):
+    """A slope-0 twist is still a twist: a plane it cannot rotate is a bad
+    request at slope 0 exactly as at slope 1."""
+    results = [run_cli(capsys, "eval", "nijenhuis", *argv, "--slope", slope) for slope in ("0", "1")]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_eval_negative_fractional_slope_is_written_with_equals(capsys):
     """argparse reads ``-3/4`` after a space as an option, so the help text
     asks for ``--slope=-3/4``, and that form is accepted."""
@@ -195,7 +209,7 @@ def test_sweep_bad_kind_rejected_before_any_cell(capsys, monkeypatch, ns, kinds)
 def _break_lie_basis(monkeypatch):
     """Replace every Lie algebra basis by the matrix unit E13 (1-based), which
     preserves no opposed 2-form module at n = 4."""
-    e13 = Matrix.from_rows([[1 if (i, j) == (0, 2) else 0 for j in range(4)] for i in range(4)])
+    e13 = Matrix.from_rows([[1 if (i, j) == (0, 2) else 0 for j in range(4)] for i in range(4)]).to_dict()
     monkeypatch.setattr("curvlab.curvature.lie_algebra_basis", lambda space, group: [e13])
 
 

@@ -13,7 +13,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from curvlab.linalg import Subspace, SubspaceReducer, intersect, subspace_sum
+from curvlab.linalg import (
+    Subspace,
+    SubspaceReducer,
+    intersect,
+    meet_kernel,
+    rank_of_rows,
+    restrict_rows,
+    subspace_sum,
+)
 from curvlab.spaces import make_standard
 from curvlab import curvature, linalg
 from curvlab.curvature import (
@@ -27,6 +35,7 @@ from curvlab.tensors import (
     is_structure_eigenform,
     kaehler_form,
     metric_tensor2,
+    ricci_rows,
 )
 
 F = Fraction
@@ -71,16 +80,22 @@ def test_sigma_image_dimension(n):
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_closed_form_dimensions_in_both_geometries(n, kind):
-    """Tricerri-Vanhecke: the structure-compatible riemann tensors of
-    n = 2m have dimension (m(m+1)/2)^2, and for n >= 6 the structure-
-    compatible weyl tensors are exactly those."""
-    cat = catalog(make_standard(n, kind))
+    """Tricerri-Vanhecke (Trans. AMS 267, 1981): the structure-compatible
+    riemann tensors of n = 2m have dimension (m(m+1)/2)^2, the Ricci
+    contraction has rank m^2 on them, so the Bochner part (its kernel) has
+    dimension (m(m+1)/2)^2 - m^2, and for n >= 6 the structure-compatible
+    weyl tensors are exactly those."""
+    s = make_standard(n, kind)
+    cat = catalog(s)
     m = n // 2
     assert cat.affine.dim == affine_dim(n)
     assert cat.riemann.dim == riemann_dim(n)
     assert cat.weyl.dim == riemann_dim(n) + n * (n - 1) // 2
     assert cat.conformal.dim == riemann_dim(n) - n * (n + 1) // 2
     assert cat.kaehler_riemann.dim == (m * (m + 1) // 2) ** 2
+    ric = ricci_rows(s)
+    assert rank_of_rows(restrict_rows(cat.kaehler_riemann, ric), cat.kaehler_riemann.dim) == m * m
+    assert meet_kernel(cat.kaehler_riemann, ric).dim == (m * (m + 1) // 2) ** 2 - m * m
     if n >= 6:
         assert cat.kaehler_weyl == cat.kaehler_riemann
 

@@ -1,13 +1,14 @@
 """Group-module structure: invariance of every cataloged subspace, commutant
 dimensions, invariant-functional spans, and isotropy checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
 
-from curvlab.linalg import Matrix, SubspaceReducer
+from curvlab.linalg import SubspaceReducer, subspace_sum
 from curvlab.spaces import component_reps, lie_algebra_basis, make_standard, random_lie_elements
 from curvlab import curvature
 from curvlab.curvature import (
@@ -117,10 +118,11 @@ def test_eq4d_applies_each_generator_once(monkeypatch, kind, applies):
 
 def _dense_actions(space, group, extra_lie=()):
     """(action, element, dense map) in certificate order, from the dense oracles."""
-    lie = list(lie_algebra_basis(space, group)) + list(extra_lie)
+    n = space.n
+    lie = [oracles.Matrix.from_dict(n, x) for x in list(lie_algebra_basis(space, group)) + list(extra_lie)]
+    reps = [oracles.Matrix.from_dict(n, g) for g in component_reps(space, group)]
     return ([("lie", i, lambda t, x=x: oracles.lie_action(x, t)) for i, x in enumerate(lie)]
-            + [("component_rep", i, lambda t, g=g: oracles.pullback(g, t))
-               for i, g in enumerate(component_reps(space, group))])
+            + [("component_rep", i, lambda t, g=g: oracles.pullback(g, t)) for i, g in enumerate(reps)])
 
 
 def _dense_image(space, sub, act, row):
@@ -151,8 +153,8 @@ def test_representation_scales_match_dense_oracle(kind):
             coords = [image[p] for p in sub.pivots]
             assert [sum((c * b[k] for c, b in zip(coords, basis)), F(0)) for k in range(len(image))] == image
             cols.append(coords)
-        expected.append(Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d))))
-    assert representation_matrices(sub, s, "O") == expected
+        expected.append(oracles.Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d))))
+    assert [oracles.Matrix.from_dict(d, m) for m in representation_matrices(sub, s, "O")] == expected
 
 
 @pytest.mark.parametrize("name", ["omega_line", "kaehler_riemann"])
@@ -162,7 +164,7 @@ def test_rational_extra_elements_give_the_oracle_witness(complex4, name):
     s = complex4
     sub = dict(catalog(s).all_spaces())[name]
     extra = random_lie_elements(s, "O", 3, seed=4)
-    assert max(v.denominator for x in extra for v in x.entries) > 1
+    assert max(v.denominator for x in extra for v in x.values()) > 1
     basis = oracles.dense(sub)
     expected = next(
         {"action": action, "element": idx, "basis_vector": b}
@@ -178,19 +180,72 @@ def test_rational_extra_elements_give_the_oracle_witness(complex4, name):
 def test_commutant_dimensions(kind):
     s = make_standard(6, kind)
     split = catalog(s).two_tensors
+    d = split.alt_opposed.dim
     mats = representation_matrices(split.alt_opposed, s, "Ustar")
-    assert commutant_dimension(mats) == 1
-    assert commutant_dimension(representation_matrices(split.h_line, s, "Ustar")) == 1
-    assert commutant_dimension([_block_diag(m) for m in mats]) == 4
+    assert commutant_dimension(mats, d) == 1
+    assert commutant_dimension(representation_matrices(split.h_line, s, "Ustar"), 1) == 1
+    assert commutant_dimension([_block_diag(m, d) for m in mats], 2 * d) == 4
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_commutant_matches_dense_oracle(n, kind):
+    """The chain of meets against the dense commutant loop, on the opposed
+    module, the metric line and the opposed pair inside the weyl space, each
+    also doubled: 2 x 2 blocks over the original commutant, four times its
+    dimension."""
+    s = make_standard(n, kind)
+    cat = catalog(s)
+    modules = {
+        "alt_opposed": cat.two_tensors.alt_opposed,
+        "h_line": cat.two_tensors.h_line,
+        "opposed_pair": subspace_sum(cat.psi_span, cat.sigma_opposed_span),
+    }
+    dims = {}
+    for name, sub in modules.items():
+        d = sub.dim
+        mats = representation_matrices(sub, s, "Ustar")
+        dense = [oracles.Matrix.from_dict(d, m) for m in mats]
+        doubled = [oracles.block_diag(m) for m in dense]
+        assert [oracles.Matrix.from_dict(2 * d, _block_diag(m, d)) for m in mats] == doubled, name
+        dims[name] = commutant_dimension(mats, d)
+        assert dims[name] == oracles.commutant_dimension(dense), name
+        doubled_dim = commutant_dimension([_block_diag(m, d) for m in mats], 2 * d)
+        assert doubled_dim == oracles.commutant_dimension(doubled) == 4 * dims[name], name
+    assert (dims["alt_opposed"], dims["h_line"], dims["opposed_pair"]) == (1, 1, 4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_commutant_of_random_block_diagonal_sets_matches_dense_oracle(seed):
+    """Seeded small integer matrices sharing a block-diagonal pattern: the
+    block scalars commute with all of them, so the commutant is larger
+    than the scalar line."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    d = sum(sizes)
+    mats = []
+    for _ in range(rng.randint(1, 3)):
+        rows = [[0] * d for _ in range(d)]
+        start = 0
+        for size in sizes:
+            for i in range(start, start + size):
+                for j in range(start, start + size):
+                    rows[i][j] = rng.randint(-2, 2)
+            start += size
+        mats.append(oracles.Matrix.from_rows(rows))
+    dim = commutant_dimension([m.to_dict() for m in mats], d)
+    assert dim == oracles.commutant_dimension(mats)
+    assert dim >= len(sizes) > 1
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_diagonal_line_family(kind):
     s = make_standard(6, kind)
     split = catalog(s).two_tensors
-    doubled = [_block_diag(m) for m in representation_matrices(split.alt_opposed, s, "Ustar")]
+    d = split.alt_opposed.dim
+    doubled = [_block_diag(m, d) for m in representation_matrices(split.alt_opposed, s, "Ustar")]
     for a, b in ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(2), F(3))):
-        assert diagonal_pair_line_invariant(doubled, a, b)
+        assert diagonal_pair_line_invariant(doubled, d, a, b)
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -214,7 +269,7 @@ def test_multiplicity_two_block_inside_weyl(complex6):
     cat = catalog(s)
     pair = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
     assert pair.dim == 12
-    assert commutant_dimension(representation_matrices(pair, s, "Ustar")) == 4
+    assert commutant_dimension(representation_matrices(pair, s, "Ustar"), 12) == 4
 
 
 @pytest.mark.parametrize("kind,sig", [("complex", (6, 0)), ("complex", (4, 2)), ("para", None)])
@@ -253,7 +308,7 @@ def test_pullback_by_reps_preserves_catalog_n4(kind):
         rank = 2 if sub.ambient_dim == 16 else 4
         reducer = SubspaceReducer(sub)
         for g in component_reps(s, _group_for(name)):
-            _, rows = action_rows(g)
+            _, rows = action_rows(g, 4)
             for row in sub.basis:
                 img = pullback_apply_vec(rows, dict(row), rank, 4)
                 assert all(type(v) is int for v in img.values()), name

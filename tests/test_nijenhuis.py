@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from curvlab.linalg import Matrix
 from curvlab.spaces import make_standard, structure_sign
 from curvlab.nijenhuis import (
     AngleJet,
@@ -16,7 +15,7 @@ from curvlab.nijenhuis import (
     standard_patch,
     twist,
 )
-from oracles import bracket_at, coordinate_field, gram, linear_field, structure_applied, transpose
+from oracles import Matrix, bracket_at, coordinate_field, gram, linear_field, structure_applied, transpose
 
 F = Fraction
 
@@ -84,8 +83,8 @@ def test_bracket_antisymmetry_on_random_jets():
 def test_twist_zero_angle_is_identity():
     s = make_standard(6, "complex")
     tw = twist(s, linear_angle(0), (0, 2), "circular")
-    assert tw.value(origin(6)) == Matrix.identity(6)
-    assert tw.derivative(origin(6), 0) == Matrix.zero(6, 6)
+    assert Matrix.from_dict(6, tw.value(origin(6))) == Matrix.identity(6)
+    assert Matrix.from_dict(6, tw.derivative(origin(6), 0)) == Matrix.zero(6, 6)
 
 
 def test_twist_plane_validation():
@@ -105,16 +104,16 @@ def test_twist_isometry_at_rational_rotation_points():
     angle = constant_rotation_angle(F(3, 5), F(4, 5), F(2))
     tw = twist(s, angle, (0, 2), "circular")
     for p in (origin(6), (F(1),) * 6):
-        t = tw.value(p)
+        t = Matrix.from_dict(6, tw.value(p))
         assert transpose(t).mul(gram(s)).mul(t) == gram(s)
-        assert t.mul(tw.inverse_value(p)) == Matrix.identity(6)
+        assert t.mul(Matrix.from_dict(6, tw.inverse_value(p))) == Matrix.identity(6)
 
 
 def test_hyperbolic_twist_isometry():
     s = make_standard(4, "para")
     angle = constant_rotation_angle(F(5, 4), F(3, 4), F(1), hyperbolic=True)
     tw = twist(s, angle, (0, 3), "hyperbolic")
-    t = tw.value(origin(4))
+    t = Matrix.from_dict(4, tw.value(origin(4)))
     assert transpose(t).mul(gram(s)).mul(t) == gram(s)
 
 
@@ -211,7 +210,7 @@ def jet_breakdown(structure, x, y, p):
     n = structure.space.n
     dx, dy = coordinate_field(n, x), coordinate_field(n, y)
     jdx, jdy = structure_applied(structure, dx), structure_applied(structure, dy)
-    jmat = structure.value(p)
+    jmat = Matrix.from_dict(n, structure.value(p))
     t1 = bracket_at(dx, dy, p)
     t2 = tuple(F(-u) * v for v in jmat.matvec(list(bracket_at(jdx, dy, p))))
     t3 = tuple(F(-u) * v for v in jmat.matvec(list(bracket_at(dx, jdy, p))))
@@ -249,3 +248,31 @@ def test_closed_form_matches_jet_brackets(kind, sig, plane, rotation, at_origin,
             assert (value.terms, value.total) == (terms, total), (x, y)
             nonzero += any(total)
     assert nonzero  # every twist here breaks integrability somewhere
+
+
+@pytest.mark.parametrize("kind,sig,plane,rotation", TWISTS)
+def test_structure_derivative_is_a_conjugated_commutator(kind, sig, plane, rotation):
+    """T = exp(angle G) commutes with its generator G, so the derivative of
+    T^{-1} J T along the twist variable is angle' T^{-1} (JG - GJ) T; along
+    any other variable it vanishes.  Checked with dense products, at the
+    origin under a linear angle and off it under a fixed rotation."""
+    s = make_standard(4, kind, sig)
+    i, j = plane
+    gen = [[0] * 4 for _ in range(4)]
+    gen[j][i] = 1
+    gen[i][j] = -1 if rotation == "circular" else 1
+    g = Matrix.from_rows(gen)
+    jmat = Matrix.from_dict(4, s.j)
+    comm = jmat.mul(g).add(g.mul(jmat).scale(-1))
+    if rotation == "circular":
+        fixed = constant_rotation_angle(F(3, 5), F(4, 5), F(2))
+    else:
+        fixed = constant_rotation_angle(F(5, 4), F(3, 4), F(-1), hyperbolic=True)
+    for p, angle in ((origin(4), linear_angle(F(-2, 3), 2)), ((F(1), F(-2), F(1, 2), F(3)), fixed)):
+        tw = twist(s, angle, plane, rotation, 2)
+        t = Matrix.from_dict(4, tw.value(p))
+        tinv = Matrix.from_dict(4, tw.inverse_value(p))
+        assert tinv.mul(t) == Matrix.identity(4)
+        structure = standard_patch(s, tw)
+        assert Matrix.from_dict(4, structure.derivative(p, 2)) == tinv.mul(comm).mul(t).scale(angle(p)[2])
+        assert structure.derivative(p, 0) == {}

@@ -1,19 +1,21 @@
 """Model spaces: structure matrices, signatures, group data."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from curvlab.linalg import Matrix
 from curvlab.spaces import (
     component_reps,
     j_signed_permutation,
     lie_algebra_basis,
     make_standard,
+    random_lie_elements,
     structure_reversal,
     structure_sign,
 )
-from oracles import gram, transpose
+from oracles import Matrix, gram, transpose
 
 F = Fraction
 
@@ -28,18 +30,20 @@ def test_structure_sign_table():
 def test_standard_complex_definite():
     s = make_standard(6, "complex", (6, 0))
     assert s.eps == (1,) * 6
-    assert s.j.mul(s.j) == Matrix.identity(6).scale(-1)
+    j = Matrix.from_dict(6, s.j)
+    assert j.mul(j) == Matrix.identity(6).scale(-1)
     # pull-back test J*h = h
-    assert transpose(s.j).mul(gram(s)).mul(s.j) == gram(s)
+    assert transpose(j).mul(gram(s)).mul(j) == gram(s)
 
 
 def test_standard_para_neutral():
     s = make_standard(4, "para", (2, 2))
     assert s.eps == (1, -1, 1, -1)
-    assert s.j.mul(s.j) == Matrix.identity(4)
-    assert sum(s.j[i, i] for i in range(4)) == 0
+    j = Matrix.from_dict(4, s.j)
+    assert j.mul(j) == Matrix.identity(4)
+    assert sum(j[i, i] for i in range(4)) == 0
     # pull-back test J*h = -h
-    assert transpose(s.j).mul(gram(s)).mul(s.j) == gram(s).scale(-1)
+    assert transpose(j).mul(gram(s)).mul(j) == gram(s).scale(-1)
 
 
 def test_plain_space():
@@ -105,14 +109,17 @@ def test_lie_algebra_infinitesimal_isometry():
     for kind, sig in (("complex", (4, 2)), ("para", None)):
         s = make_standard(6, kind, sig)
         h = gram(s)
+        j = Matrix.from_dict(6, s.j)
         for x in lie_algebra_basis(s, "U"):
+            x = Matrix.from_dict(6, x)
             assert transpose(x).mul(h).add(h.mul(x)) == Matrix.zero(6, 6)
-            assert x.mul(s.j) == s.j.mul(x)
+            assert x.mul(j) == j.mul(x)
     s = make_standard(4, "none", (2, 2))
     h = gram(s)
     basis = lie_algebra_basis(s, "O")
     assert len(basis) == 6
     for x in basis:
+        x = Matrix.from_dict(4, x)
         assert transpose(x).mul(h).add(h.mul(x)) == Matrix.zero(4, 4)
 
 
@@ -135,41 +142,84 @@ def test_reps_are_isometries():
         h = gram(s)
         for group in ("O", "U", "Ustar"):
             for g in component_reps(s, group):
+                g = Matrix.from_dict(6, g)
                 assert transpose(g).mul(h).mul(g) == h
 
 
 def test_reps_include_identity():
     s = make_standard(4, "complex")
     for group in ("O", "U", "Ustar"):
-        assert Matrix.identity(4) in component_reps(s, group)
+        assert Matrix.identity(4) in [Matrix.from_dict(4, g) for g in component_reps(s, group)]
 
 
 def test_structure_reversal_anticommutes():
     for kind in ("complex", "para"):
         s = make_standard(4, kind)
-        g0 = structure_reversal(s)
+        g0 = Matrix.from_dict(4, structure_reversal(s))
+        j = Matrix.from_dict(4, s.j)
         assert g0 == Matrix.diagonal([1, -1, 1, -1])
-        assert g0.mul(s.j) == s.j.mul(g0).scale(-1)
+        assert g0.mul(j) == j.mul(g0).scale(-1)
 
 
 def test_ustar_reps_commute_or_anticommute():
     for kind in ("complex", "para"):
         s = make_standard(6, kind)
+        j = Matrix.from_dict(6, s.j)
         for g in component_reps(s, "Ustar"):
-            gj = g.mul(s.j)
-            jg = s.j.mul(g)
+            g = Matrix.from_dict(6, g)
+            gj = g.mul(j)
+            jg = j.mul(g)
             assert gj == jg or gj == jg.scale(-1)
+
+
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_extended_reps_are_the_reversal_times_the_unitary_reps(kind):
+    s = make_standard(6, kind)
+    unitary = [Matrix.from_dict(6, g) for g in component_reps(s, "U")]
+    g0 = Matrix.from_dict(6, structure_reversal(s))
+    extended = [Matrix.from_dict(6, g) for g in component_reps(s, "Ustar")]
+    assert extended == unitary + [g0.mul(g) for g in unitary]
 
 
 def test_para_unitary_second_component_rep():
     s = make_standard(4, "para")
     reps = component_reps(s, "U")
     assert len(reps) == 2
-    flip = reps[1]
+    flip = Matrix.from_dict(4, reps[1])
+    j = Matrix.from_dict(4, s.j)
     assert flip == Matrix.diagonal([-1, -1, 1, 1])
-    assert flip.mul(s.j) == s.j.mul(flip)
+    assert flip.mul(j) == j.mul(flip)
 
 
 def test_o_group_rep_counts():
     assert len(component_reps(make_standard(4, "none", (4, 0)), "O")) == 2
     assert len(component_reps(make_standard(4, "none", (2, 2)), "O")) == 4
+
+
+# --- seeded random Lie elements ----------------------------------------------------
+
+# sha256 of the JSON list, per element, of its sorted [a*n + b, "p/q"] entries,
+# recorded from the dense-matrix code these dicts replaced; the invariance
+# certificates of the benchmark read exactly these elements
+SEEDED_ELEMENTS = {
+    ("complex", "O", 1): "9cbd007baf1e5480f2e81c312c2c6b62558d29bf69ba6c387bcca88396b9ab93",
+    ("complex", "O", 2): "36250bd1101cbe22c07c144d65a2d2bc401874e425675755965648af97f7ca4b",
+    ("complex", "O", 7): "bacda68fc0c9da819a75550fe1feeb235709c5e536a822ae64213a2a92c3f05c",
+    ("complex", "U", 1): "8dbbb590fd716c468092bc17fbcb4084c6b698f5b6fb47b052e2e0cd2a25d83a",
+    ("complex", "U", 2): "86ab14323648363da228c1bf43ba7730884ecb2f998f61d35d959f7d2326af9b",
+    ("complex", "U", 7): "11a6df36f3dd3a1bd53d12fad4e6b77acc43a14e2f81f0035bba0a20f4a5fac1",
+    ("para", "O", 1): "c34b3ef6219899794f4970e715662aa5e2725735a0ae428325df3b59d5594e8e",
+    ("para", "O", 2): "13bc1d14acbaa2570ca158dd4acbf6243882904161012f2712a9cc98a21ff9db",
+    ("para", "O", 7): "536188abc79073f9a6730ab40874053e65d2337cf1d058573ed79c50282edcb3",
+    ("para", "U", 1): "a6af40e920cfa676f1971d09ff8ed324ffef6f44511f7c20e2611ec2474e0f7e",
+    ("para", "U", 2): "ca07f352e103b019fdbe8587bb1787827272db3f577cb7505684a296f5761356",
+    ("para", "U", 7): "3beb45110b093da126b89c9e7f28d28628d605a877dfc84e042c68c8f3fea86b",
+}
+
+
+@pytest.mark.parametrize("kind,group,seed", sorted(SEEDED_ELEMENTS))
+def test_seeded_lie_elements_are_unchanged(kind, group, seed):
+    elements = random_lie_elements(make_standard(6, kind), group, 2, seed)
+    assert all(v and 0 <= c < 36 for x in elements for c, v in x.items())
+    blob = json.dumps([[[c, str(Fraction(v))] for c, v in sorted(x.items())] for x in elements])
+    assert hashlib.sha256(blob.encode()).hexdigest() == SEEDED_ELEMENTS[kind, group, seed]

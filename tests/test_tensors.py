@@ -33,7 +33,7 @@ from curvlab.tensors import (
     two_form_basis,
     unflatten4,
 )
-from oracles import alt_ricci, lie_action, psi_map_dense, pullback, sigma_dense, sparse
+from oracles import Matrix, alt_ricci, lie_action, psi_map_dense, pullback, sigma_dense, sparse
 
 F = Fraction
 
@@ -220,8 +220,6 @@ def test_psi_map_image_is_riemannian(kind):
 
 
 def test_pullback_identity(complex4):
-    from curvlab.linalg import Matrix
-
     hh = h_tensor_product(complex4)
     assert pullback(Matrix.identity(4), hh) == hh
 
@@ -231,18 +229,16 @@ def test_pullback_of_metric_by_structure(kind):
     s = make_standard(4, kind)
     h = metric_tensor2(s)
     expected = h if kind == "complex" else {c: -v for c, v in h.items()}
-    assert pullback(s.j, h) == expected
+    assert pullback(Matrix.from_dict(4, s.j), h) == expected
 
 
 def test_pullback_of_form_by_reversal(complex4):
-    g0 = structure_reversal(complex4)
+    g0 = Matrix.from_dict(4, structure_reversal(complex4))
     omega = kaehler_form(complex4)
     assert pullback(g0, omega) == {c: -v for c, v in omega.items()}
 
 
 def test_lie_action_zero_matrix(complex4):
-    from curvlab.linalg import Matrix
-
     assert lie_action(Matrix.zero(4, 4), kaehler_form(complex4)) == {}
 
 
@@ -250,9 +246,9 @@ def test_lie_action_annihilates_invariants(complex6):
     h = metric_tensor2(complex6)
     omega = kaehler_form(complex6)
     for x in lie_algebra_basis(complex6, "O"):
-        assert lie_action(x, h) == {}
+        assert lie_action(Matrix.from_dict(6, x), h) == {}
     for x in lie_algebra_basis(complex6, "U"):
-        assert lie_action(x, omega) == {}
+        assert lie_action(Matrix.from_dict(6, x), omega) == {}
 
 
 # --- invariant contractions -------------------------------------------------------
@@ -310,6 +306,7 @@ def test_invariance_of_contractions_under_reps(complex6):
     theta, phi = random_tensor2(), random_tensor2()
     perms = all_slot_permutations()[:6]
     for g in component_reps(complex6, "Ustar"):
+        g = Matrix.from_dict(6, g)
         pulled_theta, pulled_phi = pullback(g, theta), pullback(g, phi)
         for perm in perms:
             for word in EVEN_PAIR_WORDS:
@@ -367,16 +364,16 @@ def test_sparse_actions_match_dense(seed):
     x = lie_algebra_basis(s, "U")[rng.randrange(4)]
     g = structure_reversal(s)
     vec = {c: int(v) for c, v in sparse(t.components).items()}
-    den, rows = action_rows(x)
-    assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(x, t)
-    den, rows = action_rows(g)
-    assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(g, t)
+    den, rows = action_rows(x, 4)
+    assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(Matrix.from_dict(4, x), t)
+    den, rows = action_rows(g, 4)
+    assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(Matrix.from_dict(4, g), t)
     # a rational element: the integer table carries its common denominator
     y = random_lie_elements(s, "U", 1, seed=1)[0]
-    den, rows = action_rows(y)
+    den, rows = action_rows(y, 4)
     assert den > 1
-    assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(y, t)
-    assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(y, t)
+    assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(Matrix.from_dict(4, y), t)
+    assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(Matrix.from_dict(4, y), t)
 
 
 # --- the sparse maps against their dense oracles -------------------------------------
