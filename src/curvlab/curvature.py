@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
     Subspace,
@@ -35,6 +35,7 @@ from .spaces import (
     component_reps,
     j_signed_permutation,
     lie_algebra_basis,
+    lie_generators,
     structure_sign,
 )
 from .tensors import (
@@ -58,10 +59,10 @@ from .tensors import (
     kaehler_rows,
     lie_apply_vec,
     metric_tensor2,
-    pullback_apply_vec,
     ricci_rows,
     riemann_rows,
     sigma,
+    sign_pullback_vec,
     psi_map,
     two_form_basis,
     weyl_rows,
@@ -306,35 +307,58 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
     raise ValueError("ambient dimension is neither rank 2 nor rank 4")
 
 
+def _sign_characters(space: ModelSpace, group: str) -> Iterator[tuple[int, list[int]]]:
+    """``(index, signs)`` of each component representative other than the
+    identity, which fixes every subspace; its index stays reserved.  Raises
+    ``RuntimeError`` if a representative is not a sign diagonal."""
+    n = space.n
+    for idx, g in enumerate(component_reps(space, group)):
+        signs = [g.get(i * n + i) for i in range(n)]
+        if len(g) != n or any(v not in (1, -1) for v in signs):
+            raise RuntimeError(f"component representative {idx} of {group} is not a sign diagonal")
+        if -1 in signs:
+            yield idx, signs
+
+
 def _group_images(sub: Subspace, space: ModelSpace, group: str,
                   extra_lie: Sequence[Vec] = ()) -> Iterator[tuple[dict, dict[int, int], int]]:
     """Every group generator applied to every basis vector of ``sub``, in integers.
 
-    Yields (witness, image, scale) triples in certificate order: the Lie
-    algebra basis, then the extra Lie elements (numbered after the basis),
-    then the component representatives; within each generator the basis
-    vectors go in canonical order.  The witness names the pair as
-    ``{"action", "element", "basis_vector"}``.  Each stored basis row is
-    ``s_b`` times its pivot-one row, ``s_b`` its pivot entry, and each
-    generator is scaled to an integer table once (:func:`action_rows`), so
-    the image is ``scale`` times that of the pivot-one row: ``scale = den *
-    s_b`` for a Lie element and ``den**rank * s_b`` for a pull-back.
+    Yields (witness, image, scale) triples in certificate order: the proven
+    Lie-algebra generators (:func:`spaces.lie_generators`), then the extra
+    Lie elements, then the component representatives other than the
+    identity; within each generator the basis vectors go in canonical order.
+    If X and Y preserve a subspace so does [X, Y], so the generators stand
+    for the whole Lie algebra.  The witness names the pair as ``{"action",
+    "element", "basis_vector"}``: a generator keeps its index in
+    :func:`spaces.lie_algebra_basis`, extra element k is numbered
+    ``len(basis) + k``, and a representative keeps its index in
+    :func:`spaces.component_reps`.
+
+    Each stored basis row is ``s_b`` times its pivot-one row, ``s_b`` its
+    pivot entry.  A Lie element is scaled to an integer table once
+    (:func:`action_rows`), so its image is ``den * s_b`` times that of the
+    pivot-one row.  A representative is a sign diagonal and pulls a
+    coordinate back to itself times the signs of its indices, so its image
+    is ``s_b`` times that of the pivot-one row.
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
     n = space.n
     basis = sub.basis_dicts()
     scales = [row[p] for row, p in zip(basis, sub.pivots)]
-    lie = list(lie_algebra_basis(space, group)) + list(extra_lie)
-    for idx, x in enumerate(lie):
+    lie = list(lie_generators(space, group))
+    if extra_lie:
+        offset = len(lie_algebra_basis(space, group))
+        lie += [(offset + k, x) for k, x in enumerate(extra_lie)]
+    for idx, x in lie:
         den, rows = action_rows(x, n)
         for bidx, vec in enumerate(basis):
             yield ({"action": "lie", "element": idx, "basis_vector": bidx},
                    lie_apply_vec(rows, vec, rank, n), den * scales[bidx])
-    for idx, g in enumerate(component_reps(space, group)):
-        den, rows = action_rows(g, n)
+    for idx, signs in _sign_characters(space, group):
         for bidx, vec in enumerate(basis):
             yield ({"action": "component_rep", "element": idx, "basis_vector": bidx},
-                   pullback_apply_vec(rows, vec, rank, n), den ** rank * scales[bidx])
+                   sign_pullback_vec(signs, vec, rank, n), scales[bidx])
 
 
 def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
@@ -348,29 +372,29 @@ def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
     return None
 
 
-def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> list[Vec]:
-    """Matrices of the Lie algebra basis, then of the component reps, acting
-    in the canonical basis of ``sub``: d x d ``{i*d + j: value}`` dicts whose
-    column j holds the coordinates of the image of basis vector j.
+def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dict[tuple[str, int], Vec]:
+    """The action on ``sub`` in its canonical basis: one d x d ``{i*d + j:
+    value}`` dict per generator, whose column j holds the coordinates of the
+    image of basis vector j.  Keyed by ``(action, element)`` as witnesses name
+    the generator, in certificate order (see :func:`_group_images`): the
+    proven Lie-algebra generators, then the component representatives other
+    than the identity.  The commutant of these matrices is the commutant of
+    the group.
 
     Raises :class:`NotInvariantError` with the first witness in certificate
     order when the action leaves the subspace.
     """
     reducer = SubspaceReducer(sub)
     d = sub.dim
-    mats = []
-    mat: Vec = {}
-    j = 0
+    mats: dict[tuple[str, int], Vec] = {}
     for witness, img, scale in _group_images(sub, space, group):
         coords = reducer.coordinates(img, scale)
         if coords is None:
             raise NotInvariantError(
                 f"subspace not invariant under {witness['action']} element {witness['element']}", witness)
+        j = witness["basis_vector"]
+        mat = mats.setdefault((witness["action"], witness["element"]), {})
         mat.update((i * d + j, v) for i, v in enumerate(coords) if v)
-        j += 1
-        if j == d:
-            mats.append(mat)
-            mat, j = {}, 0
     return mats
 
 
@@ -391,7 +415,7 @@ def _commutator_rows(m: Vec, d: int) -> list[dict[int, int]]:
     return [{c: v for c, v in row.items() if v} for row in rows.values()]
 
 
-def commutant_dimension(mats: Sequence[Vec], d: int) -> int:
+def commutant_dimension(mats: Iterable[Vec], d: int) -> int:
     """Dimension of {T : TM = MT for all M}, the linear self-maps of R^d
     commuting with the action: the full d*d-dimensional space cut down by
     one meet per matrix."""
@@ -413,7 +437,11 @@ def _block_diag(m: Vec, d: int) -> Vec:
 
 def diagonal_pair_line_invariant(doubled: Sequence[Vec], d: int, a: Fraction, b: Fraction) -> bool:
     """Whether {(a t, b t) : t} inside the doubled module is preserved by the
-    2d x 2d block-diagonal action matrices ``doubled``."""
+    2d x 2d action matrices ``doubled``.
+
+    On block-diagonal input diag(M, M), which is what lemma4.9 passes, this
+    holds by construction: diag(M, M) maps (a t, b t) to (a Mt, b Mt).  It can
+    read false only on matrices that mix the two copies."""
     line = Subspace.from_vectors([{j: a, d + j: b} for j in range(d)], 2 * d)
     reducer = SubspaceReducer(line)
     for m in doubled:
@@ -770,11 +798,14 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
         mats = representation_matrices(two.alt_opposed, space, "Ustar")
     except NotInvariantError as err:
         return _not_invariant_report(report, err)
-    # Ustar lists the Lie basis and the component representatives of U, then
-    # the structure reversal composed with each of those representatives
     d = two.alt_opposed.dim
-    dim_comm = commutant_dimension(mats, d)
-    dim_unextended = commutant_dimension(mats[:len(mats) - len(component_reps(space, "U"))], d)
+    dim_comm = commutant_dimension(mats.values(), d)
+    # the unextended group: U and Ustar share the Lie algebra, and its
+    # representatives are the Ustar ones that lie in U
+    unitary = component_reps(space, "U")
+    extended = component_reps(space, "Ustar")
+    unextended = [m for (action, idx), m in mats.items() if action == "lie" or extended[idx] in unitary]
+    dim_unextended = commutant_dimension(unextended, d)
     report.quantities = {
         "commutant_dimension": dim_comm,
         "expected": 1,
@@ -803,7 +834,7 @@ def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
     except NotInvariantError as err:
         return _not_invariant_report(report, err)
     d = two.alt_opposed.dim
-    doubled = [_block_diag(m, d) for m in mats]
+    doubled = [_block_diag(m, d) for m in mats.values()]
     dim_doubled = commutant_dimension(doubled, 2 * d)
     samples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3))]
     lines_ok = all(diagonal_pair_line_invariant(doubled, d, a, b) for a, b in samples)

@@ -11,8 +11,9 @@ That canonical form is what makes every downstream report deterministic.
 
 There is one matrix format, the sparse rank-2 one: a linear map on R^k is
 the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
-convention of rank-2 tensors.  A commutant is cut out of all k x k maps by
-a chain of :func:`meet_kernel` calls.
+convention of rank-2 tensors; :func:`matmul` composes two of them.  A
+commutant is cut out of all k x k maps by a chain of :func:`meet_kernel`
+calls.
 """
 
 from __future__ import annotations
@@ -135,6 +136,21 @@ def rank_of_rows(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> in
     ech = Echelon(ncols)
     ech.add_all(rows)
     return ech.rank
+
+
+def matmul(a: Mapping[int, Fraction | int], b: Mapping[int, Fraction | int], k: int) -> dict[int, Fraction | int]:
+    """The product of two k x k matrices in the sparse rank-2 format."""
+    brows: dict[int, list[tuple[int, Fraction | int]]] = {}
+    for c, w in sorted(b.items()):
+        if w:
+            m, j = divmod(c, k)
+            brows.setdefault(m, []).append((j, w))
+    out: dict[int, Fraction | int] = {}
+    for c, v in a.items():
+        i, m = divmod(c, k)
+        for j, w in brows.get(m, ()):
+            out[i * k + j] = out.get(i * k + j, 0) + v * w
+    return {c: v for c, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

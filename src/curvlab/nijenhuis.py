@@ -10,7 +10,7 @@ where the rotation is rational; the default query point is the origin, where
 the angle vanishes and everything stays inside the rational field.
 
 Matrices are sparse ``{a*n + b: value}`` dicts of their nonzero entries, the
-flat-index convention of rank-2 tensors; one private product composes them.
+flat-index convention of rank-2 tensors, composed by ``linalg.matmul``.
 """
 
 from __future__ import annotations
@@ -19,23 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .linalg import matmul
 from .spaces import ModelSpace, structure_sign
 
 Point = tuple[Fraction, ...]
 AngleJet = Callable[[Point], tuple[Fraction, Fraction, Fraction]]
 Mat = dict[int, Fraction]
-
-
-def _mul(a: Mat, b: Mat, n: int) -> Mat:
-    """The product of two n x n matrices."""
-    out: Mat = {}
-    for c, v in a.items():
-        i, k = divmod(c, n)
-        for j in range(n):
-            w = b.get(k * n + j)
-            if w:
-                out[i * n + j] = out.get(i * n + j, 0) + v * w
-    return {c: v for c, v in out.items() if v}
 
 
 def origin(n: int) -> Point:
@@ -94,7 +83,7 @@ class PlaneTwist:
         if k != self.var:
             return {}
         c, s, d = self.angle(p)
-        gt = _mul(self._generator(), self._rotation_matrix(c, s), self.space.n)
+        gt = matmul(self._generator(), self._rotation_matrix(c, s), self.space.n)
         return {key: d * v for key, v in gt.items()} if d else {}
 
 
@@ -134,7 +123,7 @@ class TwistedStructure:
         n = self.space.n
         t = self.twist_field.value(p)
         tinv = self.twist_field.inverse_value(p)
-        return _mul(_mul(tinv, j, n), t, n)
+        return matmul(matmul(tinv, j, n), t, n)
 
     def derivative(self, p: Point, k: int) -> Mat:
         if self.twist_field is None or k != self.twist_field.var:
@@ -144,9 +133,9 @@ class TwistedStructure:
         tinv = self.twist_field.inverse_value(p)
         dt = self.twist_field.derivative(p, k)
         # d(T^{-1} J T) = -T^{-1} dT T^{-1} J T + T^{-1} J dT, as d(T^{-1}) = -T^{-1} dT T^{-1}
-        tinv_j = _mul(tinv, self.space.j, n)
-        out = _mul(tinv_j, dt, n)
-        for c, v in _mul(_mul(_mul(tinv, dt, n), tinv_j, n), t, n).items():
+        tinv_j = matmul(tinv, self.space.j, n)
+        out = matmul(tinv_j, dt, n)
+        for c, v in matmul(matmul(matmul(tinv, dt, n), tinv_j, n), t, n).items():
             out[c] = out.get(c, 0) - v
         return {c: v for c, v in out.items() if v}
 
@@ -197,8 +186,8 @@ def nijenhuis_at(structure: TwistedStructure, x: int, y: int, p: Point | None = 
         for a in range(n):
             jx_jy[a] += sx[k] * d[k].get(a * n + y, 0) - sy[k] * d[k].get(a * n + x, 0)
     t1 = (Fraction(0),) * n
-    t2 = tuple(Fraction(u) * v for v in _column(_mul(s, d[y], n), x, n))
-    t3 = tuple(Fraction(-u) * v for v in _column(_mul(s, d[x], n), y, n))
+    t2 = tuple(Fraction(u) * v for v in _column(matmul(s, d[y], n), x, n))
+    t3 = tuple(Fraction(-u) * v for v in _column(matmul(s, d[x], n), y, n))
     t4 = tuple(Fraction(u) * v for v in jx_jy)
     total = tuple(a + b + c + d for a, b, c, d in zip(t1, t2, t3, t4))
     return NijenhuisValue(terms=(t1, t2, t3, t4), total=total)

@@ -17,9 +17,11 @@ alternate (+,-) inside every plane (neutral signature).
 
 Group data: the orthogonal group of h, the (para-)unitary group of (h, J),
 and its Z2 extension containing J-anticommuting isometries.  Exact arithmetic
-cannot average over a Lie group, so invariance is always certified through a
-Lie algebra basis (the connected component) plus an explicit, finite list of
-component representatives; both are produced here.
+cannot average over a Lie group, so invariance is always certified through
+the Lie algebra (the connected component) plus an explicit, finite list of
+component representatives; both are produced here.  If X and Y preserve a
+subspace, so does [X, Y], so the Lie algebra enters through a generating set
+whose iterated brackets are proven to span its basis.
 
 Every matrix here (J, the Lie algebra elements, the component
 representatives) is a sparse ``{a*n + b: value}`` dict of its nonzero
@@ -31,10 +33,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Collection
+from functools import cached_property, lru_cache
+from typing import Collection, Sequence
 
-from .linalg import kernel_subspace
+from .linalg import Echelon, kernel_subspace, matmul
 
 KINDS = ("none", "complex", "para")
 GROUPS = ("O", "U", "Ustar")
@@ -183,6 +185,72 @@ def lie_algebra_basis(space: ModelSpace, group: str) -> list[dict[int, int]]:
                 row[pa * n + b] = row.get(pa * n + b, 0) - u * sa
                 rows.append(row)
     return kernel_subspace(rows, n * n).basis_dicts()
+
+
+def _bracket(x: dict[int, int], y: dict[int, int], n: int) -> dict[int, int]:
+    """The commutator xy - yx of two n x n matrices."""
+    out = matmul(x, y, n)
+    for c, v in matmul(y, x, n).items():
+        w = out.get(c, 0) - v
+        if w:
+            out[c] = w
+        else:
+            del out[c]
+    return out
+
+
+def _close(ech: Echelon, gens: list[dict[int, int]], x: dict[int, int], n: int) -> None:
+    """Add the generator ``x`` to ``gens`` and extend the span held by ``ech``,
+    the subalgebra the earlier generators span by iterated brackets, to the
+    one all of them span: bracket each new element with every generator
+    until no bracket is new.  The bracket of ``x`` with the earlier span needs
+    no pass of its own: by the Jacobi identity it lies in the extended span."""
+    gens.append(x)
+    new = [x] if ech.add(x) is not None else []
+    while new:
+        new = [b for y in new for g in gens for b in (_bracket(g, y, n),) if b and ech.add(b) is not None]
+
+
+def brackets_span(gens: Sequence[dict[int, int]], basis: Sequence[dict[int, int]], n: int) -> bool:
+    """Whether the iterated brackets of ``gens`` span exactly the span of ``basis``."""
+    ech = Echelon(n * n)
+    kept: list[dict[int, int]] = []
+    for g in gens:
+        _close(ech, kept, g, n)
+    return ech.rank == len(basis) and not any(ech.reduce(x) for x in basis)
+
+
+def _greedy_generators(basis: Sequence[dict[int, int]], n: int) -> list[int]:
+    """Indices of the basis elements, in order, that raise the rank of the
+    bracket closure of the elements kept before them."""
+    ech = Echelon(n * n)
+    gens: list[dict[int, int]] = []
+    picked = []
+    for i, x in enumerate(basis):
+        if ech.rank == len(basis):
+            break
+        if ech.reduce(x):
+            picked.append(i)
+            _close(ech, gens, x, n)
+    return picked
+
+
+@lru_cache(maxsize=16)
+def lie_generators(space: ModelSpace, group: str) -> tuple[tuple[int, dict[int, int]], ...]:
+    """A generating set of the Lie algebra: ``(index, element)`` pairs, the
+    index into :func:`lie_algebra_basis`, greedily picked in index order.
+
+    The pick is proven before it is returned: the iterated brackets of the
+    elements must span the basis.  A failed proof is a fault of this module,
+    raised as a ``RuntimeError``, never a failed claim.  Closure under these
+    elements is closure under the whole algebra, and their commutant is its
+    commutant.  Cached per (space, group).
+    """
+    basis = lie_algebra_basis(space, group)
+    picked = _greedy_generators(basis, space.n)
+    if not brackets_span([basis[i] for i in picked], basis, space.n):
+        raise RuntimeError(f"the iterated brackets of the picked {group} generators do not span the Lie algebra")
+    return tuple((i, basis[i]) for i in picked)
 
 
 def _sign_diagonal(n: int, flip: Collection[int]) -> dict[int, int]:

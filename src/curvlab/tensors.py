@@ -8,8 +8,9 @@ metric/fundamental-form pair tensors.
 Every tensor the package computes with is a sparse ``{flat index: value}``
 dict, with component (i, j) of a rank-2 tensor at i*n + j and component
 (i, j, k, l) of a rank-4 tensor at ((i*n + j)*n + k)*n + l.  A matrix is the
-same rank-2 dict, entry (a, b) at a*n + b; the group actions read it through
-:func:`action_rows`.  The canonical forms, the images of sigma and psi and
+same rank-2 dict, entry (a, b) at a*n + b; the infinitesimal actions read it
+through :func:`action_rows`, and a sign-diagonal component representative
+acts as the sign character :func:`sign_pullback_vec`.  The canonical forms, the images of sigma and psi and
 the constraint rows all read and write that format.  Each linear condition,
 the Ricci contraction and the structure identity included, is written once,
 as rows, which the catalog restricts to a parent subspace's basis.
@@ -520,13 +521,14 @@ def lie_apply_vec(rows: ActionRows, vec: Mapping[int, int], rank: int, n: int) -
     return {c: v for c, v in out.items() if v}
 
 
-def pullback_apply_vec(rows: ActionRows, vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
-    """Sparse pull-back of an integer vector, contracting each slot with g in
-    sequence: ``den**rank`` times the pull-back by g, where ``(den, rows)`` is
-    :func:`action_rows` of g."""
-    cur = dict(vec)
-    for slot in range(rank):
-        nxt: dict[int, int] = {}
-        _contract_slot(nxt, rows, cur, n ** (rank - 1 - slot), n)
-        cur = {c: v for c, v in nxt.items() if v}
-    return cur
+def sign_pullback_vec(signs: Sequence[int], vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
+    """Pull-back of a flattened rank-2 or rank-4 integer vector by the sign
+    diagonal ``diag(signs)``: each coordinate times the signs of its indices."""
+    out: dict[int, int] = {}
+    for c, v in vec.items():
+        k = c
+        for _ in range(rank):
+            k, a = divmod(k, n)
+            v *= signs[a]
+        out[c] = v
+    return out

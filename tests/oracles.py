@@ -171,6 +171,39 @@ def commutant_dimension(mats: Sequence[Matrix]) -> int:
     return d * d - rank_of_rows(rows, d * d)
 
 
+def lie_closure_dim(mats: Sequence[Matrix]) -> int:
+    """Dimension of the span of ``mats`` and all their iterated brackets: each
+    new element is bracketed with every element kept so far by dense
+    products, and kept when it is independent of the textbook reduced rows,
+    until no bracket is."""
+    reduced: list[tuple[int, list[Fraction]]] = []
+
+    def independent(m: Matrix) -> bool:
+        vec = list(m.entries)
+        for p, row in reduced:
+            if vec[p]:
+                f = vec[p]
+                vec = [v - f * r for v, r in zip(vec, row)]
+        p = next((c for c, v in enumerate(vec) if v), None)
+        if p is None:
+            return False
+        reduced.append((p, [v / vec[p] for v in vec]))
+        return True
+
+    span = [m for m in mats if independent(m)]
+    frontier = list(span)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(span):
+                c = a.mul(b).add(b.mul(a).scale(-1))
+                if independent(c):
+                    new.append(c)
+        span += new
+        frontier = new
+    return len(span)
+
+
 # ---------------------------------------------------------------------------
 # Dense helpers
 # ---------------------------------------------------------------------------
@@ -353,6 +386,24 @@ def pullback(t: Matrix, theta):
     for slot in range(rank):
         comp = _contract_slot(n, rank, comp, t, slot)
     return Tensor4(n, tuple(comp)) if rank == 4 else sparse(comp)
+
+
+def pullback_apply_vec(rows: list[list[tuple[int, int]]], vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
+    """Sparse pull-back of an integer vector by any matrix g, contracting each
+    slot with g in sequence: ``den**rank`` times the pull-back by g, where
+    ``(den, rows)`` is ``tensors.action_rows`` of g.  The oracle for the
+    package's sign-character pull-back by a sign diagonal."""
+    cur = dict(vec)
+    for slot in range(rank):
+        stride = n ** (rank - 1 - slot)
+        nxt: dict[int, int] = {}
+        for c, v in cur.items():
+            a = (c // stride) % n
+            base = c - a * stride
+            for b, coeff in rows[a]:
+                nxt[base + b * stride] = nxt.get(base + b * stride, 0) + coeff * v
+        cur = {c: v for c, v in nxt.items() if v}
+    return cur
 
 
 def lie_action(x: Matrix, theta):

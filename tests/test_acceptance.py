@@ -165,7 +165,7 @@ def test_criterion_6_commutants_and_invariant_span():
         s = make_standard(6, kind)
         split = catalog(s).two_tensors
         d = split.alt_opposed.dim
-        mats = representation_matrices(split.alt_opposed, s, "Ustar")
+        mats = list(representation_matrices(split.alt_opposed, s, "Ustar").values())
         checks[f"{kind}: commutant line"] = commutant_dimension(mats, d) == 1
         checks[f"{kind}: doubled commutant"] = commutant_dimension([_block_diag(m, d) for m in mats], 2 * d) == 4
         checks[f"{kind}: invariant span"] = (

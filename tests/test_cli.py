@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import curvlab
+from curvlab import spaces
 from curvlab.cli import main
+from curvlab.spaces import lie_generators
 from curvlab.report import VerificationReport, exit_code_for
 from oracles import Matrix
 
@@ -207,10 +209,12 @@ def test_sweep_bad_kind_rejected_before_any_cell(capsys, monkeypatch, ns, kinds)
 
 
 def _break_lie_basis(monkeypatch):
-    """Replace every Lie algebra basis by the matrix unit E13 (1-based), which
-    preserves no opposed 2-form module at n = 4."""
+    """Replace every Lie-algebra generating set, which the certificates read,
+    by the matrix unit E13 (1-based) at basis index 0.  E13 preserves no
+    opposed 2-form module at n = 4.  The patch replaces the cached function
+    itself, so no generating set cached before it is read."""
     e13 = Matrix.from_rows([[1 if (i, j) == (0, 2) else 0 for j in range(4)] for i in range(4)]).to_dict()
-    monkeypatch.setattr("curvlab.curvature.lie_algebra_basis", lambda space, group: [e13])
+    monkeypatch.setattr("curvlab.curvature.lie_generators", lambda space, group: ((0, e13),))
 
 
 @pytest.mark.parametrize("claim", ["eq4d", "lemma4.9"])
@@ -290,6 +294,40 @@ def test_internal_error_exits_three(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert err == "internal error: RuntimeError: internal failure\n"
+
+
+@pytest.fixture
+def fresh_generators():
+    """An empty generator cache before and after the test, so a generating set
+    picked under a patch is neither read from nor left in the cache."""
+    lie_generators.cache_clear()
+    yield
+    lie_generators.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm4.1", "--n", "4"],
+    ["verify", "eq4d", "--n", "4", "--kind", "para"],
+    ["sweep", "--ns", "4", "--kinds", "complex", "--claims", "lemma4.9"],
+])
+def test_failed_closure_proof_exits_three(capsys, monkeypatch, fresh_generators, argv):
+    """A generating set whose brackets miss part of the Lie algebra is a
+    fault, never a failed claim or a not-invariant module."""
+    pick = spaces._greedy_generators
+    monkeypatch.setattr(spaces, "_greedy_generators", lambda basis, n: pick(basis, n)[:-1])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: RuntimeError: the iterated brackets of the picked ")
+
+
+def test_representative_that_is_not_a_sign_diagonal_exits_three(capsys, monkeypatch):
+    """The certificates apply representatives as sign characters, so one
+    that is not a sign diagonal is a fault."""
+    swap = Matrix.from_rows([[1 if j == (i ^ 1) else 0 for j in range(4)] for i in range(4)]).to_dict()
+    monkeypatch.setattr("curvlab.curvature.component_reps", lambda space, group: [swap])
+    code, out, err = run_cli(capsys, "verify", "thm4.1", "--n", "4")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: component representative 0 of O is not a sign diagonal\n"
 
 
 def test_json_output_deterministic(capsys):

@@ -9,7 +9,14 @@ import pytest
 import oracles
 
 from curvlab.linalg import SubspaceReducer, subspace_sum
-from curvlab.spaces import component_reps, lie_algebra_basis, make_standard, random_lie_elements
+from curvlab.spaces import (
+    brackets_span,
+    component_reps,
+    lie_algebra_basis,
+    lie_generators,
+    make_standard,
+    random_lie_elements,
+)
 from curvlab import curvature
 from curvlab.curvature import (
     NotInvariantError,
@@ -24,7 +31,7 @@ from curvlab.curvature import (
     verify_commutant_line,
     verify_doubled_commutant,
 )
-from curvlab.tensors import Tensor4, action_rows, gram_weight2, gram_weight4, pullback_apply_vec
+from curvlab.tensors import Tensor4, action_rows, gram_weight2, gram_weight4, lie_apply_vec, sign_pullback_vec
 
 F = Fraction
 
@@ -95,21 +102,24 @@ def _count_group_applies(monkeypatch, verifier, space):
             return apply(*args)
         return wrapper
 
-    for name in ("lie_apply_vec", "pullback_apply_vec"):
+    for name in ("lie_apply_vec", "sign_pullback_vec"):
         monkeypatch.setattr(curvature, name, counted(getattr(curvature, name)))
     assert verifier(space).verdict
     return len(calls)
 
 
-@pytest.mark.parametrize("kind,applies", [("complex", 12), ("para", 16)])
+@pytest.mark.parametrize("kind,applies", [("complex", 6), ("para", 10)])
 def test_lemma49_applies_each_generator_once(monkeypatch, kind, applies):
     """lemma4.9 at n = 4 applies each extended-group generator to each basis
-    vector of the 2-dimensional opposed module once: 4 Lie elements plus 2
-    (complex) or 4 (para) component representatives."""
+    vector of the 2-dimensional opposed module once: the 2 proven Lie
+    generators of u, plus the component representatives other than the
+    identity, 1 (complex: the reversal) or 3 (para: the plane negation, the
+    reversal and their product).  That is 2 * (2 + 1) = 6 and 2 * (2 + 3) = 10
+    applies."""
     assert _count_group_applies(monkeypatch, verify_doubled_commutant, make_standard(4, kind)) == applies
 
 
-@pytest.mark.parametrize("kind,applies", [("complex", 12), ("para", 16)])
+@pytest.mark.parametrize("kind,applies", [("complex", 6), ("para", 10)])
 def test_eq4d_applies_each_generator_once(monkeypatch, kind, applies):
     """eq4d reads the unextended group's matrices off the extended group's,
     so it applies the same generators as lemma4.9, each once."""
@@ -117,7 +127,9 @@ def test_eq4d_applies_each_generator_once(monkeypatch, kind, applies):
 
 
 def _dense_actions(space, group, extra_lie=()):
-    """(action, element, dense map) in certificate order, from the dense oracles."""
+    """(action, element, dense map) over the whole Lie basis, the extra
+    elements and every component representative: the full-basis walk, from
+    the dense oracles."""
     n = space.n
     lie = [oracles.Matrix.from_dict(n, x) for x in list(lie_algebra_basis(space, group)) + list(extra_lie)]
     reps = [oracles.Matrix.from_dict(n, g) for g in component_reps(space, group)]
@@ -134,27 +146,48 @@ def _dense_image(space, sub, act, row):
     return [image.get(c, F(0)) for c in range(n * n)]
 
 
+def _dense_matrix(space, sub, act):
+    """The d x d matrix of the dense map ``act`` on ``sub``, in the pivot-one basis."""
+    basis = oracles.dense(sub)
+    d = sub.dim
+    cols = []
+    for row in basis:
+        image = _dense_image(space, sub, act, row)
+        coords = [image[p] for p in sub.pivots]
+        assert [sum((c * b[k] for c, b in zip(coords, basis)), F(0)) for k in range(len(image))] == image
+        cols.append(coords)
+    return oracles.Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d)))
+
+
+def _dense_certificate_matrices(space, sub, group):
+    """The dense matrices of the certificate's generators, keyed as
+    :func:`representation_matrices` keys them: the proven Lie generators,
+    then the component representatives other than the identity."""
+    n = space.n
+    gens = {i for i, _ in lie_generators(space, group)}
+    identity = oracles.Matrix.identity(n)
+    return {(action, idx): _dense_matrix(space, sub, act)
+            for action, idx, act in _dense_actions(space, group)
+            if (idx in gens if action == "lie"
+                else oracles.Matrix.from_dict(n, component_reps(space, group)[idx]) != identity)}
+
+
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_representation_scales_match_dense_oracle(kind):
     """The integer images carry a scale per (element, basis vector); dividing
-    it out must give the matrices of the dense actions.  Some stored rows of
-    sigma_image have a pivot entry above one, so their scale is not just
-    the generator's."""
+    it out must give the matrices of the dense actions, generator by
+    generator in certificate order.  Some stored rows of sigma_image have a
+    pivot entry above one, so their scale is not just the generator's."""
     s = make_standard(4, kind)
     sub = catalog(s).sigma_image
     assert any(row[0][1] > 1 for row in sub.basis)
-    basis = oracles.dense(sub)
     d = sub.dim
-    expected = []
-    for _, _, act in _dense_actions(s, "O"):
-        cols = []
-        for row in basis:
-            image = _dense_image(s, sub, act, row)
-            coords = [image[p] for p in sub.pivots]
-            assert [sum((c * b[k] for c, b in zip(coords, basis)), F(0)) for k in range(len(image))] == image
-            cols.append(coords)
-        expected.append(oracles.Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d))))
-    assert [oracles.Matrix.from_dict(d, m) for m in representation_matrices(sub, s, "O")] == expected
+    got = {key: oracles.Matrix.from_dict(d, m) for key, m in representation_matrices(sub, s, "O").items()}
+    expected = _dense_certificate_matrices(s, sub, "O")
+    assert list(got) == list(expected)
+    assert [key for key in got if key[0] == "lie"] == [("lie", 0), ("lie", 1), ("lie", 2)]
+    assert ("component_rep", 0) not in got  # the identity
+    assert got == expected
 
 
 @pytest.mark.parametrize("name", ["omega_line", "kaehler_riemann"])
@@ -181,9 +214,9 @@ def test_commutant_dimensions(kind):
     s = make_standard(6, kind)
     split = catalog(s).two_tensors
     d = split.alt_opposed.dim
-    mats = representation_matrices(split.alt_opposed, s, "Ustar")
+    mats = list(representation_matrices(split.alt_opposed, s, "Ustar").values())
     assert commutant_dimension(mats, d) == 1
-    assert commutant_dimension(representation_matrices(split.h_line, s, "Ustar"), 1) == 1
+    assert commutant_dimension(representation_matrices(split.h_line, s, "Ustar").values(), 1) == 1
     assert commutant_dimension([_block_diag(m, d) for m in mats], 2 * d) == 4
 
 
@@ -204,7 +237,7 @@ def test_commutant_matches_dense_oracle(n, kind):
     dims = {}
     for name, sub in modules.items():
         d = sub.dim
-        mats = representation_matrices(sub, s, "Ustar")
+        mats = list(representation_matrices(sub, s, "Ustar").values())
         dense = [oracles.Matrix.from_dict(d, m) for m in mats]
         doubled = [oracles.block_diag(m) for m in dense]
         assert [oracles.Matrix.from_dict(2 * d, _block_diag(m, d)) for m in mats] == doubled, name
@@ -243,7 +276,7 @@ def test_diagonal_line_family(kind):
     s = make_standard(6, kind)
     split = catalog(s).two_tensors
     d = split.alt_opposed.dim
-    doubled = [_block_diag(m, d) for m in representation_matrices(split.alt_opposed, s, "Ustar")]
+    doubled = [_block_diag(m, d) for m in representation_matrices(split.alt_opposed, s, "Ustar").values()]
     for a, b in ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(2), F(3))):
         assert diagonal_pair_line_invariant(doubled, d, a, b)
 
@@ -269,7 +302,7 @@ def test_multiplicity_two_block_inside_weyl(complex6):
     cat = catalog(s)
     pair = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
     assert pair.dim == 12
-    assert commutant_dimension(representation_matrices(pair, s, "Ustar"), 12) == 4
+    assert commutant_dimension(representation_matrices(pair, s, "Ustar").values(), 12) == 4
 
 
 @pytest.mark.parametrize("kind,sig", [("complex", (6, 0)), ("complex", (4, 2)), ("para", None)])
@@ -310,6 +343,142 @@ def test_pullback_by_reps_preserves_catalog_n4(kind):
         for g in component_reps(s, _group_for(name)):
             _, rows = action_rows(g, 4)
             for row in sub.basis:
-                img = pullback_apply_vec(rows, dict(row), rank, 4)
+                img = oracles.pullback_apply_vec(rows, dict(row), rank, 4)
                 assert all(type(v) is int for v in img.values()), name
                 assert reducer.contains(img), name
+
+
+SPACES_6 = [("complex", None), ("para", None), ("complex", (4, 2))]
+
+
+@pytest.mark.parametrize("kind,sig", SPACES_6)
+@pytest.mark.parametrize("group", ["O", "U"])
+def test_closure_proof_needs_every_generator(kind, sig, group):
+    """The picked generators span the Lie algebra by iterated brackets, by the
+    package's proof and by a dense all-pairs closure; without any one of
+    them the proof fails."""
+    s = make_standard(6, kind, sig)
+    basis = lie_algebra_basis(s, group)
+    gens = [x for _, x in lie_generators(s, group)]
+    assert len(gens) == {"O": 5, "U": 3}[group]
+    assert brackets_span(gens, basis, 6)
+    assert oracles.lie_closure_dim([oracles.Matrix.from_dict(6, x) for x in gens]) == len(basis)
+    for k in range(len(gens)):
+        assert not brackets_span(gens[:k] + gens[k + 1:], basis, 6), k
+
+
+def _full_basis_witness(sub, space, group, extra_lie=()):
+    """The certificate walk the generating set replaces: every element of the
+    Lie basis, then the extra elements, then every component representative
+    (by slot contraction, the identity included), applied to every basis
+    vector; the first pair off the subspace, or None."""
+    n = space.n
+    rank = 2 if sub.ambient_dim == n * n else 4
+    reducer = SubspaceReducer(sub)
+    steps = [("lie", x, lie_apply_vec) for x in list(lie_algebra_basis(space, group)) + list(extra_lie)]
+    steps += [("component_rep", g, oracles.pullback_apply_vec) for g in component_reps(space, group)]
+    counters = {"lie": 0, "component_rep": 0}
+    for action, m, apply in steps:
+        idx = counters[action]
+        counters[action] += 1
+        _, rows = action_rows(m, n)
+        for b, vec in enumerate(sub.basis_dicts()):
+            if not reducer.contains(apply(rows, vec, rank, n)):
+                return {"action": action, "element": idx, "basis_vector": b}
+    return None
+
+
+@pytest.mark.parametrize("kind,sig", [("complex", None), ("para", None), ("complex", (2, 2))])
+def test_generator_walk_agrees_with_full_basis_walk_n4(kind, sig):
+    """Every n = 4 catalog space under every group, with and without seeded
+    extra elements: the generator walk rejects a space exactly when the full
+    basis walk does, and passes each space under its own group."""
+    s = make_standard(4, kind, sig)
+    extra = {g: random_lie_elements(s, "O" if g == "O" else "U", 2, seed=3) for g in ("O", "U", "Ustar")}
+    for name, sub in build_catalog(s).all_spaces():
+        for group in ("O", "U", "Ustar"):
+            for lie in ((), extra[group]):
+                got = invariance_witness(sub, s, group, extra_lie=lie)
+                assert (got is None) == (_full_basis_witness(sub, s, group, lie) is None), (name, group)
+                if group == _group_for(name):
+                    assert got is None, name
+
+
+def _self_dual_forms():
+    """The self-dual 2-forms at n = 4: preserved by SO(4), and so by U and
+    Ustar, but not by a reflection."""
+    def wedge(a, b):
+        return {a * 4 + b: F(1), b * 4 + a: F(-1)}
+
+    from curvlab.linalg import Subspace
+
+    forms = [wedge(0, 1) | wedge(2, 3), wedge(0, 2) | {k: -v for k, v in wedge(1, 3).items()}, wedge(0, 3) | wedge(1, 2)]
+    return Subspace.from_vectors(forms, 16)
+
+
+@pytest.mark.parametrize("group", ["O", "U", "Ustar"])
+@pytest.mark.parametrize("module", ["coordinate2", "coordinate4", "omega_line", "self_dual"])
+def test_non_invariant_subspace_is_rejected_by_both_walks(complex4, group, module):
+    """A coordinate line is preserved by no group here, and the line of the
+    fundamental form by U but not by O.  The self-dual forms are preserved
+    by the whole Lie algebra, and only the reflection representative of O
+    moves them.  The generator walk rejects exactly where the dense
+    full-basis walk does."""
+    from curvlab.linalg import Subspace
+
+    s = complex4
+    sub = {"coordinate2": Subspace.from_vectors([{1: F(1)}], 16),
+           "coordinate4": Subspace.from_vectors([{1: F(1)}], 4 ** 4),
+           "omega_line": catalog(s).two_tensors.omega_line,
+           "self_dual": _self_dual_forms()}[module]
+    basis = oracles.dense(sub)
+    dense_first = next(({"action": action, "element": idx, "basis_vector": b}
+                        for action, idx, act in _dense_actions(s, group) for b, row in enumerate(basis)
+                        if not oracles.span_contains(basis, _dense_image(s, sub, act, row))), None)
+    assert (dense_first is not None) == (module not in ("omega_line", "self_dual") or group == "O")
+    got = invariance_witness(sub, s, group)
+    assert (got is not None) == (dense_first is not None)
+    if module == "self_dual" and group == "O":
+        assert got == dense_first == {"action": "component_rep", "element": 1, "basis_vector": 0}
+
+
+@pytest.mark.parametrize("n,kind,sig", [(4, "complex", None), (4, "para", None)]
+                         + [(6, kind, sig) for kind, sig in SPACES_6])
+def test_sign_characters_match_slot_pullback(n, kind, sig):
+    """Each component representative, applied as a sign character, gives the
+    slot-by-slot pull-back of the oracle on every catalog basis vector."""
+    s = make_standard(n, kind, sig)
+    spaces = build_catalog(s).all_spaces()
+    for group in ("O", "Ustar"):
+        for g in component_reps(s, group):
+            signs = [g[i * n + i] for i in range(n)]
+            den, rows = action_rows(g, n)
+            assert (den, len(g)) == (1, n)
+            for name, sub in spaces:
+                rank = 2 if sub.ambient_dim == n * n else 4
+                for vec in sub.basis_dicts():
+                    assert sign_pullback_vec(signs, vec, rank, n) == oracles.pullback_apply_vec(rows, vec, rank, n), name
+
+
+@pytest.mark.parametrize("n,kind,sig", [(4, "complex", None), (4, "para", None)]
+                         + [(6, kind, sig) for kind, sig in SPACES_6])
+def test_unextended_commutant_matches_dense_full_basis_oracle(n, kind, sig):
+    """eq4d's unextended commutant, read off the generator matrices and the
+    U representatives, is 2, as the dense commutant of the whole U basis and
+    every U representative says."""
+    s = make_standard(n, kind, sig)
+    sub = catalog(s).two_tensors.alt_opposed
+    dense = [_dense_matrix(s, sub, act) for _, _, act in _dense_actions(s, "U")]
+    assert oracles.commutant_dimension(dense) == 2
+    assert verify_commutant_line(s).quantities["commutant_dimension_unextended_group"] == 2
+
+
+def test_diagonal_pair_line_check_can_fail():
+    """On block-diagonal input the line check holds by construction; the
+    block swap [[0, I], [I, 0]] moves the line {(t, 0)} onto {(0, t)}."""
+    d = 3
+    swap = {i * 2 * d + d + i: 1 for i in range(d)} | {(d + i) * 2 * d + i: 1 for i in range(d)}
+    assert oracles.Matrix.from_dict(2 * d, swap) == oracles.Matrix.from_rows(
+        [[1 if j == (i + d) % (2 * d) else 0 for j in range(2 * d)] for i in range(2 * d)])
+    assert not diagonal_pair_line_invariant([swap], d, F(1), F(0))
+    assert diagonal_pair_line_invariant([swap], d, F(1), F(1))

@@ -14,6 +14,7 @@ from curvlab.linalg import (
     SubspaceReducer,
     intersect,
     kernel_subspace,
+    matmul,
     meet_kernel,
     subspace_sum,
 )
@@ -255,3 +256,16 @@ def test_subspace_equality_is_structural():
     b = Subspace.from_vectors([{0: F(-5), 1: F(-5)}], 2)
     assert a == b
     assert a.basis == b.basis
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_matmul_matches_dense_product(seed):
+    """The sparse product of two k x k matrices is the dense one, entry by
+    entry, and keeps no zero entries."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 5)
+    a, b = ({rng.randrange(k * k): F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 8))}
+            for _ in range(2))
+    prod = matmul(a, b, k)
+    assert all(prod.values())
+    assert oracles.Matrix.from_dict(k, prod) == oracles.Matrix.from_dict(k, a).mul(oracles.Matrix.from_dict(k, b))

@@ -10,6 +10,7 @@ from curvlab.spaces import (
     component_reps,
     j_signed_permutation,
     lie_algebra_basis,
+    lie_generators,
     make_standard,
     random_lie_elements,
     structure_reversal,
@@ -103,6 +104,24 @@ def test_unitary_lie_algebra_dims(kind):
     assert lie_algebra_basis(s, "Ustar") == lie_algebra_basis(s, "U")
     s6 = make_standard(6, kind)
     assert len(lie_algebra_basis(s6, "U")) == 9
+
+
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_generating_set_sizes(kind):
+    """The greedy pick keeps n - 1 of the n(n-1)/2 elements of o(p,q) and m of
+    the m^2 of u at n = 2m, starting with the first basis element; Ustar shares
+    U's, and the pick is made once per (space, group)."""
+    for n in (4, 6, 8, 10):
+        s = make_standard(n, kind)
+        o, u = lie_generators(s, "O"), lie_generators(s, "U")
+        assert (len(o), len(u)) == (n - 1, n // 2)
+        assert o[0][0] == u[0][0] == 0
+        basis = lie_algebra_basis(s, "U")
+        assert all(x == basis[i] for i, x in u)
+        assert lie_generators(s, "Ustar") == u
+        assert lie_generators(s, "O") is o
+    assert len(lie_generators(make_standard(8, "complex", (4, 4)), "O")) == 7
+    assert len(lie_generators(make_standard(5, "none", (3, 2)), "O")) == 4
 
 
 def test_lie_algebra_infinitesimal_isometry():

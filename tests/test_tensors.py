@@ -26,14 +26,14 @@ from curvlab.tensors import (
     lie_apply_vec,
     metric_tensor2,
     psi_map,
-    pullback_apply_vec,
     ricci,
     ricci_rows,
     sigma,
+    sign_pullback_vec,
     two_form_basis,
     unflatten4,
 )
-from oracles import Matrix, alt_ricci, lie_action, psi_map_dense, pullback, sigma_dense, sparse
+from oracles import Matrix, alt_ricci, lie_action, psi_map_dense, pullback, pullback_apply_vec, sigma_dense, sparse
 
 F = Fraction
 
@@ -368,6 +368,7 @@ def test_sparse_actions_match_dense(seed):
     assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(Matrix.from_dict(4, x), t)
     den, rows = action_rows(g, 4)
     assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(Matrix.from_dict(4, g), t)
+    assert _scaled_down(sign_pullback_vec([g[i * 5] for i in range(4)], vec, 4, 4), 1) == pullback(Matrix.from_dict(4, g), t)
     # a rational element: the integer table carries its common denominator
     y = random_lie_elements(s, "U", 1, seed=1)[0]
     den, rows = action_rows(y, 4)
