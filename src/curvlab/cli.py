@@ -23,7 +23,7 @@ from .report import scalar_to_str
 from .spaces import ModelSpace, make_standard
 from .tensors import (
     flatten4,
-    invariant_contraction_product,
+    invariant_contraction_row,
     kaehler_form,
     metric_tensor2,
     psi_map,
@@ -217,7 +217,9 @@ def _eval(config: RunConfig, args) -> int:
             raise UsageError("tensor must be hxh or omegaxomega")
         if 1 in word:  # a 1 contracts a pair through the fundamental form
             _needs_structure(space, f"eval invariant --word {args.word}")
-        value = invariant_contraction_product(theta, phi, perm, word, space)
+        n2 = space.n ** 2  # the row on theta (x) phi: theta at c // n^2, phi at c % n^2
+        row = invariant_contraction_row(perm, word, space)
+        value = sum((v * theta.get(c // n2, 0) * phi.get(c % n2, 0) for c, v in row.items()), Fraction(0))
         payload = {
             "map": "invariant",
             "tensor": theta_name,

@@ -9,7 +9,9 @@ splitting of rank-2 tensors and the map images of its pieces.  A subspace is
 built on its first read, and every verifier and the dims table read it.
 On top of it the module solves for commutants of group actions and spans of
 invariant contraction functionals, and runs the claim verifiers exposed by
-the CLI.
+the CLI.  A functional is evaluated on a module as a row restricted to its
+basis: the invariant contractions on both sides of mod_a ⊗ mod_b, thm4.2's
+Gram count on one side.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -42,7 +45,6 @@ from .tensors import (
     EVEN_PAIR_WORDS,
     Tensor4,
     action_rows,
-    all_slot_permutations,
     antisym_rows,
     bianchi_rows,
     defect_antisym,
@@ -54,7 +56,7 @@ from .tensors import (
     gram_weight2,
     gram_weight4,
     inner2,
-    invariant_contraction_product,
+    invariant_contraction_row,
     kaehler_form,
     kaehler_rows,
     lie_apply_vec,
@@ -95,20 +97,10 @@ class NotInvariantError(Exception):
 
 
 def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], int]) -> int:
-    """Number of basis pairs (one from each subspace) with a nonzero weighted product."""
-    count = 0
-    bb = b.basis_dicts()
-    for va in a.basis_dicts():
-        for vb in bb:
-            small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
-            total = Fraction(0)
-            for c, v in small.items():
-                w = big.get(c)
-                if w is not None:
-                    total += v * w * weight(c)
-            if total:
-                count += 1
-    return count
+    """Number of basis pairs (one from each subspace) with a nonzero weighted
+    product: the nonzero entries of a's weighted basis rows restricted to b."""
+    weighted = ({c: v * weight(c) for c, v in row} for row in a.basis)
+    return sum(map(len, restrict_rows(b, weighted)))
 
 
 def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
@@ -459,27 +451,36 @@ def diagonal_pair_line_invariant(doubled: Sequence[Vec], d: int, a: Fraction, b:
     return True
 
 
-def invariant_span_dimension(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> int:
-    """Rank of all even-word invariant contraction functionals on mod_a ⊗ mod_b."""
-    if space.kind == "none":
-        raise ValueError("requires a structured space")
-    ta = mod_a.basis_dicts()
-    tb = mod_b.basis_dicts()
-    ncols = len(ta) * len(tb)
-    if ncols == 0:
-        return 0
+def invariant_rows(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> list[dict[int, int]]:
+    """The even-word invariant contractions that are not zero on mod_a ⊗ mod_b,
+    as coefficient rows.  A contraction's row K is an n² x n² matrix, entry
+    (ab, cd) at ab*n² + cd, so its coefficients on the two canonical bases are
+    A K Bᵀ, entry (i, j) at column i*d_b + j: K's rows restricted to mod_b,
+    then the columns of that restricted to mod_a.  No product basis is built.
+    """
+    n2 = space.n ** 2
+    db = mod_b.dim
     rows = []
-    for perm in all_slot_permutations():
+    for perm in permutations(range(4)):
         for word in EVEN_PAIR_WORDS:
-            row: dict[int, Fraction] = {}
-            for i, theta in enumerate(ta):
-                for j, phi in enumerate(tb):
-                    val = invariant_contraction_product(theta, phi, perm, word, space)
-                    if val:
-                        row[i * len(tb) + j] = val
+            k_rows: dict[int, dict[int, int]] = {}
+            for c, v in invariant_contraction_row(perm, word, space).items():
+                ab, cd = divmod(c, n2)
+                k_rows.setdefault(ab, {})[cd] = v
+            kb_cols: dict[int, dict[int, int]] = {}
+            for ab, kb in zip(k_rows, restrict_rows(mod_b, k_rows.values())):
+                for j, v in kb.items():
+                    kb_cols.setdefault(j, {})[ab] = v
+            row = {i * db + j: v for j, akb in zip(kb_cols, restrict_rows(mod_a, kb_cols.values()))
+                   for i, v in akb.items()}
             if row:
                 rows.append(row)
-    return rank_of_rows(rows, ncols)
+    return rows
+
+
+def invariant_span_dimension(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> int:
+    """Rank of all even-word invariant contraction functionals on mod_a ⊗ mod_b."""
+    return rank_of_rows(invariant_rows(mod_a, mod_b, space), mod_a.dim * mod_b.dim)
 
 
 # ---------------------------------------------------------------------------

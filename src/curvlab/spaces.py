@@ -156,12 +156,14 @@ def _check_group_args(space: ModelSpace, group: str) -> None:
         raise ValueError("unitary-type groups need a structured space")
 
 
-def lie_algebra_basis(space: ModelSpace, group: str) -> list[dict[int, int]]:
+@lru_cache(maxsize=16)
+def lie_algebra_basis(space: ModelSpace, group: str) -> tuple[dict[int, int], ...]:
     """Basis of {X : X^T H + H X = 0}, intersected with {XJ = JX} for U/Ustar,
     as the kernel's primitive integer rows: X[a][b] at a*n + b.
 
     The Lie algebras of the unitary group and of its Z2 extension coincide,
-    so ``Ustar`` shares the ``U`` basis.
+    so ``Ustar`` shares the ``U`` basis.  Cached per (space, group): the
+    certificates number extra Lie elements after it on every call.
     """
     _check_group_args(space, group)
     n = space.n
@@ -184,7 +186,7 @@ def lie_algebra_basis(space: ModelSpace, group: str) -> list[dict[int, int]]:
                 row = {a * n + pb: sb}
                 row[pa * n + b] = row.get(pa * n + b, 0) - u * sa
                 rows.append(row)
-    return kernel_subspace(rows, n * n).basis_dicts()
+    return tuple(kernel_subspace(rows, n * n).basis_dicts())
 
 
 def _bracket(x: dict[int, int], y: dict[int, int], n: int) -> dict[int, int]:

@@ -13,19 +13,20 @@ through :func:`action_rows`, and a sign-diagonal component representative
 acts as the sign character :func:`sign_pullback_vec`.  The canonical forms, the images of sigma and psi and
 the constraint rows all read and write that format.  Each linear condition,
 the Ricci contraction and the structure identity included, is written once,
-as rows, which the catalog restricts to a parent subspace's basis.
+as rows, which the catalog restricts to a parent subspace's basis; so is
+each invariant contraction, one row over rank-4 coordinates.
 
 The one dense container, :class:`Tensor4`, holds a witness tensor while the
 textbook defect loops re-verify it; those loops share no code with the
-sparse rows they cross-check.  The dense maps, pull-back and infinitesimal
-action that the sparse ones are tested against live in ``tests/oracles.py``.
+sparse rows they cross-check.  The dense maps, pull-back, infinitesimal
+action and per-pair contraction that the sparse ones are tested against
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -327,30 +328,30 @@ def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction]:
 EVEN_PAIR_WORDS = ((0, 0), (1, 1))
 
 
-def _kappa_raised_entries(space: ModelSpace, a: int) -> list[tuple[int, int, Fraction]]:
+def _kappa_raised_entries(space: ModelSpace, a: int) -> list[tuple[int, int, int]]:
     """Nonzero raised components of the contraction tensor: metric (a=0) or form (a=1)."""
     if a == 0:
-        return [(i, i, Fraction(space.eps[i])) for i in range(space.n)]
+        return [(i, i, space.eps[i]) for i in range(space.n)]
     if space.kind == "none":
         raise ValueError("form contractions require a structured space")
     out = []
     for c, v in kaehler_form(space).items():
         i, j = divmod(c, space.n)
-        out.append((i, j, Fraction(space.eps[i] * space.eps[j]) * v))
+        out.append((i, j, space.eps[i] * space.eps[j] * int(v)))
     return out
 
 
-def invariant_contraction_product(theta: Vec, phi: Vec, perm: Sequence[int], word: Sequence[int],
-                                  space: ModelSpace) -> Fraction:
-    """Full contraction of the product tensor theta (x) phi, without materializing it,
-    against two raised pair tensors.
+def invariant_contraction_row(perm: Sequence[int], word: Sequence[int], space: ModelSpace) -> dict[int, int]:
+    """Full contraction of a rank-4 tensor against two raised pair tensors,
+    as one row over flattened rank-4 coordinates.
 
-    ``perm`` is a permutation of (0,1,2,3) selecting which slots of the
-    product are paired: slots perm[0], perm[1] contract against the first
-    pair tensor and perm[2], perm[3] against the second.  ``word`` selects
-    metric (0) or fundamental form (1) per pair.  Words with an even number
-    of form factors are the scalar invariants of the extended structure
-    group; the operation itself computes any word.
+    ``perm`` is a permutation of (0,1,2,3) selecting which slots are paired:
+    slots perm[0], perm[1] contract against the first pair tensor and
+    perm[2], perm[3] against the second.  ``word`` selects metric (0) or
+    fundamental form (1) per pair.  Words with an even number of form
+    factors are the scalar invariants of the extended structure group; the
+    row is written for any word.  On a product theta (x) phi the row reads
+    sum_c row[c] * theta[c // n^2] * phi[c % n^2].
     """
     if sorted(perm) != [0, 1, 2, 3]:
         raise ValueError("perm must be a permutation of (0,1,2,3)")
@@ -359,7 +360,7 @@ def invariant_contraction_product(theta: Vec, phi: Vec, perm: Sequence[int], wor
     n = space.n
     k1 = _kappa_raised_entries(space, word[0])
     k2 = _kappa_raised_entries(space, word[1])
-    total = Fraction(0)
+    row = {}
     idx = [0, 0, 0, 0]
     for x1, x2, v1 in k1:
         idx[perm[0]] = x1
@@ -367,16 +368,8 @@ def invariant_contraction_product(theta: Vec, phi: Vec, perm: Sequence[int], wor
         for x3, x4, v2 in k2:
             idx[perm[2]] = x3
             idx[perm[3]] = x4
-            t = theta.get(idx[0] * n + idx[1])
-            if t:
-                p = phi.get(idx[2] * n + idx[3])
-                if p:
-                    total += v1 * v2 * t * p
-    return total
-
-
-def all_slot_permutations() -> list[tuple[int, int, int, int]]:
-    return [p for p in permutations(range(4))]
+            row[flatten4(n, *idx)] = v1 * v2
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ package's sparse elimination engine: dense textbook Gauss-Jordan over exact
 rationals, constraint matrices assembled by applying the public dense
 defect operators to every standard basis tensor, the dense five-term and
 six-term maps, dense pull-backs and infinitesimal actions that the
-package's sparse maps and group applies are checked against, the wedge
-product with the fundamental form on 2-forms, and general
+package's sparse maps and group applies are checked against, the per-pair
+invariant contractions and Gram count that the package's restricted rows
+are checked against, the wedge product with the fundamental form on
+2-forms, and general
 first-order jets of vector fields whose brackets the closed-form Nijenhuis
 probe is checked against.  The dense :class:`Matrix` lives here, with its
 converters from and to the package's sparse ``{a*k + b: value}`` matrices,
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Mapping, Sequence
 
 from curvlab.linalg import Subspace, rank_of_rows
@@ -37,6 +39,7 @@ from curvlab.tensors import (
     is_antisymmetric,
     is_structure_eigenform,
     kaehler_form,
+    metric_tensor2,
     ricci,
 )
 
@@ -418,6 +421,65 @@ def lie_action(x: Matrix, theta):
             if v:
                 total[c] += v
     return Tensor4(n, tuple(total)) if rank == 4 else sparse(total)
+
+
+# ---------------------------------------------------------------------------
+# Invariant contractions and Gram counts, pair by pair
+# ---------------------------------------------------------------------------
+
+
+def _raised_pair_tensor(space: ModelSpace, a: int) -> list[list[int]]:
+    """The dense raised metric (a = 0) or fundamental form (a = 1):
+    K^{ij} = h^{ii} h^{jj} K_ij, since the metric is diagonal."""
+    n = space.n
+    k = metric_tensor2(space) if a == 0 else kaehler_form(space)
+    return [[space.eps[i] * space.eps[j] * int(k.get(i * n + j, 0)) for j in range(n)] for i in range(n)]
+
+
+def invariant_contraction_product(theta: Mapping[int, Fraction], phi: Mapping[int, Fraction],
+                                  perm: Sequence[int], word: Sequence[int], space: ModelSpace) -> Fraction:
+    """Full contraction of theta (x) phi against two raised pair tensors, one
+    nonzero pair (theta[a, b], phi[c, d]) at a time: slots perm[0], perm[1] of
+    (a, b, c, d) against the first pair tensor, perm[2], perm[3] against the
+    second; ``word`` picks the metric (0) or the fundamental form (1) per pair.
+    The oracle of ``tensors.invariant_contraction_row``."""
+    n = space.n
+    k1 = _raised_pair_tensor(space, word[0])
+    k2 = _raised_pair_tensor(space, word[1])
+    total = Fraction(0)
+    for ab, t in theta.items():
+        for cd, p in phi.items():
+            idx = (*divmod(ab, n), *divmod(cd, n))
+            total += k1[idx[perm[0]]][idx[perm[1]]] * k2[idx[perm[2]]][idx[perm[3]]] * t * p
+    return total
+
+
+def invariant_rows(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> list[list[Fraction]]:
+    """The even-word contractions on mod_a (x) mod_b that are not zero there,
+    one basis pair, permutation and word at a time, as dense rows: column
+    i*d_b + j holds the pair (i-th basis row of mod_a, j-th of mod_b)."""
+    ta, tb = mod_a.basis_dicts(), mod_b.basis_dicts()
+    rows = [[invariant_contraction_product(theta, phi, perm, word, space) for theta in ta for phi in tb]
+            for perm in permutations(range(4)) for word in ((0, 0), (1, 1))]
+    return [row for row in rows if any(row)]
+
+
+def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], int]) -> int:
+    """Number of basis pairs (one from each subspace) with a nonzero weighted
+    product, one pair at a time."""
+    count = 0
+    bb = b.basis_dicts()
+    for va in a.basis_dicts():
+        for vb in bb:
+            small, big = (va, vb) if len(va) <= len(vb) else (vb, va)
+            total = Fraction(0)
+            for c, v in small.items():
+                w = big.get(c)
+                if w is not None:
+                    total += v * w * weight(c)
+            if total:
+                count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

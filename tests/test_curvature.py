@@ -31,6 +31,7 @@ from curvlab.curvature import (
     probe_opposed_form,
 )
 from curvlab.tensors import (
+    gram_weight4,
     inner2,
     is_structure_eigenform,
     kaehler_form,
@@ -203,6 +204,29 @@ def test_two_tensor_pieces_pairwise_orthogonal(kind, sig):
             for va in a.basis_dicts():
                 for vb in b.basis_dicts():
                     assert inner2(s, va, vb) == 0
+
+
+@pytest.mark.parametrize("n,kind,sig", [(4, "complex", None), (4, "para", None), (6, "complex", None),
+                                        (6, "para", None), (6, "complex", (4, 2))])
+def test_gram_count_matches_per_pair_oracle(n, kind, sig):
+    """thm4.2's count of basis pairs with a nonzero Gram product, on pairs of
+    spaces that overlap, so the count is not zero; and the same count under
+    a weight that vanishes on a third of the coordinates."""
+    s = make_standard(n, kind, sig)
+    cat = catalog(s)
+
+    def weight(c):
+        return gram_weight4(s, c)
+
+    def skewed(c):
+        return c % 3 - 1
+
+    for a, b in ((cat.weyl, cat.sigma_image), (cat.riemann, cat.riemann), (cat.sigma_image, cat.weyl)):
+        count = curvature.orthogonality_violations(a, b, weight)
+        assert count == oracles.orthogonality_violations(a, b, weight)
+        assert count > 0
+        assert curvature.orthogonality_violations(a, b, skewed) == oracles.orthogonality_violations(a, b, skewed)
+    assert curvature.orthogonality_violations(cat.riemann, cat.sigma_image, weight) == 0
 
 
 def test_generators_live_in_their_lines(complex6):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 
-from curvlab.linalg import SubspaceReducer, subspace_sum
+from curvlab.linalg import Subspace, SubspaceReducer, subspace_sum
 from curvlab.spaces import (
     brackets_span,
     component_reps,
@@ -26,6 +26,7 @@ from curvlab.curvature import (
     commutant_dimension,
     diagonal_pair_line_invariant,
     invariance_witness,
+    invariant_rows,
     invariant_span_dimension,
     representation_matrices,
     verify_commutant_line,
@@ -209,6 +210,17 @@ def test_rational_extra_elements_give_the_oracle_witness(complex4, name):
     assert invariance_witness(sub, s, "U", extra_lie=extra) == expected
 
 
+def test_extra_element_is_numbered_after_the_whole_basis(complex4):
+    """Extra element k is named len(basis) + k, after all four elements of
+    the U basis at n = 4, not after the two generators the walk applies."""
+    s = complex4
+    sub = catalog(s).two_tensors.omega_line
+    assert len(lie_generators(s, "U")) == 2
+    moves = next(x for x in lie_algebra_basis(s, "O") if invariance_witness(sub, s, "U", extra_lie=[x]))
+    extra = [lie_algebra_basis(s, "U")[0], moves]
+    assert invariance_witness(sub, s, "U", extra_lie=extra) == {"action": "lie", "element": 5, "basis_vector": 0}
+
+
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_commutant_dimensions(kind):
     s = make_standard(6, kind)
@@ -291,6 +303,36 @@ def test_invariant_span_dimensions(kind):
     from curvlab.linalg import Subspace
 
     assert invariant_span_dimension(Subspace(36, ()), split.h_line, s) == 0
+
+
+@pytest.mark.parametrize("n,kind,sig", [(4, "complex", None), (4, "para", None), (6, "complex", None),
+                                        (6, "para", None), (6, "complex", (4, 2))])
+def test_invariant_rows_match_per_pair_oracle(n, kind, sig):
+    """The functionals restricted on both sides are the per-pair rows, column
+    i*d_b + j for the pair (i, j), and their rank is the oracle's.  The
+    module pairs include an empty module, and a pair of different dimensions
+    with nonzero rows, whose columns a transposed index would move."""
+    s = make_standard(n, kind, sig)
+    split = catalog(s).two_tensors
+    empty = Subspace(n * n, ())
+    opposed_plus_omega = subspace_sum(split.alt_opposed, split.omega_line)
+    pairs = [
+        (split.alt_opposed, split.alt_opposed),
+        (split.h_line, split.omega_line),
+        (split.alt_aligned_traceless, split.alt_opposed),
+        (empty, split.h_line),
+        (split.alt_opposed, empty),
+        (opposed_plus_omega, split.alt_opposed),
+        (split.alt_opposed, opposed_plus_omega),
+    ]
+    for mod_a, mod_b in pairs:
+        ncols = mod_a.dim * mod_b.dim
+        expected = oracles.invariant_rows(mod_a, mod_b, s)
+        got = invariant_rows(mod_a, mod_b, s)
+        assert [[row.get(c, 0) for c in range(ncols)] for row in got] == expected
+        assert invariant_span_dimension(mod_a, mod_b, s) == oracles.dense_rref(expected)[1]
+    assert invariant_rows(opposed_plus_omega, split.alt_opposed, s)
+    assert invariant_span_dimension(split.alt_opposed, split.alt_opposed, s) == 1
 
 
 def test_multiplicity_two_block_inside_weyl(complex6):

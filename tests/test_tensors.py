@@ -4,6 +4,7 @@ the defining formulas and are asserted exactly."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,8 @@ from curvlab.tensors import (
     defect_riemann,
     defect_weyl,
     flatten4,
-    invariant_contraction_product,
+    EVEN_PAIR_WORDS,
+    invariant_contraction_row,
     is_antisymmetric,
     kaehler_form,
     kaehler_rows,
@@ -33,6 +35,7 @@ from curvlab.tensors import (
     two_form_basis,
     unflatten4,
 )
+import oracles
 from oracles import Matrix, alt_ricci, lie_action, psi_map_dense, pullback, pullback_apply_vec, sigma_dense, sparse
 
 F = Fraction
@@ -254,65 +257,76 @@ def test_lie_action_annihilates_invariants(complex6):
 # --- invariant contractions -------------------------------------------------------
 
 
+def on_product(row, theta, phi, n):
+    """A contraction row evaluated on theta (x) phi: theta at c // n^2, phi at c % n^2."""
+    return sum((v * theta.get(c // n ** 2, 0) * phi.get(c % n ** 2, 0) for c, v in row.items()), F(0))
+
+
 def test_invariant_contraction_h_product(complex6):
     h = metric_tensor2(complex6)
-    assert invariant_contraction_product(h, h, (0, 1, 2, 3), (0, 0), complex6) == 36
+    assert on_product(invariant_contraction_row((0, 1, 2, 3), (0, 0), complex6), h, h, 6) == 36
 
 
 def test_invariant_contraction_crossed_pairing(complex6):
     h = metric_tensor2(complex6)
-    assert invariant_contraction_product(h, h, (0, 2, 1, 3), (0, 0), complex6) == 6
+    assert on_product(invariant_contraction_row((0, 2, 1, 3), (0, 0), complex6), h, h, 6) == 6
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_invariant_contraction_form_product(kind):
     s = make_standard(6, kind)
     omega = kaehler_form(s)
-    assert invariant_contraction_product(omega, omega, (0, 1, 2, 3), (1, 1), s) == 36
+    assert on_product(invariant_contraction_row((0, 1, 2, 3), (1, 1), s), omega, omega, 6) == 36
 
 
 def test_invariant_contraction_validation(complex4):
-    h = metric_tensor2(complex4)
     with pytest.raises(ValueError):
-        invariant_contraction_product(h, h, (0, 1, 2, 2), (0, 0), complex4)
+        invariant_contraction_row((0, 1, 2, 2), (0, 0), complex4)
     with pytest.raises(ValueError):
-        invariant_contraction_product(h, h, (0, 1, 2, 3), (0, 2), complex4)
-    s = make_standard(4, "none")
-    h = metric_tensor2(s)
+        invariant_contraction_row((0, 1, 2, 3), (0, 2), complex4)
     with pytest.raises(ValueError):
-        invariant_contraction_product(h, h, (0, 1, 2, 3), (1, 1), s)
+        invariant_contraction_row((0, 1, 2, 3), (1, 1), make_standard(4, "none"))
 
 
 @pytest.mark.parametrize("word", [(2,), (2, 2), (0, 1, 2)])
 def test_invariant_contraction_product_rejects_bad_word(complex4, word):
-    h = metric_tensor2(complex4)
     with pytest.raises(ValueError):
-        invariant_contraction_product(h, h, (0, 1, 2, 3), word, complex4)
+        invariant_contraction_row((0, 1, 2, 3), word, complex4)
+
+
+def random_tensor2(rng, n, count=8):
+    return {rng.randrange(n * n): F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(count)}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_contraction_rows_match_per_pair_oracle(n, kind):
+    """Every permutation and word: the row on theta (x) phi is the oracle's
+    contraction of the product, on seeded random rank-2 tensors."""
+    s = make_standard(n, kind)
+    rng = random.Random(10 * n + len(kind))
+    pairs = [(random_tensor2(rng, n), random_tensor2(rng, n)) for _ in range(3)]
+    pairs.append((metric_tensor2(s), kaehler_form(s)))
+    for perm in permutations(range(4)):
+        for word in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            row = invariant_contraction_row(perm, word, s)
+            for theta, phi in pairs:
+                assert on_product(row, theta, phi, n) == oracles.invariant_contraction_product(
+                    theta, phi, perm, word, s), (perm, word)
 
 
 def test_invariance_of_contractions_under_reps(complex6):
-    """Even-word functionals agree on pull-backs by extended-group elements."""
+    """Each even-word row is fixed by the pull-back of every extended-group
+    representative, for every slot permutation."""
     from curvlab.spaces import component_reps
-    from curvlab.tensors import all_slot_permutations, EVEN_PAIR_WORDS
 
-    rng = random.Random(7)
-
-    def random_tensor2():
-        entries = {}
-        for _ in range(8):
-            entries[rng.randrange(6) * 6 + rng.randrange(6)] = F(rng.randint(-5, 5), rng.randint(1, 4))
-        return entries
-
-    theta, phi = random_tensor2(), random_tensor2()
-    perms = all_slot_permutations()[:6]
-    for g in component_reps(complex6, "Ustar"):
-        g = Matrix.from_dict(6, g)
-        pulled_theta, pulled_phi = pullback(g, theta), pullback(g, phi)
-        for perm in perms:
-            for word in EVEN_PAIR_WORDS:
-                assert invariant_contraction_product(
-                    pulled_theta, pulled_phi, perm, word, complex6
-                ) == invariant_contraction_product(theta, phi, perm, word, complex6)
+    reps = [[g[i * 6 + i] for i in range(6)] for g in component_reps(complex6, "Ustar")]
+    assert len(reps) == 2
+    for perm in permutations(range(4)):
+        for word in EVEN_PAIR_WORDS:
+            row = invariant_contraction_row(perm, word, complex6)
+            for signs in reps:
+                assert sign_pullback_vec(signs, row, 4, 6) == row
 
 
 # --- sparse/dense agreement --------------------------------------------------------
