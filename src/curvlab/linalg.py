@@ -9,6 +9,14 @@ Subspaces are always stored with a reduced row-echelon basis in that form,
 so two subspaces are equal iff their stored bases are structurally equal.
 That canonical form is what makes every downstream report deterministic.
 
+A meet restricts its condition rows to the parent's basis and eliminates
+the restricted rows.  Those repeat: the parent's own symmetries make many
+conditions agree on it up to a factor, and conditions that already hold on
+the parent restrict to zero.  A row and its nonzero multiples have the same
+kernel, so :func:`meet_kernel` eliminates each nonzero restricted row once,
+primitive and positive at its first column.  Rows of ``int``s, as every
+catalog condition is written, skip the denominator pass on their way in.
+
 There is one matrix format, the sparse rank-2 one: a linear map on R^k is
 the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
 convention of rank-2 tensors; :func:`matmul` composes two of them.  A
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -43,17 +51,20 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
 
 
 def _to_int_row(entries: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """Clear denominators and strip content; drops explicit zeros."""
+    """Clear denominators and strip content; drops explicit zeros.  A row of
+    ``int``s is copied as it is, without a lcm over its entries."""
+    for v in entries.values():
+        if type(v) is not int:
+            break
+    else:
+        return _strip_content({c: v for c, v in entries.items() if v})
     den = 1
     for v in entries.values():
-        if isinstance(v, Fraction):
+        if type(v) is not int:
             den = lcm(den, v.denominator)
     row: dict[int, int] = {}
     for c, v in entries.items():
-        if isinstance(v, Fraction):
-            iv = v.numerator * (den // v.denominator)
-        else:
-            iv = v * den
+        iv = v * den if type(v) is int else v.numerator * (den // v.denominator)
         if iv:
             row[c] = iv
     return _strip_content(row)
@@ -66,7 +77,7 @@ def _combine(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[i
     g = gcd(a, b)
     ma = a // g
     mb = b // g
-    out: dict[int, int] = {c: ma * v for c, v in row.items()}
+    out: dict[int, int] = dict(row) if ma == 1 else {c: ma * v for c, v in row.items()}
     for c, v in pivot_row.items():
         w = out.get(c, 0) - mb * v
         if w:
@@ -263,25 +274,47 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
     return Subspace(ncols, tuple(basis))
 
 
-def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:
+def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Iterator[dict[int, int]]:
     """Each row r evaluated on ``base.basis`` as the coefficient row i -> r . b_i,
-    through one index from each column to the basis rows that touch it."""
+    through one index from each column to the basis rows that touch it; the
+    rows are yielded one at a time, in the order of ``rows``."""
     touching: dict[int, list[tuple[int, int]]] = {}
     for i, brow in enumerate(base.basis):
         for c, v in brow:
             touching.setdefault(c, []).append((i, v))
-    out = []
     for row in rows:
         acc: dict[int, int] = {}
         for c, rv in row.items():
             for i, bv in touching.get(c, ()):
                 acc[i] = acc.get(i, 0) + rv * bv
-        out.append({i: v for i, v in acc.items() if v})
-    return out
+        yield {i: v for i, v in acc.items() if v}
+
+
+def _distinct_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """One row per line through the nonzero integer rows, primitive and positive
+    at its first column, in the order first seen; content is stripped in
+    place.  The lookup keys are dropped on return, before the rows are
+    eliminated."""
+    distinct: dict[BasisRow, dict[int, int]] = {}
+    for row in rows:
+        if row:
+            _strip_content(row)
+            if row[min(row)] < 0:
+                row = {c: -v for c, v in row.items()}
+            distinct.setdefault(_freeze_row(row), row)
+    return list(distinct.values())
 
 
 def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
     """base ∩ ker(rows), from the kernel of the rows restricted to base.
+
+    Restricted rows repeat: the symmetries of the base make many conditions
+    agree on it up to a factor (on weyl the structure identity at (i, j) and
+    at (j, i) gives the same row up to sign), and a condition that holds on
+    all of the base restricts to zero.  A row and its nonzero multiples cut
+    out the same hyperplane, so the elimination sees each nonzero restricted
+    row once, primitive and positive at its first column; the kernel is the
+    same.
 
     No second elimination: sum_i c_i b_i over the canonical base rows leads at
     the pivot of the first b_i it uses, and its value at any other base pivot
@@ -289,9 +322,12 @@ def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
     coefficient kernel recombines straight into the canonical basis of the
     meet, once each row's content is stripped.
     """
+    # rebinding ``rows`` frees a condition list that only this call holds
+    # before the elimination, which is where a meet peaks in memory
+    rows = _distinct_rows(restrict_rows(base, rows))
     basis = base.basis
     out = []
-    for coeffs in kernel_subspace(restrict_rows(base, rows), base.dim).basis:
+    for coeffs in kernel_subspace(rows, base.dim).basis:
         vec: dict[int, int] = {}
         for i, c in coeffs:
             for col, v in basis[i]:

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .spaces import ModelSpace, j_signed_permutation, structure_sign
 
-Vec = Mapping[int, Fraction]
+Vec = Mapping[int, Fraction | int]
 
 # ---------------------------------------------------------------------------
 # Dense container for witness rechecks
@@ -96,9 +96,10 @@ def kaehler_form(space: ModelSpace) -> dict[int, Fraction]:
     return {p * n + j: Fraction(space.eps[p] * s) for j, (p, s) in enumerate(j_signed_permutation(space))}
 
 
-def two_form_basis(n: int) -> list[dict[int, Fraction]]:
-    """Antisymmetric basis e^i (x) e^j - e^j (x) e^i for i < j."""
-    return [{i * n + j: Fraction(1), j * n + i: Fraction(-1)} for i in range(n) for j in range(i + 1, n)]
+def two_form_basis(n: int) -> list[dict[int, int]]:
+    """Antisymmetric basis e^i (x) e^j - e^j (x) e^i for i < j, as ``int`` rows,
+    so that its images under sigma stay in integers."""
+    return [{i * n + j: 1, j * n + i: -1} for i in range(n) for j in range(i + 1, n)]
 
 
 def is_antisymmetric(psi: Vec, n: int) -> bool:
@@ -227,27 +228,29 @@ def defect_kaehler(a: Tensor4, space: ModelSpace) -> Tensor4:
 # ---------------------------------------------------------------------------
 
 
-def _acc(out: dict[int, Fraction], key: int, val: Fraction) -> None:
-    cur = out.get(key, Fraction(0)) + val
+def _acc(out: dict[int, Fraction | int], key: int, val: Fraction | int) -> None:
+    cur = out.get(key, 0) + val
     if cur:
         out[key] = cur
     else:
         out.pop(key, None)
 
 
-def sigma(psi: Vec, space: ModelSpace) -> dict[int, Fraction]:
+def sigma(psi: Vec, space: ModelSpace) -> dict[int, Fraction | int]:
     """Five-term map embedding a 2-form into the Weyl curvature space.
 
     sigma(psi)(x,y,z,w) = 2 psi(x,y) h(z,w) + psi(x,z) h(y,w) - psi(y,z) h(x,w)
                           - psi(x,w) h(y,z) + psi(y,w) h(x,z)
 
     With h diagonal, each nonzero psi(a, b) = v meets each basis index t once
-    per term, with weight e = v h(e_t, e_t): 5n entries per nonzero.
+    per term, with weight e = v h(e_t, e_t): 5n entries per nonzero.  Integer
+    in, integer out: the image of an ``int`` form holds ``int`` values, and the
+    image of a ``Fraction`` form ``Fraction`` values.
     """
     n = space.n
     if not is_antisymmetric(psi, n):
         raise ValueError("sigma expects an antisymmetric input")
-    out: dict[int, Fraction] = {}
+    out: dict[int, Fraction | int] = {}
     for c, v in psi.items():
         a, b = divmod(c, n)
         for t in range(n):
@@ -278,7 +281,7 @@ def is_structure_eigenform(psi: Vec, space: ModelSpace) -> bool:
     return True
 
 
-def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction]:
+def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction | int]:
     """Six-term map embedding an opposed 2-form into the Riemannian space.
 
     psi_map(psi)(x,y,z,w) = 2 h(x,Jy) psi(z,Jw) + 2 h(z,Jw) psi(x,Jy)
@@ -287,11 +290,14 @@ def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction]:
 
     The input must be opposed: it lies in the eigenspace J*psi = u psi (u
     the structure sign), where the metric and the fundamental form have -u.
+    The fundamental form and the coefficients enter as ``int``s, so, as for
+    sigma, an ``int`` form has an ``int`` image and a ``Fraction`` form a
+    ``Fraction`` one.
     """
     if not is_structure_eigenform(psi, space):
         raise ValueError("psi_map input must be an opposed 2-form (J*psi = u psi, u the structure sign)")
     n = space.n
-    omega_nz = [(*divmod(c, n), v) for c, v in kaehler_form(space).items()]
+    omega_nz = [(*divmod(c, n), int(v)) for c, v in kaehler_form(space).items()]
     # psi(i, J e_j) = s psi(i, p) for J e_j = s e_p
     j_of = {p: (j, s) for j, (p, s) in enumerate(j_signed_permutation(space))}
     psi_j_nz = []
@@ -301,14 +307,14 @@ def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction]:
         psi_j_nz.append((i, j, s * v))
     # each term is coeff * Omega(pair one) * psi(., J .)(pair two), placed by slots
     terms = (
-        (Fraction(2), (0, 1), (2, 3)),
-        (Fraction(2), (2, 3), (0, 1)),
-        (Fraction(1), (0, 2), (1, 3)),
-        (Fraction(1), (1, 3), (0, 2)),
-        (Fraction(-1), (0, 3), (1, 2)),
-        (Fraction(-1), (1, 2), (0, 3)),
+        (2, (0, 1), (2, 3)),
+        (2, (2, 3), (0, 1)),
+        (1, (0, 2), (1, 3)),
+        (1, (1, 3), (0, 2)),
+        (-1, (0, 3), (1, 2)),
+        (-1, (1, 2), (0, 3)),
     )
-    out: dict[int, Fraction] = {}
+    out: dict[int, Fraction | int] = {}
     idx = [0, 0, 0, 0]
     for coeff, om_slots, psi_slots in terms:
         for a, b, ov in omega_nz:

@@ -9,13 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from curvlab import linalg
 from curvlab.linalg import (
+    Echelon,
     Subspace,
     SubspaceReducer,
     intersect,
     kernel_subspace,
     matmul,
     meet_kernel,
+    restrict_rows,
     subspace_sum,
 )
 from curvlab.curvature import catalog
@@ -213,7 +216,9 @@ def test_meet_kernel_equals_intersection_with_the_kernel(kind):
     the intersection with the full kernel of the rows, as a structure: the
     structure, Ricci and last-pair rows on the rank-4 spaces, and seeded
     random integer rows on the columns each space touches.  First a base
-    whose pivot entries 2 make the recombined row (2, -2, 0) non-primitive."""
+    whose pivot entries 2 make the recombined row (2, -2, 0) non-primitive.
+    Zero rows, negated copies and integer multiples of the rows leave the
+    meet as it is."""
     base = Subspace.from_vectors([{0: 2, 2: 1}, {1: 2, 2: 1}], 3)
     assert meet_kernel(base, [{2: 1}]) == Subspace.from_vectors([{0: 1, 1: -1}], 3)
     s = make_standard(4, kind)
@@ -231,7 +236,46 @@ def test_meet_kernel_equals_intersection_with_the_kernel(kind):
             meet = meet_kernel(sub, rows)
             assert meet == intersect(sub, kernel_subspace(rows, amb)), name
             proper += 0 < meet.dim < sub.dim
+            padded = [{}, {support[0]: 0}] + rows + [{c: -v for c, v in row.items()} for row in rows]
+            padded += [{c: k * v for c, v in row.items()} for row in rows for k in (2, -3)]
+            assert meet_kernel(sub, padded) == meet, name
     assert proper > 0
+
+
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_meet_eliminates_each_distinct_restricted_row_once(kind, monkeypatch):
+    """The structure identity restricted to weyl at n = 6 repeats rows up to
+    sign and factor, and restricts some rows to zero: the coefficient
+    elimination sees each nonzero restricted row once, divided by its content
+    and positive at its first column, so fewer rows than were handed in.
+    Doubling every row adds nothing to the elimination."""
+    s = make_standard(6, kind)
+    weyl = catalog(s).weyl
+    rows = kaehler_rows(s)
+    meet = meet_kernel(weyl, rows)
+    distinct = set()
+    nonzero = 0
+    for row in restrict_rows(weyl, rows):
+        if row:
+            nonzero += 1
+            unit = gcd(*row.values()) * (1 if row[min(row)] > 0 else -1)
+            distinct.add(frozenset((c, v // unit) for c, v in row.items()))
+    eliminated = []
+    real = linalg.kernel_subspace
+
+    def counting_kernel_subspace(rows, ncols):
+        rows = list(rows)
+        eliminated.extend(frozenset(row.items()) for row in rows)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_subspace", counting_kernel_subspace)
+    assert meet_kernel(weyl, rows) == meet
+    assert len(eliminated) == len(distinct) < nonzero < len(rows)
+    assert set(eliminated) == distinct
+    eliminated.clear()
+    assert meet_kernel(weyl, rows + [{c: 2 * v for c, v in row.items()} for row in rows]) == meet
+    assert len(eliminated) == len(distinct)
+    assert set(eliminated) == distinct
 
 
 # --- canonical form -----------------------------------------------------------
@@ -249,6 +293,33 @@ def test_catalog_rows_are_canonical_primitive_integers(n, kind):
             assert all(type(v) is int for _, v in row), name
             assert gcd(*(v for _, v in row)) == 1, name
             assert row[0][1] > 0, name
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), min_size=1, max_size=6),
+       st.lists(st.integers(1, 6), min_size=6, max_size=6))
+def test_echelon_add_stores_the_same_primitive_int_rows_from_ints_and_fractions(rows, dens):
+    """Rows of ``int``s (explicit zeros included), the same rows as
+    ``Fraction``s with denominator 1, and the same rows divided by a
+    denominator all store the same primitive ``int`` pivot rows, and reduce to
+    the same rows with positive pivots; no stored entry is a ``Fraction``."""
+    variants = [
+        [dict(enumerate(row)) for row in rows],
+        [{c: F(v) for c, v in enumerate(row)} for row in rows],
+        [{c: F(v, d) for c, v in enumerate(row)} for row, d in zip(rows, dens)],
+    ]
+    results = []
+    for variant in variants:
+        ech = Echelon(5)
+        pivots = [ech.add(row) for row in variant]
+        for row in ech.pivot_rows.values():
+            assert all(type(v) is int and v for v in row.values())
+            assert gcd(*row.values()) == 1
+        reduced = ech.reduced_rows()
+        for c, row in reduced:
+            assert all(type(v) is int for v in row.values())
+            assert row[c] > 0
+        results.append((pivots, ech.pivot_rows, reduced))
+    assert results[0] == results[1] == results[2]
 
 
 def test_subspace_equality_is_structural():

@@ -23,6 +23,7 @@ from curvlab.tensors import (
     EVEN_PAIR_WORDS,
     invariant_contraction_row,
     is_antisymmetric,
+    is_structure_eigenform,
     kaehler_form,
     kaehler_rows,
     lie_apply_vec,
@@ -164,6 +165,42 @@ def test_psi_map_values(kind):
     sp = sigma(psi, s)
     assert component(sp, 6, 4, 0, 3, 5) == 0
     assert component(sp, 6, 4, 0, 2, 4) == -s.eps[4]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_integer_forms_have_integer_images(n, kind):
+    """Integer in, integer out: sigma and psi_map of an ``int`` form hold
+    ``int`` values equal, entry by entry, to the images of the same form as
+    ``Fraction``s, which stay ``Fraction``s.  Over every 2-form basis row,
+    every built-in form and the opposed basis; psi_map rejects a form that is
+    not opposed in either representation."""
+    from curvlab.curvature import catalog, probe_aligned_form, probe_opposed_form
+
+    s = make_standard(n, kind)
+    forms = two_form_basis(n) + catalog(s).two_tensors.alt_opposed.basis_dicts()
+    for form in (kaehler_form(s), probe_opposed_form(s), probe_aligned_form(s)):
+        assert all(v.denominator == 1 for v in form.values())
+        forms.append({c: int(v) for c, v in form.items()})
+    opposed = 0
+    for psi in forms:
+        assert all(type(v) is int for v in psi.values())
+        as_fractions = {c: F(v) for c, v in psi.items()}
+        maps = [sigma]
+        if is_structure_eigenform(psi, s):
+            maps.append(psi_map)
+            opposed += 1
+        else:
+            for form in (psi, as_fractions):
+                with pytest.raises(ValueError):
+                    psi_map(form, s)
+        for mapper in maps:
+            image = mapper(psi, s)
+            assert image and all(type(v) is int for v in image.values())
+            exact = mapper(as_fractions, s)
+            assert all(type(v) is F for v in exact.values())
+            assert image == exact
+    assert opposed > 1
 
 
 def test_sigma_rejects_non_antisymmetric(complex4):
