@@ -234,9 +234,8 @@ def _eval(config: RunConfig, args) -> int:
         plane = _parse_indices(args.plane, 2, space.n)
         xy = _parse_indices(args.xy, 2, space.n)
         slope = _parse_slope(args.slope)
-        twist_field = nijenhuis.twist(space, nijenhuis.linear_angle(slope), plane, args.rotation)
-        structure = nijenhuis.standard_patch(space, twist_field)
-        value = nijenhuis.nijenhuis_at(structure, xy[0], xy[1])
+        generator = nijenhuis.twist(space, plane, args.rotation)
+        value = nijenhuis.nijenhuis_at(space, generator, slope, xy[0], xy[1])
         payload = {
             "map": "nijenhuis",
             "plane_1based": [plane[0] + 1, plane[1] + 1],

@@ -427,27 +427,22 @@ def _block_diag(m: Vec, d: int) -> Vec:
     return out
 
 
-def diagonal_pair_line_invariant(doubled: Sequence[Vec], d: int, a: Fraction, b: Fraction) -> bool:
-    """Whether {(a t, b t) : t} inside the doubled module is preserved by the
-    2d x 2d action matrices ``doubled``.
+def diagonal_pair_line_invariant(doubled: Sequence[Vec], d: int) -> bool:
+    """Whether every line {(a t, b t) : t} inside the doubled module is
+    preserved by the 2d x 2d action matrices ``doubled``.
 
-    On block-diagonal input diag(M, M), which is what lemma4.9 passes, this
-    holds by construction: diag(M, M) maps (a t, b t) to (a Mt, b Mt).  It can
-    read false only on matrices that mix the two copies."""
-    line = Subspace.from_vectors([{j: a, d + j: b} for j in range(d)], 2 * d)
-    reducer = SubspaceReducer(line)
+    [[A, B], [C, D]] maps (a t, b t) to (aA t + bB t, aC t + bD t): the lines
+    (1, 0), (0, 1) and (1, 1) force C = 0, B = 0 and A = D, and diag(M, M)
+    preserves every line.  So this checks that each matrix is diag(M, M),
+    which lemma4.9's block-diagonal input is by construction."""
     for m in doubled:
-        cols: dict[int, list[tuple[int, Fraction]]] = {}
-        for key, coeff in m.items():
-            r, c = divmod(key, 2 * d)
-            cols.setdefault(c, []).append((r, coeff))
-        for vec in line.basis_dicts():
-            img: dict[int, Fraction] = {}
-            for c, v in vec.items():
-                for r, coeff in cols.get(c, ()):
-                    img[r] = img.get(r, 0) + coeff * v
-            if not reducer.contains({r: v for r, v in img.items() if v}):
-                return False
+        blocks: list[dict[tuple[int, int], Fraction]] = [{}, {}, {}, {}]  # A, B, C, D
+        for key, v in m.items():
+            if v:
+                r, c = divmod(key, 2 * d)
+                blocks[2 * (r >= d) + (c >= d)][r % d, c % d] = v
+        if blocks[1] or blocks[2] or blocks[0] != blocks[3]:
+            return False
     return True
 
 
@@ -837,8 +832,7 @@ def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
     d = two.alt_opposed.dim
     doubled = [_block_diag(m, d) for m in mats.values()]
     dim_doubled = commutant_dimension(doubled, 2 * d)
-    samples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3))]
-    lines_ok = all(diagonal_pair_line_invariant(doubled, d, a, b) for a, b in samples)
+    lines_ok = diagonal_pair_line_invariant(doubled, d)
     report.quantities = {
         "doubled_commutant_dimension": dim_doubled,
         "expected": 4,

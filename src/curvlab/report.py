@@ -23,8 +23,6 @@ def scrub(value: Any) -> Any:
         return scalar_to_str(value)
     if isinstance(value, (int, str)):
         return value
-    if isinstance(value, float):
-        return value
     if isinstance(value, dict):
         return {str(k): scrub(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

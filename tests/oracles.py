@@ -8,15 +8,16 @@ six-term maps, dense pull-backs and infinitesimal actions that the
 package's sparse maps and group applies are checked against, the per-pair
 invariant contractions and Gram count that the package's restricted rows
 are checked against, the wedge product with the fundamental form on
-2-forms, and general
-first-order jets of vector fields whose brackets the closed-form Nijenhuis
-probe is checked against.  The dense :class:`Matrix` lives here, with its
-converters from and to the package's sparse ``{a*k + b: value}`` matrices,
-and so does the dense commutant loop that the package's chain of meets is
-held to; that loop alone takes its rank with the package's
-``rank_of_rows``.  Small dense helpers (conversions, the Gram matrix, the transpose,
-decoding a report's tensor) live here too, since the package itself needs
-none of them.
+2-forms, and general first-order jets of vector fields, with the
+first-order structure field of a plane twist, whose brackets the
+closed-form Nijenhuis probe is checked against.  The dense :class:`Matrix`
+lives here, with its converters from and to the package's sparse
+``{a*k + b: value}`` matrices, and so do the dense commutant loop that the
+package's chain of meets is held to (that loop alone takes its rank with
+the package's ``rank_of_rows``) and the line-by-line invariance check that
+lemma4.9's block condition is held to.  Small dense helpers (conversions,
+the Gram matrix, the transpose, decoding a report's tensor) live here too,
+since the package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from itertools import combinations, permutations
 from typing import Callable, Mapping, Sequence
 
 from curvlab.linalg import Subspace, rank_of_rows
-from curvlab.nijenhuis import Point, TwistedStructure
 from curvlab.spaces import ModelSpace, j_signed_permutation
 from curvlab.tensors import (
     Tensor4,
@@ -140,6 +140,14 @@ def block_diag(m: Matrix) -> Matrix:
             rows[i][j] = m[i, j]
             rows[d + i][d + j] = m[i, j]
     return Matrix.from_rows(rows)
+
+
+def line_invariant(mats: Sequence[Matrix], d: int, a: Fraction | int, b: Fraction | int) -> bool:
+    """Whether the 2d x 2d matrices ``mats`` preserve the line {(a t, b t) : t}
+    of the doubled module: each image of a spanning vector a e_j + b e_{d+j}
+    lies in the span, by a dense rank jump."""
+    line = [[Fraction(a if c == i else b if c == d + i else 0) for c in range(2 * d)] for i in range(d)]
+    return all(span_contains(line, list(m.matvec(vec))) for m in mats for vec in line)
 
 
 def commutant_dimension(mats: Sequence[Matrix]) -> int:
@@ -600,6 +608,9 @@ def wedge_omega_matrix(space: ModelSpace) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 
 
+Point = tuple[Fraction, ...]
+
+
 @dataclass(frozen=True)
 class JetField:
     """A vector field known through (value, Jacobian) at query points."""
@@ -626,17 +637,35 @@ def linear_field(m: Matrix) -> JetField:
     return JetField(m.rows, at)
 
 
-def structure_applied(structure: TwistedStructure, field: JetField) -> JetField:
-    """Pointwise application of the structure field, with the product rule."""
+def rotation_generator(n: int, plane: tuple[int, int], rotation: str) -> Matrix:
+    """d/dθ at θ = 0 of the rotation of ``plane`` = (i, j) by θ: the rotation
+    maps e_i to cos θ e_i + sin θ e_j and e_j to -sin θ e_i + cos θ e_j
+    (circular) or sinh θ e_i + cosh θ e_j (hyperbolic), so G e_i = e_j and
+    G e_j = -e_i or e_i."""
+    i, j = plane
+    rows = [[0] * n for _ in range(n)]
+    rows[j][i] = 1
+    rows[i][j] = -1 if rotation == "circular" else 1
+    return Matrix.from_rows(rows)
+
+
+def structure_applied(space: ModelSpace, generator: Matrix, slope: Fraction, field: JetField) -> JetField:
+    """Pointwise application, with the product rule, of the first-order
+    structure field S(p) = J + p_1 D of the twist T = I + x_1 slope G + O(x_1^2):
+    D is the coefficient of ε in (I - ε slope G) J (I + ε slope G), expanded
+    by dense products."""
     n = field.n
+    j = Matrix.from_dict(n, space.j)
+    plus = generator.scale(slope)
+    d = plus.scale(-1).mul(j).add(j.mul(plus))
 
     def at(p: Point):
         val, jac = field.at(p)
-        s = Matrix.from_dict(n, structure.value(p))
+        s = j.add(d.scale(p[0]))
         new_val = s.matvec(list(val))
         cols = []
         for k in range(n):
-            ds = Matrix.from_dict(n, structure.derivative(p, k))
+            ds = d if k == 0 else Matrix.zero(n, n)
             jac_col = [jac[a, k] for a in range(n)]
             col = [x + y for x, y in zip(ds.matvec(list(val)), s.matvec(jac_col))]
             cols.append(col)

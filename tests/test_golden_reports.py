@@ -1,7 +1,8 @@
 """Golden bytes: stdout, stderr and exit code of every claim report and dims
 table at n = 4 and 6 in both geometries, and of a set of ``eval`` commands
 (Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
-evaluation each), pinned by sha256.
+evaluation each), pinned by sha256; and one sha256 over a grid of 648
+Nijenhuis probes at n = 4.
 
 A refactor that keeps verdicts, dimensions and JSON bytes must keep these
 digests.  A change that alters a report on purpose re-records the table
@@ -44,13 +45,41 @@ CASES = [
 ]
 
 
-def run_digest(command: str) -> tuple[int, str]:
-    """Exit code and sha256 of stdout, a NUL byte and stderr of one in-process run."""
+# every ordered twist plane of n = 4, both rotations, and every ordered pair
+# of directions in {1, 2, 3}: 648 probes, half of them rejected because the
+# rotation does not fit the signature of the plane
+NIJENHUIS_GRID = [
+    f"eval nijenhuis --n 4 {kind} --plane {i},{j} --rotation {rotation} --slope=-2/3 --xy {x},{y}"
+    for kind in ("--kind complex", "--kind complex --sig 2,2", "--kind para")
+    for i in range(1, 5)
+    for j in range(1, 5)
+    if i != j
+    for rotation in ("circular", "hyperbolic")
+    for x in range(1, 4)
+    for y in range(1, 4)
+]
+
+
+def run(command: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(command.split())
-    blob = out.getvalue().encode() + b"\0" + err.getvalue().encode()
-    return code, hashlib.sha256(blob).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_digest(command: str) -> tuple[int, str]:
+    """Exit code and sha256 of stdout, a NUL byte and stderr of one in-process run."""
+    code, out, err = run(command)
+    return code, hashlib.sha256(out.encode() + b"\0" + err.encode()).hexdigest()
+
+
+def grid_digest(commands: list[str]) -> str:
+    """sha256 over (argv, exit code, stdout, stderr) of each run, in order."""
+    h = hashlib.sha256()
+    for command in commands:
+        h.update(repr((command.split(), *run(command))).encode())
+    return h.hexdigest()
 
 
 GOLDEN = {
@@ -106,3 +135,11 @@ GOLDEN = {
 @pytest.mark.parametrize("command", CASES)
 def test_report_bytes_unchanged(command):
     assert run_digest(command) == GOLDEN[command]
+
+
+NIJENHUIS_GRID_DIGEST = "2688c36d38798c767a2f24d5a2e896233b905a1de173b76450aea6a76dbe33fb"
+
+
+def test_nijenhuis_grid_bytes_unchanged():
+    assert len(NIJENHUIS_GRID) == 648
+    assert grid_digest(NIJENHUIS_GRID) == NIJENHUIS_GRID_DIGEST

@@ -289,8 +289,40 @@ def test_diagonal_line_family(kind):
     split = catalog(s).two_tensors
     d = split.alt_opposed.dim
     doubled = [_block_diag(m, d) for m in representation_matrices(split.alt_opposed, s, "Ustar").values()]
+    assert diagonal_pair_line_invariant(doubled, d)
+    dense = [oracles.Matrix.from_dict(2 * d, m) for m in doubled]
     for a, b in ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(2), F(3))):
-        assert diagonal_pair_line_invariant(doubled, d, a, b)
+        assert oracles.line_invariant(dense, d, a, b)
+
+
+SAMPLE_LINES = ((1, 0), (0, 1), (1, 1), (2, -3))
+
+
+def test_block_condition_matches_line_by_line_oracle():
+    """The block condition diag(M, M) reads true exactly when the dense
+    line-by-line oracle finds the sample lines invariant, on 200 seeded
+    sets: random matrices, and block-diagonal sets half of which get one
+    entry perturbed (off the blocks, or in one copy only)."""
+    rng = random.Random(49)
+    outcomes = []
+    for k in range(200):
+        d = rng.randint(1, 4)
+        mats = []
+        for _ in range(rng.randint(1, 3)):
+            if k % 2:
+                m = _block_diag({c: rng.randint(-2, 2) for c in range(d * d)}, d)
+            else:
+                m = {c: rng.choice((0, 0, 1, -1, 2)) for c in range(4 * d * d)}
+            mats.append({c: v for c, v in m.items() if v})
+        if k % 4 == 1:
+            key = rng.randrange(4 * d * d)
+            mats[0][key] = mats[0].get(key, 0) + rng.choice((-1, 1, 3))
+            mats[0] = {c: v for c, v in mats[0].items() if v}
+        dense = [oracles.Matrix.from_dict(2 * d, m) for m in mats]
+        expected = all(oracles.line_invariant(dense, d, a, b) for a, b in SAMPLE_LINES)
+        assert diagonal_pair_line_invariant(mats, d) == expected, (d, mats)
+        outcomes.append(expected)
+    assert 40 <= outcomes.count(True) and 100 <= outcomes.count(False)
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -517,10 +549,13 @@ def test_unextended_commutant_matches_dense_full_basis_oracle(n, kind, sig):
 
 def test_diagonal_pair_line_check_can_fail():
     """On block-diagonal input the line check holds by construction; the
-    block swap [[0, I], [I, 0]] moves the line {(t, 0)} onto {(0, t)}."""
+    block swap [[0, I], [I, 0]] keeps the line {(t, t)} but moves {(t, 0)}
+    onto {(0, t)}, so it is not diag(M, M)."""
     d = 3
     swap = {i * 2 * d + d + i: 1 for i in range(d)} | {(d + i) * 2 * d + i: 1 for i in range(d)}
-    assert oracles.Matrix.from_dict(2 * d, swap) == oracles.Matrix.from_rows(
+    dense = oracles.Matrix.from_dict(2 * d, swap)
+    assert dense == oracles.Matrix.from_rows(
         [[1 if j == (i + d) % (2 * d) else 0 for j in range(2 * d)] for i in range(2 * d)])
-    assert not diagonal_pair_line_invariant([swap], d, F(1), F(0))
-    assert diagonal_pair_line_invariant([swap], d, F(1), F(1))
+    assert not oracles.line_invariant([dense], d, 1, 0)
+    assert oracles.line_invariant([dense], d, 1, 1)
+    assert not diagonal_pair_line_invariant([swap], d)
