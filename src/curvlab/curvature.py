@@ -1,9 +1,9 @@
 """Curvature subspace catalog, equivariant-map solvers, and claim verifiers.
 
 Each model space has one catalog, built lazily as a chain of meets: affine
-is the kernel of the first-pair and cyclic rows, and weyl, riemann and the
-structure-compatible ("kaehler") subspaces are each cut out of their parent
-by their own rows.  The conformal space is one direct kernel, which checks
+is K ⊗ R^n, K the kernel of the first-pair and cyclic rows on their three
+slots, and weyl, riemann and the structure-compatible ("kaehler") subspaces
+are each cut out of their parent by their own rows.  The conformal space is one direct kernel, which checks
 the chain.  The catalog also holds the five-term-map image, the six-piece
 splitting of rank-2 tensors and the map images of its pieces.  A subspace is
 built on its first read, and every verifier and the dims table read it.
@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .linalg import (
     Subspace,
     SubspaceReducer,
-    intersect,
     kernel_subspace,
     meet_kernel,
     rank_of_rows,
@@ -170,9 +169,13 @@ class CurvatureCatalog:
 
     @cached_property
     def affine(self) -> Subspace:
-        """Tensors alternating in the first pair and satisfying the cyclic identity."""
+        """Tensors alternating in the first pair and satisfying the cyclic identity:
+        K ⊗ R^n, K their kernel over the three slots they read.  Row b ⊗ e_l leads
+        at p_b*n + l, where no other row is nonzero, so the rows listed by b and
+        then by l are already the canonical basis."""
         n = self.space.n
-        return kernel_subspace(antisym_rows(n) + bianchi_rows(n), n ** 4)
+        k = kernel_subspace(antisym_rows(n) + bianchi_rows(n), n ** 3)
+        return Subspace(n ** 4, tuple(tuple((c * n + l, v) for c, v in b) for b in k.basis for l in range(n)))
 
     @cached_property
     def weyl(self) -> Subspace:
@@ -187,8 +190,8 @@ class CurvatureCatalog:
         """Riemann-type tensors with vanishing Ricci contraction (zero below n = 4),
         as one kernel of all of their rows: thm4.1 checks it against the chain."""
         n = self.space.n
-        rows = antisym_rows(n) + bianchi_rows(n) + riemann_rows(n) + ricci_rows(self.space)
-        return kernel_subspace(rows, n ** 4)
+        rows = [{c * n + l: v for c, v in row.items()} for row in antisym_rows(n) + bianchi_rows(n) for l in range(n)]
+        return kernel_subspace(rows + riemann_rows(n) + ricci_rows(self.space), n ** 4)
 
     @cached_property
     def sigma_image(self) -> Subspace:
@@ -541,8 +544,8 @@ def verify_weyl_direct_sum(space: ModelSpace) -> VerificationReport:
     n = space.n
     cat = catalog(space)
     weyl, riemann, pimage = cat.weyl, cat.riemann, cat.sigma_image
-    meet_dim = intersect(riemann, pimage).dim
     total = subspace_sum(riemann, pimage)
+    meet_dim = riemann.dim + pimage.dim - total.dim
     sum_is_weyl = total == weyl
     violations = orthogonality_violations(riemann, pimage, lambda c: gram_weight4(space, c))
     expected_weyl = n * n * (n * n - 1) // 12 + n * (n - 1) // 2
@@ -633,7 +636,10 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
     sigma_meet = kaehler_subspace(cat.sigma_image, space)
     d1 = k_weyl.dim
     d2 = k_riemann.dim
-    contained = k_weyl.is_subspace_of(riemann)
+    # the first basis row of k_weyl outside riemann; it leads with its pivot entry
+    riemann_reducer = SubspaceReducer(riemann)
+    outside = next((row for row in k_weyl.basis if not riemann_reducer.contains(dict(row))), None)
+    contained = outside is None
     quantities = {
         "dim_kaehler_weyl": d1,
         "dim_kaehler_riemann": d2,
@@ -653,17 +659,11 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
         report.verdict = d1 == d2 and contained and sigma_meet.dim == 0
         return report
     # n == 4: exhibit the documented failure with a re-verified witness
-    witness_vec = None
-    riemann_reducer = SubspaceReducer(riemann)
-    for p, vec in zip(k_weyl.pivots, k_weyl.basis_dicts()):
-        if not riemann_reducer.contains(vec):
-            witness_vec = {c: Fraction(v, vec[p]) for c, v in vec.items()}
-            break
     quantities["gap"] = d1 - d2
-    if witness_vec is None:
+    if outside is None:
         quantities["witness_found"] = False
         return report
-    t = Tensor4.from_dict(n, witness_vec)
+    t = Tensor4.from_dict(n, {c: Fraction(v, outside[0][1]) for c, v in outside})
     checks = {
         "witness_first_pair_alternating": defect_antisym(t).is_zero(),
         "witness_cyclic_identity": defect_bianchi(t).is_zero(),

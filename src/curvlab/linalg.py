@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: echelon forms, kernels, meets, subspace lattice.
+"""Exact rational linear algebra: echelon forms, kernels, meets, sums.
 
 Everything here runs over the rational field with no rounding.  Input rows
 may hold ``Fraction``s; they are scaled to integers on the way in, and every
@@ -16,6 +16,8 @@ the parent restrict to zero.  A row and its nonzero multiples have the same
 kernel, so :func:`meet_kernel` eliminates each nonzero restricted row once,
 primitive and positive at its first column.  Rows of ``int``s, as every
 catalog condition is written, skip the denominator pass on their way in.
+Every meet is of this kind; two subspaces given by bases are only summed,
+and the dimension of their meet is dim A + dim B - dim(A + B).
 
 There is one matrix format, the sparse rank-2 one: a linear map on R^k is
 the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
@@ -92,7 +94,8 @@ class Echelon:
 
     Pivot rows are keyed by their leading column; each pivot row's support
     starts at its pivot column, so reducing an incoming row strictly
-    advances its leading column and terminates.
+    advances its leading column and terminates.  A combination that leaves
+    the pivot column in the row raises ``RuntimeError`` instead of looping.
     """
 
     def __init__(self, ncols: int):
@@ -112,6 +115,8 @@ class Echelon:
             if piv is None:
                 return r
             r = _combine(r, piv, c)
+            if c in r:
+                raise RuntimeError(f"elimination did not clear pivot column {c}")
         return r
 
     def add(self, row: Mapping[int, Fraction | int]) -> int | None:
@@ -204,10 +209,6 @@ class Subspace:
 
     def basis_dicts(self) -> list[dict[int, int]]:
         return [dict(row) for row in self.basis]
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        red = SubspaceReducer(other)
-        return all(red.contains(dict(row)) for row in self.basis)
 
 
 class SubspaceReducer:
@@ -334,25 +335,6 @@ def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
                 vec[col] = vec.get(col, 0) + c * v
         out.append(_freeze_row(_strip_content({col: v for col, v in vec.items() if v})))
     return Subspace(base.ambient_dim, tuple(out))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces (Zassenhaus double-block elimination)."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    amb = a.ambient_dim
-    ech = Echelon(2 * amb)
-    for row in a.basis_dicts():
-        doubled = dict(row)
-        doubled.update({c + amb: v for c, v in row.items()})
-        ech.add(doubled)
-    for row in b.basis_dicts():
-        ech.add(row)
-    vecs = []
-    for pivot, row in ech.pivot_rows.items():
-        if pivot >= amb:
-            vecs.append({c - amb: v for c, v in row.items()})
-    return Subspace.from_vectors(vecs, amb)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

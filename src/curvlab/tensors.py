@@ -11,7 +11,9 @@ dict, with component (i, j) of a rank-2 tensor at i*n + j and component
 same rank-2 dict, entry (a, b) at a*n + b; the infinitesimal actions read it
 through :func:`action_rows`, and a sign-diagonal component representative
 acts as the sign character :func:`sign_pullback_vec`.  The canonical forms, the images of sigma and psi and
-the constraint rows all read and write that format.  Each linear condition,
+the constraint rows all read and write that format; the first-pair and
+cyclic rows, which never read the last slot, are written over the rank-3
+coordinates (i*n + j)*n + k.  Each linear condition,
 the Ricci contraction and the structure identity included, is written once,
 as rows, which the catalog restricts to a parent subspace's basis; so is
 each invariant contraction, one row over rank-4 coordinates.
@@ -384,34 +386,32 @@ def invariant_contraction_row(perm: Sequence[int], word: Sequence[int], space: M
 
 
 def antisym_rows(n: int) -> list[dict[int, int]]:
+    """Rows of A(x,y,z,.) + A(y,x,z,.) over rank-3 coordinates (i*n + j)*n + k:
+    the identity does not read the last slot."""
     rows = []
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                for l in range(n):
-                    row: dict[int, int] = {}
-                    for key in (flatten4(n, i, j, k, l), flatten4(n, j, i, k, l)):
-                        row[key] = row.get(key, 0) + 1
-                    rows.append(row)
+                row: dict[int, int] = {}
+                for key in ((i * n + j) * n + k, (j * n + i) * n + k):
+                    row[key] = row.get(key, 0) + 1
+                rows.append(row)
     return rows
 
 
 def bianchi_rows(n: int) -> list[dict[int, int]]:
+    """Rows of the cyclic sum over the first three slots, over rank-3
+    coordinates (i*n + j)*n + k: the identity does not read the last slot."""
     rows = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
                     continue  # one row per cyclic class
-                for l in range(n):
-                    row: dict[int, int] = {}
-                    for key in (
-                        flatten4(n, i, j, k, l),
-                        flatten4(n, j, k, i, l),
-                        flatten4(n, k, i, j, l),
-                    ):
-                        row[key] = row.get(key, 0) + 1
-                    rows.append(row)
+                row: dict[int, int] = {}
+                for key in ((i * n + j) * n + k, (j * n + k) * n + i, (k * n + i) * n + j):
+                    row[key] = row.get(key, 0) + 1
+                rows.append(row)
     return rows
 
 

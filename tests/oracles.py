@@ -17,7 +17,11 @@ package's chain of meets is held to (that loop alone takes its rank with
 the package's ``rank_of_rows``) and the line-by-line invariance check that
 lemma4.9's block condition is held to.  Small dense helpers (conversions,
 the Gram matrix, the transpose, decoding a report's tensor) live here too,
-since the package itself needs none of them.
+since the package itself needs none of them.  So do the generic subspace
+references the package does not need: the Zassenhaus intersection and the
+containment check that meets are held to, and the lift of three-slot rows to
+every last index that the closed-form ``affine`` is held to; they run on the
+package's echelon engine, by another route than the one they check.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable, Mapping, Sequence
 
-from curvlab.linalg import Subspace, rank_of_rows
+from curvlab.linalg import Echelon, Subspace, SubspaceReducer, rank_of_rows
 from curvlab.spaces import ModelSpace, j_signed_permutation
 from curvlab.tensors import (
     Tensor4,
@@ -292,6 +296,39 @@ def dense_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
             vec[p] = -red[r][f]
         basis.append(vec)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Generic subspace references for the package's meets and lifted kernels
+# ---------------------------------------------------------------------------
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection of two subspaces given by bases (Zassenhaus double-block
+    elimination): the reference ``meet_kernel`` is held to."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    amb = a.ambient_dim
+    ech = Echelon(2 * amb)
+    for row in a.basis_dicts():
+        doubled = dict(row)
+        doubled.update({c + amb: v for c, v in row.items()})
+        ech.add(doubled)
+    for row in b.basis_dicts():
+        ech.add(row)
+    vecs = [{c - amb: v for c, v in row.items()} for pivot, row in ech.pivot_rows.items() if pivot >= amb]
+    return Subspace.from_vectors(vecs, amb)
+
+
+def is_subspace_of(a: Subspace, b: Subspace) -> bool:
+    reducer = SubspaceReducer(b)
+    return all(reducer.contains(dict(row)) for row in a.basis)
+
+
+def lift_last_slot(rows: Sequence[Mapping[int, int]], n: int) -> list[dict[int, int]]:
+    """Rows over rank-3 coordinates lifted to rank-4 ones, one copy per value l
+    of the last index: column c becomes c*n + l."""
+    return [{c * n + l: v for c, v in row.items()} for row in rows for l in range(n)]
 
 
 def standard_basis_tensor(n: int, flat_index: int) -> Tensor4:

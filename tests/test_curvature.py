@@ -16,7 +16,7 @@ import oracles
 from curvlab.linalg import (
     Subspace,
     SubspaceReducer,
-    intersect,
+    kernel_subspace,
     meet_kernel,
     rank_of_rows,
     restrict_rows,
@@ -31,6 +31,8 @@ from curvlab.curvature import (
     probe_opposed_form,
 )
 from curvlab.tensors import (
+    antisym_rows,
+    bianchi_rows,
     gram_weight4,
     inner2,
     is_structure_eigenform,
@@ -101,6 +103,14 @@ def test_closed_form_dimensions_in_both_geometries(n, kind):
         assert cat.kaehler_weyl == cat.kaehler_riemann
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_affine_equals_the_kernel_of_the_lifted_rows(n):
+    """The closed-form K ⊗ R^n is the kernel over all n^4 columns of the
+    first-pair and cyclic rows lifted to every value of the last index."""
+    rows = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    assert catalog(make_standard(n, "none")).affine == kernel_subspace(rows, n ** 4)
+
+
 # --- containment chain ----------------------------------------------------------
 
 
@@ -120,8 +130,8 @@ def test_containment_chain(n, kind, sig):
     s = make_standard(n, kind, sig)
     cat = catalog(s)
     affine, weyl, riemann = cat.affine, cat.weyl, cat.riemann
-    assert riemann.is_subspace_of(weyl)
-    assert weyl.is_subspace_of(affine)
+    assert oracles.is_subspace_of(riemann, weyl)
+    assert oracles.is_subspace_of(weyl, affine)
 
 
 # --- signature independence -------------------------------------------------------
@@ -159,7 +169,7 @@ def test_kaehler_dims_n4(kind):
     cat = catalog(make_standard(4, kind))
     kw, kr = cat.kaehler_weyl, cat.kaehler_riemann
     assert (kw.dim, kr.dim) == (14, 9)
-    assert kr == intersect(kw, cat.riemann)
+    assert kr == oracles.intersect(kw, cat.riemann)
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -250,7 +260,7 @@ def test_sigma_piece_images_recompose(kind):
 def test_psi_image_inside_riemann(kind):
     cat = catalog(make_standard(6, kind))
     assert cat.psi_span.dim == 6
-    assert cat.psi_span.is_subspace_of(cat.riemann)
+    assert oracles.is_subspace_of(cat.psi_span, cat.riemann)
 
 
 def test_probe_forms_are_eigenforms(complex6, para6):
@@ -328,7 +338,7 @@ def test_weyl_equals_affine_meet_weyl_kernel_n3():
     s = make_standard(3, "none")
     affine = catalog(s).affine
     weyl_kernel = oracles.dense_kernel(oracles.operator_matrix(s, ["weyl"]), 81)
-    generic = intersect(affine, Subspace.from_vectors([oracles.sparse(v) for v in weyl_kernel], 81))
+    generic = oracles.intersect(affine, Subspace.from_vectors([oracles.sparse(v) for v in weyl_kernel], 81))
     assert generic == catalog(s).weyl
 
 
@@ -368,10 +378,11 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
     for claim in ("thm4.1", "thm4.2", "thm1.5"):
         curvature.run_claim(claim, s)
     assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
-    # affine and conformal over all n^4 columns and the four two-tensor
-    # kernels, then the coefficient kernels of the six meets: weyl, riemann,
-    # Ricci on riemann (thm4.1) and the structure identity on weyl, riemann
-    # and sigma_image (thm1.5)
+    # affine's K over n^3 columns, conformal over all n^4 columns and the four
+    # two-tensor kernels, then the coefficient kernels of the six meets: weyl,
+    # riemann, Ricci on riemann (thm4.1) and the structure identity on weyl,
+    # riemann and sigma_image (thm1.5)
     assert len(built) == 12
     assert len(set(built)) == 12
-    assert sum(ncols == 4 ** 4 for ncols, _ in built) == 2
+    assert sum(ncols == 4 ** 4 for ncols, _ in built) == 1
+    assert sum(ncols == 4 ** 3 for ncols, _ in built) == 1

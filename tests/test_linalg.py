@@ -14,7 +14,6 @@ from curvlab.linalg import (
     Echelon,
     Subspace,
     SubspaceReducer,
-    intersect,
     kernel_subspace,
     matmul,
     meet_kernel,
@@ -112,29 +111,45 @@ def test_kernel_vectors_annihilate_exactly(rows):
             assert sum(row[j] * vec[j] for j in range(4)) == 0
 
 
+def test_reduce_raises_when_a_combination_keeps_the_pivot(monkeypatch, capsys):
+    """A combination that leaves the pivot column in the row is an engine
+    fault: the elimination raises instead of looping, and the CLI exits 3."""
+    from curvlab.cli import main
+
+    monkeypatch.setattr(linalg, "_combine", lambda row, pivot_row, col: row)
+    with pytest.raises(RuntimeError):
+        Subspace.from_vectors([{0: 1, 1: 1}, {0: 1}], 2)
+    catalog.cache_clear()
+    try:
+        assert main(["verify", "thm4.2", "--n", "4"]) == 3
+    finally:
+        catalog.cache_clear()
+    assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
 # --- subspace lattice --------------------------------------------------------
 
 
 def test_intersect_idempotent():
     a = Subspace.from_vectors([{0: F(1)}, {1: F(1)}], 3)
-    assert intersect(a, a) == a
+    assert oracles.intersect(a, a) == a
 
 
 def test_intersect_transverse_lines():
     a = Subspace.from_vectors([{0: F(1)}], 3)
     b = Subspace.from_vectors([{1: F(1)}], 3)
-    assert intersect(a, b) == zero(3)
+    assert oracles.intersect(a, b) == zero(3)
 
 
 def test_intersect_planes():
     a = Subspace.from_vectors([{0: F(1)}, {1: F(1)}], 3)
     b = Subspace.from_vectors([{1: F(1)}, {2: F(1)}], 3)
-    assert intersect(a, b) == Subspace.from_vectors([{1: F(1)}], 3)
+    assert oracles.intersect(a, b) == Subspace.from_vectors([{1: F(1)}], 3)
 
 
 def test_intersect_ambient_mismatch():
     with pytest.raises(ValueError):
-        intersect(zero(2), zero(3))
+        oracles.intersect(zero(2), zero(3))
 
 
 @given(
@@ -144,7 +159,7 @@ def test_intersect_ambient_mismatch():
 def test_dimension_formula(vecs_a, vecs_b):
     a = span(vecs_a, 4)
     b = span(vecs_b, 4)
-    assert a.dim + b.dim == subspace_sum(a, b).dim + intersect(a, b).dim
+    assert a.dim + b.dim == subspace_sum(a, b).dim + oracles.intersect(a, b).dim
 
 
 def test_contains_basis_and_zero():
@@ -234,7 +249,7 @@ def test_meet_kernel_equals_intersection_with_the_kernel(kind):
             cases += [kaehler_rows(s), ricci_rows(s), riemann_rows(4)]
         for rows in cases:
             meet = meet_kernel(sub, rows)
-            assert meet == intersect(sub, kernel_subspace(rows, amb)), name
+            assert meet == oracles.intersect(sub, kernel_subspace(rows, amb)), name
             proper += 0 < meet.dim < sub.dim
             padded = [{}, {support[0]: 0}] + rows + [{c: -v for c, v in row.items()} for row in rows]
             padded += [{c: k * v for c, v in row.items()} for row in rows for k in (2, -3)]

@@ -14,6 +14,8 @@ from curvlab.spaces import make_standard, lie_algebra_basis, random_lie_elements
 from curvlab.tensors import (
     Tensor4,
     action_rows,
+    antisym_rows,
+    bianchi_rows,
     defect_antisym,
     defect_bianchi,
     defect_kaehler,
@@ -31,10 +33,12 @@ from curvlab.tensors import (
     psi_map,
     ricci,
     ricci_rows,
+    riemann_rows,
     sigma,
     sign_pullback_vec,
     two_form_basis,
     unflatten4,
+    weyl_rows,
 )
 import oracles
 from oracles import Matrix, alt_ricci, lie_action, psi_map_dense, pullback, pullback_apply_vec, sigma_dense, sparse
@@ -468,3 +472,41 @@ def test_sparse_maps_match_dense_oracle(n, kind, sig):
             mixed[c] = mixed.get(c, 0) + coeff * v
     for psi in opposed + [probe_opposed_form(s), mixed]:
         assert psi_map(psi, s) == sparse(psi_map_dense(psi, s).components)
+
+
+# --- gradings of the constraint rows --------------------------------------------
+
+
+def _grade(c, slots, n, bit):
+    """XOR of 1 << bit(index) over the indices of flat coordinate c."""
+    g = 0
+    for _ in range(slots):
+        c, a = divmod(c, n)
+        g ^= 1 << bit(a)
+    return g
+
+
+@pytest.mark.parametrize(
+    "n,kind,sig",
+    [(n, kind, None) for n in (4, 6, 8) for kind in ("complex", "para")]
+    + [(6, "none", (4, 2)), (6, "complex", (4, 2))],
+)
+def test_every_row_is_homogeneous_for_its_grading(n, kind, sig):
+    """The diagonal sign matrices fix the metric and every condition, so each
+    symmetry and Ricci row stays in one axis parity of its columns (the
+    first-pair and cyclic rows over their three slots); J keeps each J-plane,
+    so each structure row stays in one plane parity."""
+    s = make_standard(n, kind, sig)
+    axis = lambda a: a
+    graded = [
+        (antisym_rows(n), 3, axis),
+        (bianchi_rows(n), 3, axis),
+        (riemann_rows(n), 4, axis),
+        (weyl_rows(s), 4, axis),
+        (ricci_rows(s), 4, axis),
+    ]
+    if kind != "none":
+        graded.append((kaehler_rows(s), 4, lambda a: a // 2))
+    mixed = [row for rows, slots, bit in graded for row in rows
+             if len({_grade(c, slots, n, bit) for c in row}) > 1]
+    assert mixed == []
