@@ -2,8 +2,10 @@
 
 Each model space has one catalog, built lazily as a chain of meets: affine
 is K ⊗ R^n, K the kernel of the first-pair and cyclic rows on their three
-slots, and weyl, riemann and the structure-compatible ("kaehler") subspaces
-are each cut out of their parent by their own rows.  The conformal space is one direct kernel, which checks
+slots; weyl, riemann and kaehler_weyl (structure-compatible) are each cut out
+of their parent by their own rows, written for first pairs i < j as every
+space past affine alternates there, and kaehler_riemann out of kaehler_weyl
+by the riemann rows.  The conformal space is one direct kernel, which checks
 the chain.  The catalog also holds the five-term-map image, the six-piece
 splitting of rank-2 tensors and the map images of its pieces.  A subspace is
 built on its first read, and every verifier and the dims table read it.
@@ -103,7 +105,8 @@ def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], i
 
 
 def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
-    """Intersection of a rank-4 subspace with the structure-compatibility kernel."""
+    """Intersection of a rank-4 subspace with the structure-compatibility kernel;
+    the base must alternate in the first pair, since the rows are for i < j."""
     return meet_kernel(base, kaehler_rows(space))
 
 
@@ -168,13 +171,18 @@ class CurvatureCatalog:
         return Subspace.from_vectors([mapper(t, self.space) for t in forms], self.space.n ** 4)
 
     @cached_property
+    def affine_slots(self) -> Subspace:
+        """K: the kernel of the first-pair and cyclic rows on the slots they read."""
+        return kernel_subspace(antisym_rows(self.space.n) + bianchi_rows(self.space.n), self.space.n ** 3)
+
+    @property
     def affine(self) -> Subspace:
         """Tensors alternating in the first pair and satisfying the cyclic identity:
-        K ⊗ R^n, K their kernel over the three slots they read.  Row b ⊗ e_l leads
-        at p_b*n + l, where no other row is nonzero, so the rows listed by b and
-        then by l are already the canonical basis."""
+        K ⊗ R^n, lifted from the cached K on each read, so that no later space
+        pins it.  Row b ⊗ e_l leads at p_b*n + l, where no other row is nonzero,
+        so the rows listed by b and then by l are already the canonical basis."""
         n = self.space.n
-        k = kernel_subspace(antisym_rows(n) + bianchi_rows(n), n ** 3)
+        k = self.affine_slots
         return Subspace(n ** 4, tuple(tuple((c * n + l, v) for c, v in b) for b in k.basis for l in range(n)))
 
     @cached_property
@@ -238,7 +246,8 @@ class CurvatureCatalog:
 
     @cached_property
     def kaehler_riemann(self) -> Subspace:
-        return kaehler_subspace(self.riemann, self.space)
+        """riemann ∩ ker(structure rows) = kaehler_weyl ∩ ker(riemann rows), the smaller base."""
+        return meet_kernel(self.kaehler_weyl, riemann_rows(self.space.n))
 
     @cached_property
     def sigma_omega_span(self) -> Subspace:

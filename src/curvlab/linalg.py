@@ -52,14 +52,16 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _to_int_row(entries: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """Clear denominators and strip content; drops explicit zeros.  A row of
-    ``int``s is copied as it is, without a lcm over its entries."""
+def _to_int_row(entries: Mapping[int, Fraction | int], last: int | None = None) -> dict[int, int]:
+    """Clear denominators and strip content; drops explicit zeros; column c goes
+    to last - c if ``last`` is given.  An ``int`` row skips the lcm pass."""
     for v in entries.values():
         if type(v) is not int:
             break
     else:
-        return _strip_content({c: v for c, v in entries.items() if v})
+        if last is None:
+            return _strip_content({c: v for c, v in entries.items() if v})
+        return _strip_content({last - c: v for c, v in entries.items() if v})
     den = 1
     for v in entries.values():
         if type(v) is not int:
@@ -68,7 +70,7 @@ def _to_int_row(entries: Mapping[int, Fraction | int]) -> dict[int, int]:
     for c, v in entries.items():
         iv = v * den if type(v) is int else v.numerator * (den // v.denominator)
         if iv:
-            row[c] = iv
+            row[c if last is None else last - c] = iv
     return _strip_content(row)
 
 
@@ -106,9 +108,9 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row: Mapping[int, Fraction | int]) -> dict[int, int]:
-        """Fully reduce a row against current pivots; returns the residual."""
-        r = _to_int_row(row)
+    def reduce(self, row: Mapping[int, Fraction | int], last: int | None = None) -> dict[int, int]:
+        """Reduce a row (column c at last - c, if given) by the pivots; returns the residual."""
+        r = _to_int_row(row, last)
         while r:
             c = min(r)
             piv = self.pivot_rows.get(c)
@@ -119,18 +121,18 @@ class Echelon:
                 raise RuntimeError(f"elimination did not clear pivot column {c}")
         return r
 
-    def add(self, row: Mapping[int, Fraction | int]) -> int | None:
-        """Insert a row; returns its pivot column, or None if dependent."""
-        r = self.reduce(row)
+    def add(self, row: Mapping[int, Fraction | int], last: int | None = None) -> int | None:
+        """Insert a row read as by :meth:`reduce`; its pivot, or None if dependent."""
+        r = self.reduce(row, last)
         if not r:
             return None
         c = min(r)
         self.pivot_rows[c] = r
         return c
 
-    def add_all(self, rows: Iterable[Mapping[int, Fraction | int]]) -> None:
+    def add_all(self, rows: Iterable[Mapping[int, Fraction | int]], last: int | None = None) -> None:
         for row in rows:
-            self.add(row)
+            self.add(row, last)
 
     def reduced_rows(self) -> list[tuple[int, dict[int, int]]]:
         """Back-substituted rows sorted by pivot column: each is primitive, its
@@ -251,11 +253,11 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
     columns below p, so the solution e_f - sum (row[f] / row[p]) e_p of free
     column f leads at f and vanishes on the other free columns: it is already
     the canonical basis row.  Rows go in shortest first, which only changes
-    the elimination cost.
+    the elimination cost; each is copied once, to integers and reversed.
     """
     last = ncols - 1
     ech = Echelon(ncols)
-    ech.add_all({last - c: v for c, v in row.items()} for row in sorted(rows, key=len))
+    ech.add_all(sorted(rows, key=len), last)
     # free column -> [(pivot column, -row[f], row[p])], in original columns
     terms: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(ncols)}
     for c, row in ech.reduced_rows():

@@ -10,13 +10,14 @@ dict, with component (i, j) of a rank-2 tensor at i*n + j and component
 (i, j, k, l) of a rank-4 tensor at ((i*n + j)*n + k)*n + l.  A matrix is the
 same rank-2 dict, entry (a, b) at a*n + b; the infinitesimal actions read it
 through :func:`action_rows`, and a sign-diagonal component representative
-acts as the sign character :func:`sign_pullback_vec`.  The canonical forms, the images of sigma and psi and
-the constraint rows all read and write that format; the first-pair and
-cyclic rows, which never read the last slot, are written over the rank-3
-coordinates (i*n + j)*n + k.  Each linear condition,
-the Ricci contraction and the structure identity included, is written once,
-as rows, which the catalog restricts to a parent subspace's basis; so is
-each invariant contraction, one row over rank-4 coordinates.
+acts as the sign character :func:`sign_pullback_vec`.  The canonical forms,
+the images of sigma and psi and the constraint rows all read and write that
+format; the first-pair and cyclic rows, which never read the last slot, are
+written over rank-3 coordinates (i*n + j)*n + k, and the last-pair, Weyl and
+structure rows for first pairs i < j only.  Each linear condition, the Ricci
+contraction and the structure identity included, is written once, as rows,
+which the catalog restricts to a parent subspace's basis; so is each
+invariant contraction, one row over rank-4 coordinates.
 
 The one dense container, :class:`Tensor4`, holds a witness tensor while the
 textbook defect loops re-verify it; those loops share no code with the
@@ -416,9 +417,11 @@ def bianchi_rows(n: int) -> list[dict[int, int]]:
 
 
 def riemann_rows(n: int) -> list[dict[int, int]]:
+    """Rows of A(x,y,z,w) + A(x,y,w,z) for first pairs i < j and k <= l: right
+    only on a first-pair-alternating base, or next to the lifted ``antisym_rows``."""
     rows = []
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             for k in range(n):
                 for l in range(k, n):
                     row: dict[int, int] = {}
@@ -429,12 +432,13 @@ def riemann_rows(n: int) -> list[dict[int, int]]:
 
 
 def weyl_rows(space: ModelSpace) -> list[dict[int, int]]:
-    """Rows of the Weyl symmetry operator, scaled by n to stay integral."""
+    """Rows of the Weyl symmetry operator, scaled by n to stay integral, for
+    first pairs i < j and k <= l: right only on a first-pair-alternating base."""
     n = space.n
     eps = space.eps
     rows = []
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             for k in range(n):
                 for l in range(k, n):
                     row: dict[int, int] = {}
@@ -466,8 +470,8 @@ def kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
     """Rows of the structure-compatibility defect A(x,y,z,w) + u*A(x,y,Jz,Jw).
 
     Since J² = u, the rows at (i, j, k, l) and (i, j, Jk, Jl) are
-    proportional: one row per class, with entry 1 at its smaller key.
-    """
+    proportional: one row per class, with entry 1 at its smaller key.  Written
+    for first pairs i < j: right only on a first-pair-alternating base."""
     if space.kind == "none":
         raise ValueError("structure-compatible subspace requires a structured space")
     n = space.n
@@ -478,7 +482,8 @@ def kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
         for l, (pl, sl) in enumerate(perm):
             if (k, l) < (pk, pl):
                 classes.append((k * n + l, pk * n + pl, u * sk * sl))
-    return [{ij * n * n + a: 1, ij * n * n + b: s} for ij in range(n * n) for a, b, s in classes]
+    offsets = [(i * n + j) * n * n for i in range(n) for j in range(i + 1, n)]  # first pairs i < j
+    return [{f + a: 1, f + b: s} for f in offsets for a, b, s in classes]
 
 
 # ---------------------------------------------------------------------------

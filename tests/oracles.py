@@ -19,9 +19,11 @@ lemma4.9's block condition is held to.  Small dense helpers (conversions,
 the Gram matrix, the transpose, decoding a report's tensor) live here too,
 since the package itself needs none of them.  So do the generic subspace
 references the package does not need: the Zassenhaus intersection and the
-containment check that meets are held to, and the lift of three-slot rows to
-every last index that the closed-form ``affine`` is held to; they run on the
-package's echelon engine, by another route than the one they check.
+containment check that meets are held to, the lift of three-slot rows to
+every last index that the closed-form ``affine`` is held to, and the
+last-pair, Weyl and structure rows written for every first pair (i, j), which
+the package writes for i < j only; they run on the package's echelon engine,
+by another route than the one they check.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from itertools import combinations, permutations
 from typing import Callable, Mapping, Sequence
 
 from curvlab.linalg import Echelon, Subspace, SubspaceReducer, rank_of_rows
-from curvlab.spaces import ModelSpace, j_signed_permutation
+from curvlab.spaces import ModelSpace, j_signed_permutation, structure_sign
 from curvlab.tensors import (
     Tensor4,
     defect_antisym,
@@ -40,6 +42,7 @@ from curvlab.tensors import (
     defect_kaehler,
     defect_riemann,
     defect_weyl,
+    flatten4,
     is_antisymmetric,
     is_structure_eigenform,
     kaehler_form,
@@ -329,6 +332,58 @@ def lift_last_slot(rows: Sequence[Mapping[int, int]], n: int) -> list[dict[int, 
     """Rows over rank-3 coordinates lifted to rank-4 ones, one copy per value l
     of the last index: column c becomes c*n + l."""
     return [{c * n + l: v for c, v in row.items()} for row in rows for l in range(n)]
+
+
+def full_riemann_rows(n: int) -> list[dict[int, int]]:
+    """Rows of A(x,y,z,w) + A(x,y,w,z) for every first pair (i, j) and k <= l:
+    the full-range rows that the package's rows for i < j are held to."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(k, n):
+                    row: dict[int, int] = {}
+                    for key in (flatten4(n, i, j, k, l), flatten4(n, i, j, l, k)):
+                        row[key] = row.get(key, 0) + 1
+                    rows.append(row)
+    return rows
+
+
+def full_weyl_rows(space: ModelSpace) -> list[dict[int, int]]:
+    """Rows of the Weyl symmetry operator, scaled by n, for every first pair."""
+    n = space.n
+    eps = space.eps
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(k, n):
+                    row: dict[int, int] = {}
+                    for key in (flatten4(n, i, j, k, l), flatten4(n, i, j, l, k)):
+                        row[key] = row.get(key, 0) + n
+                    if k == l:
+                        for c in range(n):
+                            w = 2 * eps[k] * eps[c]
+                            key = flatten4(n, c, j, i, c)
+                            row[key] = row.get(key, 0) - w
+                            key = flatten4(n, c, i, j, c)
+                            row[key] = row.get(key, 0) + w
+                    rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def full_kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
+    """Rows of A(x,y,z,w) + u*A(x,y,Jz,Jw) for every first pair, one per class
+    {(k, l), (Jk, Jl)} with entry 1 at its smaller key."""
+    n = space.n
+    u = structure_sign(space.kind)
+    perm = j_signed_permutation(space)
+    classes = []
+    for k, (pk, sk) in enumerate(perm):
+        for l, (pl, sl) in enumerate(perm):
+            if (k, l) < (pk, pl):
+                classes.append((k * n + l, pk * n + pl, u * sk * sl))
+    return [{ij * n * n + a: 1, ij * n * n + b: s} for ij in range(n * n) for a, b, s in classes]
 
 
 def standard_basis_tensor(n: int, flat_index: int) -> Tensor4:

@@ -111,6 +111,73 @@ def test_affine_equals_the_kernel_of_the_lifted_rows(n):
     assert catalog(make_standard(n, "none")).affine == kernel_subspace(rows, n ** 4)
 
 
+class _FirstPairRows(list):
+    """A row builder's rows for first pairs i < j, carrying ``full``: the same
+    condition's rows for every first pair (i, j), from the oracle."""
+
+
+@pytest.mark.parametrize(
+    "n,kind,sig",
+    [
+        (4, "complex", None),
+        (4, "para", None),
+        (6, "complex", None),
+        (6, "para", None),
+        (8, "complex", None),
+        (8, "para", None),
+        (6, "complex", (4, 2)),
+        (6, "none", (4, 2)),
+    ],
+)
+def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
+    """The weyl, riemann and structure rows are written for first pairs i < j
+    only.  Every meet that the catalog, thm1.5 (the sigma-image meet) and sec5
+    (the opposed-sum meet) hand them has a base inside affine and cuts what the
+    rows for every first pair cut; the chain of meets and conformal equal
+    their versions built from the full rows."""
+    s = make_standard(n, kind, sig)
+    for name, full in (("weyl_rows", oracles.full_weyl_rows), ("riemann_rows", oracles.full_riemann_rows),
+                       ("kaehler_rows", oracles.full_kaehler_rows)):
+        def tagged(arg, real=getattr(curvature, name), full=full):
+            rows = _FirstPairRows(real(arg))
+            rows.full = full(arg)
+            return rows
+
+        monkeypatch.setattr(curvature, name, tagged)
+    meets = []
+
+    def recording_meet_kernel(base, rows):
+        out = linalg.meet_kernel(base, rows)
+        if isinstance(rows, _FirstPairRows):
+            meets.append((base, rows.full, out))
+        return out
+
+    monkeypatch.setattr(curvature, "meet_kernel", recording_meet_kernel)
+    catalog.cache_clear()
+    cat = catalog(s)
+    cat.rank4_spaces()
+    bases = {cat.affine, cat.weyl}
+    if kind != "none":
+        curvature.run_claim("thm1.5", s)
+        bases |= {cat.kaehler_weyl, cat.sigma_image}
+        if n >= 6:
+            curvature.run_claim("sec5", s)
+            bases.add(subspace_sum(cat.psi_span, cat.sigma_opposed_span))
+    assert {base for base, _, _ in meets} == bases
+    affine = cat.affine
+    for base, full, out in meets:
+        assert oracles.is_subspace_of(base, affine)
+        assert out == meet_kernel(base, full)
+    weyl = meet_kernel(affine, oracles.full_weyl_rows(s))
+    riemann = meet_kernel(weyl, oracles.full_riemann_rows(n))
+    assert (cat.weyl, cat.riemann) == (weyl, riemann)
+    lifted = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    assert cat.conformal == kernel_subspace(lifted + oracles.full_riemann_rows(n) + ricci_rows(s), n ** 4)
+    if kind != "none":
+        rows = oracles.full_kaehler_rows(s)
+        assert (cat.kaehler_weyl, cat.kaehler_riemann) == (meet_kernel(weyl, rows), meet_kernel(riemann, rows))
+
+
 # --- containment chain ----------------------------------------------------------
 
 
@@ -380,8 +447,8 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
     assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
     # affine's K over n^3 columns, conformal over all n^4 columns and the four
     # two-tensor kernels, then the coefficient kernels of the six meets: weyl,
-    # riemann, Ricci on riemann (thm4.1) and the structure identity on weyl,
-    # riemann and sigma_image (thm1.5)
+    # riemann, Ricci on riemann (thm4.1), the structure identity on weyl and
+    # sigma_image (thm1.5) and the riemann identity on kaehler_weyl
     assert len(built) == 12
     assert len(set(built)) == 12
     assert sum(ncols == 4 ** 4 for ncols, _ in built) == 1

@@ -1,5 +1,6 @@
 """Golden bytes: stdout, stderr and exit code of every claim report and dims
-table at n = 4 and 6 in both geometries, and of a set of ``eval`` commands
+table at n = 4, 6 and 8 in both geometries and at n = 6 ``--sig 4,2
+--kind complex``, and of a set of ``eval`` commands
 (Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
 evaluation each), pinned by sha256; and one sha256 over a grid of 648
 Nijenhuis probes at n = 4.
@@ -24,6 +25,13 @@ CASES = [
     (f"{cmd} --n {n} --kind {kind}")
     for n in (4, 6)
     for kind in ("complex", "para")
+    for cmd in ("dims", *(f"verify {claim}" for claim in CLAIMS))
+] + [
+    (f"{cmd} --n 8 --kind {kind}")
+    for kind in ("complex", "para")
+    for cmd in ("dims", *(f"verify {claim}" for claim in CLAIMS))
+] + [
+    f"{cmd} --n 6 --sig 4,2 --kind complex"
     for cmd in ("dims", *(f"verify {claim}" for claim in CLAIMS))
 ] + [
     "eval nijenhuis --n 6",
@@ -115,6 +123,30 @@ GOLDEN = {
     "verify eq4c --n 6 --kind para": (0, "88ff7dcbf7c89132b6aec96e6565c91cb3a034ea5bf9a0c6ed93e58484b4cbcb"),
     "verify eq4d --n 6 --kind para": (0, "a08389c3182137264e7c9747ac9c13f75f881920e00cd64864f22bf9218bfcea"),
     "verify lemma4.9 --n 6 --kind para": (0, "7bac2346e93b80a7b9ec8beda5e01ce143d5ab17eb57b6cfe07d45ebbe6a39f1"),
+    "dims --n 8 --kind complex": (0, "757c2d0a13231db781d0ad62755607587cb332bdae74437e355577a3b98a66fc"),
+    "verify thm4.1 --n 8 --kind complex": (0, "d345148782f09718e74f602020436e8fa26c2b4d1907e0f75168489dd06d38b2"),
+    "verify thm4.2 --n 8 --kind complex": (0, "c8160e3b9653c8322a97a46c42948c05d97762de430d385b89ce94ac14ba4920"),
+    "verify thm1.5 --n 8 --kind complex": (0, "dd6d3739dd19c5938239b923e9acdfbebf4b0449f47aa7520d413151d7211b71"),
+    "verify sec5 --n 8 --kind complex": (0, "c3c79c047a9344d96ae053034263d4a36802139a8565f876de901e33acbe9dd3"),
+    "verify eq4c --n 8 --kind complex": (0, "70a7bc3c3a41f802f6b35ea57616b3bec91573474ddda6e0ffeb313960528bef"),
+    "verify eq4d --n 8 --kind complex": (0, "a6d2bf5e979388d40a659c00cde592b22bbca1a5b7a08d15437b80d38fb17cbc"),
+    "verify lemma4.9 --n 8 --kind complex": (0, "21446d5bdea0a27120183beb5b216a4c77040d83ea7f3495f4566b54473ebb46"),
+    "dims --n 8 --kind para": (0, "2ba8d17ca0e593c6778bb1b065f64f4cbee0733062a91101abb9e4ab1d7ea248"),
+    "verify thm4.1 --n 8 --kind para": (0, "ae838f1891bfd58952c91cbe11304db40a77d54fb039dbcc1ee5cf431f99069e"),
+    "verify thm4.2 --n 8 --kind para": (0, "81bc8e04dc5cbf82501bbf87b6bda2756eef7107f7b9653a7dcc7a74b948c013"),
+    "verify thm1.5 --n 8 --kind para": (0, "98254b829af23be2f4fd0b5461d51d2b8e34908bba9c31815b7decc4d9237b6b"),
+    "verify sec5 --n 8 --kind para": (0, "b56932fe89802b5c78b53f62e55b59a1b1576457ffb47796d55c7ef759e1a208"),
+    "verify eq4c --n 8 --kind para": (0, "f300be3cf23fb7082a6711d41f8e3b240b46873185a9119389f787f58966c2ba"),
+    "verify eq4d --n 8 --kind para": (0, "17fd2d1c84e438610157319aa689ec248dea27b5bef155e24de67dff36f0cf1a"),
+    "verify lemma4.9 --n 8 --kind para": (0, "8d20a4b76342a64f901d2e0151bd6bd632ae62a309aeab2dc21eaab6fe7a8059"),
+    "dims --n 6 --sig 4,2 --kind complex": (0, "90b9bff3a17670158f9e75a9e725e23e63550a74e2a1e192c827d156d1b86acb"),
+    "verify thm4.1 --n 6 --sig 4,2 --kind complex": (0, "0d27cbec372e5aa434dd67a086d7867f589b3dbcacdf0352bf3f8eede0173bfc"),
+    "verify thm4.2 --n 6 --sig 4,2 --kind complex": (0, "3a634aa7d15ea29a0fe949b671f78ceb76f431e838f7ca93b616a8824b036a9d"),
+    "verify thm1.5 --n 6 --sig 4,2 --kind complex": (0, "da594ba4c789e683dcd78a162708d4cd0efc2110a531e3139480101d6c4284e8"),
+    "verify sec5 --n 6 --sig 4,2 --kind complex": (0, "673696a952c883eb4b6e6dca11daa5fc6d415e6bc61267a5212d5b2050c65ed4"),
+    "verify eq4c --n 6 --sig 4,2 --kind complex": (0, "7fe528b114dfd7d2ab7da7c14dbe75549e1e8a61f02f93914a069a0387ded82b"),
+    "verify eq4d --n 6 --sig 4,2 --kind complex": (0, "ad8c2e622e2d9a7d5806d4950928dd4484eb1e46f731a1a43141f704de129097"),
+    "verify lemma4.9 --n 6 --sig 4,2 --kind complex": (0, "8c910b052b6bb74e4dec39e5d28a7be5987ed20fdfb3635497eac5bbe6219d9c"),
     "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
     "eval nijenhuis --n 4": (0, "76f2cdd24ee11faae00e3da736317c95e7a4bbedbf2917c18f04153d29b7a8ad"),
     "eval nijenhuis --n 6 --kind para": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
