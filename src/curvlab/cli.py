@@ -315,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, default=6, help="dimension of the model space")
     common.add_argument("--kind", choices=("complex", "para", "none"), default="complex")
     common.add_argument("--sig", default=None, help="signature p,q (defaults: definite / neutral)")
-    common.add_argument("--eps", default=None, help="explicit diagonal sign layout, e.g. +,-,+,-")
+    common.add_argument("--eps", default=None, help="explicit diagonal sign layout, e.g. +,-,+,-; "
+                        "write one that starts with - as --eps=-,+,...")
 
     parser = argparse.ArgumentParser(
         prog="curvlab",

@@ -37,6 +37,7 @@ from .report import VerificationReport
 from .spaces import (
     ModelSpace,
     component_reps,
+    j_pullback_rows,
     j_signed_permutation,
     lie_algebra_basis,
     lie_generators,
@@ -143,21 +144,6 @@ class TwoTensorSplit:
         ]
 
 
-def _pullback_eigen_rows(space: ModelSpace, eigenvalue: int) -> list[dict[int, int]]:
-    """Rows of (J-pull-back - eigenvalue) on flattened rank-2 coordinates."""
-    n = space.n
-    perm = j_signed_permutation(space)
-    rows = []
-    for i in range(n):
-        pi, si = perm[i]
-        for j in range(n):
-            pj, sj = perm[j]
-            row = {pi * n + pj: si * sj}
-            row[i * n + j] = row.get(i * n + j, 0) - eigenvalue
-            rows.append({c: v for c, v in row.items() if v})
-    return rows
-
-
 class CurvatureCatalog:
     """Every subspace of one model space that the claim verifiers and the
     dims table read.  Each is built on its first read and then kept; the
@@ -226,8 +212,8 @@ class CurvatureCatalog:
         h_vec = metric_tensor2(space)
         omega_vec = kaehler_form(space)
         # the metric and the fundamental form both sit in the (-u) pull-back eigenspace
-        aligned = _pullback_eigen_rows(space, -u)
-        opposed = _pullback_eigen_rows(space, u)
+        aligned = j_pullback_rows(space, -u)
+        opposed = j_pullback_rows(space, u)
         h_orth_row = {c: Fraction(gram_weight2(space, c)) * v for c, v in h_vec.items()}
         omega_orth_row = {c: Fraction(gram_weight2(space, c)) * v for c, v in omega_vec.items()}
         amb = n * n

@@ -311,13 +311,14 @@ def _distinct_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
 def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
     """base ∩ ker(rows), from the kernel of the rows restricted to base.
 
-    Restricted rows repeat: the symmetries of the base make many conditions
-    agree on it up to a factor (on weyl the structure identity at (i, j) and
-    at (j, i) gives the same row up to sign), and a condition that holds on
-    all of the base restricts to zero.  A row and its nonzero multiples cut
-    out the same hyperplane, so the elimination sees each nonzero restricted
-    row once, primitive and positive at its first column; the kernel is the
-    same.
+    Restricted rows repeat: the symmetries of the base make conditions at one
+    first pair agree on it up to a factor (on weyl the last-pair identity at
+    (i, j, k, k) gives the same row for every k, and the structure identity
+    at last pairs (k, l) and (l, k) the same row up to sign), and a condition
+    that holds on all of the base restricts to zero.  A row and its nonzero
+    multiples cut out the same hyperplane, so the elimination sees each
+    nonzero restricted row once, primitive and positive at its first column;
+    the kernel is the same.
 
     No second elimination: sum_i c_i b_i over the canonical base rows leads at
     the pivot of the first b_i it uses, and its value at any other base pivot

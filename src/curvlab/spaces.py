@@ -15,6 +15,13 @@ Compatibility is J*h = h in the complex case and J*h = -h in the para case,
 so complex metrics carry constant signs on each J-plane while para metrics
 alternate (+,-) inside every plane (neutral signature).
 
+J's pull-back on a slot pair, (J*T)(x, y) = T(Jx, Jy), is written once here,
+as a table over rank-2 coordinates and the rows of (J* - lambda) it gives.
+The unitary Lie algebra is its fixed points among the isometries' Lie
+algebra, the six-piece split of rank-2 tensors its eigenspaces, the opposed
+2-forms its u-eigenspace, and the Kähler identity its classes on the last
+pair.
+
 Group data: the orthogonal group of h, the (para-)unitary group of (h, J),
 and its Z2 extension containing J-anticommuting isometries.  Exact arithmetic
 cannot average over a Lie group, so invariance is always certified through
@@ -83,6 +90,21 @@ def j_signed_permutation(space: ModelSpace) -> tuple[tuple[int, int], ...]:
         raise ValueError("space has no structure")
     u = structure_sign(space.kind)
     return tuple((k + 1, 1) if k % 2 == 0 else (k - 1, u) for k in range(space.n))
+
+
+def j_pullback_table(space: ModelSpace) -> list[tuple[int, int, int]]:
+    """J's pull-back on rank-2 coordinates: for each c = a*n + b, in order,
+    ``(c, Jc, s)`` with Jc = p(a)*n + p(b) and s = s_a*s_b, so that
+    (J*T)[c] = T(J e_a, J e_b) = s * T[Jc]."""
+    n = space.n
+    perm = j_signed_permutation(space)
+    return [(a * n + b, pa * n + pb, sa * sb) for a, (pa, sa) in enumerate(perm) for b, (pb, sb) in enumerate(perm)]
+
+
+def j_pullback_rows(space: ModelSpace, eigenvalue: int) -> list[dict[int, int]]:
+    """Rows of (J* - eigenvalue) on rank-2 coordinates, one per c; Jc != c,
+    as p fixes no index."""
+    return [{jc: s, c: -eigenvalue} for c, jc, s in j_pullback_table(space)]
 
 
 def _default_eps(n: int, kind: str, signature: tuple[int, int] | None) -> tuple[int, ...]:
@@ -158,8 +180,9 @@ def _check_group_args(space: ModelSpace, group: str) -> None:
 
 @lru_cache(maxsize=16)
 def lie_algebra_basis(space: ModelSpace, group: str) -> tuple[dict[int, int], ...]:
-    """Basis of {X : X^T H + H X = 0}, intersected with {XJ = JX} for U/Ustar,
-    as the kernel's primitive integer rows: X[a][b] at a*n + b.
+    """Basis of {X : X^T H + H X = 0}, intersected with {XJ = JX} for U/Ustar
+    (the fixed points of J's pull-back), as the kernel's primitive integer
+    rows: X[a][b] at a*n + b.
 
     The Lie algebras of the unitary group and of its Z2 extension coincide,
     so ``Ustar`` shares the ``U`` basis.  Cached per (space, group): the
@@ -175,17 +198,8 @@ def lie_algebra_basis(space: ModelSpace, group: str) -> tuple[dict[int, int], ..
             row[a * n + b] = row.get(a * n + b, 0) + space.eps[a]
             rows.append(row)
     if group in ("U", "Ustar"):
-        perm = j_signed_permutation(space)
-        u = structure_sign(space.kind)
-        for a in range(n):
-            for b in range(n):
-                pb, sb = perm[b]
-                pa, sa = perm[a]
-                # (XJ - JX)[a][b] = s_b X[a][p(b)] - s_{p(a)} X[p(a)][b]
-                # with p an involution, s_{p(a)} = u / s_a = u * s_a
-                row = {a * n + pb: sb}
-                row[pa * n + b] = row.get(pa * n + b, 0) - u * sa
-                rows.append(row)
+        # (J^-1 X J)[a][b] = s_a s_b X[p(a)][p(b)] = (J*X)[a][b], so XJ = JX iff J*X = X
+        rows += j_pullback_rows(space, 1)
     return tuple(kernel_subspace(rows, n * n).basis_dicts())
 
 

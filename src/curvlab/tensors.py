@@ -3,7 +3,12 @@
 Covers the constraint rows that carve out the curvature spaces, the
 rank-2-to-rank-4 maps sigma and psi, sparse pull-backs and infinitesimal
 group actions in integers, and full invariant contractions against
-metric/fundamental-form pair tensors.
+metric/fundamental-form pair tensors.  The two maps and the contraction rows
+are one operation, two rank-2 tensors placed on two slot pairs, and run
+through one loop: sigma as five terms against the diagonal of h, psi_map as
+six against the fundamental form, a contraction row as one term.  The
+structure identity and the opposed-form test read J's pull-back from
+:mod:`curvlab.spaces`.
 
 Every tensor the package computes with is a sparse ``{flat index: value}``
 dict, with component (i, j) of a rank-2 tensor at i*n + j and component
@@ -33,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .spaces import ModelSpace, j_signed_permutation, structure_sign
+from .spaces import ModelSpace, j_pullback_table, j_signed_permutation, structure_sign
 
 Vec = Mapping[int, Fraction | int]
 
@@ -231,12 +236,33 @@ def defect_kaehler(a: Tensor4, space: ModelSpace) -> Tensor4:
 # ---------------------------------------------------------------------------
 
 
-def _acc(out: dict[int, Fraction | int], key: int, val: Fraction | int) -> None:
-    cur = out.get(key, 0) + val
-    if cur:
-        out[key] = cur
-    else:
-        out.pop(key, None)
+Nonzeros = list[tuple[int, int, Fraction | int]]
+Terms = Sequence[tuple[int, tuple[int, int], tuple[int, int]]]
+
+
+def _nonzeros(t: Vec, n: int) -> Nonzeros:
+    """The ``(i, j, value)`` entries of a rank-2 dict."""
+    return [(*divmod(c, n), v) for c, v in t.items()]
+
+
+def _place(terms: Terms, first: Nonzeros, second: Nonzeros, n: int) -> dict[int, Fraction | int]:
+    """The rank-4 tensor sum of coeff * first(x_p, x_q) * second(x_r, x_s) over
+    the ``(coeff, (p, q), (r, s))`` terms, each rank-2 factor given by its
+    ``(i, j, value)`` nonzeros; an entry that cancels to zero is dropped."""
+    stride = (n ** 3, n * n, n, 1)
+    out: dict[int, Fraction | int] = {}
+    for coeff, (p, q), (r, s) in terms:
+        placed = [(c * stride[r] + d * stride[s], coeff * w) for c, d, w in second]
+        for a, b, v in first:
+            base = a * stride[p] + b * stride[q]
+            for offset, cw in placed:
+                key = base + offset
+                cur = out.get(key, 0) + cw * v
+                if cur:
+                    out[key] = cur
+                else:
+                    out.pop(key, None)
+    return out
 
 
 def sigma(psi: Vec, space: ModelSpace) -> dict[int, Fraction | int]:
@@ -245,43 +271,24 @@ def sigma(psi: Vec, space: ModelSpace) -> dict[int, Fraction | int]:
     sigma(psi)(x,y,z,w) = 2 psi(x,y) h(z,w) + psi(x,z) h(y,w) - psi(y,z) h(x,w)
                           - psi(x,w) h(y,z) + psi(y,w) h(x,z)
 
-    With h diagonal, each nonzero psi(a, b) = v meets each basis index t once
-    per term, with weight e = v h(e_t, e_t): 5n entries per nonzero.  Integer
+    Each term places psi and the diagonal of h on two slot pairs.  Integer
     in, integer out: the image of an ``int`` form holds ``int`` values, and the
     image of a ``Fraction`` form ``Fraction`` values.
     """
     n = space.n
     if not is_antisymmetric(psi, n):
         raise ValueError("sigma expects an antisymmetric input")
-    out: dict[int, Fraction | int] = {}
-    for c, v in psi.items():
-        a, b = divmod(c, n)
-        for t in range(n):
-            e = v * space.eps[t]
-            _acc(out, flatten4(n, a, b, t, t), 2 * e)
-            _acc(out, flatten4(n, a, t, b, t), e)
-            _acc(out, flatten4(n, t, a, b, t), -e)
-            _acc(out, flatten4(n, a, t, t, b), -e)
-            _acc(out, flatten4(n, t, a, t, b), e)
-    return out
+    terms = ((2, (0, 1), (2, 3)), (1, (0, 2), (1, 3)), (-1, (1, 2), (0, 3)), (-1, (0, 3), (1, 2)), (1, (1, 3), (0, 2)))
+    return _place(terms, _nonzeros(psi, n), [(t, t, e) for t, e in enumerate(space.eps)], n)
 
 
 def is_structure_eigenform(psi: Vec, space: ModelSpace) -> bool:
     """True iff psi is antisymmetric with J-pull-back equal to the structure sign times psi."""
     if space.kind == "none":
         raise ValueError("requires a structured space")
-    n = space.n
-    if not is_antisymmetric(psi, n):
-        return False
     u = structure_sign(space.kind)
-    perm = j_signed_permutation(space)
-    for x in range(n):
-        px, sx = perm[x]
-        for y in range(n):
-            py, sy = perm[y]
-            if sx * sy * psi.get(px * n + py, 0) != u * psi.get(x * n + y, 0):
-                return False
-    return True
+    return is_antisymmetric(psi, space.n) and all(
+        s * psi.get(jc, 0) == u * psi.get(c, 0) for c, jc, s in j_pullback_table(space))
 
 
 def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction | int]:
@@ -300,14 +307,10 @@ def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction | int]:
     if not is_structure_eigenform(psi, space):
         raise ValueError("psi_map input must be an opposed 2-form (J*psi = u psi, u the structure sign)")
     n = space.n
-    omega_nz = [(*divmod(c, n), int(v)) for c, v in kaehler_form(space).items()]
+    omega_nz = [(i, j, int(v)) for i, j, v in _nonzeros(kaehler_form(space), n)]
     # psi(i, J e_j) = s psi(i, p) for J e_j = s e_p
     j_of = {p: (j, s) for j, (p, s) in enumerate(j_signed_permutation(space))}
-    psi_j_nz = []
-    for c, v in psi.items():
-        i, p = divmod(c, n)
-        j, s = j_of[p]
-        psi_j_nz.append((i, j, s * v))
+    psi_j_nz = [(i, j_of[p][0], j_of[p][1] * v) for i, p, v in _nonzeros(psi, n)]
     # each term is coeff * Omega(pair one) * psi(., J .)(pair two), placed by slots
     terms = (
         (2, (0, 1), (2, 3)),
@@ -317,17 +320,7 @@ def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction | int]:
         (-1, (0, 3), (1, 2)),
         (-1, (1, 2), (0, 3)),
     )
-    out: dict[int, Fraction | int] = {}
-    idx = [0, 0, 0, 0]
-    for coeff, om_slots, psi_slots in terms:
-        for a, b, ov in omega_nz:
-            idx[om_slots[0]] = a
-            idx[om_slots[1]] = b
-            for c, d, pv in psi_j_nz:
-                idx[psi_slots[0]] = c
-                idx[psi_slots[1]] = d
-                _acc(out, flatten4(n, *idx), coeff * ov * pv)
-    return out
+    return _place(terms, omega_nz, psi_j_nz, n)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +336,7 @@ def _kappa_raised_entries(space: ModelSpace, a: int) -> list[tuple[int, int, int
         return [(i, i, space.eps[i]) for i in range(space.n)]
     if space.kind == "none":
         raise ValueError("form contractions require a structured space")
-    out = []
-    for c, v in kaehler_form(space).items():
-        i, j = divmod(c, space.n)
-        out.append((i, j, space.eps[i] * space.eps[j] * int(v)))
-    return out
+    return [(i, j, space.eps[i] * space.eps[j] * int(v)) for i, j, v in _nonzeros(kaehler_form(space), space.n)]
 
 
 def invariant_contraction_row(perm: Sequence[int], word: Sequence[int], space: ModelSpace) -> dict[int, int]:
@@ -366,19 +355,8 @@ def invariant_contraction_row(perm: Sequence[int], word: Sequence[int], space: M
         raise ValueError("perm must be a permutation of (0,1,2,3)")
     if len(word) != 2 or any(a not in (0, 1) for a in word):
         raise ValueError("word must be two flags in {0,1}")
-    n = space.n
-    k1 = _kappa_raised_entries(space, word[0])
-    k2 = _kappa_raised_entries(space, word[1])
-    row = {}
-    idx = [0, 0, 0, 0]
-    for x1, x2, v1 in k1:
-        idx[perm[0]] = x1
-        idx[perm[1]] = x2
-        for x3, x4, v2 in k2:
-            idx[perm[2]] = x3
-            idx[perm[3]] = x4
-            row[flatten4(n, *idx)] = v1 * v2
-    return row
+    terms = ((1, (perm[0], perm[1]), (perm[2], perm[3])),)
+    return _place(terms, _kappa_raised_entries(space, word[0]), _kappa_raised_entries(space, word[1]), space.n)
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +454,8 @@ def kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
         raise ValueError("structure-compatible subspace requires a structured space")
     n = space.n
     u = structure_sign(space.kind)
-    perm = j_signed_permutation(space)
-    classes = []  # (k, l) < (Jk, Jl) as last-pair offsets, with the entry at (Jk, Jl)
-    for k, (pk, sk) in enumerate(perm):
-        for l, (pl, sl) in enumerate(perm):
-            if (k, l) < (pk, pl):
-                classes.append((k * n + l, pk * n + pl, u * sk * sl))
+    # (k, l) < (Jk, Jl) as last-pair offsets c < Jc, with the entry at Jc
+    classes = [(c, jc, u * s) for c, jc, s in j_pullback_table(space) if c < jc]
     offsets = [(i * n + j) * n * n for i in range(n) for j in range(i + 1, n)]  # first pairs i < j
     return [{f + a: 1, f + b: s} for f in offsets for a, b, s in classes]
 

@@ -22,8 +22,9 @@ references the package does not need: the Zassenhaus intersection and the
 containment check that meets are held to, the lift of three-slot rows to
 every last index that the closed-form ``affine`` is held to, and the
 last-pair, Weyl and structure rows written for every first pair (i, j), which
-the package writes for i < j only; they run on the package's echelon engine,
-by another route than the one they check.
+the package writes for i < j only, and the unitary Lie-algebra rows written
+as commutators XJ - JX, which the package writes as J's pull-back; they run
+on the package's echelon engine, by another route than the one they check.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from curvlab.tensors import (
     defect_weyl,
     flatten4,
     is_antisymmetric,
-    is_structure_eigenform,
     kaehler_form,
     metric_tensor2,
     ricci,
@@ -386,6 +386,31 @@ def full_kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
     return [{ij * n * n + a: 1, ij * n * n + b: s} for ij in range(n * n) for a, b, s in classes]
 
 
+def commuting_lie_rows(space: ModelSpace) -> list[dict[int, int]]:
+    """Rows of X^T H + H X = 0 and of XJ - JX = 0, entry (a, b) of X at
+    a*n + b: the unitary Lie algebra cut by commutators, which the package's
+    fixed points of J's pull-back are held to."""
+    n = space.n
+    u = structure_sign(space.kind)
+    perm = j_signed_permutation(space)
+    rows = []
+    for a in range(n):
+        for b in range(a, n):
+            # eps_b X[b][a] + eps_a X[a][b] = 0
+            row = {b * n + a: space.eps[b]}
+            row[a * n + b] = row.get(a * n + b, 0) + space.eps[a]
+            rows.append(row)
+    for a in range(n):
+        pa, sa = perm[a]
+        for b in range(n):
+            pb, sb = perm[b]
+            # (XJ - JX)[a][b] = s_b X[a][p(b)] - s_{p(a)} X[p(a)][b], and s_{p(a)} = u s_a
+            row = {a * n + pb: sb}
+            row[pa * n + b] = row.get(pa * n + b, 0) - u * sa
+            rows.append(row)
+    return rows
+
+
 def standard_basis_tensor(n: int, flat_index: int) -> Tensor4:
     comp = [Fraction(0)] * n ** 4
     comp[flat_index] = Fraction(1)
@@ -625,9 +650,12 @@ def psi_map_dense(psi: Mapping[int, Fraction], space: ModelSpace) -> Tensor4:
                             + h(x,Jz) psi(y,Jw) + h(y,Jw) psi(x,Jz)
                             - h(x,Jw) psi(y,Jz) - h(y,Jz) psi(x,Jw)
     """
-    if not is_structure_eigenform(psi, space):
-        raise ValueError("psi_map input must be an opposed 2-form")
     n = space.n
+    u = structure_sign(space.kind)
+    # opposed: antisymmetric, with the dense pull-back by J equal to u psi
+    opposed = {c: u * v for c, v in psi.items() if v}
+    if not is_antisymmetric(psi, n) or pullback(Matrix.from_dict(n, space.j), psi) != opposed:
+        raise ValueError("psi_map input must be an opposed 2-form")
     omega = _dense2(n, kaehler_form(space))
     p = _dense2(n, psi)
     perm = j_signed_permutation(space)

@@ -1,6 +1,8 @@
 """Golden bytes: stdout, stderr and exit code of every claim report and dims
 table at n = 4, 6 and 8 in both geometries and at n = 6 ``--sig 4,2
---kind complex``, and of a set of ``eval`` commands
+--kind complex``; of ``dims``, thm4.1 and thm4.2 with ``--kind none`` at
+n = 4, 6 and 6 ``--sig 4,2``; of thm1.5 and thm4.2 at n = 10 in both
+geometries; and of a set of ``eval`` commands
 (Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
 evaluation each), pinned by sha256; and one sha256 over a grid of 648
 Nijenhuis probes at n = 4.
@@ -33,6 +35,17 @@ CASES = [
 ] + [
     f"{cmd} --n 6 --sig 4,2 --kind complex"
     for cmd in ("dims", *(f"verify {claim}" for claim in CLAIMS))
+] + [
+    f"{cmd} --n {n} --kind none"
+    for n in (4, 6)
+    for cmd in ("dims", "verify thm4.1", "verify thm4.2")
+] + [
+    f"{cmd} --n 6 --sig 4,2 --kind none"
+    for cmd in ("dims", "verify thm4.1", "verify thm4.2")
+] + [
+    f"verify {claim} --n 10 --kind {kind}"
+    for kind in ("complex", "para")
+    for claim in ("thm1.5", "thm4.2")
 ] + [
     "eval nijenhuis --n 6",
     "eval nijenhuis --n 4",
@@ -147,6 +160,19 @@ GOLDEN = {
     "verify eq4c --n 6 --sig 4,2 --kind complex": (0, "7fe528b114dfd7d2ab7da7c14dbe75549e1e8a61f02f93914a069a0387ded82b"),
     "verify eq4d --n 6 --sig 4,2 --kind complex": (0, "ad8c2e622e2d9a7d5806d4950928dd4484eb1e46f731a1a43141f704de129097"),
     "verify lemma4.9 --n 6 --sig 4,2 --kind complex": (0, "8c910b052b6bb74e4dec39e5d28a7be5987ed20fdfb3635497eac5bbe6219d9c"),
+    "dims --n 4 --kind none": (0, "d28f5381671010d7ad819fe15553d190437e21e461078448d4358a95b749fda7"),
+    "verify thm4.1 --n 4 --kind none": (0, "9f1713f4f5648be70a9a5a325a93529ab020d972c6d70bc733193fa7ab1aa009"),
+    "verify thm4.2 --n 4 --kind none": (0, "417c60b1ff9b073d388b97e2f00dd2bffa628b25b8e637d466e1860b4f869f12"),
+    "dims --n 6 --kind none": (0, "0d2bb854428abc4fd7dc1cf5c3ea9b54f9a19a1b7c24594f96874d8be63b592f"),
+    "verify thm4.1 --n 6 --kind none": (0, "c64868222dc2a1dae95d5708268c3de2a9f43eb2f9c0639773c1b84084e27415"),
+    "verify thm4.2 --n 6 --kind none": (0, "3ae1631fec31223d7859f263e4d52d7d3b327d8f315aa77943d448b00c4c0f26"),
+    "dims --n 6 --sig 4,2 --kind none": (0, "68e6e24212d2c3f36ccc62848b03921da521f48bf49cdd35b332645ff1e531bf"),
+    "verify thm4.1 --n 6 --sig 4,2 --kind none": (0, "a90580ca4beecf3771bbc8e0bfc90cb57bfa61767a1d6d03554e419e33b1bf22"),
+    "verify thm4.2 --n 6 --sig 4,2 --kind none": (0, "59cf1e4335baf25dd74996aa59bf28ad68b803d20bc856c056fa8a1cdbc8651b"),
+    "verify thm1.5 --n 10 --kind complex": (0, "c7df9861286b4dca595c15712ba1f60e1d3d105b50910a96ea408d40e4ef2fdc"),
+    "verify thm4.2 --n 10 --kind complex": (0, "f520b7b808aa32ef605947f5d364650b65611c1441a56ad83a5c9b206d2d8f5a"),
+    "verify thm1.5 --n 10 --kind para": (0, "7df0bc5d0b9ea6a365ddd86b438796e019c0dce9f0aa181e90fa74e315190db6"),
+    "verify thm4.2 --n 10 --kind para": (0, "b361aeb3d1bd75e126214aef6b7a346b9f12719839489d1a21d6fd2313d16ad5"),
     "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
     "eval nijenhuis --n 4": (0, "76f2cdd24ee11faae00e3da736317c95e7a4bbedbf2917c18f04153d29b7a8ad"),
     "eval nijenhuis --n 6 --kind para": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from curvlab.linalg import kernel_subspace
 from curvlab.spaces import (
+    _greedy_generators,
     component_reps,
+    j_pullback_rows,
+    j_pullback_table,
     j_signed_permutation,
     lie_algebra_basis,
     lie_generators,
@@ -16,7 +21,7 @@ from curvlab.spaces import (
     structure_reversal,
     structure_sign,
 )
-from oracles import Matrix, gram, transpose
+from oracles import Matrix, commuting_lie_rows, dense, dense_kernel, gram, pullback, same_span, transpose
 
 F = Fraction
 
@@ -122,6 +127,53 @@ def test_generating_set_sizes(kind):
         assert lie_generators(s, "O") is o
     assert len(lie_generators(make_standard(8, "complex", (4, 4)), "O")) == 7
     assert len(lie_generators(make_standard(5, "none", (3, 2)), "O")) == 4
+
+
+UNITARY_SPACES = {
+    **{f"{n}-{kind}": make_standard(n, kind) for n in (4, 6, 8) for kind in ("complex", "para")},
+    "6-complex-4,2": make_standard(6, "complex", (4, 2)),
+    "8-complex-4,4": make_standard(8, "complex", (4, 4)),
+}
+
+
+@pytest.mark.parametrize("group", ["U", "Ustar"])
+@pytest.mark.parametrize("name", sorted(UNITARY_SPACES))
+def test_unitary_basis_is_the_kernel_of_the_commutator_rows(name, group):
+    """Witnesses name Lie elements by their index in the basis, so the basis
+    cut by J's pull-back must be the canonical kernel of the o(p,q) rows and
+    XJ - JX, and the greedy pick on that kernel must give the same indices."""
+    space = UNITARY_SPACES[name]
+    reference = kernel_subspace(commuting_lie_rows(space), space.n ** 2).basis_dicts()
+    assert list(lie_algebra_basis(space, group)) == reference
+    assert [i for i, _ in lie_generators(space, group)] == _greedy_generators(reference, space.n)
+
+
+TABLE_SPACES = {f"{n}-{kind}": make_standard(n, kind) for n in (4, 6) for kind in ("complex", "para")}
+TABLE_SPACES["6-complex-4,2"] = make_standard(6, "complex", (4, 2))
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SPACES))
+def test_pullback_table_is_the_dense_pullback_by_j(name):
+    """s * T[Jc] at every c is the dense pull-back of seeded random rank-2
+    tensors by J, with ``int`` and ``Fraction`` entries, and the rows of
+    (J* - lam) cut the dense kernel of J* - lam at lam = 1 and -1."""
+    space = TABLE_SPACES[name]
+    n = space.n
+    j = Matrix.from_dict(n, space.j)
+    table = j_pullback_table(space)
+    assert [c for c, _, _ in table] == list(range(n * n))
+    rng = random.Random(name)
+    for draw in range(6):
+        t = {c: rng.randint(-9, 9) for c in range(n * n) if rng.random() < 0.6}
+        if draw % 2:
+            t = {c: Fraction(v, rng.randint(1, 9)) for c, v in t.items()}
+        assert {c: s * t[jc] for c, jc, s in table if t.get(jc)} == pullback(j, t)
+    columns = [pullback(j, {d: 1}) for d in range(n * n)]
+    for lam in (1, -1):
+        dense_rows = [[columns[d].get(c, 0) - (lam if c == d else 0) for d in range(n * n)] for c in range(n * n)]
+        kernel = dense(kernel_subspace(j_pullback_rows(space, lam), n * n))
+        assert len(kernel) == n * n // 2
+        assert same_span(kernel, dense_kernel(dense_rows, n * n))
 
 
 def test_lie_algebra_infinitesimal_isometry():
