@@ -9,11 +9,15 @@ by the riemann rows.  The conformal space is one direct kernel, which checks
 the chain.  The catalog also holds the five-term-map image, the six-piece
 splitting of rank-2 tensors and the map images of its pieces.  A subspace is
 built on its first read, and every verifier and the dims table read it.
-On top of it the module solves for commutants of group actions and spans of
-invariant contraction functionals, and runs the claim verifiers exposed by
-the CLI.  A functional is evaluated on a module as a row restricted to its
-basis: the invariant contractions on both sides of mod_a ⊗ mod_b, thm4.2's
-Gram count on one side.
+On top of it the module certifies group invariance, solves for commutants
+of group actions and spans of invariant contraction functionals, and runs
+the claim verifiers exposed by the CLI.  A certificate applies every group
+generator to every basis vector and tests each image for membership; it
+walks the basis vectors in the outer loop, indexing each once by axis, and
+still names the first failure in generator-major order.  A functional is
+evaluated on a module as a row restricted to its basis: the invariant
+contractions on both sides of mod_a ⊗ mod_b, thm4.2's Gram count on one
+side.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .tensors import (
     riemann_rows,
     sigma,
     sign_pullback_vec,
+    slot_index,
     psi_map,
     two_form_basis,
     weyl_rows,
@@ -311,19 +316,30 @@ def _sign_characters(space: ModelSpace, group: str) -> Iterator[tuple[int, list[
 
 
 def _group_images(sub: Subspace, space: ModelSpace, group: str,
-                  extra_lie: Sequence[Vec] = ()) -> Iterator[tuple[dict, dict[int, int], int]]:
-    """Every group generator applied to every basis vector of ``sub``, in integers.
+                  accept: Callable[[tuple[str, int], int, dict[int, int], int], bool],
+                  extra_lie: Sequence[Vec] = ()) -> dict | None:
+    """Every group generator applied to every basis vector of ``sub``, in
+    integers; the first witness in certificate order that ``accept`` rejects,
+    or None.
 
-    Yields (witness, image, scale) triples in certificate order: the proven
-    Lie-algebra generators (:func:`spaces.lie_generators`), then the extra
-    Lie elements, then the component representatives other than the
-    identity; within each generator the basis vectors go in canonical order.
-    If X and Y preserve a subspace so does [X, Y], so the generators stand
-    for the whole Lie algebra.  The witness names the pair as ``{"action",
-    "element", "basis_vector"}``: a generator keeps its index in
-    :func:`spaces.lie_algebra_basis`, extra element k is numbered
-    ``len(basis) + k``, and a representative keeps its index in
-    :func:`spaces.component_reps`.
+    Certificate order is: the proven Lie-algebra generators
+    (:func:`spaces.lie_generators`), then the extra Lie elements, then the
+    component representatives other than the identity; within each element
+    the basis vectors go in canonical order.  If X and Y preserve a subspace
+    so does [X, Y], so the generators stand for the whole Lie algebra.  The
+    witness names the pair as ``{"action", "element", "basis_vector"}``: a
+    generator keeps its index in :func:`spaces.lie_algebra_basis`, extra
+    element k is numbered ``len(basis) + k``, and a representative keeps its
+    index in :func:`spaces.component_reps`.
+
+    The walk itself goes basis vector by basis vector, so that each vector is
+    indexed by axis once (:func:`tensors.slot_index`) and every Lie element
+    reads that index only where it acts.  Each image goes to ``accept`` as
+    ``((action, element), basis vector, image, scale)``.  Once an element is
+    rejected, it and the elements after it are skipped on later vectors; the
+    elements before it still run there, since a failure of theirs comes
+    first in certificate order.  On an invariant subspace every image is
+    computed and handed over, in vector-major order.
 
     Each stored basis row is ``s_b`` times its pivot-one row, ``s_b`` its
     pivot entry.  A Lie element is scaled to an integer table once
@@ -334,21 +350,32 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
     n = space.n
-    basis = sub.basis_dicts()
-    scales = [row[p] for row, p in zip(basis, sub.pivots)]
     lie = list(lie_generators(space, group))
     if extra_lie:
         offset = len(lie_algebra_basis(space, group))
         lie += [(offset + k, x) for k, x in enumerate(extra_lie)]
-    for idx, x in lie:
-        den, rows = action_rows(x, n)
-        for bidx, vec in enumerate(basis):
-            yield ({"action": "lie", "element": idx, "basis_vector": bidx},
-                   lie_apply_vec(rows, vec, rank, n), den * scales[bidx])
-    for idx, signs in _sign_characters(space, group):
-        for bidx, vec in enumerate(basis):
-            yield ({"action": "component_rep", "element": idx, "basis_vector": bidx},
-                   sign_pullback_vec(signs, vec, rank, n), scales[bidx])
+    elements = [(("lie", idx), action_rows(x, n)) for idx, x in lie]
+    elements += [(("component_rep", idx), signs) for idx, signs in _sign_characters(space, group)]
+    n_lie = len(lie)
+    first = None
+    limit = len(elements)
+    for bidx, (vec, p) in enumerate(zip(sub.basis_dicts(), sub.pivots)):
+        if not limit:
+            break
+        scale = vec[p]
+        index = slot_index(vec, rank, n)
+        for pos in range(limit):
+            key, data = elements[pos]
+            if pos < n_lie:
+                den, rows = data
+                ok = accept(key, bidx, lie_apply_vec(rows, index), den * scale)
+            else:
+                ok = accept(key, bidx, sign_pullback_vec(data, vec, rank, n), scale)
+            if not ok:
+                first = {"action": key[0], "element": key[1], "basis_vector": bidx}
+                limit = pos
+                break
+    return first
 
 
 def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
@@ -356,10 +383,7 @@ def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
     """None when the subspace is preserved by the group data, else the first
     witness in certificate order (see :func:`_group_images`)."""
     reducer = SubspaceReducer(sub)
-    for witness, img, _ in _group_images(sub, space, group, extra_lie):
-        if not reducer.contains(img):
-            return witness
-    return None
+    return _group_images(sub, space, group, lambda key, j, img, scale: reducer.contains(img), extra_lie)
 
 
 def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dict[tuple[str, int], Vec]:
@@ -377,14 +401,19 @@ def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dic
     reducer = SubspaceReducer(sub)
     d = sub.dim
     mats: dict[tuple[str, int], Vec] = {}
-    for witness, img, scale in _group_images(sub, space, group):
+
+    def accept(key: tuple[str, int], j: int, img: dict[int, int], scale: int) -> bool:
         coords = reducer.coordinates(img, scale)
         if coords is None:
-            raise NotInvariantError(
-                f"subspace not invariant under {witness['action']} element {witness['element']}", witness)
-        j = witness["basis_vector"]
-        mat = mats.setdefault((witness["action"], witness["element"]), {})
-        mat.update((i * d + j, v) for i, v in enumerate(coords) if v)
+            return False
+        # basis vector 0 meets every generator first, in certificate order
+        mats.setdefault(key, {}).update((i * d + j, v) for i, v in enumerate(coords) if v)
+        return True
+
+    witness = _group_images(sub, space, group, accept)
+    if witness is not None:
+        raise NotInvariantError(
+            f"subspace not invariant under {witness['action']} element {witness['element']}", witness)
     return mats
 
 

@@ -224,16 +224,23 @@ class SubspaceReducer:
         self._rows = {p: dict(row) for p, row in zip(sub.pivots, sub.basis)}
 
     def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
-        """One pass: ``lead * (vec - sum_p vec[p] * b_p)`` is zero, ``lead`` the
-        lcm of the scales of the pivot rows ``vec`` touches."""
+        """``lead * (vec - sum_p vec[p] * b_p)`` is zero, ``lead`` the lcm of the
+        scales of the pivot rows ``vec`` touches; one pass collects those rows
+        and ``lead``, and when every scale is 1 the subtraction starts from a
+        plain copy of ``vec``."""
         rows = self._rows
-        touched = [(rows[p], p, v) for p, v in vec.items() if v and p in rows]
+        touched = []
         lead = 1
-        for row, p, _ in touched:
-            lead = lcm(lead, row[p])
-        diff = {c: lead * v for c, v in vec.items()}
-        for row, p, v in touched:
-            m = v * (lead // row[p])
+        for p, v in vec.items():
+            row = rows.get(p)
+            if row is not None and v:
+                scale = row[p]
+                touched.append((row, scale, v))
+                if scale != 1:
+                    lead = lcm(lead, scale)
+        diff = dict(vec) if lead == 1 else {c: lead * v for c, v in vec.items()}
+        for row, scale, v in touched:
+            m = v * (lead // scale)
             for c, r in row.items():
                 diff[c] = diff.get(c, 0) - m * r
         return not any(diff.values())

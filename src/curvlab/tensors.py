@@ -14,8 +14,11 @@ Every tensor the package computes with is a sparse ``{flat index: value}``
 dict, with component (i, j) of a rank-2 tensor at i*n + j and component
 (i, j, k, l) of a rank-4 tensor at ((i*n + j)*n + k)*n + l.  A matrix is the
 same rank-2 dict, entry (a, b) at a*n + b; the infinitesimal actions read it
-through :func:`action_rows`, and a sign-diagonal component representative
-acts as the sign character :func:`sign_pullback_vec`.  The canonical forms,
+through :func:`action_rows`, one integer row per axis, and apply it to a
+vector's :func:`slot_index`, which lists the entries by the axis index each
+holds in each slot, so an element touches only the entries on the axes where
+it has a nonzero row.  A sign-diagonal component representative acts as the
+sign character :func:`sign_pullback_vec`.  The canonical forms,
 the images of sigma and psi and the constraint rows all read and write that
 format; the first-pair and cyclic rows, which never read the last slot, are
 written over rank-3 coordinates (i*n + j)*n + k, and the last-pair, Weyl and
@@ -479,23 +482,37 @@ def action_rows(m: Mapping[int, Fraction | int], n: int) -> tuple[int, ActionRow
     return den, rows
 
 
-def _contract_slot(out: dict[int, int], rows: ActionRows, vec: Mapping[int, int], stride: int, n: int) -> None:
-    """Add to ``out`` the integer vector with the slot of ``stride`` contracted with ``rows``."""
+SlotIndex = dict[int, list[tuple[int, int, int]]]
+
+
+def slot_index(vec: Mapping[int, int], rank: int, n: int) -> SlotIndex:
+    """A flattened rank-2 or rank-4 integer vector indexed by axis: ``a`` maps
+    to one ``(base, stride, value)`` triple per entry and slot holding ``a``,
+    the slot's ``stride`` a power of n and ``base`` the entry's flat index less
+    ``a * stride``."""
+    index: SlotIndex = {}
     for c, v in vec.items():
-        a = (c // stride) % n
-        base = c - a * stride
-        for b, coeff in rows[a]:
-            key = base + b * stride
-            out[key] = out.get(key, 0) + coeff * v
+        k = c
+        stride = 1
+        for _ in range(rank):
+            k, a = divmod(k, n)
+            index.setdefault(a, []).append((c - a * stride, stride, v))
+            stride *= n
+    return index
 
 
-def lie_apply_vec(rows: ActionRows, vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
+def lie_apply_vec(rows: ActionRows, index: SlotIndex) -> dict[int, int]:
     """Sparse infinitesimal action on a flattened rank-2 or rank-4 integer
-    vector, the sum over slots: ``den`` times the action of X, where
-    ``(den, rows)`` is :func:`action_rows` of X."""
+    vector given by its :func:`slot_index`, the sum over slots: ``den`` times
+    the action of X, where ``(den, rows)`` is :func:`action_rows` of X.  Only
+    the axes where X has a nonzero row are read."""
     out: dict[int, int] = {}
-    for slot in range(rank):
-        _contract_slot(out, rows, vec, n ** (rank - 1 - slot), n)
+    for a, row in enumerate(rows):
+        if row:
+            for base, stride, v in index.get(a, ()):
+                for b, coeff in row:
+                    key = base + b * stride
+                    out[key] = out.get(key, 0) + coeff * v
     return {c: v for c, v in out.items() if v}
 
 

@@ -1,8 +1,8 @@
 """Golden bytes: stdout, stderr and exit code of every claim report and dims
 table at n = 4, 6 and 8 in both geometries and at n = 6 ``--sig 4,2
 --kind complex``; of ``dims``, thm4.1 and thm4.2 with ``--kind none`` at
-n = 4, 6 and 6 ``--sig 4,2``; of thm1.5 and thm4.2 at n = 10 in both
-geometries; and of a set of ``eval`` commands
+n = 4, 6 and 6 ``--sig 4,2``; of thm1.5, thm4.2, thm4.1, eq4d and lemma4.9
+at n = 10 in both geometries; and of a set of ``eval`` commands
 (Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
 evaluation each), pinned by sha256; and one sha256 over a grid of 648
 Nijenhuis probes at n = 4.
@@ -45,7 +45,7 @@ CASES = [
 ] + [
     f"verify {claim} --n 10 --kind {kind}"
     for kind in ("complex", "para")
-    for claim in ("thm1.5", "thm4.2")
+    for claim in ("thm1.5", "thm4.2", "thm4.1", "eq4d", "lemma4.9")
 ] + [
     "eval nijenhuis --n 6",
     "eval nijenhuis --n 4",
@@ -171,8 +171,14 @@ GOLDEN = {
     "verify thm4.2 --n 6 --sig 4,2 --kind none": (0, "59cf1e4335baf25dd74996aa59bf28ad68b803d20bc856c056fa8a1cdbc8651b"),
     "verify thm1.5 --n 10 --kind complex": (0, "c7df9861286b4dca595c15712ba1f60e1d3d105b50910a96ea408d40e4ef2fdc"),
     "verify thm4.2 --n 10 --kind complex": (0, "f520b7b808aa32ef605947f5d364650b65611c1441a56ad83a5c9b206d2d8f5a"),
+    "verify thm4.1 --n 10 --kind complex": (0, "dcaee8fa81268ec3ce99c54aacab4209fef17d39cf33da620c55559d3cbeadbf"),
+    "verify eq4d --n 10 --kind complex": (0, "3dd918394ab63324e97c44844b3de3f5d119bb5f5e6ee2e7104cf2730084907a"),
+    "verify lemma4.9 --n 10 --kind complex": (0, "c6f0eb3b5e14018bd080828c8487058c3cc9ff1ec291df2d70804e8752f71204"),
     "verify thm1.5 --n 10 --kind para": (0, "7df0bc5d0b9ea6a365ddd86b438796e019c0dce9f0aa181e90fa74e315190db6"),
     "verify thm4.2 --n 10 --kind para": (0, "b361aeb3d1bd75e126214aef6b7a346b9f12719839489d1a21d6fd2313d16ad5"),
+    "verify thm4.1 --n 10 --kind para": (0, "2b3f47c6de5ae493d80ef7e0b6a383361720b729a70f4684572f6521e45cdbff"),
+    "verify eq4d --n 10 --kind para": (0, "9c5471cdff7db1628786cb1f8f5903a889368ec11d6d438214987025c785349a"),
+    "verify lemma4.9 --n 10 --kind para": (0, "57c865b8b9a6080aeabf0f1381e349a88802a944820407f1c1da3c4976d42594"),
     "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
     "eval nijenhuis --n 4": (0, "76f2cdd24ee11faae00e3da736317c95e7a4bbedbf2917c18f04153d29b7a8ad"),
     "eval nijenhuis --n 6 --kind para": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),

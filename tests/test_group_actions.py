@@ -32,7 +32,18 @@ from curvlab.curvature import (
     verify_commutant_line,
     verify_doubled_commutant,
 )
-from curvlab.tensors import Tensor4, action_rows, gram_weight2, gram_weight4, lie_apply_vec, sign_pullback_vec
+from curvlab.tensors import (
+    Tensor4,
+    action_rows,
+    flatten4,
+    gram_weight2,
+    gram_weight4,
+    kaehler_form,
+    lie_apply_vec,
+    metric_tensor2,
+    sign_pullback_vec,
+    slot_index,
+)
 
 F = Fraction
 
@@ -160,17 +171,24 @@ def _dense_matrix(space, sub, act):
     return oracles.Matrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d)))
 
 
-def _dense_certificate_matrices(space, sub, group):
-    """The dense matrices of the certificate's generators, keyed as
-    :func:`representation_matrices` keys them: the proven Lie generators,
-    then the component representatives other than the identity."""
+def _dense_certificate_actions(space, group, extra_lie=()):
+    """The entries of :func:`_dense_actions` that a certificate applies, in
+    its order: the proven Lie generators, the extra elements, then the
+    component representatives other than the identity."""
     n = space.n
     gens = {i for i, _ in lie_generators(space, group)}
+    size = len(lie_algebra_basis(space, group))
     identity = oracles.Matrix.identity(n)
+    return [(action, idx, act) for action, idx, act in _dense_actions(space, group, extra_lie)
+            if (idx in gens or idx >= size if action == "lie"
+                else oracles.Matrix.from_dict(n, component_reps(space, group)[idx]) != identity)]
+
+
+def _dense_certificate_matrices(space, sub, group):
+    """The dense matrices of the certificate's generators, keyed as
+    :func:`representation_matrices` keys them."""
     return {(action, idx): _dense_matrix(space, sub, act)
-            for action, idx, act in _dense_actions(space, group)
-            if (idx in gens if action == "lie"
-                else oracles.Matrix.from_dict(n, component_reps(space, group)[idx]) != identity)}
+            for action, idx, act in _dense_certificate_actions(space, group)}
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -449,7 +467,11 @@ def _full_basis_witness(sub, space, group, extra_lie=()):
     n = space.n
     rank = 2 if sub.ambient_dim == n * n else 4
     reducer = SubspaceReducer(sub)
-    steps = [("lie", x, lie_apply_vec) for x in list(lie_algebra_basis(space, group)) + list(extra_lie)]
+
+    def lie(rows, vec, rank, n):
+        return lie_apply_vec(rows, slot_index(vec, rank, n))
+
+    steps = [("lie", x, lie) for x in list(lie_algebra_basis(space, group)) + list(extra_lie)]
     steps += [("component_rep", g, oracles.pullback_apply_vec) for g in component_reps(space, group)]
     counters = {"lie": 0, "component_rep": 0}
     for action, m, apply in steps:
@@ -476,6 +498,71 @@ def test_generator_walk_agrees_with_full_basis_walk_n4(kind, sig):
                 assert (got is None) == (_full_basis_witness(sub, s, group, lie) is None), (name, group)
                 if group == _group_for(name):
                     assert got is None, name
+
+
+def _dense_certificate_walk(space, sub, group, extra_lie=()):
+    """The dense full walk restricted to the elements a certificate applies,
+    in certificate order: ``((action, element), fails)`` with ``fails[b]``
+    true when the dense image of basis vector b leaves ``sub``."""
+    basis = oracles.dense(sub)
+    return [((action, idx), [not oracles.span_contains(basis, _dense_image(space, sub, act, row)) for row in basis])
+            for action, idx, act in _dense_certificate_actions(space, group, extra_lie)]
+
+
+def _first_dense_failure(walk):
+    return next(({"action": key[0], "element": key[1], "basis_vector": b}
+                 for key, fails in walk for b, fail in enumerate(fails) if fail), None)
+
+
+def _witness_order_modules(space, rank):
+    """Two 2-dimensional modules that no group here preserves.  The first
+    spans a tensor killed by the Lie algebra of U, h + Omega (h (x) h + h (x)
+    Omega at rank 4), whose sign-reversed image lies outside, and a
+    coordinate vector; the second spans two coordinate vectors."""
+    n = space.n
+    h, omega = metric_tensor2(space), kaehler_form(space)
+    killed = {c: h.get(c, 0) + omega.get(c, 0) for c in h.keys() | omega.keys()}
+    if rank == 2:
+        return {"rep_first": Subspace.from_vectors([killed, {0 * n + 2: 1}], n ** 2),
+                "later_earlier": Subspace.from_vectors([{2 * n + 2: 1}, {3 * n + 0: 1}], n ** 2)}
+    killed = {a * n * n + b: v * h[a] for a in h for b, v in killed.items()}
+    return {"rep_first": Subspace.from_vectors([killed, {flatten4(n, 0, 0, 0, 2): 1}], n ** 4),
+            "later_earlier": Subspace.from_vectors(
+                [{flatten4(n, 3, 3, 2, 3): 1}, {flatten4(n, 3, 3, 3, 0): 1}], n ** 4)}
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_witness_order_matches_dense_walk_under_vector_major_loop(kind, rank):
+    """The certificates walk basis vector by basis vector, yet name the first
+    failure in certificate order, as the dense walk over elements finds it:
+    invariance_witness with and without seeded extra elements, and
+    representation_matrices.  The modules include the two orders the
+    vector-major loop must untangle: a representative fails at vector 0
+    while the witness is a Lie element failing only at vector 1, and a Lie
+    element after the witness's fails at an earlier vector than it."""
+    s = make_standard(4, kind)
+    seen = set()
+    for group in ("O", "U", "Ustar"):
+        extra = random_lie_elements(s, "O" if group == "O" else "U", 2, seed=3)
+        for name, sub in _witness_order_modules(s, rank).items():
+            assert sub.dim == 2, name
+            for lie in ((), extra):
+                walk = _dense_certificate_walk(s, sub, group, lie)
+                expected = _first_dense_failure(walk)
+                assert expected is not None, (group, name)
+                assert invariance_witness(sub, s, group, extra_lie=lie) == expected, (group, name)
+                pos = next(k for k, (key, _) in enumerate(walk) if key == (expected["action"], expected["element"]))
+                b = expected["basis_vector"]
+                if (expected["action"] == "lie" and b == 1 and not walk[pos][1][0]
+                        and any(fails[0] for key, fails in walk if key[0] == "component_rep")):
+                    seen.add(("rep_first", bool(lie)))
+                if any(key[0] == "lie" and any(fails[:b]) for key, fails in walk[pos + 1:]):
+                    seen.add(("later_earlier", bool(lie)))
+            with pytest.raises(NotInvariantError) as err:
+                representation_matrices(sub, s, group)
+            assert err.value.witness == _first_dense_failure(_dense_certificate_walk(s, sub, group)), (group, name)
+    assert seen == {(name, with_extra) for name in ("rep_first", "later_earlier") for with_extra in (False, True)}
 
 
 def _self_dual_forms():

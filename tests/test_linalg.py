@@ -222,6 +222,73 @@ def test_membership_and_coordinates_match_dense_oracle(kind):
     assert outside > 0
 
 
+MIXED_COLS = 8
+
+
+@st.composite
+def mixed_pivot_subspaces(draw):
+    """A canonical integer subspace of Q^8 whose basis has rows with pivot
+    entry 1 and rows with pivot entry above 1.  The last column is never a
+    pivot, and each non-unit row holds 1 there, which keeps it primitive."""
+    pivots = sorted(draw(st.sets(st.integers(0, MIXED_COLS - 2), min_size=2, max_size=5)))
+    scales = draw(st.lists(st.sampled_from((1, 1, 2, 3, 4, 6)), min_size=len(pivots), max_size=len(pivots)))
+    unit = draw(st.integers(0, len(pivots) - 1))
+    nonunit = (unit + draw(st.integers(1, len(pivots) - 1))) % len(pivots)
+    scales[unit] = 1
+    if scales[nonunit] == 1:
+        scales[nonunit] = draw(st.sampled_from((2, 3, 4, 6)))
+    free = [c for c in range(MIXED_COLS) if c not in pivots]
+    rows = []
+    for p, scale in zip(pivots, scales):
+        row = {p: scale}
+        for f in free:
+            if f > p:
+                row[f] = draw(st.integers(-3, 3))
+        if scale > 1:
+            row[MIXED_COLS - 1] = draw(st.sampled_from((1, -1)))
+        rows.append({c: v for c, v in row.items() if v})
+    sub = Subspace(MIXED_COLS, tuple(tuple(sorted(row.items())) for row in rows))
+    assert Subspace.from_vectors(rows, MIXED_COLS) == sub  # already canonical
+    return sub
+
+
+@given(mixed_pivot_subspaces(), st.sampled_from(("unit", "nonunit", "both", "none")), st.data())
+def test_membership_with_non_unit_pivots_matches_dense_oracle(sub, touch, data):
+    """contains and coordinates against the rank-jump oracle, on vectors whose
+    pivot entries lie only on rows with pivot entry 1, only on rows with a
+    larger pivot entry, on both, or on none; half of them moved off the span
+    at a column that is no pivot, so the rows they touch stay the same."""
+    scales = [row[0][1] for row in sub.basis]
+    units = [i for i, scale in enumerate(scales) if scale == 1]
+    others = [i for i, scale in enumerate(scales) if scale > 1]
+    rows_of = {"unit": (units,), "nonunit": (others,), "both": (units, others), "none": ()}[touch]
+    # the first row of each kind named, and any further ones of that kind
+    pick = [i for rows in rows_of for k, i in enumerate(rows) if k == 0 or data.draw(st.booleans())]
+    coeffs = {i: data.draw(st.integers(-4, 4).filter(bool)) for i in pick}
+    lead = lcm(1, *(scales[i] for i in pick))
+    vec: dict[int, int] = {}
+    for i, c in coeffs.items():
+        for col, v in sub.basis[i]:
+            vec[col] = vec.get(col, 0) + c * (lead // scales[i]) * v
+    free = [c for c in range(MIXED_COLS) if c not in sub.pivots]
+    if data.draw(st.booleans()):
+        col = data.draw(st.sampled_from(free))
+        vec[col] = vec.get(col, 0) + data.draw(st.integers(-3, 3).filter(bool))
+    vec = {c: v for c, v in vec.items() if v}
+    assert {i for i, p in enumerate(sub.pivots) if p in vec} == set(pick)
+    basis = oracles.dense(sub)
+    dense_vec = [F(vec.get(c, 0)) for c in range(MIXED_COLS)]
+    inside = oracles.span_contains(basis, dense_vec)
+    reducer = SubspaceReducer(sub)
+    assert reducer.contains(vec) == inside
+    scale = data.draw(st.integers(1, 6))
+    coords = reducer.coordinates(vec, scale)
+    assert (coords is not None) == inside
+    if inside:
+        combo = [sum((c * row[k] for c, row in zip(coords, basis)), F(0)) for k in range(MIXED_COLS)]
+        assert combo == [v / scale for v in dense_vec]
+
+
 # --- meets read off the parent's basis -----------------------------------------
 
 

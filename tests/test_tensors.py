@@ -36,6 +36,7 @@ from curvlab.tensors import (
     riemann_rows,
     sigma,
     sign_pullback_vec,
+    slot_index,
     two_form_basis,
     unflatten4,
     weyl_rows,
@@ -406,14 +407,33 @@ def test_sparse_applies_match_dense(seed):
     assert sorted(pairs) == list(range(4 ** 2))
 
 
-def _scaled_down(image, scale):
-    """An integer image of the sparse actions, divided by its scale, as a dense tensor."""
+def _scaled_down(image, scale, n=4, rank=4):
+    """An integer image of the sparse actions, divided by its scale, as the
+    oracles give it: a dense tensor at rank 4, a dict of nonzeros at rank 2."""
     assert all(type(v) is int for v in image.values())
-    return Tensor4.from_dict(4, {c: F(v, scale) for c, v in image.items()})
+    if rank == 2:
+        return {c: F(v, scale) for c, v in image.items()}
+    return Tensor4.from_dict(n, {c: F(v, scale) for c, v in image.items()})
+
+
+def _random_int_vec(rng, n, rank, count):
+    """A seeded integer vector with up to ``count`` nonzero rank-``rank`` coordinates."""
+    return {rng.randrange(n ** rank): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(count)}
+
+
+def _lie_oracle(n, x, vec, rank):
+    """The dense infinitesimal action of ``x`` on an integer vector."""
+    theta = Tensor4.from_dict(n, vec) if rank == 4 else {c: F(v) for c, v in vec.items()}
+    return lie_action(Matrix.from_dict(n, x), theta)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sparse_actions_match_dense(seed):
+    """The sparse Lie action read through a vector's slot index, and the
+    sign-character and slot-by-slot pull-backs, against the dense oracles:
+    at rank 4 and rank 2, at n = 4 on a U basis element and a rational U
+    element, and at n = 6 with signature (4, 2) on an O(p, q) generator,
+    nonzero in two rows, and a rational O element, nonzero in every row."""
     rng = random.Random(seed)
     s = make_standard(4, "complex")
     entries = {tuple(rng.randrange(4) for _ in range(4)): F(rng.randint(-3, 3)) for _ in range(6)}
@@ -422,7 +442,7 @@ def test_sparse_actions_match_dense(seed):
     g = structure_reversal(s)
     vec = {c: int(v) for c, v in sparse(t.components).items()}
     den, rows = action_rows(x, 4)
-    assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(Matrix.from_dict(4, x), t)
+    assert _scaled_down(lie_apply_vec(rows, slot_index(vec, 4, 4)), den) == lie_action(Matrix.from_dict(4, x), t)
     den, rows = action_rows(g, 4)
     assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(Matrix.from_dict(4, g), t)
     assert _scaled_down(sign_pullback_vec([g[i * 5] for i in range(4)], vec, 4, 4), 1) == pullback(Matrix.from_dict(4, g), t)
@@ -430,8 +450,25 @@ def test_sparse_actions_match_dense(seed):
     y = random_lie_elements(s, "U", 1, seed=1)[0]
     den, rows = action_rows(y, 4)
     assert den > 1
-    assert _scaled_down(lie_apply_vec(rows, vec, 4, 4), den) == lie_action(Matrix.from_dict(4, y), t)
+    assert _scaled_down(lie_apply_vec(rows, slot_index(vec, 4, 4)), den) == lie_action(Matrix.from_dict(4, y), t)
     assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(Matrix.from_dict(4, y), t)
+    # rank 2: the same elements on a 2-tensor
+    vec2 = _random_int_vec(rng, 4, 2, 5)
+    for z in (x, y):
+        den, rows = action_rows(z, 4)
+        assert _scaled_down(lie_apply_vec(rows, slot_index(vec2, 2, 4)), den, 4, 2) == _lie_oracle(4, z, vec2, 2)
+    # n = 6, signature (4, 2): a generator of o(4, 2) and a dense rational element
+    s6 = make_standard(6, "complex", (4, 2))
+    gen = lie_algebra_basis(s6, "O")[rng.randrange(15)]
+    dense_x = random_lie_elements(s6, "O", 1, seed=seed)[0]
+    assert sum(1 for row in action_rows(gen, 6)[1] if row) == 2
+    assert all(action_rows(dense_x, 6)[1])
+    for rank in (2, 4):
+        v = _random_int_vec(rng, 6, rank, 6)
+        index = slot_index(v, rank, 6)
+        for z in (gen, dense_x):
+            den, rows = action_rows(z, 6)
+            assert _scaled_down(lie_apply_vec(rows, index), den, 6, rank) == _lie_oracle(6, z, v, rank)
 
 
 # --- the sparse maps against their dense oracles -------------------------------------
