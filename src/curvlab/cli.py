@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import curvature, nijenhuis, report
 from .curvature import CLAIMS, ClaimNotApplicable, catalog, run_claim
@@ -35,8 +35,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     n: int
     kind: str
     signature: tuple[int, int] | None
@@ -262,6 +261,11 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"unknown claim {c!r}")
     if any(kind not in ("complex", "para") for kind in kinds):
         raise UsageError("sweep kinds must be complex and/or para")
+    # an empty list would sweep no cells: a pass that checked nothing
+    if not ns:
+        raise UsageError("empty --ns; expected dimensions, e.g. 4,6")
+    if not kinds:
+        raise UsageError("empty --kinds; expected complex and/or para")
     # every space is built, and so validated, before the first cell runs
     spaces = [RunConfig(n, kind, None, None, args.format).space() for n in ns for kind in kinds]
     cells = []

@@ -22,11 +22,10 @@ side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
     Subspace,
@@ -121,8 +120,7 @@ def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoTensorSplit:
+class TwoTensorSplit(NamedTuple):
     """The six-piece splitting of rank-2 tensors over a structured space.
 
     `aligned` pieces transform under the J-pull-back with the same sign as

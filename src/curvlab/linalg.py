@@ -28,10 +28,9 @@ calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +181,7 @@ def _freeze_row(row: Mapping[int, int]) -> BasisRow:
     return tuple(sorted(row.items()))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Linear subspace given by a canonical reduced row-echelon basis.
 
     ``basis`` rows are sparse ``(column, value)`` pairs with ascending

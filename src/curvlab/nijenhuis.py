@@ -15,8 +15,8 @@ flat-index convention of rank-2 tensors, composed by ``linalg.matmul``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import matmul
 from .spaces import ModelSpace, structure_sign
@@ -45,8 +45,7 @@ def twist(space: ModelSpace, plane: tuple[int, int], rotation: str) -> Mat:
     return {j * n + i: Fraction(1), i * n + j: Fraction(-1 if rotation == "circular" else 1)}
 
 
-@dataclass(frozen=True)
-class NijenhuisValue:
+class NijenhuisValue(NamedTuple):
     terms: tuple[tuple[Fraction, ...], ...]  # the four signed bracket terms
     total: tuple[Fraction, ...]
 

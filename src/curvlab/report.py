@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -30,7 +29,6 @@ def scrub(value: Any) -> Any:
     return str(value)
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one claim check: quantities, verdict, and failure witnesses.
 
@@ -39,13 +37,15 @@ class VerificationReport:
     failure is exhibited, as for the low-dimensional gap).
     """
 
-    claim: str
-    description: str
-    space: dict
-    quantities: dict
-    verdict: bool
-    witnesses: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, claim: str, description: str, space: dict, quantities: dict, verdict: bool,
+                 witnesses: list | None = None, notes: list | None = None):
+        self.claim = claim
+        self.description = description
+        self.space = space
+        self.quantities = quantities
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
 
     def to_json_dict(self) -> dict:
         return {

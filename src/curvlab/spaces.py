@@ -38,10 +38,9 @@ entries, the flat-index convention of rank-2 tensors.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Collection, Sequence
+from functools import lru_cache
+from typing import Collection, NamedTuple, Sequence
 
 from .linalg import Echelon, kernel_subspace, matmul
 
@@ -58,8 +57,7 @@ def structure_sign(kind: str) -> int:
     raise ValueError(f"no structure sign for kind={kind!r}")
 
 
-@dataclass(frozen=True)
-class ModelSpace:
+class ModelSpace(NamedTuple):
     """Dimension, diagonal metric signs and structure kind; J follows from (n, kind)."""
 
     n: int
@@ -71,7 +69,7 @@ class ModelSpace:
         p = sum(1 for e in self.eps if e > 0)
         return (p, self.n - p)
 
-    @cached_property
+    @property
     def j(self) -> dict[int, int] | None:
         """The standard structure matrix as a sparse ``{a*n + b: value}`` dict,
         or None for kind 'none'."""
@@ -130,13 +128,7 @@ def _validate(space: ModelSpace) -> None:
     if len(eps) != n or any(e not in (1, -1) for e in eps):
         raise ValueError("eps must be n signs")
     if kind == "none":
-        if n < 2:
-            raise ValueError("need n >= 2")
         return
-    if kind not in ("complex", "para"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if n < 4 or n % 2:
-        raise ValueError("structures require even n >= 4")
     u = structure_sign(kind)
     # pull-back test J*h = -u h: h(J e_k, J e_k) = -u h(e_k, e_k) for every k
     if any(eps[image] != -u * eps[k] for k, (image, _) in enumerate(j_signed_permutation(space))):
@@ -149,10 +141,15 @@ def make_standard(n: int, kind: str = "none", signature: tuple[int, int] | None 
 
     ``eps`` overrides the default diagonal sign layout (complex: constant on
     planes, negative planes last; para: (+,-) alternating).  Any explicit
-    layout is still checked against the structure compatibility rules.
+    layout is still checked against the structure compatibility rules.  An
+    invalid n is rejected first, whatever the signature or layout.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if kind == "none" and n < 2:
+        raise ValueError("need n >= 2")
+    if kind != "none" and (n < 4 or n % 2):
+        raise ValueError("structures require even n >= 4")
     if eps is None:
         eps = _default_eps(n, kind, signature)
     else:

@@ -36,10 +36,9 @@ live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .spaces import ModelSpace, j_pullback_table, j_signed_permutation, structure_sign
 
@@ -50,16 +49,20 @@ Vec = Mapping[int, Fraction | int]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tensor4:
-    """Dense 4-linear form: component (i, j, k, l) at ((i*n+j)*n+k)*n+l."""
-
+class _Tensor4Fields(NamedTuple):
     n: int
     components: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.components) != self.n ** 4:
+
+class Tensor4(_Tensor4Fields):
+    """Dense 4-linear form: component (i, j, k, l) at ((i*n+j)*n+k)*n+l."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, components: tuple[Fraction, ...]) -> "Tensor4":
+        if len(components) != n ** 4:
             raise ValueError("component count does not match n^4")
+        return super().__new__(cls, n, components)
 
     def __getitem__(self, ijkl: tuple[int, int, int, int]) -> Fraction:
         i, j, k, l = ijkl

@@ -191,9 +191,19 @@ def test_sweep_matrix(capsys):
 
 
 def test_sweep_empty_range(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--ns", "", "--kinds", "complex")
-    assert code == 0
-    assert json.loads(out)["cells"] == []
+    """A sweep of no cells would pass having checked nothing: a bad request."""
+    code, out, err = run_cli(capsys, "sweep", "--ns", "", "--kinds", "complex")
+    assert code == 2
+    assert out == ""
+    assert "--ns" in err
+
+
+@pytest.mark.parametrize("argv", [("--ns", "4", "--kinds", ""), ("--kinds", "")])
+def test_sweep_empty_kinds_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--kinds" in err
 
 
 @pytest.mark.parametrize("ns,kinds", [("4", "complex,foo"), ("", "foo")])
@@ -385,6 +395,16 @@ def test_cli_runs_without_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--n", "-2", "--kind", "none"), "need n >= 2"),
+    (("--n", "-2", "--kind", "para"), "structures require even n >= 4"),
+    (("--n", "5"), "structures require even n >= 4"),
+    (("--n", "3", "--kind", "para"), "structures require even n >= 4"),
+])
+def test_invalid_n_named_whatever_the_signature(capsys, argv, message):
+    assert run_cli(capsys, "dims", *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("perm", ["0,1,2,3", "1,2,3", "1,1,2,3", "a,b,c,d"])

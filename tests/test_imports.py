@@ -1,4 +1,5 @@
-"""No module under ``src/curvlab`` or ``tests`` imports a name it never uses.
+"""No module under ``src/curvlab`` or ``tests`` imports a name it never uses,
+and importing the command line stays cheap.
 
 An import that nothing reads keeps a dependency alive after its last caller
 is gone, so deleted code leaves no trace in the imports.  Names listed in a
@@ -6,6 +7,9 @@ module's ``__all__`` are its re-exports and count as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import curvlab
@@ -62,3 +66,13 @@ def test_no_unused_imports():
         if names:
             found[f"{path.parent.name}/{path.name}"] = names
     assert found == {}
+
+
+def test_cli_import_leaves_out_dataclasses():
+    """Every ``curvlab`` command is a fresh process, and ``dataclasses`` pulls
+    in ``inspect``, ``ast`` and ``dis``: several milliseconds of each start."""
+    script = "import sys, curvlab.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

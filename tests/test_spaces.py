@@ -84,6 +84,23 @@ def test_construction_errors():
             make_standard(n, "para")  # rejected before the structure matrix is built
 
 
+@pytest.mark.parametrize("n,kind,signature,eps,message", [
+    (-2, "none", None, None, "need n >= 2"),
+    (1, "none", (1, 0), None, "need n >= 2"),
+    (0, "none", None, (), "need n >= 2"),
+    (-2, "para", None, None, "structures require even n >= 4"),
+    (5, "complex", None, None, "structures require even n >= 4"),
+    (3, "para", None, None, "structures require even n >= 4"),
+    (2, "complex", (2, 0), None, "structures require even n >= 4"),
+    (5, "complex", None, (1, 1, 1, 1, 1), "structures require even n >= 4"),
+    (3, "para", (1, 2), None, "structures require even n >= 4"),
+])
+def test_invalid_n_is_reported_before_the_signature(n, kind, signature, eps, message):
+    with pytest.raises(ValueError) as info:
+        make_standard(n, kind, signature, eps)
+    assert str(info.value) == message
+
+
 def test_j_signed_permutation():
     s = make_standard(4, "complex")
     perm = j_signed_permutation(s)

@@ -80,6 +80,14 @@ def test_defect_antisym_on_symmetric_product(complex4):
     assert defect_antisym(hh) == Tensor4(4, tuple(2 * v for v in hh.components))
 
 
+def test_tensor4_rejects_a_wrong_component_count():
+    with pytest.raises(ValueError, match="n\\^4"):
+        Tensor4(2, (0,) * 3)
+    with pytest.raises(ValueError):
+        Tensor4(2, (0,) * 17)
+    assert Tensor4(2, (0,) * 16).is_zero()
+
+
 def test_defect_antisym_zero_tensor(complex4):
     assert defect_antisym(tensor4(4, {})).is_zero()
 
