@@ -301,16 +301,16 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
 
 
 def _sign_characters(space: ModelSpace, group: str) -> Iterator[tuple[int, list[int]]]:
-    """``(index, signs)`` of each component representative other than the
-    identity, which fixes every subspace; its index stays reserved.  Raises
-    ``RuntimeError`` if a representative is not a sign diagonal."""
+    """``(index, flips)``, the axes it negates, of each component representative
+    other than the identity, which fixes every subspace; its index stays
+    reserved.  Raises ``RuntimeError`` if one is not a sign diagonal."""
     n = space.n
     for idx, g in enumerate(component_reps(space, group)):
-        signs = [g.get(i * n + i) for i in range(n)]
-        if len(g) != n or any(v not in (1, -1) for v in signs):
+        if len(g) != n or any(g.get(a * n + a) not in (1, -1) for a in range(n)):
             raise RuntimeError(f"component representative {idx} of {group} is not a sign diagonal")
-        if -1 in signs:
-            yield idx, signs
+        flips = [a for a in range(n) if g[a * n + a] == -1]
+        if flips:
+            yield idx, flips
 
 
 def _group_images(sub: Subspace, space: ModelSpace, group: str,
@@ -331,8 +331,9 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     index in :func:`spaces.component_reps`.
 
     The walk itself goes basis vector by basis vector, so that each vector is
-    indexed by axis once (:func:`tensors.slot_index`) and every Lie element
-    reads that index only where it acts.  Each image goes to ``accept`` as
+    indexed by axis once (:func:`tensors.slot_index`), every Lie element reads
+    that index only where it acts and a representative where it flips a sign.
+    Each image, cancelled entries kept as zeros, goes to ``accept`` as
     ``((action, element), basis vector, image, scale)``.  Once an element is
     rejected, it and the elements after it are skipped on later vectors; the
     elements before it still run there, since a failure of theirs comes
@@ -340,11 +341,9 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     computed and handed over, in vector-major order.
 
     Each stored basis row is ``s_b`` times its pivot-one row, ``s_b`` its
-    pivot entry.  A Lie element is scaled to an integer table once
-    (:func:`action_rows`), so its image is ``den * s_b`` times that of the
-    pivot-one row.  A representative is a sign diagonal and pulls a
-    coordinate back to itself times the signs of its indices, so its image
-    is ``s_b`` times that of the pivot-one row.
+    pivot entry, and a Lie element is scaled to an integer table once
+    (:func:`action_rows`): a Lie image is ``den * s_b`` times that of the
+    pivot-one row, and that of a representative, a sign diagonal, ``s_b``.
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
     n = space.n
@@ -353,7 +352,7 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
         offset = len(lie_algebra_basis(space, group))
         lie += [(offset + k, x) for k, x in enumerate(extra_lie)]
     elements = [(("lie", idx), action_rows(x, n)) for idx, x in lie]
-    elements += [(("component_rep", idx), signs) for idx, signs in _sign_characters(space, group)]
+    elements += [(("component_rep", idx), flips) for idx, flips in _sign_characters(space, group)]
     n_lie = len(lie)
     first = None
     limit = len(elements)
@@ -368,7 +367,7 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
                 den, rows = data
                 ok = accept(key, bidx, lie_apply_vec(rows, index), den * scale)
             else:
-                ok = accept(key, bidx, sign_pullback_vec(data, vec, rank, n), scale)
+                ok = accept(key, bidx, sign_pullback_vec(data, vec, index), scale)
             if not ok:
                 first = {"action": key[0], "element": key[1], "basis_vector": bidx}
                 limit = pos

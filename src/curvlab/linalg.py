@@ -14,10 +14,11 @@ the restricted rows.  Those repeat: the parent's own symmetries make many
 conditions agree on it up to a factor, and conditions that already hold on
 the parent restrict to zero.  A row and its nonzero multiples have the same
 kernel, so :func:`meet_kernel` eliminates each nonzero restricted row once,
-primitive and positive at its first column.  Rows of ``int``s, as every
-catalog condition is written, skip the denominator pass on their way in.
-Every meet is of this kind; two subspaces given by bases are only summed,
-and the dimension of their meet is dim A + dim B - dim(A + B).
+primitive and positive at its first column, or returns the parent if none
+is nonzero.  Rows of ``int``s, as every catalog condition is written, skip
+the denominator pass on their way in.  Every meet is of this kind; two
+subspaces given by bases are only summed, and the dimension of their meet
+is dim A + dim B - dim(A + B).  No row is copied to back-substitute it.
 
 There is one matrix format, the sparse rank-2 one: a linear map on R^k is
 the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
@@ -134,19 +135,18 @@ class Echelon:
             self.add(row, last)
 
     def reduced_rows(self) -> list[tuple[int, dict[int, int]]]:
-        """Back-substituted rows sorted by pivot column: each is primitive, its
-        pivot entry is positive and it is zero at every other pivot column."""
-        done: dict[int, dict[int, int]] = {}
-        for c in sorted(self.pivot_rows, reverse=True):
-            row = dict(self.pivot_rows[c])
-            targets = sorted(c2 for c2 in row if c2 != c and c2 in self.pivot_rows)
-            for c2 in targets:
+        """The pivot rows back-substituted in place, by pivot column: primitive,
+        positive at the pivot and zero at every other pivot column."""
+        rows = self.pivot_rows
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            for c2 in sorted(c2 for c2 in row if c2 != c and c2 in rows):
                 if c2 in row:
-                    row = _combine(row, done[c2], c2)
+                    row = rows[c] = _combine(row, rows[c2], c2)
             if row[c] < 0:
-                row = {c2: -v for c2, v in row.items()}
-            done[c] = row
-        return [(c, done[c]) for c in sorted(done)]
+                for c2 in row:
+                    row[c2] = -row[c2]
+        return sorted(rows.items())
 
 
 def rank_of_rows(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> int:
@@ -212,14 +212,14 @@ class Subspace(NamedTuple):
 
 
 class SubspaceReducer:
-    """Membership and coordinates read off a subspace's reduced row-echelon
-    basis: ``v`` is in the span iff ``v == sum_p v[p] * b_p`` over the pivots
-    p, ``b_p`` the stored row at p divided by its pivot entry."""
+    """Membership and coordinates read off the stored rows of a subspace's
+    reduced row-echelon basis: ``v`` is in the span iff ``v == sum_p v[p] *
+    b_p`` over the pivots p, ``b_p`` the row at p over its pivot entry."""
 
     def __init__(self, sub: Subspace):
         self._pivots = sub.pivots
-        # pivot -> basis row; its entry at the pivot is the row's scale
-        self._rows = {p: dict(row) for p, row in zip(sub.pivots, sub.basis)}
+        # pivot -> stored basis row; its first entry, at the pivot, is its scale
+        self._rows = dict(zip(self._pivots, sub.basis))
 
     def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
         """``lead * (vec - sum_p vec[p] * b_p)`` is zero, ``lead`` the lcm of the
@@ -232,14 +232,14 @@ class SubspaceReducer:
         for p, v in vec.items():
             row = rows.get(p)
             if row is not None and v:
-                scale = row[p]
+                scale = row[0][1]
                 touched.append((row, scale, v))
                 if scale != 1:
                     lead = lcm(lead, scale)
         diff = dict(vec) if lead == 1 else {c: lead * v for c, v in vec.items()}
         for row, scale, v in touched:
             m = v * (lead // scale)
-            for c, r in row.items():
+            for c, r in row:
                 diff[c] = diff.get(c, 0) - m * r
         return not any(diff.values())
 
@@ -264,10 +264,9 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
     ech = Echelon(ncols)
     ech.add_all(sorted(rows, key=len), last)
     # free column -> [(pivot column, -row[f], row[p])], in original columns
-    terms: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(ncols)}
+    terms = {f: [] for f in range(ncols) if last - f not in ech.pivot_rows}
     for c, row in ech.reduced_rows():
         p = last - c
-        del terms[p]
         pv = row[c]
         for c2, v in row.items():
             if c2 != c:
@@ -323,7 +322,7 @@ def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
     that holds on all of the base restricts to zero.  A row and its nonzero
     multiples cut out the same hyperplane, so the elimination sees each
     nonzero restricted row once, primitive and positive at its first column;
-    the kernel is the same.
+    the kernel is the same.  If none is nonzero, the base itself is returned.
 
     No second elimination: sum_i c_i b_i over the canonical base rows leads at
     the pivot of the first b_i it uses, and its value at any other base pivot
@@ -334,6 +333,8 @@ def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
     # rebinding ``rows`` frees a condition list that only this call holds
     # before the elimination, which is where a meet peaks in memory
     rows = _distinct_rows(restrict_rows(base, rows))
+    if not rows:
+        return base
     basis = base.basis
     out = []
     for coeffs in kernel_subspace(rows, base.dim).basis:

@@ -17,8 +17,8 @@ same rank-2 dict, entry (a, b) at a*n + b; the infinitesimal actions read it
 through :func:`action_rows`, one integer row per axis, and apply it to a
 vector's :func:`slot_index`, which lists the entries by the axis index each
 holds in each slot, so an element touches only the entries on the axes where
-it has a nonzero row.  A sign-diagonal component representative acts as the
-sign character :func:`sign_pullback_vec`.  The canonical forms,
+it has a nonzero row.  A sign-diagonal component representative negates the
+entries on its flipped axes (:func:`sign_pullback_vec`).  The canonical forms,
 the images of sigma and psi and the constraint rows all read and write that
 format; the first-pair and cyclic rows, which never read the last slot, are
 written over rank-3 coordinates (i*n + j)*n + k, and the last-pair, Weyl and
@@ -508,7 +508,7 @@ def lie_apply_vec(rows: ActionRows, index: SlotIndex) -> dict[int, int]:
     """Sparse infinitesimal action on a flattened rank-2 or rank-4 integer
     vector given by its :func:`slot_index`, the sum over slots: ``den`` times
     the action of X, where ``(den, rows)`` is :func:`action_rows` of X.  Only
-    the axes where X has a nonzero row are read."""
+    the axes where X has a nonzero row are read; cancelled entries stay, as 0."""
     out: dict[int, int] = {}
     for a, row in enumerate(rows):
         if row:
@@ -516,17 +516,16 @@ def lie_apply_vec(rows: ActionRows, index: SlotIndex) -> dict[int, int]:
                 for b, coeff in row:
                     key = base + b * stride
                     out[key] = out.get(key, 0) + coeff * v
-    return {c: v for c, v in out.items() if v}
+    return out
 
 
-def sign_pullback_vec(signs: Sequence[int], vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
-    """Pull-back of a flattened rank-2 or rank-4 integer vector by the sign
-    diagonal ``diag(signs)``: each coordinate times the signs of its indices."""
-    out: dict[int, int] = {}
-    for c, v in vec.items():
-        k = c
-        for _ in range(rank):
-            k, a = divmod(k, n)
-            v *= signs[a]
-        out[c] = v
+def sign_pullback_vec(flips: Sequence[int], vec: Mapping[int, int], index: SlotIndex) -> dict[int, int]:
+    """Pull-back of a flattened rank-2 or rank-4 integer vector, given with its
+    :func:`slot_index`, by the sign diagonal that negates the axes ``flips``:
+    each entry is negated once per slot that holds one of them."""
+    out = dict(vec)
+    for a in flips:
+        for base, stride, _ in index.get(a, ()):
+            c = base + a * stride
+            out[c] = -out[c]
     return out

@@ -1,0 +1,177 @@
+"""Replayable mutations: each one must make the tests named with it fail.
+
+Run from anywhere, with the interpreter that runs the test suite:
+
+    python3 tests/mutants.py          # every mutant
+    python3 tests/mutants.py 3 5      # mutants 3 and 5, numbered as listed
+
+A mutant is ``(label, file, old text, new text, tests)``.  For each one the
+tree (``src``, ``tests`` and ``pyproject.toml``) is copied to a temporary
+directory, the one occurrence of ``old`` in ``file`` is replaced by ``new``,
+and pytest runs the named tests there.  The mutant is killed when they fail.
+A mutant whose old text no longer occurs exactly once is reported as stale,
+so that a refactor cannot drop a guard unseen.  First the named tests run
+once on an unmutated copy, which must pass.  The script prints one line per
+mutant and exits 1 if any survives or is stale, 2 if the control run fails
+or a number is not one of the listed mutants'.
+
+Standard library only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LINALG = "src/curvlab/linalg.py"
+TENSORS = "src/curvlab/tensors.py"
+CURVATURE = "src/curvlab/curvature.py"
+CLI = "src/curvlab/cli.py"
+
+MUTANTS = [
+    (
+        "reduced_rows without its sign fix",
+        LINALG,
+        "            if row[c] < 0:\n"
+        "                for c2 in row:\n"
+        "                    row[c2] = -row[c2]\n",
+        "",
+        ["tests/test_linalg.py::test_echelon_add_stores_the_same_primitive_int_rows_from_ints_and_fractions",
+         "tests/test_linalg.py::test_catalog_rows_are_canonical_primitive_integers"],
+    ),
+    (
+        "kernel terms kept for every column",
+        LINALG,
+        "f: [] for f in range(ncols) if last - f not in ech.pivot_rows}",
+        "f: [] for f in range(ncols)}",
+        ["tests/test_linalg.py::test_kernel_single_equation",
+         "tests/test_linalg.py::test_kernel_matches_textbook_oracle"],
+    ),
+    (
+        "meet shortcut taken while one row remains",
+        LINALG,
+        "    if not rows:\n        return base\n",
+        "    if len(rows) < 2:\n        return base\n",
+        ["tests/test_linalg.py::test_meet_returns_its_base_when_every_row_restricts_to_zero"],
+    ),
+    (
+        "contains without its lcm rescaling",
+        LINALG,
+        "diff = dict(vec) if lead == 1 else {c: lead * v for c, v in vec.items()}",
+        "diff = dict(vec)",
+        ["tests/test_linalg.py::test_membership_and_coordinates_match_dense_oracle",
+         "tests/test_linalg.py::test_membership_with_non_unit_pivots_matches_dense_oracle"],
+    ),
+    (
+        "sign character flipping each entry once per flipped axis, not once per slot",
+        TENSORS,
+        "        for base, stride, _ in index.get(a, ()):\n"
+        "            c = base + a * stride\n"
+        "            out[c] = -out[c]\n",
+        "        for c in {base + a * stride for base, stride, _ in index.get(a, ())}:\n"
+        "            out[c] = -out[c]\n",
+        ["tests/test_group_actions.py::test_sign_characters_match_slot_pullback",
+         "tests/test_tensors.py::test_sparse_actions_match_dense"],
+    ),
+    (
+        "_sign_characters yielding the positive axes",
+        CURVATURE,
+        "flips = [a for a in range(n) if g[a * n + a] == -1]",
+        "flips = [a for a in range(n) if g[a * n + a] == 1]",
+        ["tests/test_group_actions.py::test_lemma49_applies_each_generator_once",
+         "tests/test_group_actions.py::test_eq4d_applies_each_generator_once"],
+    ),
+    (
+        "certificate walk returning the first failure in vector-major order",
+        CURVATURE,
+        "                first = {\"action\": key[0], \"element\": key[1], \"basis_vector\": bidx}\n"
+        "                limit = pos\n"
+        "                break\n",
+        "                return {\"action\": key[0], \"element\": key[1], \"basis_vector\": bidx}\n",
+        ["tests/test_group_actions.py::test_witness_order_matches_dense_walk_under_vector_major_loop"],
+    ),
+    (
+        "cli.py importing dataclasses",
+        CLI,
+        "import argparse\n",
+        "import argparse\nimport dataclasses\n",
+        ["tests/test_imports.py::test_cli_import_leaves_out_dataclasses"],
+    ),
+    (
+        "add storing a row read from Fractions negated",
+        LINALG,
+        "        self.pivot_rows[c] = r\n",
+        "        self.pivot_rows[c] = {k: -v for k, v in r.items()}"
+        " if any(type(v) is not int for v in row.values()) else r\n",
+        ["tests/test_linalg.py::test_echelon_add_stores_the_same_primitive_int_rows_from_ints_and_fractions"],
+    ),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tests: list[str], file: str | None = None, text: str | None = None) -> int:
+    """pytest's exit code on ``tests`` in a fresh copy of the tree, with
+    ``file`` replaced by ``text`` if given."""
+    with tempfile.TemporaryDirectory(prefix="curvlab-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        if file is not None:
+            (dest / file).write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=dest, env=env, capture_output=True, timeout=600,
+        ).returncode
+
+
+def run_mutant(file: str, old: str, new: str, tests: list[str]) -> str:
+    """``killed``, ``survived`` or ``stale``; raises if pytest cannot run."""
+    text = (ROOT / file).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return "stale"
+    code = _pytest(tests, file, text.replace(old, new))
+    if code > 1:
+        raise RuntimeError(f"pytest exited {code} on the mutant of {file}")
+    return "killed" if code else "survived"
+
+
+def main(argv: list[str]) -> int:
+    numbers = [str(k) for k in range(1, len(MUTANTS) + 1)]
+    if any(a not in numbers for a in argv):
+        print(f"usage: mutants.py [N ...], each N from 1 to {len(MUTANTS)}", file=sys.stderr)
+        return 2
+    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    start = time.perf_counter()
+    # a kill counts only if the same tests pass on the unmutated tree
+    control = sorted({t for k in chosen for t in MUTANTS[k - 1][4]})
+    if _pytest(control):
+        print("the named tests fail on the unmutated tree; no mutant was run")
+        return 2
+    bad = []
+    for k in chosen:
+        label, file, old, new, tests = MUTANTS[k - 1]
+        t0 = time.perf_counter()
+        outcome = run_mutant(file, old, new, tests)
+        print(f"{k:2d} {outcome:8s} {time.perf_counter() - t0:6.1f}s  {label}", flush=True)
+        if outcome != "killed":
+            bad.append(k)
+    print(f"{len(chosen) - len(bad)} of {len(chosen)} killed in {time.perf_counter() - start:.1f}s"
+          + (f"; not killed: {', '.join(map(str, bad))}" if bad else ""))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

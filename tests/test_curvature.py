@@ -247,6 +247,58 @@ def test_kaehler_dims_n6(kind):
     assert kw == kr
 
 
+@pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in (6, 8) for kind in ("complex", "para")]
+                         + [(6, "complex", (4, 2))])
+def test_kaehler_riemann_is_the_kaehler_weyl_basis_from_n6(n, kind, sig):
+    """For n >= 6 every riemann row restricts to zero on kaehler_weyl, so the
+    meet hands back its base and both names hold one stored basis (at n = 4
+    the gap stays; see test_kaehler_dims_n4)."""
+    cat = catalog(make_standard(n, kind, sig))
+    assert cat.kaehler_riemann is cat.kaehler_weyl
+
+
+def _plane_parity(c, n):
+    """The set of J-planes {2k, 2k + 1} holding an odd number of the indices of
+    rank-4 coordinate c, as a bit mask."""
+    g = 0
+    for _ in range(4):
+        c, a = divmod(c, n)
+        g ^= 1 << (a // 2)
+    return g
+
+
+@pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in (4, 6, 8, 10, 12) for kind in ("complex", "para")]
+                         + [(6, "complex", (4, 2)), (8, "complex", (4, 4))])
+def test_kaehler_blocks_by_plane_parity(n, kind, sig):
+    """J keeps each J-plane, so kaehler_weyl and kaehler_riemann split into
+    blocks by the plane parity g of their coordinates, and every basis row
+    lies in one block.  With m = n/2 planes, each block with |g| = 4 has
+    dimension 6, each with |g| = 2 has 4(m - 1), and the even block
+    m(3m - 1)/2, in both spaces, for m >= 3.  At m = 2 kaehler_weyl has 8
+    and 6 there and kaehler_riemann 4 and 5: the gap of 5 splits as 1 in the
+    even block and 4 in the block of both planes."""
+    cat = catalog(make_standard(n, kind, sig))
+    m = n // 2
+    expected = {}
+    for g in range(1 << m):
+        size = bin(g).count("1")
+        if size in (2, 4):
+            expected[g] = 6 if size == 4 else 4 * (m - 1)
+    expected[0] = m * (3 * m - 1) // 2
+    for name in ("kaehler_weyl", "kaehler_riemann"):
+        sub = getattr(cat, name)
+        blocks = {}
+        for row in sub.basis:
+            g = _plane_parity(row[0][0], n)
+            assert all(_plane_parity(c, n) == g for c, _ in row), name
+            blocks[g] = blocks.get(g, 0) + 1
+        if m == 2:
+            assert blocks == ({0: 6, 3: 8} if name == "kaehler_weyl" else {0: 5, 3: 4}), name
+        else:
+            assert blocks == expected, name
+    assert sum(expected.values()) == (m * (m + 1) // 2) ** 2
+
+
 def test_kaehler_subspace_of_zero(complex4):
     zero = Subspace(4 ** 4, ())
     assert kaehler_subspace(zero, complex4) == zero

@@ -612,13 +612,14 @@ def test_sign_characters_match_slot_pullback(n, kind, sig):
     spaces = build_catalog(s).all_spaces()
     for group in ("O", "Ustar"):
         for g in component_reps(s, group):
-            signs = [g[i * n + i] for i in range(n)]
+            flips = [i for i in range(n) if g[i * n + i] == -1]
             den, rows = action_rows(g, n)
             assert (den, len(g)) == (1, n)
             for name, sub in spaces:
                 rank = 2 if sub.ambient_dim == n * n else 4
                 for vec in sub.basis_dicts():
-                    assert sign_pullback_vec(signs, vec, rank, n) == oracles.pullback_apply_vec(rows, vec, rank, n), name
+                    got = sign_pullback_vec(flips, vec, slot_index(vec, rank, n))
+                    assert got == oracles.pullback_apply_vec(rows, vec, rank, n), name
 
 
 @pytest.mark.parametrize("n,kind,sig", [(4, "complex", None), (4, "para", None)]

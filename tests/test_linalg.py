@@ -257,7 +257,9 @@ def test_membership_with_non_unit_pivots_matches_dense_oracle(sub, touch, data):
     """contains and coordinates against the rank-jump oracle, on vectors whose
     pivot entries lie only on rows with pivot entry 1, only on rows with a
     larger pivot entry, on both, or on none; half of them moved off the span
-    at a column that is no pivot, so the rows they touch stay the same."""
+    at a column that is no pivot, so the rows they touch stay the same.  Some
+    also hold an explicit zero, at a pivot they do not touch or off the
+    pivots, as a Lie image holds the entries that cancel."""
     scales = [row[0][1] for row in sub.basis]
     units = [i for i, scale in enumerate(scales) if scale == 1]
     others = [i for i, scale in enumerate(scales) if scale > 1]
@@ -276,6 +278,9 @@ def test_membership_with_non_unit_pivots_matches_dense_oracle(sub, touch, data):
         vec[col] = vec.get(col, 0) + data.draw(st.integers(-3, 3).filter(bool))
     vec = {c: v for c, v in vec.items() if v}
     assert {i for i, p in enumerate(sub.pivots) if p in vec} == set(pick)
+    for cols in ([p for p in sub.pivots if p not in vec], [c for c in free if c not in vec]):
+        if cols and data.draw(st.booleans()):
+            vec[data.draw(st.sampled_from(cols))] = 0
     basis = oracles.dense(sub)
     dense_vec = [F(vec.get(c, 0)) for c in range(MIXED_COLS)]
     inside = oracles.span_contains(basis, dense_vec)
@@ -290,6 +295,16 @@ def test_membership_with_non_unit_pivots_matches_dense_oracle(sub, touch, data):
 
 
 # --- meets read off the parent's basis -----------------------------------------
+
+
+def test_meet_returns_its_base_when_every_row_restricts_to_zero():
+    """No nonzero restricted row leaves nothing to eliminate: the meet is the
+    base itself, not a copy.  One nonzero row cuts it down."""
+    base = Subspace.from_vectors([{0: 1, 1: 1}, {2: 1}], 4)
+    assert meet_kernel(base, []) is base
+    assert meet_kernel(base, [{0: 1, 1: -1}, {3: 5}, {0: 2, 1: -2, 3: 1}]) is base
+    cut = meet_kernel(base, [{0: 1, 1: -1, 2: 1}, {3: 1}])
+    assert cut == Subspace.from_vectors([{0: 1, 1: 1}], 4)
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -383,7 +398,10 @@ def test_echelon_add_stores_the_same_primitive_int_rows_from_ints_and_fractions(
     """Rows of ``int``s (explicit zeros included), the same rows as
     ``Fraction``s with denominator 1, and the same rows divided by a
     denominator all store the same primitive ``int`` pivot rows, and reduce to
-    the same rows with positive pivots; no stored entry is a ``Fraction``."""
+    the same rows with positive pivots; no stored entry is a ``Fraction``.
+    Back-substitution works on the stored rows in place, so they are compared
+    as ``add`` left them, before it: a second call gives the same rows, and
+    every input row still reduces to zero."""
     variants = [
         [dict(enumerate(row)) for row in rows],
         [{c: F(v) for c, v in enumerate(row)} for row in rows],
@@ -396,11 +414,15 @@ def test_echelon_add_stores_the_same_primitive_int_rows_from_ints_and_fractions(
         for row in ech.pivot_rows.values():
             assert all(type(v) is int and v for v in row.values())
             assert gcd(*row.values()) == 1
+        stored = {c: dict(row) for c, row in ech.pivot_rows.items()}
         reduced = ech.reduced_rows()
         for c, row in reduced:
             assert all(type(v) is int for v in row.values())
             assert row[c] > 0
-        results.append((pivots, ech.pivot_rows, reduced))
+        snapshot = [(c, dict(row)) for c, row in reduced]
+        assert ech.reduced_rows() == snapshot
+        assert all(ech.reduce(row) == {} for row in variant)
+        results.append((pivots, stored, reduced))
     assert results[0] == results[1] == results[2]
 
 

@@ -370,13 +370,13 @@ def test_invariance_of_contractions_under_reps(complex6):
     representative, for every slot permutation."""
     from curvlab.spaces import component_reps
 
-    reps = [[g[i * 6 + i] for i in range(6)] for g in component_reps(complex6, "Ustar")]
+    reps = [[i for i in range(6) if g[i * 6 + i] == -1] for g in component_reps(complex6, "Ustar")]
     assert len(reps) == 2
     for perm in permutations(range(4)):
         for word in EVEN_PAIR_WORDS:
             row = invariant_contraction_row(perm, word, complex6)
-            for signs in reps:
-                assert sign_pullback_vec(signs, row, 4, 6) == row
+            for flips in reps:
+                assert sign_pullback_vec(flips, row, slot_index(row, 4, 6)) == row
 
 
 # --- sparse/dense agreement --------------------------------------------------------
@@ -417,10 +417,11 @@ def test_sparse_applies_match_dense(seed):
 
 def _scaled_down(image, scale, n=4, rank=4):
     """An integer image of the sparse actions, divided by its scale, as the
-    oracles give it: a dense tensor at rank 4, a dict of nonzeros at rank 2."""
+    oracles give it: a dense tensor at rank 4, a dict of nonzeros at rank 2
+    (a Lie image keeps cancelled entries as zeros)."""
     assert all(type(v) is int for v in image.values())
     if rank == 2:
-        return {c: F(v, scale) for c, v in image.items()}
+        return {c: F(v, scale) for c, v in image.items() if v}
     return Tensor4.from_dict(n, {c: F(v, scale) for c, v in image.items()})
 
 
@@ -453,7 +454,8 @@ def test_sparse_actions_match_dense(seed):
     assert _scaled_down(lie_apply_vec(rows, slot_index(vec, 4, 4)), den) == lie_action(Matrix.from_dict(4, x), t)
     den, rows = action_rows(g, 4)
     assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(Matrix.from_dict(4, g), t)
-    assert _scaled_down(sign_pullback_vec([g[i * 5] for i in range(4)], vec, 4, 4), 1) == pullback(Matrix.from_dict(4, g), t)
+    flips = [i for i in range(4) if g[i * 5] == -1]
+    assert _scaled_down(sign_pullback_vec(flips, vec, slot_index(vec, 4, 4)), 1) == pullback(Matrix.from_dict(4, g), t)
     # a rational element: the integer table carries its common denominator
     y = random_lie_elements(s, "U", 1, seed=1)[0]
     den, rows = action_rows(y, 4)
