@@ -2,22 +2,23 @@
 
 Each model space has one catalog, built lazily as a chain of meets: affine
 is K ⊗ R^n, K the kernel of the first-pair and cyclic rows on their three
-slots; weyl, riemann and kaehler_weyl (structure-compatible) are each cut out
-of their parent by their own rows, written for first pairs i < j as every
-space past affine alternates there, and kaehler_riemann out of kaehler_weyl
-by the riemann rows.  The conformal space is one direct kernel, which checks
-the chain.  The catalog also holds the five-term-map image, the six-piece
-splitting of rank-2 tensors and the map images of its pieces.  A subspace is
-built on its first read, and every verifier and the dims table read it.
-On top of it the module certifies group invariance, solves for commutants
-of group actions and spans of invariant contraction functionals, and runs
-the claim verifiers exposed by the CLI.  A certificate applies every group
-generator to every basis vector and tests each image for membership; it
-walks the basis vectors in the outer loop, indexing each once by axis, and
-still names the first failure in generator-major order.  A functional is
-evaluated on a module as a row restricted to its basis: the invariant
-contractions on both sides of mod_a ⊗ mod_b, thm4.2's Gram count on one
-side.
+slots; weyl is cut out of K ⊗ R^n through K, and kaehler_weyl
+(structure-compatible) out of weyl, by their own rows for first pairs i < j,
+as every space past affine alternates there; riemann and kaehler_riemann out
+of weyl and kaehler_weyl by one trace row per first pair, which cuts what
+the riemann rows cut on weyl.  The conformal space is one direct kernel that
+keeps the riemann rows themselves, so it checks the chain by a second route.
+The catalog also holds the five-term-map image, the six-piece splitting of
+rank-2 tensors and the map images of its pieces.  A subspace is built on its
+first read, and every verifier and the dims table read it.  On top of it the
+module certifies group invariance, solves for commutants of group actions
+and spans of invariant contraction functionals, and runs the claim verifiers
+exposed by the CLI.  A certificate applies every group generator to every
+basis vector and tests each image for membership; it walks the basis vectors
+in the outer loop, indexing each once by axis, and still names the first
+failure in generator-major order.  A functional is evaluated on a module as
+a row restricted to its basis: the invariant contractions on both sides of
+mod_a ⊗ mod_b, thm4.2's Gram count on the side with fewer entries.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linalg import (
     Subspace,
     SubspaceReducer,
     kernel_subspace,
+    lifted,
     meet_kernel,
     rank_of_rows,
     restrict_rows,
@@ -68,6 +70,7 @@ from .tensors import (
     metric_tensor2,
     ricci_rows,
     riemann_rows,
+    riemann_trace_rows,
     sigma,
     sign_pullback_vec,
     slot_index,
@@ -104,9 +107,11 @@ class NotInvariantError(Exception):
 
 def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], int]) -> int:
     """Number of basis pairs (one from each subspace) with a nonzero weighted
-    product: the nonzero entries of a's weighted basis rows restricted to b."""
-    weighted = ({c: v * weight(c) for c, v in row} for row in a.basis)
-    return sum(map(len, restrict_rows(b, weighted)))
+    product: the nonzero entries of the weighted basis rows of the side with
+    fewer entries restricted to the other, as the weight is diagonal."""
+    if sum(map(len, a.basis)) > sum(map(len, b.basis)):
+        a, b = b, a
+    return sum(map(len, restrict_rows(b, [{c: v * weight(c) for c, v in row} for row in a.basis])))
 
 
 def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
@@ -137,14 +142,7 @@ class TwoTensorSplit(NamedTuple):
     alt_opposed: Subspace
 
     def pieces(self) -> list[tuple[str, Subspace]]:
-        return [
-            ("h_line", self.h_line),
-            ("sym_aligned_traceless", self.sym_aligned_traceless),
-            ("sym_opposed", self.sym_opposed),
-            ("omega_line", self.omega_line),
-            ("alt_aligned_traceless", self.alt_aligned_traceless),
-            ("alt_opposed", self.alt_opposed),
-        ]
+        return list(zip(self._fields, self))
 
 
 class CurvatureCatalog:
@@ -168,19 +166,18 @@ class CurvatureCatalog:
     def affine(self) -> Subspace:
         """Tensors alternating in the first pair and satisfying the cyclic identity:
         K ⊗ R^n, lifted from the cached K on each read, so that no later space
-        pins it.  Row b ⊗ e_l leads at p_b*n + l, where no other row is nonzero,
-        so the rows listed by b and then by l are already the canonical basis."""
-        n = self.space.n
-        k = self.affine_slots
-        return Subspace(n ** 4, tuple(tuple((c * n + l, v) for c, v in b) for b in k.basis for l in range(n)))
+        pins it."""
+        return lifted(self.affine_slots, self.space.n)
 
     @cached_property
     def weyl(self) -> Subspace:
-        return meet_kernel(self.affine, weyl_rows(self.space))
+        """affine ∩ ker(weyl rows), restricted to and recombined from K ⊗ R^n."""
+        return meet_kernel(self.affine_slots, weyl_rows(self.space), self.space.n)
 
     @cached_property
     def riemann(self) -> Subspace:
-        return meet_kernel(self.weyl, riemann_rows(self.space.n))
+        """weyl ∩ ker(riemann rows), cut by one trace row per first pair."""
+        return meet_kernel(self.weyl, riemann_trace_rows(self.space.n))
 
     @cached_property
     def conformal(self) -> Subspace:
@@ -236,7 +233,7 @@ class CurvatureCatalog:
     @cached_property
     def kaehler_riemann(self) -> Subspace:
         """riemann ∩ ker(structure rows) = kaehler_weyl ∩ ker(riemann rows), the smaller base."""
-        return meet_kernel(self.kaehler_weyl, riemann_rows(self.space.n))
+        return meet_kernel(self.kaehler_weyl, riemann_trace_rows(self.space.n))
 
     @cached_property
     def sigma_omega_span(self) -> Subspace:

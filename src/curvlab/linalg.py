@@ -9,16 +9,19 @@ Subspaces are always stored with a reduced row-echelon basis in that form,
 so two subspaces are equal iff their stored bases are structurally equal.
 That canonical form is what makes every downstream report deterministic.
 
-A meet restricts its condition rows to the parent's basis and eliminates
-the restricted rows.  Those repeat: the parent's own symmetries make many
-conditions agree on it up to a factor, and conditions that already hold on
-the parent restrict to zero.  A row and its nonzero multiples have the same
-kernel, so :func:`meet_kernel` eliminates each nonzero restricted row once,
-primitive and positive at its first column, or returns the parent if none
-is nonzero.  Rows of ``int``s, as every catalog condition is written, skip
-the denominator pass on their way in.  Every meet is of this kind; two
-subspaces given by bases are only summed, and the dimension of their meet
-is dim A + dim B - dim(A + B).  No row is copied to back-substitute it.
+A meet restricts its condition rows to the parent's basis, through an index
+over the side with fewer entries (a parent B ⊗ R^k is given as B and k,
+never built), and eliminates the restricted rows.  Those repeat: the
+parent's own symmetries make many conditions agree on it up to a factor, and
+conditions that already hold on the parent restrict to zero.  A row and its
+nonzero multiples have the same kernel, so :func:`meet_kernel` eliminates
+each nonzero restricted row once, primitive and positive at its first
+column, or returns the parent if none is nonzero; a meet row that is one
+parent row is that stored row, not a copy.  Rows of ``int``s, as every
+catalog condition is written, skip the denominator pass on their way in.
+Every meet is of this kind; two subspaces given by bases are only summed,
+and the dimension of their meet is dim A + dim B - dim(A + B).  No row is
+copied to back-substitute it.
 
 There is one matrix format, the sparse rank-2 one: a linear map on R^k is
 the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
@@ -281,19 +284,44 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
     return Subspace(ncols, tuple(basis))
 
 
-def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Iterator[dict[int, int]]:
-    """Each row r evaluated on ``base.basis`` as the coefficient row i -> r . b_i,
-    through one index from each column to the basis rows that touch it; the
-    rows are yielded one at a time, in the order of ``rows``."""
-    touching: dict[int, list[tuple[int, int]]] = {}
-    for i, brow in enumerate(base.basis):
-        for c, v in brow:
-            touching.setdefault(c, []).append((i, v))
-    for row in rows:
-        acc: dict[int, int] = {}
-        for c, rv in row.items():
-            for i, bv in touching.get(c, ()):
-                acc[i] = acc.get(i, 0) + rv * bv
+def lifted(sub: Subspace, k: int) -> Subspace:
+    """sub ⊗ R^k, ``sub`` for k = 1: row b ⊗ e_l, at b*k + l, is row b with column c
+    at c*k + l.  It leads at p_b*k + l, where no other row is nonzero: canonical."""
+    if k == 1:
+        return sub
+    return Subspace(sub.ambient_dim * k, tuple(tuple((c * k + l, v) for c, v in b) for b in sub.basis for l in range(k)))
+
+
+def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int = 1) -> Iterator[dict[int, int]]:
+    """Each row r evaluated on the basis of ``lifted(base, lift)``, never built:
+    its coefficient at b*lift + l is sum_c r[c*lift + l] * b[c].  Columns c are
+    indexed on the side with fewer entries: over the base, rows stream out as
+    read; over the rows, one pass over the base fills all, each let go as yielded."""
+    rows = rows if isinstance(rows, list) else list(rows)
+    index: dict[int, list] = {}
+    if sum(map(len, base.basis)) <= sum(map(len, rows)):
+        for b, brow in enumerate(base.basis):
+            for c, v in brow:
+                index.setdefault(c, []).append((b, v))
+        for row in rows:
+            acc: dict[int, int] = {}
+            for col, rv in row.items():
+                c, l = divmod(col, lift)
+                for b, bv in index.get(c, ()):
+                    acc[b * lift + l] = acc.get(b * lift + l, 0) + rv * bv
+            yield {i: v for i, v in acc.items() if v}
+        return
+    accs: list = [{} for _ in rows]
+    for acc, row in zip(accs, rows):
+        for col, rv in row.items():
+            index.setdefault(col // lift, []).append((acc, col % lift, rv))
+    for b, brow in enumerate(base.basis):
+        for c, bv in brow:
+            for acc, l, rv in index.get(c, ()):
+                acc[b * lift + l] = acc.get(b * lift + l, 0) + rv * bv
+    del index
+    for r, acc in enumerate(accs):
+        accs[r] = None
         yield {i: v for i, v in acc.items() if v}
 
 
@@ -312,8 +340,9 @@ def _distinct_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
     return list(distinct.values())
 
 
-def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
-    """base ∩ ker(rows), from the kernel of the rows restricted to base.
+def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int = 1) -> Subspace:
+    """B ∩ ker(rows), B = ``lifted(base, lift)`` (never built), from the kernel
+    of the rows restricted to B.
 
     Restricted rows repeat: the symmetries of the base make conditions at one
     first pair agree on it up to a factor (on weyl the last-pair identity at
@@ -322,28 +351,33 @@ def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
     that holds on all of the base restricts to zero.  A row and its nonzero
     multiples cut out the same hyperplane, so the elimination sees each
     nonzero restricted row once, primitive and positive at its first column;
-    the kernel is the same.  If none is nonzero, the base itself is returned.
+    the kernel is the same.  If none is nonzero, B itself is returned.
 
-    No second elimination: sum_i c_i b_i over the canonical base rows leads at
-    the pivot of the first b_i it uses, and its value at any other base pivot
-    p_i is c_i times the positive pivot entry of b_i.  So the canonical
+    No second elimination: sum_i c_i b_i over the canonical rows of B leads at
+    the pivot of the first b_i it uses, and its value at any other pivot p_i
+    of B is c_i times the positive pivot entry of b_i.  So the canonical
     coefficient kernel recombines straight into the canonical basis of the
-    meet, once each row's content is stripped.
+    meet, once each row's content is stripped; a lone (i, 1) is row i itself.
     """
     # rebinding ``rows`` frees a condition list that only this call holds
     # before the elimination, which is where a meet peaks in memory
-    rows = _distinct_rows(restrict_rows(base, rows))
+    rows = _distinct_rows(restrict_rows(base, rows, lift))
     if not rows:
-        return base
+        return lifted(base, lift)
     basis = base.basis
     out = []
-    for coeffs in kernel_subspace(rows, base.dim).basis:
+    for coeffs in kernel_subspace(rows, base.dim * lift).basis:
+        if len(coeffs) == 1 and lift == 1:
+            out.append(basis[coeffs[0][0]])
+            continue
         vec: dict[int, int] = {}
         for i, c in coeffs:
-            for col, v in basis[i]:
+            b, l = divmod(i, lift)
+            for col, v in basis[b]:
+                col = col * lift + l
                 vec[col] = vec.get(col, 0) + c * v
         out.append(_freeze_row(_strip_content({col: v for col, v in vec.items() if v})))
-    return Subspace(base.ambient_dim, tuple(out))
+    return Subspace(base.ambient_dim * lift, tuple(out))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -9,19 +9,15 @@ from typing import Any, Iterable
 def scalar_to_str(x: Fraction) -> str:
     """Render a rational as ``p/q`` (or ``p`` when the denominator is one)."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def scrub(value: Any) -> Any:
     """Make a value JSON-ready: exact rationals become `p/q` strings."""
-    if isinstance(value, bool) or value is None:
+    if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, Fraction):
         return scalar_to_str(value)
-    if isinstance(value, (int, str)):
-        return value
     if isinstance(value, dict):
         return {str(k): scrub(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -73,11 +69,9 @@ def render_markdown(report: VerificationReport) -> str:
     for key, value in report.quantities.items():
         lines.append(f"| {key} | `{scrub(value)}` |")
     for note in report.notes:
-        lines.append("")
-        lines.append(f"note: {note}")
+        lines += ["", f"note: {note}"]
     if report.witnesses:
-        lines.append("")
-        lines.append(f"witnesses: {len(report.witnesses)} (see JSON output for components)")
+        lines += ["", f"witnesses: {len(report.witnesses)} (see JSON output for components)"]
     return "\n".join(lines) + "\n"
 
 

@@ -21,8 +21,9 @@ it has a nonzero row.  A sign-diagonal component representative negates the
 entries on its flipped axes (:func:`sign_pullback_vec`).  The canonical forms,
 the images of sigma and psi and the constraint rows all read and write that
 format; the first-pair and cyclic rows, which never read the last slot, are
-written over rank-3 coordinates (i*n + j)*n + k, and the last-pair, Weyl and
-structure rows for first pairs i < j only.  Each linear condition, the Ricci
+written over rank-3 coordinates (i*n + j)*n + k, the last-pair, Weyl and
+structure rows for first pairs i < j only, and on weyl the last-pair rows
+as one trace row per first pair.  Each linear condition, the Ricci
 contraction and the structure identity included, is written once, as rows,
 which the catalog restricts to a parent subspace's basis; so is each
 invariant contraction, one row over rank-4 coordinates.
@@ -401,8 +402,8 @@ def bianchi_rows(n: int) -> list[dict[int, int]]:
 
 
 def riemann_rows(n: int) -> list[dict[int, int]]:
-    """Rows of A(x,y,z,w) + A(x,y,w,z) for first pairs i < j and k <= l: right
-    only on a first-pair-alternating base, or next to the lifted ``antisym_rows``."""
+    """Rows of A(x,y,z,w) + A(x,y,w,z) for first pairs i < j and k <= l, for the
+    ``conformal`` kernel only: right next to the lifted ``antisym_rows``."""
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -413,6 +414,13 @@ def riemann_rows(n: int) -> list[dict[int, int]]:
                         row[key] = row.get(key, 0) + 1
                     rows.append(row)
     return rows
+
+
+def riemann_trace_rows(n: int) -> list[dict[int, int]]:
+    """Rows of A(e_i, e_j, e_0, e_0), i < j, which cut what ``riemann_rows`` cut
+    on a base inside weyl: there the riemann row at k < l is the weyl row over
+    n, and the weyl row at (k, k) gives A_ijkk = eps_k*S_ij/n for one S_ij."""
+    return [{flatten4(n, i, j, 0, 0): 1} for i in range(n) for j in range(i + 1, n)]
 
 
 def weyl_rows(space: ModelSpace) -> list[dict[int, int]]:

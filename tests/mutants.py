@@ -57,8 +57,8 @@ MUTANTS = [
     (
         "meet shortcut taken while one row remains",
         LINALG,
-        "    if not rows:\n        return base\n",
-        "    if len(rows) < 2:\n        return base\n",
+        "    if not rows:\n        return lifted(base, lift)\n",
+        "    if len(rows) < 2:\n        return lifted(base, lift)\n",
         ["tests/test_linalg.py::test_meet_returns_its_base_when_every_row_restricts_to_zero"],
     ),
     (
@@ -111,6 +111,76 @@ MUTANTS = [
         "        self.pivot_rows[c] = {k: -v for k, v in r.items()}"
         " if any(type(v) is not int for v in row.values()) else r\n",
         ["tests/test_linalg.py::test_echelon_add_stores_the_same_primitive_int_rows_from_ints_and_fractions"],
+    ),
+    (
+        "contains starting from dict(vec) and subtracting v // scale",
+        LINALG,
+        "        diff = dict(vec) if lead == 1 else {c: lead * v for c, v in vec.items()}\n"
+        "        for row, scale, v in touched:\n"
+        "            m = v * (lead // scale)\n",
+        "        diff = dict(vec)\n"
+        "        for row, scale, v in touched:\n"
+        "            m = v // scale\n",
+        ["tests/test_linalg.py::test_membership_with_non_unit_pivots_matches_dense_oracle"],
+    ),
+    (
+        "trace row written at last pair (0, 1) instead of (0, 0)",
+        TENSORS,
+        "{flatten4(n, i, j, 0, 0): 1}",
+        "{flatten4(n, i, j, 0, 1): 1}",
+        ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut"],
+    ),
+    (
+        "lifted index written as l * dim K + b instead of b * n + l",
+        LINALG,
+        "                    acc[b * lift + l] = acc.get(b * lift + l, 0) + rv * bv\n            yield",
+        "                    acc[l * len(base.basis) + b] = acc.get(l * len(base.basis) + b, 0) + rv * bv\n"
+        "            yield",
+        ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
+         "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "parent row reused for a coefficient row with two entries",
+        LINALG,
+        "        if len(coeffs) == 1 and lift == 1:\n",
+        "        if len(coeffs) <= 2 and lift == 1:\n",
+        ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut",
+         "tests/test_linalg.py::test_meet_kernel_equals_intersection_with_the_kernel"],
+    ),
+    (
+        "row-side index dropping the last row",
+        LINALG,
+        "    for acc, row in zip(accs, rows):\n",
+        "    for acc, row in zip(accs, rows[:-1]):\n",
+        ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut"],
+    ),
+    (
+        "weyl meet given every weyl row but the one at (0, 1, 0, 1)",
+        CURVATURE,
+        "meet_kernel(self.affine_slots, weyl_rows(self.space), self.space.n)",
+        "meet_kernel(self.affine_slots, weyl_rows(self.space)[:1] + weyl_rows(self.space)[2:], self.space.n)",
+        ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "riemann meet given every trace row but the last",
+        CURVATURE,
+        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n))",
+        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n)[:-1])",
+        ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "structure rows written for first pairs j > i + 1 only",
+        TENSORS,
+        "offsets = [(i * n + j) * n * n for i in range(n) for j in range(i + 1, n)]",
+        "offsets = [(i * n + j) * n * n for i in range(n) for j in range(i + 2, n)]",
+        ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "conformal kernel given every Ricci row but the last",
+        CURVATURE,
+        "rows + riemann_rows(n) + ricci_rows(self.space), n ** 4)",
+        "rows + riemann_rows(n) + ricci_rows(self.space)[:-1], n ** 4)",
+        ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
 ]
 

@@ -25,6 +25,8 @@ last-pair, Weyl and structure rows written for every first pair (i, j), which
 the package writes for i < j only, and the unitary Lie-algebra rows written
 as commutators XJ - JX, which the package writes as J's pull-back; they run
 on the package's echelon engine, by another route than the one they check.
+The modular-rank kernel certificate does not: it checks a kernel against its
+rows with exact products and an elimination mod 2^61 - 1 of its own.
 """
 
 from __future__ import annotations
@@ -384,6 +386,64 @@ def full_kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
             if (k, l) < (pk, pl):
                 classes.append((k * n + l, pk * n + pl, u * sk * sl))
     return [{ij * n * n + a: 1, ij * n * n + b: s} for ij in range(n * n) for a, b, s in classes]
+
+
+# ---------------------------------------------------------------------------
+# Kernel certificates by modular rank
+# ---------------------------------------------------------------------------
+
+P61 = 2 ** 61 - 1
+
+
+def rank_mod_p(rows: Sequence[Mapping[int, int]], p: int = P61) -> int:
+    """Rank over F_p of integer rows: sparse elimination mod p, shortest rows
+    first, each pivot row scaled to 1 at its leading column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        r = {c: v % p for c, v in row.items() if v % p}
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[c]
+            for k, v in piv.items():
+                w = (r.get(k, 0) - f * v) % p
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+    return len(pivots)
+
+
+def kernel_certificate(sub: Subspace, rows: Sequence[Mapping[int, int]], p: int = P61) -> list[str]:
+    """The checks that fail for ``sub == ker(rows)``, none if it holds, with no
+    code from the engine: every basis row is annihilated by every row (exact
+    integer products, through a column index over the rows), the basis rows
+    lead at distinct columns (so dim ker >= dim sub), and the rank of the rows
+    mod p is N - dim sub (the rank over Q is at least that, so dim ker <=
+    dim sub).  An unlucky prime can fail a true kernel, never pass a false one."""
+    failed = []
+    reading: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            reading.setdefault(c, []).append((r, v))
+    for vec in sub.basis:
+        dots: dict[int, int] = {}
+        for c, v in vec:
+            for r, w in reading.get(c, ()):
+                dots[r] = dots.get(r, 0) + v * w
+        if any(dots.values()):
+            failed.append("annihilated")
+            break
+    leads = {min(c for c, v in vec if v) for vec in sub.basis}
+    if len(leads) != len(sub.basis):
+        failed.append("distinct leading columns")
+    if rank_mod_p(rows, p) != sub.ambient_dim - len(sub.basis):
+        failed.append("rank mod p")
+    return failed
 
 
 def commuting_lie_rows(space: ModelSpace) -> list[dict[int, int]]:

@@ -39,6 +39,7 @@ from curvlab.tensors import (
     kaehler_form,
     metric_tensor2,
     ricci_rows,
+    riemann_trace_rows,
 )
 
 F = Fraction
@@ -130,13 +131,16 @@ class _FirstPairRows(list):
     ],
 )
 def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
-    """The weyl, riemann and structure rows are written for first pairs i < j
-    only.  Every meet that the catalog, thm1.5 (the sigma-image meet) and sec5
-    (the opposed-sum meet) hand them has a base inside affine and cuts what the
-    rows for every first pair cut; the chain of meets and conformal equal
-    their versions built from the full rows."""
+    """The weyl, riemann-trace and structure rows are written for first pairs
+    i < j only, the trace rows as one row per first pair.  Every meet that the
+    catalog, thm1.5 (the sigma-image meet) and sec5 (the opposed-sum meet) hand
+    them, weyl's on K lifted to affine included, has a base inside affine and
+    cuts what the rows for every first pair cut (the full riemann rows for the
+    trace rows); the chain of meets and conformal equal their versions built
+    from the full rows."""
     s = make_standard(n, kind, sig)
     for name, full in (("weyl_rows", oracles.full_weyl_rows), ("riemann_rows", oracles.full_riemann_rows),
+                       ("riemann_trace_rows", oracles.full_riemann_rows),
                        ("kaehler_rows", oracles.full_kaehler_rows)):
         def tagged(arg, real=getattr(curvature, name), full=full):
             rows = _FirstPairRows(real(arg))
@@ -146,10 +150,10 @@ def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
         monkeypatch.setattr(curvature, name, tagged)
     meets = []
 
-    def recording_meet_kernel(base, rows):
-        out = linalg.meet_kernel(base, rows)
+    def recording_meet_kernel(base, rows, lift=1):
+        out = linalg.meet_kernel(base, rows, lift)
         if isinstance(rows, _FirstPairRows):
-            meets.append((base, rows.full, out))
+            meets.append((linalg.lifted(base, lift), rows.full, out))
         return out
 
     monkeypatch.setattr(curvature, "meet_kernel", recording_meet_kernel)
@@ -176,6 +180,80 @@ def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
     if kind != "none":
         rows = oracles.full_kaehler_rows(s)
         assert (cat.kaehler_weyl, cat.kaehler_riemann) == (meet_kernel(weyl, rows), meet_kernel(riemann, rows))
+
+
+@pytest.mark.parametrize(
+    "n,kind,sig",
+    [
+        (3, "none", (3, 0)),
+        (3, "none", (2, 1)),
+        (5, "none", (5, 0)),
+        (5, "none", (3, 2)),
+        (4, "complex", None),
+        (4, "para", None),
+        (6, "complex", None),
+        (6, "para", None),
+        (8, "complex", None),
+        (8, "para", None),
+        (6, "complex", (4, 2)),
+        (6, "none", (4, 2)),
+    ],
+)
+def test_trace_rows_cut_what_the_full_riemann_rows_cut(n, kind, sig):
+    """On weyl and on kaehler_weyl, one trace row per first pair cuts what the
+    riemann rows for every first pair cut, and riemann keeps each row it shares
+    with weyl as the same object, not a copy."""
+    s = make_standard(n, kind, sig)
+    cat = catalog(s)
+    full = oracles.full_riemann_rows(n)
+    pairs = [(cat.weyl, cat.riemann)]
+    if kind != "none":
+        pairs.append((cat.kaehler_weyl, cat.kaehler_riemann))
+    for base, cut in pairs:
+        assert meet_kernel(base, riemann_trace_rows(n)) == cut == meet_kernel(base, full)
+    weyl_rows_by_value = {row: row for row in cat.weyl.basis}
+    shared = [row for row in cat.riemann.basis if row in weyl_rows_by_value]
+    assert shared
+    assert all(weyl_rows_by_value[row] is row for row in shared)
+
+
+@pytest.mark.parametrize(
+    "n,kind,sig",
+    [
+        (4, "complex", None),
+        (4, "para", None),
+        (6, "complex", None),
+        (6, "para", None),
+        (8, "complex", None),
+        (8, "para", None),
+        (6, "complex", (4, 2)),
+        (4, "none", None),
+        (8, "none", None),
+        (6, "none", (4, 2)),
+    ],
+)
+def test_catalog_kernels_pass_the_modular_rank_certificate(n, kind, sig):
+    """Every kernel and meet of the catalog is ker of the rows of its whole
+    chain, the parent's rows and its own, written for every first pair: by
+    the modular-rank certificate, which shares no code with the engine.  The
+    certificate itself rejects a space cut by too few rows or by too many."""
+    s = make_standard(n, kind, sig)
+    cat = catalog(s)
+    affine = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    weyl = affine + oracles.full_weyl_rows(s)
+    chains = {
+        "affine": affine,
+        "weyl": weyl,
+        "riemann": weyl + oracles.full_riemann_rows(n),
+        "conformal": affine + oracles.full_riemann_rows(n) + ricci_rows(s),
+    }
+    if kind != "none":
+        chains["kaehler_weyl"] = weyl + oracles.full_kaehler_rows(s)
+        chains["kaehler_riemann"] = chains["kaehler_weyl"] + oracles.full_riemann_rows(n)
+    for name, rows in chains.items():
+        assert oracles.kernel_certificate(getattr(cat, name), rows) == [], name
+    assert oracles.kernel_certificate(cat.weyl, chains["riemann"]) == ["annihilated", "rank mod p"]
+    assert oracles.kernel_certificate(cat.riemann, weyl) == ["rank mod p"]
 
 
 # --- containment chain ----------------------------------------------------------
@@ -500,7 +578,7 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
     # affine's K over n^3 columns, conformal over all n^4 columns and the four
     # two-tensor kernels, then the coefficient kernels of the six meets: weyl,
     # riemann, Ricci on riemann (thm4.1), the structure identity on weyl and
-    # sigma_image (thm1.5) and the riemann identity on kaehler_weyl
+    # sigma_image (thm1.5) and the riemann trace rows on kaehler_weyl
     assert len(built) == 12
     assert len(set(built)) == 12
     assert sum(ncols == 4 ** 4 for ncols, _ in built) == 1

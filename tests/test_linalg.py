@@ -228,8 +228,11 @@ MIXED_COLS = 8
 @st.composite
 def mixed_pivot_subspaces(draw):
     """A canonical integer subspace of Q^8 whose basis has rows with pivot
-    entry 1 and rows with pivot entry above 1.  The last column is never a
-    pivot, and each non-unit row holds 1 there, which keeps it primitive."""
+    entry 1 and rows with pivot entry above 1, and the indices of its twin
+    rows, or ().  The last column is never a pivot, and each non-unit row
+    holds +-1 there, which keeps it primitive.  Twins are two rows of one
+    pivot entry s whose sum is s times an integer vector; that vector is in
+    the span, and its pivot entries, 1, are no multiples of s."""
     pivots = sorted(draw(st.sets(st.integers(0, MIXED_COLS - 2), min_size=2, max_size=5)))
     scales = draw(st.lists(st.sampled_from((1, 1, 2, 3, 4, 6)), min_size=len(pivots), max_size=len(pivots)))
     unit = draw(st.integers(0, len(pivots) - 1))
@@ -237,6 +240,11 @@ def mixed_pivot_subspaces(draw):
     scales[unit] = 1
     if scales[nonunit] == 1:
         scales[nonunit] = draw(st.sampled_from((2, 3, 4, 6)))
+    twins: tuple[int, ...] = ()
+    if len(pivots) > 2 and draw(st.booleans()):
+        partner = draw(st.sampled_from([i for i in range(len(pivots)) if i not in (unit, nonunit)]))
+        twins = tuple(sorted((nonunit, partner)))
+        scales[partner] = scales[nonunit]
     free = [c for c in range(MIXED_COLS) if c not in pivots]
     rows = []
     for p, scale in zip(pivots, scales):
@@ -246,32 +254,53 @@ def mixed_pivot_subspaces(draw):
                 row[f] = draw(st.integers(-3, 3))
         if scale > 1:
             row[MIXED_COLS - 1] = draw(st.sampled_from((1, -1)))
-        rows.append({c: v for c, v in row.items() if v})
+        rows.append(row)
+    if twins:
+        first, second = rows[twins[0]], rows[twins[1]]
+        scale = scales[twins[0]]
+        for f in free:
+            if f > pivots[twins[0]]:
+                first[f] = scale * draw(st.integers(-1, 1)) - second.get(f, 0)
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
     sub = Subspace(MIXED_COLS, tuple(tuple(sorted(row.items())) for row in rows))
     assert Subspace.from_vectors(rows, MIXED_COLS) == sub  # already canonical
-    return sub
+    return sub, twins
 
 
 @given(mixed_pivot_subspaces(), st.sampled_from(("unit", "nonunit", "both", "none")), st.data())
-def test_membership_with_non_unit_pivots_matches_dense_oracle(sub, touch, data):
+def test_membership_with_non_unit_pivots_matches_dense_oracle(drawn, touch, data):
     """contains and coordinates against the rank-jump oracle, on vectors whose
     pivot entries lie only on rows with pivot entry 1, only on rows with a
     larger pivot entry, on both, or on none; half of them moved off the span
-    at a column that is no pivot, so the rows they touch stay the same.  Some
+    at a column that is no pivot, so the rows they touch stay the same.  A
+    vector that touches both twin rows also holds k/s times their sum, k no
+    multiple of s, so that its pivot entries there are no multiples of s.  Some
     also hold an explicit zero, at a pivot they do not touch or off the
     pivots, as a Lie image holds the entries that cancel."""
+    sub, twins = drawn
     scales = [row[0][1] for row in sub.basis]
     units = [i for i, scale in enumerate(scales) if scale == 1]
     others = [i for i, scale in enumerate(scales) if scale > 1]
     rows_of = {"unit": (units,), "nonunit": (others,), "both": (units, others), "none": ()}[touch]
-    # the first row of each kind named, and any further ones of that kind
-    pick = [i for rows in rows_of for k, i in enumerate(rows) if k == 0 or data.draw(st.booleans())]
+    # the first row of each kind named, the twins, and any further ones of that kind
+    pick = [i for rows in rows_of for k, i in enumerate(rows) if k == 0 or i in twins or data.draw(st.booleans())]
     coeffs = {i: data.draw(st.integers(-4, 4).filter(bool)) for i in pick}
     lead = lcm(1, *(scales[i] for i in pick))
     vec: dict[int, int] = {}
     for i, c in coeffs.items():
         for col, v in sub.basis[i]:
             vec[col] = vec.get(col, 0) + c * (lead // scales[i]) * v
+    if twins and twins[0] in pick:
+        # lead is a multiple of s, so the twin pivot entries stay nonzero and no multiples of s
+        scale = scales[twins[0]]
+        k = data.draw(st.integers(1, scale - 1)) * data.draw(st.sampled_from((1, -1)))
+        twin_sum: dict[int, int] = {}
+        for i in twins:
+            for col, v in sub.basis[i]:
+                twin_sum[col] = twin_sum.get(col, 0) + v
+        assert all(v % scale == 0 for v in twin_sum.values())
+        for col, v in twin_sum.items():
+            vec[col] = vec.get(col, 0) + k * (v // scale)
     free = [c for c in range(MIXED_COLS) if c not in sub.pivots]
     if data.draw(st.booleans()):
         col = data.draw(st.sampled_from(free))
