@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
@@ -184,8 +184,8 @@ class CurvatureCatalog:
         """Riemann-type tensors with vanishing Ricci contraction (zero below n = 4),
         as one kernel of all of their rows: thm4.1 checks it against the chain."""
         n = self.space.n
-        rows = [{c * n + l: v for c, v in row.items()} for row in antisym_rows(n) + bianchi_rows(n) for l in range(n)]
-        return kernel_subspace(rows + riemann_rows(n) + ricci_rows(self.space), n ** 4)
+        rows = ({c * n + l: v for c, v in row.items()} for row in antisym_rows(n) + bianchi_rows(n) for l in range(n))
+        return kernel_subspace(chain(rows, riemann_rows(n), ricci_rows(self.space)), n ** 4)
 
     @cached_property
     def sigma_image(self) -> Subspace:
@@ -200,15 +200,9 @@ class CurvatureCatalog:
             raise ValueError("the six-piece splitting requires a structured space")
         n = space.n
         u = structure_sign(space.kind)
-        sym_rows = []
-        alt_rows = []
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    alt_rows.append({i * n + i: Fraction(1)})
-                else:
-                    sym_rows.append({i * n + j: Fraction(1), j * n + i: Fraction(-1)})
-                    alt_rows.append({i * n + j: Fraction(1), j * n + i: Fraction(1)})
+        sym_rows = [{i * n + j: 1, j * n + i: -1} for i in range(n) for j in range(i + 1, n)]
+        # X_ij + X_ji for i <= j: at i = j the two keys agree, and the row X_ii = 0 has one entry
+        alt_rows = [{i * n + j: 1, j * n + i: 1} for i in range(n) for j in range(i, n)]
         h_vec = metric_tensor2(space)
         omega_vec = kaehler_form(space)
         # the metric and the fundamental form both sit in the (-u) pull-back eigenspace

@@ -8,6 +8,9 @@ elimination is fraction-free.  Rows handed back are primitive integer rows
 Subspaces are always stored with a reduced row-echelon basis in that form,
 so two subspaces are equal iff their stored bases are structurally equal.
 That canonical form is what makes every downstream report deterministic.
+A kernel is presolved first: a row with one entry zeroes its column and one
+with two entries of equal magnitude ties two columns up to sign, in a signed
+union-find, so only the other rows are eliminated, over the class roots.
 
 A meet restricts its condition rows to the parent's basis, through an index
 over the side with fewer entries (a parent B ⊗ R^k is given as B and k,
@@ -55,26 +58,17 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _to_int_row(entries: Mapping[int, Fraction | int], last: int | None = None) -> dict[int, int]:
-    """Clear denominators and strip content; drops explicit zeros; column c goes
-    to last - c if ``last`` is given.  An ``int`` row skips the lcm pass."""
+def _to_int_row(entries: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """Clear denominators and strip content; drops explicit zeros.  An ``int``
+    row skips the lcm pass."""
     for v in entries.values():
         if type(v) is not int:
             break
     else:
-        if last is None:
-            return _strip_content({c: v for c, v in entries.items() if v})
-        return _strip_content({last - c: v for c, v in entries.items() if v})
-    den = 1
-    for v in entries.values():
-        if type(v) is not int:
-            den = lcm(den, v.denominator)
-    row: dict[int, int] = {}
-    for c, v in entries.items():
-        iv = v * den if type(v) is int else v.numerator * (den // v.denominator)
-        if iv:
-            row[c if last is None else last - c] = iv
-    return _strip_content(row)
+        return _strip_content({c: v for c, v in entries.items() if v})
+    den = lcm(*(v.denominator for v in entries.values() if type(v) is not int))
+    return _strip_content({c: v * den if type(v) is int else v.numerator * (den // v.denominator)
+                           for c, v in entries.items() if v})
 
 
 def _combine(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
@@ -111,9 +105,9 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row: Mapping[int, Fraction | int], last: int | None = None) -> dict[int, int]:
-        """Reduce a row (column c at last - c, if given) by the pivots; returns the residual."""
-        r = _to_int_row(row, last)
+    def reduce(self, row: Mapping[int, Fraction | int]) -> dict[int, int]:
+        """Reduce a row by the pivots; returns the residual."""
+        r = _to_int_row(row)
         while r:
             c = min(r)
             piv = self.pivot_rows.get(c)
@@ -124,18 +118,18 @@ class Echelon:
                 raise RuntimeError(f"elimination did not clear pivot column {c}")
         return r
 
-    def add(self, row: Mapping[int, Fraction | int], last: int | None = None) -> int | None:
+    def add(self, row: Mapping[int, Fraction | int]) -> int | None:
         """Insert a row read as by :meth:`reduce`; its pivot, or None if dependent."""
-        r = self.reduce(row, last)
+        r = self.reduce(row)
         if not r:
             return None
         c = min(r)
         self.pivot_rows[c] = r
         return c
 
-    def add_all(self, rows: Iterable[Mapping[int, Fraction | int]], last: int | None = None) -> None:
+    def add_all(self, rows: Iterable[Mapping[int, Fraction | int]]) -> None:
         for row in rows:
-            self.add(row, last)
+            self.add(row)
 
     def reduced_rows(self) -> list[tuple[int, dict[int, int]]]:
         """The pivot rows back-substituted in place, by pivot column: primitive,
@@ -257,17 +251,72 @@ class SubspaceReducer:
 def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> Subspace:
     """Solution space of the rows as a canonical subspace, from one elimination.
 
-    With the columns reversed, each reduced row holds its pivot p and free
-    columns below p, so the solution e_f - sum (row[f] / row[p]) e_p of free
-    column f leads at f and vanishes on the other free columns: it is already
-    the canonical basis row.  Rows go in shortest first, which only changes
-    the elimination cost; each is copied once, to integers and reversed.
+    Presolve, explicit zeros dropped: a one-entry row sets its column's class
+    to zero; a two-entry row of equal magnitudes ties its columns up to sign
+    in a union-find rooted at each class's least column, and a tie against the
+    class's signs sets it to zero.  The other rows, over the roots of nonzero
+    classes, go in shortest first with the columns reversed: the solution
+    e_f - sum (row[f] / row[p]) e_p of free root f leads at f and vanishes on
+    the other free roots.  As roots are least columns, it still does with its
+    classes' members added at their signs: that is the canonical basis row.
     """
+    up: dict[int, tuple[int, int]] = {}  # column -> (parent, s): x_column = s * x_parent
+    zero: set[int] = set()  # columns whose classes vanish
+
+    def find(c: int) -> tuple[int, int]:
+        """(r, s): r the root of c's class, x_c = s * x_r; c's path is relinked to r."""
+        link = up.get(c)
+        if link is None or link[0] not in up:
+            return link or (c, 1)
+        path = []
+        while c in up:
+            path.append(c)
+            c = up[c][0]
+        s = 1
+        for col in reversed(path):
+            s *= up[col][1]
+            up[col] = (c, s)
+        return c, s
+
+    long = []
+    for row in rows:
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
+        if len(row) == 2:
+            (a, va), (b, vb) = row.items()
+            if abs(va) == abs(vb):
+                (a, sa), (b, sb) = find(a), find(b)
+                s = -sa * sb if va == vb else sa * sb  # x_a = s * x_b, for roots a and b
+                if a != b:
+                    up[max(a, b)] = (min(a, b), s)
+                elif s < 0:
+                    zero.add(a)
+                continue
+        if len(row) == 1:
+            zero.update(row)
+        elif row:
+            long.append(row)
+    zero = {find(c)[0] for c in zero}  # a class is zero if any of its columns is
+    members: dict[int, list[tuple[int, int]]] = {}
+    for c in up:
+        r, s = find(c)  # so that every column links to its root
+        if r not in zero:
+            members.setdefault(r, []).append((c, s))
     last = ncols - 1
+    for i, row in enumerate(long):
+        acc: dict[int, Fraction | int] = {}
+        for c, v in row.items():
+            if c in up:
+                c, v = up[c][0], up[c][1] * v
+            if c not in zero:
+                acc[last - c] = acc.get(last - c, 0) + v
+        long[i] = acc
+    long.sort(key=len)
     ech = Echelon(ncols)
-    ech.add_all(sorted(rows, key=len), last)
-    # free column -> [(pivot column, -row[f], row[p])], in original columns
-    terms = {f: [] for f in range(ncols) if last - f not in ech.pivot_rows}
+    ech.add_all(long)
+    del long
+    # free root -> [(pivot root, -row[f], row[p])], in original columns
+    terms = {f: [] for f in range(ncols) if last - f not in ech.pivot_rows and f not in up and f not in zero}
     for c, row in ech.reduced_rows():
         p = last - c
         pv = row[c]
@@ -280,7 +329,11 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
         vec = {f: lead}
         for p, v, pv in fterms:
             vec[p] = v * (lead // pv)
-        basis.append(_freeze_row(_strip_content(vec)))
+        entries = list(_strip_content(vec).items())
+        for r, v in vec.items():
+            if r in members:
+                entries += [(c, s * v) for c, s in members[r]]
+        basis.append(tuple(sorted(entries)))
     return Subspace(ncols, tuple(basis))
 
 

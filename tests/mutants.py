@@ -49,7 +49,7 @@ MUTANTS = [
     (
         "kernel terms kept for every column",
         LINALG,
-        "f: [] for f in range(ncols) if last - f not in ech.pivot_rows}",
+        "f: [] for f in range(ncols) if last - f not in ech.pivot_rows and f not in up and f not in zero}",
         "f: [] for f in range(ncols)}",
         ["tests/test_linalg.py::test_kernel_single_equation",
          "tests/test_linalg.py::test_kernel_matches_textbook_oracle"],
@@ -121,7 +121,8 @@ MUTANTS = [
         "        diff = dict(vec)\n"
         "        for row, scale, v in touched:\n"
         "            m = v // scale\n",
-        ["tests/test_linalg.py::test_membership_with_non_unit_pivots_matches_dense_oracle"],
+        ["tests/test_linalg.py::test_membership_of_half_the_sum_of_two_non_unit_pivot_rows",
+         "tests/test_linalg.py::test_membership_with_non_unit_pivots_matches_dense_oracle"],
     ),
     (
         "trace row written at last pair (0, 1) instead of (0, 0)",
@@ -178,9 +179,51 @@ MUTANTS = [
     (
         "conformal kernel given every Ricci row but the last",
         CURVATURE,
-        "rows + riemann_rows(n) + ricci_rows(self.space), n ** 4)",
-        "rows + riemann_rows(n) + ricci_rows(self.space)[:-1], n ** 4)",
+        "chain(rows, riemann_rows(n), ricci_rows(self.space)), n ** 4)",
+        "chain(rows, riemann_rows(n), ricci_rows(self.space)[:-1]), n ** 4)",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "traceless symmetric aligned piece without its orthogonality row",
+        CURVATURE,
+        "kernel_subspace(sym_rows + aligned + [h_orth_row], amb)",
+        "kernel_subspace(sym_rows + aligned, amb)",
+        ["tests/test_curvature.py::test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "presolve tie sign flipped when the two entries are equal",
+        LINALG,
+        "s = -sa * sb if va == vb else sa * sb",
+        "s = sa * sb if va == vb else sa * sb",
+        ["tests/test_linalg.py::test_kernel_presolve_cases",
+         "tests/test_linalg.py::test_kernel_with_presolvable_rows_matches_dense_oracle",
+         "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "presolve zero class not carried through a union",
+        LINALG,
+        "    zero = {find(c)[0] for c in zero}",
+        "    zero = {c for c in zero if c not in up}",
+        ["tests/test_linalg.py::test_kernel_presolve_cases",
+         "tests/test_linalg.py::test_kernel_with_presolvable_rows_matches_dense_oracle"],
+    ),
+    (
+        "presolve taking the larger column as the root",
+        LINALG,
+        "up[max(a, b)] = (min(a, b), s)",
+        "up[min(a, b)] = (max(a, b), s)",
+        ["tests/test_linalg.py::test_kernel_presolve_cases",
+         "tests/test_linalg.py::test_kernel_with_presolvable_rows_matches_dense_oracle",
+         "tests/test_linalg.py::test_catalog_rows_are_canonical_primitive_integers"],
+    ),
+    (
+        "presolve testing row lengths before explicit zeros are dropped",
+        LINALG,
+        "        if 0 in row.values():\n"
+        "            row = {c: v for c, v in row.items() if v}\n",
+        "",
+        ["tests/test_linalg.py::test_kernel_presolve_cases",
+         "tests/test_linalg.py::test_kernel_with_presolvable_rows_matches_dense_oracle"],
     ),
 ]
 

@@ -26,7 +26,9 @@ the package writes for i < j only, and the unitary Lie-algebra rows written
 as commutators XJ - JX, which the package writes as J's pull-back; they run
 on the package's echelon engine, by another route than the one they check.
 The modular-rank kernel certificate does not: it checks a kernel against its
-rows with exact products and an elimination mod 2^61 - 1 of its own.
+rows with exact products and an elimination mod 2^61 - 1 of its own.  The
+orthogonal Lie-algebra rows for every entry (a, b), and the rows of the
+six-piece split's four kernels read off dense matrices, are written for it.
 """
 
 from __future__ import annotations
@@ -446,6 +448,20 @@ def kernel_certificate(sub: Subspace, rows: Sequence[Mapping[int, int]], p: int 
     return failed
 
 
+def orthogonal_lie_rows(space: ModelSpace) -> list[dict[int, int]]:
+    """Rows of X^T H + H X = 0 for every entry (a, b), X[a][b] at a*n + b: the
+    rows of the orthogonal Lie algebra."""
+    n = space.n
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            # eps_b X[b][a] + eps_a X[a][b] = 0
+            row = {b * n + a: space.eps[b]}
+            row[a * n + b] = row.get(a * n + b, 0) + space.eps[a]
+            rows.append(row)
+    return rows
+
+
 def commuting_lie_rows(space: ModelSpace) -> list[dict[int, int]]:
     """Rows of X^T H + H X = 0 and of XJ - JX = 0, entry (a, b) of X at
     a*n + b: the unitary Lie algebra cut by commutators, which the package's
@@ -453,13 +469,7 @@ def commuting_lie_rows(space: ModelSpace) -> list[dict[int, int]]:
     n = space.n
     u = structure_sign(space.kind)
     perm = j_signed_permutation(space)
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            # eps_b X[b][a] + eps_a X[a][b] = 0
-            row = {b * n + a: space.eps[b]}
-            row[a * n + b] = row.get(a * n + b, 0) + space.eps[a]
-            rows.append(row)
+    rows = orthogonal_lie_rows(space)
     for a in range(n):
         pa, sa = perm[a]
         for b in range(n):
@@ -469,6 +479,39 @@ def commuting_lie_rows(space: ModelSpace) -> list[dict[int, int]]:
             row[pa * n + b] = row.get(pa * n + b, 0) - u * sa
             rows.append(row)
     return rows
+
+
+def two_tensor_split_rows(space: ModelSpace) -> dict[str, list[dict[int, int]]]:
+    """Integer rows of the four kernels of the six-piece split of rank-2
+    tensors, entry (a, b) at a*n + b, from dense matrices: X - X^T = 0 or
+    X + X^T = 0 for every (a, b); J*X = -u X (aligned) or J*X = u X (opposed),
+    with J* read off the dense pull-back of each basis tensor; and, on the
+    aligned pieces, orthogonality to h or to Omega in the induced inner
+    product."""
+    n = space.n
+    u = structure_sign(space.kind)
+    j = Matrix.from_dict(n, space.j)
+    # column d of J* is the pull-back of the basis tensor e_d
+    jstar = [pullback(j, {d: Fraction(1)}) for d in range(n * n)]
+    sym = [{a * n + b: 1, b * n + a: -1} for a in range(n) for b in range(n) if a != b]
+    alt = [{a * n + b: 1, b * n + a: 1} if a != b else {a * n + a: 2} for a in range(n) for b in range(n)]
+    eigen = {}
+    for lam in (-u, u):
+        rows = [{c: -lam} for c in range(n * n)]
+        for d, image in enumerate(jstar):
+            for c, v in image.items():
+                rows[c][d] = rows[c].get(d, 0) + int(v)
+        eigen[lam] = [{c: v for c, v in row.items() if v} for row in rows]
+
+    def orthogonal(form: Mapping[int, Fraction]) -> dict[int, int]:
+        return {c: int(v) * space.eps[c // n] * space.eps[c % n] for c, v in form.items()}
+
+    return {
+        "sym_aligned_traceless": sym + eigen[-u] + [orthogonal(metric_tensor2(space))],
+        "sym_opposed": sym + eigen[u],
+        "alt_aligned_traceless": alt + eigen[-u] + [orthogonal(kaehler_form(space))],
+        "alt_opposed": alt + eigen[u],
+    }
 
 
 def standard_basis_tensor(n: int, flat_index: int) -> Tensor4:

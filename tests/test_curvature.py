@@ -22,7 +22,7 @@ from curvlab.linalg import (
     restrict_rows,
     subspace_sum,
 )
-from curvlab.spaces import make_standard
+from curvlab.spaces import lie_algebra_basis, make_standard
 from curvlab import curvature, linalg
 from curvlab.curvature import (
     catalog,
@@ -217,21 +217,21 @@ def test_trace_rows_cut_what_the_full_riemann_rows_cut(n, kind, sig):
     assert all(weyl_rows_by_value[row] is row for row in shared)
 
 
-@pytest.mark.parametrize(
-    "n,kind,sig",
-    [
-        (4, "complex", None),
-        (4, "para", None),
-        (6, "complex", None),
-        (6, "para", None),
-        (8, "complex", None),
-        (8, "para", None),
-        (6, "complex", (4, 2)),
-        (4, "none", None),
-        (8, "none", None),
-        (6, "none", (4, 2)),
-    ],
-)
+CERTIFIED_SPACES = [
+    (4, "complex", None),
+    (4, "para", None),
+    (6, "complex", None),
+    (6, "para", None),
+    (8, "complex", None),
+    (8, "para", None),
+    (6, "complex", (4, 2)),
+    (4, "none", None),
+    (8, "none", None),
+    (6, "none", (4, 2)),
+]
+
+
+@pytest.mark.parametrize("n,kind,sig", CERTIFIED_SPACES)
 def test_catalog_kernels_pass_the_modular_rank_certificate(n, kind, sig):
     """Every kernel and meet of the catalog is ker of the rows of its whole
     chain, the parent's rows and its own, written for every first pair: by
@@ -254,6 +254,33 @@ def test_catalog_kernels_pass_the_modular_rank_certificate(n, kind, sig):
         assert oracles.kernel_certificate(getattr(cat, name), rows) == [], name
     assert oracles.kernel_certificate(cat.weyl, chains["riemann"]) == ["annihilated", "rank mod p"]
     assert oracles.kernel_certificate(cat.riemann, weyl) == ["rank mod p"]
+
+
+@pytest.mark.parametrize("n,kind,sig", CERTIFIED_SPACES)
+def test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate(n, kind, sig):
+    """The engine's other kernels are ker of their own rows, by the
+    modular-rank certificate: ``affine_slots`` against its rank-3 first-pair
+    and cyclic rows, the Lie algebras of O and of U (which Ustar shares)
+    against rows written for every entry and as commutators XJ - JX, and the
+    four kernels of the six-piece split against rows read off dense
+    matrices.  The certificate rejects a split kernel against another's rows."""
+    s = make_standard(n, kind, sig)
+    cat = catalog(s)
+    assert oracles.kernel_certificate(cat.affine_slots, antisym_rows(n) + bianchi_rows(n)) == []
+    groups = {"O": oracles.orthogonal_lie_rows(s)}
+    if kind != "none":
+        groups["U"] = oracles.commuting_lie_rows(s)
+    for group, rows in groups.items():
+        lie = Subspace(n * n, tuple(tuple(sorted(x.items())) for x in lie_algebra_basis(s, group)))
+        assert oracles.kernel_certificate(lie, rows) == [], group
+    if kind == "none":
+        return
+    pieces = dict(cat.two_tensors.pieces())
+    split_rows = oracles.two_tensor_split_rows(s)
+    for name, rows in split_rows.items():
+        assert oracles.kernel_certificate(pieces[name], rows) == [], name
+    assert oracles.kernel_certificate(pieces["sym_opposed"], split_rows["alt_opposed"]) != []
+    assert oracles.kernel_certificate(pieces["alt_aligned_traceless"], split_rows["alt_opposed"]) != []
 
 
 # --- containment chain ----------------------------------------------------------

@@ -193,6 +193,105 @@ def test_kernel_matches_textbook_oracle(rows):
     assert kernel == Subspace.from_vectors(dicts(oracle_kernel), 5)
 
 
+def _canonical(rows):
+    """The Subspace whose stored basis is the given dense canonical rows."""
+    return Subspace(len(rows[0]) if rows else 0, tuple(tuple((c, v) for c, v in enumerate(r) if v) for r in rows))
+
+
+@pytest.mark.parametrize(
+    "rows,ncols,expected",
+    [
+        # equal entries tie their columns with sign -1, opposite ones with +1
+        ([{0: 1, 1: 1}], 2, [[1, -1]]),
+        ([{0: F(1, 2), 1: F(-1, 2)}], 2, [[1, 1]]),
+        # a class set to zero stays zero when a union puts its root below a smaller one
+        ([{1: 1}, {0: 1, 1: -1}], 2, []),
+        ([{2: 3}, {1: 1, 2: 1}, {0: 2, 1: -2}], 3, []),
+        # a cycle whose signs contradict sets its class to zero
+        ([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: 1}], 4, [[0, 0, 0, 1]]),
+        ([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}], 3, [[1, 1, 1]]),
+        # the root is the least column: column 2 joins column 0, and the kernel
+        # rows lead at 0 and 1, in that order
+        ([{0: 1, 2: -1}, {1: 1, 2: 1, 3: 1}], 4, [[1, 0, 1, -1], [0, 1, 0, -1]]),
+        ([{2: 1, 0: -1}, {3: 2, 1: 2}, {0: 1, 1: 1, 4: 1}], 5, [[1, 0, 1, 0, -1], [0, 1, 0, -1, -1]]),
+        # explicit zeros are no entries: these rows cut nothing, or one column
+        ([{0: 0}, {1: 0, 2: F(0)}], 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([{0: 1, 1: 0, 2: 0}, {1: 0, 2: 2}], 3, [[0, 1, 0]]),
+        # unequal two-entry rows go to the elimination
+        ([{0: 1, 1: 2}], 2, [[2, -1]]),
+    ],
+)
+def test_kernel_presolve_cases(rows, ncols, expected):
+    """Small systems that each take one path of the presolve, against their
+    canonical kernels worked out by hand and the dense oracle's."""
+    kernel = kernel_subspace(rows, ncols)
+    assert kernel == (_canonical(expected) if expected else zero(ncols))
+    oracle = oracles.dense_kernel([[F(row.get(c, 0)) for c in range(ncols)] for row in rows], ncols)
+    assert kernel == Subspace.from_vectors(dicts(oracle), ncols)
+
+
+PRESOLVE_COLS = 7
+
+
+@st.composite
+def presolvable_systems(draw):
+    """Rows over Q^7 that mix what the presolve takes and what it leaves:
+    one-entry rows; two-entry rows of equal magnitude with either sign, as
+    ``int``s or ``Fraction``s, alone, in chains, and in cycles whose signs may
+    contradict; unequal two-entry rows; longer rows; and explicit zeros, as
+    whole rows and inside the others."""
+    col = st.integers(0, PRESOLVE_COLS - 1)
+    magnitude = st.sampled_from((1, 2, 3, F(1, 2), F(3, 2)))
+
+    def entry(m):
+        v = m * draw(st.sampled_from((1, -1)))
+        return F(v) if type(v) is int and draw(st.booleans()) else v
+
+    def tie(a, b):
+        m = draw(magnitude)
+        return {a: entry(m), b: entry(m)}
+
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("one", "tie", "chain", "cycle", "unequal", "long", "zero")),
+                              max_size=8)):
+        if kind == "one":
+            rows.append({draw(col): entry(draw(magnitude))})
+        elif kind == "tie":
+            a, b = draw(st.lists(col, min_size=2, max_size=2, unique=True))
+            rows.append(tie(a, b))
+        elif kind in ("chain", "cycle"):
+            cols = draw(st.lists(col, min_size=2, max_size=5, unique=True))
+            rows += [tie(a, b) for a, b in zip(cols, cols[1:])]
+            if kind == "cycle":
+                rows.append(tie(cols[-1], cols[0]))
+        elif kind == "unequal":
+            a, b = draw(st.lists(col, min_size=2, max_size=2, unique=True))
+            m, w = draw(st.lists(magnitude, min_size=2, max_size=2, unique=True))
+            rows.append({a: entry(m), b: entry(w)})
+        elif kind == "long":
+            cols = draw(st.lists(col, min_size=3, max_size=5, unique=True))
+            rows.append({c: entry(draw(magnitude)) for c in cols})
+        else:
+            rows.append({})
+        for c in draw(st.lists(col, max_size=2)):
+            rows[-1].setdefault(c, draw(st.sampled_from((0, F(0)))))
+    return rows
+
+
+@given(presolvable_systems(), st.randoms(use_true_random=False))
+def test_kernel_with_presolvable_rows_matches_dense_oracle(rows, rng):
+    """The kernel of rows that the presolve ties, zeroes or passes on is the
+    canonical form of the dense oracle's kernel, in any row order and whether
+    the rows come as a list or as a stream."""
+    dense_rows = [[F(row.get(c, 0)) for c in range(PRESOLVE_COLS)] for row in rows]
+    oracle = oracles.dense_kernel(dense_rows, PRESOLVE_COLS)
+    kernel = kernel_subspace(rows, PRESOLVE_COLS)
+    assert kernel == Subspace.from_vectors(dicts(oracle), PRESOLVE_COLS)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert kernel_subspace(iter(shuffled), PRESOLVE_COLS) == kernel
+
+
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_membership_and_coordinates_match_dense_oracle(kind):
     """One-pass membership on every n = 4 catalog space: an integer multiple
@@ -220,6 +319,22 @@ def test_membership_and_coordinates_match_dense_oracle(kind):
             assert (reducer.coordinates(vec, scale) is None) == (not expected), name
             outside += not expected
     assert outside > 0
+
+
+def test_membership_of_half_the_sum_of_two_non_unit_pivot_rows():
+    """(1, 1, 1) is half the sum of the stored rows (2, 0, 1) and (0, 2, 1), so
+    its pivot entries are no multiples of their rows' pivot entry 2: it is
+    inside, with coordinates (1, 1) on the pivot-one rows, which is 1/2 on
+    each stored row."""
+    sub = _canonical([[2, 0, 1], [0, 2, 1]])
+    assert Subspace.from_vectors(sub.basis_dicts(), 3) == sub
+    reducer = SubspaceReducer(sub)
+    vec = {0: 1, 1: 1, 2: 1}
+    assert reducer.contains(vec)
+    coords = reducer.coordinates(vec)
+    assert coords == [1, 1]
+    assert [c / row[0][1] for c, row in zip(coords, sub.basis)] == [F(1, 2), F(1, 2)]
+    assert not reducer.contains({0: 1, 1: 1, 2: 2})
 
 
 MIXED_COLS = 8
