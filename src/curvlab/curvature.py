@@ -424,12 +424,10 @@ def _commutator_rows(m: Vec, d: int) -> list[dict[int, int]]:
 
 def commutant_dimension(mats: Iterable[Vec], d: int) -> int:
     """Dimension of {T : TM = MT for all M}, the linear self-maps of R^d
-    commuting with the action: the full d*d-dimensional space cut down by
-    one meet per matrix."""
-    comm = Subspace(d * d, tuple(((c, 1),) for c in range(d * d)))
-    for m in mats:
-        comm = meet_kernel(comm, _commutator_rows(m, d))
-    return comm.dim
+    commuting with the action: one kernel of every matrix's commutator rows.
+    Rows repeat across matrices and within one; the kernel's presolve and
+    elimination absorb the repeats."""
+    return kernel_subspace(chain.from_iterable(_commutator_rows(m, d) for m in mats), d * d).dim
 
 
 def _block_diag(m: Vec, d: int) -> Vec:
@@ -490,7 +488,7 @@ def invariant_rows(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> list[
 
 def invariant_span_dimension(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> int:
     """Rank of all even-word invariant contraction functionals on mod_a ⊗ mod_b."""
-    return rank_of_rows(invariant_rows(mod_a, mod_b, space), mod_a.dim * mod_b.dim)
+    return rank_of_rows(invariant_rows(mod_a, mod_b, space))
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +592,8 @@ def verify_riemann_ricci_split(space: ModelSpace) -> VerificationReport:
     cat = catalog(space)
     riemann, weyl, conformal = cat.riemann, cat.weyl, cat.conformal
     ric = ricci_rows(space)
-    rank_r = rank_of_rows(restrict_rows(riemann, ric), riemann.dim)
-    rank_w = rank_of_rows(restrict_rows(weyl, ric), weyl.dim)
+    rank_r = rank_of_rows(restrict_rows(riemann, ric))
+    rank_w = rank_of_rows(restrict_rows(weyl, ric))
     kernel_matches = meet_kernel(riemann, ric) == conformal
     sym_dim = n * (n + 1) // 2
     witness = invariance_witness(conformal, space, "O")
@@ -748,7 +746,7 @@ def verify_probe_suite(space: ModelSpace) -> VerificationReport:
     aligned_excluded = compat_defect(s_psi0, (4, 0, 1, 4)) != 0
     # pair coefficients (a, b) of a*sigma + b*psi against the two probe tuples
     system = [{0: compat_defect(s_psi1, t), 1: compat_defect(p_psi1, t)} for t in (_PROBE_T1, _PROBE_T2)]
-    pair_rank = rank_of_rows(system, 2)
+    pair_rank = rank_of_rows(system)
     cat = catalog(space)
     opposed_sum = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
     direct_meet = kaehler_subspace(opposed_sum, space)

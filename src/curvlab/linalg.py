@@ -11,17 +11,17 @@ That canonical form is what makes every downstream report deterministic.
 A kernel is presolved first: a row with one entry zeroes its column and one
 with two entries of equal magnitude ties two columns up to sign, in a signed
 union-find, so only the other rows are eliminated, over the class roots.
+Repeated rows need no pass of their own: a repeated one- or two-entry row
+finds its zero or tie already made, and a longer one reduces to zero.
 
 A meet restricts its condition rows to the parent's basis, through an index
 over the side with fewer entries (a parent B ⊗ R^k is given as B and k,
-never built), and eliminates the restricted rows.  Those repeat: the
-parent's own symmetries make many conditions agree on it up to a factor, and
-conditions that already hold on the parent restrict to zero.  A row and its
-nonzero multiples have the same kernel, so :func:`meet_kernel` eliminates
-each nonzero restricted row once, primitive and positive at its first
-column, or returns the parent if none is nonzero; a meet row that is one
-parent row is that stored row, not a copy.  Rows of ``int``s, as every
-catalog condition is written, skip the denominator pass on their way in.
+never built), and hands the nonzero restricted rows to the kernel, or
+returns the parent if none is nonzero.  Those rows repeat, as the parent's
+own symmetries make many conditions agree on it up to a factor, and the
+kernel absorbs the repeats.  A meet row that is one parent row is that
+stored row, not a copy.  Rows of ``int``s, as every catalog condition is
+written, skip the denominator pass on their way in.
 Every meet is of this kind; two subspaces given by bases are only summed,
 and the dimension of their meet is dim A + dim B - dim(A + B).  No row is
 copied to back-substitute it.
@@ -29,8 +29,8 @@ copied to back-substitute it.
 There is one matrix format, the sparse rank-2 one: a linear map on R^k is
 the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
 convention of rank-2 tensors; :func:`matmul` composes two of them.  A
-commutant is cut out of all k x k maps by a chain of :func:`meet_kernel`
-calls.
+commutant is one :func:`kernel_subspace` over the k*k entries, of the
+commutator rows of all its matrices at once.
 """
 
 from __future__ import annotations
@@ -97,8 +97,7 @@ class Echelon:
     the pivot column in the row raises ``RuntimeError`` instead of looping.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.pivot_rows: dict[int, dict[int, int]] = {}
 
     @property
@@ -146,8 +145,8 @@ class Echelon:
         return sorted(rows.items())
 
 
-def rank_of_rows(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> int:
-    ech = Echelon(ncols)
+def rank_of_rows(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
+    ech = Echelon()
     ech.add_all(rows)
     return ech.rank
 
@@ -192,7 +191,7 @@ class Subspace(NamedTuple):
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Mapping[int, Fraction | int]], ambient_dim: int) -> "Subspace":
-        ech = Echelon(ambient_dim)
+        ech = Echelon()
         ech.add_all(vectors)
         return cls(ambient_dim, tuple(_freeze_row(r) for _, r in ech.reduced_rows()))
 
@@ -312,7 +311,7 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
                 acc[last - c] = acc.get(last - c, 0) + v
         long[i] = acc
     long.sort(key=len)
-    ech = Echelon(ncols)
+    ech = Echelon()
     ech.add_all(long)
     del long
     # free root -> [(pivot root, -row[f], row[p])], in original columns
@@ -378,33 +377,16 @@ def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int =
         yield {i: v for i, v in acc.items() if v}
 
 
-def _distinct_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
-    """One row per line through the nonzero integer rows, primitive and positive
-    at its first column, in the order first seen; content is stripped in
-    place.  The lookup keys are dropped on return, before the rows are
-    eliminated."""
-    distinct: dict[BasisRow, dict[int, int]] = {}
-    for row in rows:
-        if row:
-            _strip_content(row)
-            if row[min(row)] < 0:
-                row = {c: -v for c, v in row.items()}
-            distinct.setdefault(_freeze_row(row), row)
-    return list(distinct.values())
-
-
 def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int = 1) -> Subspace:
     """B ∩ ker(rows), B = ``lifted(base, lift)`` (never built), from the kernel
     of the rows restricted to B.
 
-    Restricted rows repeat: the symmetries of the base make conditions at one
-    first pair agree on it up to a factor (on weyl the last-pair identity at
-    (i, j, k, k) gives the same row for every k, and the structure identity
-    at last pairs (k, l) and (l, k) the same row up to sign), and a condition
-    that holds on all of the base restricts to zero.  A row and its nonzero
-    multiples cut out the same hyperplane, so the elimination sees each
-    nonzero restricted row once, primitive and positive at its first column;
-    the kernel is the same.  If none is nonzero, B itself is returned.
+    The kernel receives the nonzero restricted rows as they are; if none is
+    nonzero, B itself is returned.  They repeat: the symmetries of the base
+    make conditions at one first pair agree on it up to a factor (on weyl the
+    last-pair identity at (i, j, k, k) gives the same row for every k, and
+    the structure identity at last pairs (k, l) and (l, k) the same row up to
+    sign), and the kernel's presolve and elimination absorb the repeats.
 
     No second elimination: sum_i c_i b_i over the canonical rows of B leads at
     the pivot of the first b_i it uses, and its value at any other pivot p_i
@@ -414,7 +396,7 @@ def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int = 1
     """
     # rebinding ``rows`` frees a condition list that only this call holds
     # before the elimination, which is where a meet peaks in memory
-    rows = _distinct_rows(restrict_rows(base, rows, lift))
+    rows = [row for row in restrict_rows(base, rows, lift) if row]
     if not rows:
         return lifted(base, lift)
     basis = base.basis

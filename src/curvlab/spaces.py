@@ -226,7 +226,7 @@ def _close(ech: Echelon, gens: list[dict[int, int]], x: dict[int, int], n: int) 
 
 def brackets_span(gens: Sequence[dict[int, int]], basis: Sequence[dict[int, int]], n: int) -> bool:
     """Whether the iterated brackets of ``gens`` span exactly the span of ``basis``."""
-    ech = Echelon(n * n)
+    ech = Echelon()
     kept: list[dict[int, int]] = []
     for g in gens:
         _close(ech, kept, g, n)
@@ -236,7 +236,7 @@ def brackets_span(gens: Sequence[dict[int, int]], basis: Sequence[dict[int, int]
 def _greedy_generators(basis: Sequence[dict[int, int]], n: int) -> list[int]:
     """Indices of the basis elements, in order, that raise the rank of the
     bracket closure of the elements kept before them."""
-    ech = Echelon(n * n)
+    ech = Echelon()
     gens: list[dict[int, int]] = []
     picked = []
     for i, x in enumerate(basis):

@@ -225,6 +225,25 @@ MUTANTS = [
         ["tests/test_linalg.py::test_kernel_presolve_cases",
          "tests/test_linalg.py::test_kernel_with_presolvable_rows_matches_dense_oracle"],
     ),
+    (
+        "commutant fed only the first matrix's rows",
+        CURVATURE,
+        "kernel_subspace(chain.from_iterable(_commutator_rows(m, d) for m in mats), d * d)",
+        "kernel_subspace(next((_commutator_rows(m, d) for m in mats), []), d * d)",
+        ["tests/test_group_actions.py::test_commutant_dimensions",
+         "tests/test_group_actions.py::test_commutant_matches_dense_oracle",
+         "tests/test_group_actions.py::test_commutant_of_random_block_diagonal_sets_matches_dense_oracle",
+         "tests/test_group_actions.py::test_commutant_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "meet keeping the restricted rows that are zero",
+        LINALG,
+        "rows = [row for row in restrict_rows(base, rows, lift) if row]",
+        "rows = list(restrict_rows(base, rows, lift))",
+        ["tests/test_linalg.py::test_meet_returns_its_base_when_every_row_restricts_to_zero",
+         "tests/test_curvature.py::test_kaehler_riemann_is_the_kaehler_weyl_basis_from_n6",
+         "tests/test_linalg.py::test_meet_eliminates_exactly_the_nonzero_restricted_rows"],
+    ),
 ]
 
 

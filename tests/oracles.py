@@ -12,23 +12,25 @@ are checked against, the wedge product with the fundamental form on
 first-order structure field of a plane twist, whose brackets the
 closed-form Nijenhuis probe is checked against.  The dense :class:`Matrix`
 lives here, with its converters from and to the package's sparse
-``{a*k + b: value}`` matrices, and so do the dense commutant loop that the
-package's chain of meets is held to (that loop alone takes its rank with
-the package's ``rank_of_rows``) and the line-by-line invariance check that
-lemma4.9's block condition is held to.  Small dense helpers (conversions,
-the Gram matrix, the transpose, decoding a report's tensor) live here too,
-since the package itself needs none of them.  So do the generic subspace
-references the package does not need: the Zassenhaus intersection and the
-containment check that meets are held to, the lift of three-slot rows to
-every last index that the closed-form ``affine`` is held to, and the
-last-pair, Weyl and structure rows written for every first pair (i, j), which
-the package writes for i < j only, and the unitary Lie-algebra rows written
-as commutators XJ - JX, which the package writes as J's pull-back; they run
-on the package's echelon engine, by another route than the one they check.
+``{a*k + b: value}`` matrices, and so do the dense commutator loop that the
+package's commutant kernels are held to and the line-by-line invariance
+check that lemma4.9's block condition is held to.  Small dense helpers
+(conversions, the Gram matrix, the transpose, decoding a report's tensor)
+live here too, since the package itself needs none of them.  So do the
+generic subspace references the package does not need: the Zassenhaus
+intersection and the containment check that meets are held to, the lift of
+three-slot rows to every last index that the closed-form ``affine`` is held
+to, and the last-pair, Weyl and structure rows written for every first
+pair (i, j), which the package writes for i < j only, and the unitary
+Lie-algebra rows written as commutators XJ - JX, which the package writes
+as J's pull-back; they run on the package's echelon engine, by another
+route than the one they check.
 The modular-rank kernel certificate does not: it checks a kernel against its
 rows with exact products and an elimination mod 2^61 - 1 of its own.  The
-orthogonal Lie-algebra rows for every entry (a, b), and the rows of the
-six-piece split's four kernels read off dense matrices, are written for it.
+orthogonal Lie-algebra rows for every entry (a, b), the rows of the
+six-piece split's four kernels read off dense matrices, and the commutator
+rows, are written for it; the dense commutant dimension is the rank of the
+commutator rows mod that prime.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from curvlab.linalg import Echelon, Subspace, SubspaceReducer, rank_of_rows
+from curvlab.linalg import Echelon, Subspace, SubspaceReducer
 from curvlab.spaces import ModelSpace, j_signed_permutation, structure_sign
 from curvlab.tensors import (
     Tensor4,
@@ -161,17 +164,12 @@ def line_invariant(mats: Sequence[Matrix], d: int, a: Fraction | int, b: Fractio
     return all(span_contains(line, list(m.matvec(vec))) for m in mats for vec in line)
 
 
-def commutant_dimension(mats: Sequence[Matrix]) -> int:
-    """Dimension of {T : TM = MT for all M}: every entry of every commutator
-    TM - MT written as a row by a dense loop over (i, j, k), and the rank of
-    all rows taken at once.
-
-    The one exception to this module's independence: the rank is the
-    package's ``rank_of_rows``, since a dense elimination of the doubled
-    n = 6 rows (thousands of rows on 576 columns) would take minutes.  What
-    this holds the package to is the row assembly and the chain of meets."""
+def commutator_rows(mats: Sequence[Matrix]) -> list[dict[int, int]]:
+    """Every entry of every commutator TM - MT as a row over the d*d entries of
+    T (T[i][k] at i*d + k), written by a dense loop over (i, j, k) and scaled
+    to integers by the lcm of its denominators; zero rows are left out."""
     d = mats[0].rows if mats else 0
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     for m in mats:
         for i in range(d):
             for j in range(d):
@@ -187,10 +185,19 @@ def commutant_dimension(mats: Sequence[Matrix]) -> int:
                     if v:
                         key = k * d + j
                         row[key] = row.get(key, Fraction(0)) - v
-                row = {c: v for c, v in row.items() if v}
+                den = lcm(*(v.denominator for v in row.values()))
+                row = {c: int(v * den) for c, v in row.items() if v}
                 if row:
                     rows.append(row)
-    return d * d - rank_of_rows(rows, d * d)
+    return rows
+
+
+def commutant_dimension(mats: Sequence[Matrix]) -> int:
+    """Dimension of {T : TM = MT for all M}: d*d minus the rank mod p of
+    :func:`commutator_rows`.  The rank over F_p never exceeds the rank over Q,
+    so an unlucky prime can only read the dimension too high."""
+    d = mats[0].rows if mats else 0
+    return d * d - rank_mod_p(commutator_rows(mats))
 
 
 def lie_closure_dim(mats: Sequence[Matrix]) -> int:
@@ -316,7 +323,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     amb = a.ambient_dim
-    ech = Echelon(2 * amb)
+    ech = Echelon()
     for row in a.basis_dicts():
         doubled = dict(row)
         doubled.update({c + amb: v for c, v in row.items()})

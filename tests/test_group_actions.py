@@ -253,7 +253,7 @@ def test_commutant_dimensions(kind):
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_commutant_matches_dense_oracle(n, kind):
-    """The chain of meets against the dense commutant loop, on the opposed
+    """The commutant kernel against the dense commutator rows, on the opposed
     module, the metric line and the opposed pair inside the weyl space, each
     also doubled: 2 x 2 blocks over the original commutant, four times its
     dimension."""
@@ -299,6 +299,40 @@ def test_commutant_of_random_block_diagonal_sets_matches_dense_oracle(seed):
     dim = commutant_dimension([m.to_dict() for m in mats], d)
     assert dim == oracles.commutant_dimension(mats)
     assert dim >= len(sizes) > 1
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_commutant_kernels_pass_the_modular_rank_certificate(n, kind, monkeypatch):
+    """Each kernel that eq4d and lemma4.9 take a commutant dimension from
+    (the Ustar matrices of the opposed module, the unextended-group subset
+    and the doubled matrices) is certified against the commutator rows of
+    the dense loop, with no code from the engine."""
+    s = make_standard(n, kind)
+    catalog(s).two_tensors  # built before the commutant kernels are recorded
+    calls = []
+    real_kernel, real_commutant = curvature.kernel_subspace, curvature.commutant_dimension
+
+    def recording_kernel_subspace(rows, ncols):
+        calls[-1].append(real_kernel(rows, ncols))
+        return calls[-1][-1]
+
+    def recording_commutant_dimension(mats, d):
+        mats = list(mats)
+        calls.append([mats, d])
+        return real_commutant(mats, d)
+
+    monkeypatch.setattr(curvature, "kernel_subspace", recording_kernel_subspace)
+    monkeypatch.setattr(curvature, "commutant_dimension", recording_commutant_dimension)
+    line = verify_commutant_line(s).quantities
+    doubled = verify_doubled_commutant(s).quantities
+    dims = [line["commutant_dimension"], line["commutant_dimension_unextended_group"],
+            doubled["doubled_commutant_dimension"]]
+    assert dims == [1, 2, 4]
+    assert [kernel.dim for _, _, kernel in calls] == dims
+    for mats, d, kernel in calls:
+        rows = oracles.commutator_rows([oracles.Matrix.from_dict(d, m) for m in mats])
+        assert oracles.kernel_certificate(kernel, rows) == [], (d, len(mats))
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])

@@ -484,39 +484,32 @@ def test_meet_kernel_equals_intersection_with_the_kernel(kind):
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
-def test_meet_eliminates_each_distinct_restricted_row_once(kind, monkeypatch):
-    """The structure identity restricted to weyl at n = 6 repeats rows up to
-    sign and factor, and restricts some rows to zero: the coefficient
-    elimination sees each nonzero restricted row once, divided by its content
-    and positive at its first column, so fewer rows than were handed in.
-    Doubling every row adds nothing to the elimination."""
+def test_meet_eliminates_exactly_the_nonzero_restricted_rows(kind, monkeypatch):
+    """The structure identity restricted to weyl at n = 6 restricts some rows
+    to zero and repeats others up to sign and factor: the coefficient kernel
+    receives the nonzero restricted rows as they are, fewer than were handed
+    in, and absorbs the repeats itself.  Doubled and negated copies of the
+    rows leave the meet as it is."""
     s = make_standard(6, kind)
     weyl = catalog(s).weyl
     rows = kaehler_rows(s)
     meet = meet_kernel(weyl, rows)
-    distinct = set()
-    nonzero = 0
-    for row in restrict_rows(weyl, rows):
-        if row:
-            nonzero += 1
-            unit = gcd(*row.values()) * (1 if row[min(row)] > 0 else -1)
-            distinct.add(frozenset((c, v // unit) for c, v in row.items()))
+    nonzero = [row for row in restrict_rows(weyl, rows) if row]
     eliminated = []
     real = linalg.kernel_subspace
 
-    def counting_kernel_subspace(rows, ncols):
+    def recording_kernel_subspace(rows, ncols):
         rows = list(rows)
-        eliminated.extend(frozenset(row.items()) for row in rows)
+        eliminated.extend(rows)
         return real(rows, ncols)
 
-    monkeypatch.setattr(linalg, "kernel_subspace", counting_kernel_subspace)
+    monkeypatch.setattr(linalg, "kernel_subspace", recording_kernel_subspace)
     assert meet_kernel(weyl, rows) == meet
-    assert len(eliminated) == len(distinct) < nonzero < len(rows)
-    assert set(eliminated) == distinct
-    eliminated.clear()
-    assert meet_kernel(weyl, rows + [{c: 2 * v for c, v in row.items()} for row in rows]) == meet
-    assert len(eliminated) == len(distinct)
-    assert set(eliminated) == distinct
+    assert eliminated == nonzero
+    assert 0 < len(eliminated) < len(rows)
+    assert all(eliminated)
+    copies = [{c: k * v for c, v in row.items()} for row in rows for k in (2, -1)]
+    assert meet_kernel(weyl, rows + copies) == meet
 
 
 # --- canonical form -----------------------------------------------------------
@@ -553,7 +546,7 @@ def test_echelon_add_stores_the_same_primitive_int_rows_from_ints_and_fractions(
     ]
     results = []
     for variant in variants:
-        ech = Echelon(5)
+        ech = Echelon()
         pivots = [ech.add(row) for row in variant]
         for row in ech.pivot_rows.values():
             assert all(type(v) is int and v for v in row.values())
