@@ -109,9 +109,9 @@ def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], i
     """Number of basis pairs (one from each subspace) with a nonzero weighted
     product: the nonzero entries of the weighted basis rows of the side with
     fewer entries restricted to the other, as the weight is diagonal."""
-    if sum(map(len, a.basis)) > sum(map(len, b.basis)):
+    if a.nnz > b.nnz:
         a, b = b, a
-    return sum(map(len, restrict_rows(b, [{c: v * weight(c) for c, v in row} for row in a.basis])))
+    return sum(map(len, restrict_rows(b, [{c: v * weight(c) for c, v in row} for row in a.row_items()])))
 
 
 def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
@@ -347,10 +347,9 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     n_lie = len(lie)
     first = None
     limit = len(elements)
-    for bidx, (vec, p) in enumerate(zip(sub.basis_dicts(), sub.pivots)):
+    for bidx, (vec, scale) in enumerate(zip(sub.basis_dicts(), sub.pivot_scales)):
         if not limit:
             break
-        scale = vec[p]
         index = slot_index(vec, rank, n)
         for pos in range(limit):
             key, data = elements[pos]
@@ -646,9 +645,9 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
     sigma_meet = kaehler_subspace(cat.sigma_image, space)
     d1 = k_weyl.dim
     d2 = k_riemann.dim
-    # the first basis row of k_weyl outside riemann; it leads with its pivot entry
+    # the first basis row of k_weyl outside riemann; its least column is its pivot
     riemann_reducer = SubspaceReducer(riemann)
-    outside = next((row for row in k_weyl.basis if not riemann_reducer.contains(dict(row))), None)
+    outside = next((row for row in map(dict, k_weyl.row_items()) if not riemann_reducer.contains(row)), None)
     contained = outside is None
     quantities = {
         "dim_kaehler_weyl": d1,
@@ -673,7 +672,8 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
     if outside is None:
         quantities["witness_found"] = False
         return report
-    t = Tensor4.from_dict(n, {c: Fraction(v, outside[0][1]) for c, v in outside})
+    scale = outside[min(outside)]
+    t = Tensor4.from_dict(n, {c: Fraction(v, scale) for c, v in outside.items()})
     checks = {
         "witness_first_pair_alternating": defect_antisym(t).is_zero(),
         "witness_cyclic_identity": defect_bianchi(t).is_zero(),

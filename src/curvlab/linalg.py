@@ -8,6 +8,10 @@ elimination is fraction-free.  Rows handed back are primitive integer rows
 Subspaces are always stored with a reduced row-echelon basis in that form,
 so two subspaces are equal iff their stored bases are structurally equal.
 That canonical form is what makes every downstream report deterministic.
+A stored row is one flat tuple ``(c0, v0, c1, v1, ...)`` of its nonzero
+entries, columns ascending: one object per row rather than a pair per
+entry.  Only this module reads that layout; other code goes through the
+``Subspace`` accessors.
 A kernel is presolved first: a row with one entry zeroes its column and one
 with two entries of equal magnitude ties two columns up to sign, in a signed
 union-find, so only the other rows are eliminated, over the class roots.
@@ -170,20 +174,27 @@ def matmul(a: Mapping[int, Fraction | int], b: Mapping[int, Fraction | int], k: 
 # Subspaces
 # ---------------------------------------------------------------------------
 
-BasisRow = tuple[tuple[int, int], ...]
+BasisRow = tuple[int, ...]
 
 
 def _freeze_row(row: Mapping[int, int]) -> BasisRow:
-    return tuple(sorted(row.items()))
+    """A row as stored: ``(c0, v0, c1, v1, ...)``, columns ascending."""
+    cols = sorted(row)
+    flat = cols * 2
+    flat[::2] = cols
+    flat[1::2] = map(row.__getitem__, cols)
+    return tuple(flat)
 
 
 class Subspace(NamedTuple):
     """Linear subspace given by a canonical reduced row-echelon basis.
 
-    ``basis`` rows are sparse ``(column, value)`` pairs with ascending
-    columns and primitive integer values; the first column of each row is
-    its pivot, with a positive value.  Structural equality of two Subspace
-    values is subspace equality.
+    Each ``basis`` row is one flat tuple ``(c0, v0, c1, v1, ...)`` of its
+    nonzero entries: ascending columns, primitive integer values, and the
+    first column its pivot, with a positive value.  Structural equality of
+    two Subspace values is subspace equality.  Outside this module rows are
+    read through :attr:`pivots`, :attr:`pivot_scales`, :attr:`nnz`,
+    :meth:`row_items` and :meth:`basis_dicts`.
     """
 
     ambient_dim: int
@@ -200,11 +211,27 @@ class Subspace(NamedTuple):
         return len(self.basis)
 
     @property
+    def nnz(self) -> int:
+        """Number of stored entries."""
+        return sum(map(len, self.basis)) // 2
+
+    @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(row[0][0] for row in self.basis)
+        return tuple(row[0] for row in self.basis)
+
+    @property
+    def pivot_scales(self) -> tuple[int, ...]:
+        """Each row's entry at its pivot."""
+        return tuple(row[1] for row in self.basis)
+
+    def row_items(self) -> Iterator[Iterator[tuple[int, int]]]:
+        """Each basis row as an iterator over its ``(column, value)`` pairs."""
+        for row in self.basis:
+            it = iter(row)
+            yield zip(it, it)
 
     def basis_dicts(self) -> list[dict[int, int]]:
-        return [dict(row) for row in self.basis]
+        return [dict(items) for items in self.row_items()]
 
 
 class SubspaceReducer:
@@ -214,7 +241,7 @@ class SubspaceReducer:
 
     def __init__(self, sub: Subspace):
         self._pivots = sub.pivots
-        # pivot -> stored basis row; its first entry, at the pivot, is its scale
+        # pivot -> stored basis row; its first value, at the pivot, is its scale
         self._rows = dict(zip(self._pivots, sub.basis))
 
     def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
@@ -228,14 +255,15 @@ class SubspaceReducer:
         for p, v in vec.items():
             row = rows.get(p)
             if row is not None and v:
-                scale = row[0][1]
+                scale = row[1]
                 touched.append((row, scale, v))
                 if scale != 1:
                     lead = lcm(lead, scale)
         diff = dict(vec) if lead == 1 else {c: lead * v for c, v in vec.items()}
         for row, scale, v in touched:
             m = v * (lead // scale)
-            for c, r in row:
+            it = iter(row)
+            for c, r in zip(it, it):
                 diff[c] = diff.get(c, 0) - m * r
         return not any(diff.values())
 
@@ -328,11 +356,11 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
         vec = {f: lead}
         for p, v, pv in fterms:
             vec[p] = v * (lead // pv)
-        entries = list(_strip_content(vec).items())
-        for r, v in vec.items():
-            if r in members:
-                entries += [(c, s * v) for c, s in members[r]]
-        basis.append(tuple(sorted(entries)))
+        _strip_content(vec)
+        for r in [r for r in vec if r in members]:
+            v = vec[r]
+            vec.update((c, s * v) for c, s in members[r])
+        basis.append(_freeze_row(vec))
     return Subspace(ncols, tuple(basis))
 
 
@@ -341,7 +369,14 @@ def lifted(sub: Subspace, k: int) -> Subspace:
     at c*k + l.  It leads at p_b*k + l, where no other row is nonzero: canonical."""
     if k == 1:
         return sub
-    return Subspace(sub.ambient_dim * k, tuple(tuple((c * k + l, v) for c, v in b) for b in sub.basis for l in range(k)))
+    rows = []
+    for b in sub.basis:
+        cols = b[::2]
+        row = list(b)
+        for l in range(k):
+            row[::2] = [c * k + l for c in cols]
+            rows.append(tuple(row))
+    return Subspace(sub.ambient_dim * k, tuple(rows))
 
 
 def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int = 1) -> Iterator[dict[int, int]]:
@@ -351,8 +386,8 @@ def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int =
     read; over the rows, one pass over the base fills all, each let go as yielded."""
     rows = rows if isinstance(rows, list) else list(rows)
     index: dict[int, list] = {}
-    if sum(map(len, base.basis)) <= sum(map(len, rows)):
-        for b, brow in enumerate(base.basis):
+    if base.nnz <= sum(map(len, rows)):
+        for b, brow in enumerate(base.row_items()):
             for c, v in brow:
                 index.setdefault(c, []).append((b, v))
         for row in rows:
@@ -367,7 +402,7 @@ def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int =
     for acc, row in zip(accs, rows):
         for col, rv in row.items():
             index.setdefault(col // lift, []).append((acc, col % lift, rv))
-    for b, brow in enumerate(base.basis):
+    for b, brow in enumerate(base.row_items()):
         for c, bv in brow:
             for acc, l, rv in index.get(c, ()):
                 acc[b * lift + l] = acc.get(b * lift + l, 0) + rv * bv
@@ -402,13 +437,15 @@ def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int = 1
     basis = base.basis
     out = []
     for coeffs in kernel_subspace(rows, base.dim * lift).basis:
-        if len(coeffs) == 1 and lift == 1:
-            out.append(basis[coeffs[0][0]])
+        if len(coeffs) == 2 and lift == 1:
+            out.append(basis[coeffs[0]])
             continue
         vec: dict[int, int] = {}
-        for i, c in coeffs:
+        it = iter(coeffs)
+        for i, c in zip(it, it):
             b, l = divmod(i, lift)
-            for col, v in basis[b]:
+            brow = iter(basis[b])
+            for col, v in zip(brow, brow):
                 col = col * lift + l
                 vec[col] = vec.get(col, 0) + c * v
         out.append(_freeze_row(_strip_content({col: v for col, v in vec.items() if v})))

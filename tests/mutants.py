@@ -143,8 +143,8 @@ MUTANTS = [
     (
         "parent row reused for a coefficient row with two entries",
         LINALG,
-        "        if len(coeffs) == 1 and lift == 1:\n",
-        "        if len(coeffs) <= 2 and lift == 1:\n",
+        "        if len(coeffs) == 2 and lift == 1:\n",
+        "        if len(coeffs) <= 4 and lift == 1:\n",
         ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut",
          "tests/test_linalg.py::test_meet_kernel_equals_intersection_with_the_kernel"],
     ),
@@ -243,6 +243,29 @@ MUTANTS = [
         ["tests/test_linalg.py::test_meet_returns_its_base_when_every_row_restricts_to_zero",
          "tests/test_curvature.py::test_kaehler_riemann_is_the_kaehler_weyl_basis_from_n6",
          "tests/test_linalg.py::test_meet_eliminates_exactly_the_nonzero_restricted_rows"],
+    ),
+    (
+        "reducer reading the pivot scale at the column slot of the stored row",
+        LINALG,
+        "                scale = row[1]\n",
+        "                scale = row[0]\n",
+        ["tests/test_linalg.py::test_membership_of_half_the_sum_of_two_non_unit_pivot_rows",
+         "tests/test_linalg.py::test_membership_and_coordinates_match_dense_oracle"],
+    ),
+    (
+        "_freeze_row keeping the dict's order of columns",
+        LINALG,
+        "    cols = sorted(row)\n",
+        "    cols = list(row)\n",
+        ["tests/test_linalg.py::test_stored_rows_are_flat_canonical_integer_tuples"],
+    ),
+    (
+        "lifted dropping the + l of column c * k + l",
+        LINALG,
+        "row[::2] = [c * k + l for c in cols]",
+        "row[::2] = [c * k for c in cols]",
+        ["tests/test_linalg.py::test_stored_rows_are_flat_canonical_integer_tuples",
+         "tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut"],
     ),
 ]
 

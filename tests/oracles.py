@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from curvlab.linalg import Echelon, Subspace, SubspaceReducer
 from curvlab.spaces import ModelSpace, j_signed_permutation, structure_sign
@@ -242,13 +242,18 @@ def dense(sub: Subspace) -> list[list[Fraction]]:
     """The canonical basis rows of ``sub``, each divided by its pivot entry,
     as dense vectors: the textbook reduced row-echelon form."""
     rows = []
-    for row in sub.basis:
+    for row, pv in zip(sub.row_items(), sub.pivot_scales):
         vec = [Fraction(0)] * sub.ambient_dim
-        pv = row[0][1]
         for c, v in row:
             vec[c] = Fraction(v, pv)
         rows.append(vec)
     return rows
+
+
+def stored_basis(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Rows as ``Subspace.basis`` stores them, taken as given: each row one flat
+    tuple ``(c0, v0, c1, v1, ...)`` of its nonzero entries, columns ascending."""
+    return tuple(tuple(x for c in sorted(row) if row[c] for x in (c, row[c])) for row in rows)
 
 
 def sparse(vec: Sequence[Fraction | int]) -> dict[int, Fraction]:
@@ -336,7 +341,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def is_subspace_of(a: Subspace, b: Subspace) -> bool:
     reducer = SubspaceReducer(b)
-    return all(reducer.contains(dict(row)) for row in a.basis)
+    return all(reducer.contains(row) for row in a.basis_dicts())
 
 
 def lift_last_slot(rows: Sequence[Mapping[int, int]], n: int) -> list[dict[int, int]]:
@@ -439,7 +444,7 @@ def kernel_certificate(sub: Subspace, rows: Sequence[Mapping[int, int]], p: int 
     for r, row in enumerate(rows):
         for c, v in row.items():
             reading.setdefault(c, []).append((r, v))
-    for vec in sub.basis:
+    for vec in sub.row_items():
         dots: dict[int, int] = {}
         for c, v in vec:
             for r, w in reading.get(c, ()):
@@ -447,12 +452,31 @@ def kernel_certificate(sub: Subspace, rows: Sequence[Mapping[int, int]], p: int 
         if any(dots.values()):
             failed.append("annihilated")
             break
-    leads = {min(c for c, v in vec if v) for vec in sub.basis}
+    leads = {min(c for c, v in vec.items() if v) for vec in sub.basis_dicts()}
     if len(leads) != len(sub.basis):
         failed.append("distinct leading columns")
     if rank_mod_p(rows, p) != sub.ambient_dim - len(sub.basis):
         failed.append("rank mod p")
     return failed
+
+
+def restricted_rows(base: Subspace, rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
+    """Each row evaluated on every basis row of ``base`` by a dense loop, with
+    no code from the engine: the entry at i is sum_c row[c] * b_i[c], b_i the
+    i-th basis row written out densely.  B ∩ ker(rows) is the span of the
+    kernel of these rows, over the basis of B, so a rank mod p of ``dim B``
+    certifies that the meet is 0."""
+    dense_basis = []
+    for b in base.basis_dicts():
+        vec = [0] * base.ambient_dim
+        for c, v in b.items():
+            vec[c] = v
+        dense_basis.append(vec)
+    out = []
+    for row in rows:
+        dots = {i: sum(v * vec[c] for c, v in row.items()) for i, vec in enumerate(dense_basis)}
+        out.append({i: v for i, v in dots.items() if v})
+    return out
 
 
 def orthogonal_lie_rows(space: ModelSpace) -> list[dict[int, int]]:

@@ -271,7 +271,7 @@ def test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate(n, kind, s
     if kind != "none":
         groups["U"] = oracles.commuting_lie_rows(s)
     for group, rows in groups.items():
-        lie = Subspace(n * n, tuple(tuple(sorted(x.items())) for x in lie_algebra_basis(s, group)))
+        lie = Subspace(n * n, oracles.stored_basis(lie_algebra_basis(s, group)))
         assert oracles.kernel_certificate(lie, rows) == [], group
     if kind == "none":
         return
@@ -281,6 +281,38 @@ def test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate(n, kind, s
         assert oracles.kernel_certificate(pieces[name], rows) == [], name
     assert oracles.kernel_certificate(pieces["sym_opposed"], split_rows["alt_opposed"]) != []
     assert oracles.kernel_certificate(pieces["alt_aligned_traceless"], split_rows["alt_opposed"]) != []
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_zero_structure_meets_pass_the_modular_rank_certificate(n, kind, monkeypatch):
+    """The two meets with the structure kernel that the claims need to be 0,
+    thm1.5's on ``sigma_image`` and sec5's on ``psi_span + sigma_opposed_span``,
+    are 0 by the modular-rank certificate: the structure rows written for every
+    first pair, restricted to the base by the oracle's dense loop, have rank
+    mod p equal to the base's dimension, so their coefficient kernel is 0.
+    Fewer rows than that dimension fail the certificate."""
+    s = make_standard(n, kind)
+    cat = catalog(s)
+    cat.kaehler_weyl  # built before the claims' meets are recorded
+    meets = []
+    real = curvature.kaehler_subspace
+
+    def recording_kaehler_subspace(base, space):
+        meets.append((base, real(base, space)))
+        return meets[-1][1]
+
+    monkeypatch.setattr(curvature, "kaehler_subspace", recording_kaehler_subspace)
+    assert curvature.verify_kaehler_identity_collapse(s).verdict
+    assert curvature.verify_probe_suite(s).verdict
+    assert [base for base, _ in meets] == [cat.sigma_image, subspace_sum(cat.psi_span, cat.sigma_opposed_span)]
+    rows = oracles.full_kaehler_rows(s)
+    for base, meet in meets:
+        assert base.dim > 0 and meet.dim == 0
+        restricted = oracles.restricted_rows(base, rows)
+        assert oracles.kernel_certificate(Subspace(base.dim, ()), restricted) == []
+        too_few = [row for row in restricted if row][:base.dim - 1]
+        assert oracles.kernel_certificate(Subspace(base.dim, ()), too_few) == ["rank mod p"]
 
 
 # --- containment chain ----------------------------------------------------------
@@ -393,9 +425,9 @@ def test_kaehler_blocks_by_plane_parity(n, kind, sig):
     for name in ("kaehler_weyl", "kaehler_riemann"):
         sub = getattr(cat, name)
         blocks = {}
-        for row in sub.basis:
-            g = _plane_parity(row[0][0], n)
-            assert all(_plane_parity(c, n) == g for c, _ in row), name
+        for row, pivot in zip(sub.basis_dicts(), sub.pivots):
+            g = _plane_parity(pivot, n)
+            assert all(_plane_parity(c, n) == g for c in row), name
             blocks[g] = blocks.get(g, 0) + 1
         if m == 2:
             assert blocks == ({0: 6, 3: 8} if name == "kaehler_weyl" else {0: 5, 3: 4}), name

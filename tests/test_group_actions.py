@@ -199,7 +199,7 @@ def test_representation_scales_match_dense_oracle(kind):
     pivot entry above one, so their scale is not just the generator's."""
     s = make_standard(4, kind)
     sub = catalog(s).sigma_image
-    assert any(row[0][1] > 1 for row in sub.basis)
+    assert any(scale > 1 for scale in sub.pivot_scales)
     d = sub.dim
     got = {key: oracles.Matrix.from_dict(d, m) for key, m in representation_matrices(sub, s, "O").items()}
     expected = _dense_certificate_matrices(s, sub, "O")
@@ -468,8 +468,8 @@ def test_pullback_by_reps_preserves_catalog_n4(kind):
         reducer = SubspaceReducer(sub)
         for g in component_reps(s, _group_for(name)):
             _, rows = action_rows(g, 4)
-            for row in sub.basis:
-                img = oracles.pullback_apply_vec(rows, dict(row), rank, 4)
+            for row in sub.basis_dicts():
+                img = oracles.pullback_apply_vec(rows, row, rank, 4)
                 assert all(type(v) is int for v in img.values()), name
                 assert reducer.contains(img), name
 

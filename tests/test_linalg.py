@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import cycle
 from math import gcd, lcm
 
 import pytest
@@ -15,6 +16,7 @@ from curvlab.linalg import (
     Subspace,
     SubspaceReducer,
     kernel_subspace,
+    lifted,
     matmul,
     meet_kernel,
     restrict_rows,
@@ -195,7 +197,7 @@ def test_kernel_matches_textbook_oracle(rows):
 
 def _canonical(rows):
     """The Subspace whose stored basis is the given dense canonical rows."""
-    return Subspace(len(rows[0]) if rows else 0, tuple(tuple((c, v) for c, v in enumerate(r) if v) for r in rows))
+    return Subspace(len(rows[0]) if rows else 0, oracles.stored_basis(dict(enumerate(r)) for r in rows))
 
 
 @pytest.mark.parametrize(
@@ -333,7 +335,7 @@ def test_membership_of_half_the_sum_of_two_non_unit_pivot_rows():
     assert reducer.contains(vec)
     coords = reducer.coordinates(vec)
     assert coords == [1, 1]
-    assert [c / row[0][1] for c, row in zip(coords, sub.basis)] == [F(1, 2), F(1, 2)]
+    assert [c / scale for c, scale in zip(coords, sub.pivot_scales)] == [F(1, 2), F(1, 2)]
     assert not reducer.contains({0: 1, 1: 1, 2: 2})
 
 
@@ -377,7 +379,7 @@ def mixed_pivot_subspaces(draw):
             if f > pivots[twins[0]]:
                 first[f] = scale * draw(st.integers(-1, 1)) - second.get(f, 0)
     rows = [{c: v for c, v in row.items() if v} for row in rows]
-    sub = Subspace(MIXED_COLS, tuple(tuple(sorted(row.items())) for row in rows))
+    sub = Subspace(MIXED_COLS, oracles.stored_basis(rows))
     assert Subspace.from_vectors(rows, MIXED_COLS) == sub  # already canonical
     return sub, twins
 
@@ -393,7 +395,7 @@ def test_membership_with_non_unit_pivots_matches_dense_oracle(drawn, touch, data
     also hold an explicit zero, at a pivot they do not touch or off the
     pivots, as a Lie image holds the entries that cancel."""
     sub, twins = drawn
-    scales = [row[0][1] for row in sub.basis]
+    scales = sub.pivot_scales
     units = [i for i, scale in enumerate(scales) if scale == 1]
     others = [i for i, scale in enumerate(scales) if scale > 1]
     rows_of = {"unit": (units,), "nonunit": (others,), "both": (units, others), "none": ()}[touch]
@@ -401,9 +403,10 @@ def test_membership_with_non_unit_pivots_matches_dense_oracle(drawn, touch, data
     pick = [i for rows in rows_of for k, i in enumerate(rows) if k == 0 or i in twins or data.draw(st.booleans())]
     coeffs = {i: data.draw(st.integers(-4, 4).filter(bool)) for i in pick}
     lead = lcm(1, *(scales[i] for i in pick))
+    basis = sub.basis_dicts()
     vec: dict[int, int] = {}
     for i, c in coeffs.items():
-        for col, v in sub.basis[i]:
+        for col, v in basis[i].items():
             vec[col] = vec.get(col, 0) + c * (lead // scales[i]) * v
     if twins and twins[0] in pick:
         # lead is a multiple of s, so the twin pivot entries stay nonzero and no multiples of s
@@ -411,7 +414,7 @@ def test_membership_with_non_unit_pivots_matches_dense_oracle(drawn, touch, data
         k = data.draw(st.integers(1, scale - 1)) * data.draw(st.sampled_from((1, -1)))
         twin_sum: dict[int, int] = {}
         for i in twins:
-            for col, v in sub.basis[i]:
+            for col, v in basis[i].items():
                 twin_sum[col] = twin_sum.get(col, 0) + v
         assert all(v % scale == 0 for v in twin_sum.values())
         for col, v in twin_sum.items():
@@ -468,7 +471,7 @@ def test_meet_kernel_equals_intersection_with_the_kernel(kind):
     proper = 0
     for name, sub in catalog(s).all_spaces():
         amb = sub.ambient_dim
-        support = sorted({c for row in sub.basis for c, _ in row})
+        support = sorted({c for row in sub.basis_dicts() for c in row})
         cases = [[{c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in rng.sample(support, min(4, len(support)))}
                   for _ in range(2)]]
         if name in rank4:
@@ -523,10 +526,10 @@ def test_catalog_rows_are_canonical_primitive_integers(n, kind):
     with a positive pivot."""
     for name, sub in catalog(make_standard(n, kind)).all_spaces():
         assert Subspace.from_vectors(sub.basis_dicts(), sub.ambient_dim) == sub, name
-        for row in sub.basis:
-            assert all(type(v) is int for _, v in row), name
-            assert gcd(*(v for _, v in row)) == 1, name
-            assert row[0][1] > 0, name
+        for row, scale in zip(sub.basis_dicts(), sub.pivot_scales):
+            assert all(type(v) is int for v in row.values()), name
+            assert gcd(*row.values()) == 1, name
+            assert scale > 0, name
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), min_size=1, max_size=6),
@@ -561,6 +564,58 @@ def test_echelon_add_stores_the_same_primitive_int_rows_from_ints_and_fractions(
         assert all(ech.reduce(row) == {} for row in variant)
         results.append((pivots, stored, reduced))
     assert results[0] == results[1] == results[2]
+
+
+STORE_COLS = 6
+small_int_rows = st.lists(st.dictionaries(st.integers(0, STORE_COLS - 1), st.integers(-3, 3), max_size=4), max_size=5)
+
+
+def _assert_stored_flat(sub):
+    """Every stored row is an even-length tuple of ``int``s, columns ascending,
+    values nonzero with gcd 1 and positive at the pivot, which the accessors
+    read back pair by pair."""
+    for row in sub.basis:
+        assert type(row) is tuple and row and len(row) % 2 == 0
+        assert all(type(x) is int for x in row)
+        cols, vals = row[::2], row[1::2]
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+        assert all(vals) and gcd(*vals) == 1 and vals[0] > 0
+    assert sub.pivots == tuple(row[0] for row in sub.basis)
+    assert sub.pivot_scales == tuple(row[1] for row in sub.basis)
+    assert sub.nnz == sum(len(row) for row in sub.basis) // 2
+    pairs = [list(zip(row[::2], row[1::2])) for row in sub.basis]
+    assert [list(items) for items in sub.row_items()] == pairs
+    assert [list(d.items()) for d in sub.basis_dicts()] == pairs
+
+
+@given(small_int_rows, small_int_rows, st.integers(2, 3), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from((1, -1, 2, -3, F(1, 2), F(-2, 3))), min_size=5, max_size=5))
+def test_stored_rows_are_flat_canonical_integer_tuples(rows, conds, k, rng, factors):
+    """Each builder of stored rows (``from_vectors``, ``kernel_subspace``,
+    ``lifted`` and ``meet_kernel``) stores flat canonical rows.  The rows
+    permuted and each scaled by a nonzero factor give an equal Subspace, and
+    ``basis_dicts`` gives rows with the span of the input."""
+    N = STORE_COLS
+    span = Subspace.from_vectors(rows, N)
+    kernel = kernel_subspace(rows, N)
+    lift = lifted(span, k)
+    lift_conds = oracles.lift_last_slot(conds, k)
+    meets = [meet_kernel(span, conds), meet_kernel(span, lift_conds, k)]
+    for sub in [span, kernel, lift] + meets:
+        _assert_stored_flat(sub)
+
+    def moved(rows):
+        rows = list(rows)
+        rng.shuffle(rows)
+        return [{c: f * v for c, v in row.items()} for row, f in zip(rows, cycle(factors))]
+
+    assert Subspace.from_vectors(moved(rows), N) == span
+    assert kernel_subspace(moved(rows), N) == kernel
+    assert meet_kernel(span, moved(conds)) == meets[0]
+    assert meet_kernel(span, moved(lift_conds), k) == meets[1]
+    assert Subspace.from_vectors(span.basis_dicts(), N) == span
+    assert oracles.same_span([[F(row.get(c, 0)) for c in range(N)] for row in rows], oracles.dense(span))
+    assert lift == Subspace.from_vectors(oracles.lift_last_slot(span.basis_dicts(), k), N * k)
 
 
 def test_subspace_equality_is_structural():
