@@ -13,10 +13,12 @@ rank-2 tensors and the map images of its pieces.  A subspace is built on its
 first read, and every verifier and the dims table read it.  On top of it the
 module certifies group invariance, solves for commutants of group actions
 and spans of invariant contraction functionals, and runs the claim verifiers
-exposed by the CLI.  A certificate applies every group generator to every
-basis vector and tests each image for membership; it walks the basis vectors
-in the outer loop, indexing each once by axis, and still names the first
-failure in generator-major order.  A functional is evaluated on a module as
+exposed by the CLI.  A certificate applies each element of the group's
+proven generating set (a Lie element or two, the sign-block cycles, the
+component representatives the cycles do not reach) to every basis vector
+and tests each image for membership; it walks the basis vectors in the
+outer loop, indexing each once by axis, and still names the first failure
+in element-major order.  A functional is evaluated on a module as
 a row restricted to its basis: the invariant contractions on both sides of
 mod_a ⊗ mod_b, thm4.2's Gram count on the side with fewer entries.
 """
@@ -44,8 +46,9 @@ from .spaces import (
     component_reps,
     j_pullback_rows,
     j_signed_permutation,
+    generating_set,
     lie_algebra_basis,
-    lie_generators,
+    pair_table,
     structure_sign,
 )
 from .tensors import (
@@ -68,6 +71,7 @@ from .tensors import (
     kaehler_rows,
     lie_apply_vec,
     metric_tensor2,
+    permute_vec,
     ricci_rows,
     riemann_rows,
     riemann_trace_rows,
@@ -291,71 +295,83 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
     raise ValueError("ambient dimension is neither rank 2 nor rank 4")
 
 
-def _sign_characters(space: ModelSpace, group: str) -> Iterator[tuple[int, list[int]]]:
+def _sign_characters(space: ModelSpace, group: str, keep: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
     """``(index, flips)``, the axes it negates, of each component representative
-    other than the identity, which fixes every subspace; its index stays
-    reserved.  Raises ``RuntimeError`` if one is not a sign diagonal."""
+    whose index is in ``keep``.  Raises ``RuntimeError`` if any representative
+    is not a sign diagonal."""
     n = space.n
     for idx, g in enumerate(component_reps(space, group)):
         if len(g) != n or any(g.get(a * n + a) not in (1, -1) for a in range(n)):
             raise RuntimeError(f"component representative {idx} of {group} is not a sign diagonal")
-        flips = [a for a in range(n) if g[a * n + a] == -1]
-        if flips:
-            yield idx, flips
+        if idx in keep:
+            yield idx, [a for a in range(n) if g[a * n + a] == -1]
 
 
 def _group_images(sub: Subspace, space: ModelSpace, group: str,
                   accept: Callable[[tuple[str, int], int, dict[int, int], int], bool],
                   extra_lie: Sequence[Vec] = ()) -> dict | None:
-    """Every group generator applied to every basis vector of ``sub``, in
-    integers; the first witness in certificate order that ``accept`` rejects,
-    or None.
+    """Every element of the proven generating set applied to every basis
+    vector of ``sub``, in integers; the first witness in certificate order
+    that ``accept`` rejects, or None.
 
-    Certificate order is: the proven Lie-algebra generators
-    (:func:`spaces.lie_generators`), then the extra Lie elements, then the
-    component representatives other than the identity; within each element
-    the basis vectors go in canonical order.  If X and Y preserve a subspace
-    so does [X, Y], so the generators stand for the whole Lie algebra.  The
-    witness names the pair as ``{"action", "element", "basis_vector"}``: a
-    generator keeps its index in :func:`spaces.lie_algebra_basis`, extra
-    element k is numbered ``len(basis) + k``, and a representative keeps its
-    index in :func:`spaces.component_reps`.
+    Certificate order is: the generating set's Lie elements
+    (:func:`spaces.generating_set`), then the extra Lie elements, then its
+    sign-block cycles, then its component representatives; within each
+    element the basis vectors go in canonical order.  A subspace preserved
+    by these is preserved by the group: the cycles conjugate the Lie
+    elements into a generating set of the Lie algebra, and the cycles and
+    representatives reach every component.  The witness names the pair as
+    ``{"action", "element", "basis_vector"}``: a Lie element keeps its index
+    in :func:`spaces.lie_algebra_basis`, extra element k is numbered
+    ``len(basis) + k``, a cycle (action ``"cycle"``) is numbered by its
+    place among the set's cycles, and a representative keeps its index in
+    :func:`spaces.component_reps`.
 
     The walk itself goes basis vector by basis vector, so that each vector is
-    indexed by axis once (:func:`tensors.slot_index`), every Lie element reads
-    that index only where it acts and a representative where it flips a sign.
-    Each image, cancelled entries kept as zeros, goes to ``accept`` as
-    ``((action, element), basis vector, image, scale)``.  Once an element is
-    rejected, it and the elements after it are skipped on later vectors; the
-    elements before it still run there, since a failure of theirs comes
-    first in certificate order.  On an invariant subspace every image is
-    computed and handed over, in vector-major order.
+    indexed once (:func:`tensors.slot_index`), on the axes where a Lie element
+    acts or a representative flips a sign, and each reads it only there.
+    A cycle moves each entry through its pair table
+    (:func:`tensors.permute_vec`).  Each image, cancelled entries kept as
+    zeros, goes to ``accept`` as ``((action, element), basis vector, image,
+    scale)``.  Once an element is rejected, it and the elements after it are
+    skipped on later vectors; the elements before it still run there, since
+    a failure of theirs comes first in certificate order.  On an invariant
+    subspace every image is computed and handed over, in vector-major order.
 
     Each stored basis row is ``s_b`` times its pivot-one row, ``s_b`` its
     pivot entry, and a Lie element is scaled to an integer table once
     (:func:`action_rows`): a Lie image is ``den * s_b`` times that of the
-    pivot-one row, and that of a representative, a sign diagonal, ``s_b``.
+    pivot-one row, and that of a cycle or a representative, a signed
+    permutation, ``s_b``.
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
     n = space.n
-    lie = list(lie_generators(space, group))
+    gens = generating_set(space, group)
+    lie = list(gens.lie)
     if extra_lie:
         offset = len(lie_algebra_basis(space, group))
         lie += [(offset + k, x) for k, x in enumerate(extra_lie)]
     elements = [(("lie", idx), action_rows(x, n)) for idx, x in lie]
-    elements += [(("component_rep", idx), flips) for idx, flips in _sign_characters(space, group)]
+    elements += [(("cycle", k), pair_table(perm)) for k, perm in enumerate(gens.cycles)]
+    elements += [(("component_rep", idx), flips) for idx, flips in _sign_characters(space, group, gens.reps)]
     n_lie = len(lie)
+    n_moved = n_lie + len(gens.cycles)
+    # the axes where a Lie element has a nonzero row or a representative a flip
+    axes = frozenset(a for _, data in elements[:n_lie] for a, row in enumerate(data[1]) if row)
+    axes |= frozenset(a for _, flips in elements[n_moved:] for a in flips)
     first = None
     limit = len(elements)
     for bidx, (vec, scale) in enumerate(zip(sub.basis_dicts(), sub.pivot_scales)):
         if not limit:
             break
-        index = slot_index(vec, rank, n)
+        index = slot_index(vec, rank, n, axes)
         for pos in range(limit):
             key, data = elements[pos]
             if pos < n_lie:
                 den, rows = data
                 ok = accept(key, bidx, lie_apply_vec(rows, index), den * scale)
+            elif pos < n_moved:
+                ok = accept(key, bidx, permute_vec(data, vec, rank, n), scale)
             else:
                 ok = accept(key, bidx, sign_pullback_vec(data, vec, index), scale)
             if not ok:
@@ -375,12 +391,12 @@ def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
 
 def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dict[tuple[str, int], Vec]:
     """The action on ``sub`` in its canonical basis: one d x d ``{i*d + j:
-    value}`` dict per generator, whose column j holds the coordinates of the
-    image of basis vector j.  Keyed by ``(action, element)`` as witnesses name
-    the generator, in certificate order (see :func:`_group_images`): the
-    proven Lie-algebra generators, then the component representatives other
-    than the identity.  The commutant of these matrices is the commutant of
-    the group.
+    value}`` dict per element of the generating set, whose column j holds the
+    coordinates of the image of basis vector j.  Keyed by ``(action,
+    element)`` as witnesses name the element, in certificate order (see
+    :func:`_group_images`): the Lie elements, the sign-block cycles, then the
+    kept component representatives.  These generate the group's action, so
+    the commutant of these matrices is the commutant of the group.
 
     Raises :class:`NotInvariantError` with the first witness in certificate
     order when the action leaves the subspace.
@@ -421,12 +437,17 @@ def _commutator_rows(m: Vec, d: int) -> list[dict[int, int]]:
     return [{c: v for c, v in row.items() if v} for row in rows.values()]
 
 
-def commutant_dimension(mats: Iterable[Vec], d: int) -> int:
-    """Dimension of {T : TM = MT for all M}, the linear self-maps of R^d
-    commuting with the action: one kernel of every matrix's commutator rows.
+def commutant_kernel(mats: Iterable[Vec], d: int) -> Subspace:
+    """{T : TM = MT for all M}, the linear self-maps of R^d commuting with the
+    action, T[i][k] at i*d + k: one kernel of every matrix's commutator rows.
     Rows repeat across matrices and within one; the kernel's presolve and
     elimination absorb the repeats."""
-    return kernel_subspace(chain.from_iterable(_commutator_rows(m, d) for m in mats), d * d).dim
+    return kernel_subspace(chain.from_iterable(_commutator_rows(m, d) for m in mats), d * d)
+
+
+def commutant_dimension(mats: Iterable[Vec], d: int) -> int:
+    """Dimension of :func:`commutant_kernel`."""
+    return commutant_kernel(mats, d).dim
 
 
 def _block_diag(m: Vec, d: int) -> Vec:
@@ -439,23 +460,11 @@ def _block_diag(m: Vec, d: int) -> Vec:
     return out
 
 
-def diagonal_pair_line_invariant(doubled: Sequence[Vec], d: int) -> bool:
-    """Whether every line {(a t, b t) : t} inside the doubled module is
-    preserved by the 2d x 2d action matrices ``doubled``.
-
-    [[A, B], [C, D]] maps (a t, b t) to (aA t + bB t, aC t + bD t): the lines
-    (1, 0), (0, 1) and (1, 1) force C = 0, B = 0 and A = D, and diag(M, M)
-    preserves every line.  So this checks that each matrix is diag(M, M),
-    which lemma4.9's block-diagonal input is by construction."""
-    for m in doubled:
-        blocks: list[dict[tuple[int, int], Fraction]] = [{}, {}, {}, {}]  # A, B, C, D
-        for key, v in m.items():
-            if v:
-                r, c = divmod(key, 2 * d)
-                blocks[2 * (r >= d) + (c >= d)][r % d, c % d] = v
-        if blocks[1] or blocks[2] or blocks[0] != blocks[3]:
-            return False
-    return True
+def _block_scalars(d: int) -> Subspace:
+    """The span of the 2d x 2d matrices [[aI, bI], [cI, dI]], which commute
+    with every diag(M, M)."""
+    return Subspace.from_vectors([{2 * d * (r + i) + c + i: 1 for i in range(d)}
+                                  for r in (0, d) for c in (0, d)], 4 * d * d)
 
 
 def invariant_rows(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> list[dict[int, int]]:
@@ -806,11 +815,12 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
         return _not_invariant_report(report, err)
     d = two.alt_opposed.dim
     dim_comm = commutant_dimension(mats.values(), d)
-    # the unextended group: U and Ustar share the Lie algebra, and its
-    # representatives are the Ustar ones that lie in U
+    # the unextended group: U and Ustar share the Lie elements and the
+    # cycles, which commute with J, and its representatives are the kept
+    # Ustar ones that lie in U
     unitary = component_reps(space, "U")
     extended = component_reps(space, "Ustar")
-    unextended = [m for (action, idx), m in mats.items() if action == "lie" or extended[idx] in unitary]
+    unextended = [m for (action, idx), m in mats.items() if action != "component_rep" or extended[idx] in unitary]
     dim_unextended = commutant_dimension(unextended, d)
     report.quantities = {
         "commutant_dimension": dim_comm,
@@ -840,15 +850,16 @@ def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
     except NotInvariantError as err:
         return _not_invariant_report(report, err)
     d = two.alt_opposed.dim
-    doubled = [_block_diag(m, d) for m in mats.values()]
-    dim_doubled = commutant_dimension(doubled, 2 * d)
-    lines_ok = diagonal_pair_line_invariant(doubled, d)
+    kernel = commutant_kernel([_block_diag(m, d) for m in mats.values()], 2 * d)
+    # every line {(a t, b t)} of the double is invariant exactly when the
+    # commutant is the block scalars, which holds once its dimension is 4
+    lines_ok = kernel == _block_scalars(d)
     report.quantities = {
-        "doubled_commutant_dimension": dim_doubled,
+        "doubled_commutant_dimension": kernel.dim,
         "expected": 4,
         "diagonal_line_family_invariant": lines_ok,
     }
-    report.verdict = dim_doubled == 4 and lines_ok
+    report.verdict = kernel.dim == 4 and lines_ok
     return report
 
 

@@ -24,15 +24,18 @@ pair.
 
 Group data: the orthogonal group of h, the (para-)unitary group of (h, J),
 and its Z2 extension containing J-anticommuting isometries.  Exact arithmetic
-cannot average over a Lie group, so invariance is always certified through
-the Lie algebra (the connected component) plus an explicit, finite list of
-component representatives; both are produced here.  If X and Y preserve a
-subspace, so does [X, Y], so the Lie algebra enters through a generating set
-whose iterated brackets are proven to span its basis.
+cannot average over a Lie group, so invariance is certified on a few group
+elements, produced and proven here: one Lie element of o(p,q), or two of u,
+the cycles of the axes (or J-planes) of each metric sign, and those component
+representatives that no product of the cycles stands for.  If an isometry c
+and a Lie element X preserve a subspace, so does c X c^-1, and if X and Y do,
+so does [X, Y]; the bracket-and-conjugation closure of the set is proven to
+span the Lie algebra's basis before the set is used.
 
 Every matrix here (J, the Lie algebra elements, the component
 representatives) is a sparse ``{a*n + b: value}`` dict of its nonzero
-entries, the flat-index convention of rank-2 tensors.
+entries, the flat-index convention of rank-2 tensors; a cycle is an axis
+permutation, with its :func:`pair_table` over those indices.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Collection, NamedTuple, Sequence
 
 from .linalg import Echelon, kernel_subspace, matmul
@@ -212,58 +216,170 @@ def _bracket(x: dict[int, int], y: dict[int, int], n: int) -> dict[int, int]:
     return out
 
 
-def _close(ech: Echelon, gens: list[dict[int, int]], x: dict[int, int], n: int) -> None:
-    """Add the generator ``x`` to ``gens`` and extend the span held by ``ech``,
-    the subalgebra the earlier generators span by iterated brackets, to the
-    one all of them span: bracket each new element with every generator
-    until no bracket is new.  The bracket of ``x`` with the earlier span needs
-    no pass of its own: by the Jacobi identity it lies in the extended span."""
-    gens.append(x)
-    new = [x] if ech.add(x) is not None else []
-    while new:
-        new = [b for y in new for g in gens for b in (_bracket(g, y, n),) if b and ech.add(b) is not None]
+def _lie_picks(space: ModelSpace, group: str) -> list[int]:
+    """Indices into :func:`lie_algebra_basis` of the Lie elements of the
+    generating set.  For O, one element: a boost in the first mixed plane
+    when both signs occur, else the rotation in (e_0, e_1).  For U and
+    Ustar, two: J on plane 0, and the first element mixing plane 0 with the
+    first plane of the other sign pattern, or with plane 1 if every plane
+    has plane 0's."""
+    basis = lie_algebra_basis(space, group)
+    n, eps = space.n, space.eps
+    supports = [{a for c in x for a in divmod(c, n)} for x in basis]  # the axes each element touches
+    if group == "O":
+        mixed = [i for i, axes in enumerate(supports) if len({eps[a] for a in axes}) == 2]
+        return mixed[:1] or [supports.index({0, 1})]
+    k = next((k for k in range(0, n, 2) if eps[k:k + 2] != eps[0:2]), 2)
+    return [supports.index({0, 1}), supports.index({0, 1, k, k + 1})]
 
 
-def brackets_span(gens: Sequence[dict[int, int]], basis: Sequence[dict[int, int]], n: int) -> bool:
-    """Whether the iterated brackets of ``gens`` span exactly the span of ``basis``."""
+def sign_block_cycles(space: ModelSpace, group: str) -> list[tuple[int, ...]]:
+    """The cycle of each sign block with more than one member, as an axis
+    permutation ``perm`` (the cycle maps e_a to e_perm[a]).  For O the blocks
+    are the positive axes and the negative axes; for U and Ustar the J-planes
+    of each sign pattern, each plane carried whole onto the next, so that the
+    cycle commutes with J.  Members go in ascending order, positive first."""
+    n, eps = space.n, space.eps
+    width = 1 if group == "O" else 2
+    members = [range(a, a + width) for a in range(0, n, width)]
+    cycles = []
+    for pattern in sorted({eps[m.start:m.stop] for m in members}, reverse=True):
+        block = [m for m in members if eps[m.start:m.stop] == pattern]
+        if len(block) > 1:
+            perm = list(range(n))
+            for src, dst in zip(block, block[1:] + block[:1]):
+                for a, b in zip(src, dst):
+                    perm[a] = b
+            cycles.append(tuple(perm))
+    return cycles
+
+
+def pair_table(perm: Sequence[int]) -> list[int]:
+    """perm[a]*n + perm[b] at a*n + b: where the permutation matrix P, P e_a =
+    e_perm[a], moves a rank-2 coordinate.  Conjugation P X P^-1 moves the
+    entry of X at c to the table's c."""
+    return [pa * len(perm) + pb for pa in perm for pb in perm]
+
+
+def _is_group_permutation(space: ModelSpace, group: str, perm: Sequence[int]) -> bool:
+    """Whether P, P e_a = e_perm[a], is in the group: a permutation mapping
+    every axis to one of the same metric sign (an isometry), and for U and
+    Ustar commuting with J, J P e_a = P J e_a."""
+    n = space.n
+    if sorted(perm) != list(range(n)) or any(space.eps[perm[a]] != space.eps[a] for a in range(n)):
+        return False
+    if group == "O":
+        return True
+    j = j_signed_permutation(space)
+    return all(j[perm[a]] == (perm[j[a][0]], j[a][1]) for a in range(n))
+
+
+def closure_spans(lie: Sequence[dict[int, int]], cycles: Sequence[Sequence[int]],
+                  basis: Sequence[dict[int, int]], n: int) -> bool:
+    """Whether the Lie elements ``lie`` and the permutation matrices of
+    ``cycles`` generate the span of ``basis``: the least subspace holding
+    ``lie`` and closed under [x, .] for x in ``lie`` and under conjugation by
+    each cycle, held by one Echelon, must be that span.
+
+    That subspace is the Lie algebra the conjugates of ``lie`` generate.  A
+    cycle c has finite order, so its inverse is a power of it, and ad(c x
+    c^-1) = Ad_c ad(x) Ad_c^-1 preserves the subspace for every x in
+    ``lie``; by the Jacobi identity, the x whose ad preserves it form a
+    subalgebra, closed under conjugation, that holds every conjugate and so
+    the subspace itself.  Brackets with ``lie`` alone therefore suffice."""
+    tables = [pair_table(perm) for perm in cycles]
     ech = Echelon()
-    kept: list[dict[int, int]] = []
-    for g in gens:
-        _close(ech, kept, g, n)
+    new = [x for x in lie if ech.add(x) is not None]
+    while new:
+        new = [z for y in new
+               for z in chain((_bracket(x, y, n) for x in lie), ({t[c]: v for c, v in y.items()} for t in tables))
+               if z and ech.add(z) is not None]
     return ech.rank == len(basis) and not any(ech.reduce(x) for x in basis)
 
 
-def _greedy_generators(basis: Sequence[dict[int, int]], n: int) -> list[int]:
-    """Indices of the basis elements, in order, that raise the rank of the
-    bracket closure of the elements kept before them."""
-    ech = Echelon()
-    gens: list[dict[int, int]] = []
-    picked = []
-    for i, x in enumerate(basis):
-        if ech.rank == len(basis):
-            break
-        if ech.reduce(x):
-            picked.append(i)
-            _close(ech, gens, x, n)
-    return picked
+class GeneratingSet(NamedTuple):
+    """The group elements a certificate applies, in certificate order after
+    any extra Lie elements: ``lie``, ``(index, element)`` pairs indexing
+    :func:`lie_algebra_basis`; ``cycles``, axis permutations as returned by
+    :func:`sign_block_cycles`; ``reps``, the indices into
+    :func:`component_reps` of the representatives that no product of the
+    cycles stands for."""
+
+    lie: tuple[tuple[int, dict[int, int]], ...]
+    cycles: tuple[tuple[int, ...], ...]
+    reps: tuple[int, ...]
+
+
+def _parity(perm: Sequence[int], members: Sequence[int]) -> int:
+    """The sign of ``perm`` restricted to ``members``, which it permutes."""
+    seen: set[int] = set()
+    sign = 1
+    for a in members:
+        if a not in seen:
+            sign = -sign  # a cycle of length k has sign (-1)^(k-1)
+            while a not in seen:
+                seen.add(a)
+                a = perm[a]
+                sign = -sign
+    return sign
+
+
+def _component(space: ModelSpace, group: str, perm: Sequence[int], flips: Collection[int]) -> tuple[int, ...] | None:
+    """The connected component of the group element e_a -> +-e_perm[a], minus
+    at ``flips``, as determinant signs: on the positive and on the negative
+    axes for O; for U and Ustar, on the +1 eigenspace of J when para (the
+    general-linear model, where a J-plane is one axis), and none when
+    complex, as the unitary group is connected.  None for an element that
+    anticommutes with J: no cycle reaches it."""
+    n, eps = space.n, space.eps
+    if group == "O":
+        return tuple(_parity(perm, block) * (-1) ** len([a for a in block if a in flips])
+                     for block in ([a for a in range(n) if eps[a] > 0], [a for a in range(n) if eps[a] < 0]))
+    if any((a in flips) != (a + 1 in flips) for a in range(0, n, 2)):
+        return None
+    if space.kind == "complex":
+        return ()
+    planes = [perm[2 * i] // 2 for i in range(n // 2)]
+    return (_parity(planes, range(n // 2)) * (-1) ** (len(flips) // 2),)
 
 
 @lru_cache(maxsize=16)
-def lie_generators(space: ModelSpace, group: str) -> tuple[tuple[int, dict[int, int]], ...]:
-    """A generating set of the Lie algebra: ``(index, element)`` pairs, the
-    index into :func:`lie_algebra_basis`, greedily picked in index order.
+def generating_set(space: ModelSpace, group: str) -> GeneratingSet:
+    """The proven generating set that certificates and representation
+    matrices apply: the Lie elements of :func:`_lie_picks`, the cycles of
+    :func:`sign_block_cycles`, and the component representatives other than
+    the identity whose component no product of the cycles lies in (read off
+    the determinant signs, a k-cycle's being (-1)^(k-1)).
 
-    The pick is proven before it is returned: the iterated brackets of the
-    elements must span the basis.  A failed proof is a fault of this module,
-    raised as a ``RuntimeError``, never a failed claim.  Closure under these
-    elements is closure under the whole algebra, and their commutant is its
-    commutant.  Cached per (space, group).
+    Closure under these is closure under the group: a subspace preserved by a
+    group element c and a Lie element X is preserved by c X c^-1, so the
+    cycles carry the Lie elements to the conjugates that generate the Lie
+    algebra (:func:`closure_spans`), and the cycles and the kept
+    representatives reach every component.  The set is proven before it is
+    returned: each cycle must be a group element, and the closure must span
+    :func:`lie_algebra_basis`.  A failed proof is a fault of this module,
+    raised as a ``RuntimeError``, never a failed claim.  Cached per (space,
+    group); Ustar shares U's Lie elements and cycles.
     """
     basis = lie_algebra_basis(space, group)
-    picked = _greedy_generators(basis, space.n)
-    if not brackets_span([basis[i] for i in picked], basis, space.n):
-        raise RuntimeError(f"the iterated brackets of the picked {group} generators do not span the Lie algebra")
-    return tuple((i, basis[i]) for i in picked)
+    lie = tuple((i, basis[i]) for i in _lie_picks(space, group))
+    cycles = tuple(sign_block_cycles(space, group))
+    for k, perm in enumerate(cycles):
+        if not _is_group_permutation(space, group, perm):
+            raise RuntimeError(f"cycle {k} of {group} is not a group element")
+    if not closure_spans([x for _, x in lie], cycles, basis, space.n):
+        raise RuntimeError(
+            f"the bracket-and-conjugation closure of the {group} generators does not span the Lie algebra")
+    reached = {_component(space, group, range(space.n), ())}  # the identity's
+    for perm in cycles:
+        sign = _component(space, group, perm, ())
+        reached |= {tuple(x * y for x, y in zip(r, sign)) for r in reached}
+    reps = []
+    for idx, g in enumerate(component_reps(space, group)):
+        flips = [a for a in range(space.n) if g.get(a * space.n + a) == -1]
+        if flips and _component(space, group, range(space.n), flips) not in reached:
+            reps.append(idx)
+    return GeneratingSet(lie, cycles, tuple(reps))
 
 
 def _sign_diagonal(n: int, flip: Collection[int]) -> dict[int, int]:

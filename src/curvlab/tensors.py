@@ -18,7 +18,9 @@ through :func:`action_rows`, one integer row per axis, and apply it to a
 vector's :func:`slot_index`, which lists the entries by the axis index each
 holds in each slot, so an element touches only the entries on the axes where
 it has a nonzero row.  A sign-diagonal component representative negates the
-entries on its flipped axes (:func:`sign_pullback_vec`).  The canonical forms,
+entries on its flipped axes (:func:`sign_pullback_vec`), and a permutation of
+the axes moves each entry through a table over rank-2 indices
+(:func:`permute_vec`).  The canonical forms,
 the images of sigma and psi and the constraint rows all read and write that
 format; the first-pair and cyclic rows, which never read the last slot, are
 written over rank-3 coordinates (i*n + j)*n + k, the last-pair, Weyl and
@@ -38,6 +40,7 @@ live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
@@ -496,19 +499,35 @@ def action_rows(m: Mapping[int, Fraction | int], n: int) -> tuple[int, ActionRow
 SlotIndex = dict[int, list[tuple[int, int, int]]]
 
 
-def slot_index(vec: Mapping[int, int], rank: int, n: int) -> SlotIndex:
+@lru_cache(maxsize=32)
+def _pair_slots(n: int, axes: frozenset[int] | None) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each rank-2 coordinate x*n + y, the ``(axis, stride)`` of its two
+    slots, (y, 1) then (x, n), that hold an axis in ``axes`` (every slot if
+    None)."""
+    return tuple(tuple((a, s) for a, s in ((p % n, 1), (p // n, n)) if axes is None or a in axes)
+                 for p in range(n * n))
+
+
+def slot_index(vec: Mapping[int, int], rank: int, n: int, axes: frozenset[int] | None = None) -> SlotIndex:
     """A flattened rank-2 or rank-4 integer vector indexed by axis: ``a`` maps
     to one ``(base, stride, value)`` triple per entry and slot holding ``a``,
     the slot's ``stride`` a power of n and ``base`` the entry's flat index less
-    ``a * stride``."""
+    ``a * stride``.  Only the axes in ``axes`` are indexed, every axis if it
+    is None; a rank-4 index is read as its high and low rank-2 halves."""
+    slots = _pair_slots(n, axes)
     index: SlotIndex = {}
+    if rank == 2:
+        for c, v in vec.items():
+            for a, stride in slots[c]:
+                index.setdefault(a, []).append((c - a * stride, stride, v))
+        return index
+    nn = n * n
     for c, v in vec.items():
-        k = c
-        stride = 1
-        for _ in range(rank):
-            k, a = divmod(k, n)
+        hi, lo = divmod(c, nn)
+        for a, stride in slots[lo]:
             index.setdefault(a, []).append((c - a * stride, stride, v))
-            stride *= n
+        for a, stride in slots[hi]:
+            index.setdefault(a, []).append((c - a * stride * nn, stride * nn, v))
     return index
 
 
@@ -537,3 +556,14 @@ def sign_pullback_vec(flips: Sequence[int], vec: Mapping[int, int], index: SlotI
             c = base + a * stride
             out[c] = -out[c]
     return out
+
+
+def permute_vec(table: Sequence[int], vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
+    """Push-forward of a flattened rank-2 or rank-4 vector by a permutation
+    matrix P, P e_a = e_perm[a], given by its :func:`spaces.pair_table`: the
+    entry at (a, b) or (a, b, c, d) moves to (perm[a], perm[b], ...), the
+    table applied to a rank-4 index's high and low halves."""
+    if rank == 2:
+        return {table[c]: v for c, v in vec.items()}
+    nn = n * n
+    return {table[c // nn] * nn + table[c % nn]: v for c, v in vec.items()}

@@ -34,6 +34,8 @@ LINALG = "src/curvlab/linalg.py"
 TENSORS = "src/curvlab/tensors.py"
 CURVATURE = "src/curvlab/curvature.py"
 CLI = "src/curvlab/cli.py"
+SPACES = "src/curvlab/spaces.py"
+NIJENHUIS = "src/curvlab/nijenhuis.py"
 
 MUTANTS = [
     (
@@ -81,10 +83,10 @@ MUTANTS = [
          "tests/test_tensors.py::test_sparse_actions_match_dense"],
     ),
     (
-        "_sign_characters yielding the positive axes",
+        "_sign_characters yielding every representative, not only the kept ones",
         CURVATURE,
-        "flips = [a for a in range(n) if g[a * n + a] == -1]",
-        "flips = [a for a in range(n) if g[a * n + a] == 1]",
+        "        if idx in keep:\n",
+        "        if True:\n",
         ["tests/test_group_actions.py::test_lemma49_applies_each_generator_once",
          "tests/test_group_actions.py::test_eq4d_applies_each_generator_once"],
     ),
@@ -266,6 +268,69 @@ MUTANTS = [
         "row[::2] = [c * k for c in cols]",
         ["tests/test_linalg.py::test_stored_rows_are_flat_canonical_integer_tuples",
          "tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut"],
+    ),
+    (
+        "generating set without its sign-block cycles",
+        SPACES,
+        "    return GeneratingSet(lie, cycles, tuple(reps))\n",
+        "    return GeneratingSet(lie, (), tuple(reps))\n",
+        ["tests/test_group_actions.py::test_non_invariant_subspace_is_rejected_by_both_walks",
+         "tests/test_group_actions.py::test_representation_scales_match_dense_oracle",
+         "tests/test_spaces.py::test_cycles_and_kept_reps_reach_every_component"],
+    ),
+    (
+        "closure proof without its conjugation by the cycles",
+        SPACES,
+        "chain((_bracket(x, y, n) for x in lie), ({t[c]: v for c, v in y.items()} for t in tables))",
+        "chain((_bracket(x, y, n) for x in lie), ())",
+        ["tests/test_group_actions.py::test_closure_proof_needs_every_generator",
+         "tests/test_spaces.py::test_generating_set_is_proven"],
+    ),
+    (
+        "cycles not checked to be isometries",
+        SPACES,
+        "    if sorted(perm) != list(range(n)) or any(space.eps[perm[a]] != space.eps[a] for a in range(n)):\n",
+        "    if sorted(perm) != list(range(n)):\n",
+        ["tests/test_cli.py::test_cycle_that_is_not_a_group_element_exits_three"],
+    ),
+    (
+        "Nijenhuis closed form with t3's sign flipped",
+        NIJENHUIS,
+        "t3 = tuple(-u * v for v in column(jd, y))",
+        "t3 = tuple(u * v for v in column(jd, y))",
+        ["tests/test_nijenhuis.py"],
+    ),
+    (
+        "affine rows listed by l before b",
+        LINALG,
+        "    for b in sub.basis:\n"
+        "        cols = b[::2]\n"
+        "        row = list(b)\n"
+        "        for l in range(k):\n"
+        "            row[::2] = [c * k + l for c in cols]\n",
+        "    for l in range(k):\n"
+        "        for b in sub.basis:\n"
+        "            cols = b[::2]\n"
+        "            row = list(b)\n"
+        "            row[::2] = [c * k + l for c in cols]\n",
+        ["tests/test_linalg.py::test_stored_rows_are_flat_canonical_integer_tuples",
+         "tests/test_curvature.py::test_affine_equals_the_kernel_of_the_lifted_rows"],
+    ),
+    (
+        "weyl rows written for first pairs j > i + 1 only",
+        TENSORS,
+        "    eps = space.eps\n    rows = []\n    for i in range(n):\n        for j in range(i + 1, n):\n",
+        "    eps = space.eps\n    rows = []\n    for i in range(n):\n        for j in range(i + 2, n):\n",
+        ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
+         "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "riemann rows written for first pairs j > i + 1 only",
+        TENSORS,
+        "``antisym_rows``.\"\"\"\n    rows = []\n    for i in range(n):\n        for j in range(i + 1, n):\n",
+        "``antisym_rows``.\"\"\"\n    rows = []\n    for i in range(n):\n        for j in range(i + 2, n):\n",
+        ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
+         "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
 ]
 

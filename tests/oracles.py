@@ -156,14 +156,6 @@ def block_diag(m: Matrix) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def line_invariant(mats: Sequence[Matrix], d: int, a: Fraction | int, b: Fraction | int) -> bool:
-    """Whether the 2d x 2d matrices ``mats`` preserve the line {(a t, b t) : t}
-    of the doubled module: each image of a spanning vector a e_j + b e_{d+j}
-    lies in the span, by a dense rank jump."""
-    line = [[Fraction(a if c == i else b if c == d + i else 0) for c in range(2 * d)] for i in range(d)]
-    return all(span_contains(line, list(m.matvec(vec))) for m in mats for vec in line)
-
-
 def commutator_rows(mats: Sequence[Matrix]) -> list[dict[int, int]]:
     """Every entry of every commutator TM - MT as a row over the d*d entries of
     T (T[i][k] at i*d + k), written by a dense loop over (i, j, k) and scaled
@@ -200,11 +192,12 @@ def commutant_dimension(mats: Sequence[Matrix]) -> int:
     return d * d - rank_mod_p(commutator_rows(mats))
 
 
-def lie_closure_dim(mats: Sequence[Matrix]) -> int:
-    """Dimension of the span of ``mats`` and all their iterated brackets: each
-    new element is bracketed with every element kept so far by dense
-    products, and kept when it is independent of the textbook reduced rows,
-    until no bracket is."""
+def lie_closure_dim(mats: Sequence[Matrix], perms: Sequence[Matrix] = ()) -> int:
+    """Dimension of the span of ``mats`` and all their iterated brackets and
+    conjugates P m P^T by the permutation matrices ``perms``: each new
+    element is bracketed with every element kept so far and conjugated by
+    each P, by dense products, and kept when it is independent of the
+    textbook reduced rows, until no new element is."""
     reduced: list[tuple[int, list[Fraction]]] = []
 
     def independent(m: Matrix) -> bool:
@@ -224,18 +217,57 @@ def lie_closure_dim(mats: Sequence[Matrix]) -> int:
     while frontier:
         new = []
         for a in frontier:
-            for b in list(span):
-                c = a.mul(b).add(b.mul(a).scale(-1))
-                if independent(c):
-                    new.append(c)
+            made = [a.mul(b).add(b.mul(a).scale(-1)) for b in span] + [p.mul(a).mul(transpose(p)) for p in perms]
+            new += [c for c in made if independent(c)]
         span += new
         frontier = new
     return len(span)
 
 
-# ---------------------------------------------------------------------------
-# Dense helpers
-# ---------------------------------------------------------------------------
+def permutation_matrix(perm: Sequence[int]) -> Matrix:
+    """P with P e_a = e_perm[a]: a 1 at row perm[a], column a."""
+    n = len(perm)
+    return Matrix.from_rows([[1 if perm[a] == i else 0 for a in range(n)] for i in range(n)])
+
+
+def determinant(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Of a square matrix given by its rows (1 for none), by textbook
+    Gaussian elimination with row swaps."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def component_label(space: ModelSpace, group: str, g: Matrix) -> tuple:
+    """A label of the connected component of the group element ``g``, from
+    dense determinants.  O(p, q): the signs of the determinants of g's
+    positive-axis block and negative-axis block.  U and Ustar: whether g
+    commutes with J, and for para the sign of the determinant of g from the
+    +1 eigenspace of J, basis e_2i + e_2i+1, to the eigenspace it lands in
+    (basis e_2i +- e_2i+1), the general-linear model's component."""
+    n = space.n
+    if group == "O":
+        blocks = ([a for a in range(n) if space.eps[a] > 0], [a for a in range(n) if space.eps[a] < 0])
+        return tuple(determinant([[g[i, j] for j in b] for i in b]) > 0 for b in blocks)
+    j = Matrix.from_dict(n, space.j)
+    commutes = g.mul(j) == j.mul(g)
+    if space.kind == "complex":
+        return (commutes,)
+    m = n // 2
+    images = [g.matvec([Fraction(1) if a in (2 * i, 2 * i + 1) else Fraction(0) for a in range(n)]) for i in range(m)]
+    # coordinates in the basis e_2k + sign * e_2k+1 are read off the even axes
+    return (commutes, determinant([[images[i][2 * k] for i in range(m)] for k in range(m)]) > 0)
 
 
 def dense(sub: Subspace) -> list[list[Fraction]]:

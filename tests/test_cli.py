@@ -11,7 +11,7 @@ import pytest
 import curvlab
 from curvlab import spaces
 from curvlab.cli import main
-from curvlab.spaces import lie_generators
+from curvlab.spaces import generating_set
 from curvlab.report import VerificationReport, exit_code_for
 from oracles import Matrix
 
@@ -219,12 +219,14 @@ def test_sweep_bad_kind_rejected_before_any_cell(capsys, monkeypatch, ns, kinds)
 
 
 def _break_lie_basis(monkeypatch):
-    """Replace every Lie-algebra generating set, which the certificates read,
-    by the matrix unit E13 (1-based) at basis index 0.  E13 preserves no
-    opposed 2-form module at n = 4.  The patch replaces the cached function
-    itself, so no generating set cached before it is read."""
+    """Replace the Lie elements of every generating set, which the
+    certificates read, by the matrix unit E13 (1-based) at basis index 0,
+    keeping the set's cycles and representatives.  E13 preserves no opposed
+    2-form module at n = 4.  The patch replaces the cached function itself,
+    so no generating set cached before it is read."""
     e13 = Matrix.from_rows([[1 if (i, j) == (0, 2) else 0 for j in range(4)] for i in range(4)]).to_dict()
-    monkeypatch.setattr("curvlab.curvature.lie_generators", lambda space, group: ((0, e13),))
+    monkeypatch.setattr("curvlab.curvature.generating_set",
+                        lambda space, group: generating_set(space, group)._replace(lie=((0, e13),)))
 
 
 @pytest.mark.parametrize("claim", ["eq4d", "lemma4.9"])
@@ -309,10 +311,10 @@ def test_internal_error_exits_three(capsys, monkeypatch, argv):
 @pytest.fixture
 def fresh_generators():
     """An empty generator cache before and after the test, so a generating set
-    picked under a patch is neither read from nor left in the cache."""
-    lie_generators.cache_clear()
+    made under a patch is neither read from nor left in the cache."""
+    generating_set.cache_clear()
     yield
-    lie_generators.cache_clear()
+    generating_set.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,13 +323,30 @@ def fresh_generators():
     ["sweep", "--ns", "4", "--kinds", "complex", "--claims", "lemma4.9"],
 ])
 def test_failed_closure_proof_exits_three(capsys, monkeypatch, fresh_generators, argv):
-    """A generating set whose brackets miss part of the Lie algebra is a
-    fault, never a failed claim or a not-invariant module."""
-    pick = spaces._greedy_generators
-    monkeypatch.setattr(spaces, "_greedy_generators", lambda basis, n: pick(basis, n)[:-1])
+    """A generating set whose bracket-and-conjugation closure misses part of
+    the Lie algebra is a fault, never a failed claim or a not-invariant
+    module: here the set loses its last Lie element."""
+    pick = spaces._lie_picks
+    monkeypatch.setattr(spaces, "_lie_picks", lambda space, group: pick(space, group)[:-1])
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: RuntimeError: the iterated brackets of the picked ")
+    assert err.startswith("internal error: RuntimeError: the bracket-and-conjugation closure of the ")
+
+
+@pytest.mark.parametrize("claim,kind,sig,group", [
+    ("thm4.1", "none", "4,2", "O"),
+    ("thm4.1", "complex", "4,2", "O"),
+    ("eq4d", "complex", "4,2", "Ustar"),
+    ("eq4d", "complex", "6,0", "Ustar"),
+])
+def test_cycle_that_is_not_a_group_element_exits_three(capsys, monkeypatch, fresh_generators, claim, kind, sig, group):
+    """The cycle of all six axes is a fault, caught before the closure is
+    read: at --sig 4,2 it maps a positive axis to a negative one, so it is
+    no isometry; at --sig 6,0 it is one, but it does not commute with J."""
+    monkeypatch.setattr(spaces, "sign_block_cycles", lambda space, group: [(1, 2, 3, 4, 5, 0)])
+    code, out, err = run_cli(capsys, "verify", claim, "--n", "6", "--kind", kind, "--sig", sig)
+    assert (code, out) == (3, "")
+    assert err == f"internal error: RuntimeError: cycle 0 of {group} is not a group element\n"
 
 
 def test_representative_that_is_not_a_sign_diagonal_exits_three(capsys, monkeypatch):

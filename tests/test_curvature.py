@@ -283,16 +283,18 @@ def test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate(n, kind, s
     assert oracles.kernel_certificate(pieces["alt_aligned_traceless"], split_rows["alt_opposed"]) != []
 
 
-@pytest.mark.parametrize("n", [6, 8])
-@pytest.mark.parametrize("kind", ["complex", "para"])
-def test_zero_structure_meets_pass_the_modular_rank_certificate(n, kind, monkeypatch):
+@pytest.mark.parametrize("kind,n,sig", [pytest.param(kind, n, None, id=f"{kind}-{n}")
+                                        for kind in ("complex", "para") for n in (6, 8)]
+                         + [pytest.param("complex", 6, (4, 2), id="complex-6-4,2")])
+def test_zero_structure_meets_pass_the_modular_rank_certificate(kind, n, sig, monkeypatch):
     """The two meets with the structure kernel that the claims need to be 0,
     thm1.5's on ``sigma_image`` and sec5's on ``psi_span + sigma_opposed_span``,
     are 0 by the modular-rank certificate: the structure rows written for every
     first pair, restricted to the base by the oracle's dense loop, have rank
     mod p equal to the base's dimension, so their coefficient kernel is 0.
-    Fewer rows than that dimension fail the certificate."""
-    s = make_standard(n, kind)
+    Fewer rows than that dimension fail the certificate.  Also at the
+    indefinite complex signature (4, 2)."""
+    s = make_standard(n, kind, sig)
     cat = catalog(s)
     cat.kaehler_weyl  # built before the claims' meets are recorded
     meets = []

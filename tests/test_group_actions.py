@@ -10,10 +10,10 @@ import oracles
 
 from curvlab.linalg import Subspace, SubspaceReducer, subspace_sum
 from curvlab.spaces import (
-    brackets_span,
+    closure_spans,
     component_reps,
+    generating_set,
     lie_algebra_basis,
-    lie_generators,
     make_standard,
     random_lie_elements,
 )
@@ -24,7 +24,6 @@ from curvlab.curvature import (
     build_catalog,
     catalog,
     commutant_dimension,
-    diagonal_pair_line_invariant,
     invariance_witness,
     invariant_rows,
     invariant_span_dimension,
@@ -114,24 +113,25 @@ def _count_group_applies(monkeypatch, verifier, space):
             return apply(*args)
         return wrapper
 
-    for name in ("lie_apply_vec", "sign_pullback_vec"):
+    for name in ("lie_apply_vec", "permute_vec", "sign_pullback_vec"):
         monkeypatch.setattr(curvature, name, counted(getattr(curvature, name)))
     assert verifier(space).verdict
     return len(calls)
 
 
-@pytest.mark.parametrize("kind,applies", [("complex", 6), ("para", 10)])
+@pytest.mark.parametrize("kind,applies", [("complex", 8), ("para", 10)])
 def test_lemma49_applies_each_generator_once(monkeypatch, kind, applies):
-    """lemma4.9 at n = 4 applies each extended-group generator to each basis
-    vector of the 2-dimensional opposed module once: the 2 proven Lie
-    generators of u, plus the component representatives other than the
-    identity, 1 (complex: the reversal) or 3 (para: the plane negation, the
-    reversal and their product).  That is 2 * (2 + 1) = 6 and 2 * (2 + 3) = 10
-    applies."""
+    """lemma4.9 at n = 4 applies each element of the extended group's
+    generating set to each basis vector of the 2-dimensional opposed module
+    once: the 2 Lie elements of u, the cycle of the two J-planes, and the
+    kept component representatives, 1 (complex: the reversal) or 2 (para:
+    the reversal and its product with the plane negation; the plane cycle
+    lies in the negation's component).  That is 2 * (2 + 1 + 1) = 8 and
+    2 * (2 + 1 + 2) = 10 applies."""
     assert _count_group_applies(monkeypatch, verify_doubled_commutant, make_standard(4, kind)) == applies
 
 
-@pytest.mark.parametrize("kind,applies", [("complex", 6), ("para", 10)])
+@pytest.mark.parametrize("kind,applies", [("complex", 8), ("para", 10)])
 def test_eq4d_applies_each_generator_once(monkeypatch, kind, applies):
     """eq4d reads the unextended group's matrices off the extended group's,
     so it applies the same generators as lemma4.9, each once."""
@@ -172,16 +172,19 @@ def _dense_matrix(space, sub, act):
 
 
 def _dense_certificate_actions(space, group, extra_lie=()):
-    """The entries of :func:`_dense_actions` that a certificate applies, in
-    its order: the proven Lie generators, the extra elements, then the
-    component representatives other than the identity."""
-    n = space.n
-    gens = {i for i, _ in lie_generators(space, group)}
+    """The dense actions a certificate applies, in its order: the entries of
+    :func:`_dense_actions` for the generating set's Lie elements and the
+    extra elements, the sign-block cycles (the push-forward by the
+    permutation matrix P, the pull-back by its transpose), then the entries
+    of the kept component representatives."""
+    gens = generating_set(space, group)
     size = len(lie_algebra_basis(space, group))
-    identity = oracles.Matrix.identity(n)
-    return [(action, idx, act) for action, idx, act in _dense_actions(space, group, extra_lie)
-            if (idx in gens or idx >= size if action == "lie"
-                else oracles.Matrix.from_dict(n, component_reps(space, group)[idx]) != identity)]
+    dense = {(action, idx): act for action, idx, act in _dense_actions(space, group, extra_lie)}
+    lie = [i for i, _ in gens.lie] + [size + k for k in range(len(extra_lie))]
+    cycles = [oracles.transpose(oracles.permutation_matrix(perm)) for perm in gens.cycles]
+    return ([("lie", i, dense["lie", i]) for i in lie]
+            + [("cycle", k, lambda t, p=p: oracles.pullback(p, t)) for k, p in enumerate(cycles)]
+            + [("component_rep", i, dense["component_rep", i]) for i in gens.reps])
 
 
 def _dense_certificate_matrices(space, sub, group):
@@ -204,7 +207,8 @@ def test_representation_scales_match_dense_oracle(kind):
     got = {key: oracles.Matrix.from_dict(d, m) for key, m in representation_matrices(sub, s, "O").items()}
     expected = _dense_certificate_matrices(s, sub, "O")
     assert list(got) == list(expected)
-    assert [key for key in got if key[0] == "lie"] == [("lie", 0), ("lie", 1), ("lie", 2)]
+    cycles = [("cycle", k) for k in range({"complex": 1, "para": 2}[kind])]
+    assert [key for key in got if key[0] != "component_rep"] == [("lie", 0)] + cycles
     assert ("component_rep", 0) not in got  # the identity
     assert got == expected
 
@@ -233,7 +237,7 @@ def test_extra_element_is_numbered_after_the_whole_basis(complex4):
     the U basis at n = 4, not after the two generators the walk applies."""
     s = complex4
     sub = catalog(s).two_tensors.omega_line
-    assert len(lie_generators(s, "U")) == 2
+    assert len(generating_set(s, "U").lie) == 2
     moves = next(x for x in lie_algebra_basis(s, "O") if invariance_witness(sub, s, "U", extra_lie=[x]))
     extra = [lie_algebra_basis(s, "U")[0], moves]
     assert invariance_witness(sub, s, "U", extra_lie=extra) == {"action": "lie", "element": 5, "basis_vector": 0}
@@ -301,6 +305,61 @@ def test_commutant_of_random_block_diagonal_sets_matches_dense_oracle(seed):
     assert dim >= len(sizes) > 1
 
 
+def _record_commutant_kernels(monkeypatch):
+    """Patch :func:`curvature.commutant_kernel` to record ``(mats, d,
+    kernel)`` per call, into the list returned."""
+    calls = []
+    real = curvature.commutant_kernel
+
+    def recording(mats, d):
+        mats = list(mats)
+        calls.append((mats, d, real(mats, d)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(curvature, "commutant_kernel", recording)
+    return calls
+
+
+def _dense_block_scalars(d):
+    """The four 2d x 2d matrices with one identity block, at block row r and
+    block column c, zero elsewhere, as dense rows over the 4d^2 entries."""
+    out = []
+    for r in (0, d):
+        for c in (0, d):
+            m = [[F(0)] * (2 * d) for _ in range(2 * d)]
+            for i in range(d):
+                m[r + i][c + i] = F(1)
+            out.append([x for row in m for x in row])
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_line_family_is_read_off_the_doubled_commutant(n, kind, monkeypatch):
+    """lemma4.9's line-family key holds when the doubled commutant kernel is
+    the span of the dense block scalars, which commute with every
+    diag(M, M); with a module whose commutant is larger (every matrix
+    replaced by the unit E_00, which commutes with more than the scalars)
+    the key and the verdict read false."""
+    s = make_standard(n, kind)
+    calls = _record_commutant_kernels(monkeypatch)
+    report = verify_doubled_commutant(s)
+    assert report.verdict and report.quantities["diagonal_line_family_invariant"]
+    (mats, d2, kernel), = calls
+    d = d2 // 2
+    scalars = _dense_block_scalars(d)
+    assert oracles.same_span(oracles.dense(kernel), scalars)
+    for m in mats:
+        dense = oracles.Matrix.from_dict(d2, m)
+        for t in scalars:
+            t = oracles.Matrix(d2, d2, tuple(t))
+            assert t.mul(dense) == dense.mul(t)
+    monkeypatch.setattr(curvature, "representation_matrices", lambda sub, space, group: {("lie", 0): {0: 1}})
+    broken = verify_doubled_commutant(s)
+    assert broken.quantities["diagonal_line_family_invariant"] is False and not broken.verdict
+    assert broken.quantities["doubled_commutant_dimension"] > 4
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_commutant_kernels_pass_the_modular_rank_certificate(n, kind, monkeypatch):
@@ -309,21 +368,7 @@ def test_commutant_kernels_pass_the_modular_rank_certificate(n, kind, monkeypatc
     and the doubled matrices) is certified against the commutator rows of
     the dense loop, with no code from the engine."""
     s = make_standard(n, kind)
-    catalog(s).two_tensors  # built before the commutant kernels are recorded
-    calls = []
-    real_kernel, real_commutant = curvature.kernel_subspace, curvature.commutant_dimension
-
-    def recording_kernel_subspace(rows, ncols):
-        calls[-1].append(real_kernel(rows, ncols))
-        return calls[-1][-1]
-
-    def recording_commutant_dimension(mats, d):
-        mats = list(mats)
-        calls.append([mats, d])
-        return real_commutant(mats, d)
-
-    monkeypatch.setattr(curvature, "kernel_subspace", recording_kernel_subspace)
-    monkeypatch.setattr(curvature, "commutant_dimension", recording_commutant_dimension)
+    calls = _record_commutant_kernels(monkeypatch)
     line = verify_commutant_line(s).quantities
     doubled = verify_doubled_commutant(s).quantities
     dims = [line["commutant_dimension"], line["commutant_dimension_unextended_group"],
@@ -333,48 +378,6 @@ def test_commutant_kernels_pass_the_modular_rank_certificate(n, kind, monkeypatc
     for mats, d, kernel in calls:
         rows = oracles.commutator_rows([oracles.Matrix.from_dict(d, m) for m in mats])
         assert oracles.kernel_certificate(kernel, rows) == [], (d, len(mats))
-
-
-@pytest.mark.parametrize("kind", ["complex", "para"])
-def test_diagonal_line_family(kind):
-    s = make_standard(6, kind)
-    split = catalog(s).two_tensors
-    d = split.alt_opposed.dim
-    doubled = [_block_diag(m, d) for m in representation_matrices(split.alt_opposed, s, "Ustar").values()]
-    assert diagonal_pair_line_invariant(doubled, d)
-    dense = [oracles.Matrix.from_dict(2 * d, m) for m in doubled]
-    for a, b in ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(2), F(3))):
-        assert oracles.line_invariant(dense, d, a, b)
-
-
-SAMPLE_LINES = ((1, 0), (0, 1), (1, 1), (2, -3))
-
-
-def test_block_condition_matches_line_by_line_oracle():
-    """The block condition diag(M, M) reads true exactly when the dense
-    line-by-line oracle finds the sample lines invariant, on 200 seeded
-    sets: random matrices, and block-diagonal sets half of which get one
-    entry perturbed (off the blocks, or in one copy only)."""
-    rng = random.Random(49)
-    outcomes = []
-    for k in range(200):
-        d = rng.randint(1, 4)
-        mats = []
-        for _ in range(rng.randint(1, 3)):
-            if k % 2:
-                m = _block_diag({c: rng.randint(-2, 2) for c in range(d * d)}, d)
-            else:
-                m = {c: rng.choice((0, 0, 1, -1, 2)) for c in range(4 * d * d)}
-            mats.append({c: v for c, v in m.items() if v})
-        if k % 4 == 1:
-            key = rng.randrange(4 * d * d)
-            mats[0][key] = mats[0].get(key, 0) + rng.choice((-1, 1, 3))
-            mats[0] = {c: v for c, v in mats[0].items() if v}
-        dense = [oracles.Matrix.from_dict(2 * d, m) for m in mats]
-        expected = all(oracles.line_invariant(dense, d, a, b) for a, b in SAMPLE_LINES)
-        assert diagonal_pair_line_invariant(mats, d) == expected, (d, mats)
-        outcomes.append(expected)
-    assert 40 <= outcomes.count(True) and 100 <= outcomes.count(False)
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -480,17 +483,22 @@ SPACES_6 = [("complex", None), ("para", None), ("complex", (4, 2))]
 @pytest.mark.parametrize("kind,sig", SPACES_6)
 @pytest.mark.parametrize("group", ["O", "U"])
 def test_closure_proof_needs_every_generator(kind, sig, group):
-    """The picked generators span the Lie algebra by iterated brackets, by the
-    package's proof and by a dense all-pairs closure; without any one of
-    them the proof fails."""
+    """The Lie elements and cycles of the generating set generate the Lie
+    algebra, by the package's closure (brackets with the Lie elements and
+    conjugates by the cycles) and by a dense closure under all brackets and
+    conjugates; without any one of them the package's closure falls short."""
     s = make_standard(6, kind, sig)
     basis = lie_algebra_basis(s, group)
-    gens = [x for _, x in lie_generators(s, group)]
-    assert len(gens) == {"O": 5, "U": 3}[group]
-    assert brackets_span(gens, basis, 6)
-    assert oracles.lie_closure_dim([oracles.Matrix.from_dict(6, x) for x in gens]) == len(basis)
-    for k in range(len(gens)):
-        assert not brackets_span(gens[:k] + gens[k + 1:], basis, 6), k
+    gens = generating_set(s, group)
+    lie, cycles = [x for _, x in gens.lie], list(gens.cycles)
+    assert len(lie) == {"O": 1, "U": 2}[group] and cycles
+    assert closure_spans(lie, cycles, basis, 6)
+    dense_lie = [oracles.Matrix.from_dict(6, x) for x in lie]
+    assert oracles.lie_closure_dim(dense_lie, [oracles.permutation_matrix(p) for p in cycles]) == len(basis)
+    for k in range(len(lie)):
+        assert not closure_spans(lie[:k] + lie[k + 1:], cycles, basis, 6), ("lie", k)
+    for k in range(len(cycles)):
+        assert not closure_spans(lie, cycles[:k] + cycles[k + 1:], basis, 6), ("cycle", k)
 
 
 def _full_basis_witness(sub, space, group, extra_lie=()):
@@ -616,8 +624,8 @@ def _self_dual_forms():
 def test_non_invariant_subspace_is_rejected_by_both_walks(complex4, group, module):
     """A coordinate line is preserved by no group here, and the line of the
     fundamental form by U but not by O.  The self-dual forms are preserved
-    by the whole Lie algebra, and only the reflection representative of O
-    moves them.  The generator walk rejects exactly where the dense
+    by the whole Lie algebra, and only the elements of O of determinant -1
+    move them.  The generator walk rejects exactly where the dense
     full-basis walk does."""
     from curvlab.linalg import Subspace
 
@@ -634,7 +642,11 @@ def test_non_invariant_subspace_is_rejected_by_both_walks(complex4, group, modul
     got = invariance_witness(sub, s, group)
     assert (got is not None) == (dense_first is not None)
     if module == "self_dual" and group == "O":
-        assert got == dense_first == {"action": "component_rep", "element": 1, "basis_vector": 0}
+        # the full walk's reflection; the certificate's 4-cycle, of
+        # determinant -1, is the first element after the rotation to move them
+        assert dense_first == {"action": "component_rep", "element": 1, "basis_vector": 0}
+        assert got == _first_dense_failure(_dense_certificate_walk(s, sub, group))
+        assert got == {"action": "cycle", "element": 0, "basis_vector": 0}
 
 
 @pytest.mark.parametrize("n,kind,sig", [(4, "complex", None), (4, "para", None)]
@@ -667,17 +679,3 @@ def test_unextended_commutant_matches_dense_full_basis_oracle(n, kind, sig):
     dense = [_dense_matrix(s, sub, act) for _, _, act in _dense_actions(s, "U")]
     assert oracles.commutant_dimension(dense) == 2
     assert verify_commutant_line(s).quantities["commutant_dimension_unextended_group"] == 2
-
-
-def test_diagonal_pair_line_check_can_fail():
-    """On block-diagonal input the line check holds by construction; the
-    block swap [[0, I], [I, 0]] keeps the line {(t, t)} but moves {(t, 0)}
-    onto {(0, t)}, so it is not diag(M, M)."""
-    d = 3
-    swap = {i * 2 * d + d + i: 1 for i in range(d)} | {(d + i) * 2 * d + i: 1 for i in range(d)}
-    dense = oracles.Matrix.from_dict(2 * d, swap)
-    assert dense == oracles.Matrix.from_rows(
-        [[1 if j == (i + d) % (2 * d) else 0 for j in range(2 * d)] for i in range(2 * d)])
-    assert not oracles.line_invariant([dense], d, 1, 0)
-    assert oracles.line_invariant([dense], d, 1, 1)
-    assert not diagonal_pair_line_invariant([swap], d)

@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 import curvlab
-from curvlab import curvature
+from curvlab import curvature, tensors
 from curvlab.cli import main
-from curvlab.spaces import lie_algebra_basis, lie_generators, make_standard, random_lie_elements
+from curvlab.spaces import generating_set, lie_algebra_basis, make_standard, random_lie_elements
 from test_cli import _break_lie_basis
 
 SRC = Path(curvlab.__file__).resolve().parent
@@ -84,10 +84,11 @@ def _benchmark_entry_points() -> None:
 
 
 def test_every_def_is_reached(monkeypatch):
-    # a catalog, Lie basis or generating set left by another test would skip its builders
+    # a catalog, Lie basis, generating set or slot table left by another test would skip its builders
     curvature.catalog.cache_clear()
     lie_algebra_basis.cache_clear()
-    lie_generators.cache_clear()
+    generating_set.cache_clear()
+    tensors._pair_slots.cache_clear()
     codes = set()
 
     def profile(frame, event, arg):

@@ -9,19 +9,30 @@ import pytest
 
 from curvlab.linalg import kernel_subspace
 from curvlab.spaces import (
-    _greedy_generators,
+    closure_spans,
     component_reps,
+    generating_set,
     j_pullback_rows,
     j_pullback_table,
     j_signed_permutation,
     lie_algebra_basis,
-    lie_generators,
     make_standard,
     random_lie_elements,
     structure_reversal,
     structure_sign,
 )
-from oracles import Matrix, commuting_lie_rows, dense, dense_kernel, gram, pullback, same_span, transpose
+from oracles import (
+    Matrix,
+    commuting_lie_rows,
+    component_label,
+    dense,
+    dense_kernel,
+    gram,
+    permutation_matrix,
+    pullback,
+    same_span,
+    transpose,
+)
 
 F = Fraction
 
@@ -130,20 +141,127 @@ def test_unitary_lie_algebra_dims(kind):
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_generating_set_sizes(kind):
-    """The greedy pick keeps n - 1 of the n(n-1)/2 elements of o(p,q) and m of
-    the m^2 of u at n = 2m, starting with the first basis element; Ustar shares
-    U's, and the pick is made once per (space, group)."""
+    """One Lie element of o(p,q) and two of u, both starting at basis index
+    0, with one cycle per sign block (complex O: the n axes; para O: the
+    positive and the negative axes; U: the m planes); Ustar shares U's Lie
+    elements and cycles, and the set is made once per (space, group)."""
     for n in (4, 6, 8, 10):
         s = make_standard(n, kind)
-        o, u = lie_generators(s, "O"), lie_generators(s, "U")
-        assert (len(o), len(u)) == (n - 1, n // 2)
-        assert o[0][0] == u[0][0] == 0
+        o, u = generating_set(s, "O"), generating_set(s, "U")
+        assert (len(o.lie), len(u.lie)) == (1, 2)
+        assert (len(o.cycles), len(u.cycles)) == ({"complex": 1, "para": 2}[kind], 1)
+        assert o.lie[0][0] == u.lie[0][0] == 0
         basis = lie_algebra_basis(s, "U")
-        assert all(x == basis[i] for i, x in u)
-        assert lie_generators(s, "Ustar") == u
-        assert lie_generators(s, "O") is o
-    assert len(lie_generators(make_standard(8, "complex", (4, 4)), "O")) == 7
-    assert len(lie_generators(make_standard(5, "none", (3, 2)), "O")) == 4
+        assert all(x == basis[i] for i, x in u.lie)
+        ustar = generating_set(s, "Ustar")
+        assert (ustar.lie, ustar.cycles) == (u.lie, u.cycles)
+        assert generating_set(s, "O") is o
+    # the boost in the mixed plane (0, 4), and the cycles of both sign blocks
+    mixed = generating_set(make_standard(8, "complex", (4, 4)), "O")
+    assert ([i for i, _ in mixed.lie], mixed.cycles) == ([3], ((1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4)))
+    odd = generating_set(make_standard(5, "none", (3, 2)), "O")
+    assert ([i for i, _ in odd.lie], odd.cycles) == ([2], ((1, 2, 0, 3, 4), (0, 1, 2, 4, 3)))
+
+
+GENERATED_SPACES = [(n, kind, None) for n in (4, 6, 8) for kind in ("complex", "para")] + [
+    (5, "none", None), (5, "none", (3, 2)), (6, "none", (4, 2)), (6, "complex", (4, 2)),
+    (6, "complex", (2, 4)), (8, "complex", (4, 4)), (4, "complex", (2, 2)),
+]
+
+
+def _groups(space):
+    return ("O",) if space.kind == "none" else ("O", "U", "Ustar")
+
+
+@pytest.mark.parametrize("n,kind,sig", GENERATED_SPACES)
+def test_lie_picks_are_the_documented_elements(n, kind, sig):
+    """O: a boost in the first mixed plane of the basis when both signs occur,
+    else the rotation in (e_0, e_1).  U and Ustar: a multiple of J on plane
+    0, then an element mixing plane 0 with the first plane whose signs
+    differ from plane 0's, or with plane 1; both commute with J."""
+    s = make_standard(n, kind, sig)
+    eps = s.eps
+    for group in _groups(s):
+        lie = [Matrix.from_dict(n, x) for _, x in generating_set(s, group).lie]
+        support = [{a for a in range(n) for b in range(n) if x[a, b] or x[b, a]} for x in lie]
+        if group == "O":
+            planes = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            plane = next(((a, b) for a, b in planes if eps[a] != eps[b]), (0, 1))
+            assert support == [set(plane)]
+            a, b = plane
+            # a boost is symmetric, a rotation antisymmetric
+            assert lie[0][a, b] == (1 if eps[a] != eps[b] else -1) * lie[0][b, a]
+            continue
+        j = Matrix.from_dict(n, s.j)
+        k = next((k for k in range(0, n, 2) if eps[k:k + 2] != eps[:2]), 2)
+        assert support == [{0, 1}, {0, 1, k, k + 1}]
+        j0 = Matrix.from_rows([[j[a, b] if a < 2 and b < 2 else 0 for b in range(n)] for a in range(n)])
+        assert lie[0] in (j0, j0.scale(-1))
+        assert all(x.mul(j) == j.mul(x) for x in lie)
+        assert not any(lie[1][a, b] for a in range(2) for b in range(2))
+
+
+@pytest.mark.parametrize("n,kind,sig", GENERATED_SPACES)
+def test_cycles_are_group_elements_of_their_sign_blocks(n, kind, sig):
+    """Each cycle is one cycle through every member of its sign block with
+    more than one member, as a dense isometry that commutes with J for U
+    and Ustar."""
+    s = make_standard(n, kind, sig)
+    h = gram(s)
+    for group in _groups(s):
+        width = 1 if group == "O" else 2
+        blocks = {}
+        for a in range(0, n, width):
+            blocks.setdefault(s.eps[a:a + width], []).append(a)
+        cycles = generating_set(s, group).cycles
+        assert len(cycles) == sum(len(b) > 1 for b in blocks.values())
+        for perm, block in zip(cycles, [b for _, b in sorted(blocks.items(), reverse=True) if len(b) > 1]):
+            assert [perm[a] for a in block] == block[1:] + block[:1]
+            assert all(perm[a] == a for a in range(n) if a - a % width not in block)
+            p = permutation_matrix(perm)
+            assert transpose(p).mul(h).mul(p) == h
+            if group != "O":
+                j = Matrix.from_dict(n, s.j)
+                assert p.mul(j) == j.mul(p)
+
+
+@pytest.mark.parametrize("n,kind,sig", GENERATED_SPACES)
+def test_cycles_and_kept_reps_reach_every_component(n, kind, sig):
+    """Every component listed by component_reps holds a product of the
+    cycles and the kept representatives, by dense products and dense
+    determinant labels; a representative is kept exactly when no product of
+    the cycles alone lies in its component."""
+    s = make_standard(n, kind, sig)
+    for group in _groups(s):
+        gens = generating_set(s, group)
+        reps = [Matrix.from_dict(n, g) for g in component_reps(s, group)]
+
+        def reached(elements):
+            found = {component_label(s, group, Matrix.identity(n)): Matrix.identity(n)}
+            frontier = list(found.values())
+            while frontier:
+                products = [g.mul(x) for g in frontier for x in elements]
+                frontier = [g for g in products if component_label(s, group, g) not in found]
+                found.update((component_label(s, group, g), g) for g in frontier)
+            return set(found)
+
+        cycles = [permutation_matrix(perm) for perm in gens.cycles]
+        everything = reached(cycles + [reps[i] for i in gens.reps])
+        assert everything == {component_label(s, group, g) for g in reps}, group
+        by_cycles = reached(cycles)
+        kept = [i for i, g in enumerate(reps) if component_label(s, group, g) not in by_cycles]
+        assert list(gens.reps) == kept, group
+
+
+@pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in range(4, 13, 2) for kind in ("complex", "para")]
+                         + [(5, "none", None), (6, "none", None), (12, "complex", (8, 4)), (12, "complex", (4, 8))])
+def test_generating_set_is_proven(n, kind, sig):
+    """The proof passes for every group of these spaces: each cycle is a group
+    element and the closure spans the Lie algebra."""
+    s = make_standard(n, kind, sig)
+    for group in _groups(s):
+        gens = generating_set(s, group)
+        assert closure_spans([x for _, x in gens.lie], gens.cycles, lie_algebra_basis(s, group), n)
 
 
 UNITARY_SPACES = {
@@ -158,11 +276,12 @@ UNITARY_SPACES = {
 def test_unitary_basis_is_the_kernel_of_the_commutator_rows(name, group):
     """Witnesses name Lie elements by their index in the basis, so the basis
     cut by J's pull-back must be the canonical kernel of the o(p,q) rows and
-    XJ - JX, and the greedy pick on that kernel must give the same indices."""
+    XJ - JX, and each Lie element of the generating set must sit at its
+    index in that kernel."""
     space = UNITARY_SPACES[name]
     reference = kernel_subspace(commuting_lie_rows(space), space.n ** 2).basis_dicts()
     assert list(lie_algebra_basis(space, group)) == reference
-    assert [i for i, _ in lie_generators(space, group)] == _greedy_generators(reference, space.n)
+    assert all(reference[i] == x for i, x in generating_set(space, group).lie)
 
 
 TABLE_SPACES = {f"{n}-{kind}": make_standard(n, kind) for n in (4, 6) for kind in ("complex", "para")}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvlab.spaces import make_standard, lie_algebra_basis, random_lie_elements, structure_reversal
+from curvlab.spaces import make_standard, lie_algebra_basis, pair_table, random_lie_elements, structure_reversal
 from curvlab.tensors import (
     Tensor4,
     action_rows,
@@ -29,6 +29,7 @@ from curvlab.tensors import (
     kaehler_form,
     kaehler_rows,
     lie_apply_vec,
+    permute_vec,
     metric_tensor2,
     psi_map,
     ricci,
@@ -479,6 +480,26 @@ def test_sparse_actions_match_dense(seed):
         for z in (gen, dense_x):
             den, rows = action_rows(z, 6)
             assert _scaled_down(lie_apply_vec(rows, index), den, 6, rank) == _lie_oracle(6, z, v, rank)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_permutation_images_and_restricted_slot_index_match_dense(seed):
+    """``permute_vec`` through a permutation's pair table is the dense
+    pull-back by the transpose of its matrix P, P e_a = e_perm[a], at rank 2
+    and rank 4 (n = 6); and a slot index restricted to some axes is the full
+    index at those axes, entry for entry and in the same order."""
+    rng = random.Random(seed)
+    n = 6
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p_t = oracles.transpose(oracles.permutation_matrix(perm))
+    for rank in (2, 4):
+        vec = _random_int_vec(rng, n, rank, 6)
+        theta = Tensor4.from_dict(n, vec) if rank == 4 else {c: F(v) for c, v in vec.items()}
+        assert _scaled_down(permute_vec(pair_table(perm), vec, rank, n), 1, n, rank) == pullback(p_t, theta)
+        axes = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        full = slot_index(vec, rank, n)
+        assert slot_index(vec, rank, n, axes) == {a: entries for a, entries in full.items() if a in axes}
 
 
 # --- the sparse maps against their dense oracles -------------------------------------
