@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from . import curvature, nijenhuis, report
@@ -309,6 +310,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # argparse keeps no state between parses, and building costs about 0.7 ms
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--mode", choices=("exact",), default="exact", help="arithmetic: exact (the only mode)")

@@ -4,7 +4,8 @@ Each model space has one catalog, built lazily as a chain of meets: affine
 is K ⊗ R^n, K the kernel of the first-pair and cyclic rows on their three
 slots; weyl is cut out of K ⊗ R^n through K, and kaehler_weyl
 (structure-compatible) out of weyl, by their own rows for first pairs i < j,
-as every space past affine alternates there; riemann and kaehler_riemann out
+as every space past affine alternates there, the weyl rows with two entries
+each, as the Weyl trace follows on affine; riemann and kaehler_riemann out
 of weyl and kaehler_weyl by one trace row per first pair, which cuts what
 the riemann rows cut on weyl.  The conformal space is one direct kernel that
 keeps the riemann rows themselves, so it checks the chain by a second route.

@@ -24,11 +24,12 @@ the axes moves each entry through a table over rank-2 indices
 the images of sigma and psi and the constraint rows all read and write that
 format; the first-pair and cyclic rows, which never read the last slot, are
 written over rank-3 coordinates (i*n + j)*n + k, the last-pair, Weyl and
-structure rows for first pairs i < j only, and on weyl the last-pair rows
-as one trace row per first pair.  Each linear condition, the Ricci
-contraction and the structure identity included, is written once, as rows,
-which the catalog restricts to a parent subspace's basis; so is each
-invariant contraction, one row over rank-4 coordinates.
+structure rows for first pairs i < j only, the Weyl rows on affine with two
+entries each (its trace follows from the cyclic identity there), and on
+weyl the last-pair rows as one trace row per first pair.  Each linear
+condition, the Ricci contraction and the structure identity included, is
+written once, as rows, which the catalog restricts to a parent subspace's
+basis; so is each invariant contraction, one row over rank-4 coordinates.
 
 The one dense container, :class:`Tensor4`, holds a witness tensor while the
 textbook defect loops re-verify it; those loops share no code with the
@@ -427,26 +428,28 @@ def riemann_trace_rows(n: int) -> list[dict[int, int]]:
 
 
 def weyl_rows(space: ModelSpace) -> list[dict[int, int]]:
-    """Rows of the Weyl symmetry operator, scaled by n to stay integral, for
-    first pairs i < j and k <= l: right only on a first-pair-alternating base."""
+    """Rows of the Weyl symmetry operator on ``affine``, two entries each, for
+    first pairs i < j: A_ijkl + A_ijlk = 0 for k < l, and the diagonal ties
+    eps_k*A_ijkk = eps_0*A_ij00 for 1 <= k < n.  Right only on ``affine``.
+
+    The textbook row at (i, j, k, k), scaled by n, reads
+    2n*A_ijkk + 2eps_k*sum_c eps_c*(A_cijc - A_cjic).  On ``affine`` the cyclic
+    sum over the first three slots with last slot c, together with the
+    first-pair alternation, gives A_cijc - A_cjic = -A_ijcc, so the row reads
+    2n*A_ijkk - 2eps_k*sum_c eps_c*A_ijcc.  Times eps_k, that is
+    n*x_k = sum_c x_c for x_k = eps_k*A_ijkk: the n diagonal rows say only
+    that x_k is the same for every k (their sum over k vanishes), which is
+    what the n - 1 ties say.  ``tests/oracles.full_weyl_rows`` keeps the
+    textbook rows, for every first pair, as the check."""
     n = space.n
     eps = space.eps
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
+            f = (i * n + j) * n * n
             for k in range(n):
-                for l in range(k, n):
-                    row: dict[int, int] = {}
-                    for key in (flatten4(n, i, j, k, l), flatten4(n, i, j, l, k)):
-                        row[key] = row.get(key, 0) + n
-                    if k == l:
-                        for c in range(n):
-                            w = 2 * eps[k] * eps[c]
-                            key = flatten4(n, c, j, i, c)
-                            row[key] = row.get(key, 0) - w
-                            key = flatten4(n, c, i, j, c)
-                            row[key] = row.get(key, 0) + w
-                    rows.append({c: v for c, v in row.items() if v})
+                rows.extend({f + k * n + l: 1, f + l * n + k: 1} for l in range(k + 1, n))
+            rows.extend({f + k * n + k: eps[k], f: -eps[0]} for k in range(1, n))
     return rows
 
 

@@ -158,7 +158,7 @@ MUTANTS = [
         ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut"],
     ),
     (
-        "weyl meet given every weyl row but the one at (0, 1, 0, 1)",
+        "weyl meet given every weyl row but the one at (0, 1, 0, 2)",
         CURVATURE,
         "meet_kernel(self.affine_slots, weyl_rows(self.space), self.space.n)",
         "meet_kernel(self.affine_slots, weyl_rows(self.space)[:1] + weyl_rows(self.space)[2:], self.space.n)",
@@ -331,6 +331,21 @@ MUTANTS = [
         "``antisym_rows``.\"\"\"\n    rows = []\n    for i in range(n):\n        for j in range(i + 2, n):\n",
         ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
          "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "weyl diagonal ties written with 1 in place of eps_k",
+        TENSORS,
+        "{f + k * n + k: eps[k], f: -eps[0]}",
+        "{f + k * n + k: 1, f: -eps[0]}",
+        ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate",
+         "tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut"],
+    ),
+    (
+        "weyl rows without their diagonal ties",
+        TENSORS,
+        "            rows.extend({f + k * n + k: eps[k], f: -eps[0]} for k in range(1, n))\n",
+        "",
+        ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
 ]
 

@@ -398,7 +398,9 @@ def full_riemann_rows(n: int) -> list[dict[int, int]]:
 
 
 def full_weyl_rows(space: ModelSpace) -> list[dict[int, int]]:
-    """Rows of the Weyl symmetry operator, scaled by n, for every first pair."""
+    """Rows of the Weyl symmetry operator, scaled by n, for every first pair:
+    the textbook rows, each diagonal one with its 2n-entry trace, that the
+    package's two-entry rows for i < j are held to."""
     n = space.n
     eps = space.eps
     rows = []

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import curvlab
-from curvlab import spaces
+from curvlab import cli, spaces
 from curvlab.cli import main
 from curvlab.spaces import generating_set
 from curvlab.report import VerificationReport, exit_code_for
@@ -414,6 +414,34 @@ def test_cli_runs_without_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_parser_serves_a_rejected_parse_and_the_commands_after_it(capsys):
+    """main builds its parser once per process: a command line that argparse
+    rejects, then a verify and an eval, in one process, exit and print as they
+    do each in a fresh process."""
+    commands = [
+        ["verify", "thm4.2", "--n", "4", "--kind", "bogus"],
+        ["verify", "thm4.2", "--n", "4", "--kind", "para"],
+        ["eval", "sigma", "--n", "4", "--psi", "omega"],
+    ]
+    cli._build_parser.cache_clear()
+    in_process = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a command line this way
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    src = str(Path(curvlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "curvlab.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in in_process] == [2, 0, 0]
+    assert in_process == fresh
 
 
 @pytest.mark.parametrize("argv,message", [

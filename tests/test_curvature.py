@@ -112,6 +112,35 @@ def test_affine_equals_the_kernel_of_the_lifted_rows(n):
     assert catalog(make_standard(n, "none")).affine == kernel_subspace(rows, n ** 4)
 
 
+@pytest.mark.parametrize(
+    "n,kind,sig",
+    [
+        (3, "none", None),
+        (3, "none", (2, 1)),
+        (4, "complex", None),
+        (4, "para", None),
+        (5, "none", None),
+        (5, "none", (3, 2)),
+        (6, "complex", None),
+        (6, "para", None),
+        (6, "complex", (4, 2)),
+        (6, "none", (4, 2)),
+    ],
+)
+def test_affine_turns_the_weyl_trace_into_the_last_pair_diagonal(n, kind, sig):
+    """The identity that lets the weyl rows drop their trace: on every affine
+    basis tensor, sum_c eps_c*(A_cijc - A_cjic) = -sum_c eps_c*A_ijcc for
+    every i < j, read off the basis entries one by one."""
+    s = make_standard(n, kind, sig)
+    eps = s.eps
+    at = lambda a, i, j, k, l: a.get(((i * n + j) * n + k) * n + l, 0)
+    for a in catalog(s).affine.basis_dicts():
+        for i in range(n):
+            for j in range(i + 1, n):
+                trace = sum(eps[c] * (at(a, c, i, j, c) - at(a, c, j, i, c)) for c in range(n))
+                assert trace == -sum(eps[c] * at(a, i, j, c, c) for c in range(n)), (i, j)
+
+
 class _FirstPairRows(list):
     """A row builder's rows for first pairs i < j, carrying ``full``: the same
     condition's rows for every first pair (i, j), from the oracle."""
@@ -128,6 +157,9 @@ class _FirstPairRows(list):
         (8, "para", None),
         (6, "complex", (4, 2)),
         (6, "none", (4, 2)),
+        (5, "none", (3, 2)),
+        (3, "none", None),
+        (8, "complex", (4, 4)),
     ],
 )
 def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
