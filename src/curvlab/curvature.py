@@ -16,20 +16,22 @@ module certifies group invariance, solves for commutants of group actions
 and spans of invariant contraction functionals, and runs the claim verifiers
 exposed by the CLI.  A certificate applies each element of the group's
 proven generating set (a Lie element or two, the sign-block cycles, the
-component representatives the cycles do not reach) to every basis vector
-and tests each image for membership; it walks the basis vectors in the
-outer loop, indexing each once by axis, and still names the first failure
-in element-major order.  A functional is evaluated on a module as
-a row restricted to its basis: the invariant contractions on both sides of
-mod_a ⊗ mod_b, thm4.2's Gram count on the side with fewer entries.
+component representatives the cycles do not reach) to every basis vector,
+each through a table over the n² rank-2 coordinates, and tests each image
+for membership; it walks the basis vectors in the outer loop, and still
+names the first failure in element-major order.  eq4d and lemma4.9 read
+one set of representation matrices, built once per catalog.  A functional
+is evaluated on a module as a row restricted to its basis: the invariant
+contractions on both sides of mod_a ⊗ mod_b, thm4.2's Gram count on the
+side with fewer entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, permutations
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     Subspace,
@@ -49,7 +51,7 @@ from .spaces import (
     j_signed_permutation,
     generating_set,
     lie_algebra_basis,
-    pair_table,
+    signed_pair_table,
     structure_sign,
 )
 from .tensors import (
@@ -63,6 +65,7 @@ from .tensors import (
     defect_kaehler,
     defect_riemann,
     defect_weyl,
+    derivation_table,
     flatten4,
     gram_weight2,
     gram_weight4,
@@ -77,8 +80,6 @@ from .tensors import (
     riemann_rows,
     riemann_trace_rows,
     sigma,
-    sign_pullback_vec,
-    slot_index,
     psi_map,
     two_form_basis,
     weyl_rows,
@@ -205,7 +206,7 @@ class CurvatureCatalog:
             raise ValueError("the six-piece splitting requires a structured space")
         n = space.n
         u = structure_sign(space.kind)
-        sym_rows = [{i * n + j: 1, j * n + i: -1} for i in range(n) for j in range(i + 1, n)]
+        sym_rows = two_form_basis(n)  # X_ij - X_ji for i < j
         # X_ij + X_ji for i <= j: at i = j the two keys agree, and the row X_ii = 0 has one entry
         alt_rows = [{i * n + j: 1, j * n + i: 1} for i in range(n) for j in range(i, n)]
         h_vec = metric_tensor2(space)
@@ -249,6 +250,13 @@ class CurvatureCatalog:
     @cached_property
     def psi_span(self) -> Subspace:
         return self._image(psi_map, self.two_tensors.alt_opposed.basis_dicts())
+
+    @cached_property
+    def opposed_matrices(self) -> dict[tuple[str, int], Vec]:
+        """:func:`representation_matrices` of ``alt_opposed`` under Ustar, which
+        eq4d and lemma4.9 both read.  Raises :class:`NotInvariantError`, and
+        keeps nothing, when the action leaves the module."""
+        return representation_matrices(self.two_tensors.alt_opposed, self.space, "Ustar")
 
     def rank4_spaces(self) -> list[tuple[str, Subspace]]:
         names = ["affine", "weyl", "riemann", "conformal", "sigma_image"]
@@ -296,18 +304,6 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
     raise ValueError("ambient dimension is neither rank 2 nor rank 4")
 
 
-def _sign_characters(space: ModelSpace, group: str, keep: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
-    """``(index, flips)``, the axes it negates, of each component representative
-    whose index is in ``keep``.  Raises ``RuntimeError`` if any representative
-    is not a sign diagonal."""
-    n = space.n
-    for idx, g in enumerate(component_reps(space, group)):
-        if len(g) != n or any(g.get(a * n + a) not in (1, -1) for a in range(n)):
-            raise RuntimeError(f"component representative {idx} of {group} is not a sign diagonal")
-        if idx in keep:
-            yield idx, [a for a in range(n) if g[a * n + a] == -1]
-
-
 def _group_images(sub: Subspace, space: ModelSpace, group: str,
                   accept: Callable[[tuple[str, int], int, dict[int, int], int], bool],
                   extra_lie: Sequence[Vec] = ()) -> dict | None:
@@ -328,22 +324,22 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     place among the set's cycles, and a representative keeps its index in
     :func:`spaces.component_reps`.
 
-    The walk itself goes basis vector by basis vector, so that each vector is
-    indexed once (:func:`tensors.slot_index`), on the axes where a Lie element
-    acts or a representative flips a sign, and each reads it only there.
-    A cycle moves each entry through its pair table
-    (:func:`tensors.permute_vec`).  Each image, cancelled entries kept as
-    zeros, goes to ``accept`` as ``((action, element), basis vector, image,
-    scale)``.  Once an element is rejected, it and the elements after it are
-    skipped on later vectors; the elements before it still run there, since
-    a failure of theirs comes first in certificate order.  On an invariant
-    subspace every image is computed and handed over, in vector-major order.
+    Every element acts through a table over the n² rank-2 coordinates,
+    applied to both halves of a rank-4 index: a Lie element, scaled to
+    integers once (:func:`action_rows`), through its
+    :func:`tensors.derivation_table`, and a cycle or a representative, a
+    signed axis permutation, through its :func:`spaces.signed_pair_table`.
+    The walk goes basis vector by basis vector.  Each image, cancelled
+    entries kept as zeros, goes to ``accept`` as ``((action, element), basis
+    vector, image, scale)``.  Once an element is rejected, it and the
+    elements after it are skipped on later vectors; the elements before it
+    still run there, since a failure of theirs comes first in certificate
+    order.  On an invariant subspace every image is computed and handed
+    over, in vector-major order.
 
     Each stored basis row is ``s_b`` times its pivot-one row, ``s_b`` its
-    pivot entry, and a Lie element is scaled to an integer table once
-    (:func:`action_rows`): a Lie image is ``den * s_b`` times that of the
-    pivot-one row, and that of a cycle or a representative, a signed
-    permutation, ``s_b``.
+    pivot entry: a Lie image is ``den * s_b`` times that of the pivot-one
+    row, and that of a signed permutation ``s_b``.
     """
     rank = _rank_of_ambient(space, sub.ambient_dim)
     n = space.n
@@ -352,30 +348,22 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     if extra_lie:
         offset = len(lie_algebra_basis(space, group))
         lie += [(offset + k, x) for k, x in enumerate(extra_lie)]
-    elements = [(("lie", idx), action_rows(x, n)) for idx, x in lie]
-    elements += [(("cycle", k), pair_table(perm)) for k, perm in enumerate(gens.cycles)]
-    elements += [(("component_rep", idx), flips) for idx, flips in _sign_characters(space, group, gens.reps)]
-    n_lie = len(lie)
-    n_moved = n_lie + len(gens.cycles)
-    # the axes where a Lie element has a nonzero row or a representative a flip
-    axes = frozenset(a for _, data in elements[:n_lie] for a, row in enumerate(data[1]) if row)
-    axes |= frozenset(a for _, flips in elements[n_moved:] for a in flips)
+    elements = []
+    for idx, x in lie:
+        den, rows = action_rows(x, n)
+        elements.append((("lie", idx), partial(lie_apply_vec, derivation_table(rows, n)), den))
+    elements += [(("cycle", k), partial(permute_vec, *signed_pair_table(perm, ())), 1)
+                 for k, perm in enumerate(gens.cycles)]
+    elements += [(("component_rep", idx), partial(permute_vec, *signed_pair_table(range(n), flips)), 1)
+                 for idx, flips in gens.reps]
     first = None
     limit = len(elements)
     for bidx, (vec, scale) in enumerate(zip(sub.basis_dicts(), sub.pivot_scales)):
         if not limit:
             break
-        index = slot_index(vec, rank, n, axes)
         for pos in range(limit):
-            key, data = elements[pos]
-            if pos < n_lie:
-                den, rows = data
-                ok = accept(key, bidx, lie_apply_vec(rows, index), den * scale)
-            elif pos < n_moved:
-                ok = accept(key, bidx, permute_vec(data, vec, rank, n), scale)
-            else:
-                ok = accept(key, bidx, sign_pullback_vec(data, vec, index), scale)
-            if not ok:
+            key, apply, den = elements[pos]
+            if not accept(key, bidx, apply(vec, rank, n), den * scale):
                 first = {"action": key[0], "element": key[1], "basis_vector": bidx}
                 limit = pos
                 break
@@ -801,7 +789,7 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
     """Equivariant self-maps of the opposed 2-form module are scalar."""
     if space.kind == "none":
         raise ClaimNotApplicable("needs a structured space")
-    two = catalog(space).two_tensors
+    cat = catalog(space)
     report = VerificationReport(
         claim="eq4d",
         description="the commutant of the extended structure group on the opposed 2-form module is the scalar line",
@@ -811,10 +799,10 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
         notes=["the unextended-group commutant dimension is reported without an irreducibility verdict"],
     )
     try:
-        mats = representation_matrices(two.alt_opposed, space, "Ustar")
+        mats = cat.opposed_matrices
     except NotInvariantError as err:
         return _not_invariant_report(report, err)
-    d = two.alt_opposed.dim
+    d = cat.two_tensors.alt_opposed.dim
     dim_comm = commutant_dimension(mats.values(), d)
     # the unextended group: U and Ustar share the Lie elements and the
     # cycles, which commute with J, and its representatives are the kept
@@ -838,7 +826,7 @@ def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
     """Doubling the opposed module yields the 2x2 commutant of a multiplicity-2 block."""
     if space.kind == "none":
         raise ClaimNotApplicable("needs a structured space")
-    two = catalog(space).two_tensors
+    cat = catalog(space)
     report = VerificationReport(
         claim="lemma4.9",
         description="the doubled opposed module has a four-dimensional commutant; its diagonal line family is invariant",
@@ -847,10 +835,10 @@ def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
         verdict=False,
     )
     try:
-        mats = representation_matrices(two.alt_opposed, space, "Ustar")
+        mats = cat.opposed_matrices
     except NotInvariantError as err:
         return _not_invariant_report(report, err)
-    d = two.alt_opposed.dim
+    d = cat.two_tensors.alt_opposed.dim
     kernel = commutant_kernel([_block_diag(m, d) for m in mats.values()], 2 * d)
     # every line {(a t, b t)} of the double is invariant exactly when the
     # commutant is the block scalars, which holds once its dimension is 4

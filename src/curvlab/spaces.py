@@ -34,8 +34,9 @@ span the Lie algebra's basis before the set is used.
 
 Every matrix here (J, the Lie algebra elements, the component
 representatives) is a sparse ``{a*n + b: value}`` dict of its nonzero
-entries, the flat-index convention of rank-2 tensors; a cycle is an axis
-permutation, with its :func:`pair_table` over those indices.
+entries, the flat-index convention of rank-2 tensors.  A cycle, an axis
+permutation, and a representative, a sign diagonal, are both signed axis
+permutations, which act on those indices through :func:`signed_pair_table`.
 """
 
 from __future__ import annotations
@@ -261,6 +262,14 @@ def pair_table(perm: Sequence[int]) -> list[int]:
     return [pa * len(perm) + pb for pa in perm for pb in perm]
 
 
+def signed_pair_table(perm: Sequence[int], flips: Collection[int]) -> tuple[list[int], list[int]]:
+    """The signed permutation e_a -> s_a e_perm[a], s_a = -1 at ``flips`` and 1
+    elsewhere, on rank-2 coordinates: its :func:`pair_table`, and s_a*s_b at
+    a*n + b."""
+    s = [-1 if a in flips else 1 for a in range(len(perm))]
+    return pair_table(perm), [x * y for x in s for y in s]
+
+
 def _is_group_permutation(space: ModelSpace, group: str, perm: Sequence[int]) -> bool:
     """Whether P, P e_a = e_perm[a], is in the group: a permutation mapping
     every axis to one of the same metric sign (an isometry), and for U and
@@ -301,13 +310,13 @@ class GeneratingSet(NamedTuple):
     """The group elements a certificate applies, in certificate order after
     any extra Lie elements: ``lie``, ``(index, element)`` pairs indexing
     :func:`lie_algebra_basis`; ``cycles``, axis permutations as returned by
-    :func:`sign_block_cycles`; ``reps``, the indices into
-    :func:`component_reps` of the representatives that no product of the
-    cycles stands for."""
+    :func:`sign_block_cycles`; ``reps``, ``(index, flips)`` pairs indexing
+    :func:`component_reps`, with the axes each negates, of the
+    representatives that no product of the cycles stands for."""
 
     lie: tuple[tuple[int, dict[int, int]], ...]
     cycles: tuple[tuple[int, ...], ...]
-    reps: tuple[int, ...]
+    reps: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _parity(perm: Sequence[int], members: Sequence[int]) -> int:
@@ -356,29 +365,33 @@ def generating_set(space: ModelSpace, group: str) -> GeneratingSet:
     cycles carry the Lie elements to the conjugates that generate the Lie
     algebra (:func:`closure_spans`), and the cycles and the kept
     representatives reach every component.  The set is proven before it is
-    returned: each cycle must be a group element, and the closure must span
-    :func:`lie_algebra_basis`.  A failed proof is a fault of this module,
-    raised as a ``RuntimeError``, never a failed claim.  Cached per (space,
-    group); Ustar shares U's Lie elements and cycles.
+    returned: each cycle must be a group element, the closure must span
+    :func:`lie_algebra_basis`, and each representative must be a sign
+    diagonal, which the certificates apply by its flips.  A failed proof is a
+    fault of this module, raised as a ``RuntimeError``, never a failed claim.
+    Cached per (space, group); Ustar shares U's Lie elements and cycles.
     """
+    n = space.n
     basis = lie_algebra_basis(space, group)
     lie = tuple((i, basis[i]) for i in _lie_picks(space, group))
     cycles = tuple(sign_block_cycles(space, group))
     for k, perm in enumerate(cycles):
         if not _is_group_permutation(space, group, perm):
             raise RuntimeError(f"cycle {k} of {group} is not a group element")
-    if not closure_spans([x for _, x in lie], cycles, basis, space.n):
+    if not closure_spans([x for _, x in lie], cycles, basis, n):
         raise RuntimeError(
             f"the bracket-and-conjugation closure of the {group} generators does not span the Lie algebra")
-    reached = {_component(space, group, range(space.n), ())}  # the identity's
+    reached = {_component(space, group, range(n), ())}  # the identity's
     for perm in cycles:
         sign = _component(space, group, perm, ())
         reached |= {tuple(x * y for x, y in zip(r, sign)) for r in reached}
     reps = []
     for idx, g in enumerate(component_reps(space, group)):
-        flips = [a for a in range(space.n) if g.get(a * space.n + a) == -1]
-        if flips and _component(space, group, range(space.n), flips) not in reached:
-            reps.append(idx)
+        if len(g) != n or any(g.get(a * n + a) not in (1, -1) for a in range(n)):
+            raise RuntimeError(f"component representative {idx} of {group} is not a sign diagonal")
+        flips = tuple(a for a in range(n) if g[a * n + a] == -1)
+        if flips and _component(space, group, range(n), flips) not in reached:
+            reps.append((idx, flips))
     return GeneratingSet(lie, cycles, tuple(reps))
 
 

@@ -13,14 +13,12 @@ structure identity and the opposed-form test read J's pull-back from
 Every tensor the package computes with is a sparse ``{flat index: value}``
 dict, with component (i, j) of a rank-2 tensor at i*n + j and component
 (i, j, k, l) of a rank-4 tensor at ((i*n + j)*n + k)*n + l.  A matrix is the
-same rank-2 dict, entry (a, b) at a*n + b; the infinitesimal actions read it
-through :func:`action_rows`, one integer row per axis, and apply it to a
-vector's :func:`slot_index`, which lists the entries by the axis index each
-holds in each slot, so an element touches only the entries on the axes where
-it has a nonzero row.  A sign-diagonal component representative negates the
-entries on its flipped axes (:func:`sign_pullback_vec`), and a permutation of
-the axes moves each entry through a table over rank-2 indices
-(:func:`permute_vec`).  The canonical forms,
+same rank-2 dict, entry (a, b) at a*n + b.  A group element acts through a
+table over the n² rank-2 coordinates, read on the high and low halves of a
+rank-4 index: a Lie element, read through :func:`action_rows` as one integer
+row per axis, as its :func:`derivation_table`, and a signed axis permutation
+(a cycle, a sign-diagonal component representative) as its targets and
+signs (:func:`permute_vec`).  The canonical forms,
 the images of sigma and psi and the constraint rows all read and write that
 format; the first-pair and cyclic rows, which never read the last slot, are
 written over rank-3 coordinates (i*n + j)*n + k, the last-pair, Weyl and
@@ -41,7 +39,6 @@ live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
@@ -499,74 +496,44 @@ def action_rows(m: Mapping[int, Fraction | int], n: int) -> tuple[int, ActionRow
     return den, rows
 
 
-SlotIndex = dict[int, list[tuple[int, int, int]]]
+def derivation_table(rows: ActionRows, n: int) -> ActionRows:
+    """The rows of X acting on rank-2 coordinates, from its :func:`action_rows`
+    ``rows``: at p*n + q the ``(coordinate, coeff)`` terms of row p moving the
+    first slot, then those of row q moving the second."""
+    return [[(b * n + q, k) for b, k in rows[p]] + [(p * n + b, k) for b, k in rows[q]]
+            for p in range(n) for q in range(n)]
 
 
-@lru_cache(maxsize=32)
-def _pair_slots(n: int, axes: frozenset[int] | None) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each rank-2 coordinate x*n + y, the ``(axis, stride)`` of its two
-    slots, (y, 1) then (x, n), that hold an axis in ``axes`` (every slot if
-    None)."""
-    return tuple(tuple((a, s) for a, s in ((p % n, 1), (p // n, n)) if axes is None or a in axes)
-                 for p in range(n * n))
-
-
-def slot_index(vec: Mapping[int, int], rank: int, n: int, axes: frozenset[int] | None = None) -> SlotIndex:
-    """A flattened rank-2 or rank-4 integer vector indexed by axis: ``a`` maps
-    to one ``(base, stride, value)`` triple per entry and slot holding ``a``,
-    the slot's ``stride`` a power of n and ``base`` the entry's flat index less
-    ``a * stride``.  Only the axes in ``axes`` are indexed, every axis if it
-    is None; a rank-4 index is read as its high and low rank-2 halves."""
-    slots = _pair_slots(n, axes)
-    index: SlotIndex = {}
-    if rank == 2:
-        for c, v in vec.items():
-            for a, stride in slots[c]:
-                index.setdefault(a, []).append((c - a * stride, stride, v))
-        return index
+def lie_apply_vec(table: ActionRows, vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
+    """Sparse infinitesimal action on a flattened rank-2 or rank-4 integer
+    vector, the sum over slots: ``den`` times the action of X, where ``table``
+    is the :func:`derivation_table` of ``(den, rows)`` = :func:`action_rows`
+    of X, read once per rank-2 half of the index.  Cancelled entries stay, as 0."""
     nn = n * n
+    out: dict[int, int] = {}
     for c, v in vec.items():
         hi, lo = divmod(c, nn)
-        for a, stride in slots[lo]:
-            index.setdefault(a, []).append((c - a * stride, stride, v))
-        for a, stride in slots[hi]:
-            index.setdefault(a, []).append((c - a * stride * nn, stride * nn, v))
-    return index
-
-
-def lie_apply_vec(rows: ActionRows, index: SlotIndex) -> dict[int, int]:
-    """Sparse infinitesimal action on a flattened rank-2 or rank-4 integer
-    vector given by its :func:`slot_index`, the sum over slots: ``den`` times
-    the action of X, where ``(den, rows)`` is :func:`action_rows` of X.  Only
-    the axes where X has a nonzero row are read; cancelled entries stay, as 0."""
-    out: dict[int, int] = {}
-    for a, row in enumerate(rows):
-        if row:
-            for base, stride, v in index.get(a, ()):
-                for b, coeff in row:
-                    key = base + b * stride
-                    out[key] = out.get(key, 0) + coeff * v
+        for t, k in table[lo]:
+            key = c - lo + t
+            out[key] = out.get(key, 0) + k * v
+        if rank == 4:
+            for t, k in table[hi]:
+                key = t * nn + lo
+                out[key] = out.get(key, 0) + k * v
     return out
 
 
-def sign_pullback_vec(flips: Sequence[int], vec: Mapping[int, int], index: SlotIndex) -> dict[int, int]:
-    """Pull-back of a flattened rank-2 or rank-4 integer vector, given with its
-    :func:`slot_index`, by the sign diagonal that negates the axes ``flips``:
-    each entry is negated once per slot that holds one of them."""
-    out = dict(vec)
-    for a in flips:
-        for base, stride, _ in index.get(a, ()):
-            c = base + a * stride
-            out[c] = -out[c]
-    return out
-
-
-def permute_vec(table: Sequence[int], vec: Mapping[int, int], rank: int, n: int) -> dict[int, int]:
-    """Push-forward of a flattened rank-2 or rank-4 vector by a permutation
-    matrix P, P e_a = e_perm[a], given by its :func:`spaces.pair_table`: the
-    entry at (a, b) or (a, b, c, d) moves to (perm[a], perm[b], ...), the
-    table applied to a rank-4 index's high and low halves."""
+def permute_vec(targets: Sequence[int], signs: Sequence[int], vec: Mapping[int, int], rank: int,
+                n: int) -> dict[int, int]:
+    """Push-forward of a flattened rank-2 or rank-4 vector by a signed axis
+    permutation given on rank-2 coordinates by :func:`spaces.signed_pair_table`:
+    the entry at c moves to ``targets[c]`` times ``signs[c]``, the table applied
+    to a rank-4 index's high and low halves."""
     if rank == 2:
-        return {table[c]: v for c, v in vec.items()}
+        return {targets[c]: signs[c] * v for c, v in vec.items()}
     nn = n * n
-    return {table[c // nn] * nn + table[c % nn]: v for c, v in vec.items()}
+    out = {}
+    for c, v in vec.items():
+        hi, lo = divmod(c, nn)
+        out[targets[hi] * nn + targets[lo]] = signs[hi] * signs[lo] * v
+    return out

@@ -72,23 +72,35 @@ MUTANTS = [
          "tests/test_linalg.py::test_membership_with_non_unit_pivots_matches_dense_oracle"],
     ),
     (
-        "sign character flipping each entry once per flipped axis, not once per slot",
-        TENSORS,
-        "        for base, stride, _ in index.get(a, ()):\n"
-        "            c = base + a * stride\n"
-        "            out[c] = -out[c]\n",
-        "        for c in {base + a * stride for base, stride, _ in index.get(a, ())}:\n"
-        "            out[c] = -out[c]\n",
+        "signed pair table negating a pair once per flipped axis, not once per slot",
+        SPACES,
+        "[x * y for x in s for y in s]",
+        "[min(x, y) for x in s for y in s]",
         ["tests/test_group_actions.py::test_sign_characters_match_slot_pullback",
          "tests/test_tensors.py::test_sparse_actions_match_dense"],
     ),
     (
-        "_sign_characters yielding every representative, not only the kept ones",
-        CURVATURE,
-        "        if idx in keep:\n",
+        "generating set keeping every representative, not only the ones the cycles miss",
+        SPACES,
+        "        if flips and _component(space, group, range(n), flips) not in reached:\n",
         "        if True:\n",
         ["tests/test_group_actions.py::test_lemma49_applies_each_generator_once",
          "tests/test_group_actions.py::test_eq4d_applies_each_generator_once"],
+    ),
+    (
+        "signed permutation signing only the low half of a rank-4 index",
+        TENSORS,
+        "= signs[hi] * signs[lo] * v",
+        "= signs[lo] * v",
+        ["tests/test_group_actions.py::test_sign_characters_match_slot_pullback",
+         "tests/test_tensors.py::test_sparse_actions_match_dense"],
+    ),
+    (
+        "derivation table moving only the first slot of a coordinate pair",
+        TENSORS,
+        "[[(b * n + q, k) for b, k in rows[p]] + [(p * n + b, k) for b, k in rows[q]]",
+        "[[(b * n + q, k) for b, k in rows[p]]",
+        ["tests/test_tensors.py::test_sparse_actions_match_dense"],
     ),
     (
         "certificate walk returning the first failure in vector-major order",

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import curvlab
-from curvlab import cli, spaces
+from curvlab import cli, curvature, spaces
 from curvlab.cli import main
 from curvlab.spaces import generating_set
 from curvlab.report import VerificationReport, exit_code_for
@@ -223,7 +223,9 @@ def _break_lie_basis(monkeypatch):
     certificates read, by the matrix unit E13 (1-based) at basis index 0,
     keeping the set's cycles and representatives.  E13 preserves no opposed
     2-form module at n = 4.  The patch replaces the cached function itself,
-    so no generating set cached before it is read."""
+    so no generating set cached before it is read, and the catalog cache is
+    emptied, so no representation matrices built before it are read."""
+    curvature.catalog.cache_clear()
     e13 = Matrix.from_rows([[1 if (i, j) == (0, 2) else 0 for j in range(4)] for i in range(4)]).to_dict()
     monkeypatch.setattr("curvlab.curvature.generating_set",
                         lambda space, group: generating_set(space, group)._replace(lie=((0, e13),)))
@@ -310,11 +312,14 @@ def test_internal_error_exits_three(capsys, monkeypatch, argv):
 
 @pytest.fixture
 def fresh_generators():
-    """An empty generator cache before and after the test, so a generating set
-    made under a patch is neither read from nor left in the cache."""
+    """Empty generator and catalog caches before and after the test, so a
+    generating set, or a catalog's representation matrices, made under a
+    patch are neither read from nor left in a cache."""
     generating_set.cache_clear()
+    curvature.catalog.cache_clear()
     yield
     generating_set.cache_clear()
+    curvature.catalog.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,11 +354,11 @@ def test_cycle_that_is_not_a_group_element_exits_three(capsys, monkeypatch, fres
     assert err == f"internal error: RuntimeError: cycle 0 of {group} is not a group element\n"
 
 
-def test_representative_that_is_not_a_sign_diagonal_exits_three(capsys, monkeypatch):
-    """The certificates apply representatives as sign characters, so one
-    that is not a sign diagonal is a fault."""
+def test_representative_that_is_not_a_sign_diagonal_exits_three(capsys, monkeypatch, fresh_generators):
+    """The generating set hands the certificates each representative as the
+    axes it negates, so one that is not a sign diagonal is a fault."""
     swap = Matrix.from_rows([[1 if j == (i ^ 1) else 0 for j in range(4)] for i in range(4)]).to_dict()
-    monkeypatch.setattr("curvlab.curvature.component_reps", lambda space, group: [swap])
+    monkeypatch.setattr(spaces, "component_reps", lambda space, group: [swap])
     code, out, err = run_cli(capsys, "verify", "thm4.1", "--n", "4")
     assert (code, out) == (3, "")
     assert err == "internal error: RuntimeError: component representative 0 of O is not a sign diagonal\n"

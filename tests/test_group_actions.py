@@ -16,6 +16,7 @@ from curvlab.spaces import (
     lie_algebra_basis,
     make_standard,
     random_lie_elements,
+    signed_pair_table,
 )
 from curvlab import curvature
 from curvlab.curvature import (
@@ -34,14 +35,14 @@ from curvlab.curvature import (
 from curvlab.tensors import (
     Tensor4,
     action_rows,
+    derivation_table,
     flatten4,
     gram_weight2,
     gram_weight4,
     kaehler_form,
     lie_apply_vec,
     metric_tensor2,
-    sign_pullback_vec,
-    slot_index,
+    permute_vec,
 )
 
 F = Fraction
@@ -103,7 +104,9 @@ def test_certificate_and_representation_share_first_witness(complex4, ambient, g
 
 
 def _count_group_applies(monkeypatch, verifier, space):
-    """Run ``verifier`` on ``space`` and count its sparse group applies."""
+    """Run ``verifier`` on ``space``, from a fresh catalog, and count its
+    sparse group applies."""
+    catalog.cache_clear()
     catalog(space).two_tensors
     calls = []
 
@@ -113,7 +116,7 @@ def _count_group_applies(monkeypatch, verifier, space):
             return apply(*args)
         return wrapper
 
-    for name in ("lie_apply_vec", "permute_vec", "sign_pullback_vec"):
+    for name in ("lie_apply_vec", "permute_vec"):
         monkeypatch.setattr(curvature, name, counted(getattr(curvature, name)))
     assert verifier(space).verdict
     return len(calls)
@@ -136,6 +139,24 @@ def test_eq4d_applies_each_generator_once(monkeypatch, kind, applies):
     """eq4d reads the unextended group's matrices off the extended group's,
     so it applies the same generators as lemma4.9, each once."""
     assert _count_group_applies(monkeypatch, verify_commutant_line, make_standard(4, kind)) == applies
+
+
+def test_eq4d_and_lemma49_build_the_opposed_matrices_once_per_catalog(monkeypatch, capsys):
+    """A sweep runs eq4d and lemma4.9 on one catalog per kind, and the two
+    read one set of Ustar matrices of the opposed module, built once."""
+    from curvlab.cli import main
+
+    calls = []
+    real = curvature.representation_matrices
+
+    def recording(sub, space, group):
+        calls.append((space.kind, group))
+        return real(sub, space, group)
+
+    monkeypatch.setattr(curvature, "representation_matrices", recording)
+    catalog.cache_clear()
+    assert main(["sweep", "--ns", "4", "--kinds", "complex,para", "--claims", "eq4d,lemma4.9"]) == 0
+    assert calls == [("complex", "Ustar"), ("para", "Ustar")]
 
 
 def _dense_actions(space, group, extra_lie=()):
@@ -184,7 +205,7 @@ def _dense_certificate_actions(space, group, extra_lie=()):
     cycles = [oracles.transpose(oracles.permutation_matrix(perm)) for perm in gens.cycles]
     return ([("lie", i, dense["lie", i]) for i in lie]
             + [("cycle", k, lambda t, p=p: oracles.pullback(p, t)) for k, p in enumerate(cycles)]
-            + [("component_rep", i, dense["component_rep", i]) for i in gens.reps])
+            + [("component_rep", i, dense["component_rep", i]) for i, _ in gens.reps])
 
 
 def _dense_certificate_matrices(space, sub, group):
@@ -354,7 +375,7 @@ def test_line_family_is_read_off_the_doubled_commutant(n, kind, monkeypatch):
         for t in scalars:
             t = oracles.Matrix(d2, d2, tuple(t))
             assert t.mul(dense) == dense.mul(t)
-    monkeypatch.setattr(curvature, "representation_matrices", lambda sub, space, group: {("lie", 0): {0: 1}})
+    monkeypatch.setattr(catalog(s), "opposed_matrices", {("lie", 0): {0: 1}})
     broken = verify_doubled_commutant(s)
     assert broken.quantities["diagonal_line_family_invariant"] is False and not broken.verdict
     assert broken.quantities["doubled_commutant_dimension"] > 4
@@ -511,7 +532,7 @@ def _full_basis_witness(sub, space, group, extra_lie=()):
     reducer = SubspaceReducer(sub)
 
     def lie(rows, vec, rank, n):
-        return lie_apply_vec(rows, slot_index(vec, rank, n))
+        return lie_apply_vec(derivation_table(rows, n), vec, rank, n)
 
     steps = [("lie", x, lie) for x in list(lie_algebra_basis(space, group)) + list(extra_lie)]
     steps += [("component_rep", g, oracles.pullback_apply_vec) for g in component_reps(space, group)]
@@ -652,19 +673,28 @@ def test_non_invariant_subspace_is_rejected_by_both_walks(complex4, group, modul
 @pytest.mark.parametrize("n,kind,sig", [(4, "complex", None), (4, "para", None)]
                          + [(6, kind, sig) for kind, sig in SPACES_6])
 def test_sign_characters_match_slot_pullback(n, kind, sig):
-    """Each component representative, applied as a sign character, gives the
-    slot-by-slot pull-back of the oracle on every catalog basis vector."""
+    """Each component representative, applied as the sign s_a*s_b of its
+    flips on every rank-2 coordinate pair, and each sign-block cycle, applied
+    through its pair table, give the slot-by-slot pull-back of the oracle on
+    every catalog basis vector: by the representative, and by the transpose
+    of the cycle's permutation matrix."""
     s = make_standard(n, kind, sig)
     spaces = build_catalog(s).all_spaces()
     for group in ("O", "Ustar"):
+        moves = []
         for g in component_reps(s, group):
             flips = [i for i in range(n) if g[i * n + i] == -1]
             den, rows = action_rows(g, n)
             assert (den, len(g)) == (1, n)
+            moves.append((signed_pair_table(range(n), flips), rows))
+        for perm in generating_set(s, group).cycles:
+            _, rows = action_rows({a * n + perm[a]: 1 for a in range(n)}, n)
+            moves.append((signed_pair_table(perm, ()), rows))
+        for signed, rows in moves:
             for name, sub in spaces:
                 rank = 2 if sub.ambient_dim == n * n else 4
                 for vec in sub.basis_dicts():
-                    got = sign_pullback_vec(flips, vec, slot_index(vec, rank, n))
+                    got = permute_vec(*signed, vec, rank, n)
                     assert got == oracles.pullback_apply_vec(rows, vec, rank, n), name
 
 

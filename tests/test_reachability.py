@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import curvlab
-from curvlab import cli, curvature, tensors
+from curvlab import cli, curvature
 from curvlab.cli import main
 from curvlab.spaces import generating_set, lie_algebra_basis, make_standard, random_lie_elements
 from test_cli import _break_lie_basis
@@ -84,12 +84,11 @@ def _benchmark_entry_points() -> None:
 
 
 def test_every_def_is_reached(monkeypatch):
-    # a catalog, Lie basis, generating set, slot table or parser left by another test would skip its builders
+    # a catalog, Lie basis, generating set or parser left by another test would skip its builders
     cli._build_parser.cache_clear()
     curvature.catalog.cache_clear()
     lie_algebra_basis.cache_clear()
     generating_set.cache_clear()
-    tensors._pair_slots.cache_clear()
     codes = set()
 
     def profile(frame, event, arg):

@@ -230,7 +230,8 @@ def test_cycles_and_kept_reps_reach_every_component(n, kind, sig):
     """Every component listed by component_reps holds a product of the
     cycles and the kept representatives, by dense products and dense
     determinant labels; a representative is kept exactly when no product of
-    the cycles alone lies in its component."""
+    the cycles alone lies in its component, and is handed over with the axes
+    its diagonal negates."""
     s = make_standard(n, kind, sig)
     for group in _groups(s):
         gens = generating_set(s, group)
@@ -246,11 +247,11 @@ def test_cycles_and_kept_reps_reach_every_component(n, kind, sig):
             return set(found)
 
         cycles = [permutation_matrix(perm) for perm in gens.cycles]
-        everything = reached(cycles + [reps[i] for i in gens.reps])
+        everything = reached(cycles + [reps[i] for i, _ in gens.reps])
         assert everything == {component_label(s, group, g) for g in reps}, group
         by_cycles = reached(cycles)
         kept = [i for i, g in enumerate(reps) if component_label(s, group, g) not in by_cycles]
-        assert list(gens.reps) == kept, group
+        assert list(gens.reps) == [(i, tuple(a for a in range(n) if reps[i][a, a] == -1)) for i in kept], group
 
 
 @pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in range(4, 13, 2) for kind in ("complex", "para")]

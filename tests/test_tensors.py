@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvlab.spaces import make_standard, lie_algebra_basis, pair_table, random_lie_elements, structure_reversal
+from curvlab.spaces import (
+    lie_algebra_basis,
+    make_standard,
+    random_lie_elements,
+    signed_pair_table,
+    structure_reversal,
+)
 from curvlab.tensors import (
     Tensor4,
     action_rows,
@@ -21,6 +27,7 @@ from curvlab.tensors import (
     defect_kaehler,
     defect_riemann,
     defect_weyl,
+    derivation_table,
     flatten4,
     EVEN_PAIR_WORDS,
     invariant_contraction_row,
@@ -36,8 +43,6 @@ from curvlab.tensors import (
     ricci_rows,
     riemann_rows,
     sigma,
-    sign_pullback_vec,
-    slot_index,
     two_form_basis,
     unflatten4,
     weyl_rows,
@@ -377,7 +382,7 @@ def test_invariance_of_contractions_under_reps(complex6):
         for word in EVEN_PAIR_WORDS:
             row = invariant_contraction_row(perm, word, complex6)
             for flips in reps:
-                assert sign_pullback_vec(flips, row, slot_index(row, 4, 6)) == row
+                assert permute_vec(*signed_pair_table(range(6), flips), row, 4, 6) == row
 
 
 # --- sparse/dense agreement --------------------------------------------------------
@@ -437,13 +442,19 @@ def _lie_oracle(n, x, vec, rank):
     return lie_action(Matrix.from_dict(n, x), theta)
 
 
+def _lie_scaled_down(n, x, vec, rank):
+    """The sparse Lie action of ``x`` through its derivation table, divided by its scale."""
+    den, rows = action_rows(x, n)
+    return _scaled_down(lie_apply_vec(derivation_table(rows, n), vec, rank, n), den, n, rank)
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sparse_actions_match_dense(seed):
-    """The sparse Lie action read through a vector's slot index, and the
-    sign-character and slot-by-slot pull-backs, against the dense oracles:
-    at rank 4 and rank 2, at n = 4 on a U basis element and a rational U
-    element, and at n = 6 with signature (4, 2) on an O(p, q) generator,
-    nonzero in two rows, and a rational O element, nonzero in every row."""
+    """The sparse Lie action through a derivation table, and the signed-pair
+    and slot-by-slot pull-backs, against the dense oracles: at rank 4 and
+    rank 2, at n = 4 on a U basis element and a rational U element, and at
+    n = 6 with signature (4, 2) on an O(p, q) generator, nonzero in two rows,
+    and a rational O element, nonzero in every row."""
     rng = random.Random(seed)
     s = make_standard(4, "complex")
     entries = {tuple(rng.randrange(4) for _ in range(4)): F(rng.randint(-3, 3)) for _ in range(6)}
@@ -451,23 +462,24 @@ def test_sparse_actions_match_dense(seed):
     x = lie_algebra_basis(s, "U")[rng.randrange(4)]
     g = structure_reversal(s)
     vec = {c: int(v) for c, v in sparse(t.components).items()}
-    den, rows = action_rows(x, 4)
-    assert _scaled_down(lie_apply_vec(rows, slot_index(vec, 4, 4)), den) == lie_action(Matrix.from_dict(4, x), t)
+    assert _lie_scaled_down(4, x, vec, 4) == lie_action(Matrix.from_dict(4, x), t)
     den, rows = action_rows(g, 4)
     assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(Matrix.from_dict(4, g), t)
     flips = [i for i in range(4) if g[i * 5] == -1]
-    assert _scaled_down(sign_pullback_vec(flips, vec, slot_index(vec, 4, 4)), 1) == pullback(Matrix.from_dict(4, g), t)
+    signed = signed_pair_table(range(4), flips)
+    assert _scaled_down(permute_vec(*signed, vec, 4, 4), 1) == pullback(Matrix.from_dict(4, g), t)
     # a rational element: the integer table carries its common denominator
     y = random_lie_elements(s, "U", 1, seed=1)[0]
     den, rows = action_rows(y, 4)
     assert den > 1
-    assert _scaled_down(lie_apply_vec(rows, slot_index(vec, 4, 4)), den) == lie_action(Matrix.from_dict(4, y), t)
+    assert _lie_scaled_down(4, y, vec, 4) == lie_action(Matrix.from_dict(4, y), t)
     assert _scaled_down(pullback_apply_vec(rows, vec, 4, 4), den ** 4) == pullback(Matrix.from_dict(4, y), t)
     # rank 2: the same elements on a 2-tensor
     vec2 = _random_int_vec(rng, 4, 2, 5)
     for z in (x, y):
-        den, rows = action_rows(z, 4)
-        assert _scaled_down(lie_apply_vec(rows, slot_index(vec2, 2, 4)), den, 4, 2) == _lie_oracle(4, z, vec2, 2)
+        assert _lie_scaled_down(4, z, vec2, 2) == _lie_oracle(4, z, vec2, 2)
+    assert _scaled_down(permute_vec(*signed, vec2, 2, 4), 1, 4, 2) == pullback(Matrix.from_dict(4, g),
+                                                                             {c: F(v) for c, v in vec2.items()})
     # n = 6, signature (4, 2): a generator of o(4, 2) and a dense rational element
     s6 = make_standard(6, "complex", (4, 2))
     gen = lie_algebra_basis(s6, "O")[rng.randrange(15)]
@@ -476,30 +488,27 @@ def test_sparse_actions_match_dense(seed):
     assert all(action_rows(dense_x, 6)[1])
     for rank in (2, 4):
         v = _random_int_vec(rng, 6, rank, 6)
-        index = slot_index(v, rank, 6)
         for z in (gen, dense_x):
-            den, rows = action_rows(z, 6)
-            assert _scaled_down(lie_apply_vec(rows, index), den, 6, rank) == _lie_oracle(6, z, v, rank)
+            assert _lie_scaled_down(6, z, v, rank) == _lie_oracle(6, z, v, rank)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
-def test_permutation_images_and_restricted_slot_index_match_dense(seed):
-    """``permute_vec`` through a permutation's pair table is the dense
-    pull-back by the transpose of its matrix P, P e_a = e_perm[a], at rank 2
-    and rank 4 (n = 6); and a slot index restricted to some axes is the full
-    index at those axes, entry for entry and in the same order."""
+def test_signed_permutation_images_match_dense(seed):
+    """``permute_vec`` through a signed pair table is the dense pull-back by
+    the inverse D Pᵀ of the signed permutation P D, P e_a = e_perm[a] and D
+    the sign diagonal of the flips, at rank 2 and rank 4 (n = 6)."""
     rng = random.Random(seed)
     n = 6
     perm = list(range(n))
     rng.shuffle(perm)
-    p_t = oracles.transpose(oracles.permutation_matrix(perm))
+    flips = rng.sample(range(n), rng.randint(0, n))
+    d = Matrix.diagonal([-1 if a in flips else 1 for a in range(n)])
+    inverse = d.mul(oracles.transpose(oracles.permutation_matrix(perm)))
     for rank in (2, 4):
         vec = _random_int_vec(rng, n, rank, 6)
         theta = Tensor4.from_dict(n, vec) if rank == 4 else {c: F(v) for c, v in vec.items()}
-        assert _scaled_down(permute_vec(pair_table(perm), vec, rank, n), 1, n, rank) == pullback(p_t, theta)
-        axes = frozenset(rng.sample(range(n), rng.randint(0, n)))
-        full = slot_index(vec, rank, n)
-        assert slot_index(vec, rank, n, axes) == {a: entries for a, entries in full.items() if a in axes}
+        got = permute_vec(*signed_pair_table(perm, flips), vec, rank, n)
+        assert _scaled_down(got, 1, n, rank) == pullback(inverse, theta)
 
 
 # --- the sparse maps against their dense oracles -------------------------------------
