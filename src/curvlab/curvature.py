@@ -17,10 +17,11 @@ and spans of invariant contraction functionals, and runs the claim verifiers
 exposed by the CLI.  A certificate applies each element of the group's
 proven generating set (a Lie element or two, the sign-block cycles, the
 component representatives the cycles do not reach) to every basis vector,
-each through a table over the n² rank-2 coordinates, and tests each image
-for membership; it walks the basis vectors in the outer loop, and still
-names the first failure in element-major order.  eq4d and lemma4.9 read
-one set of representation matrices, built once per catalog.  A functional
+each through a table over the n² rank-2 coordinates, element by element,
+and stops at the first image outside the subspace.  eq4d and lemma4.9 read
+one set of representation matrices, built once per catalog.  Each verifier
+returns its quantities, verdict and witnesses, and :func:`run_claim` builds
+every report from them.  A functional
 is evaluated on a module as a row restricted to its basis: the invariant
 contractions on both sides of mod_a ⊗ mod_b, thm4.2's Gram count on the
 side with fewer entries.
@@ -29,9 +30,9 @@ side with fewer entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, permutations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
     Subspace,
@@ -305,11 +306,10 @@ def _rank_of_ambient(space: ModelSpace, ambient: int) -> int:
 
 
 def _group_images(sub: Subspace, space: ModelSpace, group: str,
-                  accept: Callable[[tuple[str, int], int, dict[int, int], int], bool],
-                  extra_lie: Sequence[Vec] = ()) -> dict | None:
+                  extra_lie: Sequence[Vec] = ()) -> Iterator[tuple[tuple[str, int], int, dict[int, int], int]]:
     """Every element of the proven generating set applied to every basis
-    vector of ``sub``, in integers; the first witness in certificate order
-    that ``accept`` rejects, or None.
+    vector of ``sub``, in integers, yielded as ``((action, element), basis
+    vector, image, scale)`` in certificate order.
 
     Certificate order is: the generating set's Lie elements
     (:func:`spaces.generating_set`), then the extra Lie elements, then its
@@ -317,7 +317,7 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     element the basis vectors go in canonical order.  A subspace preserved
     by these is preserved by the group: the cycles conjugate the Lie
     elements into a generating set of the Lie algebra, and the cycles and
-    representatives reach every component.  The witness names the pair as
+    representatives reach every component.  A witness names the pair as
     ``{"action", "element", "basis_vector"}``: a Lie element keeps its index
     in :func:`spaces.lie_algebra_basis`, extra element k is numbered
     ``len(basis) + k``, a cycle (action ``"cycle"``) is numbered by its
@@ -329,13 +329,9 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     integers once (:func:`action_rows`), through its
     :func:`tensors.derivation_table`, and a cycle or a representative, a
     signed axis permutation, through its :func:`spaces.signed_pair_table`.
-    The walk goes basis vector by basis vector.  Each image, cancelled
-    entries kept as zeros, goes to ``accept`` as ``((action, element), basis
-    vector, image, scale)``.  Once an element is rejected, it and the
-    elements after it are skipped on later vectors; the elements before it
-    still run there, since a failure of theirs comes first in certificate
-    order.  On an invariant subspace every image is computed and handed
-    over, in vector-major order.
+    Each element's table is built when the walk reaches it, and each image
+    keeps its cancelled entries as zeros.  A caller that stops at the first
+    image it rejects applies nothing after it.
 
     Each stored basis row is ``s_b`` times its pivot-one row, ``s_b`` its
     pivot entry: a Lie image is ``den * s_b`` times that of the pivot-one
@@ -348,26 +344,22 @@ def _group_images(sub: Subspace, space: ModelSpace, group: str,
     if extra_lie:
         offset = len(lie_algebra_basis(space, group))
         lie += [(offset + k, x) for k, x in enumerate(extra_lie)]
-    elements = []
+    basis = list(zip(sub.basis_dicts(), sub.pivot_scales))
     for idx, x in lie:
         den, rows = action_rows(x, n)
-        elements.append((("lie", idx), partial(lie_apply_vec, derivation_table(rows, n)), den))
-    elements += [(("cycle", k), partial(permute_vec, *signed_pair_table(perm, ())), 1)
-                 for k, perm in enumerate(gens.cycles)]
-    elements += [(("component_rep", idx), partial(permute_vec, *signed_pair_table(range(n), flips)), 1)
-                 for idx, flips in gens.reps]
-    first = None
-    limit = len(elements)
-    for bidx, (vec, scale) in enumerate(zip(sub.basis_dicts(), sub.pivot_scales)):
-        if not limit:
-            break
-        for pos in range(limit):
-            key, apply, den = elements[pos]
-            if not accept(key, bidx, apply(vec, rank, n), den * scale):
-                first = {"action": key[0], "element": key[1], "basis_vector": bidx}
-                limit = pos
-                break
-    return first
+        table = derivation_table(rows, n)
+        for j, (vec, scale) in enumerate(basis):
+            yield ("lie", idx), j, lie_apply_vec(table, vec, rank, n), den * scale
+    signed = chain(((("cycle", k), perm, ()) for k, perm in enumerate(gens.cycles)),
+                   ((("component_rep", idx), range(n), flips) for idx, flips in gens.reps))
+    for key, perm, flips in signed:
+        targets, signs = signed_pair_table(perm, flips)
+        for j, (vec, scale) in enumerate(basis):
+            yield key, j, permute_vec(targets, signs, vec, rank, n), scale
+
+
+def _witness(key: tuple[str, int], j: int) -> dict:
+    return {"action": key[0], "element": key[1], "basis_vector": j}
 
 
 def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
@@ -375,7 +367,8 @@ def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
     """None when the subspace is preserved by the group data, else the first
     witness in certificate order (see :func:`_group_images`)."""
     reducer = SubspaceReducer(sub)
-    return _group_images(sub, space, group, lambda key, j, img, scale: reducer.contains(img), extra_lie)
+    return next((_witness(key, j) for key, j, img, _ in _group_images(sub, space, group, extra_lie)
+                 if not reducer.contains(img)), None)
 
 
 def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dict[tuple[str, int], Vec]:
@@ -393,19 +386,11 @@ def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dic
     reducer = SubspaceReducer(sub)
     d = sub.dim
     mats: dict[tuple[str, int], Vec] = {}
-
-    def accept(key: tuple[str, int], j: int, img: dict[int, int], scale: int) -> bool:
+    for key, j, img, scale in _group_images(sub, space, group):
         coords = reducer.coordinates(img, scale)
         if coords is None:
-            return False
-        # basis vector 0 meets every generator first, in certificate order
+            raise NotInvariantError(f"subspace not invariant under {key[0]} element {key[1]}", _witness(key, j))
         mats.setdefault(key, {}).update((i * d + j, v) for i, v in enumerate(coords) if v)
-        return True
-
-    witness = _group_images(sub, space, group, accept)
-    if witness is not None:
-        raise NotInvariantError(
-            f"subspace not invariant under {witness['action']} element {witness['element']}", witness)
     return mats
 
 
@@ -538,13 +523,12 @@ def eval_with_structure(space: ModelSpace, t: Vec, idx: Sequence[int], jmask: Se
 # ---------------------------------------------------------------------------
 
 
-def _space_meta(space: ModelSpace) -> dict:
-    meta = space.describe()
-    meta["mode"] = "exact"
-    return meta
+# Each verifier returns ``(quantities, verdict, witnesses)``; run_claim
+# builds the report.
+Outcome = tuple[dict, bool, list]
 
 
-def verify_weyl_direct_sum(space: ModelSpace) -> VerificationReport:
+def verify_weyl_direct_sum(space: ModelSpace) -> Outcome:
     """The weyl space splits orthogonally as riemann space plus the five-term-map image."""
     if space.n < 4:
         raise ClaimNotApplicable("needs n >= 4")
@@ -572,16 +556,10 @@ def verify_weyl_direct_sum(space: ModelSpace) -> VerificationReport:
         and weyl.dim == riemann.dim + pimage.dim
         and weyl.dim == expected_weyl
     )
-    return VerificationReport(
-        claim="thm4.2",
-        description="weyl curvature space = riemann curvature space ⊕ five-term-map image, orthogonally",
-        space=_space_meta(space),
-        quantities=quantities,
-        verdict=verdict,
-    )
+    return quantities, verdict, []
 
 
-def verify_riemann_ricci_split(space: ModelSpace) -> VerificationReport:
+def verify_riemann_ricci_split(space: ModelSpace) -> Outcome:
     """Ricci-based form of the three-piece splitting of the riemann space."""
     if space.n < 4:
         raise ClaimNotApplicable("needs n >= 4")
@@ -612,19 +590,10 @@ def verify_riemann_ricci_split(space: ModelSpace) -> VerificationReport:
         and rank_w == n * n
         and witness is None
     )
-    report = VerificationReport(
-        claim="thm4.1",
-        description="ricci contraction has full symmetric rank on the riemann space; its kernel is the conformal space",
-        space=_space_meta(space),
-        quantities=quantities,
-        verdict=verdict,
-    )
-    if witness is not None:
-        report.witnesses.append(witness)
-    return report
+    return quantities, verdict, [] if witness is None else [witness]
 
 
-def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
+def verify_kaehler_identity_collapse(space: ModelSpace) -> Outcome:
     """Structure-compatible weyl tensors are riemannian for n >= 6; strict gap at n = 4.
 
     For n >= 6 the claim passes when both compatible subspaces agree and the
@@ -655,21 +624,13 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
         "dim_weyl": weyl.dim,
         "dim_riemann": riemann.dim,
     }
-    report = VerificationReport(
-        claim="thm1.5",
-        description="structure-compatible weyl tensors are riemannian (n >= 6); documented strict failure at n = 4",
-        space=_space_meta(space),
-        quantities=quantities,
-        verdict=False,
-    )
     if n >= 6:
-        report.verdict = d1 == d2 and contained and sigma_meet.dim == 0
-        return report
+        return quantities, d1 == d2 and contained and sigma_meet.dim == 0, []
     # n == 4: exhibit the documented failure with a re-verified witness
     quantities["gap"] = d1 - d2
     if outside is None:
         quantities["witness_found"] = False
-        return report
+        return quantities, False, []
     scale = outside[min(outside)]
     t = Tensor4.from_dict(n, {c: Fraction(v, scale) for c, v in outside.items()})
     checks = {
@@ -680,16 +641,15 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> VerificationReport:
         "witness_breaks_last_pair_alternation": not defect_riemann(t).is_zero(),
     }
     quantities.update(checks)
-    report.witnesses.append({"tensor": {"rank": 4, "n": n, "components": list(t.components)}})
-    report.verdict = d1 > d2 and all(checks.values())
-    return report
+    witness = {"tensor": {"rank": 4, "n": n, "components": list(t.components)}}
+    return quantities, d1 > d2 and all(checks.values()), [witness]
 
 
 _PROBE_T1 = (4, 0, 2, 4)
 _PROBE_T2 = (4, 5, 0, 3)
 
 
-def verify_probe_suite(space: ModelSpace) -> VerificationReport:
+def verify_probe_suite(space: ModelSpace) -> Outcome:
     """Recompute every itemized probe value and the resulting exclusions.
 
     The probes evaluate the five-term map on the fundamental form, the
@@ -753,55 +713,27 @@ def verify_probe_suite(space: ModelSpace) -> VerificationReport:
     quantities["pair_sweep_rank"] = pair_rank
     quantities["dim_opposed_pair_meet_kaehler"] = direct_meet.dim
     verdict = all_match and omega_line_excluded and aligned_excluded and pair_rank == 2 and direct_meet.dim == 0
-    return VerificationReport(
-        claim="sec5",
-        description="itemized probe values and the exclusion sweep for the structure-compatible subspace",
-        space=_space_meta(space),
-        quantities=quantities,
-        verdict=verdict,
-    )
+    return quantities, verdict, []
 
 
-def verify_invariant_span_bound(space: ModelSpace) -> VerificationReport:
+def verify_invariant_span_bound(space: ModelSpace) -> Outcome:
     """The opposed 2-form module pairs with itself through a single invariant."""
     if space.kind == "none":
         raise ClaimNotApplicable("needs a structured space")
     two = catalog(space).two_tensors
     dim_span = invariant_span_dimension(two.alt_opposed, two.alt_opposed, space)
-    quantities = {"invariant_span_dimension": dim_span, "expected": 1}
-    return VerificationReport(
-        claim="eq4c",
-        description="even-word invariant functionals restricted to opposed ⊗ opposed span one dimension",
-        space=_space_meta(space),
-        quantities=quantities,
-        verdict=dim_span == 1,
-    )
+    return {"invariant_span_dimension": dim_span, "expected": 1}, dim_span == 1, []
 
 
-def _not_invariant_report(report: VerificationReport, err: NotInvariantError) -> VerificationReport:
-    """Fail ``report``: the group action leaves the opposed 2-form module."""
-    report.quantities = {"alt_opposed_invariant": False}
-    report.witnesses.append(err.witness)
-    return report
-
-
-def verify_commutant_line(space: ModelSpace) -> VerificationReport:
+def verify_commutant_line(space: ModelSpace) -> Outcome:
     """Equivariant self-maps of the opposed 2-form module are scalar."""
     if space.kind == "none":
         raise ClaimNotApplicable("needs a structured space")
     cat = catalog(space)
-    report = VerificationReport(
-        claim="eq4d",
-        description="the commutant of the extended structure group on the opposed 2-form module is the scalar line",
-        space=_space_meta(space),
-        quantities={},
-        verdict=False,
-        notes=["the unextended-group commutant dimension is reported without an irreducibility verdict"],
-    )
     try:
         mats = cat.opposed_matrices
     except NotInvariantError as err:
-        return _not_invariant_report(report, err)
+        return {"alt_opposed_invariant": False}, False, [err.witness]
     d = cat.two_tensors.alt_opposed.dim
     dim_comm = commutant_dimension(mats.values(), d)
     # the unextended group: U and Ustar share the Lie elements and the
@@ -811,59 +743,65 @@ def verify_commutant_line(space: ModelSpace) -> VerificationReport:
     extended = component_reps(space, "Ustar")
     unextended = [m for (action, idx), m in mats.items() if action != "component_rep" or extended[idx] in unitary]
     dim_unextended = commutant_dimension(unextended, d)
-    report.quantities = {
+    quantities = {
         "commutant_dimension": dim_comm,
         "expected": 1,
         # informational only: without the extension the commutant is larger
         # (real dimension 2), and no irreducibility verdict is drawn from it
         "commutant_dimension_unextended_group": dim_unextended,
     }
-    report.verdict = dim_comm == 1
-    return report
+    return quantities, dim_comm == 1, []
 
 
-def verify_doubled_commutant(space: ModelSpace) -> VerificationReport:
+def verify_doubled_commutant(space: ModelSpace) -> Outcome:
     """Doubling the opposed module yields the 2x2 commutant of a multiplicity-2 block."""
     if space.kind == "none":
         raise ClaimNotApplicable("needs a structured space")
     cat = catalog(space)
-    report = VerificationReport(
-        claim="lemma4.9",
-        description="the doubled opposed module has a four-dimensional commutant; its diagonal line family is invariant",
-        space=_space_meta(space),
-        quantities={},
-        verdict=False,
-    )
     try:
         mats = cat.opposed_matrices
     except NotInvariantError as err:
-        return _not_invariant_report(report, err)
+        return {"alt_opposed_invariant": False}, False, [err.witness]
     d = cat.two_tensors.alt_opposed.dim
     kernel = commutant_kernel([_block_diag(m, d) for m in mats.values()], 2 * d)
     # every line {(a t, b t)} of the double is invariant exactly when the
     # commutant is the block scalars, which holds once its dimension is 4
     lines_ok = kernel == _block_scalars(d)
-    report.quantities = {
+    quantities = {
         "doubled_commutant_dimension": kernel.dim,
         "expected": 4,
         "diagonal_line_family_invariant": lines_ok,
     }
-    report.verdict = kernel.dim == 4 and lines_ok
-    return report
+    return quantities, kernel.dim == 4 and lines_ok, []
 
 
-CLAIMS: dict[str, Callable[[ModelSpace], VerificationReport]] = {
-    "thm4.1": verify_riemann_ricci_split,
-    "thm4.2": verify_weyl_direct_sum,
-    "thm1.5": verify_kaehler_identity_collapse,
-    "sec5": verify_probe_suite,
-    "eq4c": verify_invariant_span_bound,
-    "eq4d": verify_commutant_line,
-    "lemma4.9": verify_doubled_commutant,
+# claim -> (description, verifier, notes)
+CLAIMS: dict[str, tuple[str, Callable[[ModelSpace], Outcome], tuple[str, ...]]] = {
+    "thm4.1": ("ricci contraction has full symmetric rank on the riemann space; its kernel is the conformal space",
+               verify_riemann_ricci_split, ()),
+    "thm4.2": ("weyl curvature space = riemann curvature space ⊕ five-term-map image, orthogonally",
+               verify_weyl_direct_sum, ()),
+    "thm1.5": ("structure-compatible weyl tensors are riemannian (n >= 6); documented strict failure at n = 4",
+               verify_kaehler_identity_collapse, ()),
+    "sec5": ("itemized probe values and the exclusion sweep for the structure-compatible subspace",
+             verify_probe_suite, ()),
+    "eq4c": ("even-word invariant functionals restricted to opposed ⊗ opposed span one dimension",
+             verify_invariant_span_bound, ()),
+    "eq4d": ("the commutant of the extended structure group on the opposed 2-form module is the scalar line",
+             verify_commutant_line,
+             ("the unextended-group commutant dimension is reported without an irreducibility verdict",)),
+    "lemma4.9": ("the doubled opposed module has a four-dimensional commutant; its diagonal line family is invariant",
+                 verify_doubled_commutant, ()),
 }
 
 
 def run_claim(claim: str, space: ModelSpace) -> VerificationReport:
+    """Run one claim's verifier and build its report: the claim's
+    description and notes, the space's description in exact mode, and the
+    verifier's quantities, verdict and witnesses."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
-    return CLAIMS[claim](space)
+    description, verify, notes = CLAIMS[claim]
+    quantities, verdict, witnesses = verify(space)
+    return VerificationReport(claim, description, {**space.describe(), "mode": "exact"},
+                              quantities, verdict, witnesses, notes)

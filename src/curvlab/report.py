@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple, Sequence
 
 
 def scalar_to_str(x: Fraction) -> str:
@@ -25,23 +25,23 @@ def scrub(value: Any) -> Any:
     return str(value)
 
 
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one claim check: quantities, verdict, and failure witnesses.
 
-    The verdict is always derivable from the recorded quantities; witnesses
-    carry explicit tensors when a claim fails (or when a documented expected
-    failure is exhibited, as for the low-dimensional gap).
+    Built once, by :func:`curvature.run_claim`, from what a verifier
+    returns.  The verdict is always derivable from the recorded quantities;
+    witnesses carry explicit tensors when a claim fails (or when a
+    documented expected failure is exhibited, as for the low-dimensional
+    gap).
     """
 
-    def __init__(self, claim: str, description: str, space: dict, quantities: dict, verdict: bool,
-                 witnesses: list | None = None, notes: list | None = None):
-        self.claim = claim
-        self.description = description
-        self.space = space
-        self.quantities = quantities
-        self.verdict = verdict
-        self.witnesses = [] if witnesses is None else witnesses
-        self.notes = [] if notes is None else notes
+    claim: str
+    description: str
+    space: dict
+    quantities: dict
+    verdict: bool
+    witnesses: Sequence[dict] = ()
+    notes: Sequence[str] = ()
 
     def to_json_dict(self) -> dict:
         return {

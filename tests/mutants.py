@@ -37,6 +37,23 @@ CLI = "src/curvlab/cli.py"
 SPACES = "src/curvlab/spaces.py"
 NIJENHUIS = "src/curvlab/nijenhuis.py"
 
+# the two loops of curvature._group_images, for the mutant that swaps them
+_LIE_WALK = (
+    "    for idx, x in lie:\n"
+    "        den, rows = action_rows(x, n)\n"
+    "        table = derivation_table(rows, n)\n"
+    "        for j, (vec, scale) in enumerate(basis):\n"
+    "            yield (\"lie\", idx), j, lie_apply_vec(table, vec, rank, n), den * scale\n"
+)
+_SIGNED_WALK = (
+    "    signed = chain((((\"cycle\", k), perm, ()) for k, perm in enumerate(gens.cycles)),\n"
+    "                   (((\"component_rep\", idx), range(n), flips) for idx, flips in gens.reps))\n"
+    "    for key, perm, flips in signed:\n"
+    "        targets, signs = signed_pair_table(perm, flips)\n"
+    "        for j, (vec, scale) in enumerate(basis):\n"
+    "            yield key, j, permute_vec(targets, signs, vec, rank, n), scale\n"
+)
+
 MUTANTS = [
     (
         "reduced_rows without its sign fix",
@@ -103,13 +120,20 @@ MUTANTS = [
         ["tests/test_tensors.py::test_sparse_actions_match_dense"],
     ),
     (
-        "certificate walk returning the first failure in vector-major order",
+        "certificate walk yielding the cycles and representatives before the Lie elements",
         CURVATURE,
-        "                first = {\"action\": key[0], \"element\": key[1], \"basis_vector\": bidx}\n"
-        "                limit = pos\n"
-        "                break\n",
-        "                return {\"action\": key[0], \"element\": key[1], \"basis_vector\": bidx}\n",
-        ["tests/test_group_actions.py::test_witness_order_matches_dense_walk_under_vector_major_loop"],
+        _LIE_WALK + _SIGNED_WALK,
+        _SIGNED_WALK + _LIE_WALK,
+        ["tests/test_group_actions.py::test_witness_order_matches_dense_walk_element_by_element"],
+    ),
+    (
+        "run_claim dropping eq4d's notes",
+        CURVATURE,
+        "             verify_commutant_line,\n"
+        "             (\"the unextended-group commutant dimension is reported without an irreducibility verdict\",)),\n",
+        "             verify_commutant_line, ()),\n",
+        ["tests/test_golden_reports.py::test_report_bytes_unchanged[verify eq4d --n 6 --kind para --format md]",
+         "tests/test_cli.py::test_failed_certificate_report_bytes_unchanged[eq4d-md]"],
     ),
     (
         "cli.py importing dataclasses",

@@ -24,10 +24,7 @@ from curvlab.curvature import (
     invariance_witness,
     invariant_span_dimension,
     representation_matrices,
-    verify_kaehler_identity_collapse,
-    verify_probe_suite,
-    verify_riemann_ricci_split,
-    verify_weyl_direct_sum,
+    run_claim,
 )
 from curvlab.nijenhuis import nijenhuis_at, twist
 from curvlab.tensors import (
@@ -66,7 +63,7 @@ def test_criterion_1_probe_value_suite():
     checks = {}
     start = time.perf_counter()
     for s in spaces:
-        rep = verify_probe_suite(s)
+        rep = run_claim("sec5", s)
         probe_results = [v for v in rep.quantities.values() if isinstance(v, dict) and "computed" in v]
         tag = f"{s.kind}{s.signature}"
         checks[f"{tag}: all probes exact"] = all(p["computed"] == p["expected"] for p in probe_results)
@@ -82,7 +79,7 @@ def test_criterion_2_headline_collapse():
     start = time.perf_counter()
     for kind in ("complex", "para"):
         for s in configured_spaces(6, kind):
-            rep = verify_kaehler_identity_collapse(s)
+            rep = run_claim("thm1.5", s)
             tag = f"n=6 {kind} eps={''.join('+' if e > 0 else '-' for e in s.eps)}"
             checks[f"{tag}: dims equal"] = (
                 rep.quantities["dim_kaehler_weyl"] == rep.quantities["dim_kaehler_riemann"]
@@ -92,7 +89,7 @@ def test_criterion_2_headline_collapse():
     elapsed6 = time.perf_counter() - start
     for kind in ("complex", "para"):
         s = make_standard(4, kind)
-        rep = verify_kaehler_identity_collapse(s)
+        rep = run_claim("thm1.5", s)
         tag = f"n=4 {kind}"
         checks[f"{tag}: strict gap"] = (
             rep.quantities["dim_kaehler_weyl"] > rep.quantities["dim_kaehler_riemann"]
@@ -115,7 +112,7 @@ def test_criterion_3_weyl_direct_sum():
     for n in (4, 6):
         for kind in ("complex", "para"):
             for s in configured_spaces(n, kind):
-                rep = verify_weyl_direct_sum(s)
+                rep = run_claim("thm4.2", s)
                 tag = f"n={n} {kind} sig={s.signature} eps[0]={s.eps[0]}"
                 expected = n * n * (n * n - 1) // 12 + n * (n - 1) // 2
                 checks[f"{tag}: verdict"] = rep.verdict
@@ -127,7 +124,7 @@ def test_criterion_3_weyl_direct_sum():
 def test_criterion_4_ricci_ranks():
     checks = {}
     for n, conformal_dim in ((4, 10), (6, 84)):
-        rep = verify_riemann_ricci_split(make_standard(n, "none"))
+        rep = run_claim("thm4.1", make_standard(n, "none"))
         checks[f"n={n}: rank on riemann"] = rep.quantities["ricci_rank_on_riemann"] == n * (n + 1) // 2
         checks[f"n={n}: conformal kernel dim"] = rep.quantities["dim_conformal"] == conformal_dim
         checks[f"n={n}: kernel equals conformal"] = rep.quantities["ricci_kernel_equals_conformal"]

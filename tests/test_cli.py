@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output stability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,27 @@ def test_verify_non_invariant_module_is_a_failed_claim(capsys, monkeypatch, clai
     assert payload["verdict"] == "fail"
     assert payload["quantities"] == {"alt_opposed_invariant": False}
     assert payload["witnesses"] == [{"action": "lie", "element": 0, "basis_vector": 1}]
+
+
+BROKEN_REPORT_SHA256 = {
+    ("eq4d", "json"): "41b0f1545cf8217dca5ab01efe8b5f8b31619d88a7715fae018a2877d02ef528",
+    ("eq4d", "md"): "d41534a1a8c7b96a3c2fbce758c82faac20542ac12c41a53e1220b5d94b46d6d",
+    ("lemma4.9", "json"): "18cc9256e67f6b0d5ca3d9ca4e67532f22ec3fc910c649c4573f05319c3b2dfe",
+    ("lemma4.9", "md"): "ff62b2481a5ff8d56643c2e8ffe4f1cca9b4b243b2e60129f05b9843df9ffd30",
+    ("thm4.1", "json"): "6952a6ab8ec5dbb6595df0750ddf8a6f14ecb349119387d18db18442412467d9",
+    ("thm4.1", "md"): "5475aaae64a8b615716fa674767becf2a686217d53c23cbd14ee0cd4681762b9",
+}
+
+
+@pytest.mark.parametrize("claim,fmt", sorted(BROKEN_REPORT_SHA256))
+def test_failed_certificate_report_bytes_unchanged(capsys, monkeypatch, claim, fmt):
+    """The failed reports of the three claims that read a certificate, in
+    both formats, keep their bytes: eq4d's notes stay on its failed report,
+    and thm4.1's keeps every quantity beside its witness."""
+    _break_lie_basis(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", claim, "--n", "4", "--kind", "complex", "--format", fmt)
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BROKEN_REPORT_SHA256[claim, fmt]
 
 
 def test_sweep_non_invariant_module_is_a_failed_cell(capsys, monkeypatch):

@@ -337,8 +337,8 @@ def test_zero_structure_meets_pass_the_modular_rank_certificate(kind, n, sig, mo
         return meets[-1][1]
 
     monkeypatch.setattr(curvature, "kaehler_subspace", recording_kaehler_subspace)
-    assert curvature.verify_kaehler_identity_collapse(s).verdict
-    assert curvature.verify_probe_suite(s).verdict
+    assert curvature.run_claim("thm1.5", s).verdict
+    assert curvature.run_claim("sec5", s).verdict
     assert [base for base, _ in meets] == [cat.sigma_image, subspace_sum(cat.psi_span, cat.sigma_opposed_span)]
     rows = oracles.full_kaehler_rows(s)
     for base, meet in meets:

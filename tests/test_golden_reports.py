@@ -2,7 +2,9 @@
 table at n = 4, 6 and 8 in both geometries and at n = 6 ``--sig 4,2
 --kind complex``; of ``dims``, thm4.1 and thm4.2 with ``--kind none`` at
 n = 4, 6 and 6 ``--sig 4,2``; of thm1.5, thm4.2, thm4.1, eq4d and lemma4.9
-at n = 10 in both geometries; and of a set of ``eval`` commands
+at n = 10 in both geometries; of two markdown reports, eq4d's with its
+note line and thm1.5's at n = 4 with its witness line; and of a set of
+``eval`` commands
 (Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
 evaluation each), pinned by sha256; and one sha256 over a grid of 648
 Nijenhuis probes at n = 4.
@@ -47,6 +49,8 @@ CASES = [
     for kind in ("complex", "para")
     for claim in ("thm1.5", "thm4.2", "thm4.1", "eq4d", "lemma4.9")
 ] + [
+    "verify eq4d --n 6 --kind para --format md",
+    "verify thm1.5 --n 4 --kind complex --format md",
     "eval nijenhuis --n 6",
     "eval nijenhuis --n 4",
     "eval nijenhuis --n 6 --kind para",
@@ -179,6 +183,8 @@ GOLDEN = {
     "verify thm4.1 --n 10 --kind para": (0, "2b3f47c6de5ae493d80ef7e0b6a383361720b729a70f4684572f6521e45cdbff"),
     "verify eq4d --n 10 --kind para": (0, "9c5471cdff7db1628786cb1f8f5903a889368ec11d6d438214987025c785349a"),
     "verify lemma4.9 --n 10 --kind para": (0, "57c865b8b9a6080aeabf0f1381e349a88802a944820407f1c1da3c4976d42594"),
+    "verify eq4d --n 6 --kind para --format md": (0, "e290ef4c028c78994aeabf65f750ccce0d7516040180563e7f4b1d11a0bb9cf3"),
+    "verify thm1.5 --n 4 --kind complex --format md": (0, "7ad4c4c10f34ae68054862a3b5970e15b8b3ad4145f9a5c0a56e82e23cb3cd04"),
     "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
     "eval nijenhuis --n 4": (0, "76f2cdd24ee11faae00e3da736317c95e7a4bbedbf2917c18f04153d29b7a8ad"),
     "eval nijenhuis --n 6 --kind para": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),

@@ -29,8 +29,7 @@ from curvlab.curvature import (
     invariant_rows,
     invariant_span_dimension,
     representation_matrices,
-    verify_commutant_line,
-    verify_doubled_commutant,
+    run_claim,
 )
 from curvlab.tensors import (
     Tensor4,
@@ -103,8 +102,8 @@ def test_certificate_and_representation_share_first_witness(complex4, ambient, g
     assert err.value.witness == witness == {"action": "lie", "element": 0, "basis_vector": 0}
 
 
-def _count_group_applies(monkeypatch, verifier, space):
-    """Run ``verifier`` on ``space``, from a fresh catalog, and count its
+def _count_group_applies(monkeypatch, claim, space):
+    """Run ``claim`` on ``space``, from a fresh catalog, and count its
     sparse group applies."""
     catalog.cache_clear()
     catalog(space).two_tensors
@@ -118,7 +117,7 @@ def _count_group_applies(monkeypatch, verifier, space):
 
     for name in ("lie_apply_vec", "permute_vec"):
         monkeypatch.setattr(curvature, name, counted(getattr(curvature, name)))
-    assert verifier(space).verdict
+    assert run_claim(claim, space).verdict
     return len(calls)
 
 
@@ -131,14 +130,14 @@ def test_lemma49_applies_each_generator_once(monkeypatch, kind, applies):
     the reversal and its product with the plane negation; the plane cycle
     lies in the negation's component).  That is 2 * (2 + 1 + 1) = 8 and
     2 * (2 + 1 + 2) = 10 applies."""
-    assert _count_group_applies(monkeypatch, verify_doubled_commutant, make_standard(4, kind)) == applies
+    assert _count_group_applies(monkeypatch, "lemma4.9", make_standard(4, kind)) == applies
 
 
 @pytest.mark.parametrize("kind,applies", [("complex", 8), ("para", 10)])
 def test_eq4d_applies_each_generator_once(monkeypatch, kind, applies):
     """eq4d reads the unextended group's matrices off the extended group's,
     so it applies the same generators as lemma4.9, each once."""
-    assert _count_group_applies(monkeypatch, verify_commutant_line, make_standard(4, kind)) == applies
+    assert _count_group_applies(monkeypatch, "eq4d", make_standard(4, kind)) == applies
 
 
 def test_eq4d_and_lemma49_build_the_opposed_matrices_once_per_catalog(monkeypatch, capsys):
@@ -364,7 +363,7 @@ def test_line_family_is_read_off_the_doubled_commutant(n, kind, monkeypatch):
     the key and the verdict read false."""
     s = make_standard(n, kind)
     calls = _record_commutant_kernels(monkeypatch)
-    report = verify_doubled_commutant(s)
+    report = run_claim("lemma4.9", s)
     assert report.verdict and report.quantities["diagonal_line_family_invariant"]
     (mats, d2, kernel), = calls
     d = d2 // 2
@@ -376,7 +375,7 @@ def test_line_family_is_read_off_the_doubled_commutant(n, kind, monkeypatch):
             t = oracles.Matrix(d2, d2, tuple(t))
             assert t.mul(dense) == dense.mul(t)
     monkeypatch.setattr(catalog(s), "opposed_matrices", {("lie", 0): {0: 1}})
-    broken = verify_doubled_commutant(s)
+    broken = run_claim("lemma4.9", s)
     assert broken.quantities["diagonal_line_family_invariant"] is False and not broken.verdict
     assert broken.quantities["doubled_commutant_dimension"] > 4
 
@@ -390,8 +389,8 @@ def test_commutant_kernels_pass_the_modular_rank_certificate(n, kind, monkeypatc
     the dense loop, with no code from the engine."""
     s = make_standard(n, kind)
     calls = _record_commutant_kernels(monkeypatch)
-    line = verify_commutant_line(s).quantities
-    doubled = verify_doubled_commutant(s).quantities
+    line = run_claim("eq4d", s).quantities
+    doubled = run_claim("lemma4.9", s).quantities
     dims = [line["commutant_dimension"], line["commutant_dimension_unextended_group"],
             doubled["doubled_commutant_dimension"]]
     assert dims == [1, 2, 4]
@@ -596,14 +595,15 @@ def _witness_order_modules(space, rank):
 
 @pytest.mark.parametrize("rank", [2, 4])
 @pytest.mark.parametrize("kind", ["complex", "para"])
-def test_witness_order_matches_dense_walk_under_vector_major_loop(kind, rank):
-    """The certificates walk basis vector by basis vector, yet name the first
-    failure in certificate order, as the dense walk over elements finds it:
-    invariance_witness with and without seeded extra elements, and
-    representation_matrices.  The modules include the two orders the
-    vector-major loop must untangle: a representative fails at vector 0
-    while the witness is a Lie element failing only at vector 1, and a Lie
-    element after the witness's fails at an earlier vector than it."""
+def test_witness_order_matches_dense_walk_element_by_element(kind, rank):
+    """The certificates walk element by element, each over every basis
+    vector, and name the first failure in certificate order, as the dense
+    walk over elements finds it: invariance_witness with and without seeded
+    extra elements, and representation_matrices.  The modules include the
+    two cases a walk that stopped at the first failing basis vector would
+    get wrong: a representative fails at vector 0 while the witness is a Lie
+    element failing only at vector 1, and a Lie element after the witness's
+    fails at an earlier vector than it."""
     s = make_standard(4, kind)
     seen = set()
     for group in ("O", "U", "Ustar"):
@@ -708,4 +708,4 @@ def test_unextended_commutant_matches_dense_full_basis_oracle(n, kind, sig):
     sub = catalog(s).two_tensors.alt_opposed
     dense = [_dense_matrix(s, sub, act) for _, _, act in _dense_actions(s, "U")]
     assert oracles.commutant_dimension(dense) == 2
-    assert verify_commutant_line(s).quantities["commutant_dimension_unextended_group"] == 2
+    assert run_claim("eq4d", s).quantities["commutant_dimension_unextended_group"] == 2

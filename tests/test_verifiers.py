@@ -10,8 +10,6 @@ from curvlab.curvature import (
     run_claim,
     verify_kaehler_identity_collapse,
     verify_probe_suite,
-    verify_riemann_ricci_split,
-    verify_weyl_direct_sum,
 )
 from curvlab.tensors import (
     defect_antisym,
@@ -27,7 +25,7 @@ F = Fraction
 
 @pytest.mark.parametrize("kind,sig", [("complex", (4, 0)), ("para", None)])
 def test_weyl_direct_sum_n4(kind, sig):
-    rep = verify_weyl_direct_sum(make_standard(4, kind, sig))
+    rep = run_claim("thm4.2", make_standard(4, kind, sig))
     assert rep.verdict
     assert rep.quantities["dim_intersection"] == 0
     assert rep.quantities["gram_orthogonality_violations"] == 0
@@ -36,7 +34,7 @@ def test_weyl_direct_sum_n4(kind, sig):
 
 @pytest.mark.parametrize("kind,sig", [("complex", (6, 0)), ("complex", (4, 2)), ("para", None)])
 def test_weyl_direct_sum_n6(kind, sig):
-    rep = verify_weyl_direct_sum(make_standard(6, kind, sig))
+    rep = run_claim("thm4.2", make_standard(6, kind, sig))
     assert rep.verdict
     assert rep.quantities["dim_weyl"] == 120
     assert rep.quantities["dim_riemann"] == 105
@@ -47,7 +45,7 @@ def test_weyl_direct_sum_n6(kind, sig):
     "n,rank,conformal", [(4, 10, 10), (6, 21, 84)]
 )
 def test_riemann_ricci_split(n, rank, conformal):
-    rep = verify_riemann_ricci_split(make_standard(n, "none"))
+    rep = run_claim("thm4.1", make_standard(n, "none"))
     assert rep.verdict
     assert rep.quantities["ricci_rank_on_riemann"] == n * (n + 1) // 2
     assert rep.quantities["dim_conformal"] == conformal
@@ -64,7 +62,7 @@ def test_riemann_ricci_split(n, rank, conformal):
 )
 def test_collapse_passes_n6(kind, eps):
     s = make_standard(6, kind, eps=eps)
-    rep = verify_kaehler_identity_collapse(s)
+    rep = run_claim("thm1.5", s)
     assert rep.verdict
     assert rep.quantities["dim_kaehler_weyl"] == rep.quantities["dim_kaehler_riemann"] == 36
     assert rep.quantities["kaehler_weyl_inside_riemann"]
@@ -72,7 +70,7 @@ def test_collapse_passes_n6(kind, eps):
 
 
 def test_collapse_indefinite_complex():
-    rep = verify_kaehler_identity_collapse(make_standard(6, "complex", (4, 2)))
+    rep = run_claim("thm1.5", make_standard(6, "complex", (4, 2)))
     assert rep.verdict
 
 
@@ -87,7 +85,7 @@ def test_collapse_passes_n8(kind):
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_collapse_gap_and_witness_n4(kind):
     s = make_standard(4, kind)
-    rep = verify_kaehler_identity_collapse(s)
+    rep = run_claim("thm1.5", s)
     assert rep.verdict  # pass means the documented failure was exhibited
     assert rep.quantities["gap"] == 5
     assert rep.quantities["dim_kaehler_weyl"] == 14
@@ -110,7 +108,7 @@ def test_collapse_requires_structure():
 @pytest.mark.parametrize("kind,sig", [("complex", (6, 0)), ("complex", (4, 2)), ("para", None)])
 def test_probe_suite(kind, sig):
     s = make_standard(6, kind, sig)
-    rep = verify_probe_suite(s)
+    rep = run_claim("sec5", s)
     assert rep.verdict
     probe_results = [v for v in rep.quantities.values() if isinstance(v, dict) and "computed" in v]
     assert len(probe_results) == 12
@@ -129,7 +127,7 @@ def test_probe_suite_requires_n6():
 def test_probe_values_match_closed_forms_in_signature():
     """In signature (4,2) the h55 factor flips sign; the suite tracks it."""
     s = make_standard(6, "complex", (4, 2))
-    rep = verify_probe_suite(s)
+    rep = run_claim("sec5", s)
     assert rep.quantities["sigma(opposed)@(5,1,3,5)"]["expected"] == F(1)  # -h55 with h55 = -1
     assert rep.quantities["psi(opposed)@(5,6,1,4)"]["expected"] == F(-2)
 
