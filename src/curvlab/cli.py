@@ -1,12 +1,14 @@
 """Command-line front end: configure a model space, run builders and claim
 verifiers, evaluate individual maps, and sweep configurations.
 
-Subcommands: dims | verify | eval | sweep.  All indices on the command line
-are 1-based (matching the basis notation e1, e2, ...); JSON payloads carry
-0-based indices with an explicit ``index_base`` field.  Results go to stdout,
-diagnostics to stderr.  Exit codes: 0 = all claims pass (expected-failure
-claims passing as such), 1 = some claim fails, 2 = usage or config error,
-3 = internal error.
+Subcommands: dims | verify | eval | sweep.  Each ``cmd_*`` takes the parsed
+arguments and returns its JSON payload, a function rendering that payload as
+markdown, and its exit code; ``main`` prints the one format asked for.  All
+indices on the command line are 1-based (matching the basis notation e1,
+e2, ...); JSON payloads carry 0-based indices with an explicit
+``index_base`` field.  Results go to stdout, diagnostics to stderr.  Exit
+codes: 0 = all claims pass (expected-failure claims passing as such), 1 =
+some claim fails, 2 = usage or config error, 3 = internal error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 from . import curvature, nijenhuis, report
 from .curvature import CLAIMS, ClaimNotApplicable, catalog, run_claim
@@ -36,19 +37,12 @@ class UsageError(ValueError):
     pass
 
 
-class RunConfig(NamedTuple):
-    n: int
-    kind: str
-    signature: tuple[int, int] | None
-    eps: tuple[int, ...] | None
-    fmt: str
-
-    def space(self) -> ModelSpace:
-        """The configured space; a configuration ``make_standard`` rejects is a bad request."""
-        try:
-            return make_standard(self.n, self.kind, signature=self.signature, eps=self.eps)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+def _standard(n: int, kind: str, signature=None, eps=None) -> ModelSpace:
+    """The configured space; a configuration ``make_standard`` rejects is a bad request."""
+    try:
+        return make_standard(n, kind, signature=signature, eps=eps)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_sig(text: str | None) -> tuple[int, int] | None:
@@ -108,23 +102,6 @@ def _parse_perm(text: str) -> tuple[int, ...]:
     return perm
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        n=args.n,
-        kind=args.kind,
-        signature=_parse_sig(args.sig),
-        eps=_parse_eps(args.eps),
-        fmt=args.format,
-    )
-
-
-def _emit(obj: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=False))
-    else:
-        print(_markdown_table(obj))
-
-
 def _markdown_table(obj: dict) -> str:
     lines = ["| key | value |", "| --- | --- |"]
     for key, value in obj.items():
@@ -132,32 +109,34 @@ def _markdown_table(obj: dict) -> str:
     return "\n".join(lines)
 
 
+def _sweep_table(payload: dict) -> str:
+    lines = ["| n | kind | signature | claim | status |", "| - | - | - | - | - |"]
+    for c in payload["cells"]:
+        lines.append(f"| {c['n']} | {c['kind']} | {c['signature']} | {c['claim']} | {c['status']} |")
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (payload, markdown renderer, exit code)
 # ---------------------------------------------------------------------------
 
 
-def cmd_dims(config: RunConfig) -> int:
-    space = config.space()
+def cmd_dims(args):
+    space = _standard(args.n, args.kind, _parse_sig(args.sig), _parse_eps(args.eps))
     payload = {
         "space": space.describe(),
         "mode": "exact",
         "dims": catalog(space).dims(),
     }
-    _emit(payload, config.fmt)
-    return 0
+    return payload, _markdown_table, 0
 
 
-def cmd_verify(config: RunConfig, claim: str) -> int:
-    if claim not in CLAIMS:
-        raise UsageError(f"unknown claim {claim!r}; known: {', '.join(sorted(CLAIMS))}")
-    space = config.space()
-    rep = run_claim(claim, space)
-    if config.fmt == "json":
-        print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=False))
-    else:
-        print(report.render_markdown(rep))
-    return report.exit_code_for([rep])
+def cmd_verify(args):
+    signature, eps = _parse_sig(args.sig), _parse_eps(args.eps)
+    if args.claim not in CLAIMS:
+        raise UsageError(f"unknown claim {args.claim!r}; known: {', '.join(sorted(CLAIMS))}")
+    rep = run_claim(args.claim, _standard(args.n, args.kind, signature, eps))
+    return rep.to_json_dict(), lambda _: report.render_markdown(rep), report.exit_code_for([rep])
 
 
 BUILTIN_FORMS = {
@@ -167,12 +146,10 @@ BUILTIN_FORMS = {
 }
 
 
-def cmd_eval(config: RunConfig, args) -> int:
+def cmd_eval(args):
     """One map on inputs the user chose: any ``ValueError`` it raises is a bad request."""
     try:
-        return _eval(config, args)
-    except UsageError:
-        raise
+        return _eval(args), _markdown_table, 0
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -182,8 +159,8 @@ def _needs_structure(space: ModelSpace, what: str) -> None:
         raise UsageError(f"{what} needs --kind complex or para, not --kind none")
 
 
-def _eval(config: RunConfig, args) -> int:
-    space = config.space()
+def _eval(args) -> dict:
+    space = _standard(args.n, args.kind, _parse_sig(args.sig), _parse_eps(args.eps))
     what = args.map
     if what in ("sigma", "psi"):
         # sigma takes any 2-form, psi only an opposed one
@@ -195,15 +172,13 @@ def _eval(config: RunConfig, args) -> int:
         idx = _parse_indices(args.idx, 4, space.n)
         tensor = sigma(psi, space) if what == "sigma" else psi_map(psi, space)
         value = tensor.get(flatten4(space.n, *idx), Fraction(0))
-        payload = {
+        return {
             "map": what,
             "form": form,
             "indices_1based": [i + 1 for i in idx],
             "index_base": 0,
             "value": scalar_to_str(value),
         }
-        _emit(payload, config.fmt)
-        return 0
     if what == "invariant":
         perm = _parse_perm(args.perm)
         word = _parse_word(args.word)
@@ -220,37 +195,32 @@ def _eval(config: RunConfig, args) -> int:
         n2 = space.n ** 2  # the row on theta (x) phi: theta at c // n^2, phi at c % n^2
         row = invariant_contraction_row(perm, word, space)
         value = sum((v * theta.get(c // n2, 0) * phi.get(c % n2, 0) for c, v in row.items()), Fraction(0))
-        payload = {
+        return {
             "map": "invariant",
             "tensor": theta_name,
             "perm_1based": [p + 1 for p in perm],
             "word": args.word,
             "value": scalar_to_str(value),
         }
-        _emit(payload, config.fmt)
-        return 0
-    if what == "nijenhuis":
-        _needs_structure(space, "eval nijenhuis")
-        plane = _parse_indices(args.plane, 2, space.n)
-        xy = _parse_indices(args.xy, 2, space.n)
-        slope = _parse_slope(args.slope)
-        generator = nijenhuis.twist(space, plane, args.rotation)
-        value = nijenhuis.nijenhuis_at(space, generator, slope, xy[0], xy[1])
-        payload = {
-            "map": "nijenhuis",
-            "plane_1based": [plane[0] + 1, plane[1] + 1],
-            "directions_1based": [xy[0] + 1, xy[1] + 1],
-            "rotation": args.rotation,
-            "angle_slope": scalar_to_str(slope),
-            "terms": [[scalar_to_str(v) for v in t] for t in value.terms],
-            "total": [scalar_to_str(v) for v in value.total],
-        }
-        _emit(payload, config.fmt)
-        return 0
-    raise UsageError(f"unknown map {what!r}")
+    # nijenhuis: argparse's choices admit no other map
+    _needs_structure(space, "eval nijenhuis")
+    plane = _parse_indices(args.plane, 2, space.n)
+    xy = _parse_indices(args.xy, 2, space.n)
+    slope = _parse_slope(args.slope)
+    generator = nijenhuis.twist(space, plane, args.rotation)
+    value = nijenhuis.nijenhuis_at(space, generator, slope, xy[0], xy[1])
+    return {
+        "map": "nijenhuis",
+        "plane_1based": [plane[0] + 1, plane[1] + 1],
+        "directions_1based": [xy[0] + 1, xy[1] + 1],
+        "rotation": args.rotation,
+        "angle_slope": scalar_to_str(slope),
+        "terms": [[scalar_to_str(v) for v in t] for t in value.terms],
+        "total": [scalar_to_str(v) for v in value.total],
+    }
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     try:
         ns = [int(x) for x in args.ns.split(",")] if args.ns else []
     except ValueError as exc:
@@ -268,9 +238,8 @@ def cmd_sweep(args) -> int:
     if not kinds:
         raise UsageError("empty --kinds; expected complex and/or para")
     # every space is built, and so validated, before the first cell runs
-    spaces = [RunConfig(n, kind, None, None, args.format).space() for n in ns for kind in kinds]
-    cells = []
-    overall = 0
+    spaces = [_standard(n, kind) for n in ns for kind in kinds]
+    cells, reports = [], []
     for space in spaces:
         for claim in claims:
             cell = {
@@ -286,23 +255,15 @@ def cmd_sweep(args) -> int:
                 cell["status"] = f"skipped ({exc})"
                 cells.append(cell)
                 continue
+            reports.append(rep)
             if rep.verdict and "gap" in rep.quantities:
                 cell["status"] = "pass (expected failure exhibited)"
             elif rep.verdict:
                 cell["status"] = "pass"
             else:
                 cell["status"] = "fail"
-                overall = 1
             cells.append(cell)
-    payload = {"mode": "exact", "cells": cells}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        lines = ["| n | kind | signature | claim | status |", "| - | - | - | - | - |"]
-        for c in cells:
-            lines.append(f"| {c['n']} | {c['kind']} | {c['signature']} | {c['claim']} | {c['status']} |")
-        print("\n".join(lines))
-    return overall
+    return {"mode": "exact", "cells": cells}, _sweep_table, report.exit_code_for(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +274,6 @@ def cmd_sweep(args) -> int:
 @cache  # argparse keeps no state between parses, and building costs about 0.7 ms
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--mode", choices=("exact",), default="exact", help="arithmetic: exact (the only mode)")
     output.add_argument("--format", choices=("json", "md"), default="json")
     # sweep builds its own spaces from --ns and --kinds, so only dims, verify
     # and eval take the space flags
@@ -357,19 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = {"dims": cmd_dims, "verify": cmd_verify, "eval": cmd_eval, "sweep": cmd_sweep}[args.command]
     try:
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        config = _config_from_args(args)
-        if args.command == "dims":
-            return cmd_dims(config)
-        if args.command == "verify":
-            return cmd_verify(config, args.claim)
-        if args.command == "eval":
-            return cmd_eval(config, args)
-        raise UsageError(f"unknown command {args.command!r}")
+        payload, markdown, code = command(args)
+        print(json.dumps(payload, indent=2) if args.format == "json" else markdown(payload))
+        return code
     except (UsageError, ClaimNotApplicable) as exc:  # a bad request; any other ValueError is a fault
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -524,14 +524,12 @@ def eval_with_structure(space: ModelSpace, t: Vec, idx: Sequence[int], jmask: Se
 
 
 # Each verifier returns ``(quantities, verdict, witnesses)``; run_claim
-# builds the report.
+# checks the claim's preconditions first and builds the report.
 Outcome = tuple[dict, bool, list]
 
 
 def verify_weyl_direct_sum(space: ModelSpace) -> Outcome:
     """The weyl space splits orthogonally as riemann space plus the five-term-map image."""
-    if space.n < 4:
-        raise ClaimNotApplicable("needs n >= 4")
     n = space.n
     cat = catalog(space)
     weyl, riemann, pimage = cat.weyl, cat.riemann, cat.sigma_image
@@ -561,8 +559,6 @@ def verify_weyl_direct_sum(space: ModelSpace) -> Outcome:
 
 def verify_riemann_ricci_split(space: ModelSpace) -> Outcome:
     """Ricci-based form of the three-piece splitting of the riemann space."""
-    if space.n < 4:
-        raise ClaimNotApplicable("needs n >= 4")
     n = space.n
     cat = catalog(space)
     riemann, weyl, conformal = cat.riemann, cat.weyl, cat.conformal
@@ -603,8 +599,6 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> Outcome:
     the first-pair, cyclic, weyl and structure-compatibility identities but
     not the last-pair alternation.
     """
-    if space.kind == "none":
-        raise ClaimNotApplicable("needs a structured space")
     n = space.n
     cat = catalog(space)
     weyl, riemann = cat.weyl, cat.riemann
@@ -658,10 +652,6 @@ def verify_probe_suite(space: ModelSpace) -> Outcome:
     applied to the last two slots.  Expected values are the closed forms
     evaluated in the chosen signature.
     """
-    if space.kind == "none":
-        raise ClaimNotApplicable("needs a structured space")
-    if space.n < 6:
-        raise ClaimNotApplicable("needs n >= 6")
     u = structure_sign(space.kind)
     eps = space.eps
     omega = kaehler_form(space)
@@ -718,8 +708,6 @@ def verify_probe_suite(space: ModelSpace) -> Outcome:
 
 def verify_invariant_span_bound(space: ModelSpace) -> Outcome:
     """The opposed 2-form module pairs with itself through a single invariant."""
-    if space.kind == "none":
-        raise ClaimNotApplicable("needs a structured space")
     two = catalog(space).two_tensors
     dim_span = invariant_span_dimension(two.alt_opposed, two.alt_opposed, space)
     return {"invariant_span_dimension": dim_span, "expected": 1}, dim_span == 1, []
@@ -727,8 +715,6 @@ def verify_invariant_span_bound(space: ModelSpace) -> Outcome:
 
 def verify_commutant_line(space: ModelSpace) -> Outcome:
     """Equivariant self-maps of the opposed 2-form module are scalar."""
-    if space.kind == "none":
-        raise ClaimNotApplicable("needs a structured space")
     cat = catalog(space)
     try:
         mats = cat.opposed_matrices
@@ -755,8 +741,6 @@ def verify_commutant_line(space: ModelSpace) -> Outcome:
 
 def verify_doubled_commutant(space: ModelSpace) -> Outcome:
     """Doubling the opposed module yields the 2x2 commutant of a multiplicity-2 block."""
-    if space.kind == "none":
-        raise ClaimNotApplicable("needs a structured space")
     cat = catalog(space)
     try:
         mats = cat.opposed_matrices
@@ -775,33 +759,41 @@ def verify_doubled_commutant(space: ModelSpace) -> Outcome:
     return quantities, kernel.dim == 4 and lines_ok, []
 
 
-# claim -> (description, verifier, notes)
-CLAIMS: dict[str, tuple[str, Callable[[ModelSpace], Outcome], tuple[str, ...]]] = {
+# claim -> (description, verifier, needs a structure, least n, notes); a
+# structured space has n >= 4
+CLAIMS: dict[str, tuple[str, Callable[[ModelSpace], Outcome], bool, int, tuple[str, ...]]] = {
     "thm4.1": ("ricci contraction has full symmetric rank on the riemann space; its kernel is the conformal space",
-               verify_riemann_ricci_split, ()),
+               verify_riemann_ricci_split, False, 4, ()),
     "thm4.2": ("weyl curvature space = riemann curvature space ⊕ five-term-map image, orthogonally",
-               verify_weyl_direct_sum, ()),
+               verify_weyl_direct_sum, False, 4, ()),
     "thm1.5": ("structure-compatible weyl tensors are riemannian (n >= 6); documented strict failure at n = 4",
-               verify_kaehler_identity_collapse, ()),
+               verify_kaehler_identity_collapse, True, 4, ()),
     "sec5": ("itemized probe values and the exclusion sweep for the structure-compatible subspace",
-             verify_probe_suite, ()),
+             verify_probe_suite, True, 6, ()),
     "eq4c": ("even-word invariant functionals restricted to opposed ⊗ opposed span one dimension",
-             verify_invariant_span_bound, ()),
+             verify_invariant_span_bound, True, 4, ()),
     "eq4d": ("the commutant of the extended structure group on the opposed 2-form module is the scalar line",
-             verify_commutant_line,
+             verify_commutant_line, True, 4,
              ("the unextended-group commutant dimension is reported without an irreducibility verdict",)),
     "lemma4.9": ("the doubled opposed module has a four-dimensional commutant; its diagonal line family is invariant",
-                 verify_doubled_commutant, ()),
+                 verify_doubled_commutant, True, 4, ()),
 }
 
 
 def run_claim(claim: str, space: ModelSpace) -> VerificationReport:
     """Run one claim's verifier and build its report: the claim's
     description and notes, the space's description in exact mode, and the
-    verifier's quantities, verdict and witnesses."""
+    verifier's quantities, verdict and witnesses.  A space the claim is not
+    stated for raises :class:`ClaimNotApplicable` before the verifier runs:
+    first an unstructured space where the claim needs a structure, then too
+    small an n."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
-    description, verify, notes = CLAIMS[claim]
+    description, verify, structured, least_n, notes = CLAIMS[claim]
+    if structured and space.kind == "none":
+        raise ClaimNotApplicable("needs a structured space")
+    if space.n < least_n:
+        raise ClaimNotApplicable(f"needs n >= {least_n}")
     quantities, verdict, witnesses = verify(space)
     return VerificationReport(claim, description, {**space.describe(), "mode": "exact"},
                               quantities, verdict, witnesses, notes)

@@ -53,6 +53,15 @@ _SIGNED_WALK = (
     "        for j, (vec, scale) in enumerate(basis):\n"
     "            yield key, j, permute_vec(targets, signs, vec, rank, n), scale\n"
 )
+# the two precondition checks of curvature.run_claim, for the mutant that swaps them
+_STRUCTURE_CHECK = (
+    "    if structured and space.kind == \"none\":\n"
+    "        raise ClaimNotApplicable(\"needs a structured space\")\n"
+)
+_LEAST_N_CHECK = (
+    "    if space.n < least_n:\n"
+    "        raise ClaimNotApplicable(f\"needs n >= {least_n}\")\n"
+)
 
 MUTANTS = [
     (
@@ -129,11 +138,25 @@ MUTANTS = [
     (
         "run_claim dropping eq4d's notes",
         CURVATURE,
-        "             verify_commutant_line,\n"
+        "             verify_commutant_line, True, 4,\n"
         "             (\"the unextended-group commutant dimension is reported without an irreducibility verdict\",)),\n",
-        "             verify_commutant_line, ()),\n",
+        "             verify_commutant_line, True, 4, ()),\n",
         ["tests/test_golden_reports.py::test_report_bytes_unchanged[verify eq4d --n 6 --kind para --format md]",
          "tests/test_cli.py::test_failed_certificate_report_bytes_unchanged[eq4d-md]"],
+    ),
+    (
+        "run_claim checking the least n before the structure",
+        CURVATURE,
+        _STRUCTURE_CHECK + _LEAST_N_CHECK,
+        _LEAST_N_CHECK + _STRUCTURE_CHECK,
+        ["tests/test_cli.py::test_bad_inputs_are_reported_in_order[structure-before-n]"],
+    ),
+    (
+        "sweep exiting 0 whatever its cells' verdicts",
+        CLI,
+        "_sweep_table, report.exit_code_for(reports)",
+        "_sweep_table, 0",
+        ["tests/test_cli.py::test_sweep_non_invariant_module_is_a_failed_cell"],
     ),
     (
         "cli.py importing dataclasses",

@@ -407,19 +407,38 @@ def test_exit_code_contract_for_failures():
     assert exit_code_for([passing, failing]) == 1
 
 
-def test_mode_accepts_exact_only(capsys):
-    code, plain, _ = run_cli(capsys, "verify", "thm1.5", "--n", "4")
-    assert code == 0
-    code, explicit, _ = run_cli(capsys, "verify", "thm1.5", "--n", "4", "--mode", "exact")
-    assert code == 0
-    assert explicit == plain
-    assert json.loads(plain)["space"]["mode"] == "exact"
-    for mode in ("float:1e-8", "floaty"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "thm1.5", "--n", "4", "--mode", mode])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice" in err and "Traceback" not in err
+def test_mode_is_not_an_option(capsys):
+    """All arithmetic is exact, so no option chooses it: argparse rejects
+    any --mode value, and the reports still name the exact mode."""
+    commands = [
+        ["verify", "thm1.5", "--n", "4"],
+        ["dims", "--n", "4"],
+        ["sweep", "--ns", "4", "--kinds", "para"],
+        ["eval", "sigma", "--n", "4"],
+    ]
+    for argv in commands:
+        for mode in ("exact", "float:1e-8", "floaty"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--mode", mode])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --mode" in err and "Traceback" not in err
+    verify, dims, sweep = (json.loads(run_cli(capsys, *argv)[1]) for argv in commands[:3])
+    assert verify["space"]["mode"] == dims["mode"] == sweep["mode"] == "exact"
+    assert [cell["mode"] for cell in sweep["cells"]] == ["exact"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "bogus", "--n", "4", "--sig", "x"), "bad signature 'x'; expected p,q"),
+    (("verify", "bogus", "--n", "5", "--kind", "complex"),
+     "unknown claim 'bogus'; known: eq4c, eq4d, lemma4.9, sec5, thm1.5, thm4.1, thm4.2"),
+    (("verify", "sec5", "--n", "4", "--kind", "none"), "needs a structured space"),
+], ids=["sig-before-claim", "claim-before-space", "structure-before-n"])
+def test_bad_inputs_are_reported_in_order(capsys, argv, message):
+    """A command line with several faults names the first of: --sig and
+    --eps, the claim name, the space, the claim's need of a structure, its
+    least n."""
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("word", ["2", "22", "012"])

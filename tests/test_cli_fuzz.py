@@ -2,8 +2,10 @@
 
 Any ``dims``, ``verify`` or ``eval`` command at n = 2..6, in every kind,
 with well-formed and malformed ``--sig``, ``--eps``, ``--perm``, ``--word``
-and map arguments, exits 0, 1, 2 or 3.  No exception escapes ``main``
-except argparse's ``SystemExit(2)`` for an argument it rejects itself.
+and map arguments, and any ``sweep`` over well-formed and malformed
+``--ns``, ``--kinds`` and ``--claims`` lists, exits 0, 1, 2 or 3.  No
+exception escapes ``main`` except argparse's ``SystemExit(2)`` for an
+argument it rejects itself.
 """
 
 import contextlib
@@ -40,6 +42,19 @@ EVAL_MAPS = {
         "--rotation": st.sampled_from(["circular", "hyperbolic", "spiral"]),
     },
 }
+SWEEP_FLAGS = {
+    "--ns": st.one_of(st.lists(st.integers(2, 6), max_size=2).map(lambda xs: ",".join(map(str, xs))),
+                      junk("0123456789, x")),
+    "--kinds": st.one_of(st.lists(st.sampled_from(["complex", "para"]), min_size=1, max_size=2),
+                         st.lists(st.sampled_from(["complex", "para", "none", "foo", ""]), max_size=2)).map(",".join),
+    "--claims": st.lists(st.sampled_from(sorted(CLAIMS) + ["bogus"]), max_size=2).map(",".join),
+}
+FORMAT = st.sampled_from(["json", "md"])
+
+
+def optional_flags(draw, flags):
+    """Each flag with probability one half, written as --flag=value."""
+    return [f"{flag}={draw(values)}" for flag, values in flags.items() if draw(st.booleans())]
 
 
 @st.composite
@@ -47,8 +62,10 @@ def command_lines(draw):
     """A command line, valid more often than not: each optional flag is
     given with probability one half, and a flag's value is malformed in
     about half the draws."""
+    command = draw(st.sampled_from(["dims", "verify", "eval", "sweep"]))
+    if command == "sweep":
+        return ["sweep", *optional_flags(draw, {**SWEEP_FLAGS, "--format": FORMAT})]
     n = draw(st.integers(min_value=2, max_value=6))
-    command = draw(st.sampled_from(["dims", "verify", "eval"]))
     argv = [command]
     flags = {}
     if command == "verify":
@@ -65,12 +82,9 @@ def command_lines(draw):
                                junk("0123456789,-+ x"))
     flags["--eps"] = st.one_of(signs, st.lists(st.sampled_from(["+", "-", "+1", "-1", "1", "0", "x", ""]),
                                                max_size=7).map(",".join))
-    flags["--format"] = st.sampled_from(["json", "md"])
+    flags["--format"] = FORMAT
     argv += ["--n", str(n), "--kind", draw(st.sampled_from(["complex", "para", "none"]))]
-    for flag, values in flags.items():
-        if draw(st.booleans()):
-            argv.append(f"{flag}={draw(values)}")
-    return argv
+    return argv + optional_flags(draw, flags)
 
 
 @settings(max_examples=200)

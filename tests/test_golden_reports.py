@@ -3,11 +3,13 @@ table at n = 4, 6 and 8 in both geometries and at n = 6 ``--sig 4,2
 --kind complex``; of ``dims``, thm4.1 and thm4.2 with ``--kind none`` at
 n = 4, 6 and 6 ``--sig 4,2``; of thm1.5, thm4.2, thm4.1, eq4d and lemma4.9
 at n = 10 in both geometries; of two markdown reports, eq4d's with its
-note line and thm1.5's at n = 4 with its witness line; and of a set of
+note line and thm1.5's at n = 4 with its witness line; of a set of
 ``eval`` commands
 (Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
-evaluation each), pinned by sha256; and one sha256 over a grid of 648
-Nijenhuis probes at n = 4.
+evaluation each); and of a sweep of all seven claims at n = 4 and 6 in both
+geometries, in json and markdown (sec5's skipped cells at n = 4, thm1.5's
+expected failure there), pinned by sha256; and one sha256 over a grid of
+648 Nijenhuis probes at n = 4.
 
 A refactor that keeps verdicts, dimensions and JSON bytes must keep these
 digests.  A change that alters a report on purpose re-records the table
@@ -67,6 +69,8 @@ CASES = [
     "eval sigma --psi omega --idx 1,4,3,1 --n 6",
     "eval psi --psi opposed --idx 5,6,1,4 --n 6",
     "eval invariant --tensor omegaxomega --perm 1,3,2,4 --word 11",
+    f"sweep --ns 4,6 --claims {','.join(CLAIMS)}",
+    f"sweep --ns 4,6 --claims {','.join(CLAIMS)} --format md",
 ]
 
 
@@ -199,6 +203,8 @@ GOLDEN = {
     "eval sigma --psi omega --idx 1,4,3,1 --n 6": (0, "ab012c9f618bd82b60c4f57b820d4556f8f89c47d0835e73fde20d2a2bafea23"),
     "eval psi --psi opposed --idx 5,6,1,4 --n 6": (0, "2164ac695586949fa2ca434666a9ef6cf377bd6de9ea3e9854f224883c0efe49"),
     "eval invariant --tensor omegaxomega --perm 1,3,2,4 --word 11": (0, "ca9adccffc8facd64a9fe5151f25193ca6319929648da7413b87f1343938ebee"),
+    "sweep --ns 4,6 --claims thm4.1,thm4.2,thm1.5,sec5,eq4c,eq4d,lemma4.9": (0, "04c29814298f2d72947cfbe59605cfa0c0067ec5cd391b711365a2c199427579"),
+    "sweep --ns 4,6 --claims thm4.1,thm4.2,thm1.5,sec5,eq4c,eq4d,lemma4.9 --format md": (0, "f83ba34629dab1a147fa3aefc9d2dfd440e6c8fa4d9e31dbfd100660d19c1806"),
 }
 
 

@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 
 from curvlab.spaces import make_standard
-from curvlab.curvature import (
-    CLAIMS,
-    run_claim,
-    verify_kaehler_identity_collapse,
-    verify_probe_suite,
-)
+from curvlab.curvature import CLAIMS, ClaimNotApplicable, run_claim
 from curvlab.tensors import (
     defect_antisym,
     defect_bianchi,
@@ -101,8 +96,9 @@ def test_collapse_gap_and_witness_n4(kind):
 
 
 def test_collapse_requires_structure():
-    with pytest.raises(ValueError):
-        verify_kaehler_identity_collapse(make_standard(4, "none"))
+    with pytest.raises(ClaimNotApplicable) as exc:
+        run_claim("thm1.5", make_standard(4, "none"))
+    assert str(exc.value) == "needs a structured space"
 
 
 @pytest.mark.parametrize("kind,sig", [("complex", (6, 0)), ("complex", (4, 2)), ("para", None)])
@@ -120,8 +116,9 @@ def test_probe_suite(kind, sig):
 
 
 def test_probe_suite_requires_n6():
-    with pytest.raises(ValueError):
-        verify_probe_suite(make_standard(4, "complex"))
+    with pytest.raises(ClaimNotApplicable) as exc:
+        run_claim("sec5", make_standard(4, "complex"))
+    assert str(exc.value) == "needs n >= 6"
 
 
 def test_probe_values_match_closed_forms_in_signature():
