@@ -11,7 +11,12 @@ the riemann rows cut on weyl.  The conformal space is one direct kernel that
 keeps the riemann rows themselves, so it checks the chain by a second route.
 The catalog also holds the five-term-map image, the six-piece splitting of
 rank-2 tensors and the map images of its pieces.  A subspace is built on its
-first read, and every verifier and the dims table read it.  On top of it the
+first read, and every verifier and the dims table read it.  Every row lies
+in one parity block, the rank-4 coordinates holding the same units (axes,
+or J-planes) an odd number of times, so the weyl chain and the five-term
+image are also kept block by block; thm1.5, thm4.2 and the dims table read
+them on one block per orbit of the unit permutations, which are group
+elements, each count weighted by its orbit's size.  On top of it the
 module certifies group invariance, solves for commutants of group actions
 and spans of invariant contraction functionals, and runs the claim verifiers
 exposed by the CLI.  A certificate applies each element of the group's
@@ -52,11 +57,14 @@ from .spaces import (
     j_signed_permutation,
     generating_set,
     lie_algebra_basis,
+    parity_blocks,
     signed_pair_table,
     structure_sign,
+    unit_bits,
 )
 from .tensors import (
     EVEN_PAIR_WORDS,
+    Block,
     Tensor4,
     action_rows,
     antisym_rows,
@@ -121,10 +129,10 @@ def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], i
     return sum(map(len, restrict_rows(b, [{c: v * weight(c) for c, v in row} for row in a.row_items()])))
 
 
-def kaehler_subspace(base: Subspace, space: ModelSpace) -> Subspace:
+def kaehler_subspace(base: Subspace, space: ModelSpace, block: Block | None = None) -> Subspace:
     """Intersection of a rank-4 subspace with the structure-compatibility kernel;
-    the base must alternate in the first pair, since the rows are for i < j."""
-    return meet_kernel(base, kaehler_rows(space))
+    the base must alternate in the first pair, as the rows are for i < j (and lie in ``block``)."""
+    return meet_kernel(base, kaehler_rows(space, block))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +160,87 @@ class TwoTensorSplit(NamedTuple):
         return list(zip(self._fields, self))
 
 
-class CurvatureCatalog:
+class _Chain:
+    """The weyl chain past weyl, cut by the rows anchored in ``block``: on
+    every coordinate in :class:`CurvatureCatalog`, on one parity block in
+    :class:`BlockChain`."""
+
+    block: Block | None = None
+
+    @cached_property
+    def riemann(self) -> Subspace:
+        """weyl ∩ ker(riemann rows), cut by one trace row per first pair."""
+        return meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block))
+
+    @cached_property
+    def sigma_image(self) -> Subspace:
+        """Span of the five-term map over a basis of 2-forms."""
+        return Subspace.from_vectors([sigma(t, self.space) for t in two_form_basis(self.space.n, self.block)],
+                                     self.space.n ** 4)
+
+    @cached_property
+    def kaehler_weyl(self) -> Subspace:
+        return kaehler_subspace(self.weyl, self.space, self.block)
+
+    @cached_property
+    def kaehler_riemann(self) -> Subspace:
+        """riemann ∩ ker(structure rows) = kaehler_weyl ∩ ker(riemann rows), the smaller base."""
+        return meet_kernel(self.kaehler_weyl, riemann_trace_rows(self.space.n, self.block))
+
+
+class BlockChain(_Chain):
+    """The weyl chain on one parity block (:func:`spaces.parity_blocks`), from
+    K ⊗ R^n there: the catalog's spaces on the block, their bases the rows
+    there.  A group element carries each block's chain onto another's, so
+    claims need one block per orbit, weighted by its size."""
+
+    CHAIN = ("affine", "weyl", "riemann", "sigma_image", "kaehler_weyl", "kaehler_riemann")
+
+    def __init__(self, cat: "CurvatureCatalog", mask: int):
+        self.space, self.slots = cat.space, cat.slots_by_mask
+        self.block = (mask, unit_bits(cat.space))
+
+    @cached_property
+    def affine(self) -> Subspace:
+        """The rows b ⊗ e_l of K ⊗ R^n (see :func:`linalg.lifted`) in the block."""
+        n, (mask, bits) = self.space.n, self.block
+        rows = [tuple(x * n + l if k % 2 == 0 else x for k, x in enumerate(b))
+                for l in range(n) for b in self.slots.get(mask ^ bits[l], ())]
+        return Subspace(n ** 4, tuple(sorted(rows)))
+
+    @cached_property
+    def weyl(self) -> Subspace:
+        return meet_kernel(self.affine, weyl_rows(self.space, self.block))
+
+
+class CurvatureCatalog(_Chain):
     """Every subspace of one model space that the claim verifiers and the
     dims table read.  Each is built on its first read and then kept; the
     two-tensor split and everything after it need a structured space."""
 
     def __init__(self, space: ModelSpace):
         self.space = space
+        self._blocks: dict[int, BlockChain] = {}
+
+    def block_chain(self, mask: int) -> BlockChain:
+        """The weyl chain on the parity block of ``mask``, kept per mask."""
+        return self._blocks.get(mask) or self._blocks.setdefault(mask, BlockChain(self, mask))
+
+    @cached_property
+    def orbits(self) -> list[tuple[int, int, list[int]]]:
+        """Each orbit of parity blocks: (representative, size, other masks)."""
+        out: list[tuple[int, int, list[int]]] = []
+        for mask, size, perm in parity_blocks(self.space):
+            if all(u == image for u, image in enumerate(perm)):
+                out.append((mask, size, []))
+            else:
+                out[-1][2].append(mask)
+        return out
+
+    def chain_dims(self, names: Sequence[str]) -> dict[str, int]:
+        """The named chain spaces' dimensions, read off the representatives."""
+        blocks = [(size, self.block_chain(mask)) for mask, size, _ in self.orbits]
+        return {name: sum(size * getattr(block, name).dim for size, block in blocks) for name in names}
 
     def _image(self, mapper: Callable[[Vec, ModelSpace], Vec], forms: Sequence[Vec]) -> Subspace:
         """Span of a rank-2 to rank-4 map over the given forms."""
@@ -177,14 +259,18 @@ class CurvatureCatalog:
         return lifted(self.affine_slots, self.space.n)
 
     @cached_property
+    def slots_by_mask(self) -> dict[int, list[tuple[int, ...]]]:
+        """K's basis rows by the parity mask of their rank-3 coordinates."""
+        n, bits = self.space.n, unit_bits(self.space)
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for row in self.affine_slots.basis:
+            groups.setdefault(bits[row[0] // n // n] ^ bits[row[0] // n % n] ^ bits[row[0] % n], []).append(row)
+        return groups
+
+    @cached_property
     def weyl(self) -> Subspace:
         """affine ∩ ker(weyl rows), restricted to and recombined from K ⊗ R^n."""
         return meet_kernel(self.affine_slots, weyl_rows(self.space), self.space.n)
-
-    @cached_property
-    def riemann(self) -> Subspace:
-        """weyl ∩ ker(riemann rows), cut by one trace row per first pair."""
-        return meet_kernel(self.weyl, riemann_trace_rows(self.space.n))
 
     @cached_property
     def conformal(self) -> Subspace:
@@ -193,11 +279,6 @@ class CurvatureCatalog:
         n = self.space.n
         rows = ({c * n + l: v for c, v in row.items()} for row in antisym_rows(n) + bianchi_rows(n) for l in range(n))
         return kernel_subspace(chain(rows, riemann_rows(n), ricci_rows(self.space)), n ** 4)
-
-    @cached_property
-    def sigma_image(self) -> Subspace:
-        """Span of the five-term map over a basis of 2-forms."""
-        return self._image(sigma, two_form_basis(self.space.n))
 
     @cached_property
     def two_tensors(self) -> TwoTensorSplit:
@@ -228,15 +309,6 @@ class CurvatureCatalog:
         )
 
     @cached_property
-    def kaehler_weyl(self) -> Subspace:
-        return kaehler_subspace(self.weyl, self.space)
-
-    @cached_property
-    def kaehler_riemann(self) -> Subspace:
-        """riemann ∩ ker(structure rows) = kaehler_weyl ∩ ker(riemann rows), the smaller base."""
-        return meet_kernel(self.kaehler_weyl, riemann_trace_rows(self.space.n))
-
-    @cached_property
     def sigma_omega_span(self) -> Subspace:
         return self._image(sigma, self.two_tensors.omega_line.basis_dicts())
 
@@ -259,12 +331,15 @@ class CurvatureCatalog:
         keeps nothing, when the action leaves the module."""
         return representation_matrices(self.two_tensors.alt_opposed, self.space, "Ustar")
 
-    def rank4_spaces(self) -> list[tuple[str, Subspace]]:
+    def rank4_names(self) -> list[str]:
         names = ["affine", "weyl", "riemann", "conformal", "sigma_image"]
         if self.space.kind != "none":
             names += ["kaehler_weyl", "kaehler_riemann", "sigma_omega_span",
                       "sigma_aligned_span", "sigma_opposed_span", "psi_span"]
-        return [(name, getattr(self, name)) for name in names]
+        return names
+
+    def rank4_spaces(self) -> list[tuple[str, Subspace]]:
+        return [(name, getattr(self, name)) for name in self.rank4_names()]
 
     def all_spaces(self) -> list[tuple[str, Subspace]]:
         out = self.rank4_spaces()
@@ -273,7 +348,13 @@ class CurvatureCatalog:
         return out
 
     def dims(self) -> dict[str, int]:
-        return {name: sub.dim for name, sub in self.all_spaces()}
+        """Every space's dimension, the weyl chain's read off its blocks."""
+        names = self.rank4_names()
+        chain = self.chain_dims([name for name in BlockChain.CHAIN if name in names])
+        out = {name: chain[name] if name in chain else getattr(self, name).dim for name in names}
+        if self.space.kind != "none":
+            out.update((name, sub.dim) for name, sub in self.two_tensors.pieces())
+        return out
 
 
 # The cache holds one catalog, not one per space seen: a sweep finishes one
@@ -529,19 +610,33 @@ Outcome = tuple[dict, bool, list]
 
 
 def verify_weyl_direct_sum(space: ModelSpace) -> Outcome:
-    """The weyl space splits orthogonally as riemann space plus the five-term-map image."""
+    """The weyl space splits orthogonally as riemann space plus the five-term-map image.
+
+    Decided on one parity block per orbit (see :class:`BlockChain`).  The Gram
+    count sums over blocks; it is 0 on an orbit if on its representative, as
+    the permutations are isometries, and otherwise, as it depends on the
+    basis, every block of the orbit is counted from its own rows."""
     n = space.n
     cat = catalog(space)
-    weyl, riemann, pimage = cat.weyl, cat.riemann, cat.sigma_image
-    total = subspace_sum(riemann, pimage)
-    meet_dim = riemann.dim + pimage.dim - total.dim
-    sum_is_weyl = total == weyl
-    violations = orthogonality_violations(riemann, pimage, lambda c: gram_weight4(space, c))
+    dims = cat.chain_dims(("weyl", "riemann", "sigma_image"))
+    meet_dim = violations = 0
+    sum_is_weyl = True
+
+    def count(block: BlockChain) -> int:
+        return orthogonality_violations(block.riemann, block.sigma_image, lambda c: gram_weight4(space, c))
+
+    for mask, size, others in cat.orbits:
+        block = cat.block_chain(mask)
+        total = subspace_sum(block.riemann, block.sigma_image)
+        meet_dim += size * (block.riemann.dim + block.sigma_image.dim - total.dim)
+        sum_is_weyl = sum_is_weyl and total == block.weyl
+        if count(block):
+            violations += sum(map(count, map(cat.block_chain, [mask] + others)))
     expected_weyl = n * n * (n * n - 1) // 12 + n * (n - 1) // 2
     quantities = {
-        "dim_weyl": weyl.dim,
-        "dim_riemann": riemann.dim,
-        "dim_sigma_image": pimage.dim,
+        "dim_weyl": dims["weyl"],
+        "dim_riemann": dims["riemann"],
+        "dim_sigma_image": dims["sigma_image"],
         "dim_intersection": meet_dim,
         "sum_equals_weyl": sum_is_weyl,
         "gram_orthogonality_violations": violations,
@@ -551,8 +646,8 @@ def verify_weyl_direct_sum(space: ModelSpace) -> Outcome:
         meet_dim == 0
         and sum_is_weyl
         and violations == 0
-        and weyl.dim == riemann.dim + pimage.dim
-        and weyl.dim == expected_weyl
+        and dims["weyl"] == dims["riemann"] + dims["sigma_image"]
+        and dims["weyl"] == expected_weyl
     )
     return quantities, verdict, []
 
@@ -598,28 +693,36 @@ def verify_kaehler_identity_collapse(space: ModelSpace) -> Outcome:
     dimension gap together with an explicit witness tensor that satisfies
     the first-pair, cyclic, weyl and structure-compatibility identities but
     not the last-pair alternation.
+
+    Decided on one parity block per orbit.  The witness is the failing row of
+    least pivot over them, the catalog's first, as at n = 4 each orbit is one block.
     """
     n = space.n
     cat = catalog(space)
-    weyl, riemann = cat.weyl, cat.riemann
-    k_weyl, k_riemann = cat.kaehler_weyl, cat.kaehler_riemann
-    sigma_meet = kaehler_subspace(cat.sigma_image, space)
-    d1 = k_weyl.dim
-    d2 = k_riemann.dim
-    # the first basis row of k_weyl outside riemann; its least column is its pivot
-    riemann_reducer = SubspaceReducer(riemann)
-    outside = next((row for row in map(dict, k_weyl.row_items()) if not riemann_reducer.contains(row)), None)
+    dims = cat.chain_dims(("weyl", "riemann", "kaehler_weyl", "kaehler_riemann"))
+    d1 = dims["kaehler_weyl"]
+    d2 = dims["kaehler_riemann"]
+    sigma_meet = 0
+    outside = None  # the basis row of kaehler_weyl of least pivot outside riemann
+    for mask, size, _ in cat.orbits:
+        block = cat.block_chain(mask)
+        sigma_meet += size * kaehler_subspace(block.sigma_image, space, block.block).dim
+        # a block's first row outside riemann; a row's least column is its pivot
+        reducer = SubspaceReducer(block.riemann)
+        row = next((row for row in map(dict, block.kaehler_weyl.row_items()) if not reducer.contains(row)), None)
+        if row is not None and (outside is None or min(row) < min(outside)):
+            outside = row
     contained = outside is None
     quantities = {
         "dim_kaehler_weyl": d1,
         "dim_kaehler_riemann": d2,
         "kaehler_weyl_inside_riemann": contained,
-        "dim_sigma_image_meet_kaehler": sigma_meet.dim,
-        "dim_weyl": weyl.dim,
-        "dim_riemann": riemann.dim,
+        "dim_sigma_image_meet_kaehler": sigma_meet,
+        "dim_weyl": dims["weyl"],
+        "dim_riemann": dims["riemann"],
     }
     if n >= 6:
-        return quantities, d1 == d2 and contained and sigma_meet.dim == 0, []
+        return quantities, d1 == d2 and contained and sigma_meet == 0, []
     # n == 4: exhibit the documented failure with a re-verified witness
     quantities["gap"] = d1 - d2
     if outside is None:

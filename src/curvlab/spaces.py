@@ -44,8 +44,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from typing import Collection, NamedTuple, Sequence
+from itertools import chain, combinations, product
+from math import comb
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .linalg import Echelon, kernel_subspace, matmul
 
@@ -108,6 +109,33 @@ def j_pullback_rows(space: ModelSpace, eigenvalue: int) -> list[dict[int, int]]:
     """Rows of (J* - eigenvalue) on rank-2 coordinates, one per c; Jc != c,
     as p fixes no index."""
     return [{jc: s, c: -eigenvalue} for c, jc, s in j_pullback_table(space)]
+
+
+def unit_bits(space: ModelSpace) -> tuple[int, ...]:
+    """1 << u for each axis, u its unit: the axis, or its J-plane, which J keeps."""
+    width = 1 if space.kind == "none" else 2
+    return tuple(1 << (a // width) for a in range(space.n))
+
+
+def parity_blocks(space: ModelSpace) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Every parity block as ``(mask, orbit size, perm)``: a rank-4
+    coordinate's mask is the bit mask of the units (:func:`unit_bits`) it holds
+    an odd number of times.  Permutations of units of one sign type, the sign
+    of a unit's first axis, are group elements, and the orbit of a mask with
+    a units of type + and b of type - has C(P, a)*C(N, b) masks, P and N
+    units being of each type.  Orbits come one by one, led by the
+    representative, the first a and b units of each type, with the identity;
+    ``perm`` carries its unit u to unit perm[u] of ``mask``, of u's type."""
+    width = 1 if space.kind == "none" else 2
+    m = space.n // width
+    plus = [u for u in range(m) if space.eps[u * width] > 0]
+    minus = [u for u in range(m) if space.eps[u * width] < 0]
+    for weight in (0, 2, 4):
+        for a in range(weight + 1):
+            size = comb(len(plus), a) * comb(len(minus), weight - a)
+            for ps, ms in product(combinations(plus, a), combinations(minus, weight - a)):
+                images = [*ps, *(u for u in plus if u not in ps), *ms, *(u for u in minus if u not in ms)]
+                yield sum(1 << u for u in ps + ms), size, tuple(image for _, image in sorted(zip(plus + minus, images)))
 
 
 def _default_eps(n: int, kind: str, signature: tuple[int, int] | None) -> tuple[int, ...]:

@@ -39,8 +39,9 @@ live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .spaces import ModelSpace, j_pullback_table, j_signed_permutation, structure_sign
 
@@ -112,10 +113,12 @@ def kaehler_form(space: ModelSpace) -> dict[int, Fraction]:
     return {p * n + j: Fraction(space.eps[p] * s) for j, (p, s) in enumerate(j_signed_permutation(space))}
 
 
-def two_form_basis(n: int) -> list[dict[int, int]]:
+def two_form_basis(n: int, block: Block | None = None) -> list[dict[int, int]]:
     """Antisymmetric basis e^i (x) e^j - e^j (x) e^i for i < j, as ``int`` rows,
-    so that its images under sigma stay in integers."""
-    return [{i * n + j: 1, j * n + i: -1} for i in range(n) for j in range(i + 1, n)]
+    so that its images under sigma stay in integers; with ``block``, those
+    whose images lie in it, as (i, j, 0, 0) does."""
+    inside = _completions(n, block, [(0,)])
+    return [{i * n + j: 1, j * n + i: -1} for i in range(n) for j in range(i + 1, n) if inside(i * n + j)]
 
 
 def is_antisymmetric(psi: Vec, n: int) -> bool:
@@ -150,70 +153,41 @@ def inner2(space: ModelSpace, a: Mapping[int, Fraction], b: Mapping[int, Fractio
 # ---------------------------------------------------------------------------
 
 
+def _indices(n: int) -> Iterator[tuple[int, ...]]:
+    """Every (i, j, k, l), in component order."""
+    return product(range(n), repeat=4)
+
+
 def defect_antisym(a: Tensor4) -> Tensor4:
     """A(x,y,z,w) + A(y,x,z,w); vanishes iff A is alternating in the first pair."""
-    n = a.n
-    comp = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    comp.append(a[i, j, k, l] + a[j, i, k, l])
-    return Tensor4(n, tuple(comp))
+    return Tensor4(a.n, tuple(a[i, j, k, l] + a[j, i, k, l] for i, j, k, l in _indices(a.n)))
 
 
 def defect_bianchi(a: Tensor4) -> Tensor4:
     """Cyclic sum over the first three slots; vanishes iff the first Bianchi identity holds."""
-    n = a.n
-    comp = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    comp.append(a[i, j, k, l] + a[j, k, i, l] + a[k, i, j, l])
-    return Tensor4(n, tuple(comp))
+    return Tensor4(a.n, tuple(a[i, j, k, l] + a[j, k, i, l] + a[k, i, j, l] for i, j, k, l in _indices(a.n)))
 
 
 def defect_riemann(a: Tensor4) -> Tensor4:
     """A(x,y,z,w) + A(x,y,w,z); vanishes iff A is alternating in the last pair."""
-    n = a.n
-    comp = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    comp.append(a[i, j, k, l] + a[i, j, l, k])
-    return Tensor4(n, tuple(comp))
+    return Tensor4(a.n, tuple(a[i, j, k, l] + a[i, j, l, k] for i, j, k, l in _indices(a.n)))
 
 
 def ricci(a: Tensor4, space: ModelSpace) -> dict[int, Fraction]:
     """Ric(x, y) = sum_{c,d} h^{cd} A(e_c, x, y, e_d), as a rank-2 dict."""
     n = a.n
-    out = {}
-    for x in range(n):
-        for y in range(n):
-            v = sum((Fraction(space.eps[c]) * a[c, x, y, c] for c in range(n)), Fraction(0))
-            if v:
-                out[x * n + y] = v
-    return out
+    out = {x * n + y: sum((Fraction(space.eps[c]) * a[c, x, y, c] for c in range(n)), Fraction(0))
+           for x in range(n) for y in range(n)}
+    return {c: v for c, v in out.items() if v}
 
 
 def defect_weyl(a: Tensor4, space: ModelSpace) -> Tensor4:
     """Pair symmetrization minus the trace correction (2/n)(Ric(y,x)-Ric(x,y)) h(z,w)."""
     n = a.n
     ric = ricci(a, space)
-    two_over_n = Fraction(2, n)
-    comp = []
-    for i in range(n):
-        for j in range(n):
-            corr = two_over_n * (ric.get(j * n + i, 0) - ric.get(i * n + j, 0))
-            for k in range(n):
-                for l in range(n):
-                    val = a[i, j, k, l] + a[i, j, l, k]
-                    if k == l:
-                        val -= corr * space.eps[k]
-                    comp.append(val)
-    return Tensor4(n, tuple(comp))
+    corr = [Fraction(2, n) * (ric.get(j * n + i, 0) - ric.get(i * n + j, 0)) for i in range(n) for j in range(n)]
+    return Tensor4(n, tuple(a[i, j, k, l] + a[i, j, l, k] - (corr[i * n + j] * space.eps[k] if k == l else 0)
+                            for i, j, k, l in _indices(n)))
 
 
 def defect_kaehler(a: Tensor4, space: ModelSpace) -> Tensor4:
@@ -225,18 +199,10 @@ def defect_kaehler(a: Tensor4, space: ModelSpace) -> Tensor4:
     """
     if space.kind == "none":
         raise ValueError("structure-compatibility defect requires a structured space")
-    n = a.n
     u = structure_sign(space.kind)
     perm = j_signed_permutation(space)
-    comp = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                pk, sk = perm[k]
-                for l in range(n):
-                    pl, sl = perm[l]
-                    comp.append(a[i, j, k, l] + u * sk * sl * a[i, j, pk, pl])
-    return Tensor4(n, tuple(comp))
+    return Tensor4(a.n, tuple(a[i, j, k, l] + u * perm[k][1] * perm[l][1] * a[i, j, perm[k][0], perm[l][0]]
+                              for i, j, k, l in _indices(a.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +337,22 @@ def invariant_contraction_row(perm: Sequence[int], word: Sequence[int], space: M
 # Sparse constraint rows (flattened rank-4 coordinates)
 # ---------------------------------------------------------------------------
 
+Block = tuple[int, Sequence[int]]  # (mask, bits): (i, j, k, l) with bits[i] ^ bits[j] ^ bits[k] ^ bits[l] == mask
+
+
+def _completions(n: int, block: Block | None, lasts: list[tuple]) -> Callable[[int], Sequence[tuple]]:
+    """For a first pair i*n + j, the items of ``lasts``, each led by a last pair
+    k*n + l, that complete it to an anchor (i, j, k, l) in ``block`` (all when
+    None).  Each row below lies in its anchor's parity block."""
+    if block is None:
+        return lambda first: lasts
+    mask, bits = block
+    groups: dict[int, list[tuple]] = {}
+    for item in lasts:
+        k, l = divmod(item[0], n)
+        groups.setdefault(bits[k] ^ bits[l], []).append(item)
+    return lambda first: groups.get(mask ^ bits[first // n] ^ bits[first % n], ())
+
 
 def antisym_rows(n: int) -> list[dict[int, int]]:
     """Rows of A(x,y,z,.) + A(y,x,z,.) over rank-3 coordinates (i*n + j)*n + k:
@@ -417,17 +399,20 @@ def riemann_rows(n: int) -> list[dict[int, int]]:
     return rows
 
 
-def riemann_trace_rows(n: int) -> list[dict[int, int]]:
+def riemann_trace_rows(n: int, block: Block | None = None) -> list[dict[int, int]]:
     """Rows of A(e_i, e_j, e_0, e_0), i < j, which cut what ``riemann_rows`` cut
     on a base inside weyl: there the riemann row at k < l is the weyl row over
-    n, and the weyl row at (k, k) gives A_ijkk = eps_k*S_ij/n for one S_ij."""
-    return [{flatten4(n, i, j, 0, 0): 1} for i in range(n) for j in range(i + 1, n)]
+    n, and the weyl row at (k, k) gives A_ijkk = eps_k*S_ij/n for one S_ij.
+    With ``block``, the rows anchored in it."""
+    inside = _completions(n, block, [(0,)])
+    return [{flatten4(n, i, j, 0, 0): 1} for i in range(n) for j in range(i + 1, n) if inside(i * n + j)]
 
 
-def weyl_rows(space: ModelSpace) -> list[dict[int, int]]:
+def weyl_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, int]]:
     """Rows of the Weyl symmetry operator on ``affine``, two entries each, for
     first pairs i < j: A_ijkl + A_ijlk = 0 for k < l, and the diagonal ties
     eps_k*A_ijkk = eps_0*A_ij00 for 1 <= k < n.  Right only on ``affine``.
+    With ``block``, the rows anchored in it; a tie and its anchor share one.
 
     The textbook row at (i, j, k, k), scaled by n, reads
     2n*A_ijkk + 2eps_k*sum_c eps_c*(A_cijc - A_cjic).  On ``affine`` the cyclic
@@ -440,13 +425,14 @@ def weyl_rows(space: ModelSpace) -> list[dict[int, int]]:
     textbook rows, for every first pair, as the check."""
     n = space.n
     eps = space.eps
+    lasts = _completions(n, block, [(k * n + l, k, l) for k in range(n) for l in range(k + 1, n)]
+                         + [(k * n + k, k, k) for k in range(1, n)])
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             f = (i * n + j) * n * n
-            for k in range(n):
-                rows.extend({f + k * n + l: 1, f + l * n + k: 1} for l in range(k + 1, n))
-            rows.extend({f + k * n + k: eps[k], f: -eps[0]} for k in range(1, n))
+            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: eps[k], f: -eps[0]}
+                        for c, k, l in lasts(i * n + j))
     return rows
 
 
@@ -461,20 +447,21 @@ def ricci_rows(space: ModelSpace) -> list[dict[int, int]]:
     return rows
 
 
-def kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
+def kaehler_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, int]]:
     """Rows of the structure-compatibility defect A(x,y,z,w) + u*A(x,y,Jz,Jw).
 
     Since J² = u, the rows at (i, j, k, l) and (i, j, Jk, Jl) are
     proportional: one row per class, with entry 1 at its smaller key.  Written
-    for first pairs i < j: right only on a first-pair-alternating base."""
+    for first pairs i < j: right only on a first-pair-alternating base.  With
+    ``block``, the rows anchored in it."""
     if space.kind == "none":
         raise ValueError("structure-compatible subspace requires a structured space")
     n = space.n
     u = structure_sign(space.kind)
     # (k, l) < (Jk, Jl) as last-pair offsets c < Jc, with the entry at Jc
-    classes = [(c, jc, u * s) for c, jc, s in j_pullback_table(space) if c < jc]
-    offsets = [(i * n + j) * n * n for i in range(n) for j in range(i + 1, n)]  # first pairs i < j
-    return [{f + a: 1, f + b: s} for f in offsets for a, b, s in classes]
+    classes = _completions(n, block, [(c, jc, u * s) for c, jc, s in j_pullback_table(space) if c < jc])
+    firsts = [i * n + j for i in range(n) for j in range(i + 1, n)]  # first pairs i < j
+    return [{f * n * n + a: 1, f * n * n + b: s} for f in firsts for a, b, s in classes(f)]
 
 
 # ---------------------------------------------------------------------------

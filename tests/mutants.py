@@ -226,15 +226,15 @@ MUTANTS = [
     (
         "riemann meet given every trace row but the last",
         CURVATURE,
-        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n))",
-        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n)[:-1])",
+        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block))",
+        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block)[:-1])",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
         "structure rows written for first pairs j > i + 1 only",
         TENSORS,
-        "offsets = [(i * n + j) * n * n for i in range(n) for j in range(i + 1, n)]",
-        "offsets = [(i * n + j) * n * n for i in range(n) for j in range(i + 2, n)]",
+        "firsts = [i * n + j for i in range(n) for j in range(i + 1, n)]",
+        "firsts = [i * n + j for i in range(n) for j in range(i + 2, n)]",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
@@ -378,8 +378,8 @@ MUTANTS = [
     (
         "weyl rows written for first pairs j > i + 1 only",
         TENSORS,
-        "    eps = space.eps\n    rows = []\n    for i in range(n):\n        for j in range(i + 1, n):\n",
-        "    eps = space.eps\n    rows = []\n    for i in range(n):\n        for j in range(i + 2, n):\n",
+        "        for j in range(i + 1, n):\n            f = (i * n + j) * n * n\n            rows.extend(",
+        "        for j in range(i + 2, n):\n            f = (i * n + j) * n * n\n            rows.extend(",
         ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
          "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
@@ -394,17 +394,55 @@ MUTANTS = [
     (
         "weyl diagonal ties written with 1 in place of eps_k",
         TENSORS,
-        "{f + k * n + k: eps[k], f: -eps[0]}",
-        "{f + k * n + k: 1, f: -eps[0]}",
+        "{f + c: eps[k], f: -eps[0]}",
+        "{f + c: 1, f: -eps[0]}",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate",
          "tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut"],
     ),
     (
         "weyl rows without their diagonal ties",
         TENSORS,
-        "            rows.extend({f + k * n + k: eps[k], f: -eps[0]} for k in range(1, n))\n",
-        "",
+        "]\n                         + [(k * n + k, k, k) for k in range(1, n)])",
+        "])",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "orbit size read off all units, whatever their sign type",
+        SPACES,
+        "size = comb(len(plus), a) * comb(len(minus), weight - a)",
+        "size = comb(len(plus) + len(minus), weight)",
+        ["tests/test_blocks.py::test_blocks_partition_the_coordinates",
+         "tests/test_golden_reports.py::test_report_bytes_unchanged[dims --n 7 --kind none --sig 4,3]"],
+    ),
+    (
+        "row written into the block of its last pair's units or-ed, not xor-ed",
+        TENSORS,
+        "groups.setdefault(bits[k] ^ bits[l], []).append(item)",
+        "groups.setdefault(bits[k] | bits[l], []).append(item)",
+        ["tests/test_blocks.py::test_blocks_union_is_the_stored_basis"],
+    ),
+    (
+        "representatives and permutations chosen without regard to unit sign type",
+        SPACES,
+        "    plus = [u for u in range(m) if space.eps[u * width] > 0]\n"
+        "    minus = [u for u in range(m) if space.eps[u * width] < 0]\n",
+        "    plus = list(range(m))\n"
+        "    minus = []\n",
+        ["tests/test_blocks.py::test_each_block_is_its_representative_relabelled"],
+    ),
+    (
+        "n = 4 witness taken from the first block with a failing row, not the least pivot",
+        CURVATURE,
+        "if row is not None and (outside is None or min(row) < min(outside)):",
+        "if row is not None and outside is None:",
+        ["tests/test_blocks.py::test_n4_witness_does_not_depend_on_block_order"],
+    ),
+    (
+        "nonzero Gram count taken as orbit size times the representative's",
+        CURVATURE,
+        "violations += sum(map(count, map(cat.block_chain, [mask] + others)))",
+        "violations += size * count(block)",
+        ["tests/test_blocks.py::test_nonzero_gram_count_is_the_full_basis_count"],
     ),
 ]
 

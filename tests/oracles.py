@@ -382,6 +382,54 @@ def lift_last_slot(rows: Sequence[Mapping[int, int]], n: int) -> list[dict[int, 
     return [{c * n + l: v for c, v in row.items()} for row in rows for l in range(n)]
 
 
+def parity_mask(space: ModelSpace, c: int) -> int:
+    """The units that rank-4 coordinate c holds an odd number of times, as a
+    bit mask: its axes, or its J-planes {2p, 2p + 1} for a structured space."""
+    width = 1 if space.kind == "none" else 2
+    g = 0
+    for _ in range(4):
+        c, a = divmod(c, space.n)
+        g ^= 1 << (a // width)
+    return g
+
+
+def relabelled(sub: Subspace, space: ModelSpace, perm: Sequence[int]) -> list[dict[int, int]]:
+    """The basis rows of ``sub`` pushed forward by the axis permutation that
+    carries unit u onto unit perm[u] (a J-plane whole, axis by axis), index
+    by index: entry (i, j, k, l) moves to (s(i), s(j), s(k), s(l))."""
+    n = space.n
+    width = 1 if space.kind == "none" else 2
+    axis = [perm[a // width] * width + a % width for a in range(n)]
+    out = []
+    for row in sub.basis_dicts():
+        moved = {}
+        for c, v in row.items():
+            image = 0
+            for a in (c // n ** 3, c // n ** 2 % n, c // n % n, c % n):
+                image = image * n + axis[a]
+            moved[image] = v
+        out.append(moved)
+    return out
+
+
+def on_columns(sub: Subspace, rows: Sequence[Mapping[int, int]],
+               columns: Sequence[int]) -> tuple[Subspace, list[dict[int, int]]]:
+    """``sub`` and the ``rows`` with every key inside the ascending ``columns``,
+    renumbered by place in them, as a subspace and rows over len(columns)
+    columns: the order of columns, and so the echelon form, is kept.  A row
+    with keys both in and out of ``columns`` raises."""
+    place = {c: i for i, c in enumerate(columns)}
+    basis = tuple(tuple(place[x] if k % 2 == 0 else x for k, x in enumerate(row)) for row in sub.basis)
+    local = []
+    for row in rows:
+        inside = [c in place for c in row]
+        if all(inside):
+            local.append({place[c]: v for c, v in row.items()})
+        elif any(inside):
+            raise ValueError("row straddles the columns")
+    return Subspace(len(columns), basis), local
+
+
 def full_riemann_rows(n: int) -> list[dict[int, int]]:
     """Rows of A(x,y,z,w) + A(x,y,w,z) for every first pair (i, j) and k <= l:
     the full-range rows that the package's rows for i < j are held to."""

@@ -1,0 +1,145 @@
+"""The weyl chain one parity block at a time: the blocks partition the
+coordinates, their union is the catalog's stored basis byte for byte, a
+group element carries each block's chain onto another's, and every
+representative block is the kernel of its chain's rows by the modular-rank
+certificate.  thm4.2's Gram count and thm1.5's witness do not depend on
+which blocks the orbit reduction reads, or in what order."""
+
+import pytest
+
+import oracles
+from curvlab import curvature
+from curvlab.curvature import BlockChain, catalog, run_claim
+from curvlab.linalg import Subspace
+from curvlab.spaces import make_standard, parity_blocks
+from curvlab.tensors import antisym_rows, bianchi_rows, gram_weight4
+
+MIXED_PARA = (-1, 1, 1, -1, 1, -1, -1, 1)
+
+
+def _chain(space):
+    return [name for name in BlockChain.CHAIN if space.kind != "none" or not name.startswith("kaehler")]
+
+
+@pytest.mark.parametrize("n,kind,sig,eps", [
+    (4, "complex", None, None), (6, "para", None, None), (8, "complex", (4, 4), None),
+    (8, "para", None, MIXED_PARA), (5, "none", None, None), (7, "none", (4, 3), None),
+    (6, "none", (3, 3), None),
+])
+def test_blocks_partition_the_coordinates(n, kind, sig, eps):
+    """parity_blocks yields each mask once, and exactly the masks of the n^4
+    coordinates; its orbits come representative first, with the identity,
+    and hold as many masks as their size says; each permutation keeps the
+    sign type of every unit and carries the representative onto its mask."""
+    s = make_standard(n, kind, sig, eps)
+    blocks = list(parity_blocks(s))
+    masks = [mask for mask, _, _ in blocks]
+    assert len(set(masks)) == len(masks)
+    assert set(masks) == {oracles.parity_mask(s, c) for c in range(n ** 4)}
+    width = 1 if kind == "none" else 2
+    sign = [s.eps[u * width] for u in range(n // width)]
+    rep = None
+    counted = {}
+    for mask, size, perm in blocks:
+        assert sorted(perm) == list(range(n // width))
+        assert all(sign[perm[u]] == sign[u] for u in range(len(perm)))
+        if list(perm) == sorted(perm):
+            rep = mask
+        assert mask == sum(1 << perm[u] for u in range(len(perm)) if rep >> u & 1)
+        counted.setdefault(rep, []).append(size)
+    assert all(sizes == [len(sizes)] * len(sizes) for sizes in counted.values())
+    assert sum(len(sizes) for sizes in counted.values()) == len(blocks)
+
+
+@pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in (4, 6, 8) for kind in ("complex", "para")]
+                         + [(6, "complex", (4, 2)), (6, "none", (4, 2)), (5, "none", None), (6, "none", None)])
+def test_blocks_union_is_the_stored_basis(n, kind, sig):
+    """Over all blocks, the sorted union of each chain space's basis rows is
+    the catalog's stored basis, rows and bytes, and each block's rows lie in
+    its block."""
+    s = make_standard(n, kind, sig)
+    catalog.cache_clear()
+    cat = catalog(s)
+    masks = [mask for mask, _, _ in parity_blocks(s)]
+    for name in _chain(s):
+        rows = []
+        for mask in masks:
+            sub = getattr(cat.block_chain(mask), name)
+            assert all(oracles.parity_mask(s, c) == mask for row in sub.basis_dicts() for c in row), (name, mask)
+            rows += sub.basis
+        assert Subspace(n ** 4, tuple(sorted(rows))) == getattr(cat, name), name
+
+
+@pytest.mark.parametrize("n,kind,sig,eps", [
+    (8, "complex", None, None), (8, "para", None, None), (10, "complex", None, None), (10, "para", None, None),
+    (12, "complex", (8, 4), None), (8, "para", None, MIXED_PARA), (7, "none", (4, 3), None),
+])
+def test_each_block_is_its_representative_relabelled(n, kind, sig, eps):
+    """Every block that is not its orbit's representative, solved from its own
+    rows, is the representative's chain pushed forward by the unit
+    permutation that parity_blocks gives it, space by space."""
+    s = make_standard(n, kind, sig, eps)
+    catalog.cache_clear()
+    cat = catalog(s)
+    for rep, _, others in cat.orbits:
+        for mask, _, perm in parity_blocks(s):
+            if mask not in others:
+                continue
+            for name in _chain(s):
+                moved = oracles.relabelled(getattr(cat.block_chain(rep), name), s, perm)
+                assert Subspace.from_vectors(moved, n ** 4) == getattr(cat.block_chain(mask), name), (rep, mask, name)
+
+
+@pytest.mark.parametrize("n,kind", [(n, kind) for n in (6, 8, 10) for kind in ("complex", "para")])
+def test_representative_blocks_pass_the_modular_rank_certificate(n, kind):
+    """Each representative block of each kernel in the chain is ker of its
+    chain's rows written for every first pair, on the block's columns: every
+    such row lies in one block, and the certificate runs over the rows that
+    lie in this one."""
+    s = make_standard(n, kind)
+    cat = catalog(s)
+    affine = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    weyl = affine + oracles.full_weyl_rows(s)
+    kaehler_weyl = weyl + oracles.full_kaehler_rows(s)
+    chains = {"affine": affine, "weyl": weyl, "riemann": weyl + oracles.full_riemann_rows(n),
+              "kaehler_weyl": kaehler_weyl, "kaehler_riemann": kaehler_weyl + oracles.full_riemann_rows(n)}
+    columns: dict[int, list[int]] = {}
+    for c in range(n ** 4):
+        columns.setdefault(oracles.parity_mask(s, c), []).append(c)
+    for mask, _, _ in cat.orbits:
+        for name, rows in chains.items():
+            sub, local = oracles.on_columns(getattr(cat.block_chain(mask), name), rows, columns[mask])
+            assert oracles.kernel_certificate(sub, local) == [], (mask, name)
+
+
+@pytest.mark.parametrize("n,kind,sig", [(6, "complex", None), (6, "complex", (4, 2)), (8, "para", None),
+                                        (5, "none", (3, 2)), (6, "none", None)])
+def test_nonzero_gram_count_is_the_full_basis_count(n, kind, sig, monkeypatch):
+    """A nonzero Gram count depends on the basis, so the block path counts
+    each block of an orbit from its own rows.  With weyl in place of each
+    block's sigma image, riemann and it are not orthogonal, and thm4.2
+    reports the count of the catalog's full bases, pair by pair; orbit size
+    times the representative's count would differ here."""
+    s = make_standard(n, kind, sig)
+    monkeypatch.setattr(BlockChain, "sigma_image", property(lambda block: block.weyl))
+    catalog.cache_clear()
+    rep = run_claim("thm4.2", s)
+    cat = catalog(s)
+    expected = oracles.orthogonality_violations(cat.riemann, cat.weyl, lambda c: gram_weight4(s, c))
+    assert expected > 0
+    assert rep.quantities["gram_orthogonality_violations"] == expected
+    assert not rep.verdict
+
+
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_n4_witness_does_not_depend_on_block_order(kind, monkeypatch):
+    """thm1.5's n = 4 witness is the failing kaehler_weyl row of least pivot
+    over the blocks, whatever order they are read in."""
+    s = make_standard(4, kind)
+    catalog.cache_clear()
+    report = run_claim("thm1.5", s).to_json_dict()
+    monkeypatch.setattr(curvature, "parity_blocks", lambda space: reversed(list(parity_blocks(space))))
+    catalog.cache_clear()
+    assert [mask for mask, _, _ in catalog(s).orbits] == [3, 0]
+    assert run_claim("thm1.5", s).to_json_dict() == report
+    assert report["witnesses"]

@@ -164,18 +164,20 @@ class _FirstPairRows(list):
 )
 def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
     """The weyl, riemann-trace and structure rows are written for first pairs
-    i < j only, the trace rows as one row per first pair.  Every meet that the
-    catalog, thm1.5 (the sigma-image meet) and sec5 (the opposed-sum meet) hand
-    them, weyl's on K lifted to affine included, has a base inside affine and
-    cuts what the rows for every first pair cut (the full riemann rows for the
-    trace rows); the chain of meets and conformal equal their versions built
-    from the full rows."""
+    i < j only, the trace rows as one row per first pair, and on a parity
+    block for the anchors in it.  Every meet that the catalog, its blocks,
+    thm1.5 (the sigma-image meet on each block) and sec5 (the opposed-sum
+    meet) hand them, weyl's on K lifted to affine included, has a
+    base inside affine and cuts what the rows for every first pair and every
+    block cut (the full riemann rows for the trace rows); the chain of meets
+    and conformal equal their versions built from the full rows.  The dims
+    table builds the chain on every representative block."""
     s = make_standard(n, kind, sig)
     for name, full in (("weyl_rows", oracles.full_weyl_rows), ("riemann_rows", oracles.full_riemann_rows),
                        ("riemann_trace_rows", oracles.full_riemann_rows),
                        ("kaehler_rows", oracles.full_kaehler_rows)):
-        def tagged(arg, real=getattr(curvature, name), full=full):
-            rows = _FirstPairRows(real(arg))
+        def tagged(arg, *block, real=getattr(curvature, name), full=full):
+            rows = _FirstPairRows(real(arg, *block))
             rows.full = full(arg)
             return rows
 
@@ -193,9 +195,12 @@ def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
     cat = catalog(s)
     cat.rank4_spaces()
     bases = {cat.affine, cat.weyl}
+    cat.dims()  # every chain space of every representative block
+    blocks = [cat.block_chain(mask) for mask, _, _ in cat.orbits]
+    bases |= {sub for block in blocks for sub in (block.affine, block.weyl)}
     if kind != "none":
         curvature.run_claim("thm1.5", s)
-        bases |= {cat.kaehler_weyl, cat.sigma_image}
+        bases |= {cat.kaehler_weyl} | {sub for block in blocks for sub in (block.kaehler_weyl, block.sigma_image)}
         if n >= 6:
             curvature.run_claim("sec5", s)
             bases.add(subspace_sum(cat.psi_span, cat.sigma_opposed_span))
@@ -319,31 +324,43 @@ def test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate(n, kind, s
                                         for kind in ("complex", "para") for n in (6, 8)]
                          + [pytest.param("complex", 6, (4, 2), id="complex-6-4,2")])
 def test_zero_structure_meets_pass_the_modular_rank_certificate(kind, n, sig, monkeypatch):
-    """The two meets with the structure kernel that the claims need to be 0,
-    thm1.5's on ``sigma_image`` and sec5's on ``psi_span + sigma_opposed_span``,
-    are 0 by the modular-rank certificate: the structure rows written for every
-    first pair, restricted to the base by the oracle's dense loop, have rank
-    mod p equal to the base's dimension, so their coefficient kernel is 0.
-    Fewer rows than that dimension fail the certificate.  Also at the
-    indefinite complex signature (4, 2)."""
+    """The meets with the structure kernel that the claims need to be 0,
+    thm1.5's on the ``sigma_image`` of each representative parity block and
+    sec5's on ``psi_span + sigma_opposed_span``, are 0 by the modular-rank
+    certificate: the structure rows written for every first pair, restricted
+    to the base by the oracle's dense loop, have rank mod p equal to the
+    base's dimension, so their coefficient kernel is 0 (the rows that touch
+    no column of the base restrict to 0, and are left out).  Fewer rows than
+    that dimension fail the certificate.  A block without 2-forms has a zero
+    sigma image; the others hold every form.  Also at the indefinite complex
+    signature (4, 2)."""
     s = make_standard(n, kind, sig)
+    catalog.cache_clear()
     cat = catalog(s)
-    cat.kaehler_weyl  # built before the claims' meets are recorded
+    blocks = [cat.block_chain(mask) for mask, _, _ in cat.orbits]
+    for block in blocks:
+        block.kaehler_weyl  # built before the claims' meets are recorded
     meets = []
     real = curvature.kaehler_subspace
 
-    def recording_kaehler_subspace(base, space):
-        meets.append((base, real(base, space)))
+    def recording_kaehler_subspace(base, space, block=None):
+        meets.append((base, real(base, space, block)))
         return meets[-1][1]
 
     monkeypatch.setattr(curvature, "kaehler_subspace", recording_kaehler_subspace)
     assert curvature.run_claim("thm1.5", s).verdict
     assert curvature.run_claim("sec5", s).verdict
-    assert [base for base, _ in meets] == [cat.sigma_image, subspace_sum(cat.psi_span, cat.sigma_opposed_span)]
+    sigma_blocks = [block.sigma_image for block in blocks]
+    assert [base for base, _ in meets] == sigma_blocks + [subspace_sum(cat.psi_span, cat.sigma_opposed_span)]
+    assert sum(size * sub.dim for (_, size, _), sub in zip(cat.orbits, sigma_blocks)) == cat.sigma_image.dim
     rows = oracles.full_kaehler_rows(s)
     for base, meet in meets:
-        assert base.dim > 0 and meet.dim == 0
-        restricted = oracles.restricted_rows(base, rows)
+        assert meet.dim == 0
+        if base in sigma_blocks and base.dim == 0:
+            continue
+        assert base.dim > 0
+        support = {c for row in base.basis_dicts() for c in row}
+        restricted = oracles.restricted_rows(base, [row for row in rows if not support.isdisjoint(row)])
         assert oracles.kernel_certificate(Subspace(base.dim, ()), restricted) == []
         too_few = [row for row in restricted if row][:base.dim - 1]
         assert oracles.kernel_certificate(Subspace(base.dim, ()), too_few) == ["rank mod p"]
@@ -669,10 +686,13 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
         curvature.run_claim(claim, s)
     assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
     # affine's K over n^3 columns, conformal over all n^4 columns and the four
-    # two-tensor kernels, then the coefficient kernels of the six meets: weyl,
-    # riemann, Ricci on riemann (thm4.1), the structure identity on weyl and
-    # sigma_image (thm1.5) and the riemann trace rows on kaehler_weyl
-    assert len(built) == 12
-    assert len(set(built)) == 12
+    # two-tensor kernels, then the coefficient kernels of the meets: weyl,
+    # riemann and Ricci on riemann (thm4.1) on the full catalog, and on each
+    # of the two parity blocks (both planes odd, or none) weyl, riemann
+    # (thm4.2), the structure identity on weyl and on sigma_image (thm1.5) and
+    # the riemann trace rows on kaehler_weyl; dims reads the blocks as built
+    assert len(catalog(s).orbits) == 2
+    assert len(built) == 6 + 3 + 2 * 5
+    assert len(set(built)) == len(built)
     assert sum(ncols == 4 ** 4 for ncols, _ in built) == 1
     assert sum(ncols == 4 ** 3 for ncols, _ in built) == 1

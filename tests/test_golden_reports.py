@@ -2,7 +2,10 @@
 table at n = 4, 6 and 8 in both geometries and at n = 6 ``--sig 4,2
 --kind complex``; of ``dims``, thm4.1 and thm4.2 with ``--kind none`` at
 n = 4, 6 and 6 ``--sig 4,2``; of thm1.5, thm4.2, thm4.1, eq4d and lemma4.9
-at n = 10 in both geometries; of two markdown reports, eq4d's with its
+at n = 10 in both geometries; of the orbit edge cases of the parity blocks
+(thm4.2 and ``dims`` at odd n without a structure, thm1.5, thm4.2 and
+``dims`` with plane sign types interleaved by ``--sig`` and ``--eps``); of
+two markdown reports, eq4d's with its
 note line and thm1.5's at n = 4 with its witness line; of a set of
 ``eval`` commands
 (Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
@@ -51,6 +54,17 @@ CASES = [
     for kind in ("complex", "para")
     for claim in ("thm1.5", "thm4.2", "thm4.1", "eq4d", "lemma4.9")
 ] + [
+    # orbit edge cases of the parity blocks: odd n and an indefinite
+    # signature without a structure, and plane sign types interleaved by
+    # --sig and --eps
+    "verify thm4.2 --n 5 --kind none",
+    "verify thm4.2 --n 7 --kind none --sig 4,3",
+    "dims --n 7 --kind none --sig 4,3",
+    "verify thm1.5 --n 8 --kind complex --sig 4,4",
+    "verify thm1.5 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-",
+    "verify thm1.5 --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
+    "dims --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
+    "verify thm4.2 --n 8 --kind complex --sig 2,6",
     "verify eq4d --n 6 --kind para --format md",
     "verify thm1.5 --n 4 --kind complex --format md",
     "eval nijenhuis --n 6",
@@ -187,6 +201,14 @@ GOLDEN = {
     "verify thm4.1 --n 10 --kind para": (0, "2b3f47c6de5ae493d80ef7e0b6a383361720b729a70f4684572f6521e45cdbff"),
     "verify eq4d --n 10 --kind para": (0, "9c5471cdff7db1628786cb1f8f5903a889368ec11d6d438214987025c785349a"),
     "verify lemma4.9 --n 10 --kind para": (0, "57c865b8b9a6080aeabf0f1381e349a88802a944820407f1c1da3c4976d42594"),
+    "verify thm4.2 --n 5 --kind none": (0, "4e67dc0837c47beaacd5cc191c4240c1fc53287117cecff3d75a74754e131c43"),
+    "verify thm4.2 --n 7 --kind none --sig 4,3": (0, "5386fba060361eed0ef47a06b81341ae7608f824d29d351de4b94b5e283d256b"),
+    "dims --n 7 --kind none --sig 4,3": (0, "3ec3a99ee6268ac280f0fc7e4e21a66b153c08132279e299ff4e500ef52382bc"),
+    "verify thm1.5 --n 8 --kind complex --sig 4,4": (0, "2a896d7bbadc2404a284b9c2b7c3830c5b87a2318a7f630c2a47ca7e2eb647b3"),
+    "verify thm1.5 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-": (0, "24f51fbbc802e9a78eb3c4a7124fb159d1a782d894d9c7b76fae04861a7995bf"),
+    "verify thm1.5 --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "96709c2283fdc55fe18d71bda20d6a3d55b35a8399b590a368ff21b79a99ee93"),
+    "dims --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "c44ded1073d942b97838efaf83a7352557f88681ce2c7e2319715321b0c3921e"),
+    "verify thm4.2 --n 8 --kind complex --sig 2,6": (0, "38d4a2501c4eb41fbf86805bf06148511747f955db9ae63ce5d4e4020d13c1e2"),
     "verify eq4d --n 6 --kind para --format md": (0, "e290ef4c028c78994aeabf65f750ccce0d7516040180563e7f4b1d11a0bb9cf3"),
     "verify thm1.5 --n 4 --kind complex --format md": (0, "7ad4c4c10f34ae68054862a3b5970e15b8b3ad4145f9a5c0a56e82e23cb3cd04"),
     "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
