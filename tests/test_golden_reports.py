@@ -3,8 +3,9 @@ table at n = 4, 6 and 8 in both geometries and at n = 6 ``--sig 4,2
 --kind complex``; of ``dims``, thm4.1 and thm4.2 with ``--kind none`` at
 n = 4, 6 and 6 ``--sig 4,2``; of thm1.5, thm4.2, thm4.1, eq4d and lemma4.9
 at n = 10 in both geometries; of the orbit edge cases of the parity blocks
-(thm4.2 and ``dims`` at odd n without a structure, thm1.5, thm4.2 and
-``dims`` with plane sign types interleaved by ``--sig`` and ``--eps``); of
+(thm4.2, thm4.1 and ``dims`` at odd n without a structure, thm1.5, thm4.2,
+thm4.1 and ``dims`` with plane sign types interleaved by ``--sig`` and
+``--eps``); of
 two markdown reports, eq4d's with its
 note line and thm1.5's at n = 4 with its witness line; of a set of
 ``eval`` commands
@@ -65,6 +66,13 @@ CASES = [
     "verify thm1.5 --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
     "dims --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
     "verify thm4.2 --n 8 --kind complex --sig 2,6",
+    # thm4.1 on the parity blocks, at odd n and with mixed sign layouts
+    "verify thm4.1 --n 5 --kind none",
+    "verify thm4.1 --n 7 --kind none",
+    "verify thm4.1 --n 7 --kind none --sig 4,3",
+    "verify thm4.1 --n 8 --kind complex --sig 2,6",
+    "verify thm4.1 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-",
+    "verify thm4.1 --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
     "verify eq4d --n 6 --kind para --format md",
     "verify thm1.5 --n 4 --kind complex --format md",
     "eval nijenhuis --n 6",
@@ -209,6 +217,12 @@ GOLDEN = {
     "verify thm1.5 --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "96709c2283fdc55fe18d71bda20d6a3d55b35a8399b590a368ff21b79a99ee93"),
     "dims --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "c44ded1073d942b97838efaf83a7352557f88681ce2c7e2319715321b0c3921e"),
     "verify thm4.2 --n 8 --kind complex --sig 2,6": (0, "38d4a2501c4eb41fbf86805bf06148511747f955db9ae63ce5d4e4020d13c1e2"),
+    "verify thm4.1 --n 5 --kind none": (0, "a001bca762d62e97d6f89693fe5621fb29c3eef2fec80de5b5fed2d0b1a3a1d3"),
+    "verify thm4.1 --n 7 --kind none": (0, "bc21935d6663e954a9279fe898969a324fe0b6e66cde970e4d6782010ab5f8df"),
+    "verify thm4.1 --n 7 --kind none --sig 4,3": (0, "a6d9a2613451462c0f11ade31e5949574b495c9d5d30fcae00bd29122d5728c8"),
+    "verify thm4.1 --n 8 --kind complex --sig 2,6": (0, "09fa15c15a0242e6a851535c35cb06d9441d5e316b63af02a73402a07b3a1caa"),
+    "verify thm4.1 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-": (0, "c92ddf3ec7d6ff4ec5a080938e3c3bb3097e3a5f6e6c9157f71b8c16e3c3b9cf"),
+    "verify thm4.1 --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "41ef72ed4c4ca07d07cb3b151c89ed641ede300faa27b81eddfd01911f4a5231"),
     "verify eq4d --n 6 --kind para --format md": (0, "e290ef4c028c78994aeabf65f750ccce0d7516040180563e7f4b1d11a0bb9cf3"),
     "verify thm1.5 --n 4 --kind complex --format md": (0, "7ad4c4c10f34ae68054862a3b5970e15b8b3ad4145f9a5c0a56e82e23cb3cd04"),
     "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
