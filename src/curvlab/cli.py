@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import curvature, nijenhuis, report
-from .curvature import CLAIMS, ClaimNotApplicable, catalog, run_claim
+from .curvature import CLAIMS, ClaimNotApplicable, UnknownClaim, catalog, claim_entry, run_claim
 from .report import scalar_to_str
 from .spaces import ModelSpace, make_standard
 from .tensors import (
@@ -133,8 +133,7 @@ def cmd_dims(args):
 
 def cmd_verify(args):
     signature, eps = _parse_sig(args.sig), _parse_eps(args.eps)
-    if args.claim not in CLAIMS:
-        raise UsageError(f"unknown claim {args.claim!r}; known: {', '.join(sorted(CLAIMS))}")
+    claim_entry(args.claim)
     rep = run_claim(args.claim, _standard(args.n, args.kind, signature, eps))
     return rep.to_json_dict(), lambda _: report.render_markdown(rep), report.exit_code_for([rep])
 
@@ -228,8 +227,7 @@ def cmd_sweep(args):
     kinds = [k.strip() for k in args.kinds.split(",")] if args.kinds else []
     claims = [c.strip() for c in args.claims.split(",")]
     for c in claims:
-        if c not in CLAIMS:
-            raise UsageError(f"unknown claim {c!r}")
+        claim_entry(c)
     if any(kind not in ("complex", "para") for kind in kinds):
         raise UsageError("sweep kinds must be complex and/or para")
     # an empty list would sweep no cells: a pass that checked nothing
@@ -323,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         payload, markdown, code = command(args)
         print(json.dumps(payload, indent=2) if args.format == "json" else markdown(payload))
         return code
-    except (UsageError, ClaimNotApplicable) as exc:  # a bad request; any other ValueError is a fault
+    except (UsageError, UnknownClaim, ClaimNotApplicable) as exc:  # a bad request; any other ValueError is a fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault in curvlab itself must not read as a failed claim

@@ -1,22 +1,23 @@
 """Curvature subspace catalog, equivariant-map solvers, and claim verifiers.
 
-Each model space has one catalog, built lazily as a chain of meets: affine
-is K ⊗ R^n, K the kernel of the first-pair and cyclic rows on their three
-slots; weyl is cut out of K ⊗ R^n through K, and kaehler_weyl
-(structure-compatible) out of weyl, by their own rows for first pairs i < j,
-as every space past affine alternates there, the weyl rows with two entries
-each, as the Weyl trace follows on affine; riemann and kaehler_riemann out
-of weyl and kaehler_weyl by one trace row per first pair, which cuts what
-the riemann rows cut on weyl.  The conformal space is one direct kernel that
-keeps the riemann rows themselves, so it checks the chain by a second route.
-The catalog also holds the five-term-map image, the six-piece splitting of
-rank-2 tensors and the map images of its pieces.  A subspace is built on its
-first read, and every verifier and the dims table read it.  Every row lies
+Each model space has one catalog; a subspace is built on its first read,
+and every verifier and the dims table read it.  Every constraint row lies
 in one parity block, the rank-4 coordinates holding the same units (axes,
-or J-planes) an odd number of times, so the weyl chain and the five-term
-image are also kept block by block; thm1.5, thm4.2 and the dims table read
-them on one block per orbit of the unit permutations, which are group
-elements, each count weighted by its orbit's size.  On top of it the
+or J-planes) an odd number of times, so the weyl chain is solved one block
+at a time: affine is K ⊗ R^n there, K the kernel of the first-pair and
+cyclic rows on their three slots; weyl and kaehler_weyl
+(structure-compatible) are cut out of affine and weyl by their own rows for
+first pairs i < j, as every space past affine alternates there, the weyl
+rows with two entries each, as the Weyl trace follows on affine; riemann
+and kaehler_riemann out of weyl and kaehler_weyl by one trace row per first
+pair, which cuts what the riemann rows cut on weyl.  The claims and the
+dims table read the chain on one block per orbit of the unit permutations,
+which are group elements, each count weighted by its orbit's size; the
+chain over every coordinate, the union of every block's, is for
+:func:`build_catalog`.  The conformal space is one direct kernel over every
+coordinate that keeps the riemann rows themselves, so it checks the chain
+by a second route.  The catalog also holds the six-piece splitting of
+rank-2 tensors and the map images of its pieces.  On top of it the
 module certifies group invariance, solves for commutants of group actions
 and spans of invariant contraction functionals, and runs the claim verifiers
 exposed by the CLI.  A certificate applies each element of the group's
@@ -43,7 +44,6 @@ from .linalg import (
     Subspace,
     SubspaceReducer,
     kernel_subspace,
-    lifted,
     meet_kernel,
     rank_of_rows,
     restrict_rows,
@@ -58,6 +58,7 @@ from .spaces import (
     generating_set,
     lie_algebra_basis,
     parity_blocks,
+    parity_mask,
     signed_pair_table,
     structure_sign,
     unit_bits,
@@ -104,6 +105,10 @@ class ClaimNotApplicable(ValueError):
     is a bug or a bad request."""
 
 
+class UnknownClaim(ValueError):
+    """A claim name that :data:`CLAIMS` does not hold: a bad request."""
+
+
 class NotInvariantError(Exception):
     """A subspace is not preserved by a group action; carries the witness.
 
@@ -130,8 +135,7 @@ def orthogonality_violations(a: Subspace, b: Subspace, weight: Callable[[int], i
 
 
 def kaehler_subspace(base: Subspace, space: ModelSpace, block: Block | None = None) -> Subspace:
-    """Intersection of a rank-4 subspace with the structure-compatibility kernel;
-    the base must alternate in the first pair, as the rows are for i < j (and lie in ``block``)."""
+    """base ∩ ker(structure rows anchored in ``block``), for a base alternating in the first pair (rows for i < j)."""
     return meet_kernel(base, kaehler_rows(space, block))
 
 
@@ -160,12 +164,31 @@ class TwoTensorSplit(NamedTuple):
         return list(zip(self._fields, self))
 
 
-class _Chain:
-    """The weyl chain past weyl, cut by the rows anchored in ``block``: on
-    every coordinate in :class:`CurvatureCatalog`, on one parity block in
-    :class:`BlockChain`."""
+class BlockChain:
+    """The weyl chain on one parity block (:func:`spaces.parity_blocks`), cut
+    out of K ⊗ R^n there by the rows anchored in the block.  A group element
+    carries each block's chain onto another's, so claims need one block per
+    orbit, weighted by its size."""
 
-    block: Block | None = None
+    CHAIN = ("affine", "weyl", "riemann", "sigma_image", "kaehler_weyl", "kaehler_riemann")
+
+    def __init__(self, cat: "CurvatureCatalog", mask: int):
+        self.space, self.slots = cat.space, cat.slots_by_mask
+        self.block = (mask, unit_bits(cat.space))
+
+    @property
+    def affine(self) -> Subspace:
+        """The rows b ⊗ e_l of K ⊗ R^n in the block, row b of K with column c at
+        c*n + l, led by p_b*n + l, where no other row is nonzero: canonical.
+        Built on each read, so that no block pins them."""
+        n, (mask, bits) = self.space.n, self.block
+        rows = [tuple(x * n + l if k % 2 == 0 else x for k, x in enumerate(b))
+                for l in range(n) for b in self.slots.get(mask ^ bits[l], ())]
+        return Subspace(n ** 4, tuple(sorted(rows)))
+
+    @cached_property
+    def weyl(self) -> Subspace:
+        return meet_kernel(self.affine, weyl_rows(self.space, self.block))
 
     @cached_property
     def riemann(self) -> Subspace:
@@ -174,7 +197,7 @@ class _Chain:
 
     @cached_property
     def sigma_image(self) -> Subspace:
-        """Span of the five-term map over a basis of 2-forms."""
+        """Span of the five-term map over the 2-forms whose images lie in the block."""
         return Subspace.from_vectors([sigma(t, self.space) for t in two_form_basis(self.space.n, self.block)],
                                      self.space.n ** 4)
 
@@ -188,32 +211,7 @@ class _Chain:
         return meet_kernel(self.kaehler_weyl, riemann_trace_rows(self.space.n, self.block))
 
 
-class BlockChain(_Chain):
-    """The weyl chain on one parity block (:func:`spaces.parity_blocks`), from
-    K ⊗ R^n there: the catalog's spaces on the block, their bases the rows
-    there.  A group element carries each block's chain onto another's, so
-    claims need one block per orbit, weighted by its size."""
-
-    CHAIN = ("affine", "weyl", "riemann", "sigma_image", "kaehler_weyl", "kaehler_riemann")
-
-    def __init__(self, cat: "CurvatureCatalog", mask: int):
-        self.space, self.slots = cat.space, cat.slots_by_mask
-        self.block = (mask, unit_bits(cat.space))
-
-    @cached_property
-    def affine(self) -> Subspace:
-        """The rows b ⊗ e_l of K ⊗ R^n (see :func:`linalg.lifted`) in the block."""
-        n, (mask, bits) = self.space.n, self.block
-        rows = [tuple(x * n + l if k % 2 == 0 else x for k, x in enumerate(b))
-                for l in range(n) for b in self.slots.get(mask ^ bits[l], ())]
-        return Subspace(n ** 4, tuple(sorted(rows)))
-
-    @cached_property
-    def weyl(self) -> Subspace:
-        return meet_kernel(self.affine, weyl_rows(self.space, self.block))
-
-
-class CurvatureCatalog(_Chain):
+class CurvatureCatalog:
     """Every subspace of one model space that the claim verifiers and the
     dims table read.  Each is built on its first read and then kept; the
     two-tensor split and everything after it need a structured space."""
@@ -226,21 +224,28 @@ class CurvatureCatalog(_Chain):
         """The weyl chain on the parity block of ``mask``, kept per mask."""
         return self._blocks.get(mask) or self._blocks.setdefault(mask, BlockChain(self, mask))
 
-    @cached_property
-    def orbits(self) -> list[tuple[int, int, list[int]]]:
-        """Each orbit of parity blocks: (representative, size, other masks)."""
-        out: list[tuple[int, int, list[int]]] = []
-        for mask, size, perm in parity_blocks(self.space):
-            if all(u == image for u, image in enumerate(perm)):
-                out.append((mask, size, []))
-            else:
-                out[-1][2].append(mask)
-        return out
+    # each orbit of parity blocks: (representative, size, other masks)
+    orbits = cached_property(lambda self: list(parity_blocks(self.space)))
 
     def chain_dims(self, names: Sequence[str]) -> dict[str, int]:
         """The named chain spaces' dimensions, read off the representatives."""
         blocks = [(size, self.block_chain(mask)) for mask, size, _ in self.orbits]
         return {name: sum(size * getattr(block, name).dim for size, block in blocks) for name in names}
+
+    def _union(self, name: str) -> Subspace:
+        """The chain space ``name`` over every coordinate: the sorted union of
+        every block's basis, each solved from its own rows, canonical."""
+        rows = [row for rep, _, others in self.orbits for mask in [rep, *others]
+                for row in getattr(self.block_chain(mask), name).basis]
+        return Subspace(self.space.n ** 4, tuple(sorted(rows)))
+
+    # K ⊗ R^n is built on each read, as on a block; the others are kept
+    affine = property(lambda self: self._union("affine"))
+    weyl = cached_property(lambda self: self._union("weyl"))
+    riemann = cached_property(lambda self: self._union("riemann"))
+    sigma_image = cached_property(lambda self: self._union("sigma_image"))
+    kaehler_weyl = cached_property(lambda self: self._union("kaehler_weyl"))
+    kaehler_riemann = cached_property(lambda self: self._union("kaehler_riemann"))
 
     def _image(self, mapper: Callable[[Vec, ModelSpace], Vec], forms: Sequence[Vec]) -> Subspace:
         """Span of a rank-2 to rank-4 map over the given forms."""
@@ -251,26 +256,14 @@ class CurvatureCatalog(_Chain):
         """K: the kernel of the first-pair and cyclic rows on the slots they read."""
         return kernel_subspace(antisym_rows(self.space.n) + bianchi_rows(self.space.n), self.space.n ** 3)
 
-    @property
-    def affine(self) -> Subspace:
-        """Tensors alternating in the first pair and satisfying the cyclic identity:
-        K ⊗ R^n, lifted from the cached K on each read, so that no later space
-        pins it."""
-        return lifted(self.affine_slots, self.space.n)
-
     @cached_property
     def slots_by_mask(self) -> dict[int, list[tuple[int, ...]]]:
         """K's basis rows by the parity mask of their rank-3 coordinates."""
         n, bits = self.space.n, unit_bits(self.space)
         groups: dict[int, list[tuple[int, ...]]] = {}
         for row in self.affine_slots.basis:
-            groups.setdefault(bits[row[0] // n // n] ^ bits[row[0] // n % n] ^ bits[row[0] % n], []).append(row)
+            groups.setdefault(parity_mask(bits, n, row[0], 3), []).append(row)
         return groups
-
-    @cached_property
-    def weyl(self) -> Subspace:
-        """affine ∩ ker(weyl rows), restricted to and recombined from K ⊗ R^n."""
-        return meet_kernel(self.affine_slots, weyl_rows(self.space), self.space.n)
 
     @cached_property
     def conformal(self) -> Subspace:
@@ -653,34 +646,51 @@ def verify_weyl_direct_sum(space: ModelSpace) -> Outcome:
 
 
 def verify_riemann_ricci_split(space: ModelSpace) -> Outcome:
-    """Ricci-based form of the three-piece splitting of the riemann space."""
+    """Ricci-based form of the three-piece splitting of the riemann space.
+
+    Decided on one parity block per orbit; ``conformal`` is one kernel over
+    every coordinate, each of its canonical rows in its pivot's block.
+    Ric(x, y) lies in the block of x and y, so a Ricci rank is the sum of its
+    ranks on the blocks, each the rank of every Ricci row restricted there.
+    On each representative the Ricci kernel on riemann must be conformal's
+    rows there, and the orbit sizes must weigh those kernels up to
+    conformal's dimension; conformal's O-certificate, checked in the same
+    claim, carries the equality to every block of the orbit, as a unit
+    permutation is in O."""
     n = space.n
     cat = catalog(space)
-    riemann, weyl, conformal = cat.riemann, cat.weyl, cat.conformal
+    conformal = cat.conformal
     ric = ricci_rows(space)
-    rank_r = rank_of_rows(restrict_rows(riemann, ric))
-    rank_w = rank_of_rows(restrict_rows(weyl, ric))
-    kernel_matches = meet_kernel(riemann, ric) == conformal
+    bits = unit_bits(space)
+    conformal_rows: dict[int, list[tuple[int, ...]]] = {}
+    for row in conformal.basis:
+        conformal_rows.setdefault(parity_mask(bits, n, row[0], 4), []).append(row)
+    dim_r = rank_r = rank_w = kernel_dim = 0
+    kernel_matches = True
+    for mask, size, _ in cat.orbits:
+        block = cat.block_chain(mask)
+        dim_r += size * block.riemann.dim
+        rank_r += size * rank_of_rows(restrict_rows(block.riemann, ric))
+        rank_w += size * rank_of_rows(restrict_rows(block.weyl, ric))
+        kernel = meet_kernel(block.riemann, ric)
+        kernel_dim += size * kernel.dim
+        kernel_matches = kernel_matches and list(kernel.basis) == conformal_rows.get(mask, [])
+    kernel_matches = kernel_matches and kernel_dim == conformal.dim
     sym_dim = n * (n + 1) // 2
     witness = invariance_witness(conformal, space, "O")
     quantities = {
-        "dim_riemann": riemann.dim,
+        "dim_riemann": dim_r,
         "ricci_rank_on_riemann": rank_r,
         "expected_ricci_rank": sym_dim,
         "dim_conformal": conformal.dim,
         "ricci_kernel_equals_conformal": kernel_matches,
-        "dims_identity": riemann.dim == 1 + (sym_dim - 1) + conformal.dim,
+        "dims_identity": dim_r == 1 + (sym_dim - 1) + conformal.dim,
         "ricci_rank_on_weyl": rank_w,
         "expected_ricci_rank_on_weyl": n * n,
         "conformal_o_invariant": witness is None,
     }
-    verdict = (
-        rank_r == sym_dim
-        and kernel_matches
-        and quantities["dims_identity"]
-        and rank_w == n * n
-        and witness is None
-    )
+    verdict = (rank_r == sym_dim and kernel_matches and quantities["dims_identity"] and rank_w == n * n
+               and witness is None)
     return quantities, verdict, [] if witness is None else [witness]
 
 
@@ -864,7 +874,8 @@ def verify_doubled_commutant(space: ModelSpace) -> Outcome:
 
 # claim -> (description, verifier, needs a structure, least n, notes); a
 # structured space has n >= 4
-CLAIMS: dict[str, tuple[str, Callable[[ModelSpace], Outcome], bool, int, tuple[str, ...]]] = {
+Claim = tuple[str, Callable[[ModelSpace], Outcome], bool, int, tuple[str, ...]]
+CLAIMS: dict[str, Claim] = {
     "thm4.1": ("ricci contraction has full symmetric rank on the riemann space; its kernel is the conformal space",
                verify_riemann_ricci_split, False, 4, ()),
     "thm4.2": ("weyl curvature space = riemann curvature space ⊕ five-term-map image, orthogonally",
@@ -883,6 +894,13 @@ CLAIMS: dict[str, tuple[str, Callable[[ModelSpace], Outcome], bool, int, tuple[s
 }
 
 
+def claim_entry(claim: str) -> Claim:
+    """The :data:`CLAIMS` entry of ``claim``; an unknown name is an :class:`UnknownClaim`."""
+    if claim not in CLAIMS:
+        raise UnknownClaim(f"unknown claim {claim!r}; known: {', '.join(sorted(CLAIMS))}")
+    return CLAIMS[claim]
+
+
 def run_claim(claim: str, space: ModelSpace) -> VerificationReport:
     """Run one claim's verifier and build its report: the claim's
     description and notes, the space's description in exact mode, and the
@@ -890,9 +908,7 @@ def run_claim(claim: str, space: ModelSpace) -> VerificationReport:
     stated for raises :class:`ClaimNotApplicable` before the verifier runs:
     first an unstructured space where the claim needs a structure, then too
     small an n."""
-    if claim not in CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
-    description, verify, structured, least_n, notes = CLAIMS[claim]
+    description, verify, structured, least_n, notes = claim_entry(claim)
     if structured and space.kind == "none":
         raise ClaimNotApplicable("needs a structured space")
     if space.n < least_n:

@@ -19,16 +19,15 @@ Repeated rows need no pass of their own: a repeated one- or two-entry row
 finds its zero or tie already made, and a longer one reduces to zero.
 
 A meet restricts its condition rows to the parent's basis, through an index
-over the side with fewer entries (a parent B ⊗ R^k is given as B and k,
-never built), and hands the nonzero restricted rows to the kernel, or
-returns the parent if none is nonzero.  Those rows repeat, as the parent's
-own symmetries make many conditions agree on it up to a factor, and the
-kernel absorbs the repeats.  A meet row that is one parent row is that
-stored row, not a copy.  Rows of ``int``s, as every catalog condition is
-written, skip the denominator pass on their way in.
-Every meet is of this kind; two subspaces given by bases are only summed,
-and the dimension of their meet is dim A + dim B - dim(A + B).  No row is
-copied to back-substitute it.
+over the side with fewer entries, and hands the nonzero restricted rows to
+the kernel, or returns the parent if none is nonzero.  Those rows repeat,
+as the parent's own symmetries make many conditions agree on it up to a
+factor, and the kernel absorbs the repeats.  A meet row that is one parent
+row is that stored row, not a copy.  Rows of ``int``s, as every catalog
+condition is written, skip the denominator pass on their way in.  Every
+meet is of this kind; two subspaces given by bases are only summed, and the
+dimension of their meet is dim A + dim B - dim(A + B).  No row is copied to
+back-substitute it.
 
 There is one matrix format, the sparse rank-2 one: a linear map on R^k is
 the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
@@ -364,26 +363,11 @@ def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) ->
     return Subspace(ncols, tuple(basis))
 
 
-def lifted(sub: Subspace, k: int) -> Subspace:
-    """sub ⊗ R^k, ``sub`` for k = 1: row b ⊗ e_l, at b*k + l, is row b with column c
-    at c*k + l.  It leads at p_b*k + l, where no other row is nonzero: canonical."""
-    if k == 1:
-        return sub
-    rows = []
-    for b in sub.basis:
-        cols = b[::2]
-        row = list(b)
-        for l in range(k):
-            row[::2] = [c * k + l for c in cols]
-            rows.append(tuple(row))
-    return Subspace(sub.ambient_dim * k, tuple(rows))
-
-
-def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int = 1) -> Iterator[dict[int, int]]:
-    """Each row r evaluated on the basis of ``lifted(base, lift)``, never built:
-    its coefficient at b*lift + l is sum_c r[c*lift + l] * b[c].  Columns c are
-    indexed on the side with fewer entries: over the base, rows stream out as
-    read; over the rows, one pass over the base fills all, each let go as yielded."""
+def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Iterator[dict[int, int]]:
+    """Each row r evaluated on the basis of ``base``: its coefficient at b is
+    sum_c r[c] * b[c].  Columns c are indexed on the side with fewer entries:
+    over the base, rows stream out as read; over the rows, one pass over the
+    base fills all, each let go as yielded."""
     rows = rows if isinstance(rows, list) else list(rows)
     index: dict[int, list] = {}
     if base.nnz <= sum(map(len, rows)):
@@ -392,64 +376,56 @@ def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int =
                 index.setdefault(c, []).append((b, v))
         for row in rows:
             acc: dict[int, int] = {}
-            for col, rv in row.items():
-                c, l = divmod(col, lift)
+            for c, rv in row.items():
                 for b, bv in index.get(c, ()):
-                    acc[b * lift + l] = acc.get(b * lift + l, 0) + rv * bv
+                    acc[b] = acc.get(b, 0) + rv * bv
             yield {i: v for i, v in acc.items() if v}
         return
     accs: list = [{} for _ in rows]
     for acc, row in zip(accs, rows):
-        for col, rv in row.items():
-            index.setdefault(col // lift, []).append((acc, col % lift, rv))
+        for c, rv in row.items():
+            index.setdefault(c, []).append((acc, rv))
     for b, brow in enumerate(base.row_items()):
         for c, bv in brow:
-            for acc, l, rv in index.get(c, ()):
-                acc[b * lift + l] = acc.get(b * lift + l, 0) + rv * bv
+            for acc, rv in index.get(c, ()):
+                acc[b] = acc.get(b, 0) + rv * bv
     del index
     for r, acc in enumerate(accs):
         accs[r] = None
         yield {i: v for i, v in acc.items() if v}
 
 
-def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]], lift: int = 1) -> Subspace:
-    """B ∩ ker(rows), B = ``lifted(base, lift)`` (never built), from the kernel
-    of the rows restricted to B.
+def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
+    """base ∩ ker(rows), from the kernel of the nonzero rows restricted to the
+    base, as they are (on weyl the last-pair identity at (i, j, k, k) gives
+    the same row for every k); if none is nonzero, the base itself.
 
-    The kernel receives the nonzero restricted rows as they are; if none is
-    nonzero, B itself is returned.  They repeat: the symmetries of the base
-    make conditions at one first pair agree on it up to a factor (on weyl the
-    last-pair identity at (i, j, k, k) gives the same row for every k, and
-    the structure identity at last pairs (k, l) and (l, k) the same row up to
-    sign), and the kernel's presolve and elimination absorb the repeats.
-
-    No second elimination: sum_i c_i b_i over the canonical rows of B leads at
-    the pivot of the first b_i it uses, and its value at any other pivot p_i
-    of B is c_i times the positive pivot entry of b_i.  So the canonical
-    coefficient kernel recombines straight into the canonical basis of the
-    meet, once each row's content is stripped; a lone (i, 1) is row i itself.
+    No second elimination: sum_i c_i b_i over the canonical rows of the base
+    leads at the pivot of the first b_i it uses, and its value at any other
+    pivot p_i of the base is c_i times the positive pivot entry of b_i.  So
+    the canonical coefficient kernel recombines straight into the canonical
+    basis of the meet, once each row's content is stripped; a lone (i, 1) is
+    row i itself.
     """
     # rebinding ``rows`` frees a condition list that only this call holds
     # before the elimination, which is where a meet peaks in memory
-    rows = [row for row in restrict_rows(base, rows, lift) if row]
+    rows = [row for row in restrict_rows(base, rows) if row]
     if not rows:
-        return lifted(base, lift)
+        return base
     basis = base.basis
     out = []
-    for coeffs in kernel_subspace(rows, base.dim * lift).basis:
-        if len(coeffs) == 2 and lift == 1:
+    for coeffs in kernel_subspace(rows, base.dim).basis:
+        if len(coeffs) == 2:
             out.append(basis[coeffs[0]])
             continue
         vec: dict[int, int] = {}
         it = iter(coeffs)
-        for i, c in zip(it, it):
-            b, l = divmod(i, lift)
+        for b, c in zip(it, it):
             brow = iter(basis[b])
             for col, v in zip(brow, brow):
-                col = col * lift + l
                 vec[col] = vec.get(col, 0) + c * v
         out.append(_freeze_row(_strip_content({col: v for col, v in vec.items() if v})))
-    return Subspace(base.ambient_dim * lift, tuple(out))
+    return Subspace(base.ambient_dim, tuple(out))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

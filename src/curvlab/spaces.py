@@ -117,15 +117,22 @@ def unit_bits(space: ModelSpace) -> tuple[int, ...]:
     return tuple(1 << (a // width) for a in range(space.n))
 
 
-def parity_blocks(space: ModelSpace) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """Every parity block as ``(mask, orbit size, perm)``: a rank-4
-    coordinate's mask is the bit mask of the units (:func:`unit_bits`) it holds
-    an odd number of times.  Permutations of units of one sign type, the sign
-    of a unit's first axis, are group elements, and the orbit of a mask with
+def parity_mask(bits: Sequence[int], n: int, c: int, rank: int) -> int:
+    """The parity block of flat rank-``rank`` coordinate c: the xor of the :func:`unit_bits` of its indices."""
+    mask = 0
+    for _ in range(rank):
+        c, a = divmod(c, n)
+        mask ^= bits[a]
+    return mask
+
+
+def parity_blocks(space: ModelSpace) -> Iterator[tuple[int, int, list[int]]]:
+    """Every orbit of parity blocks as ``(representative, size, other masks)``,
+    a mask holding the units a rank-4 coordinate holds an odd number of
+    times (:func:`parity_mask`).  Permutations of units of one sign type, the
+    sign of a unit's first axis, are group elements: the orbit of a mask with
     a units of type + and b of type - has C(P, a)*C(N, b) masks, P and N
-    units being of each type.  Orbits come one by one, led by the
-    representative, the first a and b units of each type, with the identity;
-    ``perm`` carries its unit u to unit perm[u] of ``mask``, of u's type."""
+    units being of each type, and is led by the first a and b of each type."""
     width = 1 if space.kind == "none" else 2
     m = space.n // width
     plus = [u for u in range(m) if space.eps[u * width] > 0]
@@ -133,9 +140,10 @@ def parity_blocks(space: ModelSpace) -> Iterator[tuple[int, int, tuple[int, ...]
     for weight in (0, 2, 4):
         for a in range(weight + 1):
             size = comb(len(plus), a) * comb(len(minus), weight - a)
-            for ps, ms in product(combinations(plus, a), combinations(minus, weight - a)):
-                images = [*ps, *(u for u in plus if u not in ps), *ms, *(u for u in minus if u not in ms)]
-                yield sum(1 << u for u in ps + ms), size, tuple(image for _, image in sorted(zip(plus + minus, images)))
+            if size:
+                rep, *others = (sum(1 << u for u in ps + ms)
+                                for ps, ms in product(combinations(plus, a), combinations(minus, weight - a)))
+                yield rep, size, others
 
 
 def _default_eps(n: int, kind: str, signature: tuple[int, int] | None) -> tuple[int, ...]:

@@ -85,8 +85,8 @@ MUTANTS = [
     (
         "meet shortcut taken while one row remains",
         LINALG,
-        "    if not rows:\n        return lifted(base, lift)\n",
-        "    if len(rows) < 2:\n        return lifted(base, lift)\n",
+        "    if not rows:\n        return base\n",
+        "    if len(rows) < 2:\n        return base\n",
         ["tests/test_linalg.py::test_meet_returns_its_base_when_every_row_restricts_to_zero"],
     ),
     (
@@ -193,19 +193,18 @@ MUTANTS = [
         ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut"],
     ),
     (
-        "lifted index written as l * dim K + b instead of b * n + l",
-        LINALG,
-        "                    acc[b * lift + l] = acc.get(b * lift + l, 0) + rv * bv\n            yield",
-        "                    acc[l * len(base.basis) + b] = acc.get(l * len(base.basis) + b, 0) + rv * bv\n"
-        "            yield",
+        "block affine row b ⊗ e_l written at column l * n^3 + c instead of c * n + l",
+        CURVATURE,
+        "x * n + l if k % 2 == 0",
+        "l * n ** 3 + x if k % 2 == 0",
         ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
          "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
         "parent row reused for a coefficient row with two entries",
         LINALG,
-        "        if len(coeffs) == 2 and lift == 1:\n",
-        "        if len(coeffs) <= 4 and lift == 1:\n",
+        "        if len(coeffs) == 2:\n",
+        "        if len(coeffs) <= 4:\n",
         ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut",
          "tests/test_linalg.py::test_meet_kernel_equals_intersection_with_the_kernel"],
     ),
@@ -217,10 +216,10 @@ MUTANTS = [
         ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut"],
     ),
     (
-        "weyl meet given every weyl row but the one at (0, 1, 0, 2)",
+        "weyl meet on each block given every weyl row anchored there but the first",
         CURVATURE,
-        "meet_kernel(self.affine_slots, weyl_rows(self.space), self.space.n)",
-        "meet_kernel(self.affine_slots, weyl_rows(self.space)[:1] + weyl_rows(self.space)[2:], self.space.n)",
+        "meet_kernel(self.affine, weyl_rows(self.space, self.block))",
+        "meet_kernel(self.affine, weyl_rows(self.space, self.block)[1:])",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
@@ -299,8 +298,8 @@ MUTANTS = [
     (
         "meet keeping the restricted rows that are zero",
         LINALG,
-        "rows = [row for row in restrict_rows(base, rows, lift) if row]",
-        "rows = list(restrict_rows(base, rows, lift))",
+        "rows = [row for row in restrict_rows(base, rows) if row]",
+        "rows = list(restrict_rows(base, rows))",
         ["tests/test_linalg.py::test_meet_returns_its_base_when_every_row_restricts_to_zero",
          "tests/test_curvature.py::test_kaehler_riemann_is_the_kaehler_weyl_basis_from_n6",
          "tests/test_linalg.py::test_meet_eliminates_exactly_the_nonzero_restricted_rows"],
@@ -321,10 +320,10 @@ MUTANTS = [
         ["tests/test_linalg.py::test_stored_rows_are_flat_canonical_integer_tuples"],
     ),
     (
-        "lifted dropping the + l of column c * k + l",
-        LINALG,
-        "row[::2] = [c * k + l for c in cols]",
-        "row[::2] = [c * k for c in cols]",
+        "block affine row b ⊗ e_l dropping the + l of column c * n + l",
+        CURVATURE,
+        "x * n + l if k % 2 == 0",
+        "x * n if k % 2 == 0",
         ["tests/test_linalg.py::test_stored_rows_are_flat_canonical_integer_tuples",
          "tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut"],
     ),
@@ -360,20 +359,11 @@ MUTANTS = [
         ["tests/test_nijenhuis.py"],
     ),
     (
-        "affine rows listed by l before b",
-        LINALG,
-        "    for b in sub.basis:\n"
-        "        cols = b[::2]\n"
-        "        row = list(b)\n"
-        "        for l in range(k):\n"
-        "            row[::2] = [c * k + l for c in cols]\n",
-        "    for l in range(k):\n"
-        "        for b in sub.basis:\n"
-        "            cols = b[::2]\n"
-        "            row = list(b)\n"
-        "            row[::2] = [c * k + l for c in cols]\n",
-        ["tests/test_linalg.py::test_stored_rows_are_flat_canonical_integer_tuples",
-         "tests/test_curvature.py::test_affine_equals_the_kernel_of_the_lifted_rows"],
+        "block affine rows left in the order they are written, not sorted by pivot",
+        CURVATURE,
+        "Subspace(n ** 4, tuple(sorted(rows)))",
+        "Subspace(n ** 4, tuple(rows))",
+        ["tests/test_linalg.py::test_stored_rows_are_flat_canonical_integer_tuples"],
     ),
     (
         "weyl rows written for first pairs j > i + 1 only",
@@ -443,6 +433,29 @@ MUTANTS = [
         "violations += sum(map(count, map(cat.block_chain, [mask] + others)))",
         "violations += size * count(block)",
         ["tests/test_blocks.py::test_nonzero_gram_count_is_the_full_basis_count"],
+    ),
+    (
+        "catalog's chain spaces read off the representative blocks only",
+        CURVATURE,
+        "for mask in [rep, *others]\n",
+        "for mask in [rep]\n",
+        ["tests/test_blocks.py::test_blocks_union_is_the_stored_basis",
+         "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "thm4.1's Ricci rank on riemann not weighted by the orbit size",
+        CURVATURE,
+        "rank_r += size * rank_of_rows(",
+        "rank_r += rank_of_rows(",
+        ["tests/test_blocks.py::test_thm41_block_ranks_are_the_full_ranks",
+         "tests/test_golden_reports.py::test_report_bytes_unchanged[verify thm4.1 --n 7 --kind none --sig 4,3]"],
+    ),
+    (
+        "thm4.1 without its check of the weighted kernel dimensions against conformal's",
+        CURVATURE,
+        "    kernel_matches = kernel_matches and kernel_dim == conformal.dim\n",
+        "",
+        ["tests/test_blocks.py::test_thm41_sees_a_conformal_that_differs_off_the_representatives"],
     ),
 ]
 

@@ -20,11 +20,14 @@ live here too, since the package itself needs none of them.  So do the
 generic subspace references the package does not need: the Zassenhaus
 intersection and the containment check that meets are held to, the lift of
 three-slot rows to every last index that the closed-form ``affine`` is held
-to, and the last-pair, Weyl and structure rows written for every first
-pair (i, j), which the package writes for i < j only, and the unitary
-Lie-algebra rows written as commutators XJ - JX, which the package writes
-as J's pull-back; they run on the package's echelon engine, by another
-route than the one they check.
+to, the last-pair, Weyl and structure rows written for every first pair
+(i, j), which the package writes for i < j only, the weyl chain met with
+them over every coordinate, which the package solves one parity block at a
+time, and the unitary Lie-algebra rows written as commutators XJ - JX,
+which the package writes as J's pull-back; they run on the package's
+echelon engine, by another route than the one they check.  The unit
+permutation that carries one parity mask onto another, keeping metric
+signs, is read off the signs alone.
 The modular-rank kernel certificate does not: it checks a kernel against its
 rows with exact products and an elimination mod 2^61 - 1 of its own.  The
 orthogonal Lie-algebra rows for every entry (a, b), the rows of the
@@ -37,14 +40,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from curvlab.linalg import Echelon, Subspace, SubspaceReducer
+from curvlab.linalg import Echelon, Subspace, SubspaceReducer, kernel_subspace, meet_kernel
 from curvlab.spaces import ModelSpace, j_signed_permutation, structure_sign
 from curvlab.tensors import (
     Tensor4,
+    antisym_rows,
+    bianchi_rows,
     defect_antisym,
     defect_bianchi,
     defect_kaehler,
@@ -55,6 +61,8 @@ from curvlab.tensors import (
     kaehler_form,
     metric_tensor2,
     ricci,
+    sigma,
+    two_form_basis,
 )
 
 
@@ -412,6 +420,26 @@ def relabelled(sub: Subspace, space: ModelSpace, perm: Sequence[int]) -> list[di
     return out
 
 
+def unit_permutation(space: ModelSpace, rep: int, mask: int) -> list[int] | None:
+    """A permutation of the units (axes, or J-planes for a structured space)
+    that keeps each unit's metric sign, the sign of its first axis, and
+    carries the units of mask ``rep`` onto those of ``mask``: for each sign,
+    rep's units onto mask's and the others onto the others, in ascending
+    order.  None when the two masks hold different numbers of some sign."""
+    width = 1 if space.kind == "none" else 2
+    m = space.n // width
+    perm = list(range(m))
+    for sign in (1, -1):
+        units = [u for u in range(m) if space.eps[u * width] == sign]
+        src = [u for u in units if rep >> u & 1]
+        dst = [u for u in units if mask >> u & 1]
+        if len(src) != len(dst):
+            return None
+        for a, b in zip(src + [u for u in units if u not in src], dst + [u for u in units if u not in dst]):
+            perm[a] = b
+    return perm
+
+
 def on_columns(sub: Subspace, rows: Sequence[Mapping[int, int]],
                columns: Sequence[int]) -> tuple[Subspace, list[dict[int, int]]]:
     """``sub`` and the ``rows`` with every key inside the ascending ``columns``,
@@ -482,6 +510,24 @@ def full_kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
             if (k, l) < (pk, pl):
                 classes.append((k * n + l, pk * n + pl, u * sk * sl))
     return [{ij * n * n + a: 1, ij * n * n + b: s} for ij in range(n * n) for a, b, s in classes]
+
+
+@lru_cache(maxsize=4)
+def full_chain(space: ModelSpace) -> dict[str, Subspace]:
+    """The weyl chain over every coordinate, with no parity block: affine the
+    kernel of the first-pair and cyclic rows lifted to every last index,
+    weyl, riemann and the structure-compatible spaces meets with the rows
+    above for every first pair, and sigma_image the span of sigma over every
+    2-form.  Kept for the last few spaces asked for."""
+    n = space.n
+    chain = {"affine": kernel_subspace(lift_last_slot(antisym_rows(n) + bianchi_rows(n), n), n ** 4)}
+    chain["weyl"] = meet_kernel(chain["affine"], full_weyl_rows(space))
+    chain["riemann"] = meet_kernel(chain["weyl"], full_riemann_rows(n))
+    chain["sigma_image"] = Subspace.from_vectors([sigma(t, space) for t in two_form_basis(n)], n ** 4)
+    if space.kind != "none":
+        chain["kaehler_weyl"] = meet_kernel(chain["weyl"], full_kaehler_rows(space))
+        chain["kaehler_riemann"] = meet_kernel(chain["riemann"], full_kaehler_rows(space))
+    return chain
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """The weyl chain one parity block at a time: the blocks partition the
-coordinates, their union is the catalog's stored basis byte for byte, a
-group element carries each block's chain onto another's, and every
-representative block is the kernel of its chain's rows by the modular-rank
-certificate.  thm4.2's Gram count and thm1.5's witness do not depend on
-which blocks the orbit reduction reads, or in what order."""
+coordinates, their union is the catalog's stored basis and the chain met
+over every coordinate, byte for byte, a group element carries each block's
+chain onto another's, and every representative block is the kernel of its
+chain's rows by the modular-rank certificate.  thm4.2's Gram count and
+thm1.5's witness do not depend on which blocks the orbit reduction reads,
+or in what order; thm4.1's ranks on the representatives are the ranks on
+the full bases, and it compares conformal with the Ricci kernel on every
+block."""
 
 import pytest
 
 import oracles
 from curvlab import curvature
-from curvlab.curvature import BlockChain, catalog, run_claim
-from curvlab.linalg import Subspace
+from curvlab.curvature import BlockChain, CurvatureCatalog, catalog, run_claim
+from curvlab.linalg import Subspace, meet_kernel, rank_of_rows, restrict_rows
 from curvlab.spaces import make_standard, parity_blocks
-from curvlab.tensors import antisym_rows, bianchi_rows, gram_weight4
+from curvlab.tensors import antisym_rows, bianchi_rows, gram_weight4, ricci_rows
 
 MIXED_PARA = (-1, 1, 1, -1, 1, -1, -1, 1)
 
@@ -28,46 +31,38 @@ def _chain(space):
 ])
 def test_blocks_partition_the_coordinates(n, kind, sig, eps):
     """parity_blocks yields each mask once, and exactly the masks of the n^4
-    coordinates; its orbits come representative first, with the identity,
-    and hold as many masks as their size says; each permutation keeps the
-    sign type of every unit and carries the representative onto its mask."""
+    coordinates; each orbit holds as many masks as its size says, and they
+    are the masks that a unit permutation keeping metric signs carries its
+    representative onto."""
     s = make_standard(n, kind, sig, eps)
-    blocks = list(parity_blocks(s))
-    masks = [mask for mask, _, _ in blocks]
+    orbits = list(parity_blocks(s))
+    masks = [mask for rep, _, others in orbits for mask in [rep, *others]]
     assert len(set(masks)) == len(masks)
     assert set(masks) == {oracles.parity_mask(s, c) for c in range(n ** 4)}
-    width = 1 if kind == "none" else 2
-    sign = [s.eps[u * width] for u in range(n // width)]
-    rep = None
-    counted = {}
-    for mask, size, perm in blocks:
-        assert sorted(perm) == list(range(n // width))
-        assert all(sign[perm[u]] == sign[u] for u in range(len(perm)))
-        if list(perm) == sorted(perm):
-            rep = mask
-        assert mask == sum(1 << perm[u] for u in range(len(perm)) if rep >> u & 1)
-        counted.setdefault(rep, []).append(size)
-    assert all(sizes == [len(sizes)] * len(sizes) for sizes in counted.values())
-    assert sum(len(sizes) for sizes in counted.values()) == len(blocks)
+    for rep, size, others in orbits:
+        assert size == 1 + len(others)
+        assert {rep, *others} == {mask for mask in masks if oracles.unit_permutation(s, rep, mask) is not None}
 
 
 @pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in (4, 6, 8) for kind in ("complex", "para")]
                          + [(6, "complex", (4, 2)), (6, "none", (4, 2)), (5, "none", None), (6, "none", None)])
 def test_blocks_union_is_the_stored_basis(n, kind, sig):
     """Over all blocks, the sorted union of each chain space's basis rows is
-    the catalog's stored basis, rows and bytes, and each block's rows lie in
-    its block."""
+    the catalog's stored basis, and that is the space met over every
+    coordinate by the oracle's rows for every first pair, rows and bytes;
+    each block's rows lie in its block."""
     s = make_standard(n, kind, sig)
     catalog.cache_clear()
     cat = catalog(s)
-    masks = [mask for mask, _, _ in parity_blocks(s)]
+    full = oracles.full_chain(s)
+    masks = [mask for rep, _, others in parity_blocks(s) for mask in [rep, *others]]
     for name in _chain(s):
         rows = []
         for mask in masks:
             sub = getattr(cat.block_chain(mask), name)
             assert all(oracles.parity_mask(s, c) == mask for row in sub.basis_dicts() for c in row), (name, mask)
             rows += sub.basis
-        assert Subspace(n ** 4, tuple(sorted(rows))) == getattr(cat, name), name
+        assert Subspace(n ** 4, tuple(sorted(rows))) == getattr(cat, name) == full[name], name
 
 
 @pytest.mark.parametrize("n,kind,sig,eps", [
@@ -76,15 +71,15 @@ def test_blocks_union_is_the_stored_basis(n, kind, sig):
 ])
 def test_each_block_is_its_representative_relabelled(n, kind, sig, eps):
     """Every block that is not its orbit's representative, solved from its own
-    rows, is the representative's chain pushed forward by the unit
-    permutation that parity_blocks gives it, space by space."""
+    rows, is the representative's chain pushed forward by a unit permutation
+    that keeps metric signs (from the oracle), space by space."""
     s = make_standard(n, kind, sig, eps)
     catalog.cache_clear()
     cat = catalog(s)
     for rep, _, others in cat.orbits:
-        for mask, _, perm in parity_blocks(s):
-            if mask not in others:
-                continue
+        for mask in others:
+            perm = oracles.unit_permutation(s, rep, mask)
+            assert perm is not None, (rep, mask)
             for name in _chain(s):
                 moved = oracles.relabelled(getattr(cat.block_chain(rep), name), s, perm)
                 assert Subspace.from_vectors(moved, n ** 4) == getattr(cat.block_chain(mask), name), (rep, mask, name)
@@ -143,3 +138,40 @@ def test_n4_witness_does_not_depend_on_block_order(kind, monkeypatch):
     assert [mask for mask, _, _ in catalog(s).orbits] == [3, 0]
     assert run_claim("thm1.5", s).to_json_dict() == report
     assert report["witnesses"]
+
+
+@pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in (4, 6, 8) for kind in ("complex", "para")]
+                         + [(6, "complex", (4, 2)), (6, "none", (4, 2)), (5, "none", None), (7, "none", None)])
+def test_thm41_block_ranks_are_the_full_ranks(n, kind, sig):
+    """thm4.1 weighs each representative block's Ricci rank by its orbit's
+    size; the sums are the Ricci ranks on the oracle's riemann and weyl over
+    every coordinate, and its Ricci kernel on riemann is conformal."""
+    s = make_standard(n, kind, sig)
+    catalog.cache_clear()
+    quantities = run_claim("thm4.1", s).quantities
+    full = oracles.full_chain(s)
+    ric = ricci_rows(s)
+    assert quantities["dim_riemann"] == full["riemann"].dim
+    assert quantities["ricci_rank_on_riemann"] == rank_of_rows(restrict_rows(full["riemann"], ric))
+    assert quantities["ricci_rank_on_weyl"] == rank_of_rows(restrict_rows(full["weyl"], ric))
+    assert meet_kernel(full["riemann"], ric) == catalog(s).conformal
+    assert quantities["ricci_kernel_equals_conformal"]
+
+
+@pytest.mark.parametrize("n,kind,sig", [(5, "none", None), (6, "complex", None), (6, "none", (4, 2))])
+def test_thm41_sees_a_conformal_that_differs_off_the_representatives(n, kind, sig, monkeypatch):
+    """A conformal that lacks one row of a block that is no orbit's
+    representative agrees with the Ricci kernel on every representative, and
+    thm4.1 still reports that the two differ, and fails."""
+    s = make_standard(n, kind, sig)
+    catalog.cache_clear()
+    cat = catalog(s)
+    reps = {rep for rep, _, _ in cat.orbits}
+    rows = cat.conformal.basis
+    drop = next(k for k, row in enumerate(rows) if oracles.parity_mask(s, row[0]) not in reps)
+    patched = Subspace(n ** 4, rows[:drop] + rows[drop + 1:])
+    monkeypatch.setattr(CurvatureCatalog, "conformal", property(lambda _: patched))
+    catalog.cache_clear()
+    report = run_claim("thm4.1", s)
+    assert report.quantities["ricci_kernel_equals_conformal"] is False
+    assert not report.verdict

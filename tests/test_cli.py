@@ -12,7 +12,7 @@ import pytest
 import curvlab
 from curvlab import cli, curvature, spaces
 from curvlab.cli import main
-from curvlab.spaces import generating_set
+from curvlab.spaces import generating_set, make_standard
 from curvlab.report import VerificationReport, exit_code_for
 from oracles import Matrix
 
@@ -58,6 +58,16 @@ def test_verify_unknown_claim_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "thm3.14", "--n", "4")
     assert code == 2
     assert "unknown claim" in err
+
+
+def test_unknown_claim_has_one_message(capsys):
+    """verify, sweep and run_claim name an unknown claim with one message,
+    listing the known ones, and the CLI exits 2 with it."""
+    message = "unknown claim 'bogus'; known: eq4c, eq4d, lemma4.9, sec5, thm1.5, thm4.1, thm4.2"
+    for argv in (("verify", "bogus", "--n", "4"), ("sweep", "--ns", "4", "--claims", "thm4.1,bogus")):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    with pytest.raises(curvature.UnknownClaim, match=message):
+        curvature.run_claim("bogus", make_standard(4, "complex"))
 
 
 def test_bad_signature_usage_error(capsys):

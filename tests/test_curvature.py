@@ -165,13 +165,13 @@ class _FirstPairRows(list):
 def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
     """The weyl, riemann-trace and structure rows are written for first pairs
     i < j only, the trace rows as one row per first pair, and on a parity
-    block for the anchors in it.  Every meet that the catalog, its blocks,
+    block for the anchors in it.  Every meet that the blocks of the catalog,
     thm1.5 (the sigma-image meet on each block) and sec5 (the opposed-sum
-    meet) hand them, weyl's on K lifted to affine included, has a
-    base inside affine and cuts what the rows for every first pair and every
-    block cut (the full riemann rows for the trace rows); the chain of meets
-    and conformal equal their versions built from the full rows.  The dims
-    table builds the chain on every representative block."""
+    meet) hand them has a base inside affine and cuts what the rows for every
+    first pair and every block cut (the full riemann rows for the trace
+    rows); the chain and conformal equal their versions built from the full
+    rows.  The catalog's chain spaces build the chain on every block, and
+    thm1.5 meets the sigma image of each representative."""
     s = make_standard(n, kind, sig)
     for name, full in (("weyl_rows", oracles.full_weyl_rows), ("riemann_rows", oracles.full_riemann_rows),
                        ("riemann_trace_rows", oracles.full_riemann_rows),
@@ -184,23 +184,22 @@ def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
         monkeypatch.setattr(curvature, name, tagged)
     meets = []
 
-    def recording_meet_kernel(base, rows, lift=1):
-        out = linalg.meet_kernel(base, rows, lift)
+    def recording_meet_kernel(base, rows):
+        out = linalg.meet_kernel(base, rows)
         if isinstance(rows, _FirstPairRows):
-            meets.append((linalg.lifted(base, lift), rows.full, out))
+            meets.append((base, rows.full, out))
         return out
 
     monkeypatch.setattr(curvature, "meet_kernel", recording_meet_kernel)
     catalog.cache_clear()
     cat = catalog(s)
-    cat.rank4_spaces()
-    bases = {cat.affine, cat.weyl}
-    cat.dims()  # every chain space of every representative block
-    blocks = [cat.block_chain(mask) for mask, _, _ in cat.orbits]
-    bases |= {sub for block in blocks for sub in (block.affine, block.weyl)}
+    cat.rank4_spaces()  # every chain space of every block
+    blocks = [cat.block_chain(mask) for rep, _, others in cat.orbits for mask in [rep, *others]]
+    bases = {sub for block in blocks for sub in (block.affine, block.weyl)}
     if kind != "none":
         curvature.run_claim("thm1.5", s)
-        bases |= {cat.kaehler_weyl} | {sub for block in blocks for sub in (block.kaehler_weyl, block.sigma_image)}
+        bases |= {block.kaehler_weyl for block in blocks}
+        bases |= {cat.block_chain(rep).sigma_image for rep, _, _ in cat.orbits}
         if n >= 6:
             curvature.run_claim("sec5", s)
             bases.add(subspace_sum(cat.psi_span, cat.sigma_opposed_span))
@@ -438,11 +437,16 @@ def test_kaehler_dims_n6(kind):
 @pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in (6, 8) for kind in ("complex", "para")]
                          + [(6, "complex", (4, 2))])
 def test_kaehler_riemann_is_the_kaehler_weyl_basis_from_n6(n, kind, sig):
-    """For n >= 6 every riemann row restricts to zero on kaehler_weyl, so the
-    meet hands back its base and both names hold one stored basis (at n = 4
-    the gap stays; see test_kaehler_dims_n4)."""
+    """For n >= 6 every riemann row restricts to zero on kaehler_weyl, so on
+    every parity block the meet hands back its base and both names hold one
+    stored basis, and the catalog's unions are equal (at n = 4 the gap
+    stays; see test_kaehler_dims_n4)."""
     cat = catalog(make_standard(n, kind, sig))
-    assert cat.kaehler_riemann is cat.kaehler_weyl
+    for rep, _, others in cat.orbits:
+        for mask in [rep, *others]:
+            block = cat.block_chain(mask)
+            assert block.kaehler_riemann is block.kaehler_weyl, mask
+    assert cat.kaehler_riemann == cat.kaehler_weyl
 
 
 def _plane_parity(c, n):
@@ -686,13 +690,13 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
         curvature.run_claim(claim, s)
     assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
     # affine's K over n^3 columns, conformal over all n^4 columns and the four
-    # two-tensor kernels, then the coefficient kernels of the meets: weyl,
-    # riemann and Ricci on riemann (thm4.1) on the full catalog, and on each
-    # of the two parity blocks (both planes odd, or none) weyl, riemann
-    # (thm4.2), the structure identity on weyl and on sigma_image (thm1.5) and
-    # the riemann trace rows on kaehler_weyl; dims reads the blocks as built
+    # two-tensor kernels, then the coefficient kernels of the meets on each
+    # of the two parity blocks (both planes odd, or none): weyl, riemann and
+    # Ricci on riemann (thm4.1), the structure identity on weyl and on
+    # sigma_image (thm1.5) and the riemann trace rows on kaehler_weyl; thm4.2
+    # and dims read the blocks as built
     assert len(catalog(s).orbits) == 2
-    assert len(built) == 6 + 3 + 2 * 5
+    assert len(built) == 6 + 2 * 6
     assert len(set(built)) == len(built)
     assert sum(ncols == 4 ** 4 for ncols, _ in built) == 1
     assert sum(ncols == 4 ** 3 for ncols, _ in built) == 1

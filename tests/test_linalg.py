@@ -16,7 +16,6 @@ from curvlab.linalg import (
     Subspace,
     SubspaceReducer,
     kernel_subspace,
-    lifted,
     matmul,
     meet_kernel,
     restrict_rows,
@@ -588,20 +587,21 @@ def _assert_stored_flat(sub):
     assert [list(d.items()) for d in sub.basis_dicts()] == pairs
 
 
-@given(small_int_rows, small_int_rows, st.integers(2, 3), st.randoms(use_true_random=False),
+@given(small_int_rows, small_int_rows, st.integers(2, 5), st.randoms(use_true_random=False),
        st.lists(st.sampled_from((1, -1, 2, -3, F(1, 2), F(-2, 3))), min_size=5, max_size=5))
-def test_stored_rows_are_flat_canonical_integer_tuples(rows, conds, k, rng, factors):
+def test_stored_rows_are_flat_canonical_integer_tuples(rows, conds, n, rng, factors):
     """Each builder of stored rows (``from_vectors``, ``kernel_subspace``,
-    ``lifted`` and ``meet_kernel``) stores flat canonical rows.  The rows
-    permuted and each scaled by a nonzero factor give an equal Subspace, and
-    ``basis_dicts`` gives rows with the span of the input."""
+    ``meet_kernel`` and the affine rows of a parity block, written straight
+    from K's rows) stores flat canonical rows.  The rows permuted and each
+    scaled by a nonzero factor give an equal Subspace, and ``basis_dicts``
+    gives rows with the span of the input."""
     N = STORE_COLS
     span = Subspace.from_vectors(rows, N)
     kernel = kernel_subspace(rows, N)
-    lift = lifted(span, k)
-    lift_conds = oracles.lift_last_slot(conds, k)
-    meets = [meet_kernel(span, conds), meet_kernel(span, lift_conds, k)]
-    for sub in [span, kernel, lift] + meets:
+    meet = meet_kernel(span, conds)
+    cat = catalog(make_standard(n, "none"))
+    affine = [cat.block_chain(mask).affine for rep, _, others in cat.orbits for mask in [rep, *others]]
+    for sub in [span, kernel, meet] + affine:
         _assert_stored_flat(sub)
 
     def moved(rows):
@@ -611,11 +611,11 @@ def test_stored_rows_are_flat_canonical_integer_tuples(rows, conds, k, rng, fact
 
     assert Subspace.from_vectors(moved(rows), N) == span
     assert kernel_subspace(moved(rows), N) == kernel
-    assert meet_kernel(span, moved(conds)) == meets[0]
-    assert meet_kernel(span, moved(lift_conds), k) == meets[1]
+    assert meet_kernel(span, moved(conds)) == meet
     assert Subspace.from_vectors(span.basis_dicts(), N) == span
     assert oracles.same_span([[F(row.get(c, 0)) for c in range(N)] for row in rows], oracles.dense(span))
-    assert lift == Subspace.from_vectors(oracles.lift_last_slot(span.basis_dicts(), k), N * k)
+    for sub in affine:
+        assert Subspace.from_vectors(moved(sub.basis_dicts()), n ** 4) == sub
 
 
 def test_subspace_equality_is_structural():
