@@ -5,7 +5,8 @@ n = 4, 6 and 6 ``--sig 4,2``; of thm1.5, thm4.2, thm4.1, eq4d and lemma4.9
 at n = 10 in both geometries; of the orbit edge cases of the parity blocks
 (thm4.2, thm4.1 and ``dims`` at odd n without a structure, thm1.5, thm4.2,
 thm4.1 and ``dims`` with plane sign types interleaved by ``--sig`` and
-``--eps``); of
+``--eps``); of sec5, eq4c and ``dims`` at n = 10 in both geometries, and
+of sec5 and ``dims`` with mixed sign layouts; of
 two markdown reports, eq4d's with its
 note line and thm1.5's at n = 4 with its witness line; of a set of
 ``eval`` commands
@@ -73,6 +74,14 @@ CASES = [
     "verify thm4.1 --n 8 --kind complex --sig 2,6",
     "verify thm4.1 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-",
     "verify thm4.1 --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
+    # sec5, eq4c and the span and conformal entries of dims at n = 10, and
+    # with mixed sign layouts
+    *(f"{cmd} --n 10 --kind {kind}" for kind in ("complex", "para")
+      for cmd in ("verify sec5", "verify eq4c", "dims")),
+    "verify sec5 --n 8 --kind complex --sig 2,6",
+    "dims --n 8 --kind complex --sig 2,6",
+    "verify sec5 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-",
+    "verify sec5 --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
     "verify eq4d --n 6 --kind para --format md",
     "verify thm1.5 --n 4 --kind complex --format md",
     "eval nijenhuis --n 6",
@@ -223,6 +232,16 @@ GOLDEN = {
     "verify thm4.1 --n 8 --kind complex --sig 2,6": (0, "09fa15c15a0242e6a851535c35cb06d9441d5e316b63af02a73402a07b3a1caa"),
     "verify thm4.1 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-": (0, "c92ddf3ec7d6ff4ec5a080938e3c3bb3097e3a5f6e6c9157f71b8c16e3c3b9cf"),
     "verify thm4.1 --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "41ef72ed4c4ca07d07cb3b151c89ed641ede300faa27b81eddfd01911f4a5231"),
+    "verify sec5 --n 10 --kind complex": (0, "2b441c37bf8aa2b0a3796ff2237fc4a0e53400ea5d4cdf71d7d5f429885f5900"),
+    "verify eq4c --n 10 --kind complex": (0, "de13f77f67319c20f9af099a2db79fe14fe24516230387a1be541681e7681ff5"),
+    "dims --n 10 --kind complex": (0, "590192496a6e05a26e5742d181cd600ab200a1b22842d2e00c1220b6762a2362"),
+    "verify sec5 --n 10 --kind para": (0, "6c2dff62fae51bce46131c522b3cbd0cf42ebe9682d4657561f8aa87c2aeaf7e"),
+    "verify eq4c --n 10 --kind para": (0, "ac388e70eb211cceafeb9c8309bf7b3635496f16ed65f607a9133b08f0d55578"),
+    "dims --n 10 --kind para": (0, "bb085cd0ed953fc20ee5b843439fcee6cb98c33a9fa36844165456a97383298f"),
+    "verify sec5 --n 8 --kind complex --sig 2,6": (0, "ed3b90c3c9dd02d6edceee5ba10c93bad3c98a418ced800356291a8a91d9d87c"),
+    "dims --n 8 --kind complex --sig 2,6": (0, "25b9f1c361ef8867c9324b674d4b2553a242ed83b12b0ac029225477cc94cafc"),
+    "verify sec5 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-": (0, "ad2c55961dd64aadcfb6fafe9728a6bf6497644bdf04556d4b8846fde6de34fa"),
+    "verify sec5 --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "79ec6cce652acfcb2ce327c698a13fefd676bc86dd9905c18f0369d40a279dbc"),
     "verify eq4d --n 6 --kind para --format md": (0, "e290ef4c028c78994aeabf65f750ccce0d7516040180563e7f4b1d11a0bb9cf3"),
     "verify thm1.5 --n 4 --kind complex --format md": (0, "7ad4c4c10f34ae68054862a3b5970e15b8b3ad4145f9a5c0a56e82e23cb3cd04"),
     "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
