@@ -10,14 +10,16 @@ cyclic rows on their three slots; weyl and kaehler_weyl
 first pairs i < j, as every space past affine alternates there, the weyl
 rows with two entries each, as the Weyl trace follows on affine; riemann
 and kaehler_riemann out of weyl and kaehler_weyl by one trace row per first
-pair, which cuts what the riemann rows cut on weyl.  The claims and the
-dims table read the chain on one block per orbit of the unit permutations,
-which are group elements, each count weighted by its orbit's size; the
-chain over every coordinate, the union of every block's, is for
-:func:`build_catalog`.  The conformal space is one direct kernel over every
-coordinate that keeps the riemann rows themselves, so it checks the chain
-by a second route.  The catalog also holds the six-piece splitting of
-rank-2 tensors and the map images of its pieces.  On top of it the
+pair, which cuts what the riemann rows cut on weyl.  The conformal space
+is cut out of affine on each block by the riemann rows themselves and the
+Ricci rows, so it checks the chain by a second route.  The catalog also
+holds the six-piece splitting of rank-2 tensors, over all n² coordinates,
+and on each block the images of sigma and psi over the rows of its pieces
+in the block's rank-2 mask.  The claims and the dims table read every
+rank-4 space on one block per orbit of the unit permutations, which are
+group elements, each count weighted by its orbit's size; a space over
+every coordinate, the union of every block's, is for the certificates and
+:func:`build_catalog`.  On top of the catalog the
 module certifies group invariance, solves for commutants of group actions
 and spans of invariant contraction functionals, and runs the claim verifiers
 exposed by the CLI.  A certificate applies each element of the group's
@@ -36,8 +38,9 @@ side with fewer entries.
 from __future__ import annotations
 
 from fractions import Fraction
+import weakref
 from functools import cached_property, lru_cache
-from itertools import chain, permutations
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
@@ -65,6 +68,7 @@ from .spaces import (
 )
 from .tensors import (
     EVEN_PAIR_WORDS,
+    SLOT_PAIRINGS,
     Block,
     Tensor4,
     action_rows,
@@ -165,16 +169,18 @@ class TwoTensorSplit(NamedTuple):
 
 
 class BlockChain:
-    """The weyl chain on one parity block (:func:`spaces.parity_blocks`), cut
-    out of K ⊗ R^n there by the rows anchored in the block.  A group element
-    carries each block's chain onto another's, so claims need one block per
+    """Every rank-4 space of the catalog on one parity block
+    (:func:`spaces.parity_blocks`): the weyl chain and conformal, cut out of
+    K ⊗ R^n there by the rows anchored in the block, and the images of the
+    two maps over the 2-forms whose images lie in it.  A group element
+    carries each block's spaces onto another's, so claims need one block per
     orbit, weighted by its size."""
-
-    CHAIN = ("affine", "weyl", "riemann", "sigma_image", "kaehler_weyl", "kaehler_riemann")
 
     def __init__(self, cat: "CurvatureCatalog", mask: int):
         self.space, self.slots = cat.space, cat.slots_by_mask
         self.block = (mask, unit_bits(cat.space))
+        # the catalog keeps its blocks, so a block refers back to it weakly
+        self._catalog = weakref.ref(cat)
 
     @property
     def affine(self) -> Subspace:
@@ -196,6 +202,15 @@ class BlockChain:
         return meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block))
 
     @cached_property
+    def conformal(self) -> Subspace:
+        """Riemann-type tensors with vanishing Ricci contraction (zero below
+        n = 4): K ⊗ R^n, which it shares with the chain, met with the riemann
+        and Ricci rows anchored in the block.  It keeps the riemann rows
+        themselves, not weyl's rows and the trace rows, so thm4.1 checks the
+        chain's riemann by a second route."""
+        return meet_kernel(self.affine, riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block))
+
+    @cached_property
     def sigma_image(self) -> Subspace:
         """Span of the five-term map over the 2-forms whose images lie in the block."""
         return Subspace.from_vectors([sigma(t, self.space) for t in two_form_basis(self.space.n, self.block)],
@@ -210,6 +225,18 @@ class BlockChain:
         """riemann ∩ ker(structure rows) = kaehler_weyl ∩ ker(riemann rows), the smaller base."""
         return meet_kernel(self.kaehler_weyl, riemann_trace_rows(self.space.n, self.block))
 
+    def _span(self, mapper: Callable[[Vec, ModelSpace], Vec], piece: str) -> Subspace:
+        """Span of a rank-2 to rank-4 map over the basis rows of the split's
+        ``piece`` in the block's mask: a 2-form on units {p, q} maps into the
+        block {p, q}."""
+        forms = self._catalog().forms_by_mask[piece].get(self.block[0], ())
+        return Subspace.from_vectors([mapper(t, self.space) for t in forms], self.space.n ** 4)
+
+    sigma_omega_span = cached_property(lambda self: self._span(sigma, "omega_line"))
+    sigma_aligned_span = cached_property(lambda self: self._span(sigma, "alt_aligned_traceless"))
+    sigma_opposed_span = cached_property(lambda self: self._span(sigma, "alt_opposed"))
+    psi_span = cached_property(lambda self: self._span(psi_map, "alt_opposed"))
+
 
 class CurvatureCatalog:
     """Every subspace of one model space that the claim verifiers and the
@@ -221,19 +248,20 @@ class CurvatureCatalog:
         self._blocks: dict[int, BlockChain] = {}
 
     def block_chain(self, mask: int) -> BlockChain:
-        """The weyl chain on the parity block of ``mask``, kept per mask."""
+        """The rank-4 spaces on the parity block of ``mask``, kept per mask."""
         return self._blocks.get(mask) or self._blocks.setdefault(mask, BlockChain(self, mask))
 
     # each orbit of parity blocks: (representative, size, other masks)
     orbits = cached_property(lambda self: list(parity_blocks(self.space)))
 
     def chain_dims(self, names: Sequence[str]) -> dict[str, int]:
-        """The named chain spaces' dimensions, read off the representatives."""
+        """The named rank-4 spaces' dimensions, read off the representatives,
+        each weighted by its orbit's size."""
         blocks = [(size, self.block_chain(mask)) for mask, size, _ in self.orbits]
         return {name: sum(size * getattr(block, name).dim for size, block in blocks) for name in names}
 
     def _union(self, name: str) -> Subspace:
-        """The chain space ``name`` over every coordinate: the sorted union of
+        """The rank-4 space ``name`` over every coordinate: the sorted union of
         every block's basis, each solved from its own rows, canonical."""
         rows = [row for rep, _, others in self.orbits for mask in [rep, *others]
                 for row in getattr(self.block_chain(mask), name).basis]
@@ -243,13 +271,14 @@ class CurvatureCatalog:
     affine = property(lambda self: self._union("affine"))
     weyl = cached_property(lambda self: self._union("weyl"))
     riemann = cached_property(lambda self: self._union("riemann"))
+    conformal = cached_property(lambda self: self._union("conformal"))
     sigma_image = cached_property(lambda self: self._union("sigma_image"))
     kaehler_weyl = cached_property(lambda self: self._union("kaehler_weyl"))
     kaehler_riemann = cached_property(lambda self: self._union("kaehler_riemann"))
-
-    def _image(self, mapper: Callable[[Vec, ModelSpace], Vec], forms: Sequence[Vec]) -> Subspace:
-        """Span of a rank-2 to rank-4 map over the given forms."""
-        return Subspace.from_vectors([mapper(t, self.space) for t in forms], self.space.n ** 4)
+    sigma_omega_span = cached_property(lambda self: self._union("sigma_omega_span"))
+    sigma_aligned_span = cached_property(lambda self: self._union("sigma_aligned_span"))
+    sigma_opposed_span = cached_property(lambda self: self._union("sigma_opposed_span"))
+    psi_span = cached_property(lambda self: self._union("psi_span"))
 
     @cached_property
     def affine_slots(self) -> Subspace:
@@ -264,14 +293,6 @@ class CurvatureCatalog:
         for row in self.affine_slots.basis:
             groups.setdefault(parity_mask(bits, n, row[0], 3), []).append(row)
         return groups
-
-    @cached_property
-    def conformal(self) -> Subspace:
-        """Riemann-type tensors with vanishing Ricci contraction (zero below n = 4),
-        as one kernel of all of their rows: thm4.1 checks it against the chain."""
-        n = self.space.n
-        rows = ({c * n + l: v for c, v in row.items()} for row in antisym_rows(n) + bianchi_rows(n) for l in range(n))
-        return kernel_subspace(chain(rows, riemann_rows(n), ricci_rows(self.space)), n ** 4)
 
     @cached_property
     def two_tensors(self) -> TwoTensorSplit:
@@ -302,20 +323,16 @@ class CurvatureCatalog:
         )
 
     @cached_property
-    def sigma_omega_span(self) -> Subspace:
-        return self._image(sigma, self.two_tensors.omega_line.basis_dicts())
-
-    @cached_property
-    def sigma_aligned_span(self) -> Subspace:
-        return self._image(sigma, self.two_tensors.alt_aligned_traceless.basis_dicts())
-
-    @cached_property
-    def sigma_opposed_span(self) -> Subspace:
-        return self._image(sigma, self.two_tensors.alt_opposed.basis_dicts())
-
-    @cached_property
-    def psi_span(self) -> Subspace:
-        return self._image(psi_map, self.two_tensors.alt_opposed.basis_dicts())
+    def forms_by_mask(self) -> dict[str, dict[int, list[dict[int, int]]]]:
+        """Each piece's basis rows by their rank-2 parity mask: every row of
+        the split, and so every canonical row, lies in one."""
+        n, bits = self.space.n, unit_bits(self.space)
+        out: dict[str, dict[int, list[dict[int, int]]]] = {}
+        for name, sub in self.two_tensors.pieces():
+            groups = out[name] = {}
+            for row in sub.basis_dicts():
+                groups.setdefault(parity_mask(bits, n, min(row), 2), []).append(row)
+        return out
 
     @cached_property
     def opposed_matrices(self) -> dict[tuple[str, int], Vec]:
@@ -341,10 +358,8 @@ class CurvatureCatalog:
         return out
 
     def dims(self) -> dict[str, int]:
-        """Every space's dimension, the weyl chain's read off its blocks."""
-        names = self.rank4_names()
-        chain = self.chain_dims([name for name in BlockChain.CHAIN if name in names])
-        out = {name: chain[name] if name in chain else getattr(self, name).dim for name in names}
+        """Every space's dimension, each rank-4 space's read off its blocks."""
+        out = self.chain_dims(self.rank4_names())
         if self.space.kind != "none":
             out.update((name, sub.dim) for name, sub in self.two_tensors.pieces())
         return out
@@ -517,15 +532,17 @@ def _block_scalars(d: int) -> Subspace:
 
 def invariant_rows(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> list[dict[int, int]]:
     """The even-word invariant contractions that are not zero on mod_a ⊗ mod_b,
-    as coefficient rows.  A contraction's row K is an n² x n² matrix, entry
-    (ab, cd) at ab*n² + cd, so its coefficients on the two canonical bases are
-    A K Bᵀ, entry (i, j) at column i*d_b + j: K's rows restricted to mod_b,
-    then the columns of that restricted to mod_a.  No product basis is built.
+    as coefficient rows, one per slot pairing and word: every other slot
+    permutation gives plus or minus one of these rows.  A contraction's row K
+    is an n² x n² matrix, entry (ab, cd) at ab*n² + cd, so its coefficients
+    on the two canonical bases are A K Bᵀ, entry (i, j) at column i*d_b + j:
+    K's rows restricted to mod_b, then the columns of that restricted to
+    mod_a.  No product basis is built.
     """
     n2 = space.n ** 2
     db = mod_b.dim
     rows = []
-    for perm in permutations(range(4)):
+    for perm in SLOT_PAIRINGS:
         for word in EVEN_PAIR_WORDS:
             k_rows: dict[int, dict[int, int]] = {}
             for c, v in invariant_contraction_row(perm, word, space).items():
@@ -648,33 +665,27 @@ def verify_weyl_direct_sum(space: ModelSpace) -> Outcome:
 def verify_riemann_ricci_split(space: ModelSpace) -> Outcome:
     """Ricci-based form of the three-piece splitting of the riemann space.
 
-    Decided on one parity block per orbit; ``conformal`` is one kernel over
-    every coordinate, each of its canonical rows in its pivot's block.
-    Ric(x, y) lies in the block of x and y, so a Ricci rank is the sum of its
-    ranks on the blocks, each the rank of every Ricci row restricted there.
-    On each representative the Ricci kernel on riemann must be conformal's
-    rows there, and the orbit sizes must weigh those kernels up to
-    conformal's dimension; conformal's O-certificate, checked in the same
-    claim, carries the equality to every block of the orbit, as a unit
-    permutation is in O."""
+    Decided on one parity block per orbit.  Ric(x, y) lies in the block of x
+    and y, so a Ricci rank is the sum of its ranks on the blocks, each the
+    rank of the Ricci rows anchored there.  On each representative the Ricci
+    kernel on riemann must be the block's conformal, and the orbit sizes must
+    weigh those kernels up to the dimension of ``conformal``, the union of
+    every block's; its O-certificate, checked in the same claim, carries the
+    equality to every block of the orbit, as a unit permutation is in O."""
     n = space.n
     cat = catalog(space)
     conformal = cat.conformal
-    ric = ricci_rows(space)
-    bits = unit_bits(space)
-    conformal_rows: dict[int, list[tuple[int, ...]]] = {}
-    for row in conformal.basis:
-        conformal_rows.setdefault(parity_mask(bits, n, row[0], 4), []).append(row)
     dim_r = rank_r = rank_w = kernel_dim = 0
     kernel_matches = True
     for mask, size, _ in cat.orbits:
         block = cat.block_chain(mask)
+        ric = ricci_rows(space, block.block)
         dim_r += size * block.riemann.dim
         rank_r += size * rank_of_rows(restrict_rows(block.riemann, ric))
         rank_w += size * rank_of_rows(restrict_rows(block.weyl, ric))
         kernel = meet_kernel(block.riemann, ric)
         kernel_dim += size * kernel.dim
-        kernel_matches = kernel_matches and list(kernel.basis) == conformal_rows.get(mask, [])
+        kernel_matches = kernel_matches and kernel == block.conformal
     kernel_matches = kernel_matches and kernel_dim == conformal.dim
     sym_dim = n * (n + 1) // 2
     witness = invariance_witness(conformal, space, "O")
@@ -764,6 +775,11 @@ def verify_probe_suite(space: ModelSpace) -> Outcome:
     2-form, at specific basis tuples both plain and with the structure
     applied to the last two slots.  Expected values are the closed forms
     evaluated in the chosen signature.
+
+    The opposed pair's structure meet is read on one parity block per orbit,
+    each weighted by its size, as thm1.5's sigma-image meet is: a unit
+    permutation is in U and carries the images of the two maps and the
+    structure rows on one block onto another's.
     """
     u = structure_sign(space.kind)
     eps = space.eps
@@ -809,13 +825,16 @@ def verify_probe_suite(space: ModelSpace) -> Outcome:
     system = [{0: compat_defect(s_psi1, t), 1: compat_defect(p_psi1, t)} for t in (_PROBE_T1, _PROBE_T2)]
     pair_rank = rank_of_rows(system)
     cat = catalog(space)
-    opposed_sum = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
-    direct_meet = kaehler_subspace(opposed_sum, space)
+    meet_dim = 0
+    for mask, size, _ in cat.orbits:
+        block = cat.block_chain(mask)
+        meet_dim += size * kaehler_subspace(subspace_sum(block.psi_span, block.sigma_opposed_span),
+                                            space, block.block).dim
     quantities["omega_line_excluded"] = omega_line_excluded
     quantities["aligned_traceless_excluded"] = aligned_excluded
     quantities["pair_sweep_rank"] = pair_rank
-    quantities["dim_opposed_pair_meet_kaehler"] = direct_meet.dim
-    verdict = all_match and omega_line_excluded and aligned_excluded and pair_rank == 2 and direct_meet.dim == 0
+    quantities["dim_opposed_pair_meet_kaehler"] = meet_dim
+    verdict = all_match and omega_line_excluded and aligned_excluded and pair_rank == 2 and meet_dim == 0
     return quantities, verdict, []
 
 

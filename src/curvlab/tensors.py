@@ -302,6 +302,10 @@ def psi_map(psi: Vec, space: ModelSpace) -> dict[int, Fraction | int]:
 # ---------------------------------------------------------------------------
 
 EVEN_PAIR_WORDS = ((0, 0), (1, 1))
+# the three ways to split four slots into two pairs, as slot permutations;
+# both pairs of an even word carry the same tensor, symmetric or
+# antisymmetric, so every permutation gives plus or minus its pairing's row
+SLOT_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
 def _kappa_raised_entries(space: ModelSpace, a: int) -> list[tuple[int, int, int]]:
@@ -384,18 +388,16 @@ def bianchi_rows(n: int) -> list[dict[int, int]]:
     return rows
 
 
-def riemann_rows(n: int) -> list[dict[int, int]]:
-    """Rows of A(x,y,z,w) + A(x,y,w,z) for first pairs i < j and k <= l, for the
-    ``conformal`` kernel only: right next to the lifted ``antisym_rows``."""
+def riemann_rows(n: int, block: Block | None = None) -> list[dict[int, int]]:
+    """Rows of A(x,y,z,w) + A(x,y,w,z) for first pairs i < j and k <= l, 2A at
+    k = l, for the ``conformal`` meet only: right on affine, which alternates
+    in the first pair.  With ``block``, the rows anchored in it."""
+    lasts = _completions(n, block, [(k * n + l, k, l) for k in range(n) for l in range(k, n)])
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(k, n):
-                    row: dict[int, int] = {}
-                    for key in (flatten4(n, i, j, k, l), flatten4(n, i, j, l, k)):
-                        row[key] = row.get(key, 0) + 1
-                    rows.append(row)
+            f = (i * n + j) * n * n
+            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: 2} for c, k, l in lasts(i * n + j))
     return rows
 
 
@@ -436,15 +438,14 @@ def weyl_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, i
     return rows
 
 
-def ricci_rows(space: ModelSpace) -> list[dict[int, int]]:
-    """Rows expressing Ric(x, y) = 0 for every (x, y)."""
+def ricci_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, int]]:
+    """Rows expressing Ric(x, y) = 0 for every (x, y).  Ric(x, y) reads the
+    coordinates (c, x, y, c), which lie in the block of (x, y, 0, 0): with
+    ``block``, the rows of the (x, y) in it."""
     n = space.n
-    rows = []
-    for x in range(n):
-        for y in range(n):
-            row = {flatten4(n, c, x, y, c): space.eps[c] for c in range(n)}
-            rows.append(row)
-    return rows
+    inside = _completions(n, block, [(0,)])
+    return [{flatten4(n, c, x, y, c): space.eps[c] for c in range(n)}
+            for x in range(n) for y in range(n) if inside(x * n + y)]
 
 
 def kaehler_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, int]]:

@@ -237,10 +237,10 @@ MUTANTS = [
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
-        "conformal kernel given every Ricci row but the last",
+        "conformal meet on each block given every Ricci row anchored there but the last",
         CURVATURE,
-        "chain(rows, riemann_rows(n), ricci_rows(self.space)), n ** 4)",
-        "chain(rows, riemann_rows(n), ricci_rows(self.space)[:-1]), n ** 4)",
+        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block))",
+        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block)[:-1])",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
@@ -368,17 +368,21 @@ MUTANTS = [
     (
         "weyl rows written for first pairs j > i + 1 only",
         TENSORS,
-        "        for j in range(i + 1, n):\n            f = (i * n + j) * n * n\n            rows.extend(",
-        "        for j in range(i + 2, n):\n            f = (i * n + j) * n * n\n            rows.extend(",
+        "        for j in range(i + 1, n):\n            f = (i * n + j) * n * n\n"
+        "            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: eps[k]",
+        "        for j in range(i + 2, n):\n            f = (i * n + j) * n * n\n"
+        "            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: eps[k]",
         ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
          "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
         "riemann rows written for first pairs j > i + 1 only",
         TENSORS,
-        "``antisym_rows``.\"\"\"\n    rows = []\n    for i in range(n):\n        for j in range(i + 1, n):\n",
-        "``antisym_rows``.\"\"\"\n    rows = []\n    for i in range(n):\n        for j in range(i + 2, n):\n",
-        ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
+        "        for j in range(i + 1, n):\n            f = (i * n + j) * n * n\n"
+        "            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: 2}",
+        "        for j in range(i + 2, n):\n            f = (i * n + j) * n * n\n"
+        "            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: 2}",
+        ["tests/test_curvature.py::test_conformal_is_the_direct_kernel_over_every_coordinate",
          "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
@@ -456,6 +460,48 @@ MUTANTS = [
         "    kernel_matches = kernel_matches and kernel_dim == conformal.dim\n",
         "",
         ["tests/test_blocks.py::test_thm41_sees_a_conformal_that_differs_off_the_representatives"],
+    ),
+    (
+        "conformal meet on each block without its Ricci rows",
+        CURVATURE,
+        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block))",
+        "riemann_rows(self.space.n, self.block))",
+        ["tests/test_curvature.py::test_conformal_is_the_direct_kernel_over_every_coordinate",
+         "tests/test_blocks.py::test_representative_blocks_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "dims' conformal entry not weighted by the orbit size",
+        CURVATURE,
+        "return {name: sum(size * getattr(block, name).dim for size, block in blocks) for name in names}",
+        "return {name: sum((1 if name == \"conformal\" else size) * getattr(block, name).dim\n"
+        "                      for size, block in blocks) for name in names}",
+        ["tests/test_blocks.py::test_dims_are_the_dims_of_the_unions",
+         "tests/test_golden_reports.py::test_report_bytes_unchanged[dims --n 6 --kind complex]"],
+    ),
+    (
+        "piece rows grouped by the mask of a rank-3 coordinate, not a rank-2 one",
+        CURVATURE,
+        "groups.setdefault(parity_mask(bits, n, min(row), 2), []).append(row)",
+        "groups.setdefault(parity_mask(bits, n, min(row), 3), []).append(row)",
+        ["tests/test_blocks.py::test_span_unions_are_the_images_of_the_whole_pieces",
+         "tests/test_blocks.py::test_blocks_union_is_the_stored_basis"],
+    ),
+    (
+        "catalog's conformal read off the representative blocks only",
+        CURVATURE,
+        "    conformal = cached_property(lambda self: self._union(\"conformal\"))\n",
+        "    conformal = cached_property(lambda self: Subspace(self.space.n ** 4, tuple(sorted(\n"
+        "        row for rep, _, _ in self.orbits for row in self.block_chain(rep).conformal.basis))))\n",
+        ["tests/test_blocks.py::test_blocks_union_is_the_stored_basis",
+         "tests/test_curvature.py::test_conformal_is_the_direct_kernel_over_every_coordinate"],
+    ),
+    (
+        "invariant contractions read on two of the three slot pairings",
+        TENSORS,
+        "SLOT_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))",
+        "SLOT_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3))",
+        ["tests/test_tensors.py::test_every_slot_permutation_gives_its_pairings_row_up_to_sign",
+         "tests/test_group_actions.py::test_invariant_rows_match_per_pair_oracle"],
     ),
 ]
 

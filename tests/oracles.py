@@ -21,8 +21,10 @@ generic subspace references the package does not need: the Zassenhaus
 intersection and the containment check that meets are held to, the lift of
 three-slot rows to every last index that the closed-form ``affine`` is held
 to, the last-pair, Weyl and structure rows written for every first pair
-(i, j), which the package writes for i < j only, the weyl chain met with
-them over every coordinate, which the package solves one parity block at a
+(i, j), which the package writes for i < j only, the Ricci rows, every
+rank-4 space of the catalog over every coordinate (the weyl chain met with
+those rows, conformal as one direct kernel, the map spans over the whole
+pieces of the split), which the package solves one parity block at a
 time, and the unitary Lie-algebra rows written as commutators XJ - JX,
 which the package writes as J's pull-back; they run on the package's
 echelon engine, by another route than the one they check.  The unit
@@ -60,6 +62,7 @@ from curvlab.tensors import (
     is_antisymmetric,
     kaehler_form,
     metric_tensor2,
+    psi_map,
     ricci,
     sigma,
     two_form_basis,
@@ -512,21 +515,41 @@ def full_kaehler_rows(space: ModelSpace) -> list[dict[int, int]]:
     return [{ij * n * n + a: 1, ij * n * n + b: s} for ij in range(n * n) for a, b, s in classes]
 
 
+def full_ricci_rows(space: ModelSpace) -> list[dict[int, int]]:
+    """Rows of Ric(x, y) = sum_c eps_c A(c, x, y, c) for every (x, y)."""
+    n = space.n
+    return [{flatten4(n, c, x, y, c): space.eps[c] for c in range(n)} for x in range(n) for y in range(n)]
+
+
 @lru_cache(maxsize=4)
 def full_chain(space: ModelSpace) -> dict[str, Subspace]:
-    """The weyl chain over every coordinate, with no parity block: affine the
-    kernel of the first-pair and cyclic rows lifted to every last index,
-    weyl, riemann and the structure-compatible spaces meets with the rows
-    above for every first pair, and sigma_image the span of sigma over every
-    2-form.  Kept for the last few spaces asked for."""
+    """Every rank-4 space of the catalog over every coordinate, with no parity
+    block: affine the kernel of the first-pair and cyclic rows lifted to
+    every last index; weyl, riemann and the structure-compatible spaces meets
+    with the rows above for every first pair; conformal one direct kernel of
+    the lifted rows, the riemann rows and the Ricci rows; sigma_image the
+    span of sigma over every 2-form; and the four map spans the images of
+    sigma and psi over the fundamental form and the bases of the two
+    antisymmetric kernels of :func:`two_tensor_split_rows`.  Kept for the
+    last few spaces asked for."""
     n = space.n
-    chain = {"affine": kernel_subspace(lift_last_slot(antisym_rows(n) + bianchi_rows(n), n), n ** 4)}
+    lifted = lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    chain = {"affine": kernel_subspace(lifted, n ** 4)}
     chain["weyl"] = meet_kernel(chain["affine"], full_weyl_rows(space))
     chain["riemann"] = meet_kernel(chain["weyl"], full_riemann_rows(n))
+    chain["conformal"] = kernel_subspace(lifted + full_riemann_rows(n) + full_ricci_rows(space), n ** 4)
     chain["sigma_image"] = Subspace.from_vectors([sigma(t, space) for t in two_form_basis(n)], n ** 4)
     if space.kind != "none":
         chain["kaehler_weyl"] = meet_kernel(chain["weyl"], full_kaehler_rows(space))
         chain["kaehler_riemann"] = meet_kernel(chain["riemann"], full_kaehler_rows(space))
+        split = two_tensor_split_rows(space)
+        aligned, opposed = (kernel_subspace(split[name], n * n).basis_dicts()
+                            for name in ("alt_aligned_traceless", "alt_opposed"))
+        for name, mapper, forms in (("sigma_omega_span", sigma, [kaehler_form(space)]),
+                                    ("sigma_aligned_span", sigma, aligned),
+                                    ("sigma_opposed_span", sigma, opposed),
+                                    ("psi_span", psi_map, opposed)):
+            chain[name] = Subspace.from_vectors([mapper(t, space) for t in forms], n ** 4)
     return chain
 
 
@@ -841,13 +864,15 @@ def invariant_contraction_product(theta: Mapping[int, Fraction], phi: Mapping[in
     return total
 
 
-def invariant_rows(mod_a: Subspace, mod_b: Subspace, space: ModelSpace) -> list[list[Fraction]]:
+def invariant_rows(mod_a: Subspace, mod_b: Subspace, space: ModelSpace,
+                   perms: Iterable[Sequence[int]] = tuple(permutations(range(4)))) -> list[list[Fraction]]:
     """The even-word contractions on mod_a (x) mod_b that are not zero there,
-    one basis pair, permutation and word at a time, as dense rows: column
-    i*d_b + j holds the pair (i-th basis row of mod_a, j-th of mod_b)."""
+    one basis pair, slot permutation (each of ``perms``, all 24 by default)
+    and word at a time, as dense rows: column i*d_b + j holds the pair (i-th
+    basis row of mod_a, j-th of mod_b)."""
     ta, tb = mod_a.basis_dicts(), mod_b.basis_dicts()
     rows = [[invariant_contraction_product(theta, phi, perm, word, space) for theta in ta for phi in tb]
-            for perm in permutations(range(4)) for word in ((0, 0), (1, 1))]
+            for perm in perms for word in ((0, 0), (1, 1))]
     return [row for row in rows if any(row)]
 
 

@@ -167,11 +167,11 @@ def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
     i < j only, the trace rows as one row per first pair, and on a parity
     block for the anchors in it.  Every meet that the blocks of the catalog,
     thm1.5 (the sigma-image meet on each block) and sec5 (the opposed-sum
-    meet) hand them has a base inside affine and cuts what the rows for every
-    first pair and every block cut (the full riemann rows for the trace
-    rows); the chain and conformal equal their versions built from the full
-    rows.  The catalog's chain spaces build the chain on every block, and
-    thm1.5 meets the sigma image of each representative."""
+    meet on each block) hand them has a base inside affine and cuts what the
+    rows for every first pair and every block cut (the full riemann rows for
+    the trace rows); the chain equals its version built from the full rows.
+    The catalog's chain spaces build the chain on every block, and thm1.5
+    and sec5 meet their bases on each representative."""
     s = make_standard(n, kind, sig)
     for name, full in (("weyl_rows", oracles.full_weyl_rows), ("riemann_rows", oracles.full_riemann_rows),
                        ("riemann_trace_rows", oracles.full_riemann_rows),
@@ -199,10 +199,11 @@ def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
     if kind != "none":
         curvature.run_claim("thm1.5", s)
         bases |= {block.kaehler_weyl for block in blocks}
-        bases |= {cat.block_chain(rep).sigma_image for rep, _, _ in cat.orbits}
+        representatives = [cat.block_chain(rep) for rep, _, _ in cat.orbits]
+        bases |= {block.sigma_image for block in representatives}
         if n >= 6:
             curvature.run_claim("sec5", s)
-            bases.add(subspace_sum(cat.psi_span, cat.sigma_opposed_span))
+            bases |= {subspace_sum(block.psi_span, block.sigma_opposed_span) for block in representatives}
     assert {base for base, _, _ in meets} == bases
     affine = cat.affine
     for base, full, out in meets:
@@ -211,11 +212,28 @@ def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
     weyl = meet_kernel(affine, oracles.full_weyl_rows(s))
     riemann = meet_kernel(weyl, oracles.full_riemann_rows(n))
     assert (cat.weyl, cat.riemann) == (weyl, riemann)
-    lifted = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
-    assert cat.conformal == kernel_subspace(lifted + oracles.full_riemann_rows(n) + ricci_rows(s), n ** 4)
     if kind != "none":
         rows = oracles.full_kaehler_rows(s)
         assert (cat.kaehler_weyl, cat.kaehler_riemann) == (meet_kernel(weyl, rows), meet_kernel(riemann, rows))
+
+
+@pytest.mark.parametrize(
+    "n,kind,sig",
+    [(n, kind, None) for n in (4, 6, 8) for kind in ("complex", "para")]
+    + [(n, "none", None) for n in (3, 4, 5, 7)]
+    + [(5, "none", (3, 2)), (7, "none", (4, 3)), (6, "complex", (4, 2)), (6, "none", (4, 2)), (8, "complex", (4, 4))],
+)
+def test_conformal_is_the_direct_kernel_over_every_coordinate(n, kind, sig):
+    """conformal, built one parity block at a time as a meet on affine, is
+    the one direct kernel over all n^4 columns of the first-pair and cyclic
+    rows lifted to every last index, the riemann rows and the Ricci rows,
+    written for every first pair by the oracle."""
+    s = make_standard(n, kind, sig)
+    catalog.cache_clear()
+    lifted = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    direct = kernel_subspace(lifted + oracles.full_riemann_rows(n) + oracles.full_ricci_rows(s), n ** 4)
+    assert catalog(s).conformal == direct
+    assert direct.dim == riemann_dim(n) - n * (n + 1) // 2
 
 
 @pytest.mark.parametrize(
@@ -324,15 +342,16 @@ def test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate(n, kind, s
                          + [pytest.param("complex", 6, (4, 2), id="complex-6-4,2")])
 def test_zero_structure_meets_pass_the_modular_rank_certificate(kind, n, sig, monkeypatch):
     """The meets with the structure kernel that the claims need to be 0,
-    thm1.5's on the ``sigma_image`` of each representative parity block and
-    sec5's on ``psi_span + sigma_opposed_span``, are 0 by the modular-rank
-    certificate: the structure rows written for every first pair, restricted
-    to the base by the oracle's dense loop, have rank mod p equal to the
-    base's dimension, so their coefficient kernel is 0 (the rows that touch
-    no column of the base restrict to 0, and are left out).  Fewer rows than
-    that dimension fail the certificate.  A block without 2-forms has a zero
-    sigma image; the others hold every form.  Also at the indefinite complex
-    signature (4, 2)."""
+    thm1.5's on the ``sigma_image`` and sec5's on ``psi_span +
+    sigma_opposed_span`` of each representative parity block, are 0 by the
+    modular-rank certificate: the structure rows written for every first
+    pair, restricted to the base by the oracle's dense loop, have rank mod p
+    equal to the base's dimension, so their coefficient kernel is 0 (the
+    rows that touch no column of the base restrict to 0, and are left out).
+    Fewer rows than that dimension fail the certificate.  A block without
+    the forms a map reads has a zero base there; weighted by the orbit
+    sizes, the bases add up to the catalog's.  Also at the indefinite
+    complex signature (4, 2)."""
     s = make_standard(n, kind, sig)
     catalog.cache_clear()
     cat = catalog(s)
@@ -350,14 +369,17 @@ def test_zero_structure_meets_pass_the_modular_rank_certificate(kind, n, sig, mo
     assert curvature.run_claim("thm1.5", s).verdict
     assert curvature.run_claim("sec5", s).verdict
     sigma_blocks = [block.sigma_image for block in blocks]
-    assert [base for base, _ in meets] == sigma_blocks + [subspace_sum(cat.psi_span, cat.sigma_opposed_span)]
-    assert sum(size * sub.dim for (_, size, _), sub in zip(cat.orbits, sigma_blocks)) == cat.sigma_image.dim
+    pair_blocks = [subspace_sum(block.psi_span, block.sigma_opposed_span) for block in blocks]
+    assert [base for base, _ in meets] == sigma_blocks + pair_blocks
+    sizes = [size for _, size, _ in cat.orbits]
+    assert sum(size * sub.dim for size, sub in zip(sizes, sigma_blocks)) == cat.sigma_image.dim
+    assert (sum(size * sub.dim for size, sub in zip(sizes, pair_blocks))
+            == subspace_sum(cat.psi_span, cat.sigma_opposed_span).dim > 0)
     rows = oracles.full_kaehler_rows(s)
     for base, meet in meets:
         assert meet.dim == 0
-        if base in sigma_blocks and base.dim == 0:
+        if base.dim == 0:
             continue
-        assert base.dim > 0
         support = {c for row in base.basis_dicts() for c in row}
         restricted = oracles.restricted_rows(base, [row for row in rows if not support.isdisjoint(row)])
         assert oracles.kernel_certificate(Subspace(base.dim, ()), restricted) == []
@@ -689,14 +711,14 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
     for claim in ("thm4.1", "thm4.2", "thm1.5"):
         curvature.run_claim(claim, s)
     assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
-    # affine's K over n^3 columns, conformal over all n^4 columns and the four
-    # two-tensor kernels, then the coefficient kernels of the meets on each
-    # of the two parity blocks (both planes odd, or none): weyl, riemann and
-    # Ricci on riemann (thm4.1), the structure identity on weyl and on
-    # sigma_image (thm1.5) and the riemann trace rows on kaehler_weyl; thm4.2
-    # and dims read the blocks as built
+    # affine's K over n^3 columns and the four two-tensor kernels, then the
+    # coefficient kernels of the meets on each of the two parity blocks (both
+    # planes odd, or none): weyl, riemann, conformal on affine and Ricci on
+    # riemann (thm4.1), the structure identity on weyl and on sigma_image
+    # (thm1.5) and the riemann trace rows on kaehler_weyl; thm4.2 and dims
+    # read the blocks as built, and no kernel runs over all n^4 columns
     assert len(catalog(s).orbits) == 2
-    assert len(built) == 6 + 2 * 6
+    assert len(built) == 5 + 2 * 7
     assert len(set(built)) == len(built)
-    assert sum(ncols == 4 ** 4 for ncols, _ in built) == 1
+    assert sum(ncols == 4 ** 4 for ncols, _ in built) == 0
     assert sum(ncols == 4 ** 3 for ncols, _ in built) == 1

@@ -415,10 +415,12 @@ def test_invariant_span_dimensions(kind):
 @pytest.mark.parametrize("n,kind,sig", [(4, "complex", None), (4, "para", None), (6, "complex", None),
                                         (6, "para", None), (6, "complex", (4, 2))])
 def test_invariant_rows_match_per_pair_oracle(n, kind, sig):
-    """The functionals restricted on both sides are the per-pair rows, column
-    i*d_b + j for the pair (i, j), and their rank is the oracle's.  The
-    module pairs include an empty module, and a pair of different dimensions
-    with nonzero rows, whose columns a transposed index would move."""
+    """The functionals restricted on both sides are the per-pair rows of the
+    three slot pairings, column i*d_b + j for the pair (i, j), and they span
+    what the rows of all 24 slot permutations span, at the oracle's rank.
+    The module pairs include an empty module, and a pair of different
+    dimensions with nonzero rows, whose columns a transposed index would
+    move."""
     s = make_standard(n, kind, sig)
     split = catalog(s).two_tensors
     empty = Subspace(n * n, ())
@@ -434,10 +436,12 @@ def test_invariant_rows_match_per_pair_oracle(n, kind, sig):
     ]
     for mod_a, mod_b in pairs:
         ncols = mod_a.dim * mod_b.dim
-        expected = oracles.invariant_rows(mod_a, mod_b, s)
-        got = invariant_rows(mod_a, mod_b, s)
-        assert [[row.get(c, 0) for c in range(ncols)] for row in got] == expected
-        assert invariant_span_dimension(mod_a, mod_b, s) == oracles.dense_rref(expected)[1]
+        expected = oracles.invariant_rows(mod_a, mod_b, s, [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)])
+        every = oracles.invariant_rows(mod_a, mod_b, s)
+        got = [[row.get(c, 0) for c in range(ncols)] for row in invariant_rows(mod_a, mod_b, s)]
+        assert got == expected
+        assert oracles.same_span(got, every)
+        assert invariant_span_dimension(mod_a, mod_b, s) == oracles.dense_rref(every)[1]
     assert invariant_rows(opposed_plus_omega, split.alt_opposed, s)
     assert invariant_span_dimension(split.alt_opposed, split.alt_opposed, s) == 1
 

@@ -30,6 +30,7 @@ from curvlab.tensors import (
     derivation_table,
     flatten4,
     EVEN_PAIR_WORDS,
+    SLOT_PAIRINGS,
     invariant_contraction_row,
     is_antisymmetric,
     is_structure_eigenform,
@@ -369,6 +370,31 @@ def test_contraction_rows_match_per_pair_oracle(n, kind):
             for theta, phi in pairs:
                 assert on_product(row, theta, phi, n) == oracles.invariant_contraction_product(
                     theta, phi, perm, word, s), (perm, word)
+
+
+def _pairing(perm):
+    """The split of the four slots into the pairs that ``perm`` contracts."""
+    return frozenset((frozenset(perm[:2]), frozenset(perm[2:])))
+
+
+@pytest.mark.parametrize("n,kind,sig", [(n, kind, None) for n in (4, 6, 8) for kind in ("complex", "para")]
+                         + [(6, "complex", (4, 2))])
+def test_every_slot_permutation_gives_its_pairings_row_up_to_sign(n, kind, sig):
+    """Both pairs of an even word carry the same tensor, the metric
+    (symmetric) or the fundamental form (antisymmetric), so each of the 48
+    rows of the 24 slot permutations and the two words is plus or minus the
+    row of its slot pairing and word, and of no other: the 6 rows that
+    invariant_rows reads hold every one of them, up to sign."""
+    s = make_standard(n, kind, sig)
+    assert len({_pairing(p) for p in SLOT_PAIRINGS}) == len(SLOT_PAIRINGS) == 3
+    rows = {(_pairing(p), word): invariant_contraction_row(p, word, s)
+            for p in SLOT_PAIRINGS for word in EVEN_PAIR_WORDS}
+    for perm in permutations(range(4)):
+        for word in EVEN_PAIR_WORDS:
+            row = invariant_contraction_row(perm, word, s)
+            negated = {c: -v for c, v in row.items()}
+            assert row
+            assert [key for key, r in rows.items() if r in (row, negated)] == [(_pairing(perm), word)], (perm, word)
 
 
 def test_invariance_of_contractions_under_reps(complex6):
