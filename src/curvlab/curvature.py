@@ -37,8 +37,8 @@ side with fewer entries.
 
 from __future__ import annotations
 
-from fractions import Fraction
 import weakref
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence

@@ -39,9 +39,10 @@ live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .spaces import ModelSpace, j_pullback_table, j_signed_permutation, structure_sign
 
@@ -117,8 +118,7 @@ def two_form_basis(n: int, block: Block | None = None) -> list[dict[int, int]]:
     """Antisymmetric basis e^i (x) e^j - e^j (x) e^i for i < j, as ``int`` rows,
     so that its images under sigma stay in integers; with ``block``, those
     whose images lie in it, as (i, j, 0, 0) does."""
-    inside = _completions(n, block, [(0,)])
-    return [{i * n + j: 1, j * n + i: -1} for i in range(n) for j in range(i + 1, n) if inside(i * n + j)]
+    return [{f: 1, f % n * n + f // n: -1} for f in _pairs(n, block) if f // n < f % n]
 
 
 def is_antisymmetric(psi: Vec, n: int) -> bool:
@@ -344,18 +344,37 @@ def invariant_contraction_row(perm: Sequence[int], word: Sequence[int], space: M
 Block = tuple[int, Sequence[int]]  # (mask, bits): (i, j, k, l) with bits[i] ^ bits[j] ^ bits[k] ^ bits[l] == mask
 
 
-def _completions(n: int, block: Block | None, lasts: list[tuple]) -> Callable[[int], Sequence[tuple]]:
-    """For a first pair i*n + j, the items of ``lasts``, each led by a last pair
-    k*n + l, that complete it to an anchor (i, j, k, l) in ``block`` (all when
-    None).  Each row below lies in its anchor's parity block."""
+@lru_cache(maxsize=4)
+def _pair_groups(n: int, bits: tuple[int, ...]) -> dict[int, list[int]]:
+    """Every rank-2 coordinate a*n + b, ascending, by its parity mask
+    bits[a] ^ bits[b]: kept, as every block of a space reads them."""
+    groups: dict[int, list[int]] = {}
+    for a in range(n):
+        for b in range(n):
+            groups.setdefault(bits[a] ^ bits[b], []).append(a * n + b)
+    return groups
+
+
+def _pairs(n: int, block: Block | None) -> Sequence[int]:
+    """The rank-2 coordinates i*n + j, ascending, whose anchor (i, j, 0, 0)
+    lies in ``block`` (every one when None)."""
     if block is None:
-        return lambda first: lasts
+        return range(n * n)
     mask, bits = block
-    groups: dict[int, list[tuple]] = {}
-    for item in lasts:
-        k, l = divmod(item[0], n)
-        groups.setdefault(bits[k] ^ bits[l], []).append(item)
-    return lambda first: groups.get(mask ^ bits[first // n] ^ bits[first % n], ())
+    return _pair_groups(n, tuple(bits)).get(mask, ())
+
+
+def _anchors(n: int, block: Block | None) -> list[tuple[int, Sequence[int]]]:
+    """Each first pair f = i*n + j, i < j, with the last pairs k*n + l that
+    complete it to an anchor (i, j, k, l) in ``block`` (every one when None),
+    read off the groups of the two pairs' masks.  Each row below lies in its
+    anchor's parity block."""
+    if block is None:
+        return [(i * n + j, range(n * n)) for i in range(n) for j in range(i + 1, n)]
+    mask, bits = block
+    groups = _pair_groups(n, tuple(bits))
+    return [(f, lasts) for first_mask, firsts in groups.items() if (lasts := groups.get(mask ^ first_mask))
+            for f in firsts if f // n < f % n]
 
 
 def antisym_rows(n: int) -> list[dict[int, int]]:
@@ -392,12 +411,13 @@ def riemann_rows(n: int, block: Block | None = None) -> list[dict[int, int]]:
     """Rows of A(x,y,z,w) + A(x,y,w,z) for first pairs i < j and k <= l, 2A at
     k = l, for the ``conformal`` meet only: right on affine, which alternates
     in the first pair.  With ``block``, the rows anchored in it."""
-    lasts = _completions(n, block, [(k * n + l, k, l) for k in range(n) for l in range(k, n)])
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            f = (i * n + j) * n * n
-            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: 2} for c, k, l in lasts(i * n + j))
+    for f, lasts in _anchors(n, block):
+        f *= n * n
+        for c in lasts:
+            k, l = divmod(c, n)
+            if k <= l:
+                rows.append({f + c: 1, f + l * n + k: 1} if k < l else {f + c: 2})
     return rows
 
 
@@ -406,8 +426,7 @@ def riemann_trace_rows(n: int, block: Block | None = None) -> list[dict[int, int
     on a base inside weyl: there the riemann row at k < l is the weyl row over
     n, and the weyl row at (k, k) gives A_ijkk = eps_k*S_ij/n for one S_ij.
     With ``block``, the rows anchored in it."""
-    inside = _completions(n, block, [(0,)])
-    return [{flatten4(n, i, j, 0, 0): 1} for i in range(n) for j in range(i + 1, n) if inside(i * n + j)]
+    return [{f * n * n: 1} for f in _pairs(n, block) if f // n < f % n]
 
 
 def weyl_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, int]]:
@@ -427,14 +446,15 @@ def weyl_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, i
     textbook rows, for every first pair, as the check."""
     n = space.n
     eps = space.eps
-    lasts = _completions(n, block, [(k * n + l, k, l) for k in range(n) for l in range(k + 1, n)]
-                         + [(k * n + k, k, k) for k in range(1, n)])
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            f = (i * n + j) * n * n
-            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: eps[k], f: -eps[0]}
-                        for c, k, l in lasts(i * n + j))
+    for f, lasts in _anchors(n, block):
+        f *= n * n
+        for c in lasts:
+            k, l = divmod(c, n)
+            if k < l:
+                rows.append({f + c: 1, f + l * n + k: 1})
+            elif k == l > 0:
+                rows.append({f + c: eps[k], f: -eps[0]})
     return rows
 
 
@@ -443,9 +463,8 @@ def ricci_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, 
     coordinates (c, x, y, c), which lie in the block of (x, y, 0, 0): with
     ``block``, the rows of the (x, y) in it."""
     n = space.n
-    inside = _completions(n, block, [(0,)])
     return [{flatten4(n, c, x, y, c): space.eps[c] for c in range(n)}
-            for x in range(n) for y in range(n) if inside(x * n + y)]
+            for x, y in (divmod(xy, n) for xy in _pairs(n, block))]
 
 
 def kaehler_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int, int]]:
@@ -460,9 +479,15 @@ def kaehler_rows(space: ModelSpace, block: Block | None = None) -> list[dict[int
     n = space.n
     u = structure_sign(space.kind)
     # (k, l) < (Jk, Jl) as last-pair offsets c < Jc, with the entry at Jc
-    classes = _completions(n, block, [(c, jc, u * s) for c, jc, s in j_pullback_table(space) if c < jc])
-    firsts = [i * n + j for i in range(n) for j in range(i + 1, n)]  # first pairs i < j
-    return [{f * n * n + a: 1, f * n * n + b: s} for f in firsts for a, b, s in classes(f)]
+    classes = {c: (jc, u * s) for c, jc, s in j_pullback_table(space) if c < jc}
+    rows = []
+    for f, lasts in _anchors(n, block):
+        f *= n * n
+        for c in lasts:
+            if c in classes:
+                jc, s = classes[c]
+                rows.append({f + c: 1, f + jc: s})
+    return rows
 
 
 # ---------------------------------------------------------------------------

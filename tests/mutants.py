@@ -53,6 +53,18 @@ _SIGNED_WALK = (
     "        for j, (vec, scale) in enumerate(basis):\n"
     "            yield key, j, permute_vec(targets, signs, vec, rank, n), scale\n"
 )
+# the head of the loop of tensors.weyl_rows, riemann_rows and kaehler_rows over
+# the anchors of a block, and a skip of the first pairs (i, i + 1) that a
+# mutant inserts into one of them
+_ANCHORS = (
+    "    for f, lasts in _anchors(n, block):\n"
+    "        f *= n * n\n"
+    "        for c in lasts:\n"
+)
+_SKIP_ADJACENT = (
+    "            if f // (n * n) % n == f // (n * n * n) + 1:\n"
+    "                continue\n"
+)
 # the two precondition checks of curvature.run_claim, for the mutant that swaps them
 _STRUCTURE_CHECK = (
     "    if structured and space.kind == \"none\":\n"
@@ -188,8 +200,8 @@ MUTANTS = [
     (
         "trace row written at last pair (0, 1) instead of (0, 0)",
         TENSORS,
-        "{flatten4(n, i, j, 0, 0): 1}",
-        "{flatten4(n, i, j, 0, 1): 1}",
+        "[{f * n * n: 1} for f in",
+        "[{f * n * n + 1: 1} for f in",
         ["tests/test_curvature.py::test_trace_rows_cut_what_the_full_riemann_rows_cut"],
     ),
     (
@@ -232,8 +244,8 @@ MUTANTS = [
     (
         "structure rows written for first pairs j > i + 1 only",
         TENSORS,
-        "firsts = [i * n + j for i in range(n) for j in range(i + 1, n)]",
-        "firsts = [i * n + j for i in range(n) for j in range(i + 2, n)]",
+        _ANCHORS + "            if c in classes:\n",
+        _ANCHORS + _SKIP_ADJACENT + "            if c in classes:\n",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
@@ -368,20 +380,16 @@ MUTANTS = [
     (
         "weyl rows written for first pairs j > i + 1 only",
         TENSORS,
-        "        for j in range(i + 1, n):\n            f = (i * n + j) * n * n\n"
-        "            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: eps[k]",
-        "        for j in range(i + 2, n):\n            f = (i * n + j) * n * n\n"
-        "            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: eps[k]",
+        _ANCHORS + "            k, l = divmod(c, n)\n            if k < l:\n",
+        _ANCHORS + _SKIP_ADJACENT + "            k, l = divmod(c, n)\n            if k < l:\n",
         ["tests/test_curvature.py::test_first_pair_rows_cut_what_the_full_rows_cut",
          "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
         "riemann rows written for first pairs j > i + 1 only",
         TENSORS,
-        "        for j in range(i + 1, n):\n            f = (i * n + j) * n * n\n"
-        "            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: 2}",
-        "        for j in range(i + 2, n):\n            f = (i * n + j) * n * n\n"
-        "            rows.extend({f + c: 1, f + l * n + k: 1} if k < l else {f + c: 2}",
+        _ANCHORS + "            k, l = divmod(c, n)\n            if k <= l:\n",
+        _ANCHORS + _SKIP_ADJACENT + "            k, l = divmod(c, n)\n            if k <= l:\n",
         ["tests/test_curvature.py::test_conformal_is_the_direct_kernel_over_every_coordinate",
          "tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
@@ -396,8 +404,8 @@ MUTANTS = [
     (
         "weyl rows without their diagonal ties",
         TENSORS,
-        "]\n                         + [(k * n + k, k, k) for k in range(1, n)])",
-        "])",
+        "            elif k == l > 0:\n                rows.append({f + c: eps[k], f: -eps[0]})\n",
+        "",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
@@ -409,10 +417,10 @@ MUTANTS = [
          "tests/test_golden_reports.py::test_report_bytes_unchanged[dims --n 7 --kind none --sig 4,3]"],
     ),
     (
-        "row written into the block of its last pair's units or-ed, not xor-ed",
+        "rank-2 coordinates grouped by their units or-ed, not xor-ed",
         TENSORS,
-        "groups.setdefault(bits[k] ^ bits[l], []).append(item)",
-        "groups.setdefault(bits[k] | bits[l], []).append(item)",
+        "groups.setdefault(bits[a] ^ bits[b], []).append(a * n + b)",
+        "groups.setdefault(bits[a] | bits[b], []).append(a * n + b)",
         ["tests/test_blocks.py::test_blocks_union_is_the_stored_basis"],
     ),
     (

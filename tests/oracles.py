@@ -521,23 +521,30 @@ def full_ricci_rows(space: ModelSpace) -> list[dict[int, int]]:
     return [{flatten4(n, c, x, y, c): space.eps[c] for c in range(n)} for x in range(n) for y in range(n)]
 
 
+def direct_conformal(space: ModelSpace) -> Subspace:
+    """The conformal space as one direct kernel over all n^4 columns: the
+    first-pair and cyclic rows lifted to every last index, the riemann rows
+    for every first pair and the Ricci rows."""
+    n = space.n
+    rows = lift_last_slot(antisym_rows(n) + bianchi_rows(n), n) + full_riemann_rows(n) + full_ricci_rows(space)
+    return kernel_subspace(rows, n ** 4)
+
+
 @lru_cache(maxsize=4)
 def full_chain(space: ModelSpace) -> dict[str, Subspace]:
     """Every rank-4 space of the catalog over every coordinate, with no parity
     block: affine the kernel of the first-pair and cyclic rows lifted to
     every last index; weyl, riemann and the structure-compatible spaces meets
-    with the rows above for every first pair; conformal one direct kernel of
-    the lifted rows, the riemann rows and the Ricci rows; sigma_image the
-    span of sigma over every 2-form; and the four map spans the images of
-    sigma and psi over the fundamental form and the bases of the two
-    antisymmetric kernels of :func:`two_tensor_split_rows`.  Kept for the
-    last few spaces asked for."""
+    with the rows above for every first pair; conformal
+    :func:`direct_conformal`; sigma_image the span of sigma over every
+    2-form; and the four map spans the images of sigma and psi over the
+    fundamental form and the bases of the two antisymmetric kernels of
+    :func:`two_tensor_split_rows`.  Kept for the last few spaces asked for."""
     n = space.n
-    lifted = lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
-    chain = {"affine": kernel_subspace(lifted, n ** 4)}
+    chain = {"affine": kernel_subspace(lift_last_slot(antisym_rows(n) + bianchi_rows(n), n), n ** 4)}
     chain["weyl"] = meet_kernel(chain["affine"], full_weyl_rows(space))
     chain["riemann"] = meet_kernel(chain["weyl"], full_riemann_rows(n))
-    chain["conformal"] = kernel_subspace(lifted + full_riemann_rows(n) + full_ricci_rows(space), n ** 4)
+    chain["conformal"] = direct_conformal(space)
     chain["sigma_image"] = Subspace.from_vectors([sigma(t, space) for t in two_form_basis(n)], n ** 4)
     if space.kind != "none":
         chain["kaehler_weyl"] = meet_kernel(chain["weyl"], full_kaehler_rows(space))

@@ -230,8 +230,7 @@ def test_conformal_is_the_direct_kernel_over_every_coordinate(n, kind, sig):
     written for every first pair by the oracle."""
     s = make_standard(n, kind, sig)
     catalog.cache_clear()
-    lifted = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
-    direct = kernel_subspace(lifted + oracles.full_riemann_rows(n) + oracles.full_ricci_rows(s), n ** 4)
+    direct = oracles.direct_conformal(s)
     assert catalog(s).conformal == direct
     assert direct.dim == riemann_dim(n) - n * (n + 1) // 2
 
