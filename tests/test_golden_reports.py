@@ -5,7 +5,8 @@ n = 4, 6 and 6 ``--sig 4,2``; of thm1.5, thm4.2, thm4.1, eq4d and lemma4.9
 at n = 10 in both geometries; of the orbit edge cases of the parity blocks
 (thm4.2, thm4.1 and ``dims`` at odd n without a structure, thm1.5, thm4.2,
 thm4.1 and ``dims`` with plane sign types interleaved by ``--sig`` and
-``--eps``); of sec5, eq4c and ``dims`` at n = 10 in both geometries, and
+``--eps``, and thm4.1 at n = 9 without a structure, at n = 12 ``--sig
+6,6`` and with a mixed para layout at n = 10); of sec5, eq4c and ``dims`` at n = 10 in both geometries, and
 of sec5 and ``dims`` with mixed sign layouts; of
 two markdown reports, eq4d's with its
 note line and thm1.5's at n = 4 with its witness line; of a set of
@@ -74,6 +75,12 @@ CASES = [
     "verify thm4.1 --n 8 --kind complex --sig 2,6",
     "verify thm4.1 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-",
     "verify thm4.1 --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
+    # thm4.1 decided on axis parity blocks: odd n without a structure, an
+    # indefinite complex signature and a mixed para layout (n = 10 in both
+    # geometries is pinned above)
+    "verify thm4.1 --n 9 --kind none",
+    "verify thm4.1 --n 12 --kind complex --sig 6,6",
+    "verify thm4.1 --n 10 --kind para --eps=-,+,+,-,+,-,-,+,+,-",
     # sec5, eq4c and the span and conformal entries of dims at n = 10, and
     # with mixed sign layouts
     *(f"{cmd} --n 10 --kind {kind}" for kind in ("complex", "para")
@@ -232,6 +239,9 @@ GOLDEN = {
     "verify thm4.1 --n 8 --kind complex --sig 2,6": (0, "09fa15c15a0242e6a851535c35cb06d9441d5e316b63af02a73402a07b3a1caa"),
     "verify thm4.1 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-": (0, "c92ddf3ec7d6ff4ec5a080938e3c3bb3097e3a5f6e6c9157f71b8c16e3c3b9cf"),
     "verify thm4.1 --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "41ef72ed4c4ca07d07cb3b151c89ed641ede300faa27b81eddfd01911f4a5231"),
+    "verify thm4.1 --n 9 --kind none": (0, "6a64ae72204f7fdc33e3e5b58dcb2ed5cdc952111cb1dd10170d84467abe578d"),
+    "verify thm4.1 --n 12 --kind complex --sig 6,6": (0, "b3b8336428b3ae84d6f9c5e61e051b4f5f2025a54faa69adb5b16f627a8fd9b4"),
+    "verify thm4.1 --n 10 --kind para --eps=-,+,+,-,+,-,-,+,+,-": (0, "f3fd6b0900d90378a2a141c5664e8d3eea873ea4db4e3cbcf4905c61c5a2f70b"),
     "verify sec5 --n 10 --kind complex": (0, "2b441c37bf8aa2b0a3796ff2237fc4a0e53400ea5d4cdf71d7d5f429885f5900"),
     "verify eq4c --n 10 --kind complex": (0, "de13f77f67319c20f9af099a2db79fe14fe24516230387a1be541681e7681ff5"),
     "dims --n 10 --kind complex": (0, "590192496a6e05a26e5742d181cd600ab200a1b22842d2e00c1220b6762a2362"),
