@@ -463,11 +463,35 @@ MUTANTS = [
          "tests/test_golden_reports.py::test_report_bytes_unchanged[verify thm4.1 --n 7 --kind none --sig 4,3]"],
     ),
     (
-        "thm4.1 without its check of the weighted kernel dimensions against conformal's",
+        "thm4.1 without its check of the weighted kernel dimensions against conformal's closed form",
         CURVATURE,
-        "    kernel_matches = kernel_matches and kernel_dim == conformal.dim\n",
+        "    kernel_matches = kernel_matches and kernel_dim == conformal_dim\n",
         "",
-        ["tests/test_blocks.py::test_thm41_sees_a_conformal_that_differs_off_the_representatives"],
+        ["tests/test_blocks.py::test_thm41_weighs_the_representatives_up_to_the_closed_form"],
+    ),
+    (
+        "conformal's closed-form dimension with (n - 2) for (n - 3)",
+        CURVATURE,
+        "conformal_dim = n * (n + 1) * (n + 2) * (n - 3) // 12",
+        "conformal_dim = n * (n + 1) * (n + 2) * (n - 2) // 12",
+        ["tests/test_verifiers.py::test_riemann_ricci_split",
+         "tests/test_golden_reports.py::test_report_bytes_unchanged[verify thm4.1 --n 9 --kind none]"],
+    ),
+    (
+        "block O-certificate without the check that a cycle's target block has the representative's dimension",
+        CURVATURE,
+        "            if axes.block_chain(target).conformal.dim != sub.dim:\n"
+        "                return False\n",
+        "",
+        ["tests/test_blocks.py::test_thm41_sees_a_cycle_target_larger_than_its_representative"],
+    ),
+    (
+        "block O-certificate checking Lie images only against their source block",
+        CURVATURE,
+        "        for _, _, img, _ in _group_images(sub, space, \"O\"):\n",
+        "        for key, _, img, _ in _group_images(sub, space, \"O\"):\n"
+        "            img = {c: v for c, v in img.items() if key[0] != \"lie\" or parity_mask(bits, n, c, 4) == rep}\n",
+        ["tests/test_blocks.py::test_thm41_checks_lie_images_in_the_blocks_they_land_in"],
     ),
     (
         "conformal meet on each block without its Ricci rows",

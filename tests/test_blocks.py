@@ -12,10 +12,11 @@ kernel on every block."""
 import pytest
 
 import oracles
+from test_cli import _break_lie_basis
 from curvlab import curvature
-from curvlab.curvature import BlockChain, CurvatureCatalog, catalog, run_claim
-from curvlab.linalg import Subspace, meet_kernel, rank_of_rows, restrict_rows
-from curvlab.spaces import make_standard, parity_blocks, unit_bits
+from curvlab.curvature import BlockChain, catalog, run_claim
+from curvlab.linalg import Subspace, meet_kernel, rank_of_rows, restrict_rows, subspace_sum
+from curvlab.spaces import generating_set, make_standard, parity_blocks, unit_bits
 from curvlab.tensors import (
     antisym_rows,
     bianchi_rows,
@@ -243,20 +244,163 @@ def test_thm41_block_ranks_are_the_full_ranks(n, kind, sig):
     assert quantities["ricci_kernel_equals_conformal"]
 
 
-@pytest.mark.parametrize("n,kind,sig", [(5, "none", None), (6, "complex", None), (6, "none", (4, 2))])
+def _patch_axis_block(monkeypatch, s, mask, change):
+    """Make every read of the conformal of axis block ``mask`` of the space
+    without ``s``'s structure return ``change`` of the solved one, and empty
+    the catalog cache."""
+    twin = s._replace(kind="none")
+    solve = BlockChain.conformal.func
+    monkeypatch.setattr(BlockChain, "conformal", property(
+        lambda block: change(solve(block)) if (block.space, block.block[0]) == (twin, mask) else solve(block)))
+    catalog.cache_clear()
+
+
+def _moved(mask, perm):
+    """The axis mask that the axis permutation ``perm`` carries ``mask`` onto."""
+    return sum(1 << perm[a] for a in range(len(perm)) if mask >> a & 1)
+
+
+def _cycle_target(s):
+    """A representative axis block with a nonzero conformal, and the block,
+    no orbit's representative, that a cycle of O's generating set carries it
+    onto."""
+    axes = catalog(s).axes
+    reps = sorted(rep for rep, _, _ in axes.orbits)
+    return next((rep, _moved(rep, perm)) for rep in reps for perm in generating_set(s, "O").cycles
+                if _moved(rep, perm) not in reps and axes.block_chain(rep).conformal.dim)
+
+
+THM41_CYCLE_LAYOUTS = [(5, "none", None), (6, "complex", None), (6, "none", (4, 2))]
+
+
+@pytest.mark.parametrize("n,kind,sig", THM41_CYCLE_LAYOUTS)
 def test_thm41_sees_a_conformal_that_differs_off_the_representatives(n, kind, sig, monkeypatch):
-    """A conformal that lacks one row of a block that is no orbit's
-    representative agrees with the Ricci kernel on every representative, and
-    thm4.1 still reports that the two differ, and fails."""
+    """thm4.1 reads the axis blocks of the space without its structure.  A
+    conformal missing one row on the block, no orbit's representative, that
+    a cycle carries a representative onto agrees with the Ricci kernel on
+    every representative, and thm4.1 still fails: the cycle's images of the
+    representative's conformal leave it.  The witness is the full walk's
+    over the union of every block's conformal, which lacks that row too."""
     s = make_standard(n, kind, sig)
     catalog.cache_clear()
-    cat = catalog(s)
-    reps = {rep for rep, _, _ in cat.orbits}
-    rows = cat.conformal.basis
-    drop = next(k for k, row in enumerate(rows) if oracles.parity_mask(s, row[0]) not in reps)
-    patched = Subspace(n ** 4, rows[:drop] + rows[drop + 1:])
-    monkeypatch.setattr(CurvatureCatalog, "conformal", property(lambda _: patched))
+    passing = run_claim("thm4.1", s).quantities
+    rep, target = _cycle_target(s)
+    _patch_axis_block(monkeypatch, s, target, lambda sub: Subspace(sub.ambient_dim, sub.basis[1:]))
+    report = run_claim("thm4.1", s)
+    assert not report.verdict
+    assert report.quantities == {**passing, "conformal_o_invariant": False}
+    witness = curvature.invariance_witness(catalog(s).axes.conformal, s, "O")
+    assert witness is not None and report.witnesses == [witness]
+
+
+@pytest.mark.parametrize("n,kind,sig", THM41_CYCLE_LAYOUTS)
+def test_thm41_sees_a_cycle_target_larger_than_its_representative(n, kind, sig, monkeypatch):
+    """A conformal with one row too many on the block that a cycle carries a
+    representative onto still holds every image of the representative's
+    conformal; only the check that the two blocks have one dimension sees
+    it, and the full walk names the witness."""
+    s = make_standard(n, kind, sig)
+    catalog.cache_clear()
+    rep, target = _cycle_target(s)
+    extra = {c: 1 for c in range(n ** 4) if oracles.parity_mask(s._replace(kind="none"), c) == target}
+    _patch_axis_block(monkeypatch, s, target, lambda sub: subspace_sum(sub, Subspace.from_vectors([extra], n ** 4)))
+    axes = catalog(s).axes
+    assert axes.block_chain(target).conformal.dim == axes.block_chain(rep).conformal.dim + 1
+    report = run_claim("thm4.1", s)
+    assert report.quantities["conformal_o_invariant"] is False
+    assert not report.verdict
+    assert report.witnesses == [curvature.invariance_witness(catalog(s).axes.conformal, s, "O")]
+
+
+@pytest.mark.parametrize("n,kind,sig", [(5, "none", None), (6, "para", None), (7, "none", (4, 3))])
+def test_thm41_checks_lie_images_in_the_blocks_they_land_in(n, kind, sig, monkeypatch):
+    """A Lie element of O's generating set moves one index of a coordinate
+    within its support {a, b}, so it carries axis block g into g △ {a, b}.
+    Emptying the conformal of such a block that is no representative and
+    that no cycle carries a representative onto fails thm4.1: the Lie
+    images of the representative's conformal land there."""
+    s = make_standard(n, kind, sig)
+    catalog.cache_clear()
+    axes = catalog(s).axes
+    gens = generating_set(s, "O")
+    reps = [rep for rep, _, _ in axes.orbits]
+    cycled = {_moved(rep, perm) for rep in reps for perm in gens.cycles}
+    targets = [rep ^ sum(1 << a for a in {a for c in x for a in divmod(c, n)})
+               for rep in reps if axes.block_chain(rep).conformal.dim for _, x in gens.lie]
+    target = next(t for t in targets if t not in reps and t not in cycled)
+    _patch_axis_block(monkeypatch, s, target, lambda sub: Subspace(sub.ambient_dim, ()))
+    report = run_claim("thm4.1", s)
+    assert report.quantities["conformal_o_invariant"] is False
+    assert not report.verdict
+    assert report.witnesses == [curvature.invariance_witness(catalog(s).axes.conformal, s, "O")]
+
+
+@pytest.mark.parametrize("n,kind,sig", [(5, "none", None), (6, "complex", None), (6, "none", (4, 2))])
+def test_thm41_weighs_the_representatives_up_to_the_closed_form(n, kind, sig, monkeypatch):
+    """With one orbit weighed once too often, every representative's Ricci
+    kernel is still its conformal, but their weighted dimensions miss
+    conformal's closed form n(n+1)(n+2)(n-3)/12, and thm4.1 reports that
+    the Ricci kernel is not conformal."""
+    s = make_standard(n, kind, sig)
+    real = curvature.parity_blocks
+
+    def heavier(space):
+        *orbits, (rep, size, others) = real(space)
+        return [*orbits, (rep, size + 1, others)]
+
+    monkeypatch.setattr(curvature, "parity_blocks", heavier)
     catalog.cache_clear()
     report = run_claim("thm4.1", s)
     assert report.quantities["ricci_kernel_equals_conformal"] is False
+    assert not report.verdict
+
+
+MIXED_PARA_10 = (-1, 1, 1, -1, 1, -1, -1, 1, 1, -1)
+STRUCTURED_LAYOUTS = ([(n, kind, None, None) for n in (4, 6, 8, 10) for kind in ("complex", "para")]
+                      + [(6, "complex", (4, 2), None), (8, "complex", None, (1, 1, -1, -1, 1, 1, -1, -1)),
+                         (8, "para", None, MIXED_PARA), (10, "para", None, MIXED_PARA_10)])
+THM41_LAYOUTS = STRUCTURED_LAYOUTS + [(5, "none", None, None), (7, "none", None, None),
+                                      (6, "none", (4, 2), None), (7, "none", (4, 3), None)]
+
+
+@pytest.mark.parametrize("n,kind,sig,eps", STRUCTURED_LAYOUTS)
+def test_thm41_reads_the_space_without_its_structure(n, kind, sig, eps):
+    """thm4.1 reads no J: its quantities, verdict and witnesses on a
+    structured space are those on the space with the same signs and none."""
+    s = make_standard(n, kind, sig, eps)
+    twin = make_standard(n, "none", eps=s.eps)
+    catalog.cache_clear()
+    report = run_claim("thm4.1", s)
+    catalog.cache_clear()
+    plain = run_claim("thm4.1", twin)
+    assert (report.quantities, report.verdict, report.witnesses) == (plain.quantities, plain.verdict, plain.witnesses)
+    assert report.verdict
+
+
+@pytest.mark.parametrize("n,kind,sig,eps", THM41_LAYOUTS)
+def test_block_certificate_agrees_with_the_full_walk(n, kind, sig, eps):
+    """The O-certificate on the axis blocks passes where the walk over
+    conformal over every coordinate, the union of the catalog's blocks,
+    finds no witness."""
+    s = make_standard(n, kind, sig, eps)
+    catalog.cache_clear()
+    cat = catalog(s)
+    assert curvature.conformal_o_invariant(cat.axes, s) is (curvature.invariance_witness(cat.conformal, s, "O") is None)
+    assert curvature.conformal_o_invariant(cat.axes, s)
+
+
+@pytest.mark.parametrize("n,kind,sig,eps", THM41_LAYOUTS)
+def test_block_certificate_and_full_walk_fail_together(n, kind, sig, eps, monkeypatch):
+    """With the generating set's Lie elements replaced by E13, which is not
+    in O, both the certificate on the blocks and the full walk fail, and
+    thm4.1's witness is the full walk's."""
+    s = make_standard(n, kind, sig, eps)
+    _break_lie_basis(monkeypatch)
+    cat = catalog(s)
+    witness = curvature.invariance_witness(cat.conformal, s, "O")
+    assert witness is not None
+    assert curvature.conformal_o_invariant(cat.axes, s) is False
+    catalog.cache_clear()
+    report = run_claim("thm4.1", s)
+    assert report.witnesses == [witness]
     assert not report.verdict

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import curvlab
-from curvlab import cli, curvature
+from curvlab import cli, curvature, tensors
 from curvlab.cli import main
 from curvlab.spaces import generating_set, lie_algebra_basis, make_standard, random_lie_elements
 from test_cli import _break_lie_basis
@@ -84,8 +84,10 @@ def _benchmark_entry_points() -> None:
 
 
 def test_every_def_is_reached(monkeypatch):
-    # a catalog, Lie basis, generating set or parser left by another test would skip its builders
+    # a catalog, Lie basis, generating set, grouping of the rank-2 coordinates
+    # or parser left by another test would skip its builders
     cli._build_parser.cache_clear()
+    tensors._pair_groups.cache_clear()
     curvature.catalog.cache_clear()
     lie_algebra_basis.cache_clear()
     generating_set.cache_clear()
