@@ -18,8 +18,11 @@ and on each block the images of sigma and psi over the rows of its pieces
 in the block's rank-2 mask.  The claims and the dims table read every
 rank-4 space on one block per orbit of the unit permutations, which are
 group elements, each count weighted by its orbit's size; a space over
-every coordinate, the union of every block's, is for the certificates and
-:func:`build_catalog`.  On top of the catalog the
+every coordinate, the union of every block's, is for :func:`build_catalog`
+and for naming a failed certificate's witness.  thm4.1 reads no J, so it
+reads the axis parity blocks of the space without its structure, which
+every element of O's generating set carries onto blocks, and walks
+conformal's O-certificate over them.  On top of the catalog the
 module certifies group invariance, solves for commutants of group actions
 and spans of invariant contraction functionals, and runs the claim verifiers
 exposed by the CLI.  A certificate applies each element of the group's
@@ -473,13 +476,14 @@ def invariance_witness(sub: Subspace, space: ModelSpace, group: str,
                  if not reducer.contains(img)), None)
 
 
-def conformal_o_invariant(axes: CurvatureCatalog, space: ModelSpace) -> bool:
-    """The O-certificate of conformal on the axis parity blocks of ``axes``
-    (:attr:`CurvatureCatalog.axes` of ``space``): every element of O's
-    generating set is applied to each representative's conformal basis
-    (:func:`_group_images`), and each image is checked against the blocks
-    it lands in, each solved from its own rows and kept per mask; each cycle
-    must also carry the representative onto a block of the same dimension.
+def conformal_o_invariant(axes: CurvatureCatalog) -> bool:
+    """The O-certificate of conformal on the axis parity blocks of ``axes``,
+    a catalog without a structure (:attr:`CurvatureCatalog.axes`): every
+    element of O's generating set is applied to each representative's
+    conformal basis (:func:`_group_images`), and each image is checked
+    against the blocks it lands in, each solved from its own rows and kept
+    per mask; each cycle must also carry the representative onto a block of
+    the same dimension.
 
     What it proves: each element carries each representative's conformal
     into the sum of the blocks' conformal, and each cycle carries it onto
@@ -492,7 +496,8 @@ def conformal_o_invariant(axes: CurvatureCatalog, space: ModelSpace) -> bool:
     read.  That every block of an orbit is its representative relabelled is
     the orbit reduction every claim on the blocks assumes; the tests solve
     those blocks from their own rows and compare them at fixed n."""
-    n, bits = space.n, unit_bits(axes.space)
+    space = axes.space
+    n, bits = space.n, unit_bits(space)
     reducers: dict[int, SubspaceReducer] = {}
 
     def contains(mask: int, part: dict[int, int]) -> bool:
@@ -751,8 +756,8 @@ def verify_riemann_ricci_split(space: ModelSpace) -> Outcome:
     kernel_matches = kernel_matches and kernel_dim == conformal_dim
     sym_dim = n * (n + 1) // 2
     witness = None
-    if not conformal_o_invariant(axes, space):
-        witness = invariance_witness(axes.conformal, space, "O")
+    if not conformal_o_invariant(axes):
+        witness = invariance_witness(axes.conformal, axes.space, "O")
         if witness is None:
             raise RuntimeError("conformal's O-certificate fails on the parity blocks but not on their union")
     quantities = {

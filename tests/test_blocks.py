@@ -385,8 +385,8 @@ def test_block_certificate_agrees_with_the_full_walk(n, kind, sig, eps):
     s = make_standard(n, kind, sig, eps)
     catalog.cache_clear()
     cat = catalog(s)
-    assert curvature.conformal_o_invariant(cat.axes, s) is (curvature.invariance_witness(cat.conformal, s, "O") is None)
-    assert curvature.conformal_o_invariant(cat.axes, s)
+    assert curvature.conformal_o_invariant(cat.axes) is (curvature.invariance_witness(cat.conformal, s, "O") is None)
+    assert curvature.conformal_o_invariant(cat.axes)
 
 
 @pytest.mark.parametrize("n,kind,sig,eps", THM41_LAYOUTS)
@@ -399,7 +399,7 @@ def test_block_certificate_and_full_walk_fail_together(n, kind, sig, eps, monkey
     cat = catalog(s)
     witness = curvature.invariance_witness(cat.conformal, s, "O")
     assert witness is not None
-    assert curvature.conformal_o_invariant(cat.axes, s) is False
+    assert curvature.conformal_o_invariant(cat.axes) is False
     catalog.cache_clear()
     report = run_claim("thm4.1", s)
     assert report.witnesses == [witness]

@@ -396,6 +396,18 @@ def test_representative_that_is_not_a_sign_diagonal_exits_three(capsys, monkeypa
     assert err == "internal error: RuntimeError: component representative 0 of O is not a sign diagonal\n"
 
 
+def test_block_certificate_failing_where_the_union_passes_exits_three(capsys, monkeypatch):
+    """A failure of thm4.1's certificate on the parity blocks is a failure of
+    the walk over their union, which names the witness; a block failure the
+    union does not repeat is a fault of curvlab, never a failed claim."""
+    curvature.catalog.cache_clear()
+    monkeypatch.setattr(curvature, "conformal_o_invariant", lambda axes: False)
+    code, out, err = run_cli(capsys, "verify", "thm4.1", "--n", "4")
+    assert (code, out) == (3, "")
+    assert err == ("internal error: RuntimeError: conformal's O-certificate fails on the parity blocks "
+                   "but not on their union\n")
+
+
 def test_json_output_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "thm4.2", "--n", "4", "--kind", "para")
     code2, out2, _ = run_cli(capsys, "verify", "thm4.2", "--n", "4", "--kind", "para")
