@@ -6,15 +6,19 @@ block's spaces onto another's, and every representative block is the
 kernel of its chain's rows by the modular-rank certificate.  thm4.2's Gram
 count and thm1.5's witness do not depend on which blocks the orbit
 reduction reads, or in what order; thm4.1's ranks on the representatives
-are the ranks on the full bases, and it compares conformal with the Ricci
-kernel on every block."""
+are the ranks on the full bases.  thm4.1 reads the axis blocks of the
+space without its structure, with the structured space's quantities; its
+O-certificate of conformal on those blocks agrees with the walk over the
+union, fails with it, and sees a defect in each kind of block it reads
+(a cycle's target, short or long, and a Lie element's), and the orbit
+weights must reach conformal's closed-form dimension."""
 
 import pytest
 
 import oracles
 from test_cli import _break_lie_basis
 from curvlab import curvature
-from curvlab.curvature import BlockChain, catalog, run_claim
+from curvlab.curvature import BlockChain, CurvatureCatalog, catalog, run_claim
 from curvlab.linalg import Subspace, meet_kernel, rank_of_rows, restrict_rows, subspace_sum
 from curvlab.spaces import generating_set, make_standard, parity_blocks, unit_bits
 from curvlab.tensors import (
@@ -375,6 +379,20 @@ def test_thm41_reads_the_space_without_its_structure(n, kind, sig, eps):
     plain = run_claim("thm4.1", twin)
     assert (report.quantities, report.verdict, report.witnesses) == (plain.quantities, plain.verdict, plain.witnesses)
     assert report.verdict
+
+
+@pytest.mark.parametrize("n,kind,sig,eps", [(6, "complex", None, None), (8, "para", None, MIXED_PARA),
+                                            (7, "none", (4, 3), None)])
+def test_passing_thm41_reads_no_union(n, kind, sig, eps, monkeypatch):
+    """A passing thm4.1 reads no rank-4 space over every coordinate: the
+    union of the blocks is read only to name a failed certificate's
+    witness."""
+    def union(cat, name):
+        raise AssertionError(f"thm4.1 read the union of {name}")
+
+    monkeypatch.setattr(CurvatureCatalog, "_union", union)
+    catalog.cache_clear()
+    assert run_claim("thm4.1", make_standard(n, kind, sig, eps)).verdict
 
 
 @pytest.mark.parametrize("n,kind,sig,eps", THM41_LAYOUTS)
