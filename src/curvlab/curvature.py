@@ -740,7 +740,7 @@ def verify_riemann_ricci_split(space: ModelSpace) -> Outcome:
     would."""
     n = space.n
     axes = catalog(space).axes
-    dim_r = rank_r = rank_w = kernel_dim = dim_c = 0
+    dim_r = rank_r = rank_w = dim_c = 0
     kernel_matches = True
     for mask, size, _ in axes.orbits:
         block = axes.block_chain(mask)
@@ -748,12 +748,10 @@ def verify_riemann_ricci_split(space: ModelSpace) -> Outcome:
         dim_r += size * block.riemann.dim
         rank_r += size * rank_of_rows(restrict_rows(block.riemann, ric))
         rank_w += size * rank_of_rows(restrict_rows(block.weyl, ric))
-        kernel = meet_kernel(block.riemann, ric)
-        kernel_dim += size * kernel.dim
         dim_c += size * block.conformal.dim
-        kernel_matches = kernel_matches and kernel == block.conformal
+        kernel_matches = kernel_matches and meet_kernel(block.riemann, ric) == block.conformal
     conformal_dim = n * (n + 1) * (n + 2) * (n - 3) // 12
-    kernel_matches = kernel_matches and kernel_dim == conformal_dim
+    kernel_matches = kernel_matches and dim_c == conformal_dim
     sym_dim = n * (n + 1) // 2
     witness = None
     if not conformal_o_invariant(axes):

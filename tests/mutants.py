@@ -465,7 +465,7 @@ MUTANTS = [
     (
         "thm4.1 without its check of the weighted kernel dimensions against conformal's closed form",
         CURVATURE,
-        "    kernel_matches = kernel_matches and kernel_dim == conformal_dim\n",
+        "    kernel_matches = kernel_matches and dim_c == conformal_dim\n",
         "",
         ["tests/test_blocks.py::test_thm41_weighs_the_representatives_up_to_the_closed_form"],
     ),
