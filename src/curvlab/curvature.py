@@ -180,7 +180,7 @@ class BlockChain:
     orbit, weighted by its size."""
 
     def __init__(self, cat: "CurvatureCatalog", mask: int):
-        self.space, self.slots = cat.space, cat.slots_by_mask
+        self.space, self.slots, self.solved = cat.space, cat.slots_by_mask, cat.solved
         self.block = (mask, unit_bits(cat.space))
         # the catalog keeps its blocks, so a block refers back to it weakly
         self._catalog = weakref.ref(cat)
@@ -197,12 +197,12 @@ class BlockChain:
 
     @cached_property
     def weyl(self) -> Subspace:
-        return meet_kernel(self.affine, weyl_rows(self.space, self.block))
+        return meet_kernel(self.affine, weyl_rows(self.space, self.block), self.solved)
 
     @cached_property
     def riemann(self) -> Subspace:
         """weyl ∩ ker(riemann rows), cut by one trace row per first pair."""
-        return meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block))
+        return meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block), self.solved)
 
     @cached_property
     def conformal(self) -> Subspace:
@@ -210,8 +210,11 @@ class BlockChain:
         n = 4): K ⊗ R^n, which it shares with the chain, met with the riemann
         and Ricci rows anchored in the block.  It keeps the riemann rows
         themselves, not weyl's rows and the trace rows, so thm4.1 checks the
-        chain's riemann by a second route."""
-        return meet_kernel(self.affine, riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block))
+        chain's riemann by a second route.  Where they restrict to weyl's rows
+        on affine (no trace, tie or Ricci row anchored), the system is weyl's,
+        solved once."""
+        return meet_kernel(self.affine, riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block),
+                           self.solved)
 
     @cached_property
     def sigma_image(self) -> Subspace:
@@ -226,7 +229,7 @@ class BlockChain:
     @cached_property
     def kaehler_riemann(self) -> Subspace:
         """riemann ∩ ker(structure rows) = kaehler_weyl ∩ ker(riemann rows), the smaller base."""
-        return meet_kernel(self.kaehler_weyl, riemann_trace_rows(self.space.n, self.block))
+        return meet_kernel(self.kaehler_weyl, riemann_trace_rows(self.space.n, self.block), self.solved)
 
     def _span(self, mapper: Callable[[Vec, ModelSpace], Vec], piece: str) -> Subspace:
         """Span of a rank-2 to rank-4 map over the basis rows of the split's
@@ -249,6 +252,9 @@ class CurvatureCatalog:
     def __init__(self, space: ModelSpace):
         self.space = space
         self._blocks: dict[int, BlockChain] = {}
+        # the blocks' coefficient kernels by system (linalg.meet_kernel): blocks
+        # of one orbit, and two meets on some blocks, give the same system
+        self.solved: dict = {}
 
     def block_chain(self, mask: int) -> BlockChain:
         """The rank-4 spaces on the parity block of ``mask``, kept per mask."""
@@ -289,11 +295,13 @@ class CurvatureCatalog:
         signs: its units are the axes, so a signed axis permutation, and so
         every element of O's generating set, carries a parity block onto a
         block.  This catalog for an unstructured space.  K reads neither the
-        metric nor a structure, so the two share it."""
+        metric nor a structure, so the two share it, and they share the
+        coefficient kernels their meets keep, as a kernel reads only its
+        system."""
         if self.space.kind == "none":
             return self
         twin = CurvatureCatalog(self.space._replace(kind="none"))
-        twin.affine_slots = self.affine_slots
+        twin.affine_slots, twin.solved = self.affine_slots, self.solved
         return twin
 
     @cached_property
@@ -749,7 +757,7 @@ def verify_riemann_ricci_split(space: ModelSpace) -> Outcome:
         rank_r += size * rank_of_rows(restrict_rows(block.riemann, ric))
         rank_w += size * rank_of_rows(restrict_rows(block.weyl, ric))
         dim_c += size * block.conformal.dim
-        kernel_matches = kernel_matches and meet_kernel(block.riemann, ric) == block.conformal
+        kernel_matches = kernel_matches and meet_kernel(block.riemann, ric, axes.solved) == block.conformal
     conformal_dim = n * (n + 1) * (n + 2) * (n - 3) // 12
     kernel_matches = kernel_matches and dim_c == conformal_dim
     sym_dim = n * (n + 1) // 2

@@ -395,10 +395,14 @@ def restrict_rows(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Iterator
         yield {i: v for i, v in acc.items() if v}
 
 
-def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
+def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]],
+                solved: dict | None = None) -> Subspace:
     """base ∩ ker(rows), from the kernel of the nonzero rows restricted to the
     base, as they are (on weyl the last-pair identity at (i, j, k, k) gives
-    the same row for every k); if none is nonzero, the base itself.
+    the same row for every k); if none is nonzero, the base itself.  With
+    ``solved``, coefficient kernels are kept there by their system (the
+    base's dimension and the set of restricted rows), and a system met again
+    is not solved again.
 
     No second elimination: sum_i c_i b_i over the canonical rows of the base
     leads at the pivot of the first b_i it uses, and its value at any other
@@ -412,9 +416,16 @@ def meet_kernel(base: Subspace, rows: Iterable[Mapping[int, int]]) -> Subspace:
     rows = [row for row in restrict_rows(base, rows) if row]
     if not rows:
         return base
+    if solved is None:
+        kernel = kernel_subspace(rows, base.dim)
+    else:
+        key = (base.dim, frozenset(frozenset(row.items()) for row in rows))
+        kernel = solved.get(key)
+        if kernel is None:
+            kernel = solved[key] = kernel_subspace(rows, base.dim)
     basis = base.basis
     out = []
-    for coeffs in kernel_subspace(rows, base.dim).basis:
+    for coeffs in kernel.basis:
         if len(coeffs) == 2:
             out.append(basis[coeffs[0]])
             continue

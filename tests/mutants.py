@@ -221,6 +221,22 @@ MUTANTS = [
          "tests/test_linalg.py::test_meet_kernel_equals_intersection_with_the_kernel"],
     ),
     (
+        "meet coefficient kernels kept by the base's dimension alone",
+        LINALG,
+        "        key = (base.dim, frozenset(frozenset(row.items()) for row in rows))\n",
+        "        key = base.dim\n",
+        ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate",
+         "tests/test_linalg.py::test_meet_kernel_solves_each_kept_system_once"],
+    ),
+    (
+        "meet solving a coefficient system again when it was solved before",
+        LINALG,
+        "        kernel = solved.get(key)\n",
+        "        kernel = None\n",
+        ["tests/test_curvature.py::test_claims_and_dims_build_each_kernel_once",
+         "tests/test_linalg.py::test_meet_kernel_solves_each_kept_system_once"],
+    ),
+    (
         "row-side index dropping the last row",
         LINALG,
         "    for acc, row in zip(accs, rows):\n",
@@ -230,15 +246,15 @@ MUTANTS = [
     (
         "weyl meet on each block given every weyl row anchored there but the first",
         CURVATURE,
-        "meet_kernel(self.affine, weyl_rows(self.space, self.block))",
-        "meet_kernel(self.affine, weyl_rows(self.space, self.block)[1:])",
+        "meet_kernel(self.affine, weyl_rows(self.space, self.block), self.solved)",
+        "meet_kernel(self.affine, weyl_rows(self.space, self.block)[1:], self.solved)",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
         "riemann meet given every trace row but the last",
         CURVATURE,
-        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block))",
-        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block)[:-1])",
+        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block), self.solved)",
+        "meet_kernel(self.weyl, riemann_trace_rows(self.space.n, self.block)[:-1], self.solved)",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
@@ -251,8 +267,8 @@ MUTANTS = [
     (
         "conformal meet on each block given every Ricci row anchored there but the last",
         CURVATURE,
-        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block))",
-        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block)[:-1])",
+        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block),\n",
+        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block)[:-1],\n",
         ["tests/test_curvature.py::test_catalog_kernels_pass_the_modular_rank_certificate"],
     ),
     (
@@ -496,8 +512,8 @@ MUTANTS = [
     (
         "conformal meet on each block without its Ricci rows",
         CURVATURE,
-        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block))",
-        "riemann_rows(self.space.n, self.block))",
+        "riemann_rows(self.space.n, self.block) + ricci_rows(self.space, self.block),\n",
+        "riemann_rows(self.space.n, self.block),\n",
         ["tests/test_curvature.py::test_conformal_is_the_direct_kernel_over_every_coordinate",
          "tests/test_blocks.py::test_representative_blocks_pass_the_modular_rank_certificate"],
     ),

@@ -186,8 +186,8 @@ def test_first_pair_rows_cut_what_the_full_rows_cut(n, kind, sig, monkeypatch):
         monkeypatch.setattr(curvature, name, tagged)
     meets = []
 
-    def recording_meet_kernel(base, rows):
-        out = linalg.meet_kernel(base, rows)
+    def recording_meet_kernel(base, rows, *solved):
+        out = linalg.meet_kernel(base, rows, *solved)
         if isinstance(rows, _FirstPairRows):
             meets.append((base, rows.full, out))
         return out
@@ -718,29 +718,28 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
     # thm4.1 reads the axis blocks of the space without its structure: K over
     # n^3 columns, which the two catalogs share, then the coefficient kernels
     # of the meets on its three representatives and on the two blocks its
-    # certificate reaches from them, 11 in all (a meet whose rows all
-    # restrict to zero builds none)
+    # certificate reaches from them, 10 in all (a meet whose rows all
+    # restrict to zero builds none).  At four distinct axes no trace, tie or
+    # Ricci row is anchored, so the weyl rows and conformal's riemann and
+    # Ricci rows restrict to the same rows on affine there: one system, solved
+    # once, so that block's conformal is its weyl
     assert [mask for mask, _, _ in catalog(s).axes.orbits] == [0, 3, 15]
-    assert len(axis_built) == 1 + 11
+    assert len(axis_built) == 1 + 10
+    axes = catalog(s).axes
+    four = axes.block_chain(15)
+    same = [row for row in restrict_rows(four.affine, weyl_rows(axes.space, four.block)) if row]
+    ricci = restrict_rows(four.affine, riemann_rows(4, four.block) + ricci_rows(axes.space, four.block))
+    assert frozenset(frozenset(r.items()) for r in ricci if r) == frozenset(frozenset(r.items()) for r in same)
+    assert (four.affine.dim, frozenset(frozenset(r.items()) for r in same)) in axis_built
+    assert four.conformal == four.weyl
     # then the four two-tensor kernels and, on each of the two plane blocks
     # (both planes odd, or none): weyl, riemann, conformal on affine, the
     # structure identity on weyl and on sigma_image (thm1.5) and the riemann
     # trace rows on kaehler_weyl; thm4.2 and dims read the blocks as built
     assert len(catalog(s).orbits) == 2
     assert len(plane_built) == 4 + 2 * 6
-    # the plane catalog solves no system twice.  The axis catalog solves one
-    # twice: at four distinct axes no trace, tie or Ricci row is anchored, so
-    # the weyl rows and conformal's riemann and Ricci rows restrict to the
-    # same rows on affine there.  Systems of the two catalogs may coincide,
-    # and no kernel runs over all n^4 columns
-    assert len(set(plane_built)) == len(plane_built)
-    axes = catalog(s).axes
-    four = axes.block_chain(15)
-    same = [row for row in restrict_rows(four.affine, weyl_rows(axes.space, four.block)) if row]
-    ricci = restrict_rows(four.affine, riemann_rows(4, four.block) + ricci_rows(axes.space, four.block))
-    assert frozenset(frozenset(r.items()) for r in ricci if r) == frozenset(frozenset(r.items()) for r in same)
-    assert [key for key in set(axis_built) if axis_built.count(key) > 1] == [
-        (four.affine.dim, frozenset(frozenset(r.items()) for r in same))]
-    assert len(set(axis_built)) == len(axis_built) - 1
+    # no system is solved twice, in either catalog or across the two, and no
+    # kernel runs over all n^4 columns
+    assert len(set(built)) == len(built)
     assert sum(ncols == 4 ** 4 for ncols, _ in built) == 0
     assert sum(ncols == 4 ** 3 for ncols, _ in built) == 1

@@ -485,6 +485,29 @@ def test_meet_kernel_equals_intersection_with_the_kernel(kind):
     assert proper > 0
 
 
+def test_meet_kernel_solves_each_kept_system_once(monkeypatch):
+    """With ``solved``, the meet is the meet without it; a system met again,
+    on another base of the same dimension with its rows in another order,
+    reuses the kept kernel and recombines it on its own base, and a system
+    that differs in one row is solved."""
+    real = linalg.kernel_subspace
+    calls = []
+    monkeypatch.setattr(linalg, "kernel_subspace", lambda rows, ncols: calls.append(ncols) or real(rows, ncols))
+    a = Subspace.from_vectors([{0: 1, 3: 1}, {1: 1}, {2: 1, 3: -1}], 4)
+    rows = [{0: 1, 1: 1}, {1: 1, 3: -1}]
+    solved: dict = {}
+    assert meet_kernel(a, rows, solved) == meet_kernel(a, rows)
+    assert len(solved) == 1 and len(calls) == 2
+    # a shifted up four columns: the rows restrict as on a
+    b = Subspace.from_vectors([{c + 4: v for c, v in row.items()} for row in a.basis_dicts()], 8)
+    shifted = [{c + 4: v for c, v in row.items()} for row in rows[::-1]]
+    meet = meet_kernel(b, shifted, solved)
+    assert len(solved) == 1 and len(calls) == 2
+    assert meet == meet_kernel(b, shifted) and meet.ambient_dim == 8
+    assert meet_kernel(a, rows[:1], solved) == meet_kernel(a, rows[:1])
+    assert len(solved) == 2 and len(calls) == 5
+
+
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_meet_eliminates_exactly_the_nonzero_restricted_rows(kind, monkeypatch):
     """The structure identity restricted to weyl at n = 6 restricts some rows
