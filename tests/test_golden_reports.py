@@ -7,9 +7,10 @@ at n = 10 in both geometries; of the orbit edge cases of the parity blocks
 thm4.1 and ``dims`` with plane sign types interleaved by ``--sig`` and
 ``--eps``, and thm4.1 at n = 9 without a structure, at n = 12 ``--sig
 6,6`` and with a mixed para layout at n = 10); of sec5, eq4c and ``dims`` at n = 10 in both geometries, and
-of sec5 and ``dims`` with mixed sign layouts; of
-two markdown reports, eq4d's with its
-note line and thm1.5's at n = 4 with its witness line; of a set of
+of sec5 and ``dims`` with mixed sign layouts; of eq4d and lemma4.9 at
+n = 12 in both geometries and with three mixed sign layouts at n = 8; of
+three markdown reports, eq4d's with its note line, lemma4.9's and
+thm1.5's at n = 4 with its witness line; of a set of
 ``eval`` commands
 (Nijenhuis breakdowns, their usage errors, and one sigma, psi and invariant
 evaluation each); and of a sweep of all seven claims at n = 4 and 6 in both
@@ -89,7 +90,14 @@ CASES = [
     "dims --n 8 --kind complex --sig 2,6",
     "verify sec5 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-",
     "verify sec5 --n 8 --kind para --eps=-,+,+,-,+,-,-,+",
+    # the opposed module's commutants at n = 12 and with mixed sign layouts
+    *(f"verify {claim} --n 12 --kind {kind}" for kind in ("complex", "para")
+      for claim in ("eq4d", "lemma4.9")),
+    *(f"verify {claim} --n 8 --kind {layout}"
+      for layout in ("complex --sig 2,6", "complex --eps=+,+,-,-,+,+,-,-", "para --eps=-,+,+,-,+,-,-,+")
+      for claim in ("eq4d", "lemma4.9")),
     "verify eq4d --n 6 --kind para --format md",
+    "verify lemma4.9 --n 6 --kind complex --format md",
     "verify thm1.5 --n 4 --kind complex --format md",
     "eval nijenhuis --n 6",
     "eval nijenhuis --n 4",
@@ -252,7 +260,18 @@ GOLDEN = {
     "dims --n 8 --kind complex --sig 2,6": (0, "25b9f1c361ef8867c9324b674d4b2553a242ed83b12b0ac029225477cc94cafc"),
     "verify sec5 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-": (0, "ad2c55961dd64aadcfb6fafe9728a6bf6497644bdf04556d4b8846fde6de34fa"),
     "verify sec5 --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "79ec6cce652acfcb2ce327c698a13fefd676bc86dd9905c18f0369d40a279dbc"),
+    "verify eq4d --n 12 --kind complex": (0, "0ae1c65090cf9e016bc9ee80be39bcbc2e4652798209ea6a3530092e2f88b6df"),
+    "verify lemma4.9 --n 12 --kind complex": (0, "eeb1b138f0793cfd6606f4b4ed9e8f8209a85b647607ea64dcfc8b6d9108b5fb"),
+    "verify eq4d --n 12 --kind para": (0, "448a50ade7def1382bc5e6f8708a733f2e6d749eef2f8c6faeacabb57e0be296"),
+    "verify lemma4.9 --n 12 --kind para": (0, "2b7f3555e35feb378207c265fb57375dfcf0d8ebfdc4918584cb14f7ec55a694"),
+    "verify eq4d --n 8 --kind complex --sig 2,6": (0, "ed517e909421c7a4c9a69b91a318e8af48631fca99031418eaf4b10ccd0056d5"),
+    "verify lemma4.9 --n 8 --kind complex --sig 2,6": (0, "1573f6ee3d5524ecef3da73fb328f8a58c4a4056d2ebc32937043190c4ca4525"),
+    "verify eq4d --n 8 --kind complex --eps=+,+,-,-,+,+,-,-": (0, "ddb2ea66ea604521f2bd698318828bc148f3226ddf1e5656570fc7f7282d669c"),
+    "verify lemma4.9 --n 8 --kind complex --eps=+,+,-,-,+,+,-,-": (0, "239b6452341999ebef659a90e06d3fd4410fcb77777136d5db9b7aea023a2b57"),
+    "verify eq4d --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "d86a0642cd53cf28b4e032742a2551b5d8f4bfb025cb66f2029846d16edec4dc"),
+    "verify lemma4.9 --n 8 --kind para --eps=-,+,+,-,+,-,-,+": (0, "578e7f8579d63ccaf9fce0c56e3f3f6283908daa89f292bc0e45bb017c889b37"),
     "verify eq4d --n 6 --kind para --format md": (0, "e290ef4c028c78994aeabf65f750ccce0d7516040180563e7f4b1d11a0bb9cf3"),
+    "verify lemma4.9 --n 6 --kind complex --format md": (0, "d2ccc7a37e69b46e797b60184456e5a9a6296c0f5bbed4c3f8bfd1edb30d0c66"),
     "verify thm1.5 --n 4 --kind complex --format md": (0, "7ad4c4c10f34ae68054862a3b5970e15b8b3ad4145f9a5c0a56e82e23cb3cd04"),
     "eval nijenhuis --n 6": (0, "df46ddbc2f2f46b40ee087bae5f46b47c34c6c3e8f6392f85ae9753abf9a6769"),
     "eval nijenhuis --n 4": (0, "76f2cdd24ee11faae00e3da736317c95e7a4bbedbf2917c18f04153d29b7a8ad"),
