@@ -30,10 +30,11 @@ proven generating set (a Lie element or two, the sign-block cycles, the
 component representatives the cycles do not reach) to every basis vector,
 each through a table over the n² rank-2 coordinates, element by element,
 and stops at the first image outside the subspace.  eq4d and lemma4.9 read
-one set of representation matrices, built once per catalog.  Each verifier
-returns its quantities, verdict and witnesses, and :func:`run_claim` builds
-every report from them.  A functional
-is evaluated on a module as a row restricted to its basis: the invariant
+one set of representation matrices and their commutants, solved once per
+catalog over d² entries; the doubled one is four block copies of eq4d's.
+Each verifier returns its quantities, verdict and witnesses, and
+:func:`run_claim` builds every report from them.  A functional is
+evaluated on a module as a row restricted to its basis: the invariant
 contractions on both sides of mod_a ⊗ mod_b, thm4.2's Gram count on the
 side with fewer entries.
 """
@@ -365,6 +366,21 @@ class CurvatureCatalog:
         keeps nothing, when the action leaves the module."""
         return representation_matrices(self.two_tensors.alt_opposed, self.space, "Ustar")
 
+    @cached_property
+    def opposed_commutants(self) -> tuple[Subspace, Subspace]:
+        """The commutants of :attr:`opposed_matrices`, (unextended, full), which
+        eq4d and lemma4.9 read: the kernel of the matrices of U's elements
+        (the Lie elements, the cycles, which commute with J, and the
+        representatives in U), then that kernel met with the commutator rows
+        of the other representatives, which extend U to the full group."""
+        d = self.two_tensors.alt_opposed.dim
+        unitary, extended = component_reps(self.space, "U"), component_reps(self.space, "Ustar")
+        parts: tuple[list[Vec], list[Vec]] = ([], [])
+        for (action, idx), m in self.opposed_matrices.items():
+            parts[action == "component_rep" and extended[idx] not in unitary].append(m)
+        unextended = commutant_kernel(parts[0], d)
+        return unextended, meet_kernel(unextended, chain.from_iterable(_commutator_rows(m, d) for m in parts[1]))
+
     def rank4_names(self) -> list[str]:
         names = ["affine", "weyl", "riemann", "conformal", "sigma_image"]
         if self.space.kind != "none":
@@ -533,8 +549,9 @@ def conformal_o_invariant(axes: CurvatureCatalog) -> bool:
 def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dict[tuple[str, int], Vec]:
     """The action on ``sub`` in its canonical basis: one d x d ``{i*d + j:
     value}`` dict per element of the generating set, whose column j holds the
-    coordinates of the image of basis vector j.  Keyed by ``(action,
-    element)`` as witnesses name the element, in certificate order (see
+    coordinates of the image of basis vector j on the pivot-one rows: its
+    entries at their pivots, over its scale.  Keyed by ``(action, element)``
+    as witnesses name the element, in certificate order (see
     :func:`_group_images`): the Lie elements, the sign-block cycles, then the
     kept component representatives.  These generate the group's action, so
     the commutant of these matrices is the commutant of the group.
@@ -544,12 +561,13 @@ def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dic
     """
     reducer = SubspaceReducer(sub)
     d = sub.dim
+    index = {p: i for i, p in enumerate(sub.pivots)}
     mats: dict[tuple[str, int], Vec] = {}
     for key, j, img, scale in _group_images(sub, space, group):
-        coords = reducer.coordinates(img, scale)
-        if coords is None:
+        if not reducer.contains(img):
             raise NotInvariantError(f"subspace not invariant under {key[0]} element {key[1]}", _witness(key, j))
-        mats.setdefault(key, {}).update((i * d + j, v) for i, v in enumerate(coords) if v)
+        mats.setdefault(key, {}).update((index[c] * d + j, Fraction(v, scale)) for c, v in img.items()
+                                        if v and c in index)
     return mats
 
 
@@ -578,19 +596,14 @@ def commutant_kernel(mats: Iterable[Vec], d: int) -> Subspace:
     return kernel_subspace(chain.from_iterable(_commutator_rows(m, d) for m in mats), d * d)
 
 
-def commutant_dimension(mats: Iterable[Vec], d: int) -> int:
-    """Dimension of :func:`commutant_kernel`."""
-    return commutant_kernel(mats, d).dim
-
-
-def _block_diag(m: Vec, d: int) -> Vec:
-    """The 2d x 2d matrix diag(m, m) of a d x d matrix ``m``."""
-    out = {}
-    for c, v in m.items():
-        i, j = divmod(c, d)
-        out[2 * d * i + j] = v
-        out[2 * d * (d + i) + d + j] = v
-    return out
+def _block_copies(sub: Subspace, d: int) -> Subspace:
+    """The commutant of every diag(M, M) from ``sub``, that of every d x d M:
+    [[A, B], [C, D]] commutes with diag(M, M) iff each block commutes with M.
+    So it is four copies of ``sub``, entry (i, k) of block (r, c) at (r + i)*2d
+    + c + k, each on columns of its own, in order: the sorted union is canonical."""
+    rows = [tuple(chain.from_iterable(((r + col // d) * 2 * d + c + col % d, v) for col, v in items))
+            for r in (0, d) for c in (0, d) for items in sub.row_items()]
+    return Subspace(4 * d * d, tuple(sorted(rows)))
 
 
 def _block_scalars(d: int) -> Subspace:
@@ -924,39 +937,29 @@ def verify_invariant_span_bound(space: ModelSpace) -> Outcome:
 
 def verify_commutant_line(space: ModelSpace) -> Outcome:
     """Equivariant self-maps of the opposed 2-form module are scalar."""
-    cat = catalog(space)
     try:
-        mats = cat.opposed_matrices
+        unextended, full = catalog(space).opposed_commutants
     except NotInvariantError as err:
         return {"alt_opposed_invariant": False}, False, [err.witness]
-    d = cat.two_tensors.alt_opposed.dim
-    dim_comm = commutant_dimension(mats.values(), d)
-    # the unextended group: U and Ustar share the Lie elements and the
-    # cycles, which commute with J, and its representatives are the kept
-    # Ustar ones that lie in U
-    unitary = component_reps(space, "U")
-    extended = component_reps(space, "Ustar")
-    unextended = [m for (action, idx), m in mats.items() if action != "component_rep" or extended[idx] in unitary]
-    dim_unextended = commutant_dimension(unextended, d)
     quantities = {
-        "commutant_dimension": dim_comm,
+        "commutant_dimension": full.dim,
         "expected": 1,
         # informational only: without the extension the commutant is larger
         # (real dimension 2), and no irreducibility verdict is drawn from it
-        "commutant_dimension_unextended_group": dim_unextended,
+        "commutant_dimension_unextended_group": unextended.dim,
     }
-    return quantities, dim_comm == 1, []
+    return quantities, full.dim == 1, []
 
 
 def verify_doubled_commutant(space: ModelSpace) -> Outcome:
     """Doubling the opposed module yields the 2x2 commutant of a multiplicity-2 block."""
     cat = catalog(space)
     try:
-        mats = cat.opposed_matrices
+        _, full = cat.opposed_commutants
     except NotInvariantError as err:
         return {"alt_opposed_invariant": False}, False, [err.witness]
     d = cat.two_tensors.alt_opposed.dim
-    kernel = commutant_kernel([_block_diag(m, d) for m in mats.values()], 2 * d)
+    kernel = _block_copies(full, d)
     # every line {(a t, b t)} of the double is invariant exactly when the
     # commutant is the block scalars, which holds once its dimension is 4
     lines_ok = kernel == _block_scalars(d)

@@ -32,8 +32,8 @@ back-substitute it.
 There is one matrix format, the sparse rank-2 one: a linear map on R^k is
 the ``{a*k + b: value}`` dict of its nonzero entries (a, b), the flat-index
 convention of rank-2 tensors; :func:`matmul` composes two of them.  A
-commutant is one :func:`kernel_subspace` over the k*k entries, of the
-commutator rows of all its matrices at once.
+commutant is one :func:`kernel_subspace` over the k*k entries of all its
+matrices' commutator rows, or a commutant met with more matrices' rows.
 """
 
 from __future__ import annotations
@@ -234,14 +234,13 @@ class Subspace(NamedTuple):
 
 
 class SubspaceReducer:
-    """Membership and coordinates read off the stored rows of a subspace's
-    reduced row-echelon basis: ``v`` is in the span iff ``v == sum_p v[p] *
-    b_p`` over the pivots p, ``b_p`` the row at p over its pivot entry."""
+    """Membership read off the stored rows of a subspace's reduced row-echelon
+    basis: ``v`` is in the span iff ``v == sum_p v[p] * b_p`` over the pivots
+    p, ``b_p`` the row at p over its pivot entry."""
 
     def __init__(self, sub: Subspace):
-        self._pivots = sub.pivots
         # pivot -> stored basis row; its first value, at the pivot, is its scale
-        self._rows = dict(zip(self._pivots, sub.basis))
+        self._rows = dict(zip(sub.pivots, sub.basis))
 
     def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
         """``lead * (vec - sum_p vec[p] * b_p)`` is zero, ``lead`` the lcm of the
@@ -265,13 +264,6 @@ class SubspaceReducer:
             for c, r in zip(it, it):
                 diff[c] = diff.get(c, 0) - m * r
         return not any(diff.values())
-
-    def coordinates(self, vec: Mapping[int, Fraction | int], scale: int = 1) -> list[Fraction] | None:
-        """Coefficients of ``vec / scale`` in the pivot-one basis (each stored row
-        divided by its pivot entry), or None if outside."""
-        if not self.contains(vec):
-            return None
-        return [Fraction(vec.get(p, 0), scale) for p in self._pivots]
 
 
 def kernel_subspace(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> Subspace:

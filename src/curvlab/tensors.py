@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -367,14 +367,19 @@ def _pairs(n: int, block: Block | None) -> Sequence[int]:
 def _anchors(n: int, block: Block | None) -> list[tuple[int, Sequence[int]]]:
     """Each first pair f = i*n + j, i < j, with the last pairs k*n + l that
     complete it to an anchor (i, j, k, l) in ``block`` (every one when None),
-    read off the groups of the two pairs' masks.  Each row below lies in its
-    anchor's parity block."""
+    read off the groups of the two pairs' masks, in the order the groups were
+    kept.  A pair's mask holds no unit or two: a first pair's pairs in a block
+    of four units with two of them, in one of two with none, both, or one and
+    one outside, in that of none with itself.  Each row lies in its block."""
     if block is None:
         return [(i * n + j, range(n * n)) for i in range(n) for j in range(i + 1, n)]
     mask, bits = block
     groups = _pair_groups(n, tuple(bits))
-    return [(f, lasts) for first_mask, firsts in groups.items() if (lasts := groups.get(mask ^ first_mask))
-            for f in firsts if f // n < f % n]
+    inside = [u for u in set(bits) if mask & u]
+    firsts = ({a | b for a, b in combinations(inside, 2)} if len(inside) == 4 else
+              {0, mask, *(a | u for a in inside for u in set(bits) if not mask & u)} if inside else groups)
+    return [(f, lasts) for first_mask in sorted(firsts, key=lambda m: groups[m][0])
+            if (lasts := groups.get(mask ^ first_mask)) for f in groups[first_mask] if f // n < f % n]
 
 
 def antisym_rows(n: int) -> list[dict[int, int]]:

@@ -324,6 +324,37 @@ MUTANTS = [
          "tests/test_group_actions.py::test_commutant_kernels_pass_the_modular_rank_certificate"],
     ),
     (
+        "doubled commutant with a block copy at the wrong column offset",
+        CURVATURE,
+        "((r + col // d) * 2 * d + c + col % d, v)",
+        "((r + col // d) * 2 * d + r + col % d, v)",
+        ["tests/test_group_actions.py::test_commutant_matches_dense_oracle",
+         "tests/test_group_actions.py::test_line_family_is_read_off_the_doubled_commutant",
+         "tests/test_group_actions.py::test_commutant_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "full commutant taken as the unextended one, the extension's rows skipped",
+        CURVATURE,
+        "return unextended, meet_kernel(unextended, chain.from_iterable(_commutator_rows(m, d) for m in parts[1]))",
+        "return unextended, unextended",
+        ["tests/test_group_actions.py::test_commutant_kernels_pass_the_modular_rank_certificate",
+         "tests/test_verifiers.py::test_unextended_commutant_reported_without_verdict"],
+    ),
+    (
+        "representation matrix entry not divided by its image's scale",
+        CURVATURE,
+        "(index[c] * d + j, Fraction(v, scale))",
+        "(index[c] * d + j, Fraction(v))",
+        ["tests/test_group_actions.py::test_representation_scales_match_dense_oracle"],
+    ),
+    (
+        "anchors of a two-unit block without the first pairs of no unit",
+        TENSORS,
+        "{0, mask, *(a | u",
+        "{mask, *(a | u",
+        ["tests/test_blocks.py::test_anchors_pair_only_the_masks_that_can_pair_as_the_full_scan_does"],
+    ),
+    (
         "meet keeping the restricted rows that are zero",
         LINALG,
         "rows = [row for row in restrict_rows(base, rows) if row]",

@@ -19,8 +19,7 @@ from curvlab.spaces import make_standard, random_lie_elements
 from curvlab.curvature import (
     build_catalog,
     catalog,
-    _block_diag,
-    commutant_dimension,
+    commutant_kernel,
     invariance_witness,
     invariant_span_dimension,
     representation_matrices,
@@ -35,7 +34,16 @@ from curvlab.tensors import (
     defect_weyl,
     inner2,
 )
-from oracles import dense_kernel, dense_rref, same_span, tensor4_from_obj, two_form_coordinates, wedge_omega_matrix
+from oracles import (
+    Matrix,
+    block_diag,
+    dense_kernel,
+    dense_rref,
+    same_span,
+    tensor4_from_obj,
+    two_form_coordinates,
+    wedge_omega_matrix,
+)
 
 F = Fraction
 
@@ -163,8 +171,9 @@ def test_criterion_6_commutants_and_invariant_span():
         split = catalog(s).two_tensors
         d = split.alt_opposed.dim
         mats = list(representation_matrices(split.alt_opposed, s, "Ustar").values())
-        checks[f"{kind}: commutant line"] = commutant_dimension(mats, d) == 1
-        checks[f"{kind}: doubled commutant"] = commutant_dimension([_block_diag(m, d) for m in mats], 2 * d) == 4
+        doubled = [block_diag(Matrix.from_dict(d, m)).to_dict() for m in mats]
+        checks[f"{kind}: commutant line"] = commutant_kernel(mats, d).dim == 1
+        checks[f"{kind}: doubled commutant"] = commutant_kernel(doubled, 2 * d).dim == 4
         checks[f"{kind}: invariant span"] = (
             invariant_span_dimension(split.alt_opposed, split.alt_opposed, s) == 1
         )

@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from test_cli import _break_lie_basis
-from curvlab import curvature
+from curvlab import curvature, tensors
 from curvlab.curvature import BlockChain, CurvatureCatalog, catalog, run_claim
 from curvlab.linalg import Subspace, meet_kernel, rank_of_rows, restrict_rows, subspace_sum
 from curvlab.spaces import generating_set, make_standard, parity_blocks, unit_bits
@@ -56,6 +56,29 @@ def test_blocks_partition_the_coordinates(n, kind, sig, eps):
     for rep, size, others in orbits:
         assert size == 1 + len(others)
         assert {rep, *others} == {mask for mask in masks if oracles.unit_permutation(s, rep, mask) is not None}
+
+
+@pytest.mark.parametrize("n,kind,sig", [
+    *((n, kind, None) for n in (4, 6, 8) for kind in ("complex", "para", "none")),
+    (6, "complex", (4, 2)), (6, "none", (4, 2)), (5, "none", None), (7, "none", None), (7, "none", (4, 3)),
+])
+def test_anchors_pair_only_the_masks_that_can_pair_as_the_full_scan_does(n, kind, sig):
+    """On every block, the anchors that enumerate only the first-pair masks
+    that can pair inside it are those of a scan of every mask group, in the
+    same order, and hold exactly the first pairs i < j and the last pairs
+    that complete them to a coordinate in the block."""
+    s = make_standard(n, kind, sig)
+    bits = unit_bits(s)
+    groups = tensors._pair_groups(n, tuple(bits))
+    for rep, _, others in parity_blocks(s):
+        for mask in [rep, *others]:
+            got = tensors._anchors(n, (mask, bits))
+            scan = [(f, lasts) for first_mask, firsts in groups.items() if (lasts := groups.get(mask ^ first_mask))
+                    for f in firsts if f // n < f % n]
+            assert got == scan, mask
+            assert {(f, c) for f, lasts in got for c in lasts} == {
+                (i * n + j, k * n + l) for i in range(n) for j in range(i + 1, n) for k in range(n) for l in range(n)
+                if bits[i] ^ bits[j] ^ bits[k] ^ bits[l] == mask}, mask
 
 
 @pytest.mark.parametrize("n,kind,sig,eps", [

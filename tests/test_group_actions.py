@@ -18,13 +18,13 @@ from curvlab.spaces import (
     random_lie_elements,
     signed_pair_table,
 )
-from curvlab import curvature
+from curvlab import curvature, linalg
 from curvlab.curvature import (
     NotInvariantError,
-    _block_diag,
+    _block_copies,
     build_catalog,
     catalog,
-    commutant_dimension,
+    commutant_kernel,
     invariance_witness,
     invariant_rows,
     invariant_span_dimension,
@@ -263,15 +263,20 @@ def test_extra_element_is_numbered_after_the_whole_basis(complex4):
     assert invariance_witness(sub, s, "U", extra_lie=extra) == {"action": "lie", "element": 5, "basis_vector": 0}
 
 
+def _doubled(mats, d):
+    """diag(M, M) of each d x d matrix, from the dense oracle, as sparse dicts."""
+    return [oracles.block_diag(oracles.Matrix.from_dict(d, m)).to_dict() for m in mats]
+
+
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_commutant_dimensions(kind):
     s = make_standard(6, kind)
     split = catalog(s).two_tensors
     d = split.alt_opposed.dim
     mats = list(representation_matrices(split.alt_opposed, s, "Ustar").values())
-    assert commutant_dimension(mats, d) == 1
-    assert commutant_dimension(representation_matrices(split.h_line, s, "Ustar").values(), 1) == 1
-    assert commutant_dimension([_block_diag(m, d) for m in mats], 2 * d) == 4
+    assert commutant_kernel(mats, d).dim == 1
+    assert commutant_kernel(representation_matrices(split.h_line, s, "Ustar").values(), 1).dim == 1
+    assert commutant_kernel(_doubled(mats, d), 2 * d).dim == 4
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -280,7 +285,8 @@ def test_commutant_matches_dense_oracle(n, kind):
     """The commutant kernel against the dense commutator rows, on the opposed
     module, the metric line and the opposed pair inside the weyl space, each
     also doubled: 2 x 2 blocks over the original commutant, four times its
-    dimension."""
+    dimension, and the four block copies of the commutant are the kernel
+    over the (2d)² entries of the doubled matrices."""
     s = make_standard(n, kind)
     cat = catalog(s)
     modules = {
@@ -294,11 +300,12 @@ def test_commutant_matches_dense_oracle(n, kind):
         mats = list(representation_matrices(sub, s, "Ustar").values())
         dense = [oracles.Matrix.from_dict(d, m) for m in mats]
         doubled = [oracles.block_diag(m) for m in dense]
-        assert [oracles.Matrix.from_dict(2 * d, _block_diag(m, d)) for m in mats] == doubled, name
-        dims[name] = commutant_dimension(mats, d)
+        kernel = commutant_kernel(mats, d)
+        dims[name] = kernel.dim
         assert dims[name] == oracles.commutant_dimension(dense), name
-        doubled_dim = commutant_dimension([_block_diag(m, d) for m in mats], 2 * d)
-        assert doubled_dim == oracles.commutant_dimension(doubled) == 4 * dims[name], name
+        doubled_kernel = commutant_kernel([m.to_dict() for m in doubled], 2 * d)
+        assert doubled_kernel == _block_copies(kernel, d), name
+        assert doubled_kernel.dim == oracles.commutant_dimension(doubled) == 4 * dims[name], name
     assert (dims["alt_opposed"], dims["h_line"], dims["opposed_pair"]) == (1, 1, 4)
 
 
@@ -320,23 +327,22 @@ def test_commutant_of_random_block_diagonal_sets_matches_dense_oracle(seed):
                     rows[i][j] = rng.randint(-2, 2)
             start += size
         mats.append(oracles.Matrix.from_rows(rows))
-    dim = commutant_dimension([m.to_dict() for m in mats], d)
+    dim = commutant_kernel([m.to_dict() for m in mats], d).dim
     assert dim == oracles.commutant_dimension(mats)
     assert dim >= len(sizes) > 1
 
 
-def _record_commutant_kernels(monkeypatch):
-    """Patch :func:`curvature.commutant_kernel` to record ``(mats, d,
-    kernel)`` per call, into the list returned."""
+def _record_doubled_kernels(monkeypatch):
+    """Patch :func:`curvature._block_copies` to record each doubled commutant
+    it returns, into the list returned."""
     calls = []
-    real = curvature.commutant_kernel
+    real = curvature._block_copies
 
-    def recording(mats, d):
-        mats = list(mats)
-        calls.append((mats, d, real(mats, d)))
-        return calls[-1][2]
+    def recording(sub, d):
+        calls.append(real(sub, d))
+        return calls[-1]
 
-    monkeypatch.setattr(curvature, "commutant_kernel", recording)
+    monkeypatch.setattr(curvature, "_block_copies", recording)
     return calls
 
 
@@ -359,22 +365,24 @@ def test_line_family_is_read_off_the_doubled_commutant(n, kind, monkeypatch):
     """lemma4.9's line-family key holds when the doubled commutant kernel is
     the span of the dense block scalars, which commute with every
     diag(M, M); with a module whose commutant is larger (every matrix
-    replaced by the unit E_00, which commutes with more than the scalars)
-    the key and the verdict read false."""
+    replaced by the unit E_00, which commutes with more than the scalars,
+    and the kept commutants reset) the key and the verdict read false."""
     s = make_standard(n, kind)
-    calls = _record_commutant_kernels(monkeypatch)
+    calls = _record_doubled_kernels(monkeypatch)
     report = run_claim("lemma4.9", s)
     assert report.verdict and report.quantities["diagonal_line_family_invariant"]
-    (mats, d2, kernel), = calls
-    d = d2 // 2
+    kernel, = calls
+    d = catalog(s).two_tensors.alt_opposed.dim
+    assert kernel.ambient_dim == 4 * d * d
     scalars = _dense_block_scalars(d)
     assert oracles.same_span(oracles.dense(kernel), scalars)
-    for m in mats:
-        dense = oracles.Matrix.from_dict(d2, m)
+    for m in catalog(s).opposed_matrices.values():
+        dense = oracles.block_diag(oracles.Matrix.from_dict(d, m))
         for t in scalars:
-            t = oracles.Matrix(d2, d2, tuple(t))
+            t = oracles.Matrix(2 * d, 2 * d, tuple(t))
             assert t.mul(dense) == dense.mul(t)
     monkeypatch.setattr(catalog(s), "opposed_matrices", {("lie", 0): {0: 1}})
+    monkeypatch.delitem(vars(catalog(s)), "opposed_commutants")
     broken = run_claim("lemma4.9", s)
     assert broken.quantities["diagonal_line_family_invariant"] is False and not broken.verdict
     assert broken.quantities["doubled_commutant_dimension"] > 4
@@ -383,21 +391,58 @@ def test_line_family_is_read_off_the_doubled_commutant(n, kind, monkeypatch):
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["complex", "para"])
 def test_commutant_kernels_pass_the_modular_rank_certificate(n, kind, monkeypatch):
-    """Each kernel that eq4d and lemma4.9 take a commutant dimension from
-    (the Ustar matrices of the opposed module, the unextended-group subset
-    and the doubled matrices) is certified against the commutator rows of
-    the dense loop, with no code from the engine."""
+    """Each kernel that eq4d and lemma4.9 take a commutant dimension from is
+    certified against the commutator rows of the dense loop, with no code
+    from the engine: the unextended one against the rows of the Ustar
+    matrices of the opposed module that lie in the unextended group, the
+    full one against those of every matrix, and the doubled one against
+    those of every matrix's dense diag(M, M)."""
     s = make_standard(n, kind)
-    calls = _record_commutant_kernels(monkeypatch)
+    catalog.cache_clear()
+    calls = _record_doubled_kernels(monkeypatch)
     line = run_claim("eq4d", s).quantities
     doubled = run_claim("lemma4.9", s).quantities
     dims = [line["commutant_dimension"], line["commutant_dimension_unextended_group"],
             doubled["doubled_commutant_dimension"]]
     assert dims == [1, 2, 4]
-    assert [kernel.dim for _, _, kernel in calls] == dims
-    for mats, d, kernel in calls:
-        rows = oracles.commutator_rows([oracles.Matrix.from_dict(d, m) for m in mats])
-        assert oracles.kernel_certificate(kernel, rows) == [], (d, len(mats))
+    cat = catalog(s)
+    d = cat.two_tensors.alt_opposed.dim
+    unitary, extended = component_reps(s, "U"), component_reps(s, "Ustar")
+    mats = {key: oracles.Matrix.from_dict(d, m) for key, m in cat.opposed_matrices.items()}
+    unextended_mats = [m for (action, idx), m in mats.items() if action != "component_rep" or extended[idx] in unitary]
+    assert len(unextended_mats) < len(mats)
+    unextended, full = cat.opposed_commutants
+    kernel, = calls
+    assert [full.dim, unextended.dim, kernel.dim] == dims
+    for sub, dense in ((unextended, unextended_mats), (full, list(mats.values())),
+                       (kernel, [oracles.block_diag(m) for m in mats.values()])):
+        assert oracles.kernel_certificate(sub, oracles.commutator_rows(dense)) == [], (sub.ambient_dim, len(dense))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("kind", ["complex", "para"])
+def test_eq4d_and_lemma49_solve_one_commutant_over_d_squared_columns(n, kind, monkeypatch):
+    """eq4d then lemma4.9 on one catalog solve exactly one kernel over the d²
+    entries of a d x d matrix, the unextended commutant, and none over the
+    (2d)² entries of the doubled matrices: the full commutant is a meet on
+    the unextended one, and the doubled one its four block copies."""
+    s = make_standard(n, kind)
+    catalog.cache_clear()
+    d = catalog(s).two_tensors.alt_opposed.dim
+    assert n * n not in (d * d, 4 * d * d)
+    cols = []
+    real = linalg.kernel_subspace
+
+    def recording(rows, ncols):
+        cols.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_subspace", recording)
+    monkeypatch.setattr(curvature, "kernel_subspace", recording)
+    assert run_claim("eq4d", s).verdict and run_claim("lemma4.9", s).verdict
+    assert cols.count(d * d) == 1
+    assert max(c for c in cols if c != d * d) < d * d
+    assert 4 * d * d not in cols
 
 
 @pytest.mark.parametrize("kind", ["complex", "para"])
@@ -455,7 +500,7 @@ def test_multiplicity_two_block_inside_weyl(complex6):
     cat = catalog(s)
     pair = subspace_sum(cat.psi_span, cat.sigma_opposed_span)
     assert pair.dim == 12
-    assert commutant_dimension(representation_matrices(pair, s, "Ustar").values(), 12) == 4
+    assert commutant_kernel(representation_matrices(pair, s, "Ustar").values(), 12).dim == 4
 
 
 @pytest.mark.parametrize("kind,sig", [("complex", (6, 0)), ("complex", (4, 2)), ("para", None)])

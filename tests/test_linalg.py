@@ -298,7 +298,8 @@ def test_membership_and_coordinates_match_dense_oracle(kind):
     """One-pass membership on every n = 4 catalog space: an integer multiple
     of a random rational combination of the basis is inside, the same vector
     with one coordinate moved is judged as the rank-jump oracle judges it,
-    and the coordinates divided by the multiple are the combination."""
+    and its entries at the pivots divided by the multiple are the
+    combination: the coordinates that representation matrices read."""
     rng = random.Random(kind)
     outside = 0
     for name, sub in catalog(make_standard(4, kind)).all_spaces():
@@ -311,13 +312,12 @@ def test_membership_and_coordinates_match_dense_oracle(kind):
             vec = {k: int(v * scale) for k, v in enumerate(combo) if v}
             assert oracles.span_contains(basis, combo), name
             assert reducer.contains(vec), name
-            assert reducer.coordinates(vec, scale) == coeffs, name
+            assert [F(vec.get(p, 0), scale) for p in sub.pivots] == coeffs, name
             k = rng.randrange(sub.ambient_dim)
             vec[k] = vec.get(k, 0) + rng.choice((-1, 1)) * rng.randint(1, 3)
             moved = [F(vec.get(c, 0)) for c in range(sub.ambient_dim)]
             expected = oracles.span_contains(basis, moved)
             assert reducer.contains(vec) == expected, name
-            assert (reducer.coordinates(vec, scale) is None) == (not expected), name
             outside += not expected
     assert outside > 0
 
@@ -332,7 +332,7 @@ def test_membership_of_half_the_sum_of_two_non_unit_pivot_rows():
     reducer = SubspaceReducer(sub)
     vec = {0: 1, 1: 1, 2: 1}
     assert reducer.contains(vec)
-    coords = reducer.coordinates(vec)
+    coords = [vec[p] for p in sub.pivots]
     assert coords == [1, 1]
     assert [c / scale for c, scale in zip(coords, sub.pivot_scales)] == [F(1, 2), F(1, 2)]
     assert not reducer.contains({0: 1, 1: 1, 2: 2})
@@ -385,9 +385,10 @@ def mixed_pivot_subspaces(draw):
 
 @given(mixed_pivot_subspaces(), st.sampled_from(("unit", "nonunit", "both", "none")), st.data())
 def test_membership_with_non_unit_pivots_matches_dense_oracle(drawn, touch, data):
-    """contains and coordinates against the rank-jump oracle, on vectors whose
-    pivot entries lie only on rows with pivot entry 1, only on rows with a
-    larger pivot entry, on both, or on none; half of them moved off the span
+    """contains, and the pivot entries of a vector inside as its coordinates,
+    against the rank-jump oracle, on vectors whose pivot entries lie only on
+    rows with pivot entry 1, only on rows with a larger pivot entry, on
+    both, or on none; half of them moved off the span
     at a column that is no pivot, so the rows they touch stay the same.  A
     vector that touches both twin rows also holds k/s times their sum, k no
     multiple of s, so that its pivot entries there are no multiples of s.  Some
@@ -433,9 +434,8 @@ def test_membership_with_non_unit_pivots_matches_dense_oracle(drawn, touch, data
     reducer = SubspaceReducer(sub)
     assert reducer.contains(vec) == inside
     scale = data.draw(st.integers(1, 6))
-    coords = reducer.coordinates(vec, scale)
-    assert (coords is not None) == inside
     if inside:
+        coords = [F(vec.get(p, 0), scale) for p in sub.pivots]
         combo = [sum((c * row[k] for c, row in zip(coords, basis)), F(0)) for k in range(MIXED_COLS)]
         assert combo == [v / scale for v in dense_vec]
 
