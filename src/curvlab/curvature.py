@@ -30,13 +30,12 @@ proven generating set (a Lie element or two, the sign-block cycles, the
 component representatives the cycles do not reach) to every basis vector,
 each through a table over the n² rank-2 coordinates, element by element,
 and stops at the first image outside the subspace.  eq4d and lemma4.9 read
-one set of representation matrices and their commutants, solved once per
-catalog over d² entries; the doubled one is four block copies of eq4d's.
-Each verifier returns its quantities, verdict and witnesses, and
-:func:`run_claim` builds every report from them.  A functional is
-evaluated on a module as a row restricted to its basis: the invariant
-contractions on both sides of mod_a ⊗ mod_b, thm4.2's Gram count on the
-side with fewer entries.
+one set of representation matrices and its commutants, built once per
+catalog, lemma4.9's as four block copies of eq4d's.  Each verifier returns
+its quantities, verdict and witnesses, and :func:`run_claim` builds every
+report from them.  A functional is evaluated on a module as a row
+restricted to its basis: the invariant contractions on both sides of
+mod_a ⊗ mod_b, thm4.2's Gram count on the side with fewer entries.
 """
 
 from __future__ import annotations
@@ -573,19 +572,20 @@ def representation_matrices(sub: Subspace, space: ModelSpace, group: str) -> dic
 
 def _commutator_rows(m: Vec, d: int) -> list[dict[int, int]]:
     """Rows of T -> TM - MT on the d*d entries of T (T[i][k] at i*d + k), from
-    the nonzeros of ``m`` scaled to integers."""
+    the nonzeros of ``m`` scaled to integers: entry (i, j) reads column j of M
+    against row i of T, less row i of M against column j of T; the two parts
+    share only T[i][j], where the row may hold an explicit zero."""
     _, mrows = action_rows(m, d)
-    rows: dict[int, dict[int, int]] = {}
-    for a, pairs in enumerate(mrows):
-        for b, v in pairs:
-            for i in range(d):
-                # (TM)[i][b] has the term T[i][a] M[a][b]
-                row = rows.setdefault(i * d + b, {})
-                row[i * d + a] = row.get(i * d + a, 0) + v
-                # (MT)[a][i] has the term M[a][b] T[b][i]
-                row = rows.setdefault(a * d + i, {})
-                row[b * d + i] = row.get(b * d + i, 0) - v
-    return [{c: v for c, v in row.items() if v} for row in rows.values()]
+    _, mcols = action_rows({c % d * d + c // d: v for c, v in m.items()}, d)  # the rows of M's transpose
+    rows = []
+    for i, ipairs in enumerate(mrows):
+        for j, jpairs in enumerate(mcols):
+            if ipairs or jpairs:
+                row = {i * d + a: v for a, v in jpairs}
+                for b, v in ipairs:
+                    row[b * d + j] = row.get(b * d + j, 0) - v
+                rows.append(row)
+    return rows
 
 
 def commutant_kernel(mats: Iterable[Vec], d: int) -> Subspace:

@@ -324,6 +324,24 @@ MUTANTS = [
          "tests/test_group_actions.py::test_commutant_kernels_pass_the_modular_rank_certificate"],
     ),
     (
+        "commutator rows reading row j of M where its column j is meant",
+        CURVATURE,
+        "action_rows({c % d * d + c // d: v for c, v in m.items()}, d)",
+        "action_rows(m, d)",
+        ["tests/test_group_actions.py::test_commutant_matches_dense_oracle",
+         "tests/test_group_actions.py::test_commutant_of_random_block_diagonal_sets_matches_dense_oracle",
+         "tests/test_group_actions.py::test_commutant_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
+        "commutator rows kept only where both row i and column j of M are nonzero",
+        CURVATURE,
+        "            if ipairs or jpairs:\n",
+        "            if ipairs and jpairs:\n",
+        ["tests/test_group_actions.py::test_commutant_matches_dense_oracle",
+         "tests/test_group_actions.py::test_commutant_of_random_block_diagonal_sets_matches_dense_oracle",
+         "tests/test_group_actions.py::test_commutant_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
         "doubled commutant with a block copy at the wrong column offset",
         CURVATURE,
         "((r + col // d) * 2 * d + c + col % d, v)",
