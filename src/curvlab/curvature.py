@@ -5,7 +5,8 @@ and every verifier and the dims table read it.  Every constraint row lies
 in one parity block, the rank-4 coordinates holding the same units (axes,
 or J-planes) an odd number of times, so the weyl chain is solved one block
 at a time: affine is K ⊗ R^n there, K the kernel of the first-pair and
-cyclic rows on their three slots; weyl and kaehler_weyl
+cyclic rows on their three slots, written in closed form one index class
+at a time and keyed by parity mask, with no elimination; weyl and kaehler_weyl
 (structure-compatible) are cut out of affine and weyl by their own rows for
 first pairs i < j, as every space past affine alternates there, the weyl
 rows with two entries each, as the Weyl trace follows on affine; riemann
@@ -75,8 +76,6 @@ from .tensors import (
     Block,
     Tensor4,
     action_rows,
-    antisym_rows,
-    bianchi_rows,
     defect_antisym,
     defect_bianchi,
     defect_kaehler,
@@ -97,6 +96,7 @@ from .tensors import (
     riemann_rows,
     riemann_trace_rows,
     sigma,
+    slot_kernel_rows,
     psi_map,
     two_form_basis,
     weyl_rows,
@@ -294,29 +294,17 @@ class CurvatureCatalog:
         """The catalog of the space without its structure, with the same
         signs: its units are the axes, so a signed axis permutation, and so
         every element of O's generating set, carries a parity block onto a
-        block.  This catalog for an unstructured space.  K reads neither the
-        metric nor a structure, so the two share it, and they share the
+        block.  This catalog for an unstructured space.  The two share the
         coefficient kernels their meets keep, as a kernel reads only its
-        system."""
+        system; each groups K's rows by its own units."""
         if self.space.kind == "none":
             return self
         twin = CurvatureCatalog(self.space._replace(kind="none"))
-        twin.affine_slots, twin.solved = self.affine_slots, self.solved
+        twin.solved = self.solved
         return twin
 
-    @cached_property
-    def affine_slots(self) -> Subspace:
-        """K: the kernel of the first-pair and cyclic rows on the slots they read."""
-        return kernel_subspace(antisym_rows(self.space.n) + bianchi_rows(self.space.n), self.space.n ** 3)
-
-    @cached_property
-    def slots_by_mask(self) -> dict[int, list[tuple[int, ...]]]:
-        """K's basis rows by the parity mask of their rank-3 coordinates."""
-        n, bits = self.space.n, unit_bits(self.space)
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for row in self.affine_slots.basis:
-            groups.setdefault(parity_mask(bits, n, row[0], 3), []).append(row)
-        return groups
+    # K's rows, written one index class at a time, by their rank-3 parity mask
+    slots_by_mask = cached_property(lambda self: slot_kernel_rows(self.space.n, unit_bits(self.space)))
 
     @cached_property
     def two_tensors(self) -> TwoTensorSplit:

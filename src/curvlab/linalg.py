@@ -10,8 +10,9 @@ so two subspaces are equal iff their stored bases are structurally equal.
 That canonical form is what makes every downstream report deterministic.
 A stored row is one flat tuple ``(c0, v0, c1, v1, ...)`` of its nonzero
 entries, columns ascending: one object per row rather than a pair per
-entry.  Only this module reads that layout; other code goes through the
-``Subspace`` accessors.
+entry.  Other code reads it through the ``Subspace`` accessors; only K's
+closed-form rows (``tensors.slot_kernel_rows``) and a block's ``affine``
+written from them are built in it outside this module.
 A kernel is presolved first: a row with one entry zeroes its column and one
 with two entries of equal magnitude ties two columns up to sign, in a signed
 union-find, so only the other rows are eliminated, over the class roots.

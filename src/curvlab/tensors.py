@@ -20,27 +20,30 @@ row per axis, as its :func:`derivation_table`, and a signed axis permutation
 (a cycle, a sign-diagonal component representative) as its targets and
 signs (:func:`permute_vec`).  The canonical forms,
 the images of sigma and psi and the constraint rows all read and write that
-format; the first-pair and cyclic rows, which never read the last slot, are
-written over rank-3 coordinates (i*n + j)*n + k, the last-pair, Weyl and
-structure rows for first pairs i < j only, the Weyl rows on affine with two
-entries each (its trace follows from the cyclic identity there), and on
-weyl the last-pair rows as one trace row per first pair.  Each linear
-condition, the Ricci contraction and the structure identity included, is
-written once, as rows, which the catalog restricts to a parent subspace's
-basis; so is each invariant contraction, one row over rank-4 coordinates.
+format.  K, the kernel of the first-pair and cyclic rows, which never read
+the last slot, is written in closed form as stored subspace rows over
+rank-3 coordinates (i*n + j)*n + k, one index class at a time.  The
+last-pair, Weyl and structure rows are written for first pairs i < j only,
+the Weyl rows on affine with two entries each (its trace follows from the
+cyclic identity there), and on weyl the last-pair rows as one trace row per
+first pair.  Each linear condition, the Ricci contraction and the structure
+identity included, is written once, as rows, which the catalog restricts to
+a parent subspace's basis; so is each invariant contraction, one row over
+rank-4 coordinates.
 
 The one dense container, :class:`Tensor4`, holds a witness tensor while the
 textbook defect loops re-verify it; those loops share no code with the
 sparse rows they cross-check.  The dense maps, pull-back, infinitesimal
 action and per-pair contraction that the sparse ones are tested against
-live in ``tests/oracles.py``.
+live in ``tests/oracles.py``, as do the first-pair and cyclic rows over every
+rank-3 coordinate, whose kernel K is held to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -382,33 +385,26 @@ def _anchors(n: int, block: Block | None) -> list[tuple[int, Sequence[int]]]:
             if (lasts := groups.get(mask ^ first_mask)) for f in groups[first_mask] if f // n < f % n]
 
 
-def antisym_rows(n: int) -> list[dict[int, int]]:
-    """Rows of A(x,y,z,.) + A(y,x,z,.) over rank-3 coordinates (i*n + j)*n + k:
-    the identity does not read the last slot."""
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                row: dict[int, int] = {}
-                for key in ((i * n + j) * n + k, (j * n + i) * n + k):
-                    row[key] = row.get(key, 0) + 1
-                rows.append(row)
-    return rows
+def slot_kernel_rows(n: int, bits: Sequence[int]) -> dict[int, list[tuple[int, ...]]]:
+    """K, the kernel of the first-pair and cyclic rows over the rank-3
+    coordinates (i*n + j)*n + k they read, in closed form: its canonical rows
+    as stored (:class:`linalg.Subspace`), each keyed by its coordinates'
+    parity mask bits[i] ^ bits[j] ^ bits[k].  Both identities permute the
+    indices of one coordinate, so K is a direct sum over index multisets:
+    {a, a, a} gives no row; {a, a, b} one, A(a,b,a) = -A(b,a,a), as
+    A(a,a,b) = 0; {a, b, c}, a < b < c, two, led by (a,b,c) and (a,c,b)."""
+    def at(i: int, j: int, k: int) -> int:
+        return (i * n + j) * n + k
 
-
-def bianchi_rows(n: int) -> list[dict[int, int]]:
-    """Rows of the cyclic sum over the first three slots, over rank-3
-    coordinates (i*n + j)*n + k: the identity does not read the last slot."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
-                    continue  # one row per cyclic class
-                row: dict[int, int] = {}
-                for key in ((i * n + j) * n + k, (j * n + k) * n + i, (k * n + i) * n + j):
-                    row[key] = row.get(key, 0) + 1
-                rows.append(row)
+    rows: dict[int, list[tuple[int, ...]]] = {}
+    for a, b in permutations(range(n), 2):
+        aba, baa = at(a, b, a), at(b, a, a)
+        rows.setdefault(bits[b], []).append((aba, 1, baa, -1) if aba < baa else (baa, 1, aba, -1))
+    for a, b, c in combinations(range(n), 3):
+        bca, cba = at(b, c, a), at(c, b, a)
+        rows.setdefault(bits[a] ^ bits[b] ^ bits[c], []).extend((
+            (at(a, b, c), 1, at(b, a, c), -1, bca, -1, cba, 1),
+            (at(a, c, b), 1, bca, 1, at(c, a, b), -1, cba, -1)))
     return rows
 
 

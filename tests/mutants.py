@@ -593,6 +593,22 @@ MUTANTS = [
          "tests/test_curvature.py::test_conformal_is_the_direct_kernel_over_every_coordinate"],
     ),
     (
+        "K's {a, a, b} row tying (a,a,b) instead of (b,a,a)",
+        TENSORS,
+        "aba, baa = at(a, b, a), at(b, a, a)",
+        "aba, baa = at(a, b, a), at(a, a, b)",
+        ["tests/test_tensors.py::test_k_by_class_is_the_kernel_of_the_rank3_rows",
+         "tests/test_golden_reports.py::test_report_bytes_unchanged[dims --n 6 --kind complex]"],
+    ),
+    (
+        "K's second row on a distinct class with the sign at (b,c,a) flipped",
+        TENSORS,
+        "(at(a, c, b), 1, bca, 1, at(c, a, b), -1, cba, -1)",
+        "(at(a, c, b), 1, bca, -1, at(c, a, b), -1, cba, -1)",
+        ["tests/test_tensors.py::test_k_by_class_is_the_kernel_of_the_rank3_rows",
+         "tests/test_curvature.py::test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate"],
+    ),
+    (
         "invariant contractions read on two of the three slot pairings",
         TENSORS,
         "SLOT_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))",

@@ -18,14 +18,15 @@ check that lemma4.9's block condition is held to.  Small dense helpers
 (conversions, the Gram matrix, the transpose, decoding a report's tensor)
 live here too, since the package itself needs none of them.  So do the
 generic subspace references the package does not need: the Zassenhaus
-intersection and the containment check that meets are held to, the lift of
-three-slot rows to every last index that the closed-form ``affine`` is held
-to, the last-pair, Weyl and structure rows written for every first pair
-(i, j), which the package writes for i < j only, the Ricci rows, every
-rank-4 space of the catalog over every coordinate (the weyl chain met with
-those rows, conformal as one direct kernel, the map spans over the whole
-pieces of the split), which the package solves one parity block at a
-time, and the unitary Lie-algebra rows written as commutators XJ - JX,
+intersection and the containment check that meets are held to, the
+first-pair and cyclic rows over every rank-3 coordinate, whose kernel the
+closed-form K is held to, and their lift to every last index that the
+closed-form ``affine`` is held to, the last-pair, Weyl and structure rows
+written for every first pair (i, j), which the package writes for i < j
+only, the Ricci rows, every rank-4 space of the catalog over every
+coordinate (the weyl chain met with those rows, conformal as one direct
+kernel, the map spans over the whole pieces of the split), which the
+package solves one parity block at a time, and the unitary Lie-algebra rows written as commutators XJ - JX,
 which the package writes as J's pull-back; they run on the package's
 echelon engine, by another route than the one they check.  The unit
 permutation that carries one parity mask onto another, keeping metric
@@ -51,8 +52,6 @@ from curvlab.linalg import Echelon, Subspace, SubspaceReducer, kernel_subspace, 
 from curvlab.spaces import ModelSpace, j_signed_permutation, structure_sign
 from curvlab.tensors import (
     Tensor4,
-    antisym_rows,
-    bianchi_rows,
     defect_antisym,
     defect_bianchi,
     defect_kaehler,
@@ -385,6 +384,36 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def is_subspace_of(a: Subspace, b: Subspace) -> bool:
     reducer = SubspaceReducer(b)
     return all(reducer.contains(row) for row in a.basis_dicts())
+
+
+def antisym_rows(n: int) -> list[dict[int, int]]:
+    """Rows of A(x,y,z,.) + A(y,x,z,.) over rank-3 coordinates (i*n + j)*n + k:
+    the identity does not read the last slot."""
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                row: dict[int, int] = {}
+                for key in ((i * n + j) * n + k, (j * n + i) * n + k):
+                    row[key] = row.get(key, 0) + 1
+                rows.append(row)
+    return rows
+
+
+def bianchi_rows(n: int) -> list[dict[int, int]]:
+    """Rows of the cyclic sum over the first three slots, over rank-3
+    coordinates (i*n + j)*n + k: the identity does not read the last slot."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
+                    continue  # one row per cyclic class
+                row: dict[int, int] = {}
+                for key in ((i * n + j) * n + k, (j * n + k) * n + i, (k * n + i) * n + j):
+                    row[key] = row.get(key, 0) + 1
+                rows.append(row)
+    return rows
 
 
 def lift_last_slot(rows: Sequence[Mapping[int, int]], n: int) -> list[dict[int, int]]:

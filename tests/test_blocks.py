@@ -22,8 +22,6 @@ from curvlab.curvature import BlockChain, CurvatureCatalog, catalog, run_claim
 from curvlab.linalg import Subspace, meet_kernel, rank_of_rows, restrict_rows, subspace_sum
 from curvlab.spaces import generating_set, make_standard, parity_blocks, unit_bits
 from curvlab.tensors import (
-    antisym_rows,
-    bianchi_rows,
     gram_weight4,
     kaehler_rows,
     psi_map,
@@ -205,7 +203,7 @@ def test_representative_blocks_pass_the_modular_rank_certificate(n, kind):
     certificate runs over the rows that lie in this one."""
     s = make_standard(n, kind)
     cat = catalog(s)
-    affine = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    affine = oracles.lift_last_slot(oracles.antisym_rows(n) + oracles.bianchi_rows(n), n)
     weyl = affine + oracles.full_weyl_rows(s)
     kaehler_weyl = weyl + oracles.full_kaehler_rows(s)
     chains = {"affine": affine, "weyl": weyl, "riemann": weyl + oracles.full_riemann_rows(n),

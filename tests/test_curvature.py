@@ -31,8 +31,6 @@ from curvlab.curvature import (
     probe_opposed_form,
 )
 from curvlab.tensors import (
-    antisym_rows,
-    bianchi_rows,
     gram_weight4,
     inner2,
     is_structure_eigenform,
@@ -110,7 +108,7 @@ def test_closed_form_dimensions_in_both_geometries(n, kind):
 def test_affine_equals_the_kernel_of_the_lifted_rows(n):
     """The closed-form K ⊗ R^n is the kernel over all n^4 columns of the
     first-pair and cyclic rows lifted to every value of the last index."""
-    rows = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    rows = oracles.lift_last_slot(oracles.antisym_rows(n) + oracles.bianchi_rows(n), n)
     assert catalog(make_standard(n, "none")).affine == kernel_subspace(rows, n ** 4)
 
 
@@ -294,7 +292,7 @@ def test_catalog_kernels_pass_the_modular_rank_certificate(n, kind, sig):
     certificate itself rejects a space cut by too few rows or by too many."""
     s = make_standard(n, kind, sig)
     cat = catalog(s)
-    affine = oracles.lift_last_slot(antisym_rows(n) + bianchi_rows(n), n)
+    affine = oracles.lift_last_slot(oracles.antisym_rows(n) + oracles.bianchi_rows(n), n)
     weyl = affine + oracles.full_weyl_rows(s)
     chains = {
         "affine": affine,
@@ -314,14 +312,15 @@ def test_catalog_kernels_pass_the_modular_rank_certificate(n, kind, sig):
 @pytest.mark.parametrize("n,kind,sig", CERTIFIED_SPACES)
 def test_slot_lie_and_split_kernels_pass_the_modular_rank_certificate(n, kind, sig):
     """The engine's other kernels are ker of their own rows, by the
-    modular-rank certificate: ``affine_slots`` against its rank-3 first-pair
-    and cyclic rows, the Lie algebras of O and of U (which Ustar shares)
-    against rows written for every entry and as commutators XJ - JX, and the
-    four kernels of the six-piece split against rows read off dense
-    matrices.  The certificate rejects a split kernel against another's rows."""
+    modular-rank certificate: K, as the catalog writes it one index class at
+    a time, against its rank-3 first-pair and cyclic rows, the Lie algebras
+    of O and of U (which Ustar shares) against rows written for every entry
+    and as commutators XJ - JX, and the four kernels of the six-piece split
+    against rows read off dense matrices.  The certificate rejects a split kernel against another's rows."""
     s = make_standard(n, kind, sig)
     cat = catalog(s)
-    assert oracles.kernel_certificate(cat.affine_slots, antisym_rows(n) + bianchi_rows(n)) == []
+    k = Subspace(n ** 3, tuple(sorted(row for rows in cat.slots_by_mask.values() for row in rows)))
+    assert oracles.kernel_certificate(k, oracles.antisym_rows(n) + oracles.bianchi_rows(n)) == []
     groups = {"O": oracles.orthogonal_lie_rows(s)}
     if kind != "none":
         groups["U"] = oracles.commuting_lie_rows(s)
@@ -715,16 +714,16 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
         curvature.run_claim(claim, s)
     assert main(["dims", "--n", "4", "--kind", "complex"]) == 0
     plane_built = built[len(axis_built):]
-    # thm4.1 reads the axis blocks of the space without its structure: K over
-    # n^3 columns, which the two catalogs share, then the coefficient kernels
-    # of the meets on its three representatives and on the two blocks its
+    # thm4.1 reads the axis blocks of the space without its structure: K is
+    # written in closed form, so the kernels are the coefficient kernels of
+    # the meets on its three representatives and on the two blocks its
     # certificate reaches from them, 10 in all (a meet whose rows all
     # restrict to zero builds none).  At four distinct axes no trace, tie or
     # Ricci row is anchored, so the weyl rows and conformal's riemann and
     # Ricci rows restrict to the same rows on affine there: one system, solved
     # once, so that block's conformal is its weyl
     assert [mask for mask, _, _ in catalog(s).axes.orbits] == [0, 3, 15]
-    assert len(axis_built) == 1 + 10
+    assert len(axis_built) == 10
     axes = catalog(s).axes
     four = axes.block_chain(15)
     same = [row for row in restrict_rows(four.affine, weyl_rows(axes.space, four.block)) if row]
@@ -739,7 +738,7 @@ def test_claims_and_dims_build_each_kernel_once(monkeypatch, capsys):
     assert len(catalog(s).orbits) == 2
     assert len(plane_built) == 4 + 2 * 6
     # no system is solved twice, in either catalog or across the two, and no
-    # kernel runs over all n^4 columns
+    # kernel runs over all n^4 columns, nor over K's n^3
     assert len(set(built)) == len(built)
     assert sum(ncols == 4 ** 4 for ncols, _ in built) == 0
-    assert sum(ncols == 4 ** 3 for ncols, _ in built) == 1
+    assert sum(ncols == 4 ** 3 for ncols, _ in built) == 0

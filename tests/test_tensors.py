@@ -10,18 +10,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvlab.linalg import Subspace, kernel_subspace
 from curvlab.spaces import (
     lie_algebra_basis,
     make_standard,
+    parity_mask,
     random_lie_elements,
     signed_pair_table,
     structure_reversal,
+    unit_bits,
 )
 from curvlab.tensors import (
     Tensor4,
     action_rows,
-    antisym_rows,
-    bianchi_rows,
     defect_antisym,
     defect_bianchi,
     defect_kaehler,
@@ -44,6 +45,7 @@ from curvlab.tensors import (
     ricci_rows,
     riemann_rows,
     sigma,
+    slot_kernel_rows,
     two_form_basis,
     unflatten4,
     weyl_rows,
@@ -599,13 +601,15 @@ def _grade(c, slots, n, bit):
 def test_every_row_is_homogeneous_for_its_grading(n, kind, sig):
     """The diagonal sign matrices fix the metric and every condition, so each
     symmetry and Ricci row stays in one axis parity of its columns (the
-    first-pair and cyclic rows over their three slots); J keeps each J-plane,
-    so each structure row stays in one plane parity."""
+    first-pair and cyclic rows over their three slots, as K's closed-form
+    rows under their keyed masks); J keeps each J-plane, so each structure
+    row stays in one plane parity."""
     s = make_standard(n, kind, sig)
     axis = lambda a: a
+    keyed = slot_kernel_rows(n, [1 << a for a in range(n)])
+    assert [(mask, row) for mask, rows in keyed.items() for row in rows
+            if {_grade(c, 3, n, axis) for c in row[::2]} != {mask}] == []
     graded = [
-        (antisym_rows(n), 3, axis),
-        (bianchi_rows(n), 3, axis),
         (riemann_rows(n), 4, axis),
         (weyl_rows(s), 4, axis),
         (ricci_rows(s), 4, axis),
@@ -615,3 +619,27 @@ def test_every_row_is_homogeneous_for_its_grading(n, kind, sig):
     mixed = [row for rows, slots, bit in graded for row in rows
              if len({_grade(c, slots, n, bit) for c in row}) > 1]
     assert mixed == []
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_k_by_class_is_the_kernel_of_the_rank3_rows(n):
+    """K written one index class at a time is, byte for byte, the kernel over
+    all n^3 rank-3 coordinates of the first-pair and cyclic rows."""
+    rows = slot_kernel_rows(n, [1 << a for a in range(n)])
+    k = Subspace(n ** 3, tuple(sorted(row for group in rows.values() for row in group)))
+    assert k == kernel_subspace(oracles.antisym_rows(n) + oracles.bianchi_rows(n), n ** 3)
+    assert k.dim == n * (n * n - 1) // 3
+
+
+@pytest.mark.parametrize("n,kind,sig", [(6, "none", None), (6, "complex", None), (6, "para", None),
+                                        (6, "complex", (4, 2)), (8, "complex", None)])
+def test_each_catalog_keys_k_by_its_own_units(n, kind, sig):
+    """Each catalog, and its axis twin, keys every row of K by the rank-3
+    parity mask of its coordinates under its own units."""
+    from curvlab.curvature import catalog
+
+    cat = catalog(make_standard(n, kind, sig))
+    for c in (cat, cat.axes):
+        bits = unit_bits(c.space)
+        assert [(mask, row) for mask, rows in c.slots_by_mask.items() for row in rows
+                if {parity_mask(bits, n, col, 3) for col in row[::2]} != {mask}] == []
